@@ -1,20 +1,10 @@
 //! `repro` — regenerate every table and figure of the BeeHive paper.
 //!
-//! ```text
-//! repro [--quick] [--seed N] [--chaos-seed N] [--json] [--trace DIR]
-//!       [--metrics DIR] [--profile DIR] [--insight DIR] [--obs DIR]
-//!       [--sentinel]
-//!       [list|all|fig2|table1|table2|fig7|table3|fig8|
-//!        fig9|table4|fig10|table5|gcstats|shadow|ablations|combination|
-//!        recovery]
-//! repro compare BASELINE CURRENT [--bench-out FILE]
-//! repro diff BASELINE CURRENT [--bench-out FILE]
-//! repro top ITEM [--quick] [--seed N] [--chaos-seed N] [--top N]
-//! repro explain ITEM [--quick] [--seed N] [--chaos-seed N] [--slowest N]
-//! repro check ITEM... [--quick] [--strict] [--json] [--seed N] [--chaos-seed N]
-//! repro timeline ITEM [--quick] [--seed N] [--chaos-seed N] [--window NS] [--json|--svg]
-//! repro lag BASELINE CURRENT
-//! ```
+//! `repro --help` prints one usage line per invocation form and `repro
+//! list` every runnable item, subcommand and umbrella flag; both are
+//! rendered from the [`ITEMS`], [`MAIN`] and [`CMDS`] tables below, which are
+//! also what the argument parser, the usage errors and every subcommand
+//! read.
 //!
 //! Without a subcommand, everything runs in paper order; `repro list`
 //! prints every runnable item with a one-line description. `--quick`
@@ -114,10 +104,14 @@
 //! scenario engine (`beehive_workload::engine`); pin the worker count with
 //! the `BEEHIVE_WORKERS` environment variable.
 
+use std::fmt::{Display, Write as _};
+use std::path::Path;
+
 use beehive_apps::AppKind;
 use beehive_scaling::table1;
 use beehive_sim::json::{Json, ToJson};
-use beehive_workload::engine::RunReport;
+use beehive_telemetry::{chrome::chrome_trace_string, summary::critical_path_with};
+use beehive_workload::engine::{self, Harvest, ObsPlan, RunReport};
 use beehive_workload::experiment::{
     ablation::ablation,
     breakdown::{gc_stats, shadow_breakdown},
@@ -133,644 +127,744 @@ use beehive_workload::experiment::{
     Profile,
 };
 
+// ---- The item table ----
+
+/// What running one item yields: the text printed under its banner and,
+/// for `--json`, one report body for the item itself plus one for every
+/// item printed [`Run::With`] it, in table order.
+struct Output {
+    text: String,
+    bodies: Vec<Json>,
+}
+
+/// Runs an item at a [`Profile`] and chaos seed.
+type RunFn = fn(Profile, u64) -> Output;
+
+/// How an item is produced.
+enum Run {
+    /// Selects every other item.
+    Every,
+    /// Printed by the named item, which selecting this one selects.
+    With(&'static str),
+    /// Computed from constants: no simulation to trace, profile or check.
+    Static(RunFn),
+    /// Runs simulations through the engine, so it has artifacts to flush
+    /// and can be the ITEM of a subcommand.
+    Sims(RunFn),
+}
+
+/// One runnable item: its `repro list` row, its section banner, its runner.
+struct Item {
+    name: &'static str,
+    desc: &'static str,
+    banner: &'static str,
+    run: Run,
+}
+
+/// Every item, in paper order — the order `repro all` prints them in.
+static ITEMS: [Item; 16] = [
+    Item {
+        name: "all",
+        desc: "every item below, in paper order",
+        banner: "",
+        run: Run::Every,
+    },
+    Item {
+        name: "table1",
+        desc: "scaling solutions compared (billing, preparation, granularity)",
+        banner: "Table 1 — scaling solutions compared",
+        run: Run::Static(|_, _| run_table1()),
+    },
+    Item {
+        name: "fig2",
+        desc: "motivation: closed-loop latency of a vanilla server under load",
+        banner: "Figure 2",
+        run: Run::Sims(|p, _| single(&fig2(p))),
+    },
+    Item {
+        name: "table2",
+        desc: "application suite and workload characteristics",
+        banner: "Table 2",
+        run: Run::Static(|_, _| single(&table2())),
+    },
+    Item {
+        name: "fig7",
+        desc: "burst latency timelines for every scaling strategy",
+        banner: "Figure 7 + Table 3",
+        run: Run::Sims(|p, _| run_fig7_table3(p)),
+    },
+    Item {
+        name: "table3",
+        desc: "financial cost of the scaling in Figure 7",
+        banner: "",
+        run: Run::With("fig7"),
+    },
+    Item {
+        name: "fig8",
+        desc: "sub-second elasticity around the scaling trigger",
+        banner: "Figure 8",
+        run: Run::Sims(|p, _| per_app(&AppKind::all(), |k| fig8(k, p))),
+    },
+    Item {
+        name: "fig9",
+        desc: "offload-ratio sweep: latency vs offloaded fraction",
+        banner: "Figure 9",
+        run: Run::Sims(|p, _| {
+            // Quick mode sweeps pybbs only.
+            let kinds = [AppKind::Pybbs, AppKind::Blog, AppKind::Thumbnail];
+            per_app(&kinds[..if p.quick { 1 } else { 3 }], |k| fig9(k, p))
+        }),
+    },
+    Item {
+        name: "table4",
+        desc: "SLO-driven offloading controller outcomes per app",
+        banner: "Table 4",
+        run: Run::Sims(|p, _| single(&table4(&AppKind::all(), p))),
+    },
+    Item {
+        name: "fig10",
+        desc: "SLO controller timeline under a burst",
+        banner: "Figure 10",
+        run: Run::Sims(|p, _| single(&fig10(p))),
+    },
+    Item {
+        name: "table5",
+        desc: "fallback and synchronization counts per offloaded request",
+        banner: "Table 5",
+        run: Run::Sims(|p, _| single(&table5(&AppKind::all(), p))),
+    },
+    Item {
+        name: "gcstats",
+        desc: "§5.6 memory consumption and GC pauses",
+        banner: "§5.6 — memory consumption and GC",
+        run: Run::Sims(|p, _| single(&gc_stats(&AppKind::all(), p))),
+    },
+    Item {
+        name: "shadow",
+        desc: "§5.6 shadow-execution warm-up breakdown",
+        banner: "§5.6 — shadow execution",
+        run: Run::Sims(|p, _| per_app(&AppKind::all(), |k| shadow_breakdown(k, p))),
+    },
+    Item {
+        name: "ablations",
+        desc: "feature ablations (shadowing, proxy, refinement) on pybbs",
+        banner: "Ablations",
+        run: Run::Sims(|p, _| single(&ablation(AppKind::Pybbs, p))),
+    },
+    Item {
+        name: "combination",
+        desc: "§5.7 Semi-FaaS bridging an on-demand instance boot",
+        banner: "§5.7 — combination mode",
+        run: Run::Sims(|p, _| single(&combination(AppKind::Pybbs, p))),
+    },
+    Item {
+        name: "recovery",
+        desc: "§4.5 MTTR and latency under injected instance crashes",
+        banner: "§4.5 — failure recovery under fault injection",
+        run: Run::Sims(|p, chaos_seed| single(&recovery(AppKind::Pybbs, p, chaos_seed))),
+    },
+];
+
+/// The rows as `repro list` and `--help` have always shown them: Figure 2
+/// ahead of Table 1, which precedes it in the paper.
+fn listed() -> impl Iterator<Item = &'static Item> {
+    let (all, table1, fig2, rest) = (&ITEMS[0], &ITEMS[1], &ITEMS[2], &ITEMS[3..]);
+    [all, fig2, table1].into_iter().chain(rest)
+}
+
+/// The row named `name`.
+fn item(name: &str) -> Option<&'static Item> {
+    ITEMS.iter().find(|it| it.name == name)
+}
+
+/// `true` when `row` is printed in `host`'s section: it is `host`, or is
+/// printed [`Run::With`] it.
+fn printed_in(row: &Item, host: &Item) -> bool {
+    row.name == host.name || matches!(row.run, Run::With(h) if h == host.name)
+}
+
+/// An item that is one report.
+fn single(rep: &(impl Display + ToJson)) -> Output {
+    Output {
+        text: format!("{rep}\n"),
+        bodies: vec![rep.to_json()],
+    }
+}
+
+/// An item that is one report per application.
+fn per_app<R: Display + ToJson>(kinds: &[AppKind], run: impl Fn(AppKind) -> R) -> Output {
+    let reps: Vec<R> = kinds.iter().map(|&k| run(k)).collect();
+    Output {
+        text: reps.iter().map(|rep| format!("{rep}\n")).collect(),
+        bodies: vec![Json::obj([("apps".into(), Json::arr(reps.iter()))])],
+    }
+}
+
+fn run_table1() -> Output {
+    let mut text = format!(
+        "{:<14} {:<18} {:<14} {:<16} {:<12} Auto-scaling\n",
+        "Solution", "Min running time", "Billing", "Preparation", "Config"
+    );
+    for row in table1() {
+        let _ = writeln!(
+            text,
+            "{:<14} {:<18} {:<14} {:<16} {:<12} {}",
+            row.name,
+            row.min_running_time,
+            row.billing_granularity,
+            row.preparation_time,
+            row.config_granularity,
+            if row.auto_scaling { "yes" } else { "no" }
+        );
+    }
+    Output {
+        text,
+        bodies: vec![Json::obj([("rows".into(), Json::arr(table1().iter()))])],
+    }
+}
+
+/// Figure 7 for every app, then Table 3: the scaling cost of the same runs,
+/// one column per app and one row per strategy.
+fn run_fig7_table3(profile: Profile) -> Output {
+    let reps: Vec<_> = AppKind::all()
+        .map(|kind| (kind, fig7(kind, profile)))
+        .into();
+    let mut text: String = reps.iter().map(|(_, rep)| format!("{rep}\n")).collect();
+    text.push_str("Table 3 — financial cost ($) for scaling in Figure 7\n");
+    let _ = write!(text, "{:<22}", "Scaling solutions");
+    for (kind, _) in &reps {
+        let _ = write!(text, "{:>12}", kind.name());
+    }
+    text.push('\n');
+    for (i, row) in reps[0].1.rows.iter().enumerate() {
+        let _ = write!(text, "{:<22}", row.strategy.label());
+        for (_, rep) in &reps {
+            let _ = write!(text, "{:>12.4}", rep.rows[i].scaling_cost);
+        }
+        text.push('\n');
+    }
+    let costs = reps.iter().map(|(kind, rep)| {
+        let by_strategy = rep
+            .rows
+            .iter()
+            .map(|r| (r.strategy.label().to_string(), Json::from(r.scaling_cost)));
+        Json::obj([
+            ("app".into(), Json::from(kind.name())),
+            ("by_strategy".into(), Json::Obj(by_strategy.collect())),
+        ])
+    });
+    Output {
+        bodies: vec![
+            Json::obj([("apps".into(), Json::arr(reps.iter().map(|(_, rep)| rep)))]),
+            Json::obj([("costs".into(), Json::Arr(costs.collect()))]),
+        ],
+        text,
+    }
+}
+
+// ---- The flag and subcommand tables ----
+
+/// A substrate a flag or subcommand cannot work without: its crate, and
+/// whether this binary was built with that crate's `compile-off` feature.
+type Substrate = (&'static str, bool);
+const TELEMETRY: Substrate = ("beehive-telemetry", beehive_telemetry::COMPILED_OFF);
+const PROFILER: Substrate = ("beehive-profiler", beehive_profiler::COMPILED_OFF);
+const SENTINEL: Substrate = ("beehive-sentinel", beehive_sentinel::COMPILED_OFF);
+
+/// Exit 2 when `what` needs a substrate this binary was built without.
+fn require(what: &str, needs: &[Substrate]) {
+    if let Some((krate, _)) = needs.iter().find(|(_, compiled_off)| *compiled_off) {
+        die(&format!(
+            "{what} is unavailable: this binary was built with {krate}/compile-off"
+        ));
+    }
+}
+
+/// What a flag takes.
+#[derive(Clone, Copy, PartialEq)]
+enum Takes {
+    Switch,
+    /// A switch mutually exclusive with the flag before it (`[--a|--b]`).
+    OrSwitch,
+    Seed,
+    Count,
+    Nanos,
+    Dir,
+    File,
+}
+
+/// Whether a flag accepts the value given for it.
+type Check = fn(&str) -> bool;
+
+impl Takes {
+    /// For a flag that takes a value: its usage placeholder, what `FLAG
+    /// needs ...` calls it, and the check it must pass.
+    fn value(self) -> Option<(&'static str, &'static str, Check)> {
+        let positive: Check = |v| v.parse::<u64>().is_ok_and(|n| n >= 1);
+        // A path may not look like the next flag.
+        let path: Check = |v| !v.starts_with('-');
+        match self {
+            Takes::Switch | Takes::OrSwitch => None,
+            Takes::Seed => Some(("N", "an integer", |v| v.parse::<u64>().is_ok())),
+            Takes::Count => Some(("N", "a positive integer", positive)),
+            Takes::Nanos => Some(("NS", "a positive nanosecond count", positive)),
+            Takes::Dir => Some(("DIR", "a directory", path)),
+            Takes::File => Some(("FILE", "a file", path)),
+        }
+    }
+}
+
+/// One flag of one invocation form: its name, what it takes, and the
+/// substrates it needs.
+struct Flag(&'static str, Takes, &'static [Substrate]);
+
+// The flags every simulating form takes; `parse` folds them into
+// `Args::profile` / `Args::chaos_seed`.
+const QUICK: Flag = Flag("--quick", Takes::Switch, &[]);
+const SEED: Flag = Flag("--seed", Takes::Seed, &[]);
+const CHAOS_SEED: Flag = Flag("--chaos-seed", Takes::Seed, &[]);
+const JSON: Flag = Flag("--json", Takes::Switch, &[]);
+const BENCH_OUT: Flag = Flag("--bench-out", Takes::File, &[]);
+
+/// One invocation form: `repro [flags] ITEM...` ([`MAIN`]) or a subcommand.
+struct Cmd {
+    /// Empty for [`MAIN`].
+    name: &'static str,
+    /// Its `repro list` row.
+    desc: &'static str,
+    /// Its operands as the usage line spells them. For subcommands this is
+    /// also the arity: one operand per word, `...` for "or more".
+    operands: &'static str,
+    flags: &'static [Flag],
+    needs: &'static [Substrate],
+    run: fn(Args),
+}
+
+static MAIN: Cmd = Cmd {
+    name: "",
+    desc: "",
+    operands: "",
+    flags: &[
+        QUICK,
+        SEED,
+        CHAOS_SEED,
+        JSON,
+        Flag("--trace", Takes::Dir, &[TELEMETRY]),
+        Flag("--metrics", Takes::Dir, &[]),
+        Flag("--profile", Takes::Dir, &[PROFILER]),
+        Flag("--insight", Takes::Dir, &[TELEMETRY]),
+        Flag("--obs", Takes::Dir, &[TELEMETRY, PROFILER, SENTINEL]),
+        Flag("--sentinel", Takes::Switch, &[TELEMETRY, SENTINEL]),
+    ],
+    needs: &[],
+    run: run_items,
+};
+
+/// The [`MAIN`] flags that switch on several substrates at once, as
+/// `repro list` describes them.
+const UMBRELLAS: [(&str, &str); 2] = [
+    ("--obs DIR", "write every artifact family in one pass: trace + metrics + profile + insight + sentinel conformance reports + elasticity timelines"),
+    ("--sentinel", "run the online conformance checker in every simulation (exit 1 on violations)"),
+];
+
+/// The subcommands, in `--help` order.
+static CMDS: [Cmd; 7] = [
+    Cmd {
+        name: "compare",
+        desc: "regression-gate two --metrics directories (repro compare BASE CUR)",
+        operands: "BASELINE CURRENT",
+        flags: &[BENCH_OUT],
+        needs: &[],
+        run: |args| run_compare(args, false),
+    },
+    Cmd {
+        name: "diff",
+        desc: "compare plus root-cause diagnosis of regressed latency (repro diff BASE CUR)",
+        operands: "BASELINE CURRENT",
+        flags: &[BENCH_OUT],
+        needs: &[],
+        run: |args| run_compare(args, true),
+    },
+    Cmd {
+        name: "top",
+        desc: "hottest simulated frames for one item (repro top ITEM)",
+        operands: "ITEM",
+        flags: &[QUICK, SEED, CHAOS_SEED, Flag("--top", Takes::Count, &[])],
+        needs: &[PROFILER],
+        run: run_top,
+    },
+    Cmd {
+        name: "explain",
+        desc: "latency attribution, SLO burn and slowest requests (repro explain ITEM)",
+        operands: "ITEM",
+        flags: &[
+            QUICK,
+            SEED,
+            CHAOS_SEED,
+            Flag("--slowest", Takes::Count, &[]),
+        ],
+        needs: &[TELEMETRY],
+        run: run_explain,
+    },
+    Cmd {
+        name: "check",
+        desc: "replay traces through the conformance engine (repro check ITEM...)",
+        operands: "ITEM...",
+        flags: &[
+            QUICK,
+            Flag("--strict", Takes::Switch, &[]),
+            JSON,
+            SEED,
+            CHAOS_SEED,
+        ],
+        needs: &[TELEMETRY, SENTINEL],
+        run: run_check,
+    },
+    Cmd {
+        name: "timeline",
+        desc: "elasticity timelines and scale-up lag for one item (repro timeline ITEM)",
+        operands: "ITEM",
+        flags: &[
+            QUICK,
+            SEED,
+            CHAOS_SEED,
+            Flag("--window", Takes::Nanos, &[]),
+            JSON,
+            Flag("--svg", Takes::OrSwitch, &[]),
+        ],
+        needs: &[TELEMETRY],
+        run: run_timeline,
+    },
+    Cmd {
+        name: "lag",
+        desc: "diff scale-up lag between two --obs directories (repro lag BASE CUR)",
+        operands: "BASELINE CURRENT",
+        flags: &[],
+        needs: &[],
+        run: run_lag,
+    },
+];
+
+/// The usage line of one invocation form, as `--help` and usage errors
+/// print it.
+fn usage(cmd: &Cmd) -> String {
+    let mut flags = String::new();
+    for (i, Flag(name, takes, _)) in cmd.flags.iter().enumerate() {
+        flags += if *takes == Takes::OrSwitch { "|" } else { " [" };
+        flags += name;
+        if let Some((meta, ..)) = takes.value() {
+            flags = flags + " " + meta;
+        }
+        if !matches!(cmd.flags.get(i + 1), Some(Flag(_, Takes::OrSwitch, _))) {
+            flags += "]";
+        }
+    }
+    if cmd.name.is_empty() {
+        let items: Vec<&str> = listed().map(|it| it.name).collect();
+        format!("repro{flags} [list|{}]", items.join("|"))
+    } else {
+        format!("repro {} {}{flags}", cmd.name, cmd.operands)
+    }
+}
+
+/// `repro list`: every runnable item, subcommand and umbrella flag.
+fn list() {
+    println!("Runnable items (repro [flags] <item>...):");
+    for it in listed() {
+        println!("  {:<12} {}", it.name, it.desc);
+    }
+    println!("Subcommands:");
+    // The commands that run an item lead; `--help` keeps the older order.
+    for cmd in CMDS.iter().cycle().skip(2).take(CMDS.len()) {
+        println!("  {:<12} {}", cmd.name, cmd.desc);
+    }
+    println!("Umbrella flags:");
+    for (flag, desc) in UMBRELLAS {
+        println!("  {flag:<12} {desc}");
+    }
+}
+
+// ---- The argument parser ----
+
+/// One parsed command line.
+struct Args {
+    cmd: &'static Cmd,
+    /// `--quick` and `--seed`.
+    profile: Profile,
+    /// `--chaos-seed`, defaulting to the seed.
+    chaos_seed: u64,
+    /// Every other flag given, with its checked value (empty for switches).
+    given: Vec<(&'static str, String)>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// The value of `flag` (the last, when repeated), if it was given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        let mut given = self.given.iter().rev();
+        given
+            .find(|(name, _)| *name == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value of a [`Takes::Count`] or [`Takes::Nanos`] flag, or `default`.
+    fn positive(&self, flag: &str, default: u64) -> u64 {
+        let parse = |v: &str| v.parse().expect("the parser checked this value");
+        self.value(flag).map_or(default, parse)
+    }
+
+    /// Where the artifact family of `flag` goes: its own directory, else
+    /// the `--obs` umbrella's.
+    fn dir(&self, flag: &str) -> Option<&Path> {
+        self.value(flag).or(self.value("--obs")).map(Path::new)
+    }
+}
+
+/// Parse `args` against `cmd`'s flag table. Every malformed command line
+/// exits 2 here, with a one-line error on stderr.
+fn parse(cmd: &'static Cmd, args: &[String]) -> Args {
+    let mut out = Args {
+        cmd,
+        profile: Profile::full(),
+        chaos_seed: 0,
+        given: Vec::new(),
+        operands: Vec::new(),
+    };
+    let mut chaos_seed = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let Some(&Flag(name, takes, _)) = cmd.flags.iter().find(|f| f.0 == a) else {
+            if cmd.name.is_empty() && (a == "--help" || a == "-h") {
+                println!("{}", usage(&MAIN));
+                CMDS.iter().for_each(|c| println!("{}", usage(c)));
+                std::process::exit(0);
+            } else if !a.starts_with('-') {
+                out.operands.push(a.clone());
+            } else if cmd.name.is_empty() {
+                die(&format!("unknown flag {a:?} (see `repro --help`)"));
+            } else {
+                die(&format!("unknown flag {a:?} for `repro {}`", cmd.name));
+            }
+            continue;
+        };
+        let v = match takes.value() {
+            None => "",
+            Some((_, what, accepts)) => match it.next() {
+                Some(v) if accepts(v) => v,
+                _ => die(&format!("{name} needs {what}")),
+            },
+        };
+        if name == QUICK.0 {
+            out.profile.quick = true;
+        } else if name == SEED.0 {
+            out.profile.seed = v.parse().expect("checked by `Takes::value`");
+        } else if name == CHAOS_SEED.0 {
+            chaos_seed = v.parse().ok();
+        } else {
+            out.given.push((name, v.to_string()));
+        }
+    }
+    out.chaos_seed = chaos_seed.unwrap_or(out.profile.seed);
+    for pair in cmd.flags.windows(2) {
+        if pair[1].1 == Takes::OrSwitch && out.has(pair[0].0) && out.has(pair[1].0) {
+            die(&format!(
+                "{} and {} are mutually exclusive",
+                pair[0].0, pair[1].0
+            ));
+        }
+    }
+    let arity = cmd.operands.split(' ').count();
+    let arity_ok = match out.operands.len() {
+        _ if cmd.name.is_empty() => true,
+        n if cmd.operands.ends_with("...") => n >= arity,
+        n => n == arity,
+    };
+    if !arity_ok {
+        die(&format!("usage: {}", usage(cmd)));
+    }
+    out
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        run_compare(&args[1..], false);
-    }
-    if args.first().map(String::as_str) == Some("diff") {
-        run_compare(&args[1..], true);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        run_top(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("explain") {
-        run_explain(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("check") {
-        run_check(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("timeline") {
-        run_timeline(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("lag") {
-        run_lag(&args[1..]);
-    }
-    let mut profile = Profile::full();
-    let mut json = false;
-    let mut chaos_seed: Option<u64> = None;
-    let mut trace_dir: Option<std::path::PathBuf> = None;
-    let mut metrics_dir: Option<std::path::PathBuf> = None;
-    let mut profile_dir: Option<std::path::PathBuf> = None;
-    let mut insight_dir: Option<std::path::PathBuf> = None;
-    let mut obs_dir: Option<std::path::PathBuf> = None;
-    let mut sentinel = false;
-    let mut cmds: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--json" => json = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
-            "--trace" => {
-                trace_dir = Some(dir_value(&mut it, "--trace"));
-            }
-            "--metrics" => {
-                metrics_dir = Some(dir_value(&mut it, "--metrics"));
-            }
-            "--profile" => {
-                profile_dir = Some(dir_value(&mut it, "--profile"));
-            }
-            "--insight" => {
-                insight_dir = Some(dir_value(&mut it, "--insight"));
-            }
-            "--obs" => {
-                obs_dir = Some(dir_value(&mut it, "--obs"));
-            }
-            "--sentinel" => sentinel = true,
-            "--help" | "-h" => {
-                println!(
-                    "repro [--quick] [--seed N] [--chaos-seed N] [--json] [--trace DIR] [--metrics DIR] [--profile DIR] [--insight DIR] [--obs DIR] [--sentinel] [list|all|fig2|table1|table2|fig7|table3|fig8|fig9|table4|fig10|table5|gcstats|shadow|ablations|combination|recovery]"
-                );
-                println!("repro compare BASELINE CURRENT [--bench-out FILE]");
-                println!("repro diff BASELINE CURRENT [--bench-out FILE]");
-                println!("repro top ITEM [--quick] [--seed N] [--chaos-seed N] [--top N]");
-                println!("repro explain ITEM [--quick] [--seed N] [--chaos-seed N] [--slowest N]");
-                println!(
-                    "repro check ITEM... [--quick] [--strict] [--json] [--seed N] [--chaos-seed N]"
-                );
-                println!(
-                    "repro timeline ITEM [--quick] [--seed N] [--chaos-seed N] [--window NS] [--json|--svg]"
-                );
-                println!("repro lag BASELINE CURRENT");
-                return;
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag {other:?} (see `repro --help`)"))
-            }
-            other => cmds.push(other.to_string()),
-        }
-    }
-    if cmds.is_empty() {
-        cmds.push("all".into());
-    }
-    if cmds.iter().any(|c| c == "list") {
-        list_items();
-        return;
-    }
-    const KNOWN: [&str; 16] = [
-        "all",
-        "fig2",
-        "table1",
-        "table2",
-        "fig7",
-        "table3",
-        "fig8",
-        "fig9",
-        "table4",
-        "fig10",
-        "table5",
-        "gcstats",
-        "shadow",
-        "ablations",
-        "combination",
-        "recovery",
-    ];
-    for c in &cmds {
-        if !KNOWN.contains(&c.as_str()) {
-            die(&format!(
-                "unknown item {c:?} (run `repro list` for the available items)"
-            ));
-        }
-    }
-    // `--obs DIR` is the umbrella: every artifact family, one directory,
-    // one pass. Specific flags given alongside it keep their own
-    // directories.
-    if let Some(dir) = &obs_dir {
-        trace_dir.get_or_insert_with(|| dir.clone());
-        metrics_dir.get_or_insert_with(|| dir.clone());
-        profile_dir.get_or_insert_with(|| dir.clone());
-        insight_dir.get_or_insert_with(|| dir.clone());
-        sentinel = true;
-        // The elasticity timeline rides the same recorder: one more
-        // consumer, two more artifacts per item.
-        beehive_workload::engine::set_observe_default(true);
-    }
-    if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        beehive_workload::engine::set_trace_default(true);
-    }
-    if let Some(dir) = &insight_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        // Attribution reads the recorded trace.
-        beehive_workload::engine::set_trace_default(true);
-    }
-    if let Some(dir) = &metrics_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        beehive_workload::engine::set_metrics_default(true);
-    }
-    if let Some(dir) = &profile_dir {
-        if beehive_profiler::COMPILED_OFF {
-            die(
-                "--profile is unavailable: this binary was built with beehive-profiler/compile-off",
-            );
-        }
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        beehive_workload::engine::set_profile_default(true);
-    }
-    if sentinel {
-        if beehive_telemetry::COMPILED_OFF || beehive_sentinel::COMPILED_OFF {
-            die("--sentinel is unavailable: this binary was built with telemetry or sentinel compile-off");
-        }
-        beehive_workload::engine::set_sentinel_default(true);
-    }
-
-    // One artifact flush per item: profiles feed the trace summary, traces
-    // feed both the trace files and the insight document, the online
-    // checker's verdicts gate the exit status.
-    let sentinel_violations = std::cell::Cell::new(0usize);
-    let flush = |name: &str| {
-        let profiles = flush_profiles(profile_dir.as_deref(), name);
-        let traces = if trace_dir.is_some() || insight_dir.is_some() {
-            beehive_workload::engine::drain_traces()
-        } else {
-            Vec::new()
-        };
-        flush_traces(trace_dir.as_deref(), name, &traces, &profiles);
-        flush_insight(insight_dir.as_deref(), name, &traces);
-        flush_metrics(metrics_dir.as_deref(), name);
-        flush_timeline(obs_dir.as_deref(), name);
-        if sentinel {
-            let v = flush_sentinel(obs_dir.as_deref(), name);
-            sentinel_violations.set(sentinel_violations.get() + v);
-        }
+    let sub = args.first().and_then(|a| CMDS.iter().find(|c| c.name == a));
+    let (cmd, rest) = match sub {
+        Some(cmd) => (cmd, &args[1..]),
+        None => (&MAIN, &args[..]),
     };
+    require(&format!("`repro {}`", cmd.name), cmd.needs);
+    (cmd.run)(parse(cmd, rest))
+}
 
-    let all = cmds.iter().any(|c| c == "all");
-    let want = |name: &str| all || cmds.iter().any(|c| c == name);
-    let apps = AppKind::all();
-    // In JSON mode every section appends a RunReport; one array document is
-    // printed at the end.
+// ---- `repro [flags] ITEM...` ----
+
+fn run_items(args: Args) {
+    if args.operands.iter().any(|c| c == "list") {
+        return list();
+    }
+    let known = |c: &String| {
+        let hint = "run `repro list` for the available items";
+        item(c).unwrap_or_else(|| die(&format!("unknown item {c:?} ({hint})")))
+    };
+    let picked: Vec<&Item> = args.operands.iter().map(known).collect();
+    let every = picked.is_empty() || picked.iter().any(|p| matches!(p.run, Run::Every));
+    for Flag(name, _, needs) in args.cmd.flags.iter().filter(|f| args.has(f.0)) {
+        require(name, needs);
+    }
+    for dir in ["--trace", "--insight", "--metrics", "--profile"]
+        .into_iter()
+        .filter_map(|family| args.dir(family))
+    {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
+    }
+    // `--obs DIR` is the umbrella: every artifact family, one directory, one
+    // pass (`Args::dir`), plus the online checker and the timeline reducer.
+    let obs = args.has("--obs");
+    engine::set_plan(ObsPlan {
+        // Attribution reads the recorded trace.
+        trace: args.dir("--trace").is_some() || args.dir("--insight").is_some(),
+        metrics: args.dir("--metrics").is_some(),
+        profile: args.dir("--profile").is_some(),
+        sentinel: obs || args.has("--sentinel"),
+        observe: obs,
+        ..engine::plan()
+    });
+
+    let json = args.has(JSON.0);
     let mut reports: Vec<RunReport> = Vec::new();
-
-    if want("table1") {
-        if json {
-            reports.push(RunReport::new(
-                "table1",
-                Json::obj([("rows".into(), Json::arr(table1().iter()))]),
-            ));
-        } else {
-            banner("Table 1 — scaling solutions compared");
-            println!(
-                "{:<14} {:<18} {:<14} {:<16} {:<12} Auto-scaling",
-                "Solution", "Min running time", "Billing", "Preparation", "Config"
-            );
-            for row in table1() {
-                println!(
-                    "{:<14} {:<18} {:<14} {:<16} {:<12} {}",
-                    row.name,
-                    row.min_running_time,
-                    row.billing_granularity,
-                    row.preparation_time,
-                    row.config_granularity,
-                    if row.auto_scaling { "yes" } else { "no" }
-                );
-            }
+    let mut violations = 0;
+    for it in &ITEMS {
+        let (run, sims) = match it.run {
+            Run::Static(run) => (run, false),
+            Run::Sims(run) => (run, true),
+            Run::Every | Run::With(_) => continue,
+        };
+        if !every && !picked.iter().any(|p| printed_in(p, it)) {
+            continue;
         }
-    }
-
-    if want("fig2") {
-        let rep = fig2(profile);
-        if json {
-            reports.push(RunReport::new("fig2", rep.to_json()));
-        } else {
-            banner("Figure 2");
-            println!("{rep}");
-        }
-        flush("fig2");
-    }
-
-    if want("table2") {
-        let rep = table2();
-        if json {
-            reports.push(RunReport::new("table2", rep.to_json()));
-        } else {
-            banner("Table 2");
-            println!("{rep}");
-        }
-    }
-
-    if want("fig7") || want("table3") {
         if !json {
-            banner("Figure 7 + Table 3");
+            banner(it.banner);
         }
-        let mut table3: Vec<(AppKind, Vec<(String, f64)>)> = Vec::new();
-        let mut fig7_bodies = Vec::new();
-        for kind in apps {
-            let rep = fig7(kind, profile);
-            if json {
-                fig7_bodies.push(rep.to_json());
-            } else {
-                println!("{rep}");
-            }
-            table3.push((
-                kind,
-                rep.rows
-                    .iter()
-                    .map(|r| (r.strategy.label().to_string(), r.scaling_cost))
-                    .collect(),
-            ));
-        }
+        let out = run(args.profile, args.chaos_seed);
         if json {
-            reports.push(RunReport::new(
-                "fig7",
-                Json::obj([("apps".into(), Json::Arr(fig7_bodies))]),
-            ));
-            reports.push(RunReport::new(
-                "table3",
-                Json::obj([(
-                    "costs".into(),
-                    Json::Arr(
-                        table3
-                            .iter()
-                            .map(|(kind, costs)| {
-                                Json::obj([
-                                    ("app".into(), Json::from(kind.name())),
-                                    (
-                                        "by_strategy".into(),
-                                        Json::Obj(
-                                            costs
-                                                .iter()
-                                                .map(|(l, c)| (l.clone(), Json::from(*c)))
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )]),
-            ));
+            let rows = ITEMS.iter().filter(|row| printed_in(row, it));
+            let titled = rows.zip(out.bodies);
+            reports.extend(titled.map(|(row, body)| RunReport::new(row.name, body)));
         } else {
-            println!("Table 3 — financial cost ($) for scaling in Figure 7");
-            if let Some((_, first)) = table3.first() {
-                print!("{:<22}", "Scaling solutions");
-                for (k, _) in &table3 {
-                    print!("{:>12}", k.name());
-                }
-                println!();
-                for (i, (label, _)) in first.iter().enumerate() {
-                    print!("{:<22}", label);
-                    for (_, costs) in &table3 {
-                        print!("{:>12.4}", costs[i].1);
-                    }
-                    println!();
-                }
-            }
+            print!("{}", out.text);
         }
-        flush("fig7");
+        if sims {
+            violations += flush(it.name, &args);
+        }
     }
-
-    if want("fig8") {
-        if json {
-            let bodies: Vec<Json> = apps.iter().map(|&k| fig8(k, profile).to_json()).collect();
-            reports.push(RunReport::new(
-                "fig8",
-                Json::obj([("apps".into(), Json::Arr(bodies))]),
-            ));
-        } else {
-            banner("Figure 8");
-            for kind in apps {
-                println!("{}", fig8(kind, profile));
-            }
-        }
-        flush("fig8");
-    }
-
-    if want("fig9") {
-        let mut kinds = vec![AppKind::Pybbs];
-        if !profile.quick {
-            kinds.extend([AppKind::Blog, AppKind::Thumbnail]);
-        }
-        if json {
-            let bodies: Vec<Json> = kinds.iter().map(|&k| fig9(k, profile).to_json()).collect();
-            reports.push(RunReport::new(
-                "fig9",
-                Json::obj([("apps".into(), Json::Arr(bodies))]),
-            ));
-        } else {
-            banner("Figure 9");
-            for kind in kinds {
-                println!("{}", fig9(kind, profile));
-            }
-        }
-        flush("fig9");
-    }
-
-    if want("table4") {
-        let rep = table4(&apps, profile);
-        if json {
-            reports.push(RunReport::new("table4", rep.to_json()));
-        } else {
-            banner("Table 4");
-            println!("{rep}");
-        }
-        flush("table4");
-    }
-
-    if want("fig10") {
-        let rep = fig10(profile);
-        if json {
-            reports.push(RunReport::new("fig10", rep.to_json()));
-        } else {
-            banner("Figure 10");
-            println!("{rep}");
-        }
-        flush("fig10");
-    }
-
-    if want("table5") {
-        let rep = table5(&apps, profile);
-        if json {
-            reports.push(RunReport::new("table5", rep.to_json()));
-        } else {
-            banner("Table 5");
-            println!("{rep}");
-        }
-        flush("table5");
-    }
-
-    if want("gcstats") {
-        let rep = gc_stats(&apps, profile);
-        if json {
-            reports.push(RunReport::new("gcstats", rep.to_json()));
-        } else {
-            banner("§5.6 — memory consumption and GC");
-            println!("{rep}");
-        }
-        flush("gcstats");
-    }
-
-    if want("shadow") {
-        if json {
-            let bodies: Vec<Json> = apps
-                .iter()
-                .map(|&k| shadow_breakdown(k, profile).to_json())
-                .collect();
-            reports.push(RunReport::new(
-                "shadow",
-                Json::obj([("apps".into(), Json::Arr(bodies))]),
-            ));
-        } else {
-            banner("§5.6 — shadow execution");
-            for kind in apps {
-                println!("{}", shadow_breakdown(kind, profile));
-            }
-        }
-        flush("shadow");
-    }
-
-    if want("ablations") {
-        let rep = ablation(AppKind::Pybbs, profile);
-        if json {
-            reports.push(RunReport::new("ablations", rep.to_json()));
-        } else {
-            banner("Ablations");
-            println!("{rep}");
-        }
-        flush("ablations");
-    }
-
-    if want("combination") {
-        let rep = combination(AppKind::Pybbs, profile);
-        if json {
-            reports.push(RunReport::new("combination", rep.to_json()));
-        } else {
-            banner("§5.7 — combination mode");
-            println!("{rep}");
-        }
-        flush("combination");
-    }
-
-    if want("recovery") {
-        let rep = recovery(AppKind::Pybbs, profile, chaos_seed.unwrap_or(profile.seed));
-        if json {
-            reports.push(RunReport::new("recovery", rep.to_json()));
-        } else {
-            banner("§4.5 — failure recovery under fault injection");
-            println!("{rep}");
-        }
-        flush("recovery");
-    }
-
     if json {
-        let doc = Json::Arr(
-            reports
-                .iter()
-                .map(|r| {
-                    Json::obj([
-                        ("title".into(), Json::from(r.title.clone())),
-                        ("body".into(), r.body.clone()),
-                    ])
-                })
-                .collect(),
-        );
-        println!("{}", doc.render());
+        println!("{}", Json::arr(reports.iter()).render());
     }
-    if sentinel_violations.get() > 0 {
-        eprintln!(
-            "sentinel: {} invariant violation(s) detected (see above)",
-            sentinel_violations.get()
-        );
+    if violations > 0 {
+        eprintln!("sentinel: {violations} invariant violation(s) detected (see above)");
         std::process::exit(1);
     }
 }
 
-/// `repro list`: every runnable item with a one-line description.
-fn list_items() {
-    let items: [(&str, &str); 16] = [
-        ("all", "every item below, in paper order"),
-        (
-            "fig2",
-            "motivation: closed-loop latency of a vanilla server under load",
-        ),
-        (
-            "table1",
-            "scaling solutions compared (billing, preparation, granularity)",
-        ),
-        ("table2", "application suite and workload characteristics"),
-        ("fig7", "burst latency timelines for every scaling strategy"),
-        ("table3", "financial cost of the scaling in Figure 7"),
-        ("fig8", "sub-second elasticity around the scaling trigger"),
-        ("fig9", "offload-ratio sweep: latency vs offloaded fraction"),
-        (
-            "table4",
-            "SLO-driven offloading controller outcomes per app",
-        ),
-        ("fig10", "SLO controller timeline under a burst"),
-        (
-            "table5",
-            "fallback and synchronization counts per offloaded request",
-        ),
-        ("gcstats", "§5.6 memory consumption and GC pauses"),
-        ("shadow", "§5.6 shadow-execution warm-up breakdown"),
-        (
-            "ablations",
-            "feature ablations (shadowing, proxy, refinement) on pybbs",
-        ),
-        (
-            "combination",
-            "§5.7 Semi-FaaS bridging an on-demand instance boot",
-        ),
-        (
-            "recovery",
-            "§4.5 MTTR and latency under injected instance crashes",
-        ),
-    ];
-    println!("Runnable items (repro [flags] <item>...):");
-    for (name, desc) in items {
-        println!("  {name:<12} {desc}");
+/// Write `DIR/<name>.<ext>` for every `(ext, contents)` and report them on
+/// stderr as one `what: wrote A (N scenarios) and B` line.
+fn write_artifacts(what: &str, dir: &Path, name: &str, scenarios: usize, files: &[(&str, String)]) {
+    let mut wrote = format!("({scenarios} scenarios)");
+    for (i, (ext, contents)) in files.iter().enumerate() {
+        let path = dir.join(format!("{name}.{ext}"));
+        std::fs::write(&path, contents)
+            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+        wrote = match i {
+            0 => format!("{what}: wrote {} {wrote}", path.display()),
+            _ => format!("{wrote} and {}", path.display()),
+        };
     }
-    let subcommands: [(&str, &str); 7] = [
-        (
-            "top",
-            "hottest simulated frames for one item (repro top ITEM)",
-        ),
-        (
-            "explain",
-            "latency attribution, SLO burn and slowest requests (repro explain ITEM)",
-        ),
-        (
-            "check",
-            "replay traces through the conformance engine (repro check ITEM...)",
-        ),
-        (
-            "timeline",
-            "elasticity timelines and scale-up lag for one item (repro timeline ITEM)",
-        ),
-        (
-            "lag",
-            "diff scale-up lag between two --obs directories (repro lag BASE CUR)",
-        ),
-        (
-            "compare",
-            "regression-gate two --metrics directories (repro compare BASE CUR)",
-        ),
-        (
-            "diff",
-            "compare plus root-cause diagnosis of regressed latency (repro diff BASE CUR)",
-        ),
-    ];
-    println!("Subcommands:");
-    for (name, desc) in subcommands {
-        println!("  {name:<12} {desc}");
-    }
-    println!("Umbrella flags:");
-    println!(
-        "  --obs DIR    write every artifact family in one pass: trace + metrics + profile + insight + sentinel conformance reports + elasticity timelines"
-    );
-    println!("  --sentinel   run the online conformance checker in every simulation (exit 1 on violations)");
+    eprintln!("{wrote}");
 }
 
-/// Write the drained traces as `DIR/<name>.trace.json` (Chrome trace-event
-/// format) plus `DIR/<name>.summary.json` (per-request critical-path
-/// summary). When `profiles` holds a call-tree profile for a scenario
-/// label, that scenario's summary gains a `"hottest"` per-lane top-methods
-/// table. No-op when tracing is off or nothing ran.
-fn flush_traces(
-    dir: Option<&std::path::Path>,
-    name: &str,
-    traces: &[(String, beehive_telemetry::Trace)],
-    profiles: &[(String, beehive_profiler::Profile)],
-) {
-    let Some(dir) = dir else { return };
-    if traces.is_empty() {
-        return;
+/// One artifact flush per item: drain what the engine harvested from the
+/// item's simulations and write every family that has a directory and ran.
+/// Profiles feed the trace summary, traces feed both the trace files and
+/// the insight document; returns the online checker's violation count,
+/// which gates the exit status.
+fn flush(name: &str, args: &Args) -> usize {
+    let h = engine::drain();
+    // A family is written when it has a directory and some scenario ran it.
+    let ran = |family, scenarios: usize| args.dir(family).filter(|_| scenarios > 0);
+    if let Some(dir) = ran("--profile", h.profiles.len()) {
+        flush_profiles(dir, name, &h.profiles);
     }
-    let trace_path = dir.join(format!("{name}.trace.json"));
-    std::fs::write(
-        &trace_path,
-        beehive_telemetry::chrome::chrome_trace_string(traces),
-    )
-    .unwrap_or_else(|e| die(&format!("writing {}: {e}", trace_path.display())));
-    let summary_path = dir.join(format!("{name}.summary.json"));
-    let summary = beehive_telemetry::summary::critical_path_with(traces, &|label| {
-        profiles
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, p)| p.hottest_json(5))
-    });
-    std::fs::write(&summary_path, summary.render())
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", summary_path.display())));
-    eprintln!(
-        "trace: wrote {} ({} scenarios) and {}",
-        trace_path.display(),
-        traces.len(),
-        summary_path.display()
-    );
+    if let Some(dir) = ran("--trace", h.traces.len()) {
+        // A scenario that was also profiled gains a `"hottest"` per-lane
+        // top-methods table in its critical-path summary.
+        let hottest = |label: &str| {
+            let profile = h.profiles.iter().find(|(l, _)| l == label);
+            profile.map(|(_, p)| p.hottest_json(5))
+        };
+        let files = [
+            ("trace.json", chrome_trace_string(&h.traces)),
+            (
+                "summary.json",
+                critical_path_with(&h.traces, &hottest).render(),
+            ),
+        ];
+        write_artifacts("trace", dir, name, h.traces.len(), &files);
+    }
+    if let Some(dir) = ran("--insight", h.traces.len()) {
+        let doc = beehive_insight::InsightDoc::from_traces(
+            &h.traces,
+            &beehive_insight::SloPolicy::default(),
+            beehive_metrics::EXEMPLAR_K,
+        );
+        let files = [("insight.json", doc.to_json().render())];
+        write_artifacts("insight", dir, name, doc.attributions.len(), &files);
+    }
+    if let Some(dir) = ran("--metrics", h.metrics.len()) {
+        let snap = beehive_metrics::MetricsSnapshot {
+            window: beehive_metrics::DEFAULT_WINDOW,
+            scenarios: h.metrics,
+        };
+        let files = [
+            ("metrics.json", snap.render()),
+            ("prom", beehive_metrics::prometheus(&snap, name)),
+        ];
+        write_artifacts("metrics", dir, name, snap.scenarios.len(), &files);
+    }
+    if let Some(dir) = ran("--obs", h.timelines.len()) {
+        let doc = beehive_observatory::TimelineDoc::from_series(h.timelines);
+        let files = [
+            ("timeline.json", doc.to_json().render()),
+            ("timeline.svg", doc.render_svg()),
+        ];
+        write_artifacts("timeline", dir, name, doc.scenarios.len(), &files);
+    }
+    if h.sentinel.is_empty() {
+        return 0;
+    }
+    let report = beehive_sentinel::SentinelReport::from_checks(false, h.sentinel);
+    if let Some(dir) = args.dir("--obs") {
+        let files = [("sentinel.json", report.to_json().render())];
+        write_artifacts("sentinel", dir, name, report.scenarios.len(), &files);
+    }
+    let violations = report.violations();
+    if violations > 0 {
+        eprint!("{}", report.render_text());
+        eprintln!("sentinel: {name}: {violations} violation(s)");
+    }
+    violations
 }
 
-/// Write the latency-attribution + SLO document for the drained traces as
-/// `DIR/<name>.insight.json` (the `beehive_insight` JSON shape). No-op
-/// when `--insight` is off or nothing ran.
-fn flush_insight(
-    dir: Option<&std::path::Path>,
-    name: &str,
-    traces: &[(String, beehive_telemetry::Trace)],
-) {
-    let Some(dir) = dir else { return };
-    if traces.is_empty() {
-        return;
-    }
-    let doc = beehive_insight::InsightDoc::from_traces(
-        traces,
-        &beehive_insight::SloPolicy::default(),
-        beehive_metrics::EXEMPLAR_K,
-    );
-    let path = dir.join(format!("{name}.insight.json"));
-    std::fs::write(&path, doc.to_json().render())
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-    eprintln!(
-        "insight: wrote {} ({} scenarios)",
-        path.display(),
-        doc.attributions.len()
-    );
-}
-
-/// Write the call-tree profiles drained from the engine as `DIR/<name>.folded`
-/// (Brendan Gregg collapsed stacks — the scenario label, sanitized, is the
-/// first frame of every line, so one file holds every scenario of the item
-/// and feeds flamegraph.pl / inferno unchanged) plus `DIR/<name>.profile.json`
-/// (the full per-lane call trees and per-instance totals). Returns the
-/// drained profiles so the trace summary can embed hottest-method tables.
-/// No-op when profiling is off or nothing ran.
-fn flush_profiles(
-    dir: Option<&std::path::Path>,
-    name: &str,
-) -> Vec<(String, beehive_profiler::Profile)> {
-    let Some(dir) = dir else { return Vec::new() };
-    let profiles = beehive_workload::engine::drain_profiles();
-    if profiles.is_empty() {
-        return profiles;
-    }
+/// `DIR/<name>.folded` — the scenario label, sanitized, is the first frame of
+/// every line, so one file holds every scenario of the item and feeds
+/// flamegraph.pl / inferno unchanged — plus `DIR/<name>.profile.json`.
+fn flush_profiles(dir: &Path, name: &str, profiles: &[(String, beehive_profiler::Profile)]) {
     let mut folded = String::new();
-    for (label, p) in &profiles {
+    for (label, p) in profiles {
         // Folded frames may not contain the `;` separator or the trailing
         // count's space; scenario labels may.
         let prefix: String = label
@@ -784,10 +878,6 @@ fn flush_profiles(
             folded.push('\n');
         }
     }
-    let folded_path = dir.join(format!("{name}.folded"));
-    std::fs::write(&folded_path, folded)
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", folded_path.display())));
-    let json_path = dir.join(format!("{name}.profile.json"));
     let doc = Json::obj([(
         "scenarios".into(),
         Json::Arr(
@@ -802,131 +892,44 @@ fn flush_profiles(
                 .collect(),
         ),
     )]);
-    std::fs::write(&json_path, doc.render())
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", json_path.display())));
-    eprintln!(
-        "profile: wrote {} ({} scenarios) and {}",
-        folded_path.display(),
-        profiles.len(),
-        json_path.display()
-    );
-    profiles
+    let files = [("folded", folded), ("profile.json", doc.render())];
+    write_artifacts("profile", dir, name, profiles.len(), &files);
 }
 
-/// Run one item's simulations, discarding its report — the instrumentation
-/// defaults (profiling for `repro top`, tracing for `repro explain`) decide
-/// what the engine records. The list of simulations mirrors the main
-/// dispatch (`table1`/`table2` run none and are rejected here).
-fn run_item(item: &str, profile: Profile, chaos_seed: u64) {
-    let apps = AppKind::all();
-    match item {
-        "fig2" => {
-            fig2(profile);
-        }
-        "fig7" | "table3" => {
-            for kind in apps {
-                fig7(kind, profile);
-            }
-        }
-        "fig8" => {
-            for kind in apps {
-                fig8(kind, profile);
-            }
-        }
-        "fig9" => {
-            let mut kinds = vec![AppKind::Pybbs];
-            if !profile.quick {
-                kinds.extend([AppKind::Blog, AppKind::Thumbnail]);
-            }
-            for kind in kinds {
-                fig9(kind, profile);
-            }
-        }
-        "table4" => {
-            table4(&apps, profile);
-        }
-        "fig10" => {
-            fig10(profile);
-        }
-        "table5" => {
-            table5(&apps, profile);
-        }
-        "gcstats" => {
-            gc_stats(&apps, profile);
-        }
-        "shadow" => {
-            for kind in apps {
-                shadow_breakdown(kind, profile);
-            }
-        }
-        "ablations" => {
-            ablation(AppKind::Pybbs, profile);
-        }
-        "combination" => {
-            combination(AppKind::Pybbs, profile);
-        }
-        "recovery" => {
-            recovery(AppKind::Pybbs, profile, chaos_seed);
-        }
-        other => die(&format!(
-            "item {other:?} runs no simulations (run `repro list`)"
-        )),
+// ---- Subcommands that run an item: top, explain, check, timeline ----
+
+/// The runner of the simulations behind the item named `name`, if any.
+fn sims(name: &str) -> Option<RunFn> {
+    match item(name)?.run {
+        Run::Sims(run) => Some(run),
+        Run::With(host) => sims(host),
+        Run::Every | Run::Static(_) => None,
     }
 }
 
-/// `repro top ITEM [--quick] [--seed N] [--top N]`: run one item with the
-/// call-tree profiler on and print, per scenario and per endpoint lane, the
-/// top-N frames by self time.
-fn run_top(args: &[String]) -> ! {
-    if beehive_profiler::COMPILED_OFF {
-        die("`repro top` is unavailable: this binary was built with beehive-profiler/compile-off");
-    }
-    let mut profile = Profile::full();
-    let mut n = 5usize;
-    let mut chaos_seed: Option<u64> = None;
-    let mut items: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
-            "--top" => {
-                n = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--top needs a positive integer"));
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag {other:?} for `repro top`"))
-            }
-            other => items.push(other.to_string()),
-        }
-    }
-    let [item] = items.as_slice() else {
-        die("usage: repro top ITEM [--quick] [--seed N] [--chaos-seed N] [--top N]");
+/// Run the simulations of the item named `name` with the substrates `on`
+/// switches on, and return what the engine harvested; the item's own report
+/// is discarded. Items that run no simulations (`table1`, `table2`, `all`)
+/// and unknown names exit 2.
+fn harvest_item(name: &str, args: &Args, on: impl FnOnce(&mut ObsPlan)) -> Harvest {
+    let Some(run) = sims(name) else {
+        die(&format!(
+            "item {name:?} runs no simulations (run `repro list`)"
+        ));
     };
-    beehive_workload::engine::set_profile_default(true);
-    run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-    let profiles = beehive_workload::engine::drain_profiles();
-    if profiles.is_empty() {
-        die(&format!("item {item:?} produced no profile"));
-    }
-    for (label, p) in &profiles {
+    let mut plan = engine::plan();
+    on(&mut plan);
+    engine::set_plan(plan);
+    run(args.profile, args.chaos_seed);
+    engine::drain()
+}
+
+/// `repro top`: per scenario and endpoint lane, the top-N frames by self time.
+fn run_top(args: Args) {
+    let item = &args.operands[0];
+    for (label, p) in &harvest_item(item, &args, |plan| plan.profile = true).profiles {
         banner(&format!("{item} — {label}"));
-        for (lane, rows) in p.hottest(n) {
+        for (lane, rows) in p.hottest(args.positive("--top", 5) as usize) {
             println!("\n  lane {lane}");
             println!(
                 "    {:<44} {:>12} {:>12} {:>10}",
@@ -943,7 +946,6 @@ fn run_top(args: &[String]) -> ! {
             }
         }
     }
-    std::process::exit(0)
 }
 
 /// Basis points rendered as a multiplier: `12_345` → `"1.23x"`.
@@ -951,59 +953,14 @@ fn bp_x(bp: u64) -> String {
     format!("{}.{:02}x", bp / 10_000, (bp % 10_000) / 100)
 }
 
-/// `repro explain ITEM [--quick] [--seed N] [--chaos-seed N] [--slowest N]`:
-/// run one item with tracing on and print, per scenario, the latency
-/// attribution table, the SLO evaluation, and the slowest requests'
-/// component breakdowns. Integer-only formatting keeps the output
-/// byte-identical across worker counts.
-fn run_explain(args: &[String]) -> ! {
-    let mut profile = Profile::full();
-    let mut chaos_seed: Option<u64> = None;
-    let mut k = beehive_metrics::EXEMPLAR_K;
-    let mut items: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
-            "--slowest" => {
-                k = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--slowest needs a positive integer"));
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag {other:?} for `repro explain`"))
-            }
-            other => items.push(other.to_string()),
-        }
-    }
-    let [item] = items.as_slice() else {
-        die("usage: repro explain ITEM [--quick] [--seed N] [--chaos-seed N] [--slowest N]");
-    };
-    beehive_workload::engine::set_trace_default(true);
-    run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-    let traces = beehive_workload::engine::drain_traces();
-    if traces.is_empty() {
-        die(&format!("item {item:?} produced no trace"));
-    }
+/// `repro explain`. Integer-only formatting keeps the output byte-identical
+/// across worker counts.
+fn run_explain(args: Args) {
+    let item = &args.operands[0];
     let doc = beehive_insight::InsightDoc::from_traces(
-        &traces,
+        &harvest_item(item, &args, |plan| plan.trace = true).traces,
         &beehive_insight::SloPolicy::default(),
-        k,
+        args.positive("--slowest", beehive_metrics::EXEMPLAR_K as u64) as usize,
     );
     for (rep, slo) in doc.attributions.iter().zip(&doc.slo) {
         banner(&format!("{item} — {}", rep.label));
@@ -1069,81 +1026,12 @@ fn run_explain(args: &[String]) -> ! {
             }
         }
     }
-    std::process::exit(0)
 }
 
-/// Drain the engine's online conformance checks and, with `--obs`, write
-/// them as `DIR/<name>.sentinel.json`. Violating scenarios are rendered to
-/// stderr; returns the violation count so `main` can gate the exit status.
-/// No-op when the checker is off or nothing ran.
-fn flush_sentinel(dir: Option<&std::path::Path>, name: &str) -> usize {
-    let checks = beehive_workload::engine::drain_sentinel();
-    if checks.is_empty() {
-        return 0;
-    }
-    let report = beehive_sentinel::SentinelReport::from_checks(false, checks);
-    if let Some(dir) = dir {
-        let path = dir.join(format!("{name}.sentinel.json"));
-        std::fs::write(&path, report.to_json().render())
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        eprintln!(
-            "sentinel: wrote {} ({} scenarios)",
-            path.display(),
-            report.scenarios.len()
-        );
-    }
-    let violations = report.violations();
-    if violations > 0 {
-        eprint!("{}", report.render_text());
-        eprintln!("sentinel: {name}: {violations} violation(s)");
-    }
-    violations
-}
-
-/// `repro check ITEM... [--quick] [--strict] [--json] [--seed N]
-/// [--chaos-seed N]`: run the named items with tracing on, replay every
-/// recorded trace through a fresh conformance engine, print the verdicts
-/// (text, or the `SentinelReport` JSON document with `--json`) and exit 1
-/// when any invariant was violated. Scenario labels are prefixed with the
-/// item name, so one report covers several items without collisions.
-fn run_check(args: &[String]) -> ! {
-    if beehive_telemetry::COMPILED_OFF {
-        die("`repro check` is unavailable: this binary was built with beehive-telemetry/compile-off");
-    }
-    let mut profile = Profile::full();
-    let mut strict = false;
-    let mut json = false;
-    let mut chaos_seed: Option<u64> = None;
-    let mut items: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--strict" => strict = true,
-            "--json" => json = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag {other:?} for `repro check`"))
-            }
-            other => items.push(other.to_string()),
-        }
-    }
-    if items.is_empty() {
-        die("usage: repro check ITEM... [--quick] [--strict] [--json] [--seed N] [--chaos-seed N]");
-    }
-    beehive_workload::engine::set_trace_default(true);
+/// `repro check`. Scenario labels are prefixed with the item name, so one
+/// report covers several items without collisions.
+fn run_check(args: Args) {
+    let strict = args.has("--strict");
     let cfg = beehive_sentinel::SentinelConfig {
         strict,
         // The experiment drivers all run the default retry policy; pinning
@@ -1152,12 +1040,8 @@ fn run_check(args: &[String]) -> ! {
         ..Default::default()
     };
     let mut scenarios = Vec::new();
-    for item in &items {
-        run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-        let traces = beehive_workload::engine::drain_traces();
-        if traces.is_empty() {
-            die(&format!("item {item:?} produced no trace"));
-        }
+    for item in &args.operands {
+        let traces = harvest_item(item, &args, |plan| plan.trace = true).traces;
         let labelled: Vec<(String, beehive_telemetry::Trace)> = traces
             .into_iter()
             .map(|(label, trace)| (format!("{item}/{label}"), trace))
@@ -1165,7 +1049,7 @@ fn run_check(args: &[String]) -> ! {
         scenarios.extend(beehive_sentinel::SentinelReport::from_traces(&labelled, &cfg).scenarios);
     }
     let report = beehive_sentinel::SentinelReport::from_checks(strict, scenarios);
-    if json {
+    if args.has(JSON.0) {
         println!("{}", report.to_json().render());
     } else {
         print!("{}", report.render_text());
@@ -1175,125 +1059,60 @@ fn run_check(args: &[String]) -> ! {
         std::process::exit(1);
     }
     eprintln!("check: ok — {} scenario(s) conform", report.scenarios.len());
-    std::process::exit(0)
 }
 
-/// Drain the engine's observatory timelines and, with `--obs`, write them
-/// as `DIR/<name>.timeline.json` plus `DIR/<name>.timeline.svg`. No-op when
-/// the observer is off or nothing ran.
-fn flush_timeline(dir: Option<&std::path::Path>, name: &str) {
-    let Some(dir) = dir else { return };
-    let series = beehive_workload::engine::drain_timelines();
-    if series.is_empty() {
-        return;
-    }
-    let doc = beehive_observatory::TimelineDoc::from_series(series);
-    let json_path = dir.join(format!("{name}.timeline.json"));
-    std::fs::write(&json_path, doc.to_json().render())
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", json_path.display())));
-    let svg_path = dir.join(format!("{name}.timeline.svg"));
-    std::fs::write(&svg_path, doc.render_svg())
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", svg_path.display())));
-    eprintln!(
-        "timeline: wrote {} ({} scenarios) and {}",
-        json_path.display(),
-        doc.scenarios.len(),
-        svg_path.display()
-    );
-}
-
-/// `repro timeline ITEM [--quick] [--seed N] [--chaos-seed N] [--window NS]
-/// [--json|--svg]`: run one item with the streaming observatory reducer on
-/// and print every scenario's virtual-time series and derived elasticity
-/// signals — ASCII sparklines by default, the `TimelineDoc` JSON artifact
-/// with `--json`, a self-contained SVG panel chart with `--svg`.
-fn run_timeline(args: &[String]) -> ! {
-    if beehive_telemetry::COMPILED_OFF {
-        die("`repro timeline` is unavailable: this binary was built with beehive-telemetry/compile-off");
-    }
-    let mut profile = Profile::full();
-    let mut chaos_seed: Option<u64> = None;
-    let mut window = beehive_observatory::DEFAULT_WINDOW;
-    let mut json = false;
-    let mut svg = false;
-    let mut items: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--json" => json = true,
-            "--svg" => svg = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
-            "--window" => {
-                let ns: u64 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--window needs a positive nanosecond count"));
-                window = beehive_sim::Duration::from_nanos(ns);
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag {other:?} for `repro timeline`"))
-            }
-            other => items.push(other.to_string()),
-        }
-    }
-    if json && svg {
-        die("--json and --svg are mutually exclusive");
-    }
-    let [item] = items.as_slice() else {
-        die("usage: repro timeline ITEM [--quick] [--seed N] [--chaos-seed N] [--window NS] [--json|--svg]");
-    };
-    beehive_workload::engine::set_observe_default(true);
-    beehive_workload::engine::set_observe_window(window);
-    run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-    let series = beehive_workload::engine::drain_timelines();
-    if series.is_empty() {
-        die(&format!("item {item:?} produced no timeline"));
-    }
-    let doc = beehive_observatory::TimelineDoc::from_series(series);
-    if json {
+/// `repro timeline`: one item under the streaming observatory reducer.
+fn run_timeline(args: Args) {
+    let window = args.positive("--window", beehive_observatory::DEFAULT_WINDOW.as_nanos());
+    let harvest = harvest_item(&args.operands[0], &args, |plan| {
+        plan.observe = true;
+        plan.observe_window = beehive_sim::Duration::from_nanos(window);
+    });
+    let doc = beehive_observatory::TimelineDoc::from_series(harvest.timelines);
+    if args.has(JSON.0) {
         println!("{}", doc.to_json().render());
-    } else if svg {
+    } else if args.has("--svg") {
         println!("{}", doc.render_svg());
     } else {
         print!("{}", doc.render_text());
     }
-    std::process::exit(0)
 }
 
-/// Load and merge every `*.timeline.json` document under `dir`, scenario
-/// labels prefixed with the item stem so several items diff without
-/// collisions. Files are visited in name order for a deterministic merge.
-fn load_timelines(dir: &std::path::Path) -> beehive_observatory::TimelineDoc {
+// ---- Subcommands that read artifact directories: lag, compare, diff ----
+
+/// Every `*<suffix>` document under `dir` as `(stem, parsed)`, in file-name
+/// order so merges and reports are deterministic. `parse` exits 2 on a
+/// document it cannot read.
+fn load_docs<T>(dir: &Path, suffix: &str, parse: impl Fn(&Path, &str) -> T) -> Vec<(String, T)> {
     let entries =
         std::fs::read_dir(dir).unwrap_or_else(|e| die(&format!("reading {}: {e}", dir.display())));
     let mut names: Vec<String> = entries
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".timeline.json"))
+        .filter(|n| n.ends_with(suffix))
         .collect();
     names.sort();
+    names
+        .into_iter()
+        .map(|n| {
+            let path = dir.join(&n);
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| die(&format!("reading {}: {e}", path.display())));
+            (n.trim_end_matches(suffix).to_string(), parse(&path, &text))
+        })
+        .collect()
+}
+
+/// Load and merge every `*.timeline.json` document under `dir`, scenario
+/// labels prefixed with the item stem so several items diff without
+/// collisions.
+fn load_timelines(dir: &Path) -> beehive_observatory::TimelineDoc {
+    let docs = load_docs(dir, ".timeline.json", |path, text| {
+        beehive_observatory::TimelineDoc::parse(text)
+            .unwrap_or_else(|| die(&format!("{}: not a timeline document", path.display())))
+    });
     let mut scenarios = Vec::new();
-    for name in &names {
-        let stem = name.trim_end_matches(".timeline.json");
-        let path = dir.join(name);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("reading {}: {e}", path.display())));
-        let doc = beehive_observatory::TimelineDoc::parse(&text)
-            .unwrap_or_else(|| die(&format!("{}: not a timeline document", path.display())));
+    for (stem, doc) in docs {
         for mut s in doc.scenarios {
             s.label = format!("{stem}/{}", s.label);
             scenarios.push(s);
@@ -1308,23 +1127,11 @@ fn load_timelines(dir: &std::path::Path) -> beehive_observatory::TimelineDoc {
     beehive_observatory::TimelineDoc::from_series(scenarios)
 }
 
-/// `repro lag BASELINE CURRENT`: diff the per-burst scale-up lag between
-/// two `--obs` artifact directories and exit 1 when any burst's lag
-/// regressed beyond the tolerance band (a quarter of the baseline lag plus
-/// one bin width).
-fn run_lag(args: &[String]) -> ! {
-    let mut dirs: Vec<std::path::PathBuf> = Vec::new();
-    for a in args {
-        if a.starts_with('-') {
-            die(&format!("unknown flag {a:?} for `repro lag`"));
-        }
-        dirs.push(std::path::PathBuf::from(a));
-    }
-    let [baseline, current] = dirs.as_slice() else {
-        die("usage: repro lag BASELINE CURRENT");
-    };
-    let base = load_timelines(baseline);
-    let cur = load_timelines(current);
+/// `repro lag`. The tolerance band is a quarter of the baseline lag plus one
+/// bin width.
+fn run_lag(args: Args) {
+    let base = load_timelines(Path::new(&args.operands[0]));
+    let cur = load_timelines(Path::new(&args.operands[1]));
     let (rows, regressed) = beehive_observatory::lag_diff(&base, &cur);
     print!("{}", beehive_observatory::render_lag_rows(&rows));
     if regressed {
@@ -1332,112 +1139,31 @@ fn run_lag(args: &[String]) -> ! {
         std::process::exit(1);
     }
     eprintln!("lag: ok — {} burst(s) compared", rows.len());
-    std::process::exit(0)
 }
 
-/// Pull the directory value of `flag` off the argument iterator; a missing
-/// value or one that looks like another flag is a usage error.
-fn dir_value(it: &mut impl Iterator<Item = String>, flag: &str) -> std::path::PathBuf {
-    match it.next() {
-        Some(v) if !v.starts_with('-') => std::path::PathBuf::from(v),
-        _ => die(&format!("{flag} needs a directory")),
-    }
-}
-
-/// Write the metrics snapshots drained from the engine as
-/// `DIR/<name>.metrics.json` (the `beehive_metrics` JSON shape) plus
-/// `DIR/<name>.prom` (Prometheus text exposition). No-op when metrics are
-/// off or nothing ran.
-fn flush_metrics(dir: Option<&std::path::Path>, name: &str) {
-    let Some(dir) = dir else { return };
-    let scenarios = beehive_workload::engine::drain_metrics();
-    if scenarios.is_empty() {
-        return;
-    }
-    let snap = beehive_metrics::MetricsSnapshot {
-        window: beehive_metrics::DEFAULT_WINDOW,
-        scenarios,
-    };
-    let json_path = dir.join(format!("{name}.metrics.json"));
-    std::fs::write(&json_path, snap.render())
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", json_path.display())));
-    let prom_path = dir.join(format!("{name}.prom"));
-    std::fs::write(&prom_path, beehive_metrics::prometheus(&snap, name))
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", prom_path.display())));
-    eprintln!(
-        "metrics: wrote {} ({} scenarios) and {}",
-        json_path.display(),
-        snap.scenarios.len(),
-        prom_path.display()
-    );
-}
-
-/// Load every `*.metrics.json` snapshot in `dir`, sorted by file name.
-fn load_snapshots(dir: &std::path::Path) -> Vec<(String, beehive_metrics::MetricsSnapshot)> {
-    let entries =
-        std::fs::read_dir(dir).unwrap_or_else(|e| die(&format!("reading {}: {e}", dir.display())));
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".metrics.json"))
-        .collect();
-    names.sort();
-    names
-        .into_iter()
-        .map(|n| {
-            let path = dir.join(&n);
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| die(&format!("reading {}: {e}", path.display())));
-            let snap = beehive_metrics::MetricsSnapshot::parse(&text)
-                .unwrap_or_else(|e| die(&format!("parsing {}: {e}", path.display())));
-            let item = n.trim_end_matches(".metrics.json").to_string();
-            (item, snap)
-        })
-        .collect()
-}
-
-/// Read one item's `*.insight.json` from an artifact directory, when
-/// present. Unparseable documents are usage-grade errors (exit 2).
-fn load_insight(dir: &std::path::Path, item: &str) -> Option<beehive_insight::InsightDoc> {
-    let path = dir.join(format!("{item}.insight.json"));
+/// One item's `DIR/<item>.<ext>` document, when the file is there. A
+/// document that does not parse is a usage-grade error (exit 2).
+fn load_doc<T>(
+    dir: &Path,
+    item: &str,
+    ext: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Option<T> {
+    let path = dir.join(format!("{item}.{ext}"));
     let text = std::fs::read_to_string(&path).ok()?;
-    Some(
-        beehive_insight::InsightDoc::parse(&text)
-            .unwrap_or_else(|e| die(&format!("parsing {}: {e}", path.display()))),
-    )
+    Some(parse(&text).unwrap_or_else(|e| die(&format!("parsing {}: {e}", path.display()))))
 }
 
-/// `repro compare BASELINE CURRENT [--bench-out FILE]` and its diagnosing
-/// sibling `repro diff`: diff every watched metric of the snapshots in two
-/// `--metrics` output directories. With `diagnose` (diff), regressed
-/// latency metrics are additionally root-caused from the directories'
-/// `--insight` documents and `--profile` folded stacks, when present.
-/// Exits 0 when nothing regressed, 1 when something did, 2 on usage
+/// `repro compare` and, with `diagnose`, its root-causing sibling `repro
+/// diff`. Exits 0 when nothing regressed, 1 when something did, 2 on usage
 /// errors.
-fn run_compare(args: &[String], diagnose: bool) -> ! {
-    let cmd = if diagnose { "diff" } else { "compare" };
-    let mut dirs: Vec<std::path::PathBuf> = Vec::new();
-    let mut bench_out: Option<std::path::PathBuf> = None;
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bench-out" => match it.next() {
-                Some(v) if !v.starts_with('-') => bench_out = Some(std::path::PathBuf::from(v)),
-                _ => die("--bench-out needs a file"),
-            },
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag {other:?} for `repro {cmd}`"))
-            }
-            other => dirs.push(std::path::PathBuf::from(other)),
-        }
-    }
-    let [baseline_dir, current_dir] = dirs.as_slice() else {
-        die(&format!(
-            "usage: repro {cmd} BASELINE CURRENT [--bench-out FILE]"
-        ));
-    };
-
-    let baseline = load_snapshots(baseline_dir);
+fn run_compare(args: Args, diagnose: bool) {
+    let cmd = args.cmd.name;
+    let (baseline_dir, current_dir) = (Path::new(&args.operands[0]), Path::new(&args.operands[1]));
+    let baseline = load_docs(baseline_dir, ".metrics.json", |path, text| {
+        beehive_metrics::MetricsSnapshot::parse(text)
+            .unwrap_or_else(|e| die(&format!("parsing {}: {e}", path.display())))
+    });
     if baseline.is_empty() {
         die(&format!(
             "no *.metrics.json snapshots in {}",
@@ -1447,32 +1173,27 @@ fn run_compare(args: &[String], diagnose: bool) -> ! {
     let mut regressed = false;
     let mut file_reports: Vec<Json> = Vec::new();
     for (item, base) in &baseline {
-        let current_path = current_dir.join(format!("{item}.metrics.json"));
-        let (deltas, cur) = match std::fs::read_to_string(&current_path) {
-            Ok(text) => {
-                let cur = beehive_metrics::MetricsSnapshot::parse(&text)
-                    .unwrap_or_else(|e| die(&format!("parsing {}: {e}", current_path.display())));
-                (beehive_metrics::compare(base, &cur), cur)
-            }
-            Err(_) => {
-                println!("{item}: MISSING {}", current_path.display());
-                regressed = true;
-                file_reports.push(Json::obj([
-                    ("item".into(), Json::from(item.clone())),
-                    ("missing".into(), Json::from(true)),
-                ]));
-                continue;
-            }
+        let snapshot = beehive_metrics::MetricsSnapshot::parse;
+        let Some(cur) = load_doc(current_dir, item, "metrics.json", snapshot) else {
+            let current_path = current_dir.join(format!("{item}.metrics.json"));
+            println!("{item}: MISSING {}", current_path.display());
+            regressed = true;
+            file_reports.push(Json::obj([
+                ("item".into(), Json::from(item.clone())),
+                ("missing".into(), Json::from(true)),
+            ]));
+            continue;
         };
+        let deltas = beehive_metrics::compare(base, &cur);
         // Diff-mode diagnosis inputs, all optional per directory.
-        let base_insight = diagnose.then(|| load_insight(baseline_dir, item)).flatten();
-        let cur_insight = diagnose.then(|| load_insight(current_dir, item)).flatten();
-        let base_folded = diagnose
-            .then(|| std::fs::read_to_string(baseline_dir.join(format!("{item}.folded"))).ok())
-            .flatten();
-        let cur_folded = diagnose
-            .then(|| std::fs::read_to_string(current_dir.join(format!("{item}.folded"))).ok())
-            .flatten();
+        let insight = |dir| {
+            let parse = beehive_insight::InsightDoc::parse;
+            diagnose.then(|| load_doc(dir, item, "insight.json", parse))?
+        };
+        let folded =
+            |dir| diagnose.then(|| load_doc(dir, item, "folded", |t| Ok(t.to_string())))?;
+        let (base_insight, cur_insight) = (insight(baseline_dir), insight(current_dir));
+        let (base_folded, cur_folded) = (folded(baseline_dir), folded(current_dir));
         let mut delta_json: Vec<Json> = Vec::new();
         for d in &deltas {
             let verdict = if d.regressed {
@@ -1541,7 +1262,7 @@ fn run_compare(args: &[String], diagnose: bool) -> ! {
             ("deltas".into(), Json::Arr(delta_json)),
         ]));
     }
-    if let Some(path) = bench_out {
+    if let Some(path) = args.value(BENCH_OUT.0) {
         let doc = Json::obj([
             (
                 "baseline".into(),
@@ -1554,16 +1275,14 @@ fn run_compare(args: &[String], diagnose: bool) -> ! {
             ("regressed".into(), Json::from(regressed)),
             ("files".into(), Json::Arr(file_reports)),
         ]);
-        std::fs::write(&path, doc.render())
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        eprintln!("{cmd}: wrote {}", path.display());
+        std::fs::write(path, doc.render()).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        eprintln!("{cmd}: wrote {path}");
     }
     if regressed {
         eprintln!("{cmd}: REGRESSED (see deltas above)");
         std::process::exit(1);
     }
     eprintln!("{cmd}: ok — no watched metric regressed");
-    std::process::exit(0);
 }
 
 fn banner(title: &str) {

@@ -152,6 +152,96 @@ fn list_advertises_items_and_subcommands() {
     }
 }
 
+/// `repro` with `BEEHIVE_WORKERS=0`: the engine refuses that worker count
+/// the moment an item hands it its first scenarios, so a command line that
+/// was parsed, whose item was accepted and whose runner started exits 2
+/// naming `BEEHIVE_WORKERS` within milliseconds — a probe for "accepted"
+/// that simulates nothing.
+fn probe(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .env("BEEHIVE_WORKERS", "0")
+        .output()
+        .expect("repro binary runs")
+}
+
+/// The forms that run items: `repro ITEM` and the four item subcommands.
+const ITEM_FORMS: [&[&str]; 5] = [&[], &["top"], &["explain"], &["check"], &["timeline"]];
+
+#[test]
+fn every_listed_item_is_known_to_every_form_that_takes_one() {
+    let list = stdout(&repro(&["list"]));
+    let rows = list.lines().skip(1).take_while(|l| l.starts_with("  "));
+    let items: Vec<&str> = rows.filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(items.len(), 16, "{items:?}");
+    assert_eq!((items[0], items[15]), ("all", "recovery"));
+    for item in &items {
+        for form in ITEM_FORMS {
+            let out = probe(&[form, &[*item, "--quick"][..]].concat());
+            let err = stderr(&out);
+            // `table1` and `table2` are computed from constants: `repro`
+            // prints them, the subcommands have nothing to instrument. Nor
+            // do they expand `all`; only the bare form does.
+            let bare = form.is_empty();
+            let outcome = match *item {
+                "table1" | "table2" if bare => (Some(0), ""),
+                "table1" | "table2" => (Some(2), "runs no simulations"),
+                "all" if !bare => (Some(2), "runs no simulations"),
+                _ => (Some(2), "BEEHIVE_WORKERS"),
+            };
+            assert_eq!(
+                (out.status.code(), err.contains(outcome.1)),
+                (outcome.0, true),
+                "repro {form:?} {item}: {err}"
+            );
+        }
+    }
+    // A name off the list is refused by every form, before anything runs.
+    for form in ITEM_FORMS {
+        let out = probe(&[form, &["fig99", "--quick"][..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{form:?}");
+        assert!(stderr(&out).contains("\"fig99\""), "{form:?}");
+    }
+}
+
+#[test]
+fn common_flags_parse_identically_in_every_form() {
+    // Accepted everywhere, in any position.
+    for form in ITEM_FORMS {
+        let given = ["--seed", "7", "fig2", "--quick", "--chaos-seed", "9"];
+        let out = probe(&[form, &given[..]].concat());
+        assert!(stderr(&out).contains("BEEHIVE_WORKERS"), "{form:?}");
+    }
+    // Rejected everywhere, with the same one-line error.
+    for (bad, message) in [
+        (&["--seed", "many"][..], "--seed needs an integer"),
+        (&["--seed", "-1"][..], "--seed needs an integer"),
+        (&["--seed"][..], "--seed needs an integer"),
+        (
+            &["--chaos-seed", "1.5"][..],
+            "--chaos-seed needs an integer",
+        ),
+        (&["--chaos-seed"][..], "--chaos-seed needs an integer"),
+    ] {
+        for form in ITEM_FORMS {
+            let out = probe(&[form, &["fig2"][..], bad].concat());
+            assert_eq!(out.status.code(), Some(2), "{form:?} {bad:?}");
+            let err = stderr(&out);
+            let first = err.lines().next().unwrap_or_default();
+            assert_eq!(first, format!("error: {message}"), "{form:?} {bad:?}");
+        }
+    }
+    // The forms that only read artifact directories take none of them.
+    for form in ["compare", "diff", "lag"] {
+        for flag in ["--quick", "--seed", "--chaos-seed"] {
+            let out = repro(&[form, flag, "a", "b"]);
+            assert_eq!(out.status.code(), Some(2), "{form} {flag}");
+            let unknown = format!("unknown flag \"{flag}\" for `repro {form}`");
+            assert!(stderr(&out).contains(&unknown), "{form} {flag}");
+        }
+    }
+}
+
 #[test]
 fn check_runs_clean_and_emits_parseable_json() {
     let out = repro(&["check", "fig2", "--quick", "--json"]);

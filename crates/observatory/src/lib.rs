@@ -6,9 +6,9 @@
 //! time-domain property: how long after a burst onset does capacity catch
 //! up? This crate gives the reproduction that time axis.
 //!
-//! [`Observer`] is a streaming reducer that rides the telemetry recorder as
-//! a second consumer (via `beehive_telemetry::visit_from`, exactly like the
-//! sentinel) and folds [`TraceEvent`]s into deterministic fixed-width
+//! [`Observer`] is a streaming reducer that rides the telemetry recorder
+//! (the driver feeds it through `beehive_telemetry::pump`, in the same pass
+//! as the sentinel) and folds [`TraceEvent`]s into deterministic fixed-width
 //! virtual-time bins:
 //!
 //! * offered vs. served vs. rejected requests per bin,
@@ -261,10 +261,9 @@ struct ReqState {
 /// Streaming reducer folding telemetry events into a [`ScenarioSeries`].
 ///
 /// Feed events in emission order (which is virtual-time order) with
-/// [`Observer::feed`], then call [`Observer::finish`]. The observer is the
-/// second consumer of the shared telemetry recorder: the workload driver
-/// drains the recorder into it incrementally via
-/// `beehive_telemetry::visit_from`, the same discipline as the sentinel.
+/// [`Observer::feed`], then call [`Observer::finish`]. The workload driver
+/// feeds it from the shared telemetry recorder once per simulation step,
+/// through the same `beehive_telemetry::pump` call as the sentinel.
 pub struct Observer {
     window_ns: u64,
     out: ScenarioSeries,

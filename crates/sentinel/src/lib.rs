@@ -6,8 +6,8 @@
 //! could silently corrupt every downstream report. This crate turns the
 //! telemetry layer into a correctness oracle: a streaming [`Sentinel`]
 //! consumes [`beehive_telemetry::TraceEvent`]s in virtual-time order —
-//! either online during a simulation (a second telemetry consumer fed via
-//! [`beehive_telemetry::visit_from`]) or by replaying a recorded
+//! either online during a simulation (a telemetry consumer the driver feeds
+//! through [`beehive_telemetry::pump`]) or by replaying a recorded
 //! [`beehive_telemetry::Trace`] — and checks typed invariants as events
 //! arrive:
 //!
@@ -370,7 +370,7 @@ impl SentinelReport {
     }
 
     /// Assemble a report from checks harvested out of online runs (e.g.
-    /// `beehive_workload::engine::drain_sentinel`).
+    /// the `sentinel` field of `beehive_workload::engine::drain`).
     pub fn from_checks(strict: bool, scenarios: Vec<ScenarioCheck>) -> SentinelReport {
         SentinelReport { strict, scenarios }
     }

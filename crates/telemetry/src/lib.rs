@@ -40,7 +40,7 @@
 pub mod chrome;
 pub mod summary;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use beehive_sim::{Duration, SimTime};
 
@@ -162,10 +162,13 @@ pub struct Trace {
 struct Recorder {
     now: SimTime,
     events: Vec<TraceEvent>,
+    /// How many of `events` [`pump`] has already fed to the consumers.
+    pumped: usize,
 }
 
 thread_local! {
     static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
 }
 
 #[inline]
@@ -191,8 +194,10 @@ pub fn install() {
         *r.borrow_mut() = Some(Recorder {
             now: SimTime::ZERO,
             events: Vec::new(),
+            pumped: 0,
         });
     });
+    PEAK.with(|p| p.set(0));
 }
 
 /// Disarm the sink and return what it recorded. `None` if no recorder was
@@ -201,30 +206,35 @@ pub fn take() -> Option<Trace> {
     if cfg!(feature = "compile-off") {
         return None;
     }
-    RECORDER
-        .with(|r| r.borrow_mut().take())
-        .map(|rec| Trace { events: rec.events })
+    let rec = RECORDER.with(|r| r.borrow_mut().take())?;
+    PEAK.with(|p| p.set(p.get().max(rec.events.len())));
+    Some(Trace { events: rec.events })
 }
 
-/// Visit the events recorded on this thread since index `from` (a
-/// high-water mark from a previous call; start at 0) and return the new
-/// mark. This is the second-consumer API: an online checker like
-/// `beehive-sentinel` drains new events incrementally between simulation
-/// events without disturbing the recording sink. Returns `from` unchanged
-/// when no recorder is armed.
-pub fn visit_from(from: usize, mut f: impl FnMut(&TraceEvent)) -> usize {
-    if cfg!(feature = "compile-off") {
-        return from;
-    }
-    RECORDER.with(|r| match r.borrow().as_ref() {
-        Some(rec) => {
-            for e in rec.events.iter().skip(from) {
-                f(e);
-            }
-            rec.events.len()
+/// Feed every event recorded on this thread since the previous pump to `f`,
+/// each exactly once and in emission order, then free them unless `retain`
+/// keeps them for [`take`]. The recorder owns the consumed-events mark, so
+/// any number of online consumers (`beehive-sentinel`, `beehive-observatory`)
+/// share one pass, and a run that only feeds them holds the events of one
+/// simulation step instead of the whole trace. A no-op when no recorder is
+/// armed. `f` must not emit.
+pub fn pump(retain: bool, mut f: impl FnMut(&TraceEvent)) {
+    with_recorder(|rec| {
+        rec.events[rec.pumped..].iter().for_each(&mut f);
+        PEAK.with(|p| p.set(p.get().max(rec.events.len())));
+        if retain {
+            rec.pumped = rec.events.len();
+        } else {
+            rec.events.clear();
         }
-        None => from,
-    })
+    });
+}
+
+/// The most events this thread's recorder has held at once since the last
+/// [`install`], sampled at every [`pump`] and at [`take`] (it outlives the
+/// recorder, so it can be read after a run disarmed it).
+pub fn peak_buffered() -> usize {
+    PEAK.with(|p| p.get())
 }
 
 /// `true` while a recorder is armed on this thread. Call sites that build
@@ -406,22 +416,30 @@ mod tests {
     }
 
     #[test]
-    fn visit_from_drains_incrementally_without_disturbing_the_sink() {
-        assert_eq!(visit_from(0, |_| panic!("no recorder, no visits")), 0);
-        install();
-        instant(Track::Server, "a", &[]);
-        instant(Track::Server, "b", &[]);
-        let mut seen = Vec::new();
-        let mark = visit_from(0, |e| seen.push(e.name));
-        assert_eq!((mark, seen.as_slice()), (2, &["a", "b"][..]));
-        instant(Track::Server, "c", &[]);
-        let mut seen = Vec::new();
-        let mark = visit_from(mark, |e| seen.push(e.name));
-        assert_eq!((mark, seen.as_slice()), (3, &["c"][..]));
-        assert_eq!(visit_from(mark, |_| panic!("nothing new")), 3);
-        // The recorder still holds everything: visiting is read-only.
-        let t = take().unwrap();
-        assert_eq!(t.events.len(), 3);
+    fn pump_visits_each_event_once_and_frees_unless_retaining() {
+        pump(false, |_| panic!("no recorder, no visits"));
+        for retain in [false, true] {
+            install();
+            instant(Track::Server, "a", &[]);
+            instant(Track::Server, "b", &[]);
+            let mut seen = Vec::new();
+            pump(retain, |e| seen.push(e.name));
+            instant(Track::Server, "c", &[]);
+            pump(retain, |e| seen.push(e.name));
+            pump(retain, |_| panic!("nothing new"));
+            assert_eq!(seen, ["a", "b", "c"], "retain={retain}");
+            // Retaining, `take` still returns the whole trace; otherwise the
+            // visited events are gone and the buffer never held all three.
+            let names: Vec<_> = take().unwrap().events.iter().map(|e| e.name).collect();
+            if retain {
+                assert_eq!(
+                    (names.as_slice(), peak_buffered()),
+                    (&["a", "b", "c"][..], 3)
+                );
+            } else {
+                assert_eq!((names.len(), peak_buffered()), (0, 2));
+            }
+        }
     }
 
     #[test]

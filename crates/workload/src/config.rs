@@ -78,6 +78,25 @@ impl ArrivalPattern {
     }
 }
 
+/// Which observability substrates a run carries: the engine-wide decision
+/// `repro` makes once from its flags ([`crate::engine::set_plan`]) and
+/// [`SimConfig::new`] copies into the fields of the same names.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ObsPlan {
+    /// [`SimConfig::trace`]: retain the virtual-time trace.
+    pub trace: bool,
+    /// [`SimConfig::metrics`]: keep a live metrics registry.
+    pub metrics: bool,
+    /// [`SimConfig::profile`]: record a per-lane call-tree profile.
+    pub profile: bool,
+    /// [`SimConfig::sentinel`]: run the online conformance checker.
+    pub sentinel: bool,
+    /// [`SimConfig::observe`]: reduce telemetry into an elasticity timeline.
+    pub observe: bool,
+    /// [`SimConfig::observe_window`]: the timeline's bin width.
+    pub observe_window: Duration,
+}
+
 /// Full experiment configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -125,35 +144,27 @@ pub struct SimConfig {
     /// the cold instance and the client waits out the long tail.
     pub shadow_enabled: bool,
     /// Record a virtual-time trace of this run ([`SimResult::trace`]).
-    /// Defaults to the engine-wide flag set by `repro --trace`
-    /// ([`crate::engine::set_trace_default`]).
+    /// Like the other observability fields, defaults to the engine-wide
+    /// plan `repro` sets from its flags ([`crate::engine::set_plan`]).
     pub trace: bool,
     /// Keep a live metrics registry for this run ([`SimResult::metrics`]).
-    /// Defaults to the engine-wide flag set by `repro --metrics`
-    /// ([`crate::engine::set_metrics_default`]). Costs nothing when off.
+    /// Costs nothing when off.
     pub metrics: bool,
     /// Time-series window of the metrics registry (virtual time).
     pub metrics_window: Duration,
     /// Record a per-lane call-tree profile of this run
-    /// ([`SimResult::profile`]). Defaults to the engine-wide flag set by
-    /// `repro --profile` ([`crate::engine::set_profile_default`]).
+    /// ([`SimResult::profile`]).
     pub profile: bool,
     /// Run the online conformance checker alongside this run
-    /// ([`SimResult::sentinel`]). Defaults to the engine-wide flag set by
-    /// `repro --sentinel` ([`crate::engine::set_sentinel_default`]). Arms
-    /// the telemetry recorder even when [`SimConfig::trace`] is off; the
-    /// recorded events are dropped after checking unless `trace` is also
-    /// set.
+    /// ([`SimResult::sentinel`]). Arms the telemetry recorder even when
+    /// [`SimConfig::trace`] is off; each event is then freed as soon as the
+    /// online consumers have seen it.
     pub sentinel: bool,
     /// Fold this run's telemetry into a fixed-width elasticity timeline
-    /// ([`SimResult::observatory`]). Defaults to the engine-wide flag set by
-    /// `repro timeline` / `repro --obs`
-    /// ([`crate::engine::set_observe_default`]). Like the sentinel, this
-    /// arms the telemetry recorder even when [`SimConfig::trace`] is off;
-    /// the events are dropped after reduction unless `trace` is also set.
+    /// ([`SimResult::observatory`]). Rides the recorder exactly like the
+    /// sentinel.
     pub observe: bool,
-    /// Bin width of the elasticity timeline (virtual time). Defaults to the
-    /// engine-wide value ([`crate::engine::set_observe_window`]).
+    /// Bin width of the elasticity timeline (virtual time).
     pub observe_window: Duration,
     /// Deterministic fault plan (§4.5 failure injection). The default plan
     /// is empty and the run is byte-identical to one without the chaos
@@ -164,6 +175,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// A configuration with paper-style defaults.
     pub fn new(app: App, strategy: Strategy) -> Self {
+        let plan = crate::engine::plan();
         SimConfig {
             app,
             strategy,
@@ -181,13 +193,13 @@ impl SimConfig {
             max_server_concurrency: 256,
             beehive: BeeHiveConfig::default(),
             shadow_enabled: true,
-            trace: crate::engine::trace_default(),
-            metrics: crate::engine::metrics_default(),
+            trace: plan.trace,
+            metrics: plan.metrics,
             metrics_window: beehive_metrics::DEFAULT_WINDOW,
-            profile: crate::engine::profile_default(),
-            sentinel: crate::engine::sentinel_default(),
-            observe: crate::engine::observe_default(),
-            observe_window: crate::engine::observe_window(),
+            profile: plan.profile,
+            sentinel: plan.sentinel,
+            observe: plan.observe,
+            observe_window: plan.observe_window,
             faults: FaultPlan::default(),
         }
     }

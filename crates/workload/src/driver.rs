@@ -52,12 +52,10 @@ pub struct Sim {
     cost_model: CostModel,
     obs: Obs,
     acct: Acct,
-    /// The online conformance checker and its cursor into the telemetry
-    /// sink, when [`SimConfig::sentinel`] is set.
-    sentinel: Option<(beehive_sentinel::Sentinel, usize)>,
-    /// The streaming timeline reducer and its own cursor into the same
-    /// telemetry sink, when [`SimConfig::observe`] is set.
-    observatory: Option<(beehive_observatory::Observer, usize)>,
+    /// The online conformance checker, when [`SimConfig::sentinel`] is set.
+    sentinel: Option<beehive_sentinel::Sentinel>,
+    /// The streaming timeline reducer, when [`SimConfig::observe`] is set.
+    observatory: Option<beehive_observatory::Observer>,
     /// Last arrival rate seen (milli-rps), for `burst:onset` edge detection.
     last_mrps: u64,
 }
@@ -133,14 +131,22 @@ impl Sim {
         }
     }
 
+    /// Whether this run arms the telemetry recorder: to retain the trace,
+    /// or only to feed the online consumers.
+    fn recording(&self) -> bool {
+        self.cfg.trace || self.cfg.sentinel || self.cfg.observe
+    }
+
     /// Run to the horizon and collect results.
     pub fn run(mut self) -> SimResult {
-        if self.cfg.trace || self.cfg.sentinel || self.cfg.observe {
+        let online = self.cfg.sentinel || self.cfg.observe;
+        let recording = self.recording();
+        if recording {
             // Installed here rather than in `new` so the prewarm warm-up
             // shadow (which runs outside virtual time) is not recorded. The
             // online checker and the timeline reducer ride the same recorder
-            // and drain it incrementally on independent cursors; without
-            // `trace` the events are dropped at the end instead of returned.
+            // and are pumped once per simulation step; without `trace` the
+            // pump frees each event as soon as both have seen it.
             tele::install();
         }
         if self.cfg.sentinel {
@@ -148,13 +154,11 @@ impl Sim {
                 max_retries: Some(self.broker.chaos.policy.max_retries),
                 ..Default::default()
             };
-            self.sentinel = Some((beehive_sentinel::Sentinel::new(cfg), 0));
+            self.sentinel = Some(beehive_sentinel::Sentinel::new(cfg));
         }
         if self.cfg.observe {
-            self.observatory = Some((
-                beehive_observatory::Observer::new(self.cfg.observe_window),
-                0,
-            ));
+            let window = self.cfg.observe_window;
+            self.observatory = Some(beehive_observatory::Observer::new(window));
         }
         if self.cfg.profile {
             // Same rationale as the trace recorder: the prewarm warm-up
@@ -201,17 +205,23 @@ impl Sim {
                 break;
             }
             self.now = t;
-            if self.cfg.trace || self.cfg.sentinel || self.cfg.observe {
+            if recording {
                 tele::set_now(t);
             }
             self.handle(ev);
             self.lifecycle
                 .wake_lock_waiters(self.now, &mut self.server, &mut self.events);
-            if let Some((sentinel, cursor)) = self.sentinel.as_mut() {
-                *cursor = tele::visit_from(*cursor, |e| sentinel.feed(e));
-            }
-            if let Some((observer, cursor)) = self.observatory.as_mut() {
-                *cursor = tele::visit_from(*cursor, |e| observer.feed(e));
+            if online {
+                // The one consumer-pump site: nothing emits between the
+                // last step and `finish`, so there is no tail to drain.
+                tele::pump(self.cfg.trace, |e| {
+                    if let Some(sentinel) = self.sentinel.as_mut() {
+                        sentinel.feed(e);
+                    }
+                    if let Some(observer) = self.observatory.as_mut() {
+                        observer.feed(e);
+                    }
+                });
             }
         }
         self.finish()
@@ -700,12 +710,6 @@ impl Sim {
                     self.fleet.idle.push(instance);
                 }
             }
-            if !session.is_shadow() && std::env::var_os("BEEHIVE_DEBUG_SYNC").is_some() {
-                eprintln!(
-                    "[sync-dbg] t={:?} inst={} syncs={} enters_on_instance",
-                    self.now, instance, session.stats.fallbacks_sync
-                );
-            }
             self.acct.on_faas(
                 self.now,
                 self.cfg.record_from,
@@ -724,13 +728,6 @@ impl Sim {
     }
 
     fn finish(self) -> SimResult {
-        if std::env::var_os("BEEHIVE_DEBUG_SYNC").is_some() {
-            let (stranded, locks) = self.lifecycle.stranded_lock_waiters();
-            eprintln!(
-                "[lock] end: stranded_waiters={stranded} locks_waited={locks} parked_requests={}",
-                self.lifecycle.inflight()
-            );
-        }
         let profile = if self.cfg.profile {
             let program = Arc::clone(&self.cfg.app.program);
             beehive_profiler::take().map(|raw| {
@@ -743,29 +740,14 @@ impl Sim {
             None
         };
         let mapping_bytes = self.server.mapping_footprint_bytes();
-        // Drain the tail of the telemetry sink into the checker before
-        // taking (or discarding) the recorder.
-        let sentinel = self.sentinel.map(|(mut sentinel, cursor)| {
-            tele::visit_from(cursor, |e| sentinel.feed(e));
-            // The label is filled in by the engine harvest, which knows the
-            // scenario name; standalone `Sim::run` callers label it
-            // themselves.
-            sentinel.finish(String::new())
-        });
-        let observatory = self.observatory.map(|(mut observer, cursor)| {
-            tele::visit_from(cursor, |e| observer.feed(e));
-            // Blank label, same convention as the sentinel above.
-            observer.finish(String::new())
-        });
-        let trace = if self.cfg.trace {
-            tele::take()
-        } else {
-            if self.cfg.sentinel || self.cfg.observe {
-                // The recorder was armed only to feed the online consumers.
-                drop(tele::take());
-            }
-            None
-        };
+        // Disarm the recorder this run armed; a run that only fed the online
+        // consumers pumped it empty and returns no trace.
+        let taken = if self.recording() { tele::take() } else { None };
+        let trace = taken.filter(|_| self.cfg.trace);
+        // Blank labels: the engine harvest, which knows the scenario name,
+        // fills them in; standalone `Sim::run` callers label them themselves.
+        let sentinel = self.sentinel.map(|s| s.finish(String::new()));
+        let observatory = self.observatory.map(|o| o.finish(String::new()));
         let chaos = self.broker.chaos.stats.clone();
         self.acct.finish(
             self.now,

@@ -11,6 +11,9 @@
 //!   worker pool (capped at available parallelism) and returns
 //!   [`RunOutcome`]s **in input order**, so aggregation code is oblivious
 //!   to scheduling and every report stays bit-identical to a serial run,
+//! * [`ObsPlan`] / [`Harvest`] — the one observability path: the plan
+//!   ([`set_plan`]) says which substrates every scenario carries, and
+//!   [`run_all`] moves what they produced into the harvest ([`drain`]),
 //! * [`RunReport`] — a structured title + JSON body, the machine-readable
 //!   form of a report surfaced by `repro --json`.
 //!
@@ -42,221 +45,87 @@
 //! assert_eq!(outcomes[0].label, "rps=4");
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use beehive_sim::json::Json;
+use beehive_sim::json::{Json, ToJson};
 use beehive_telemetry::Trace;
 
+pub use crate::config::ObsPlan;
 use crate::config::{SimConfig, SimResult};
 use crate::driver::Sim;
 
-/// Engine-wide default for [`SimConfig::trace`] (`repro --trace` sets it
-/// before building any scenario).
-static TRACE_DEFAULT: AtomicBool = AtomicBool::new(false);
+/// Until [`set_plan`]: nothing on, a plain run.
+static PLAN: Mutex<ObsPlan> = Mutex::new(ObsPlan {
+    trace: false,
+    metrics: false,
+    profile: false,
+    sentinel: false,
+    observe: false,
+    observe_window: beehive_observatory::DEFAULT_WINDOW,
+});
 
-/// Traces harvested from completed runs, in [`run_all`] input order, each
-/// labelled with its scenario label. Drained by [`drain_traces`].
-static COLLECTED_TRACES: Mutex<Vec<(String, Trace)>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::metrics`] (`repro --metrics DIR`
-/// sets it before building any scenario).
-static METRICS_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Metrics snapshots harvested from completed runs, in [`run_all`] input
-/// order. Drained by [`drain_metrics`].
-static COLLECTED_METRICS: Mutex<Vec<beehive_metrics::ScenarioMetrics>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::profile`] (`repro --profile DIR`
-/// sets it before building any scenario).
-static PROFILE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Call-tree profiles harvested from completed runs, in [`run_all`] input
-/// order, labelled with their scenario labels. Drained by
-/// [`drain_profiles`].
-static COLLECTED_PROFILES: Mutex<Vec<(String, beehive_profiler::Profile)>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::sentinel`] (`repro --sentinel`
-/// sets it before building any scenario).
-static SENTINEL_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Conformance checks harvested from completed runs, in [`run_all`] input
-/// order, labelled with their scenario labels. Drained by
-/// [`drain_sentinel`].
-static COLLECTED_SENTINEL: Mutex<Vec<beehive_sentinel::ScenarioCheck>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::observe`] (`repro timeline` and
-/// `repro --obs DIR` set it before building any scenario).
-static OBSERVE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Engine-wide default bin width for [`SimConfig::observe_window`], in
-/// nanoseconds (`repro timeline --window NS` overrides it).
-static OBSERVE_WINDOW_NS: AtomicU64 = AtomicU64::new(1_000_000_000);
-
-/// Elasticity timelines harvested from completed runs, in [`run_all`] input
-/// order, labelled with their scenario labels. Drained by
-/// [`drain_timelines`].
-static COLLECTED_TIMELINES: Mutex<Vec<beehive_observatory::ScenarioSeries>> =
-    Mutex::new(Vec::new());
-
-/// Set the engine-wide default for [`SimConfig::trace`]. Scenarios built
-/// *after* this call record traces; [`run_all`] harvests them in input
-/// order for [`drain_traces`].
-pub fn set_trace_default(on: bool) {
-    TRACE_DEFAULT.store(on, Ordering::Relaxed);
+/// Set the engine-wide plan. Scenarios built *after* this call carry it, and
+/// [`run_all`] harvests what their substrates produce for [`drain`].
+pub fn set_plan(plan: ObsPlan) {
+    *PLAN.lock().expect("no plan-lock holder panics") = plan;
 }
 
-/// The engine-wide default for [`SimConfig::trace`].
-pub fn trace_default() -> bool {
-    TRACE_DEFAULT.load(Ordering::Relaxed)
+/// The engine-wide plan (every substrate off until [`set_plan`]).
+pub fn plan() -> ObsPlan {
+    *PLAN.lock().expect("no plan-lock holder panics")
 }
 
-/// Take every trace harvested since the last drain, in the input order of
-/// the [`run_all`] calls that produced them. Order is independent of the
-/// worker count, so exports are byte-identical under any `BEEHIVE_WORKERS`.
-pub fn drain_traces() -> Vec<(String, Trace)> {
-    std::mem::take(&mut *COLLECTED_TRACES.lock().unwrap())
-}
-
-fn harvest_traces(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_TRACES.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(trace) = o.result.trace.take() {
-            collected.push((o.label.clone(), trace));
-        }
-    }
-}
-
-/// Set the engine-wide default for [`SimConfig::metrics`]. Scenarios built
-/// *after* this call keep a live metrics registry; [`run_all`] harvests the
-/// snapshots in input order for [`drain_metrics`].
-pub fn set_metrics_default(on: bool) {
-    METRICS_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The engine-wide default for [`SimConfig::metrics`].
-pub fn metrics_default() -> bool {
-    METRICS_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every metrics snapshot harvested since the last drain, in the input
-/// order of the [`run_all`] calls that produced them. Order is independent
-/// of the worker count, so exported `.metrics.json` files are
-/// byte-identical under any `BEEHIVE_WORKERS`.
-pub fn drain_metrics() -> Vec<beehive_metrics::ScenarioMetrics> {
-    std::mem::take(&mut *COLLECTED_METRICS.lock().unwrap())
-}
-
-fn harvest_metrics(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_METRICS.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(reg) = o.result.metrics.take() {
-            collected.push(reg.snapshot(&o.label));
-        }
-    }
-}
-
-/// Set the engine-wide default for [`SimConfig::profile`]. Scenarios built
-/// *after* this call record call-tree profiles; [`run_all`] harvests them in
-/// input order for [`drain_profiles`].
-pub fn set_profile_default(on: bool) {
-    PROFILE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The engine-wide default for [`SimConfig::profile`].
-pub fn profile_default() -> bool {
-    PROFILE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every call-tree profile harvested since the last drain, in the
-/// input order of the [`run_all`] calls that produced them. Order is
-/// independent of the worker count, so exported `.folded` /
-/// `.profile.json` files are byte-identical under any `BEEHIVE_WORKERS`.
-pub fn drain_profiles() -> Vec<(String, beehive_profiler::Profile)> {
-    std::mem::take(&mut *COLLECTED_PROFILES.lock().unwrap())
-}
-
-fn harvest_profiles(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_PROFILES.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(profile) = o.result.profile.take() {
-            collected.push((o.label.clone(), profile));
-        }
-    }
-}
-
-/// Set the engine-wide default for [`SimConfig::sentinel`]. Scenarios built
-/// *after* this call run the online conformance checker; [`run_all`]
-/// harvests the per-scenario results in input order for [`drain_sentinel`].
-pub fn set_sentinel_default(on: bool) {
-    SENTINEL_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The engine-wide default for [`SimConfig::sentinel`].
-pub fn sentinel_default() -> bool {
-    SENTINEL_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every conformance check harvested since the last drain, in the
-/// input order of the [`run_all`] calls that produced them. Order is
-/// independent of the worker count, so the assembled
-/// [`beehive_sentinel::SentinelReport`] is byte-identical under any
+/// What the substrates of completed runs produced, one entry per scenario
+/// that carried the substrate, each labelled with its scenario label and in
+/// [`run_all`] input order — independent of the worker count, so every
+/// artifact rendered from a harvest is byte-identical under any
 /// `BEEHIVE_WORKERS`.
-pub fn drain_sentinel() -> Vec<beehive_sentinel::ScenarioCheck> {
-    std::mem::take(&mut *COLLECTED_SENTINEL.lock().unwrap())
+#[derive(Debug, Default)]
+pub struct Harvest {
+    /// Retained traces.
+    pub traces: Vec<(String, Trace)>,
+    /// Metrics snapshots.
+    pub metrics: Vec<beehive_metrics::ScenarioMetrics>,
+    /// Call-tree profiles.
+    pub profiles: Vec<(String, beehive_profiler::Profile)>,
+    /// Online conformance checks.
+    pub sentinel: Vec<beehive_sentinel::ScenarioCheck>,
+    /// Elasticity timelines.
+    pub timelines: Vec<beehive_observatory::ScenarioSeries>,
 }
 
-fn harvest_sentinel(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_SENTINEL.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(mut check) = o.result.sentinel.take() {
+static HARVEST: Mutex<Option<Harvest>> = Mutex::new(None);
+
+/// Take everything harvested since the last drain.
+pub fn drain() -> Harvest {
+    let mut h = HARVEST.lock().expect("no harvest-lock holder panics");
+    h.take().unwrap_or_default()
+}
+
+/// Move every substrate output out of `outcomes` into the harvest.
+fn harvest(outcomes: &mut [RunOutcome]) {
+    let mut h = HARVEST.lock().expect("no harvest-lock holder panics");
+    let h = h.get_or_insert_with(Harvest::default);
+    for o in outcomes {
+        let r = &mut o.result;
+        if let Some(trace) = r.trace.take() {
+            h.traces.push((o.label.clone(), trace));
+        }
+        if let Some(reg) = r.metrics.take() {
+            h.metrics.push(reg.snapshot(&o.label));
+        }
+        if let Some(profile) = r.profile.take() {
+            h.profiles.push((o.label.clone(), profile));
+        }
+        if let Some(mut check) = r.sentinel.take() {
             check.label = o.label.clone();
-            collected.push(check);
+            h.sentinel.push(check);
         }
-    }
-}
-
-/// Set the engine-wide default for [`SimConfig::observe`]. Scenarios built
-/// *after* this call reduce their telemetry into elasticity timelines;
-/// [`run_all`] harvests the per-scenario series in input order for
-/// [`drain_timelines`].
-pub fn set_observe_default(on: bool) {
-    OBSERVE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The engine-wide default for [`SimConfig::observe`].
-pub fn observe_default() -> bool {
-    OBSERVE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Set the engine-wide default timeline bin width
-/// ([`SimConfig::observe_window`]); zero-width windows are clamped to 1 ns
-/// by the reducer.
-pub fn set_observe_window(window: beehive_sim::Duration) {
-    OBSERVE_WINDOW_NS.store(window.as_nanos(), Ordering::Relaxed);
-}
-
-/// The engine-wide default timeline bin width.
-pub fn observe_window() -> beehive_sim::Duration {
-    beehive_sim::Duration::from_nanos(OBSERVE_WINDOW_NS.load(Ordering::Relaxed))
-}
-
-/// Take every elasticity timeline harvested since the last drain, in the
-/// input order of the [`run_all`] calls that produced them. Order is
-/// independent of the worker count, so the assembled
-/// [`beehive_observatory::TimelineDoc`] is byte-identical under any
-/// `BEEHIVE_WORKERS`.
-pub fn drain_timelines() -> Vec<beehive_observatory::ScenarioSeries> {
-    std::mem::take(&mut *COLLECTED_TIMELINES.lock().unwrap())
-}
-
-fn harvest_timelines(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_TIMELINES.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(mut series) = o.result.observatory.take() {
+        if let Some(mut series) = r.observatory.take() {
             series.label = o.label.clone();
-            collected.push(series);
+            h.timelines.push(series);
         }
     }
 }
@@ -298,21 +167,18 @@ pub struct RunOutcome {
 /// clear error: a typo'd worker count silently falling back to "all cores"
 /// would invalidate the determinism experiments that pin it.
 pub fn default_workers() -> usize {
+    let bad = |must: &str, got: String| -> ! {
+        eprintln!("error: BEEHIVE_WORKERS must be {must} (got {got})");
+        std::process::exit(2)
+    };
     match std::env::var("BEEHIVE_WORKERS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
-            Ok(_) => {
-                eprintln!("error: BEEHIVE_WORKERS must be >= 1 (got \"{v}\")");
-                std::process::exit(2);
-            }
-            Err(_) => {
-                eprintln!("error: BEEHIVE_WORKERS must be a positive integer (got \"{v}\")");
-                std::process::exit(2);
-            }
+            Ok(_) => bad(">= 1", format!("\"{v}\"")),
+            Err(_) => bad("a positive integer", format!("\"{v}\"")),
         },
         Err(std::env::VarError::NotUnicode(_)) => {
-            eprintln!("error: BEEHIVE_WORKERS must be a positive integer (got non-unicode value)");
-            std::process::exit(2);
+            bad("a positive integer", "non-unicode value".into())
         }
         Err(std::env::VarError::NotPresent) => {
             thread::available_parallelism().map_or(1, |n| n.get())
@@ -330,72 +196,49 @@ pub fn run_all(scenarios: Vec<Scenario>) -> Vec<RunOutcome> {
     run_all_with_workers(scenarios, default_workers())
 }
 
-/// [`run_all`] with an explicit worker count (`workers ≤ 1` runs serially
-/// on the calling thread).
+/// [`run_all`] with an explicit worker count, the calling thread included.
 pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<RunOutcome> {
     let workers = workers.min(scenarios.len()).max(1);
-    if workers <= 1 {
-        let mut outcomes: Vec<RunOutcome> = scenarios
-            .into_iter()
-            .map(|s| RunOutcome {
-                label: s.label,
-                result: Sim::new(s.cfg).run(),
-            })
-            .collect();
-        harvest_traces(&mut outcomes);
-        harvest_metrics(&mut outcomes);
-        harvest_profiles(&mut outcomes);
-        harvest_sentinel(&mut outcomes);
-        harvest_timelines(&mut outcomes);
-        return outcomes;
-    }
-
-    // Work-stealing by atomic index: each worker claims the next unstarted
-    // scenario, writes its result into that scenario's slot, and repeats.
-    // Slots keep input order; the claim order is irrelevant to the output.
-    let mut labels = Vec::with_capacity(scenarios.len());
-    let mut configs = Vec::with_capacity(scenarios.len());
-    for s in scenarios {
-        labels.push(s.label);
-        configs.push(Mutex::new(Some(s.cfg)));
-    }
-    let slots: Vec<Mutex<Option<SimResult>>> = configs.iter().map(|_| Mutex::new(None)).collect();
+    // One cell per scenario, in input order: its config until a worker
+    // claims it, its result once that worker is done.
+    let (labels, cells): (Vec<_>, Vec<_>) = scenarios
+        .into_iter()
+        .map(|s| (s.label, Mutex::new((Some(s.cfg), None::<SimResult>))))
+        .unzip();
     let next = AtomicUsize::new(0);
 
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let cfg = configs[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("scenario claimed twice");
-                let result = Sim::new(cfg).run();
-                *slots[i].lock().unwrap() = Some(result);
-            });
+    // Work-stealing by atomic index: each worker claims the next unstarted
+    // scenario and repeats; the claim order is irrelevant to the output.
+    let claim = || {
+        while let Some(cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let lock = || cell.lock().expect("a cell is never locked across a run");
+            let cfg = lock().0.take().expect("scenario claimed twice");
+            let result = Sim::new(cfg).run();
+            lock().1 = Some(result);
         }
+    };
+    // The calling thread is one of the workers, so `workers ≤ 1` spawns
+    // nothing and runs the same loop inline.
+    thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(claim);
+        }
+        claim();
     });
 
     let mut outcomes: Vec<RunOutcome> = labels
         .into_iter()
-        .zip(slots)
-        .map(|(label, slot)| RunOutcome {
+        .zip(cells)
+        .map(|(label, cell)| RunOutcome {
             label,
-            result: slot
+            result: cell
                 .into_inner()
-                .unwrap()
+                .expect("a cell is never locked across a run")
+                .1
                 .expect("worker pool exited with an unfilled slot"),
         })
         .collect();
-    harvest_traces(&mut outcomes);
-    harvest_metrics(&mut outcomes);
-    harvest_profiles(&mut outcomes);
-    harvest_sentinel(&mut outcomes);
-    harvest_timelines(&mut outcomes);
+    harvest(&mut outcomes);
     outcomes
 }
 
@@ -425,11 +268,16 @@ impl RunReport {
 
     /// Render as a single JSON object `{"title": ..., "body": ...}`.
     pub fn render(&self) -> String {
+        self.to_json().render()
+    }
+}
+
+impl ToJson for RunReport {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("title".into(), Json::from(self.title.clone())),
             ("body".into(), self.body.clone()),
         ])
-        .render()
     }
 }
 

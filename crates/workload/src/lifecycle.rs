@@ -598,9 +598,6 @@ impl Lifecycle {
                         tele::begin(req.lane.endpoint().track(), name, &[]);
                         req.open_span = Some(name);
                     }
-                    if std::env::var_os("BEEHIVE_DEBUG_SYNC").is_some() {
-                        eprintln!("[lock] t={now:?} park rid={rid} lock={canonical:?}");
-                    }
                     self.lock_waiters
                         .entry(canonical)
                         .or_default()
@@ -732,12 +729,6 @@ impl Lifecycle {
         events: &mut EventQueue<Ev>,
     ) {
         for canonical in server.take_freed_locks() {
-            if std::env::var_os("BEEHIVE_DEBUG_SYNC").is_some() {
-                eprintln!(
-                    "[lock] t={now:?} freed {canonical:?} waiters={}",
-                    self.lock_waiters.get(&canonical).map_or(0, |q| q.len())
-                );
-            }
             if let Some(q) = self.lock_waiters.get_mut(&canonical) {
                 if let Some(rid) = q.pop_front() {
                     // Wake at the same instant: event FIFO order guarantees
@@ -752,8 +743,8 @@ impl Lifecycle {
         }
     }
 
-    /// Requests still parked on a lock at the end of a run
-    /// (`BEEHIVE_DEBUG_SYNC` diagnostics).
+    /// Requests still parked on a lock, and the locks they wait for.
+    #[cfg(test)]
     pub(crate) fn stranded_lock_waiters(&self) -> (usize, usize) {
         (
             self.lock_waiters.values().map(|q| q.len()).sum(),

@@ -10,7 +10,7 @@ use beehive_insight::{attribute, diagnose, Component, InsightDoc, SloPolicy};
 use beehive_metrics::{compare, MetricsSnapshot, DEFAULT_WINDOW, EXEMPLAR_K};
 use beehive_telemetry::Trace;
 use beehive_workload::config::SimConfig;
-use beehive_workload::engine::{drain_metrics, drain_traces, run_all_with_workers, Scenario};
+use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -50,15 +50,14 @@ fn run_matrix(workers: usize) -> (Vec<(String, Trace)>, MetricsSnapshot) {
     let n = matrix().len();
     let outcomes = run_all_with_workers(matrix(), workers);
     assert_eq!(outcomes.len(), n);
-    let traces = drain_traces();
-    assert_eq!(traces.len(), n, "every scenario must yield a trace");
-    let scenarios = drain_metrics();
-    assert_eq!(scenarios.len(), n, "every scenario must yield metrics");
+    let h = drain();
+    assert_eq!(h.traces.len(), n, "every scenario must yield a trace");
+    assert_eq!(h.metrics.len(), n, "every scenario must yield metrics");
     (
-        traces,
+        h.traces,
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
-            scenarios,
+            scenarios: h.metrics,
         },
     )
 }
@@ -149,11 +148,12 @@ fn boot_posture(shadow: bool, prewarm_ready: usize) -> (Vec<(String, Trace)>, Me
     cfg.max_server_concurrency = 1024;
     let outcomes = run_all_with_workers(vec![Scenario::new("burst", cfg)], 1);
     assert_eq!(outcomes.len(), 1);
+    let h = drain();
     (
-        drain_traces(),
+        h.traces,
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
-            scenarios: drain_metrics(),
+            scenarios: h.metrics,
         },
     )
 }

@@ -7,7 +7,7 @@
 use beehive_apps::AppKind;
 use beehive_metrics::{reduce, MetricsSnapshot, DEFAULT_WINDOW};
 use beehive_telemetry::Trace;
-use beehive_workload::engine::{drain_metrics, drain_traces, run_all_with_workers, Scenario};
+use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -31,9 +31,9 @@ fn snapshot_at(workers: usize) -> (MetricsSnapshot, Vec<(String, Trace)>) {
     assert_eq!(outcomes.len(), 2);
     // The engine harvests both exports out of the results, in input order.
     assert!(outcomes.iter().all(|o| o.result.metrics.is_none()));
-    let traces = drain_traces();
+    let h = drain();
+    let (traces, scenarios) = (h.traces, h.metrics);
     assert_eq!(traces.len(), 2, "both scenarios must yield a trace");
-    let scenarios = drain_metrics();
     assert_eq!(scenarios.len(), 2, "both scenarios must yield metrics");
     (
         MetricsSnapshot {
@@ -106,10 +106,11 @@ fn shadow_disabled_reduction_diverges_only_in_request_latency() {
     cfg.shadow_enabled = false;
     let outcomes = run_all_with_workers(vec![Scenario::new("no_shadow", cfg)], 1);
     assert_eq!(outcomes.len(), 1);
-    let traces = drain_traces();
+    let h = drain();
+    let traces = h.traces;
     let snap = MetricsSnapshot {
         window: DEFAULT_WINDOW,
-        scenarios: drain_metrics(),
+        scenarios: h.metrics,
     };
     let reduced = reduce(&traces, DEFAULT_WINDOW);
 

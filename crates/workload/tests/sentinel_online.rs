@@ -4,11 +4,13 @@
 
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
+use beehive_observatory::TimelineDoc;
 use beehive_sentinel::{ScenarioCheck, SentinelReport};
 use beehive_sim::json::Json;
 use beehive_sim::Duration;
+use beehive_telemetry::Trace;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
-use beehive_workload::engine::{drain_sentinel, run_all_with_workers, Scenario};
+use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -62,7 +64,7 @@ fn checks_at(workers: usize) -> Vec<ScenarioCheck> {
     };
     let outcomes = run_all_with_workers(vec![burst, recovery], workers);
     assert_eq!(outcomes.len(), 2);
-    let checks = drain_sentinel();
+    let checks = drain().sentinel;
     assert_eq!(checks.len(), 2, "both scenarios must yield a check");
     checks
 }
@@ -111,23 +113,59 @@ fn real_runs_are_clean_and_identical_at_any_worker_count() {
     assert_eq!(parsed.render(), doc);
 }
 
+/// The most events any one virtual instant of `trace` holds — an upper bound
+/// on what a single simulation step emits, since a step stamps every event
+/// it emits with the same time.
+fn max_events_per_instant(trace: &Trace) -> usize {
+    let instants = trace.events.chunk_by(|a, b| a.at == b.at);
+    instants.map(<[_]>::len).max().unwrap_or(0)
+}
+
 #[test]
-fn sentinel_without_trace_checks_and_discards_the_events() {
+fn online_consumers_without_trace_free_each_step_and_match_the_replay() {
     let e = BurstExperiment::new(AppKind::Thumbnail, Strategy::BeeHiveOpenWhisk)
         .horizon_secs(10)
         .burst_at_secs(3)
         .seed(11);
     let mut cfg = e.config();
-    cfg.trace = false;
     cfg.sentinel = true;
+    cfg.observe = true;
+
+    // The reference: the same run retaining its trace, replayed offline.
+    cfg.trace = true;
+    let trace = Sim::new(cfg.clone()).run().trace.expect("trace");
+    let mut checker = beehive_sentinel::Sentinel::new(beehive_sentinel::SentinelConfig {
+        max_retries: Some(beehive_chaos::RetryPolicy::default().max_retries),
+        ..Default::default()
+    });
+    trace.events.iter().for_each(|e| checker.feed(e));
+    let check = SentinelReport::from_checks(false, vec![checker.finish("x".into())]);
+    let (bound, total) = (max_events_per_instant(&trace), trace.events.len());
+    let timeline = TimelineDoc::from_traces(&[("x".into(), trace)], cfg.observe_window);
+
+    cfg.trace = false;
     let result = Sim::new(cfg).run();
     assert!(
         result.trace.is_none(),
-        "sentinel alone must not keep a trace"
+        "online consumers alone must not keep a trace"
     );
-    let check = result.sentinel.expect("checker result");
-    assert!(check.violations.is_empty(), "{:?}", check.violations);
-    assert!(check.events > 0);
+    // This thread's recorder was pumped empty between simulation steps: it
+    // never held more than one virtual instant's events, let alone the trace.
+    let peak = beehive_telemetry::peak_buffered();
+    assert!(
+        0 < peak && peak <= bound && bound < total / 100,
+        "recorder peaked at {peak} events; one instant holds at most {bound} of {total}"
+    );
+    // Freeing the events changed nothing either consumer saw.
+    let mut online = result.sentinel.expect("checker result");
+    assert!(online.violations.is_empty(), "{:?}", online.violations);
+    online.label = "x".into();
+    let online = SentinelReport::from_checks(false, vec![online]);
+    assert_eq!(online.to_json().render(), check.to_json().render());
+    let mut series = result.observatory.expect("timeline result");
+    series.label = "x".into();
+    let series = TimelineDoc::from_series(vec![series]);
+    assert_eq!(series.to_json().render(), timeline.to_json().render());
 }
 
 #[test]

@@ -8,7 +8,7 @@ use beehive_sim::json::Json;
 use beehive_telemetry::chrome::chrome_trace_string;
 use beehive_telemetry::summary::critical_path;
 use beehive_telemetry::Trace;
-use beehive_workload::engine::{drain_traces, run_all_with_workers, Scenario};
+use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -29,7 +29,7 @@ fn traces_at(workers: usize) -> Vec<(String, Trace)> {
         .collect();
     let outcomes = run_all_with_workers(scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    let traces = drain_traces();
+    let traces = drain().traces;
     assert_eq!(traces.len(), 2, "both scenarios must yield a trace");
     traces
 }

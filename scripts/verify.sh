@@ -18,16 +18,26 @@ verify_out="target/verify"
 rm -rf "$verify_out"
 mkdir -p "$verify_out"
 
+# golden_at_workers GOLDEN CMD...: the stdout of CMD must equal
+# scripts/golden/GOLDEN at worker-pool sizes 1, 2 and 8.
+golden_at_workers() {
+  local golden="$1"
+  shift
+  for w in 1 2 8; do
+    BEEHIVE_WORKERS=$w "$@" > "$verify_out/$golden"
+    diff -u "scripts/golden/$golden" "$verify_out/$golden"
+  done
+  rm -f "$verify_out/$golden"
+}
+
 echo "==> style: cargo fmt --check"
 cargo fmt --check
 
-echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+echo "==> lint: cargo clippy --all-targets -- -D warnings"
+cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> tier-1: cargo build --release --workspace"
-# --workspace: the root facade does not depend on beehive-bench, so a plain
-# build would leave target/release/repro stale.
-cargo build --release --offline --workspace
+echo "==> tier-1: cargo build --release"
+cargo build --release --offline
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline
@@ -36,7 +46,7 @@ echo "==> docs: cargo doc --no-deps --offline"
 # The workspace warns on missing docs; the doc build is the gate that the
 # public API surface (including the new driver layers) stays documented
 # and intra-doc links resolve.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace > /dev/null
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline > /dev/null
 
 echo "==> smoke: cargo run --release --example quickstart"
 cargo run --release --offline --example quickstart > /dev/null
@@ -100,46 +110,30 @@ echo "==> golden: repro recovery --quick is byte-stable at any worker count"
 # The §4.5 fault-injection sweep must be deterministic in the worker pool
 # size: the fault plan is expanded from its own seeded stream, and recovery
 # happens inside each scenario's single-threaded event loop.
-for w in 1 2 8; do
-  BEEHIVE_WORKERS=$w ./target/release/repro recovery --quick --seed 42 --json \
-    > "$verify_out/recovery_quick.json"
-  diff -u scripts/golden/recovery_quick.json "$verify_out/recovery_quick.json"
-done
-rm -f "$verify_out/recovery_quick.json"
+golden_at_workers recovery_quick.json \
+  ./target/release/repro recovery --quick --seed 42 --json
 
 echo "==> golden: repro explain is byte-stable at any worker count"
 # The attribution + SLO breakdown is pure integer rendering over the
 # deterministic trace, so the whole report is byte-identical at any
 # worker-pool size.
-for w in 1 2 8; do
-  BEEHIVE_WORKERS=$w ./target/release/repro explain --quick --seed 42 --slowest 3 shadow \
-    > "$verify_out/explain_shadow_quick.txt"
-  diff -u scripts/golden/explain_shadow_quick.txt "$verify_out/explain_shadow_quick.txt"
-done
-rm -f "$verify_out/explain_shadow_quick.txt"
+golden_at_workers explain_shadow_quick.txt \
+  ./target/release/repro explain --quick --seed 42 --slowest 3 shadow
 
 echo "==> sentinel gate: repro check is clean and byte-stable at any worker count"
 # Every golden scenario plus the §4.5 chaos recovery sweep replays through
 # the conformance engine: zero invariant violations (the exit status is the
 # gate), and the pinpointing report itself is byte-identical at any
 # worker-pool size.
-for w in 1 2 8; do
-  BEEHIVE_WORKERS=$w ./target/release/repro check fig9 shadow recovery \
-    --quick --seed 42 --json > "$verify_out/check_quick.json"
-  diff -u scripts/golden/check_quick.json "$verify_out/check_quick.json"
-done
-rm -f "$verify_out/check_quick.json"
+golden_at_workers check_quick.json \
+  ./target/release/repro check fig9 shadow recovery --quick --seed 42 --json
 
 echo "==> golden: repro timeline is byte-stable at any worker count"
 # The elasticity timeline — sparklines, per-bin quantiles and the derived
 # scale-up-lag signals — is pure integer rendering over the deterministic
 # event stream, so the ASCII report is byte-identical at any worker count.
-for w in 1 2 8; do
-  BEEHIVE_WORKERS=$w ./target/release/repro timeline recovery --quick --seed 42 \
-    > "$verify_out/timeline_quick.txt"
-  diff -u scripts/golden/timeline_quick.txt "$verify_out/timeline_quick.txt"
-done
-rm -f "$verify_out/timeline_quick.txt"
+golden_at_workers timeline_quick.txt \
+  ./target/release/repro timeline recovery --quick --seed 42
 
 echo "==> lag gate: repro lag agrees across worker counts"
 # Two --obs passes at different worker counts must yield identical timeline
@@ -162,15 +156,16 @@ echo "==> metrics+insight gate: repro diff against scripts/golden/metrics_quick"
 # root-cause path of `repro diff`; with nothing regressed its verdict table
 # must be byte-stable too, at every worker count.
 metrics_dir="target/metrics_quick"
-for w in 1 2 8; do
+# The verdict table on stdout; everything else this prints goes to stderr.
+metrics_insight_diff() {
   rm -rf "$metrics_dir" && mkdir -p "$metrics_dir"
-  BEEHIVE_WORKERS=$w ./target/release/repro shadow fig9 recovery --quick --seed 42 \
+  ./target/release/repro shadow fig9 recovery --quick --seed 42 \
     --metrics "$metrics_dir" --insight "$metrics_dir" > /dev/null
-  diff -u scripts/golden/metrics_quick/shadow.insight.json "$metrics_dir/shadow.insight.json"
+  diff -u scripts/golden/metrics_quick/shadow.insight.json "$metrics_dir/shadow.insight.json" >&2
   ./target/release/repro diff scripts/golden/metrics_quick "$metrics_dir" \
-    --bench-out BENCH_metrics.json > "$verify_out/diff_quick.txt"
-  diff -u scripts/golden/diff_quick.txt "$verify_out/diff_quick.txt"
-done
-rm -rf "$metrics_dir" "$verify_out/diff_quick.txt"
+    --bench-out BENCH_metrics.json
+}
+golden_at_workers diff_quick.txt metrics_insight_diff
+rm -rf "$metrics_dir"
 
 echo "OK: style, lint, build, tests, quick repro, goldens, sentinel, timeline, and the metrics+insight gates all pass."
