@@ -8,8 +8,8 @@
 //!
 //! Without a subcommand, everything runs in paper order; `repro list`
 //! prints every runnable item with a one-line description. `--quick`
-//! shortens horizons (the same mode the test suite and benches use); the
-//! default horizons match the paper's (e.g. 180 s burst windows). `--json`
+//! shortens horizons (the same mode the test suite and the benchmark use);
+//! the default horizons match the paper's (e.g. 180 s burst windows). `--json`
 //! replaces the Display tables with one machine-readable JSON document: an
 //! array of `{"title": ..., "body": ...}` reports, rendered
 //! deterministically (the same seed yields byte-identical output at any
@@ -44,21 +44,18 @@
 //! per-scenario error-budget/burn-rate evaluation. Byte-identical at any
 //! worker count for a fixed seed.
 //!
-//! `repro compare BASELINE CURRENT` diffs two such snapshot directories
-//! over the watched-metric table (P50/P99 request latency, fallback count,
+//! `repro diff BASELINE CURRENT` diffs two such snapshot directories over
+//! the watched-metric table (P50/P99 request latency, fallback count,
 //! cold-boot count, total GC pause) and exits non-zero when any watched
 //! metric regresses beyond its tolerance — the perf gate `scripts/verify.sh`
 //! runs against the checked-in golden baseline. Deltas that *cleared* the
 //! tolerance band downward are flagged `improved` (informational; the exit
 //! code only reflects regressions). `--bench-out FILE` additionally writes
-//! the full delta table as JSON.
-//!
-//! `repro diff BASELINE CURRENT` is `compare` plus root-cause diagnosis:
-//! when the two directories also hold `--insight` documents (and,
-//! optionally, `--profile` folded stacks), every regressed latency metric
-//! is attributed to the attribution component whose per-request mean grew
-//! the most, the watched counters that moved, and the hottest grown
-//! profiler frame.
+//! the full delta table as JSON. When the two directories also hold
+//! `--insight` documents (and, optionally, `--profile` folded stacks),
+//! every regressed latency metric is attributed to the attribution
+//! component whose per-request mean grew the most, the watched counters
+//! that moved, and the hottest grown profiler frame.
 //!
 //! `repro explain ITEM [--slowest N]` runs one item with tracing on and
 //! prints each scenario's latency-attribution table, SLO evaluation, and
@@ -183,7 +180,7 @@ static ITEMS: [Item; 16] = [
     },
     Item {
         name: "table2",
-        desc: "application suite and workload characteristics",
+        desc: "native invocations per pybbs request, by category",
         banner: "Table 2",
         run: Run::Static(|_, _| single(&table2())),
     },
@@ -201,13 +198,13 @@ static ITEMS: [Item; 16] = [
     },
     Item {
         name: "fig8",
-        desc: "sub-second elasticity around the scaling trigger",
+        desc: "latency vs offered throughput and the saturation point",
         banner: "Figure 8",
         run: Run::Sims(|p, _| per_app(&AppKind::all(), |k| fig8(k, p))),
     },
     Item {
         name: "fig9",
-        desc: "offload-ratio sweep: latency vs offloaded fraction",
+        desc: "per-hour cost ($/hour) vs burst ratio",
         banner: "Figure 9",
         run: Run::Sims(|p, _| {
             // Quick mode sweeps pybbs only.
@@ -217,13 +214,13 @@ static ITEMS: [Item; 16] = [
     },
     Item {
         name: "table4",
-        desc: "SLO-driven offloading controller outcomes per app",
+        desc: "minimal p99 latency under fixed throughput per app",
         banner: "Table 4",
         run: Run::Sims(|p, _| single(&table4(&AppKind::all(), p))),
     },
     Item {
         name: "fig10",
-        desc: "SLO controller timeline under a burst",
+        desc: "p99 latency vs SLO requirement on blog",
         banner: "Figure 10",
         run: Run::Sims(|p, _| single(&fig10(p))),
     },
@@ -364,22 +361,6 @@ fn run_fig7_table3(profile: Profile) -> Output {
 
 // ---- The flag and subcommand tables ----
 
-/// A substrate a flag or subcommand cannot work without: its crate, and
-/// whether this binary was built with that crate's `compile-off` feature.
-type Substrate = (&'static str, bool);
-const TELEMETRY: Substrate = ("beehive-telemetry", beehive_telemetry::COMPILED_OFF);
-const PROFILER: Substrate = ("beehive-profiler", beehive_profiler::COMPILED_OFF);
-const SENTINEL: Substrate = ("beehive-sentinel", beehive_sentinel::COMPILED_OFF);
-
-/// Exit 2 when `what` needs a substrate this binary was built without.
-fn require(what: &str, needs: &[Substrate]) {
-    if let Some((krate, _)) = needs.iter().find(|(_, compiled_off)| *compiled_off) {
-        die(&format!(
-            "{what} is unavailable: this binary was built with {krate}/compile-off"
-        ));
-    }
-}
-
 /// What a flag takes.
 #[derive(Clone, Copy, PartialEq)]
 enum Takes {
@@ -414,17 +395,16 @@ impl Takes {
     }
 }
 
-/// One flag of one invocation form: its name, what it takes, and the
-/// substrates it needs.
-struct Flag(&'static str, Takes, &'static [Substrate]);
+/// One flag of one invocation form: its name and what it takes.
+struct Flag(&'static str, Takes);
 
 // The flags every simulating form takes; `parse` folds them into
 // `Args::profile` / `Args::chaos_seed`.
-const QUICK: Flag = Flag("--quick", Takes::Switch, &[]);
-const SEED: Flag = Flag("--seed", Takes::Seed, &[]);
-const CHAOS_SEED: Flag = Flag("--chaos-seed", Takes::Seed, &[]);
-const JSON: Flag = Flag("--json", Takes::Switch, &[]);
-const BENCH_OUT: Flag = Flag("--bench-out", Takes::File, &[]);
+const QUICK: Flag = Flag("--quick", Takes::Switch);
+const SEED: Flag = Flag("--seed", Takes::Seed);
+const CHAOS_SEED: Flag = Flag("--chaos-seed", Takes::Seed);
+const JSON: Flag = Flag("--json", Takes::Switch);
+const BENCH_OUT: Flag = Flag("--bench-out", Takes::File);
 
 /// One invocation form: `repro [flags] ITEM...` ([`MAIN`]) or a subcommand.
 struct Cmd {
@@ -436,7 +416,6 @@ struct Cmd {
     /// also the arity: one operand per word, `...` for "or more".
     operands: &'static str,
     flags: &'static [Flag],
-    needs: &'static [Substrate],
     run: fn(Args),
 }
 
@@ -449,14 +428,13 @@ static MAIN: Cmd = Cmd {
         SEED,
         CHAOS_SEED,
         JSON,
-        Flag("--trace", Takes::Dir, &[TELEMETRY]),
-        Flag("--metrics", Takes::Dir, &[]),
-        Flag("--profile", Takes::Dir, &[PROFILER]),
-        Flag("--insight", Takes::Dir, &[TELEMETRY]),
-        Flag("--obs", Takes::Dir, &[TELEMETRY, PROFILER, SENTINEL]),
-        Flag("--sentinel", Takes::Switch, &[TELEMETRY, SENTINEL]),
+        Flag("--trace", Takes::Dir),
+        Flag("--metrics", Takes::Dir),
+        Flag("--profile", Takes::Dir),
+        Flag("--insight", Takes::Dir),
+        Flag("--obs", Takes::Dir),
+        Flag("--sentinel", Takes::Switch),
     ],
-    needs: &[],
     run: run_items,
 };
 
@@ -468,42 +446,26 @@ const UMBRELLAS: [(&str, &str); 2] = [
 ];
 
 /// The subcommands, in `--help` order.
-static CMDS: [Cmd; 7] = [
-    Cmd {
-        name: "compare",
-        desc: "regression-gate two --metrics directories (repro compare BASE CUR)",
-        operands: "BASELINE CURRENT",
-        flags: &[BENCH_OUT],
-        needs: &[],
-        run: |args| run_compare(args, false),
-    },
+static CMDS: [Cmd; 6] = [
     Cmd {
         name: "diff",
         desc: "compare plus root-cause diagnosis of regressed latency (repro diff BASE CUR)",
         operands: "BASELINE CURRENT",
         flags: &[BENCH_OUT],
-        needs: &[],
-        run: |args| run_compare(args, true),
+        run: run_diff,
     },
     Cmd {
         name: "top",
         desc: "hottest simulated frames for one item (repro top ITEM)",
         operands: "ITEM",
-        flags: &[QUICK, SEED, CHAOS_SEED, Flag("--top", Takes::Count, &[])],
-        needs: &[PROFILER],
+        flags: &[QUICK, SEED, CHAOS_SEED, Flag("--top", Takes::Count)],
         run: run_top,
     },
     Cmd {
         name: "explain",
         desc: "latency attribution, SLO burn and slowest requests (repro explain ITEM)",
         operands: "ITEM",
-        flags: &[
-            QUICK,
-            SEED,
-            CHAOS_SEED,
-            Flag("--slowest", Takes::Count, &[]),
-        ],
-        needs: &[TELEMETRY],
+        flags: &[QUICK, SEED, CHAOS_SEED, Flag("--slowest", Takes::Count)],
         run: run_explain,
     },
     Cmd {
@@ -512,12 +474,11 @@ static CMDS: [Cmd; 7] = [
         operands: "ITEM...",
         flags: &[
             QUICK,
-            Flag("--strict", Takes::Switch, &[]),
+            Flag("--strict", Takes::Switch),
             JSON,
             SEED,
             CHAOS_SEED,
         ],
-        needs: &[TELEMETRY, SENTINEL],
         run: run_check,
     },
     Cmd {
@@ -528,11 +489,10 @@ static CMDS: [Cmd; 7] = [
             QUICK,
             SEED,
             CHAOS_SEED,
-            Flag("--window", Takes::Nanos, &[]),
+            Flag("--window", Takes::Nanos),
             JSON,
-            Flag("--svg", Takes::OrSwitch, &[]),
+            Flag("--svg", Takes::OrSwitch),
         ],
-        needs: &[TELEMETRY],
         run: run_timeline,
     },
     Cmd {
@@ -540,7 +500,6 @@ static CMDS: [Cmd; 7] = [
         desc: "diff scale-up lag between two --obs directories (repro lag BASE CUR)",
         operands: "BASELINE CURRENT",
         flags: &[],
-        needs: &[],
         run: run_lag,
     },
 ];
@@ -549,13 +508,13 @@ static CMDS: [Cmd; 7] = [
 /// print it.
 fn usage(cmd: &Cmd) -> String {
     let mut flags = String::new();
-    for (i, Flag(name, takes, _)) in cmd.flags.iter().enumerate() {
+    for (i, Flag(name, takes)) in cmd.flags.iter().enumerate() {
         flags += if *takes == Takes::OrSwitch { "|" } else { " [" };
         flags += name;
         if let Some((meta, ..)) = takes.value() {
             flags = flags + " " + meta;
         }
-        if !matches!(cmd.flags.get(i + 1), Some(Flag(_, Takes::OrSwitch, _))) {
+        if !matches!(cmd.flags.get(i + 1), Some(Flag(_, Takes::OrSwitch))) {
             flags += "]";
         }
     }
@@ -575,7 +534,7 @@ fn list() {
     }
     println!("Subcommands:");
     // The commands that run an item lead; `--help` keeps the older order.
-    for cmd in CMDS.iter().cycle().skip(2).take(CMDS.len()) {
+    for cmd in CMDS.iter().cycle().skip(1).take(CMDS.len()) {
         println!("  {:<12} {}", cmd.name, cmd.desc);
     }
     println!("Umbrella flags:");
@@ -588,7 +547,6 @@ fn list() {
 
 /// One parsed command line.
 struct Args {
-    cmd: &'static Cmd,
     /// `--quick` and `--seed`.
     profile: Profile,
     /// `--chaos-seed`, defaulting to the seed.
@@ -628,7 +586,6 @@ impl Args {
 /// exits 2 here, with a one-line error on stderr.
 fn parse(cmd: &'static Cmd, args: &[String]) -> Args {
     let mut out = Args {
-        cmd,
         profile: Profile::full(),
         chaos_seed: 0,
         given: Vec::new(),
@@ -637,7 +594,7 @@ fn parse(cmd: &'static Cmd, args: &[String]) -> Args {
     let mut chaos_seed = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let Some(&Flag(name, takes, _)) = cmd.flags.iter().find(|f| f.0 == a) else {
+        let Some(&Flag(name, takes)) = cmd.flags.iter().find(|f| f.0 == a) else {
             if cmd.name.is_empty() && (a == "--help" || a == "-h") {
                 println!("{}", usage(&MAIN));
                 CMDS.iter().for_each(|c| println!("{}", usage(c)));
@@ -696,7 +653,6 @@ fn main() {
         Some(cmd) => (cmd, &args[1..]),
         None => (&MAIN, &args[..]),
     };
-    require(&format!("`repro {}`", cmd.name), cmd.needs);
     (cmd.run)(parse(cmd, rest))
 }
 
@@ -712,9 +668,6 @@ fn run_items(args: Args) {
     };
     let picked: Vec<&Item> = args.operands.iter().map(known).collect();
     let every = picked.is_empty() || picked.iter().any(|p| matches!(p.run, Run::Every));
-    for Flag(name, _, needs) in args.cmd.flags.iter().filter(|f| args.has(f.0)) {
-        require(name, needs);
-    }
     for dir in ["--trace", "--insight", "--metrics", "--profile"]
         .into_iter()
         .filter_map(|family| args.dir(family))
@@ -1078,7 +1031,7 @@ fn run_timeline(args: Args) {
     }
 }
 
-// ---- Subcommands that read artifact directories: lag, compare, diff ----
+// ---- Subcommands that read artifact directories: lag, diff ----
 
 /// Every `*<suffix>` document under `dir` as `(stem, parsed)`, in file-name
 /// order so merges and reports are deterministic. `parse` exits 2 on a
@@ -1109,7 +1062,7 @@ fn load_docs<T>(dir: &Path, suffix: &str, parse: impl Fn(&Path, &str) -> T) -> V
 fn load_timelines(dir: &Path) -> beehive_observatory::TimelineDoc {
     let docs = load_docs(dir, ".timeline.json", |path, text| {
         beehive_observatory::TimelineDoc::parse(text)
-            .unwrap_or_else(|| die(&format!("{}: not a timeline document", path.display())))
+            .unwrap_or_else(|e| die(&format!("parsing {}: {e}", path.display())))
     });
     let mut scenarios = Vec::new();
     for (stem, doc) in docs {
@@ -1154,11 +1107,10 @@ fn load_doc<T>(
     Some(parse(&text).unwrap_or_else(|e| die(&format!("parsing {}: {e}", path.display()))))
 }
 
-/// `repro compare` and, with `diagnose`, its root-causing sibling `repro
-/// diff`. Exits 0 when nothing regressed, 1 when something did, 2 on usage
-/// errors.
-fn run_compare(args: Args, diagnose: bool) {
-    let cmd = args.cmd.name;
+/// `repro diff`: the watched-metric regression gate plus root-cause
+/// diagnosis. Exits 0 when nothing regressed, 1 when something did, 2 on
+/// usage errors.
+fn run_diff(args: Args) {
     let (baseline_dir, current_dir) = (Path::new(&args.operands[0]), Path::new(&args.operands[1]));
     let baseline = load_docs(baseline_dir, ".metrics.json", |path, text| {
         beehive_metrics::MetricsSnapshot::parse(text)
@@ -1185,13 +1137,10 @@ fn run_compare(args: Args, diagnose: bool) {
             continue;
         };
         let deltas = beehive_metrics::compare(base, &cur);
-        // Diff-mode diagnosis inputs, all optional per directory.
-        let insight = |dir| {
-            let parse = beehive_insight::InsightDoc::parse;
-            diagnose.then(|| load_doc(dir, item, "insight.json", parse))?
-        };
-        let folded =
-            |dir| diagnose.then(|| load_doc(dir, item, "folded", |t| Ok(t.to_string())))?;
+        // Diagnosis inputs, all optional per directory.
+        let parse = beehive_insight::InsightDoc::parse;
+        let insight = |dir| load_doc(dir, item, "insight.json", parse);
+        let folded = |dir| load_doc(dir, item, "folded", |t| Ok(t.to_string()));
         let (base_insight, cur_insight) = (insight(baseline_dir), insight(current_dir));
         let (base_folded, cur_folded) = (folded(baseline_dir), folded(current_dir));
         let mut delta_json: Vec<Json> = Vec::new();
@@ -1227,7 +1176,7 @@ fn run_compare(args: Args, diagnose: bool) {
                 ("regressed".into(), Json::from(d.regressed)),
                 ("improved".into(), Json::from(d.improved)),
             ];
-            if d.regressed && diagnose && beehive_insight::is_latency_metric(&d.metric) {
+            if d.regressed && beehive_insight::is_latency_metric(&d.metric) {
                 let diag = beehive_insight::diagnose(
                     d,
                     base_insight
@@ -1276,13 +1225,13 @@ fn run_compare(args: Args, diagnose: bool) {
             ("files".into(), Json::Arr(file_reports)),
         ]);
         std::fs::write(path, doc.render()).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        eprintln!("{cmd}: wrote {path}");
+        eprintln!("diff: wrote {path}");
     }
     if regressed {
-        eprintln!("{cmd}: REGRESSED (see deltas above)");
+        eprintln!("diff: REGRESSED (see deltas above)");
         std::process::exit(1);
     }
-    eprintln!("{cmd}: ok — no watched metric regressed");
+    eprintln!("diff: ok — no watched metric regressed");
 }
 
 fn banner(title: &str) {

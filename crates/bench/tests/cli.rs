@@ -24,7 +24,6 @@ fn usage_errors_exit_2() {
     // Unknown flags, for every subcommand that parses its own.
     for args in [
         &["explain", "--nope", "shadow"][..],
-        &["compare", "--nope", "a", "b"][..],
         &["diff", "--nope", "a", "b"][..],
         &["top", "--nope", "shadow"][..],
         &["check", "--nope", "shadow"][..],
@@ -53,10 +52,13 @@ fn usage_errors_exit_2() {
     }
 
     // Unreadable snapshot directories.
-    for cmd in ["compare", "diff"] {
-        let out = repro(&[cmd, "/nonexistent-baseline", "/nonexistent-current"]);
-        assert_eq!(out.status.code(), Some(2), "{cmd} with unreadable dirs");
-    }
+    let out = repro(&["diff", "/nonexistent-baseline", "/nonexistent-current"]);
+    assert_eq!(out.status.code(), Some(2), "diff with unreadable dirs");
+
+    // `compare` is gone (`diff` is a superset): an unknown item like any other.
+    let out = repro(&["compare", "a", "b"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown item \"compare\""));
 
     // An item that runs no simulations cannot be explained or checked.
     let out = repro(&["explain", "table1"]);
@@ -105,7 +107,8 @@ fn usage_errors_go_to_stderr_with_a_hint_and_a_clean_stdout() {
         &["check"][..],
         &["check", "--seed"][..],
         &["top"][..],
-        &["compare", "onlyone"][..],
+        &["diff", "onlyone"][..],
+        &["compare", "a", "b"][..],
         &["timeline"][..],
         &["timeline", "--window", "soon", "shadow"][..],
         &["lag", "onlyone"][..],
@@ -140,7 +143,6 @@ fn list_advertises_items_and_subcommands() {
         "check",
         "timeline",
         "lag",
-        "compare",
         "diff",
         "--obs",
         "--sentinel",
@@ -150,6 +152,46 @@ fn list_advertises_items_and_subcommands() {
             "`repro list` lost the {row} row"
         );
     }
+    let rows = text.lines().map(|l| l.split_whitespace().next());
+    assert!(!rows.into_iter().any(|r| r == Some("compare")));
+}
+
+/// An artifact integer beyond `u64` must be refused, not wrapped: `repro
+/// diff` exits 2 naming the file and the key.
+#[test]
+fn diff_rejects_an_out_of_range_integer_in_an_insight_document() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scripts/golden/metrics_quick"
+    );
+    let tmp = std::env::temp_dir().join(format!("beehive-range-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let (base, cur) = (tmp.join("base"), tmp.join("cur"));
+    for dir in [&base, &cur] {
+        std::fs::create_dir_all(dir).unwrap();
+        for file in ["fig9.metrics.json", "fig9.insight.json"] {
+            std::fs::copy(format!("{golden}/{file}"), dir.join(file)).unwrap();
+        }
+    }
+    let diff = || repro(&["diff", base.to_str().unwrap(), cur.to_str().unwrap()]);
+    let out = diff();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+
+    let insight = cur.join("fig9.insight.json");
+    let text = std::fs::read_to_string(&insight).unwrap();
+    let (head, tail) = text.split_once("\"total_ns\":").expect("a total_ns field");
+    let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
+    let wrapped = format!("{head}\"total_ns\":18446744073709551616{}", &tail[digits..]);
+    std::fs::write(&insight, wrapped).unwrap();
+    let out = diff();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(
+        err.contains("fig9.insight.json") && err.contains("\"total_ns\""),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 /// `repro` with `BEEHIVE_WORKERS=0`: the engine refuses that worker count
@@ -232,7 +274,7 @@ fn common_flags_parse_identically_in_every_form() {
         }
     }
     // The forms that only read artifact directories take none of them.
-    for form in ["compare", "diff", "lag"] {
+    for form in ["diff", "lag"] {
         for flag in ["--quick", "--seed", "--chaos-seed"] {
             let out = repro(&[form, flag, "a", "b"]);
             assert_eq!(out.status.code(), Some(2), "{form} {flag}");

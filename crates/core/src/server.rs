@@ -83,16 +83,6 @@ impl ServerRuntime {
         }
     }
 
-    /// Allocate long-lived shared state in the server's stable space: runs
-    /// `f` with `New` directed at the closure space (application init).
-    pub fn with_stable_alloc<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let prev = self.vm.alloc_target;
-        self.vm.alloc_target = Space::Closure;
-        let r = f(self);
-        self.vm.alloc_target = prev;
-        r
-    }
-
     /// Create a database connection object of the (packageable, socket-kind)
     /// class `sock_class`: allocates the object in stable space, opens the
     /// proxied connection and installs the native state.
@@ -148,22 +138,9 @@ impl ServerRuntime {
         self.plans.get(&root)
     }
 
-    /// The mapping table of function `id` (created empty on first use).
-    pub fn mapping_mut(&mut self, id: u32) -> &mut MappingTable {
-        self.mappings.entry(id).or_default()
-    }
-
     /// Read-only view of function `id`'s mapping table.
     pub fn mapping(&self, id: u32) -> Option<&MappingTable> {
         self.mappings.get(&id)
-    }
-
-    /// Move function `from`'s mapping table to `to` (failure recovery onto a
-    /// replacement instance, §4.5).
-    pub fn transfer_mapping(&mut self, from: u32, to: u32) {
-        if let Some(m) = self.mappings.remove(&from) {
-            self.mappings.insert(to, m);
-        }
     }
 
     /// Remove a dead instance's mapping table.

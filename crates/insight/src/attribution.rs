@@ -18,8 +18,6 @@
 //! session's CPU budget, so they surface as execution time); the report
 //! carries the scenario-level pause total separately.
 
-use std::collections::BTreeMap;
-
 use beehive_sim::json::Json;
 use beehive_sim::SimTime;
 use beehive_telemetry::summary::{request_timelines, RequestTimeline};
@@ -336,12 +334,6 @@ impl AttributionReport {
 
     /// Strict inverse of [`AttributionReport::to_json`].
     pub fn from_json(j: &Json) -> Result<AttributionReport, String> {
-        fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::Int(v)) if *v >= 0 => Ok(*v as u64),
-                _ => Err(format!("missing or invalid {key:?}")),
-            }
-        }
         fn components_of(j: &Json) -> Result<[u64; COMPONENTS], String> {
             let Some(Json::Obj(pairs)) = j.get("components") else {
                 return Err("missing components object".into());
@@ -350,41 +342,28 @@ impl AttributionReport {
             for (k, v) in pairs {
                 let c =
                     Component::from_name(k).ok_or_else(|| format!("unknown component {k:?}"))?;
-                match v {
-                    Json::Int(ns) if *ns >= 0 => out[c as usize] = *ns as u64,
-                    _ => return Err(format!("invalid nanos for component {k:?}")),
-                }
+                out[c as usize] = v
+                    .as_u64()
+                    .ok_or_else(|| format!("invalid nanos for component {k:?}"))?;
             }
             Ok(out)
         }
-        let label = match j.get("label") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("missing label".into()),
-        };
         let mut slowest = Vec::new();
-        if let Some(Json::Arr(items)) = j.get("slowest") {
-            for item in items {
-                let kind = match item.get("kind") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => return Err("slowest entry missing kind".into()),
-                };
-                slowest.push(RequestAttribution {
-                    rid: u64_field(item, "request")?,
-                    kind,
-                    total_ns: u64_field(item, "total_ns")?,
-                    components: components_of(item)?,
-                });
-            }
-        } else {
-            return Err("missing slowest array".into());
+        for item in j.arr_field("slowest")? {
+            slowest.push(RequestAttribution {
+                rid: item.u64_field("request")?,
+                kind: item.str_field("kind")?.to_string(),
+                total_ns: item.u64_field("total_ns")?,
+                components: components_of(item)?,
+            });
         }
         Ok(AttributionReport {
-            label,
-            requests: u64_field(j, "requests")?,
-            shadows: u64_field(j, "shadows")?,
-            total_ns: u64_field(j, "total_ns")?,
+            label: j.str_field("label")?.to_string(),
+            requests: j.u64_field("requests")?,
+            shadows: j.u64_field("shadows")?,
+            total_ns: j.u64_field("total_ns")?,
             components: components_of(j)?,
-            gc_pause_ns: u64_field(j, "gc_pause_ns")?,
+            gc_pause_ns: j.u64_field("gc_pause_ns")?,
             slowest,
         })
     }
@@ -445,14 +424,6 @@ pub fn attribute_all(traces: &[(String, Trace)], k: usize) -> Vec<AttributionRep
     traces
         .iter()
         .map(|(label, t)| attribute(label, t, k))
-        .collect()
-}
-
-/// Component means per request as a `name → mean-ns` table (reporting aid).
-pub fn mean_table(r: &AttributionReport) -> BTreeMap<&'static str, u64> {
-    Component::ALL
-        .into_iter()
-        .map(|c| (c.name(), r.mean_ns(c)))
         .collect()
 }
 

@@ -79,21 +79,13 @@ impl InsightDoc {
     /// Strict inverse of [`InsightDoc::to_json`].
     pub fn parse(text: &str) -> Result<InsightDoc, String> {
         let j = Json::parse(text).map_err(|e| e.to_string())?;
-        let Some(Json::Arr(scenarios)) = j.get("scenarios") else {
-            return Err("missing scenarios array".into());
-        };
-        let Some(Json::Arr(slo)) = j.get("slo") else {
-            return Err("missing slo array".into());
-        };
+        let scenarios = j.arr_field("scenarios")?.iter();
+        let slo = j.arr_field("slo")?.iter();
         Ok(InsightDoc {
             attributions: scenarios
-                .iter()
                 .map(AttributionReport::from_json)
                 .collect::<Result<_, _>>()?,
-            slo: slo
-                .iter()
-                .map(SloReport::from_json)
-                .collect::<Result<_, _>>()?,
+            slo: slo.map(SloReport::from_json).collect::<Result<_, _>>()?,
         })
     }
 }

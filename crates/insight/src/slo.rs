@@ -117,36 +117,19 @@ impl SloReport {
     /// Strict inverse of [`SloReport::to_json`] (the derived `met` field is
     /// recomputed, not trusted).
     pub fn from_json(j: &Json) -> Result<SloReport, String> {
-        fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::Int(v)) if *v >= 0 => Ok(*v as u64),
-                _ => Err(format!("missing or invalid {key:?}")),
-            }
-        }
-        let label = match j.get("label") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("missing label".into()),
-        };
         let mut burn = Vec::new();
-        match j.get("burn") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    burn.push((
-                        u64_field(item, "window_ns")?,
-                        u64_field(item, "max_burn_bp")?,
-                    ));
-                }
-            }
-            _ => return Err("missing burn array".into()),
+        for item in j.arr_field("burn")? {
+            burn.push((item.u64_field("window_ns")?, item.u64_field("max_burn_bp")?));
         }
         Ok(SloReport {
-            label,
-            threshold_ns: u64_field(j, "threshold_ns")?,
-            objective_bp: u64_field(j, "objective_bp")? as u32,
-            total: u64_field(j, "total")?,
-            good: u64_field(j, "good")?,
-            bad: u64_field(j, "bad")?,
-            budget_consumed_bp: u64_field(j, "budget_consumed_bp")?,
+            label: j.str_field("label")?.to_string(),
+            threshold_ns: j.u64_field("threshold_ns")?,
+            objective_bp: u32::try_from(j.u64_field("objective_bp")?)
+                .map_err(|_| "field \"objective_bp\": expected an integer in 0..=u32::MAX")?,
+            total: j.u64_field("total")?,
+            good: j.u64_field("good")?,
+            bad: j.u64_field("bad")?,
+            budget_consumed_bp: j.u64_field("budget_consumed_bp")?,
             burn,
         })
     }

@@ -17,37 +17,9 @@
 use std::collections::HashMap;
 
 use beehive_sim::{Duration, SimTime};
-use beehive_telemetry::{Arg, EventKind, Trace, Track};
+use beehive_telemetry::{EventKind, Trace, Track};
 
 use crate::registry::{MetricsSnapshot, Registry, ScenarioMetrics};
-
-fn arg_u64(args: &[(&'static str, Arg)], key: &str) -> Option<u64> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            Arg::UInt(v) => Some(*v),
-            Arg::Int(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        })
-}
-
-fn arg_bool(args: &[(&'static str, Arg)], key: &str) -> Option<bool> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            Arg::Bool(b) => Some(*b),
-            _ => None,
-        })
-}
-
-fn arg_str(args: &[(&'static str, Arg)], key: &str) -> Option<&'static str> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            Arg::Str(s) => Some(*s),
-            _ => None,
-        })
-}
 
 /// Reduce one labelled trace to its scenario metrics.
 pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetrics {
@@ -66,7 +38,7 @@ pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetri
             EventKind::Instant => match e.name {
                 "rejected" => reg.add("requests_rejected", e.at, 1),
                 "db:round" => {
-                    let name = match arg_str(&e.args, "origin") {
+                    let name = match e.arg_str("origin") {
                         Some("server") => "db_rounds_server",
                         _ => "db_rounds_function",
                     };
@@ -76,19 +48,15 @@ pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetri
                     reg.add(
                         "handoff_dirty_objects",
                         e.at,
-                        arg_u64(&e.args, "objects").unwrap_or(0),
+                        e.arg_u64("objects").unwrap_or(0),
                     );
-                    reg.add(
-                        "handoff_dirty_bytes",
-                        e.at,
-                        arg_u64(&e.args, "bytes").unwrap_or(0),
-                    );
+                    reg.add("handoff_dirty_bytes", e.at, e.arg_u64("bytes").unwrap_or(0));
                 }
                 _ => {}
             },
             EventKind::Begin => match e.name {
                 "boot" => {
-                    let name = if arg_bool(&e.args, "cold").unwrap_or(false) {
+                    let name = if e.arg_bool("cold").unwrap_or(false) {
                         "boots_cold"
                     } else {
                         "boots_warm"
@@ -152,7 +120,7 @@ pub fn reduce(traces: &[(String, Trace)], window: Duration) -> MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::registry::DEFAULT_WINDOW;
-    use beehive_telemetry::TraceEvent;
+    use beehive_telemetry::{Arg, TraceEvent};
 
     fn ev(us: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
         TraceEvent {

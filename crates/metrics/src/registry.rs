@@ -205,11 +205,6 @@ impl HistogramSummary {
             exemplars,
         }
     }
-
-    /// Rebuild the underlying histogram (for re-aggregation after parsing).
-    pub fn to_histogram(&self) -> Option<LogLinearHistogram> {
-        LogLinearHistogram::from_parts(&self.buckets, self.count, self.sum_ns, self.max_ns)
-    }
 }
 
 /// Every metric of one scenario (one simulation run).
@@ -323,63 +318,18 @@ impl ToJson for MetricsSnapshot {
 
 // --- parsing -------------------------------------------------------------
 
-fn want_u64(j: &Json, what: &str) -> Result<u64, String> {
-    match j {
-        Json::Int(v) if *v >= 0 && *v <= u64::MAX as i128 => Ok(*v as u64),
-        _ => Err(format!("{what}: expected a non-negative integer")),
-    }
-}
-
-fn want_i64(j: &Json, what: &str) -> Result<i64, String> {
-    match j {
-        Json::Int(v) if *v >= i64::MIN as i128 && *v <= i64::MAX as i128 => Ok(*v as i64),
-        _ => Err(format!("{what}: expected an integer")),
-    }
-}
-
-fn want_str(j: &Json, what: &str) -> Result<String, String> {
-    match j {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(format!("{what}: expected a string")),
-    }
-}
-
-fn want_arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match j {
-        Json::Arr(items) => Ok(items),
-        _ => Err(format!("{what}: expected an array")),
-    }
-}
-
-fn field<'a>(j: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
-    j.get(key)
-        .ok_or_else(|| format!("{what}: missing field {key:?}"))
-}
-
-fn parse_u64_pairs(j: &Json, what: &str) -> Result<Vec<(u64, u64)>, String> {
-    want_arr(j, what)?
-        .iter()
-        .map(|p| {
-            let p = want_arr(p, what)?;
-            if p.len() != 2 {
-                return Err(format!("{what}: expected [index, value] pairs"));
-            }
-            Ok((want_u64(&p[0], what)?, want_u64(&p[1], what)?))
-        })
-        .collect()
-}
-
-fn parse_i64_pairs(j: &Json, what: &str) -> Result<Vec<(u64, i64)>, String> {
-    want_arr(j, what)?
-        .iter()
-        .map(|p| {
-            let p = want_arr(p, what)?;
-            if p.len() != 2 {
-                return Err(format!("{what}: expected [index, value] pairs"));
-            }
-            Ok((want_u64(&p[0], what)?, want_i64(&p[1], what)?))
-        })
-        .collect()
+/// The `[index, value]` pairs under `key`, each value read through `value`.
+fn parse_pairs<V>(
+    j: &Json,
+    key: &str,
+    value: fn(&Json) -> Option<V>,
+) -> Result<Vec<(u64, V)>, String> {
+    let pair = |p: &Json| match p {
+        Json::Arr(p) if p.len() == 2 => p[0].as_u64().zip(value(&p[1])),
+        _ => None,
+    };
+    let pairs: Option<Vec<(u64, V)>> = j.arr_field(key)?.iter().map(pair).collect();
+    pairs.ok_or_else(|| format!("field {key:?}: expected [index, value] integer pairs"))
 }
 
 impl MetricsSnapshot {
@@ -387,59 +337,58 @@ impl MetricsSnapshot {
     /// `to_json().render()` up to exact equality (the determinism test
     /// asserts the round trip).
     pub fn from_json(j: &Json) -> Result<MetricsSnapshot, String> {
-        let window =
-            Duration::from_nanos(want_u64(field(j, "window_ns", "snapshot")?, "window_ns")?);
-        let scenarios = want_arr(field(j, "scenarios", "snapshot")?, "scenarios")?
+        let window = Duration::from_nanos(j.u64_field("window_ns")?);
+        let scenarios = j
+            .arr_field("scenarios")?
             .iter()
             .map(|s| {
-                let label = want_str(field(s, "label", "scenario")?, "label")?;
-                let counters = want_arr(field(s, "counters", &label)?, "counters")?
+                let counters = s
+                    .arr_field("counters")?
                     .iter()
                     .map(|c| {
-                        let name = want_str(field(c, "name", "counter")?, "counter name")?;
                         Ok(CounterSeries {
-                            total: want_u64(field(c, "total", &name)?, "total")?,
-                            windows: parse_u64_pairs(field(c, "windows", &name)?, "windows")?,
-                            name,
+                            name: c.str_field("name")?.to_string(),
+                            total: c.u64_field("total")?,
+                            windows: parse_pairs(c, "windows", Json::as_u64)?,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                let gauges = want_arr(field(s, "gauges", &label)?, "gauges")?
+                let gauges = s
+                    .arr_field("gauges")?
                     .iter()
                     .map(|g| {
-                        let name = want_str(field(g, "name", "gauge")?, "gauge name")?;
                         Ok(GaugeSeries {
-                            last: want_i64(field(g, "last", &name)?, "last")?,
-                            windows: parse_i64_pairs(field(g, "windows", &name)?, "windows")?,
-                            name,
+                            name: g.str_field("name")?.to_string(),
+                            last: g.i64_field("last")?,
+                            windows: parse_pairs(g, "windows", Json::as_i64)?,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                let histograms = want_arr(field(s, "histograms", &label)?, "histograms")?
+                let histograms = s
+                    .arr_field("histograms")?
                     .iter()
                     .map(|h| {
-                        let name = want_str(field(h, "name", "histogram")?, "histogram name")?;
                         Ok(HistogramSummary {
-                            count: want_u64(field(h, "count", &name)?, "count")?,
-                            sum_ns: want_u64(field(h, "sum_ns", &name)?, "sum_ns")?,
-                            max_ns: want_u64(field(h, "max_ns", &name)?, "max_ns")?,
-                            p50_ns: want_u64(field(h, "p50_ns", &name)?, "p50_ns")?,
-                            p90_ns: want_u64(field(h, "p90_ns", &name)?, "p90_ns")?,
-                            p99_ns: want_u64(field(h, "p99_ns", &name)?, "p99_ns")?,
-                            buckets: parse_u64_pairs(field(h, "buckets", &name)?, "buckets")?,
+                            name: h.str_field("name")?.to_string(),
+                            count: h.u64_field("count")?,
+                            sum_ns: h.u64_field("sum_ns")?,
+                            max_ns: h.u64_field("max_ns")?,
+                            p50_ns: h.u64_field("p50_ns")?,
+                            p90_ns: h.u64_field("p90_ns")?,
+                            p99_ns: h.u64_field("p99_ns")?,
+                            buckets: parse_pairs(h, "buckets", Json::as_u64)?,
                             // Optional: pre-exemplar documents omit it, and
                             // the renderer drops it again when empty, so the
                             // round trip stays exact either way.
                             exemplars: match h.get("exemplars") {
-                                Some(e) => parse_u64_pairs(e, "exemplars")?,
+                                Some(_) => parse_pairs(h, "exemplars", Json::as_u64)?,
                                 None => Vec::new(),
                             },
-                            name,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
                 Ok(ScenarioMetrics {
-                    label,
+                    label: s.str_field("label")?.to_string(),
                     counters,
                     gauges,
                     histograms,

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use beehive_metrics::LogLinearHistogram;
 use beehive_sim::json::Json;
 use beehive_sim::Duration;
-use beehive_telemetry::{Arg, EventKind, Trace, TraceEvent, Track};
+use beehive_telemetry::{EventKind, Trace, TraceEvent, Track};
 
 /// Default bin width of the timeline: one virtual second.
 pub const DEFAULT_WINDOW: Duration = Duration::from_secs(1);
@@ -98,19 +98,18 @@ impl BurstSignal {
         ])
     }
 
-    fn from_json(j: &Json) -> Option<BurstSignal> {
+    fn from_json(j: &Json) -> Result<BurstSignal, String> {
         let opt = |key: &str| match j.get(key) {
-            Some(Json::Int(i)) if *i >= 0 => Some(Some(*i as u64)),
-            Some(Json::Null) | None => Some(None),
-            _ => None,
+            Some(Json::Null) | None => Ok(None),
+            Some(_) => j.u64_field(key).map(Some),
         };
-        Some(BurstSignal {
-            onset_ns: u64_field(j, "onset_ns")?,
-            band_p99_ns: u64_field(j, "band_p99_ns")?,
+        Ok(BurstSignal {
+            onset_ns: j.u64_field("onset_ns")?,
+            band_p99_ns: j.u64_field("band_p99_ns")?,
             settle_ns: opt("settle_ns")?,
             lag_ns: opt("lag_ns")?,
-            provisioning_efficiency_bp: u64_field(j, "provisioning_efficiency_bp")?,
-            cold_start_amplification_bp: u64_field(j, "cold_start_amplification_bp")?,
+            provisioning_efficiency_bp: j.u64_field("provisioning_efficiency_bp")?,
+            cold_start_amplification_bp: j.u64_field("cold_start_amplification_bp")?,
         })
     }
 }
@@ -206,37 +205,33 @@ impl ScenarioSeries {
     }
 
     /// Rebuild a series from its [`ScenarioSeries::to_json`] form.
-    pub fn from_json(j: &Json) -> Option<ScenarioSeries> {
-        let signals = match j.get("signals")? {
-            Json::Arr(items) => items
+    pub fn from_json(j: &Json) -> Result<ScenarioSeries, String> {
+        Ok(ScenarioSeries {
+            label: j.str_field("label")?.to_string(),
+            window_ns: j.u64_field("window_ns")?,
+            events: j.u64_field("events")?,
+            offered: j.u64_arr("offered")?,
+            served: j.u64_arr("served")?,
+            rejected: j.u64_arr("rejected")?,
+            p50_ns: j.u64_arr("p50_ns")?,
+            p99_ns: j.u64_arr("p99_ns")?,
+            queue_primary: j.i64_arr("queue_primary")?,
+            queue_scaled: j.i64_arr("queue_scaled")?,
+            inflight: j.i64_arr("inflight")?,
+            active: j.u64_arr("active")?,
+            idle: j.u64_arr("idle")?,
+            booting: j.u64_arr("booting")?,
+            booting_peak: j.u64_arr("booting_peak")?,
+            dispatch_warm: j.u64_arr("dispatch_warm")?,
+            dispatch_spawn: j.u64_arr("dispatch_spawn")?,
+            dispatch_server: j.u64_arr("dispatch_server")?,
+            forwarded: j.u64_arr("forwarded")?,
+            signals: j
+                .arr_field("signals")?
                 .iter()
                 .map(BurstSignal::from_json)
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        let s = ScenarioSeries {
-            label: str_field(j, "label")?,
-            window_ns: u64_field(j, "window_ns")?,
-            events: u64_field(j, "events")?,
-            offered: u64_arr(j, "offered")?,
-            served: u64_arr(j, "served")?,
-            rejected: u64_arr(j, "rejected")?,
-            p50_ns: u64_arr(j, "p50_ns")?,
-            p99_ns: u64_arr(j, "p99_ns")?,
-            queue_primary: i64_arr(j, "queue_primary")?,
-            queue_scaled: i64_arr(j, "queue_scaled")?,
-            inflight: i64_arr(j, "inflight")?,
-            active: u64_arr(j, "active")?,
-            idle: u64_arr(j, "idle")?,
-            booting: u64_arr(j, "booting")?,
-            booting_peak: u64_arr(j, "booting_peak")?,
-            dispatch_warm: u64_arr(j, "dispatch_warm")?,
-            dispatch_spawn: u64_arr(j, "dispatch_spawn")?,
-            dispatch_server: u64_arr(j, "dispatch_server")?,
-            forwarded: u64_arr(j, "forwarded")?,
-            signals,
-        };
-        Some(s)
+                .collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -420,7 +415,7 @@ impl Observer {
 
     fn feed_server(&mut self, e: &TraceEvent) {
         match (e.kind, e.name) {
-            (EventKind::Instant, "offload:dispatch") => match arg_str(e, "outcome") {
+            (EventKind::Instant, "offload:dispatch") => match e.arg_str("outcome") {
                 Some("warm") => self.warm += 1,
                 Some("spawn") => self.spawn += 1,
                 Some("server") => self.server_disp += 1,
@@ -430,7 +425,7 @@ impl Observer {
                 self.rejected += 1;
                 self.offered += 1;
             }
-            (EventKind::Instant, "burst:route") if arg_str(e, "route") == Some("scaled") => {
+            (EventKind::Instant, "burst:route") if e.arg_str("route") == Some("scaled") => {
                 self.forwarded += 1;
             }
             _ => {}
@@ -486,7 +481,7 @@ impl Observer {
         if let (EventKind::Instant, "instance:expire") = (e.kind, e.name) {
             // The keep-alive sweep reports a count, not ids; the expired
             // instances leave the warm cache.
-            let n = arg_u64(e, "count").unwrap_or(0);
+            let n = e.arg_u64("count").unwrap_or(0);
             self.idle = self.idle.saturating_sub(n);
             // Drop that many tracked idle instances so later kills of other
             // states stay consistent (ids are unknown; any idle ids do).
@@ -507,14 +502,14 @@ impl Observer {
         match (e.kind, e.name) {
             (EventKind::Counter(v), "server_pool") => self.queue_primary = v,
             (EventKind::Counter(v), "inflight") => self.inflight = v,
-            (EventKind::Instant, "pool:depth") if arg_u64(e, "pool") == Some(1) => {
-                self.queue_scaled = arg_u64(e, "depth").unwrap_or(0) as i64;
+            (EventKind::Instant, "pool:depth") if e.arg_u64("pool") == Some(1) => {
+                self.queue_scaled = e.arg_u64("depth").unwrap_or(0) as i64;
             }
             (EventKind::Instant, "burst:onset") => {
                 // Only rate increases are elasticity events; rate drops end
                 // a burst and need no capacity response.
-                let from = arg_u64(e, "mrps_from").unwrap_or(0);
-                let to = arg_u64(e, "mrps_to").unwrap_or(0);
+                let from = e.arg_u64("mrps_from").unwrap_or(0);
+                let to = e.arg_u64("mrps_to").unwrap_or(0);
                 if to > from {
                     self.onsets.push(e.at.as_nanos());
                 }
@@ -522,21 +517,6 @@ impl Observer {
             _ => {}
         }
     }
-}
-
-fn arg_str(e: &TraceEvent, name: &str) -> Option<&'static str> {
-    e.args.iter().find_map(|(k, v)| match v {
-        Arg::Str(s) if *k == name => Some(*s),
-        _ => None,
-    })
-}
-
-fn arg_u64(e: &TraceEvent, name: &str) -> Option<u64> {
-    e.args.iter().find_map(|(k, v)| match v {
-        Arg::UInt(u) if *k == name => Some(*u),
-        Arg::Int(i) if *k == name && *i >= 0 => Some(*i as u64),
-        _ => None,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -652,16 +632,14 @@ impl TimelineDoc {
     }
 
     /// Parse a document rendered from [`TimelineDoc::to_json`].
-    pub fn parse(text: &str) -> Option<TimelineDoc> {
-        let j = Json::parse(text).ok()?;
-        let scenarios = match j.get("scenarios")? {
-            Json::Arr(items) => items
-                .iter()
+    pub fn parse(text: &str) -> Result<TimelineDoc, String> {
+        let j = Json::parse(text).map_err(|e| e.to_string())?;
+        let scenarios = j.arr_field("scenarios")?.iter();
+        Ok(TimelineDoc {
+            scenarios: scenarios
                 .map(ScenarioSeries::from_json)
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(TimelineDoc { scenarios })
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Render the ASCII sparkline timeline (the `repro timeline` default).
@@ -998,51 +976,11 @@ pub fn render_lag_rows(rows: &[LagRow]) -> String {
     out
 }
 
-fn str_field(j: &Json, key: &str) -> Option<String> {
-    match j.get(key) {
-        Some(Json::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn u64_field(j: &Json, key: &str) -> Option<u64> {
-    match j.get(key) {
-        Some(Json::Int(i)) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-fn u64_arr(j: &Json, key: &str) -> Option<Vec<u64>> {
-    match j.get(key) {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| match v {
-                Json::Int(i) if *i >= 0 => Some(*i as u64),
-                _ => None,
-            })
-            .collect(),
-        _ => None,
-    }
-}
-
-fn i64_arr(j: &Json, key: &str) -> Option<Vec<i64>> {
-    match j.get(key) {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| match v {
-                Json::Int(i) => Some(*i as i64),
-                _ => None,
-            })
-            .collect(),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use beehive_sim::SimTime;
-    use beehive_telemetry::{EventKind, TraceEvent, Track};
+    use beehive_telemetry::{Arg, EventKind, TraceEvent, Track};
 
     fn ev(ms: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
         TraceEvent {

@@ -12,9 +12,8 @@
 //! *synthetic frames* attached to the bytecode site that triggered them.
 //!
 //! The recorder follows the `beehive-telemetry` sink design: a thread-local
-//! `Option<Recorder>`, probes that are a single thread-local check when no
-//! recorder is installed, and a `compile-off` cargo feature that compiles
-//! every probe to an empty inline function for the overhead bench.
+//! `Option<Recorder>`, and probes that are a single thread-local check when
+//! no recorder is installed.
 //!
 //! Virtual time only: probes receive the interpreter's accumulated per-run
 //! CPU counter, never the wall clock, so a profile is byte-identical for a
@@ -33,9 +32,6 @@ use std::collections::HashMap;
 
 use beehive_sim::json::Json;
 use beehive_sim::Duration;
-
-/// `true` when the `compile-off` feature erased every probe.
-pub const COMPILED_OFF: bool = cfg!(feature = "compile-off");
 
 /// One frame in the profile tree: a method (by raw [`u32`] id — this crate
 /// does not depend on the VM) or a synthetic cost frame such as `[gc]`.
@@ -210,9 +206,6 @@ thread_local! {
 }
 
 fn with_recorder(f: impl FnOnce(&mut Recorder)) {
-    if cfg!(feature = "compile-off") {
-        return;
-    }
     RECORDER.with(|r| {
         if let Some(rec) = r.borrow_mut().as_mut() {
             f(rec);
@@ -222,17 +215,11 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
 
 /// Install a fresh recorder on this thread. Replaces any existing one.
 pub fn install() {
-    if cfg!(feature = "compile-off") {
-        return;
-    }
     RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::default()));
 }
 
 /// Remove this thread's recorder and return what it collected.
 pub fn take() -> Option<RawProfile> {
-    if cfg!(feature = "compile-off") {
-        return None;
-    }
     RECORDER
         .with(|r| r.borrow_mut().take())
         .map(Recorder::into_raw)
@@ -242,9 +229,6 @@ pub fn take() -> Option<RawProfile> {
 /// this to skip argument construction entirely.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "compile-off") {
-        return false;
-    }
     RECORDER.with(|r| r.borrow().is_some())
 }
 
@@ -284,9 +268,6 @@ pub fn end_segment(cpu: Duration) {
 /// site that triggered whatever blocked the execution.
 #[inline]
 pub fn mark() -> Option<ProfMark> {
-    if cfg!(feature = "compile-off") {
-        return None;
-    }
     RECORDER.with(|r| r.borrow().as_ref().and_then(|rec| rec.leaf.map(ProfMark)))
 }
 
@@ -668,15 +649,11 @@ mod tests {
         Duration::from_nanos(n)
     }
 
-    /// Drive a two-segment execution by hand (`None` when the crate was
-    /// built with `compile-off` — recording tests skip themselves then):
+    /// Drive a two-segment execution by hand:
     ///   seg 1 (server):  root 100ns self, pushes callee 1, callee 30ns, blocks
     ///   seg 2 (server):  resumes [root, callee], callee 20ns, returns,
     ///                    root 50ns, done
-    fn record_two_segments() -> Option<RawProfile> {
-        if COMPILED_OFF {
-            return None;
-        }
+    fn record_two_segments() -> RawProfile {
         install();
         begin_segment("server", None, [7u32].into_iter(), true);
         push(1, ns(100)); // root ran 100ns before calling
@@ -686,15 +663,12 @@ mod tests {
         begin_segment("server", None, [7u32, 1].into_iter(), false);
         pop(ns(20)); // callee finishes its remaining 20ns
         end_segment(ns(70)); // root's trailing 50ns
-        Some(take().expect("recorder installed"))
+        take().expect("recorder installed")
     }
 
     #[test]
     fn exact_attribution_across_segments() {
-        let Some(raw) = record_two_segments() else {
-            return;
-        };
-        let p = raw.resolve(|m| format!("m{m}"));
+        let p = record_two_segments().resolve(|m| format!("m{m}"));
         assert_eq!(p.lanes.len(), 1);
         assert_eq!(p.lanes[0].lane, "server");
         let root = &p.lanes[0].roots[0];
@@ -713,10 +687,7 @@ mod tests {
 
     #[test]
     fn folded_round_trips_and_sorts() {
-        let Some(raw) = record_two_segments() else {
-            return;
-        };
-        let p = raw.resolve(|m| format!("m{m}"));
+        let p = record_two_segments().resolve(|m| format!("m{m}"));
         let folded = p.folded();
         assert_eq!(
             folded,
@@ -742,9 +713,6 @@ mod tests {
 
     #[test]
     fn lanes_separate_and_instances_accumulate() {
-        if COMPILED_OFF {
-            return;
-        }
         install();
         begin_segment("server", None, [3u32].into_iter(), true);
         end_segment(ns(40));
@@ -782,10 +750,7 @@ mod tests {
 
     #[test]
     fn aggregate_derives_method_profiles() {
-        let Some(raw) = record_two_segments() else {
-            return;
-        };
-        let agg = raw.aggregate();
+        let agg = record_two_segments().aggregate();
         let root = agg.get(7).expect("root sampled");
         assert_eq!(root.invocations, 1);
         // Root total = its whole subtree: 150 + 50 + 500.
@@ -820,10 +785,7 @@ mod tests {
 
     #[test]
     fn hottest_ranks_by_self_time() {
-        let Some(raw) = record_two_segments() else {
-            return;
-        };
-        let p = raw.resolve(|m| format!("m{m}"));
+        let p = record_two_segments().resolve(|m| format!("m{m}"));
         let hot = p.hottest(2);
         assert_eq!(hot.len(), 1);
         let (lane, rows) = &hot[0];
@@ -838,10 +800,7 @@ mod tests {
 
     #[test]
     fn json_export_is_deterministic_and_parses() {
-        let Some(raw) = record_two_segments() else {
-            return;
-        };
-        let p = raw.resolve(|m| format!("m{m}"));
+        let p = record_two_segments().resolve(|m| format!("m{m}"));
         let doc = p.to_json().render();
         assert_eq!(doc, p.to_json().render());
         let back = Json::parse(&doc).expect("profile JSON parses");

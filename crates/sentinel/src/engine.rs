@@ -23,7 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use beehive_sim::SimTime;
 use beehive_telemetry::{Arg, EventKind, TraceEvent, Track};
 
-use crate::{Counters, Invariant, ScenarioCheck, Violation, COMPILED_OFF};
+use crate::{Counters, Invariant, ScenarioCheck, Violation};
 
 /// Checker configuration.
 #[derive(Clone, Debug)]
@@ -163,11 +163,8 @@ impl Sentinel {
         }
     }
 
-    /// Check one event. No-op when built with `compile-off`.
+    /// Check one event.
     pub fn feed(&mut self, e: &TraceEvent) {
-        if COMPILED_OFF {
-            return;
-        }
         self.events += 1;
         let at = e.at.saturating_since(SimTime::ZERO).as_nanos();
         let ring = self.rings.entry(e.track).or_default();
@@ -319,7 +316,7 @@ impl Sentinel {
                 "req:shadow" => self.counters.sessions_shadow += 1,
                 _ => self.counters.sessions_server += 1,
             }
-            if let Some(i) = arg_u64(e, "instance") {
+            if let Some(i) = e.arg_u64("instance") {
                 self.bind_instance(rid, i as u32, e.track, at, "session began");
             }
             return;
@@ -335,7 +332,7 @@ impl Sentinel {
                 );
                 return;
             }
-            let attempt = arg_u64(e, "attempt").unwrap_or(0);
+            let attempt = e.arg_u64("attempt").unwrap_or(0);
             let last = st.last_attempt;
             st.recovery_open = true;
             st.recoveries += 1;
@@ -350,7 +347,7 @@ impl Sentinel {
                     format!("recovery attempt did not increase: {attempt} after {last}"),
                 );
             }
-            if let Some(j) = arg_u64(e, "replacement") {
+            if let Some(j) = e.arg_u64("replacement") {
                 // The old instance is dead; the session moves on.
                 if let Some(old) = self.requests.get(&rid).and_then(|s| s.instance) {
                     if let Some(inst) = self.instances.get_mut(&old) {
@@ -413,7 +410,7 @@ impl Sentinel {
             }
             "sync:monitor" => {
                 self.counters.monitor_handoffs += 1;
-                self.counters.monitor_dirty += arg_u64(e, "dirty").unwrap_or(0);
+                self.counters.monitor_dirty += e.arg_u64("dirty").unwrap_or(0);
             }
             _ => {}
         }
@@ -624,8 +621,8 @@ impl Sentinel {
     }
 
     fn pull_dirty(&mut self, e: &TraceEvent, at: u64) {
-        let objects = arg_u64(e, "objects").unwrap_or(0);
-        let bytes = arg_u64(e, "bytes").unwrap_or(0);
+        let objects = e.arg_u64("objects").unwrap_or(0);
+        let bytes = e.arg_u64("bytes").unwrap_or(0);
         self.counters.handoff_syncs += 1;
         self.counters.handoff_objects += objects;
         self.counters.handoff_bytes += bytes;
@@ -644,7 +641,7 @@ impl Sentinel {
     fn feed_server(&mut self, e: &TraceEvent, at: u64) {
         match (e.kind, e.name) {
             (EventKind::Instant, "offload:decision") => {
-                if arg_bool(e, "offload").unwrap_or(false) {
+                if e.arg_bool("offload").unwrap_or(false) {
                     if self.pending_dispatch > 0 {
                         self.violate(
                             Invariant::OffloadConservation,
@@ -670,7 +667,7 @@ impl Sentinel {
                 } else {
                     self.pending_dispatch = 0;
                 }
-                match arg_str(e, "outcome") {
+                match e.arg_str("outcome") {
                     Some("warm") => self.counters.dispatch_warm += 1,
                     Some("spawn") => self.counters.dispatch_spawn += 1,
                     Some("server") => self.counters.dispatch_server += 1,
@@ -700,10 +697,10 @@ impl Sentinel {
                 // The keep-alive sweep reports a count, not ids: the expired
                 // instances stay Idle in the machine and are simply never
                 // seen again (dead ids are not re-acquired).
-                self.counters.expires += arg_u64(e, "count").unwrap_or(0);
+                self.counters.expires += e.arg_u64("count").unwrap_or(0);
             }
             (EventKind::Instant, "instance:prewarm") => {
-                self.counters.prewarms += arg_u64(e, "count").unwrap_or(0);
+                self.counters.prewarms += e.arg_u64("count").unwrap_or(0);
             }
             _ => self.warn_unknown(e, at),
         }
@@ -794,37 +791,6 @@ fn drop_open(open: &mut [(&'static str, u32)], name: &str) -> bool {
         }
     }
     false
-}
-
-fn arg_u64(e: &TraceEvent, key: &str) -> Option<u64> {
-    e.args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, a)| match a {
-            Arg::UInt(v) => Some(*v),
-            Arg::Int(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        })
-}
-
-fn arg_bool(e: &TraceEvent, key: &str) -> Option<bool> {
-    e.args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, a)| match a {
-            Arg::Bool(v) => Some(*v),
-            _ => None,
-        })
-}
-
-fn arg_str<'a>(e: &'a TraceEvent, key: &str) -> Option<&'a str> {
-    e.args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, a)| match a {
-            Arg::Str(v) => Some(*v),
-            _ => None,
-        })
 }
 
 fn fmt_track(track: Track) -> String {

@@ -56,10 +56,6 @@ pub use engine::{Sentinel, SentinelConfig};
 use beehive_sim::json::Json;
 use beehive_telemetry::Trace;
 
-/// `true` when the crate was built with the `compile-off` feature and
-/// [`Sentinel::feed`] compiles to nothing (the overhead-measurement build).
-pub const COMPILED_OFF: bool = cfg!(feature = "compile-off");
-
 /// The typed invariant classes the sentinel checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Invariant {
@@ -174,18 +170,16 @@ impl Violation {
     }
 
     fn from_json(j: &Json) -> Result<Violation, String> {
-        let invariant = str_field(j, "invariant").and_then(|s| {
-            Invariant::from_name(&s).ok_or_else(|| format!("unknown invariant {s}"))
+        let invariant = j.str_field("invariant").and_then(|s| {
+            Invariant::from_name(s).ok_or_else(|| format!("unknown invariant {s}"))
         })?;
-        let Some(Json::Arr(window)) = j.get("window") else {
-            return Err("violation missing window".into());
-        };
         Ok(Violation {
             invariant,
-            track: str_field(j, "track")?,
-            at_ns: u64_field(j, "at_ns")?,
-            message: str_field(j, "message")?,
-            window: window
+            track: j.str_field("track")?.to_string(),
+            at_ns: j.u64_field("at_ns")?,
+            message: j.str_field("message")?.to_string(),
+            window: j
+                .arr_field("window")?
                 .iter()
                 .map(|w| match w {
                     Json::Str(s) => Ok(s.clone()),
@@ -214,7 +208,7 @@ macro_rules! counters {
             }
 
             fn from_json(j: &Json) -> Result<Counters, String> {
-                Ok(Counters { $($field: u64_field(j, stringify!($field))?,)+ })
+                Ok(Counters { $($field: j.u64_field(stringify!($field))?,)+ })
             }
         }
     };
@@ -313,27 +307,23 @@ impl ScenarioCheck {
     }
 
     fn from_json(j: &Json) -> Result<ScenarioCheck, String> {
-        let Some(Json::Arr(warnings)) = j.get("warnings") else {
-            return Err("scenario missing warnings".into());
-        };
-        let Some(Json::Arr(violations)) = j.get("violations") else {
-            return Err("scenario missing violations".into());
-        };
         let Some(counters) = j.get("counters") else {
             return Err("scenario missing counters".into());
         };
         Ok(ScenarioCheck {
-            label: str_field(j, "label")?,
-            events: u64_field(j, "events")?,
+            label: j.str_field("label")?.to_string(),
+            events: j.u64_field("events")?,
             counters: Counters::from_json(counters)?,
-            warnings: warnings
+            warnings: j
+                .arr_field("warnings")?
                 .iter()
                 .map(|w| match w {
                     Json::Str(s) => Ok(s.clone()),
                     _ => Err("warning is not a string".to_string()),
                 })
                 .collect::<Result<_, _>>()?,
-            violations: violations
+            violations: j
+                .arr_field("violations")?
                 .iter()
                 .map(Violation::from_json)
                 .collect::<Result<_, _>>()?,
@@ -402,12 +392,10 @@ impl SentinelReport {
         let Some(Json::Bool(strict)) = j.get("strict") else {
             return Err("missing strict flag".into());
         };
-        let Some(Json::Arr(scenarios)) = j.get("scenarios") else {
-            return Err("missing scenarios array".into());
-        };
         Ok(SentinelReport {
             strict: *strict,
-            scenarios: scenarios
+            scenarios: j
+                .arr_field("scenarios")?
                 .iter()
                 .map(ScenarioCheck::from_json)
                 .collect::<Result<_, _>>()?,
@@ -446,20 +434,6 @@ impl SentinelReport {
             }
         }
         out
-    }
-}
-
-fn str_field(j: &Json, key: &str) -> Result<String, String> {
-    match j.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("missing string field {key}")),
-    }
-}
-
-fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
-    match j.get(key) {
-        Some(Json::Int(i)) if *i >= 0 => Ok(*i as u64),
-        _ => Err(format!("missing integer field {key}")),
     }
 }
 

@@ -159,6 +159,78 @@ impl Json {
             _ => None,
         }
     }
+
+    /// This value as a `u64`: `None` unless it is an integer in range. The
+    /// parser holds integers as `i128`, so a plain `as` cast would wrap.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// This value as an `i64`: `None` unless it is an integer in range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Int(i) => i64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// The field `key` read through `read`; a missing key and a value
+    /// `read` refuses are both errors naming the key.
+    fn typed_field<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        read(v).ok_or_else(|| format!("field {key:?}: expected {expected}"))
+    }
+
+    /// The unsigned integer field `key`. Like every typed accessor below:
+    /// missing, of another type or out of range is an `Err` naming the key.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.typed_field(key, "an integer in 0..=u64::MAX", Json::as_u64)
+    }
+
+    /// The signed integer field `key`.
+    pub fn i64_field(&self, key: &str) -> Result<i64, String> {
+        self.typed_field(key, "an integer in the i64 range", Json::as_i64)
+    }
+
+    /// The string field `key`.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.typed_field(key, "a string", |v| match v {
+            Json::Str(s) => Some(s.as_str()),
+            _ => None,
+        })
+    }
+
+    /// The array field `key`.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        self.typed_field(key, "an array", |v| match v {
+            Json::Arr(items) => Some(items.as_slice()),
+            _ => None,
+        })
+    }
+
+    /// The field `key` as an array of unsigned integers.
+    pub fn u64_arr(&self, key: &str) -> Result<Vec<u64>, String> {
+        let items = self.arr_field(key)?.iter().map(Json::as_u64);
+        let all: Option<Vec<u64>> = items.collect();
+        all.ok_or_else(|| format!("field {key:?}: expected integers in 0..=u64::MAX"))
+    }
+
+    /// The field `key` as an array of signed integers.
+    pub fn i64_arr(&self, key: &str) -> Result<Vec<i64>, String> {
+        let items = self.arr_field(key)?.iter().map(Json::as_i64);
+        let all: Option<Vec<i64>> = items.collect();
+        all.ok_or_else(|| format!("field {key:?}: expected integers in the i64 range"))
+    }
 }
 
 impl From<bool> for Json {
@@ -583,6 +655,54 @@ mod tests {
         for x in [0.1, 1.0 / 3.0, 1e-12, 123456789.123456] {
             let text = Json::Num(x).render();
             assert_eq!(text.parse::<f64>().unwrap(), x, "{text}");
+        }
+    }
+
+    #[test]
+    fn typed_accessors_check_presence_type_and_range() {
+        let doc = |v: &str| Json::parse(&format!(r#"{{"k":{v},"ks":[0,{v}]}}"#)).unwrap();
+        // (value, fits u64, fits i64)
+        for (v, u, i) in [
+            ("0", true, true),
+            ("-1", false, true),
+            ("9223372036854775807", true, true),
+            ("9223372036854775808", true, false),
+            ("18446744073709551615", true, false),
+            ("18446744073709551616", false, false),
+            ("-9223372036854775808", false, true),
+            ("-9223372036854775809", false, false),
+            ("1.0", false, false),
+            ("\"7\"", false, false),
+            ("null", false, false),
+        ] {
+            let j = doc(v);
+            assert_eq!(j.u64_field("k").is_ok(), u, "u64 {v}");
+            assert_eq!(j.i64_field("k").is_ok(), i, "i64 {v}");
+            assert_eq!(j.u64_arr("ks").is_ok(), u, "u64 array {v}");
+            assert_eq!(j.i64_arr("ks").is_ok(), i, "i64 array {v}");
+            for err in [j.u64_field("k").err(), j.u64_arr("ks").err()] {
+                assert!(err.is_none_or(|e| e.contains("\"k")), "{v} names the key");
+            }
+        }
+        let j = doc("18446744073709551615");
+        assert_eq!(j.u64_field("k"), Ok(u64::MAX));
+        assert_eq!(j.u64_arr("ks"), Ok(vec![0, u64::MAX]));
+        assert_eq!(doc("-9223372036854775808").i64_field("k"), Ok(i64::MIN));
+        assert_eq!(doc("\"s\"").str_field("k"), Ok("s"));
+        assert_eq!(j.arr_field("ks").map(<[Json]>::len), Ok(2));
+        // Wrong type and missing key, for every accessor.
+        assert!(j.str_field("k").is_err() && j.arr_field("k").is_err());
+        assert!(j.u64_field("ks").is_err() && j.u64_arr("k").is_err());
+        for missing in [
+            j.u64_field("nope").err(),
+            j.i64_field("nope").err(),
+            j.str_field("nope").map(drop).err(),
+            j.arr_field("nope").map(drop).err(),
+            j.u64_arr("nope").err(),
+            j.i64_arr("nope").err(),
+            Json::Null.u64_field("nope").err(),
+        ] {
+            assert_eq!(missing.as_deref(), Some("missing field \"nope\""));
         }
     }
 

@@ -11,7 +11,7 @@
 //! * [`pool`] — CPU models: egalitarian processor sharing ([`pool::PsPool`])
 //!   for multi-threaded web servers and FIFO ([`pool::FifoPool`]) for
 //!   single-request FaaS instances,
-//! * [`stats`] — latency percentiles, per-second timelines, histograms,
+//! * [`stats`] — latency percentiles and per-second timelines,
 //! * [`json`] — a dependency-free JSON tree, emitter and parser used by the
 //!   experiment reports (`repro --json`).
 //!

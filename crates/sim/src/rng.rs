@@ -86,11 +86,6 @@ impl Rng {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p

@@ -1,6 +1,4 @@
-//! Latency statistics: percentile samplers, per-second timelines, histograms.
-
-use std::fmt;
+//! Latency statistics: percentile samplers and per-second timelines.
 
 use crate::json::{Json, ToJson};
 use crate::{Duration, SimTime};
@@ -226,123 +224,6 @@ impl Timeline {
     }
 }
 
-/// A fixed-width histogram of durations (for GC pause distributions).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: Duration,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` buckets of `width` each; overflow goes to the
-    /// last bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or `width` is zero.
-    pub fn new(width: Duration, bins: usize) -> Self {
-        assert!(bins > 0 && !width.is_zero(), "degenerate histogram");
-        Histogram {
-            width,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: Duration) {
-        let idx = ((d.as_nanos() / self.width.as_nanos()) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn count(&self, idx: usize) -> u64 {
-        self.counts[idx]
-    }
-
-    /// Approximate median (midpoint of the bucket holding the median sample).
-    pub fn median(&self) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        let target = self.total.div_ceil(2);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Duration::from_nanos(
-                    self.width.as_nanos() * i as u64 + self.width.as_nanos() / 2,
-                );
-            }
-        }
-        unreachable!("median within total")
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "histogram({} samples, median {})",
-            self.total,
-            self.median()
-        )
-    }
-}
-
-/// Online mean/variance accumulator (Welford).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (zero with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,24 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_median() {
-        let mut h = Histogram::new(Duration::from_millis(1), 64);
-        for ms in [1u64, 2, 2, 3, 9] {
-            h.record(Duration::from_millis(ms));
-        }
-        assert_eq!(h.total(), 5);
-        // Median sample (2ms) lands in bucket 2 -> midpoint 2.5ms.
-        assert_eq!(h.median().as_micros(), 2_500);
-    }
-
-    #[test]
-    fn histogram_overflow_clamps() {
-        let mut h = Histogram::new(Duration::from_millis(1), 4);
-        h.record(Duration::from_secs(10));
-        assert_eq!(h.count(3), 1);
-    }
-
-    #[test]
     fn f64_percentiles_match_sampler_rule() {
         let xs = [10.0, 20.0, 30.0, 40.0];
         assert_eq!(percentile(&xs, 0.25), 10.0);
@@ -438,16 +301,5 @@ mod tests {
         assert_eq!(percentile(&[], 0.99), 0.0);
         // Unsorted input sorts internally.
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
-    }
-
-    #[test]
-    fn online_stats() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 }

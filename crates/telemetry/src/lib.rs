@@ -9,9 +9,7 @@
 //! thread-local buffer. [`install`] arms it, the instrumented crates emit
 //! through the free functions below, and [`take`] hands the finished
 //! [`Trace`] back to the embedder. With no recorder installed every probe is
-//! a thread-local read plus a branch (the no-op sink); building with the
-//! `compile-off` feature removes even that, which is what the
-//! `telemetry` bench compares against.
+//! a thread-local read plus a branch (the no-op sink).
 //!
 //! Probes never allocate or do work unless a recorder is armed; call sites
 //! that must build argument lists guard with [`enabled`].
@@ -43,10 +41,6 @@ pub mod summary;
 use std::cell::{Cell, RefCell};
 
 use beehive_sim::{Duration, SimTime};
-
-/// `true` when the crate was built with the `compile-off` feature and every
-/// probe is an empty function.
-pub const COMPILED_OFF: bool = cfg!(feature = "compile-off");
 
 /// Which timeline an event belongs to. Tracks map to Chrome `pid`/`tid`
 /// pairs in the exporter: one process per endpoint, one thread per request
@@ -150,6 +144,43 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, Arg)>,
 }
 
+// `#[inline]`: the trace consumers in other crates call these per event,
+// and release builds have no LTO.
+impl TraceEvent {
+    #[inline]
+    fn arg(&self, key: &str) -> Option<&Arg> {
+        self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// The argument `key` when it is a non-negative integer.
+    #[inline]
+    pub fn arg_u64(&self, key: &str) -> Option<u64> {
+        match self.arg(key)? {
+            Arg::UInt(v) => Some(*v),
+            Arg::Int(v) => u64::try_from(*v).ok(),
+            _ => None,
+        }
+    }
+
+    /// The argument `key` when it is a boolean.
+    #[inline]
+    pub fn arg_bool(&self, key: &str) -> Option<bool> {
+        match self.arg(key)? {
+            Arg::Bool(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The argument `key` when it is a string.
+    #[inline]
+    pub fn arg_str(&self, key: &str) -> Option<&'static str> {
+        match self.arg(key)? {
+            Arg::Str(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
 /// A finished recording: every event one simulation emitted, in emission
 /// order (which is virtual-time order, since the driver advances the clock
 /// monotonically).
@@ -173,9 +204,6 @@ thread_local! {
 
 #[inline]
 fn with_recorder(f: impl FnOnce(&mut Recorder)) {
-    if cfg!(feature = "compile-off") {
-        return;
-    }
     RECORDER.with(|r| {
         if let Some(rec) = r.borrow_mut().as_mut() {
             f(rec);
@@ -187,9 +215,6 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
 /// discards any previous buffer). Until this is called — or after [`take`] —
 /// every probe is a no-op.
 pub fn install() {
-    if cfg!(feature = "compile-off") {
-        return;
-    }
     RECORDER.with(|r| {
         *r.borrow_mut() = Some(Recorder {
             now: SimTime::ZERO,
@@ -201,11 +226,8 @@ pub fn install() {
 }
 
 /// Disarm the sink and return what it recorded. `None` if no recorder was
-/// installed on this thread (or the crate is compiled off).
+/// installed on this thread.
 pub fn take() -> Option<Trace> {
-    if cfg!(feature = "compile-off") {
-        return None;
-    }
     let rec = RECORDER.with(|r| r.borrow_mut().take())?;
     PEAK.with(|p| p.set(p.get().max(rec.events.len())));
     Some(Trace { events: rec.events })
@@ -241,9 +263,6 @@ pub fn peak_buffered() -> usize {
 /// argument lists guard on this so the disabled path stays allocation-free.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "compile-off") {
-        return false;
-    }
     RECORDER.with(|r| r.borrow().is_some())
 }
 

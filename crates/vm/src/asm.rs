@@ -65,11 +65,6 @@ impl Asm {
         self.push(Op::Store(slot))
     }
 
-    /// Duplicate top of stack.
-    pub fn dup(&mut self) -> &mut Self {
-        self.push(Op::Dup)
-    }
-
     /// Discard top of stack.
     pub fn pop(&mut self) -> &mut Self {
         self.push(Op::Pop)
@@ -136,20 +131,6 @@ impl Asm {
         l
     }
 
-    /// Forward jump-if-non-zero; bind the label later.
-    pub fn jump_if_nonzero_fwd(&mut self) -> Label {
-        let l = Label(self.ops.len());
-        self.ops.push(Op::JumpIfNonZero(u32::MAX));
-        self.open_labels += 1;
-        l
-    }
-
-    /// Backward conditional jump-if-non-zero to a captured index.
-    pub fn jump_if_nonzero_back(&mut self, target: usize) -> &mut Self {
-        assert!(target <= self.ops.len(), "jump into the future");
-        self.push(Op::JumpIfNonZero(target as u32))
-    }
-
     /// Resolve a forward label to the current position.
     ///
     /// # Panics
@@ -158,7 +139,7 @@ impl Asm {
     pub fn bind(&mut self, label: Label) -> &mut Self {
         let target = self.ops.len() as u32;
         let patched = match &mut self.ops[label.0] {
-            Op::Jump(t) | Op::JumpIfZero(t) | Op::JumpIfNonZero(t) if *t == u32::MAX => {
+            Op::Jump(t) | Op::JumpIfZero(t) if *t == u32::MAX => {
                 *t = target;
                 true
             }
@@ -177,11 +158,6 @@ impl Asm {
     /// Stub (interceptor) call; selector must be on the stack.
     pub fn call_stub(&mut self, s: StubId) -> &mut Self {
         self.push(Op::CallStub(s))
-    }
-
-    /// Void return.
-    pub fn return_void(&mut self) -> &mut Self {
-        self.push(Op::Return)
     }
 
     /// Value return.
@@ -227,11 +203,6 @@ impl Asm {
     /// Static read.
     pub fn get_static(&mut self, s: StaticSlot) -> &mut Self {
         self.push(Op::GetStatic(s))
-    }
-
-    /// Static write.
-    pub fn put_static(&mut self, s: StaticSlot) -> &mut Self {
-        self.push(Op::PutStatic(s))
     }
 
     /// Volatile static read (synchronization point).

@@ -70,14 +70,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// The same model with write barriers disabled (vanilla JVM).
-    pub fn without_barriers(mut self) -> Self {
-        self.barrier = Duration::ZERO;
-        self
-    }
-}
-
 /// Aggregate activity counters of an instance.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VmCounters {
@@ -244,11 +236,6 @@ impl VmInstance {
     /// run with barriers on; the vanilla baseline runs with them off.
     pub fn set_barriers(&mut self, on: bool) {
         self.barriers = on;
-    }
-
-    /// `true` when write barriers are active.
-    pub fn barriers_enabled(&self) -> bool {
-        self.barriers
     }
 
     // ----- classes ------------------------------------------------------

@@ -326,21 +326,6 @@ impl Execution {
         }
     }
 
-    /// All heap references currently on the stack (for snapshotting).
-    pub fn stack_refs(&self) -> Vec<Addr> {
-        let mut refs = Vec::new();
-        for f in &self.frames {
-            for v in f.locals.iter().chain(f.stack.iter()) {
-                if let Value::Ref(a) = v {
-                    if !a.is_remote() {
-                        refs.push(*a);
-                    }
-                }
-            }
-        }
-        refs
-    }
-
     /// Run until completion or the next block.
     ///
     /// # Panics

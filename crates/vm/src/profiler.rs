@@ -141,9 +141,6 @@ mod tests {
 
     #[test]
     fn recorded_call_trees_feed_the_same_selection() {
-        if beehive_profiler::COMPILED_OFF {
-            return;
-        }
         let (program, _plain, hot, _tiny) = program_with_candidates();
         // A recorded profile of the candidate running for 40ms twice ranks
         // exactly like the live profiler fed the same observations.

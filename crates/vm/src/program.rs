@@ -100,15 +100,6 @@ impl Program {
             .map(|(i, _)| MethodId(i as u32))
     }
 
-    /// Methods declared by `class`.
-    pub fn methods_of(&self, class: ClassId) -> impl Iterator<Item = MethodId> + '_ {
-        self.methods
-            .iter()
-            .enumerate()
-            .filter(move |(_, m)| m.class == class)
-            .map(|(i, _)| MethodId(i as u32))
-    }
-
     /// Total class-file bytes of `class` including its methods' code (used
     /// for missing-code fallback transfer sizes).
     pub fn class_bytes(&self, class: ClassId) -> u32 {
@@ -198,11 +189,6 @@ impl ProgramBuilder {
     /// Panics if the class id is out of range.
     pub fn make_packageable(&mut self, class: ClassId, spec: PackSpec) {
         self.program.classes[class.index()].packageable = Some(spec);
-    }
-
-    /// Override a class's recorded byte size.
-    pub fn set_class_bytes(&mut self, class: ClassId, bytes: u32) {
-        self.program.classes[class.index()].bytes = bytes;
     }
 
     /// Add a bytecode method; the lookup name is `Class.method`.

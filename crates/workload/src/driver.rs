@@ -6,8 +6,7 @@
 //!   offload controller) deciding where each admitted request goes,
 //! * [`crate::lifecycle`] — the per-request state machine consuming
 //!   [`beehive_core::SessionStep`]s uniformly across all three lanes,
-//! * [`crate::endpoint`] — the execution-endpoint abstraction (server pool
-//!   lanes vs FaaS instances), the instance fleet and the metrics façade,
+//! * [`crate::endpoint`] — the instance fleet and the metrics façade,
 //! * [`crate::broker`] — the contended resources (server pools, database,
 //!   FaaS platform, instance scaler) and their completion-event dances.
 //!

@@ -1,15 +1,11 @@
-//! The execution-endpoint layer: where a request runs, and how that place
-//! is instrumented.
+//! The execution-endpoint layer: the places a request runs on, and how they
+//! are instrumented.
 //!
 //! A request executes either on one of the server's processor-sharing pools
-//! or on a FaaS instance. The [`Endpoint`] trait captures everything the
-//! lifecycle machine needs to know about the difference — telemetry track,
-//! pool index for CPU waits, database-round labels, residence-span policy —
-//! so stepping code dispatches through one polymorphic call site instead of
-//! matching on the lane everywhere. The module also owns the fleet of
-//! function instances ([`Fleet`]) and the metrics façade ([`Obs`]), the
-//! single instrumented boundary all counter/gauge/histogram touches go
-//! through.
+//! or on a FaaS instance; the lifecycle layer's `Lane` records which. This
+//! module owns the fleet of function instances ([`Fleet`]) and the metrics
+//! façade ([`Obs`]), the single instrumented boundary all
+//! counter/gauge/histogram touches go through.
 
 use std::collections::HashMap;
 
@@ -18,98 +14,7 @@ use beehive_core::config::NetProfile;
 use beehive_core::{FunctionRuntime, OffloadSession, ServerRuntime, SessionStep};
 use beehive_faas::FaasPlatform;
 use beehive_sim::{Duration, SimTime};
-use beehive_telemetry as tele;
 use beehive_vm::{CostModel, Value};
-
-/// One place a request executes: a server pool lane or a FaaS instance.
-///
-/// Implementations are value-like handles stored in the request's lane;
-/// they carry indices, not resources — the actual pools and instances live
-/// in [`crate::broker::Broker`] and [`Fleet`].
-pub trait Endpoint {
-    /// The telemetry track this request's events land on.
-    fn track(&self) -> tele::Track;
-    /// The server pool non-fallback `ServerCpu` needs queue on.
-    fn pool(&self) -> usize;
-    /// Origin label of database rounds issued from here.
-    fn db_origin(&self) -> &'static str;
-    /// Metrics counter for database rounds issued from here.
-    fn db_round_metric(&self) -> &'static str;
-    /// `true` when every resource wait is recorded as a residence span.
-    /// Offloaded sessions trace every wait; plain server requests park on
-    /// the pool ~100× each, so only their fallback round trips are traced —
-    /// recording every one would dwarf the Semi-FaaS machinery the trace is
-    /// for.
-    fn traces_residence(&self) -> bool;
-}
-
-/// A lane on the always-on server (or the scaled-out second instance).
-#[derive(Debug)]
-pub struct ServerEndpoint {
-    /// Server-issued request id (the session's telemetry identity).
-    pub(crate) request: u64,
-    /// Index of the processor-sharing pool serving this request.
-    pub(crate) pool: usize,
-}
-
-impl Endpoint for ServerEndpoint {
-    fn track(&self) -> tele::Track {
-        tele::Track::Request(self.request)
-    }
-
-    fn pool(&self) -> usize {
-        self.pool
-    }
-
-    fn db_origin(&self) -> &'static str {
-        "server"
-    }
-
-    fn db_round_metric(&self) -> &'static str {
-        "db_rounds_server"
-    }
-
-    fn traces_residence(&self) -> bool {
-        false
-    }
-}
-
-/// A FaaS instance lane. While the instance is still booting there is no
-/// session yet, so events land on the instance's own track.
-#[derive(Debug)]
-pub struct FaasEndpoint {
-    /// The function instance id.
-    pub(crate) instance: u32,
-    /// Server-issued request id once a session runs; `None` while booting.
-    pub(crate) request: Option<u64>,
-}
-
-impl Endpoint for FaasEndpoint {
-    fn track(&self) -> tele::Track {
-        match self.request {
-            Some(r) => tele::Track::Request(r),
-            None => tele::Track::Instance(self.instance),
-        }
-    }
-
-    fn pool(&self) -> usize {
-        // Fallbacks that queue server CPU behind the worker pool always use
-        // the primary pool.
-        0
-    }
-
-    fn db_origin(&self) -> &'static str {
-        "function"
-    }
-
-    fn db_round_metric(&self) -> &'static str {
-        "db_rounds_function"
-    }
-
-    fn traces_residence(&self) -> bool {
-        true
-    }
-}
 
 /// The FaaS instance fleet: live runtimes, the idle (warm, closure-ready)
 /// rotation, the count of in-flight boots, and the per-instance GC-log
@@ -313,33 +218,46 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::Lane;
+    use beehive_apps::{AppKind, Fidelity};
+    use beehive_core::config::BeeHiveConfig;
+    use beehive_core::ServerSession;
+    use beehive_db::Database;
+    use beehive_proxy::Proxy;
+    use beehive_telemetry::Track;
+    use std::sync::Arc;
 
     #[test]
     fn endpoints_expose_their_lane_identity() {
-        let s = ServerEndpoint {
-            request: 7,
-            pool: 1,
-        };
-        assert_eq!(s.track(), tele::Track::Request(7));
-        assert_eq!(s.pool(), 1);
-        assert_eq!(s.db_origin(), "server");
-        assert_eq!(s.db_round_metric(), "db_rounds_server");
-        assert!(!s.traces_residence());
+        let app = App::build(AppKind::Thumbnail, Fidelity::Scaled(4096));
+        let cost = CostModel::default();
+        let mut server = ServerRuntime::new(
+            Arc::clone(&app.program),
+            BeeHiveConfig::default(),
+            Proxy::new(Database::new()),
+            cost,
+        );
+        app.install(&mut server);
+        let args = vec![Value::I64(0)];
 
-        let booting = FaasEndpoint {
-            instance: 3,
-            request: None,
-        };
-        assert_eq!(booting.track(), tele::Track::Instance(3));
-        let running = FaasEndpoint {
-            instance: 3,
-            request: Some(9),
-        };
-        assert_eq!(running.track(), tele::Track::Request(9));
+        let session = ServerSession::start(&mut server, app.root, args.clone());
+        let request = session.request_id();
+        let s = Lane::server(session, 1);
+        assert_eq!(s.track(), Track::Request(request));
+        assert_eq!(s.pool(), 1);
+        assert!(!s.on_faas());
+
+        let booting = Lane::pending_boot(args.clone(), 3, true);
+        assert_eq!(booting.track(), Track::Instance(3));
+        let mut func = FunctionRuntime::new(3, &app.program, cost);
+        let net = BeeHiveConfig::default().net;
+        let session =
+            OffloadSession::start(&mut server, &mut func, app.root, args, false, net, true);
+        let request = session.request_id();
+        let running = Lane::faas(session, 3);
+        assert_eq!(running.track(), Track::Request(request));
         assert_eq!(running.pool(), 0);
-        assert_eq!(running.db_origin(), "function");
-        assert_eq!(running.db_round_metric(), "db_rounds_function");
-        assert!(running.traces_residence());
+        assert!(running.on_faas());
     }
 
     #[test]

@@ -42,7 +42,7 @@ use beehive_apps::App;
 pub struct Profile {
     /// RNG seed.
     pub seed: u64,
-    /// Quick mode: shorter horizons for CI and Criterion benches.
+    /// Quick mode: shorter horizons for CI and the benchmark.
     pub quick: bool,
 }
 

@@ -6,9 +6,9 @@
 //! collect the server heap, wait on a lock hand-off, finish. The
 //! [`Lifecycle`] machine consumes [`SessionStep`]s uniformly for the
 //! server, faas-primary and shadow lanes; lane differences (telemetry
-//! track, pool index, metric names) go through the [`Endpoint`] trait, so
-//! there is a single instrumented call site per transition rather than a
-//! per-lane match pyramid.
+//! track, pool index, metric names) are three methods on `Lane`, so there
+//! is a single instrumented call site per transition rather than a per-lane
+//! match pyramid.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -22,31 +22,32 @@ use beehive_telemetry as tele;
 use beehive_vm::{Execution, Value};
 
 use crate::broker::{Broker, Ev};
-use crate::endpoint::{Endpoint, FaasEndpoint, Fleet, Obs, ServerEndpoint};
+use crate::endpoint::{Fleet, Obs};
 
-/// A request's execution lane.
+/// A request's execution lane. Lanes carry indices, not resources — the
+/// pools and instances live in [`crate::broker::Broker`] and [`Fleet`].
 #[derive(Debug)]
 pub(crate) enum Lane {
     /// Running on a server pool.
     Server {
         /// The session state machine.
         session: ServerSession,
-        /// The lane's endpoint identity.
-        endpoint: ServerEndpoint,
+        /// Index of the processor-sharing pool serving this request.
+        pool: usize,
     },
     /// Running on a FaaS instance (primary offload or shadow).
     Faas {
         /// The session state machine.
         session: OffloadSession,
-        /// The lane's endpoint identity.
-        endpoint: FaasEndpoint,
+        /// The function instance id.
+        instance: u32,
     },
     /// Waiting for an instance boot; becomes `Faas` on `Ev::Boot`.
     PendingBoot {
         /// The request arguments, handed to the session once booted.
         args: Vec<Value>,
-        /// The lane's endpoint identity (no session yet).
-        endpoint: FaasEndpoint,
+        /// The booting instance's id.
+        instance: u32,
         /// Whether the boot is cold (closure computation overlaps it).
         cold: bool,
     },
@@ -60,8 +61,8 @@ pub(crate) enum Lane {
         /// instance from the idle rotation — stashed here so neither
         /// dispatch nor victim selection can touch the reserved instance.
         runtime: Option<Box<FunctionRuntime>>,
-        /// The lane's endpoint identity (instance = the replacement).
-        endpoint: FaasEndpoint,
+        /// The replacement instance's id.
+        instance: u32,
         /// Whether the replacement boot is cold.
         cold: bool,
         /// When the crash was detected (recovery latency starts here).
@@ -72,43 +73,49 @@ pub(crate) enum Lane {
 impl Lane {
     /// A server lane on `pool`.
     pub(crate) fn server(session: ServerSession, pool: usize) -> Lane {
-        let endpoint = ServerEndpoint {
-            request: session.request_id(),
-            pool,
-        };
-        Lane::Server { session, endpoint }
+        Lane::Server { session, pool }
     }
 
     /// A FaaS lane on `instance`.
     pub(crate) fn faas(session: OffloadSession, instance: u32) -> Lane {
-        let endpoint = FaasEndpoint {
-            instance,
-            request: Some(session.request_id()),
-        };
-        Lane::Faas { session, endpoint }
+        Lane::Faas { session, instance }
     }
 
     /// A pending-boot lane on `instance`.
     pub(crate) fn pending_boot(args: Vec<Value>, instance: u32, cold: bool) -> Lane {
         Lane::PendingBoot {
             args,
-            endpoint: FaasEndpoint {
-                instance,
-                request: None,
-            },
+            instance,
             cold,
         }
     }
 
-    /// The lane's endpoint — the one polymorphic dispatch point for
-    /// telemetry tracks, pool indices and metric names.
-    fn endpoint(&self) -> &dyn Endpoint {
+    /// The telemetry track this request's events land on: its session's
+    /// server-issued request id, or — while the instance is still booting
+    /// and there is no session yet — the instance's own track.
+    pub(crate) fn track(&self) -> tele::Track {
         match self {
-            Lane::Server { endpoint, .. } => endpoint,
-            Lane::Faas { endpoint, .. } => endpoint,
-            Lane::PendingBoot { endpoint, .. } => endpoint,
-            Lane::Crashed { endpoint, .. } => endpoint,
+            Lane::Server { session, .. } => tele::Track::Request(session.request_id()),
+            Lane::Faas { session, .. } | Lane::Crashed { session, .. } => {
+                tele::Track::Request(session.request_id())
+            }
+            Lane::PendingBoot { instance, .. } => tele::Track::Instance(*instance),
         }
+    }
+
+    /// The server pool non-fallback `ServerCpu` needs queue on. Fallbacks
+    /// that queue server CPU behind the worker pool always use the primary
+    /// pool.
+    pub(crate) fn pool(&self) -> usize {
+        match self {
+            Lane::Server { pool, .. } => *pool,
+            _ => 0,
+        }
+    }
+
+    /// `true` on a FaaS instance lane, `false` on a server pool.
+    pub(crate) fn on_faas(&self) -> bool {
+        !matches!(self, Lane::Server { .. })
     }
 }
 
@@ -245,13 +252,13 @@ impl Lifecycle {
         let arrival = req.arrival;
         let Lane::PendingBoot {
             args,
-            endpoint,
+            instance,
             cold,
         } = &mut req.lane
         else {
             panic!("boot event for a non-pending request");
         };
-        Some((std::mem::take(args), endpoint.instance, *cold, arrival))
+        Some((std::mem::take(args), *instance, *cold, arrival))
     }
 
     /// Switch a booted request onto its FaaS lane (`Ev::Boot`, after the
@@ -337,14 +344,10 @@ impl Lifecycle {
                         ],
                     );
                 }
-                let endpoint = FaasEndpoint {
-                    instance: fid,
-                    request: Some(session.request_id()),
-                };
                 req.lane = Lane::Crashed {
                     session,
                     runtime,
-                    endpoint,
+                    instance: fid,
                     cold: kind == BootKind::Cold,
                     detected: now,
                 };
@@ -395,14 +398,14 @@ impl Lifecycle {
         let Lane::Crashed {
             session,
             runtime,
-            endpoint,
+            instance,
             cold,
             detected,
         } = std::mem::replace(&mut req.lane, placeholder)
         else {
             panic!("recover event for a non-crashed request");
         };
-        Some((session, endpoint.instance, runtime, cold, detected))
+        Some((session, instance, runtime, cold, detected))
     }
 
     /// Put a recovered session back on its FaaS lane and park it on the
@@ -466,7 +469,7 @@ impl Lifecycle {
             .requests
             .values()
             .filter_map(|r| match &r.lane {
-                Lane::Faas { endpoint, .. } => Some(endpoint.instance),
+                Lane::Faas { instance, .. } => Some(*instance),
                 _ => None,
             })
             .collect();
@@ -495,14 +498,14 @@ impl Lifecycle {
         if let Some(name) = req.open_span.take() {
             // The request resumes: close the resource span opened when it
             // parked, so the span covers service plus queueing.
-            tele::end(req.lane.endpoint().track(), name, &[]);
+            tele::end(req.lane.track(), name, &[]);
         }
         loop {
             // §4.5 crash detection: the wait that just completed resumed
             // into an instance the fault injector killed in the meantime —
             // the RPC timeout is the failure detector.
-            if let Lane::Faas { endpoint, .. } = &req.lane {
-                if !fleet.funcs.contains_key(&endpoint.instance) {
+            if let Lane::Faas { instance, .. } = &req.lane {
+                if !fleet.funcs.contains_key(instance) {
                     match self.crashed(rid, req, now, server, fleet, broker, events, obs) {
                         AfterCrash::Parked => return None,
                         AfterCrash::Degraded(r) => {
@@ -514,8 +517,8 @@ impl Lifecycle {
             }
             let step = match &mut req.lane {
                 Lane::Server { session, .. } => session.next(server),
-                Lane::Faas { session, endpoint } => {
-                    let fid = endpoint.instance;
+                Lane::Faas { session, instance } => {
+                    let fid = *instance;
                     let mut func = fleet.funcs.remove(&fid).expect("instance exists");
                     let s = session.next(server, &mut func);
                     fleet.funcs.insert(fid, func);
@@ -555,7 +558,7 @@ impl Lifecycle {
                     };
                     if tele::enabled() {
                         tele::instant(
-                            req.lane.endpoint().track(),
+                            req.lane.track(),
                             "sync:pull_dirty",
                             &[
                                 ("objects", tele::Arg::UInt(objs.len() as u64)),
@@ -595,7 +598,7 @@ impl Lifecycle {
                         // so the insight attribution sees lock wait as its
                         // own component instead of folding it into execution.
                         let name = "wait:lock";
-                        tele::begin(req.lane.endpoint().track(), name, &[]);
+                        tele::begin(req.lane.track(), name, &[]);
                         req.open_span = Some(name);
                     }
                     self.lock_waiters
@@ -620,7 +623,7 @@ impl Lifecycle {
                         closed_loop: req.closed_loop,
                         request,
                         faas: match req.lane {
-                            Lane::Faas { session, endpoint } => Some((session, endpoint.instance)),
+                            Lane::Faas { session, instance } => Some((session, instance)),
                             _ => None,
                         },
                     });
@@ -643,10 +646,18 @@ impl Lifecycle {
         events: &mut EventQueue<Ev>,
         obs: &mut Obs,
     ) {
-        let ep = req.lane.endpoint();
-        let traced = n.fallback || ep.traces_residence();
-        let (track, pool) = (ep.track(), ep.pool());
-        let (db_origin, db_metric) = (ep.db_origin(), ep.db_round_metric());
+        let (track, pool, on_faas) = (req.lane.track(), req.lane.pool(), req.lane.on_faas());
+        // Offloaded sessions trace every wait as a residence span; plain
+        // server requests park on the pool ~100× each, so only their
+        // fallback round trips are traced — recording every one would dwarf
+        // the Semi-FaaS machinery the trace is for.
+        let traced = n.fallback || on_faas;
+        // Origin label and metrics counter of database rounds issued here.
+        let (db_origin, db_metric) = if on_faas {
+            ("function", "db_rounds_function")
+        } else {
+            ("server", "db_rounds_server")
+        };
         if traced && tele::enabled() {
             let name = n.span_name();
             tele::begin(track, name, &[]);

@@ -43,9 +43,6 @@ fn render(profiles: &[(String, Profile)]) -> (String, String) {
 
 #[test]
 fn profiles_are_byte_identical_across_worker_counts() {
-    if beehive_profiler::COMPILED_OFF {
-        return;
-    }
     let serial = profiles_at(1);
     let (folded, json) = render(&serial);
 

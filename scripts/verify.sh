@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: style + lint gates, tier-1 build + tests, a quick full
-# reproduction pass, golden-file checks of the machine-readable reports, and
-# the metrics regression gate against the checked-in baseline. Everything
-# runs offline — the workspace has no external dependencies.
+# Repo verification: style + lint gates, tier-1 build + tests, the host-time
+# benchmark's smoke pass, a quick full reproduction pass, golden-file checks
+# of the machine-readable reports, and the metrics regression gate against
+# the checked-in baseline. Everything runs offline — the workspace has no
+# external dependencies.
 #
 #   scripts/verify.sh
 #
@@ -51,28 +52,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline > /dev/null
 echo "==> smoke: cargo run --release --example quickstart"
 cargo run --release --offline --example quickstart > /dev/null
 
-echo "==> compile-off: probe-free bench build in its own target dir"
-# The probe-free configuration must keep compiling, and gets a dedicated
-# target dir: cargo keeps one artifact per target dir, so building
-# beehive-telemetry/compile-off into the shared target/ would leave a
-# probe-free repro binary behind for later plain builds to re-use as fresh.
-CARGO_TARGET_DIR=target/compile-off cargo bench --offline -p beehive-bench \
-  --bench telemetry --features beehive-telemetry/compile-off --no-run
-
-echo "==> compile-off: profiler overhead bench (probes compiled out)"
-# Runs (not just builds): the disabled-probe rows prove the profiler's
-# push/pop and segment hooks cost nothing when the feature is off.
-CARGO_TARGET_DIR=target/compile-off cargo bench --offline -p beehive-bench \
-  --bench profiler \
-  --features beehive-telemetry/compile-off,beehive-profiler/compile-off
-
-echo "==> compile-off: sentinel overhead bench (checker compiled out)"
-# Runs (not just builds): the run/offload row proves the conformance
-# checker's feed sites vanish with the probes, so unchecked simulations pay
-# nothing for the sentinel existing.
-CARGO_TARGET_DIR=target/compile-off cargo bench --offline -p beehive-bench \
-  --bench sentinel \
-  --features beehive-telemetry/compile-off,beehive-sentinel/compile-off
+echo "==> benchmark: benchmark/run.sh --smoke + the package's own unit tests"
+# The one measurement harness must keep building against these crates and
+# passing its own checks (every workload and the per-layer pass, once).
+benchmark/run.sh --smoke
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
 echo "==> repro all --quick (smoke: every table and figure regenerates)"
 ./target/release/repro all --quick --seed 42 > /dev/null
@@ -168,4 +152,4 @@ metrics_insight_diff() {
 golden_at_workers diff_quick.txt metrics_insight_diff
 rm -rf "$metrics_dir"
 
-echo "OK: style, lint, build, tests, quick repro, goldens, sentinel, timeline, and the metrics+insight gates all pass."
+echo "OK: style, lint, build, tests, benchmark smoke, quick repro, goldens, sentinel, timeline, and the metrics+insight gates all pass."
