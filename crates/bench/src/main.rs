@@ -13,12 +13,12 @@
 //! replaces the Display tables with one machine-readable JSON document: an
 //! array of `{"title": ..., "body": ...}` reports, rendered
 //! deterministically (the same seed yields byte-identical output at any
-//! worker count). `--trace DIR` additionally records a virtual-time trace
-//! of every simulation and writes, per experiment, a Chrome trace-event
-//! file (`DIR/<item>.trace.json`, loadable in `chrome://tracing` or
-//! Perfetto) plus a per-request critical-path summary
-//! (`DIR/<item>.summary.json`); for a fixed seed these files are
-//! byte-identical at any `BEEHIVE_WORKERS`.
+//! worker count). `--trace DIR` additionally streams the virtual-time trace
+//! of every simulation, as it is recorded, into a per-experiment Chrome
+//! trace-event file (`DIR/<item>.trace.json`, loadable in `chrome://tracing`
+//! or Perfetto) and folds it into a per-request critical-path summary
+//! (`DIR/<item>.summary.json`); nothing of the trace is kept in memory, and
+//! for a fixed seed these files are byte-identical at any `BEEHIVE_WORKERS`.
 //!
 //! `--metrics DIR` keeps a live virtual-time metrics registry in every
 //! simulation and writes, per experiment, a snapshot
@@ -36,8 +36,8 @@
 //! runs one item with profiling on and prints the per-lane hottest-method
 //! tables directly.
 //!
-//! `--insight DIR` records a trace of every simulation and writes, per
-//! experiment, a latency-attribution + SLO document
+//! `--insight DIR` folds the trace of every simulation, as it is recorded,
+//! into a per-experiment latency-attribution + SLO document
 //! (`DIR/<item>.insight.json`, the `beehive_insight` JSON shape): each
 //! completed request's latency decomposed into typed components that sum
 //! exactly to the measured latency, slowest-K exemplar breakdowns, and
@@ -101,13 +101,15 @@
 //! scenario engine (`beehive_workload::engine`); pin the worker count with
 //! the `BEEHIVE_WORKERS` environment variable.
 
+mod artifacts;
+
 use std::fmt::{Display, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use beehive_apps::AppKind;
 use beehive_scaling::table1;
 use beehive_sim::json::{Json, ToJson};
-use beehive_telemetry::{chrome::chrome_trace_string, summary::critical_path_with};
 use beehive_workload::engine::{self, Harvest, ObsPlan, RunReport};
 use beehive_workload::experiment::{
     ablation::ablation,
@@ -449,7 +451,7 @@ const UMBRELLAS: [(&str, &str); 2] = [
 static CMDS: [Cmd; 6] = [
     Cmd {
         name: "diff",
-        desc: "compare plus root-cause diagnosis of regressed latency (repro diff BASE CUR)",
+        desc: "watched-metric regression gate with root-cause diagnosis (repro diff BASE CUR)",
         operands: "BASELINE CURRENT",
         flags: &[BENCH_OUT],
         run: run_diff,
@@ -678,9 +680,9 @@ fn run_items(args: Args) {
     // `--obs DIR` is the umbrella: every artifact family, one directory, one
     // pass (`Args::dir`), plus the online checker and the timeline reducer.
     let obs = args.has("--obs");
+    // The trace and insight families stream from each simulation's recorder
+    // (`artifacts`); nothing here retains a trace.
     engine::set_plan(ObsPlan {
-        // Attribution reads the recorded trace.
-        trace: args.dir("--trace").is_some() || args.dir("--insight").is_some(),
         metrics: args.dir("--metrics").is_some(),
         profile: args.dir("--profile").is_some(),
         sentinel: obs || args.has("--sentinel"),
@@ -703,7 +705,14 @@ fn run_items(args: Args) {
         if !json {
             banner(it.banner);
         }
+        let streamed =
+            artifacts::Artifacts::new(it.name, args.dir("--trace"), args.dir("--insight"))
+                .filter(|_| sims);
+        if let Some(a) = streamed.clone() {
+            engine::set_sinks(Some(Arc::new(move |seq, label| a.open(seq, label))));
+        }
         let out = run(args.profile, args.chaos_seed);
+        engine::set_sinks(None);
         if json {
             let rows = ITEMS.iter().filter(|row| printed_in(row, it));
             let titled = rows.zip(out.bodies);
@@ -712,7 +721,7 @@ fn run_items(args: Args) {
             print!("{}", out.text);
         }
         if sims {
-            violations += flush(it.name, &args);
+            violations += flush(it.name, &args, streamed.as_deref());
         }
     }
     if json {
@@ -724,58 +733,54 @@ fn run_items(args: Args) {
     }
 }
 
-/// Write `DIR/<name>.<ext>` for every `(ext, contents)` and report them on
-/// stderr as one `what: wrote A (N scenarios) and B` line.
-fn write_artifacts(what: &str, dir: &Path, name: &str, scenarios: usize, files: &[(&str, String)]) {
-    let mut wrote = format!("({scenarios} scenarios)");
-    for (i, (ext, contents)) in files.iter().enumerate() {
-        let path = dir.join(format!("{name}.{ext}"));
-        std::fs::write(&path, contents)
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        wrote = match i {
-            0 => format!("{what}: wrote {} {wrote}", path.display()),
-            _ => format!("{wrote} and {}", path.display()),
-        };
+fn write_file(path: &Path, contents: &str) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+}
+
+/// Report the files of one artifact family on stderr as one `what: wrote A
+/// (N scenarios) and B` line.
+fn report_written(what: &str, scenarios: usize, paths: &[PathBuf]) {
+    let mut wrote = format!(
+        "{what}: wrote {} ({scenarios} scenarios)",
+        paths[0].display()
+    );
+    for path in &paths[1..] {
+        let _ = write!(wrote, " and {}", path.display());
     }
     eprintln!("{wrote}");
 }
 
+/// Write `DIR/<name>.<ext>` for every `(ext, contents)` and report them.
+fn write_artifacts(what: &str, dir: &Path, name: &str, scenarios: usize, files: &[(&str, String)]) {
+    let write = |(ext, contents): &(&str, String)| {
+        let path = dir.join(format!("{name}.{ext}"));
+        write_file(&path, contents);
+        path
+    };
+    let paths: Vec<PathBuf> = files.iter().map(write).collect();
+    report_written(what, scenarios, &paths);
+}
+
 /// One artifact flush per item: drain what the engine harvested from the
 /// item's simulations and write every family that has a directory and ran.
-/// Profiles feed the trace summary, traces feed both the trace files and
-/// the insight document; returns the online checker's violation count,
-/// which gates the exit status.
-fn flush(name: &str, args: &Args) -> usize {
+/// Profiles feed the trace summary `streamed` completes next to the trace
+/// file and the insight document; returns the online checker's violation
+/// count, which gates the exit status.
+fn flush(name: &str, args: &Args, streamed: Option<&artifacts::Artifacts>) -> usize {
     let h = engine::drain();
     // A family is written when it has a directory and some scenario ran it.
     let ran = |family, scenarios: usize| args.dir(family).filter(|_| scenarios > 0);
     if let Some(dir) = ran("--profile", h.profiles.len()) {
         flush_profiles(dir, name, &h.profiles);
     }
-    if let Some(dir) = ran("--trace", h.traces.len()) {
+    if let Some(streamed) = streamed {
         // A scenario that was also profiled gains a `"hottest"` per-lane
         // top-methods table in its critical-path summary.
-        let hottest = |label: &str| {
+        streamed.flush(&|label| {
             let profile = h.profiles.iter().find(|(l, _)| l == label);
             profile.map(|(_, p)| p.hottest_json(5))
-        };
-        let files = [
-            ("trace.json", chrome_trace_string(&h.traces)),
-            (
-                "summary.json",
-                critical_path_with(&h.traces, &hottest).render(),
-            ),
-        ];
-        write_artifacts("trace", dir, name, h.traces.len(), &files);
-    }
-    if let Some(dir) = ran("--insight", h.traces.len()) {
-        let doc = beehive_insight::InsightDoc::from_traces(
-            &h.traces,
-            &beehive_insight::SloPolicy::default(),
-            beehive_metrics::EXEMPLAR_K,
-        );
-        let files = [("insight.json", doc.to_json().render())];
-        write_artifacts("insight", dir, name, doc.attributions.len(), &files);
+        });
     }
     if let Some(dir) = ran("--metrics", h.metrics.len()) {
         let snap = beehive_metrics::MetricsSnapshot {

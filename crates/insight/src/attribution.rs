@@ -1,6 +1,7 @@
 //! The attribution engine: every nanosecond of a request's latency, named.
 //!
-//! [`attribute`] folds one recorded [`Trace`] into an [`AttributionReport`]:
+//! [`AttributionFold`] folds one scenario's request timelines into an
+//! [`AttributionReport`] ([`attribute`] drives it over a recorded [`Trace`]):
 //! each completed request's end-to-end latency decomposed into the
 //! non-overlapping [`Component`]s of the Semi-FaaS execution model —
 //! server/function execution, server-side assist work, cold-boot wait,
@@ -20,8 +21,8 @@
 
 use beehive_sim::json::Json;
 use beehive_sim::SimTime;
-use beehive_telemetry::summary::{request_timelines, RequestTimeline};
-use beehive_telemetry::{EventKind, Trace};
+use beehive_telemetry::summary::{for_each_timeline, RequestTimeline};
+use beehive_telemetry::{EventKind, Trace, TraceEvent};
 
 /// One typed latency component. The discriminant order is the canonical
 /// rendering order of every report.
@@ -369,54 +370,86 @@ impl AttributionReport {
     }
 }
 
+/// One scenario's [`AttributionReport`] as a fold over its telemetry: every
+/// event goes to [`event`](Self::event), every request timeline to
+/// [`request`](Self::request), in any order (the sums commute and the
+/// slowest-K order is total).
+pub struct AttributionFold {
+    k: usize,
+    requests: u64,
+    shadows: u64,
+    total_ns: u64,
+    components: [u64; COMPONENTS],
+    gc_pause_ns: u64,
+    /// The `k` slowest so far, in report order.
+    slowest: Vec<RequestAttribution>,
+}
+
+impl AttributionFold {
+    /// A fold keeping the `k` slowest decompositions as exemplars.
+    pub fn new(k: usize) -> Self {
+        AttributionFold {
+            k,
+            requests: 0,
+            shadows: 0,
+            total_ns: 0,
+            components: [0; COMPONENTS],
+            gc_pause_ns: 0,
+            slowest: Vec::new(),
+        }
+    }
+
+    /// Take one event: GC pauses, on whatever track, add to the
+    /// scenario-level total.
+    pub fn event(&mut self, e: &TraceEvent) {
+        if let ("gc", EventKind::Complete(d)) = (e.name, e.kind) {
+            self.gc_pause_ns += d.as_nanos();
+        }
+    }
+
+    /// Attribute one request, when it completed.
+    pub fn request(&mut self, t: &RequestTimeline) {
+        if t.kind == Some("req:shadow") {
+            self.shadows += u64::from(t.end.is_some());
+            return;
+        }
+        let Some(r) = attribute_request(t) else {
+            return;
+        };
+        self.requests += 1;
+        self.total_ns += r.total_ns;
+        for (slot, ns) in self.components.iter_mut().zip(r.components) {
+            *slot += ns;
+        }
+        let order = |r: &RequestAttribution| (std::cmp::Reverse(r.total_ns), r.rid);
+        let rank = self.slowest.partition_point(|s| order(s) < order(&r));
+        if rank < self.k {
+            self.slowest.truncate(self.k - 1);
+            self.slowest.insert(rank, r);
+        }
+    }
+
+    /// The scenario's report.
+    pub fn finish(self, label: &str) -> AttributionReport {
+        AttributionReport {
+            label: label.to_string(),
+            requests: self.requests,
+            shadows: self.shadows,
+            total_ns: self.total_ns,
+            components: self.components,
+            gc_pause_ns: self.gc_pause_ns,
+            slowest: self.slowest,
+        }
+    }
+}
+
 /// Attribute every completed request of one labelled trace, keeping the
 /// `k` slowest decompositions as exemplars.
 pub fn attribute(label: &str, trace: &Trace, k: usize) -> AttributionReport {
-    let timelines = request_timelines(trace);
-    let mut requests = 0u64;
-    let mut shadows = 0u64;
-    let mut total_ns = 0u64;
-    let mut components = [0u64; COMPONENTS];
-    let mut attributed: Vec<RequestAttribution> = Vec::new();
-    for t in &timelines {
-        if t.kind == Some("req:shadow") {
-            if t.end.is_some() {
-                shadows += 1;
-            }
-            continue;
-        }
-        let Some(r) = attribute_request(t) else {
-            continue;
-        };
-        requests += 1;
-        total_ns += r.total_ns;
-        for (slot, ns) in components.iter_mut().zip(r.components) {
-            *slot += ns;
-        }
-        attributed.push(r);
-    }
-    attributed.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.rid.cmp(&b.rid)));
-    attributed.truncate(k);
-
-    let gc_pause_ns = trace
-        .events
-        .iter()
-        .filter(|e| e.name == "gc")
-        .filter_map(|e| match e.kind {
-            EventKind::Complete(d) => Some(d.as_nanos()),
-            _ => None,
-        })
-        .sum();
-
-    AttributionReport {
-        label: label.to_string(),
-        requests,
-        shadows,
-        total_ns,
-        components,
-        gc_pause_ns,
-        slowest: attributed,
-    }
+    let mut fold = AttributionFold::new(k);
+    trace.events.iter().for_each(|e| fold.event(e));
+    for_each_timeline(trace, |t| fold.request(&t));
+    fold.finish(label)
 }
 
 /// Attribute every labelled trace of a run, in input order.

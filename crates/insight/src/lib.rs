@@ -27,9 +27,11 @@ pub mod attribution;
 pub mod diff;
 pub mod slo;
 
-pub use attribution::{attribute, attribute_all, AttributionReport, Component, RequestAttribution};
+pub use attribution::{
+    attribute, attribute_all, AttributionFold, AttributionReport, Component, RequestAttribution,
+};
 pub use diff::{counter_deltas, diagnose, hottest_frame_growth, is_latency_metric, Diagnosis};
-pub use slo::{evaluate, evaluate_all, SloPolicy, SloReport};
+pub use slo::{evaluate, evaluate_all, SloFold, SloPolicy, SloReport};
 
 use beehive_sim::json::Json;
 

@@ -1,7 +1,8 @@
 //! SLO evaluation on virtual time: error budgets and multi-window burn
 //! rates.
 //!
-//! [`evaluate`] replays the completed requests of a trace (latency measured
+//! [`SloFold`] collects a scenario's completed requests as their timelines
+//! close ([`evaluate`] drives it over a recorded trace; latency measured
 //! arrival → completion, exactly like the driver's `request_latency`
 //! histogram) against an [`SloPolicy`]: a latency threshold, an objective
 //! (the fraction of requests that must meet it), and a set of trailing
@@ -13,7 +14,7 @@
 
 use beehive_sim::json::Json;
 use beehive_sim::{Duration, SimTime};
-use beehive_telemetry::summary::request_timelines;
+use beehive_telemetry::summary::{for_each_timeline, RequestTimeline};
 use beehive_telemetry::Trace;
 
 /// One service-level objective.
@@ -150,20 +151,31 @@ fn burn_bp(bad: u64, total: u64, objective_bp: u32) -> u64 {
     (bp as u64).min(BURN_CAP_BP)
 }
 
-/// Evaluate one labelled trace against a policy.
-///
-/// Completions are taken from the request timelines ( `req:server` and
-/// `req:offload` sessions), each charged its boot wait so the latency is
-/// the same arrival-to-completion quantity the metrics histogram records.
-pub fn evaluate(policy: &SloPolicy, label: &str, trace: &Trace) -> SloReport {
-    // (completion time, latency_ns), in completion order.
-    let mut done: Vec<(SimTime, u64)> = Vec::new();
-    for t in request_timelines(trace) {
+/// One scenario's [`SloReport`] as a fold over its request timelines, in any
+/// order: all it keeps is each completed request's completion time and
+/// latency.
+pub struct SloFold {
+    policy: SloPolicy,
+    /// `(completion time, latency_ns)` per completed request.
+    done: Vec<(SimTime, u64)>,
+}
+
+impl SloFold {
+    /// A fold evaluating against `policy`.
+    pub fn new(policy: SloPolicy) -> Self {
+        let done = Vec::new();
+        SloFold { policy, done }
+    }
+
+    /// Take one request, when it is a completed `req:server` / `req:offload`
+    /// session; it is charged its boot wait, so the latency is the same
+    /// arrival-to-completion quantity the metrics histogram records.
+    pub fn request(&mut self, t: &RequestTimeline) {
         let (Some(kind), Some(end)) = (t.kind, t.end) else {
-            continue;
+            return;
         };
         if kind != "req:server" && kind != "req:offload" {
-            continue;
+            return;
         }
         let boot: u64 = t
             .completes
@@ -171,59 +183,72 @@ pub fn evaluate(policy: &SloPolicy, label: &str, trace: &Trace) -> SloReport {
             .filter(|(n, _, _)| *n == "boot:wait")
             .map(|(_, _, d)| d.as_nanos())
             .sum();
-        done.push((end, end.saturating_since(t.start).as_nanos() + boot));
+        let latency = end.saturating_since(t.start).as_nanos() + boot;
+        self.done.push((end, latency));
     }
-    done.sort();
 
-    let threshold_ns = policy.threshold.as_nanos();
-    let total = done.len() as u64;
-    let bad = done.iter().filter(|&&(_, ns)| ns > threshold_ns).count() as u64;
-    let good = total - bad;
+    /// The scenario's report.
+    pub fn finish(self, label: &str) -> SloReport {
+        let SloFold { policy, mut done } = self;
+        done.sort();
 
-    // Whole-run budget: allowed bad = total * (1 - objective); consumed =
-    // bad / allowed, in basis points.
-    let budget_consumed_bp = burn_bp(bad, total, policy.objective_bp);
+        let threshold_ns = policy.threshold.as_nanos();
+        let total = done.len() as u64;
+        let bad = done.iter().filter(|&&(_, ns)| ns > threshold_ns).count() as u64;
+        let good = total - bad;
 
-    // Per window, the maximum burn over every trailing window ending at a
-    // completion instant (two pointers over the sorted completions).
-    let burn = policy
-        .windows
-        .iter()
-        .map(|w| {
-            let w_ns = w.as_nanos();
-            let mut lo = 0usize;
-            let mut bad_w = 0u64;
-            let mut max_bp = 0u64;
-            for hi in 0..done.len() {
-                if done[hi].1 > threshold_ns {
-                    bad_w += 1;
-                }
-                // Trailing window (end - w, end]: evict completions at or
-                // before the window's left edge.
-                let left = done[hi].0.saturating_since(SimTime::ZERO).as_nanos();
-                while done[lo].0.saturating_since(SimTime::ZERO).as_nanos() + w_ns <= left {
-                    if done[lo].1 > threshold_ns {
-                        bad_w -= 1;
+        // Whole-run budget: allowed bad = total * (1 - objective); consumed =
+        // bad / allowed, in basis points.
+        let budget_consumed_bp = burn_bp(bad, total, policy.objective_bp);
+
+        // Per window, the maximum burn over every trailing window ending at a
+        // completion instant (two pointers over the sorted completions).
+        let burn = policy
+            .windows
+            .iter()
+            .map(|w| {
+                let w_ns = w.as_nanos();
+                let mut lo = 0usize;
+                let mut bad_w = 0u64;
+                let mut max_bp = 0u64;
+                for hi in 0..done.len() {
+                    if done[hi].1 > threshold_ns {
+                        bad_w += 1;
                     }
-                    lo += 1;
+                    // Trailing window (end - w, end]: evict completions at or
+                    // before the window's left edge.
+                    let left = done[hi].0.saturating_since(SimTime::ZERO).as_nanos();
+                    while done[lo].0.saturating_since(SimTime::ZERO).as_nanos() + w_ns <= left {
+                        if done[lo].1 > threshold_ns {
+                            bad_w -= 1;
+                        }
+                        lo += 1;
+                    }
+                    let in_window = (hi - lo + 1) as u64;
+                    max_bp = max_bp.max(burn_bp(bad_w, in_window, policy.objective_bp));
                 }
-                let in_window = (hi - lo + 1) as u64;
-                max_bp = max_bp.max(burn_bp(bad_w, in_window, policy.objective_bp));
-            }
-            (w_ns, max_bp)
-        })
-        .collect();
+                (w_ns, max_bp)
+            })
+            .collect();
 
-    SloReport {
-        label: label.to_string(),
-        threshold_ns,
-        objective_bp: policy.objective_bp,
-        total,
-        good,
-        bad,
-        budget_consumed_bp,
-        burn,
+        SloReport {
+            label: label.to_string(),
+            threshold_ns,
+            objective_bp: policy.objective_bp,
+            total,
+            good,
+            bad,
+            budget_consumed_bp,
+            burn,
+        }
     }
+}
+
+/// Evaluate one labelled trace against a policy.
+pub fn evaluate(policy: &SloPolicy, label: &str, trace: &Trace) -> SloReport {
+    let mut fold = SloFold::new(policy.clone());
+    for_each_timeline(trace, |t| fold.request(&t));
+    fold.finish(label)
 }
 
 /// Evaluate every labelled trace of a run, in input order.

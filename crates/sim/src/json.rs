@@ -88,29 +88,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                use fmt::Write;
-                let _ = write!(out, "{i}");
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    use fmt::Write;
-                    // Rust's Display prints the shortest string that parses
-                    // back to the same f64 — deterministic across platforms.
-                    let mut buf = String::new();
-                    let _ = write!(buf, "{x}");
-                    // `Display` omits ".0" for integral floats; keep it so a
-                    // reader can tell floats from ints and round-trips stay
-                    // type-stable.
-                    if !buf.contains(['.', 'e', 'E']) {
-                        buf.push_str(".0");
-                    }
-                    out.push_str(&buf);
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Int(i) => write_int(*i, out),
+            Json::Num(x) => write_num(*x, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -127,7 +107,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -291,8 +271,60 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `v` in decimal, as [`Json::Int`] renders.
+pub fn write_int(v: i128, out: &mut String) {
+    if v < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 39]; // u128::MAX has 39
+    let mut at = digits.len();
+    let mut push = |d: u8| {
+        at -= 1;
+        digits[at] = b'0' + d;
+    };
+    // 128-bit division is a library call and nearly every value fits 64.
+    let mut wide = v.unsigned_abs();
+    while wide > u64::MAX as u128 {
+        push((wide % 10) as u8);
+        wide /= 10;
+    }
+    let mut n = wide as u64;
+    loop {
+        push((n % 10) as u8);
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `x` as [`Json::Num`] renders: the shortest string that parses back
+/// to the same `f64` (Rust's `Display`, deterministic across platforms),
+/// `null` when not finite.
+pub fn write_num(x: f64, out: &mut String) {
+    if !x.is_finite() {
+        return out.push_str("null");
+    }
+    use fmt::Write;
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    // `Display` omits ".0" for integral floats; keep it so a reader can tell
+    // floats from ints and round-trips stay type-stable.
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Append `s` as a JSON string literal, as [`Json::Str`] renders.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
+    // Most strings (every key, nearly every name) need no escaping.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -589,6 +621,48 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
         assert_eq!(Json::Str("a\"b\n".into()).render(), r#""a\"b\n""#);
+    }
+
+    #[test]
+    fn number_writers_match_display_formatting() {
+        // What `Json::write` did before it wrote numbers in place: format
+        // into a scratch string, then patch integral floats.
+        let old_num = |x: f64| {
+            let mut buf = format!("{x}");
+            if !buf.contains(['.', 'e', 'E']) {
+                buf.push_str(".0");
+            }
+            buf
+        };
+        let mut rng = crate::Rng::new(0x5EED);
+        let mut ints = vec![0, 1, -1, 9, 10, i64::MAX as i128, i64::MIN as i128];
+        ints.extend([u64::MAX as i128, u64::MAX as i128 + 1, i128::MAX, i128::MIN]);
+        let mut nums = vec![
+            0.0,
+            -0.0,
+            1e21,
+            1e-7,
+            123456789012345680.0,
+            f64::MIN_POSITIVE,
+        ];
+        for _ in 0..10_000 {
+            let bits = rng.next_u64();
+            // Every magnitude: shift a random word right by a random amount.
+            ints.push((bits >> rng.gen_range(64)) as i128 * if bits & 1 == 0 { 1 } else { -1 });
+            ints.push(((bits as i128) << 64 | rng.next_u64() as i128) >> rng.gen_range(64));
+            nums.push(f64::from_bits(bits));
+            nums.push(bits as f64 / 1000.0);
+        }
+        for i in ints {
+            assert_eq!(Json::Int(i).render(), format!("{i}"));
+        }
+        for x in nums.into_iter().filter(|x| x.is_finite()) {
+            assert_eq!(Json::Num(x).render(), old_num(x), "{x:e}");
+        }
+        // Appending leaves what `out` already held alone, `.`s included.
+        let mut out = String::from("[1.5,");
+        write_num(2.0, &mut out);
+        assert_eq!(out, "[1.5,2.0");
     }
 
     #[test]

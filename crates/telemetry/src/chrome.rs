@@ -12,10 +12,19 @@
 //! * [`EventKind`] maps onto phases `B`/`E`/`X`/`i`/`C`, with timestamps in
 //!   microseconds of virtual time.
 //!
-//! Rendering goes through `beehive_sim::json`, so the output is
-//! deterministic: the same traces render to the same bytes.
+//! [`ChromeWriter`] is the one renderer: it formats each record straight
+//! into a write buffer with the number and string writers of
+//! `beehive_sim::json`, so a document costs one buffer however long the run
+//! and renders to the same bytes as the `Json` tree the tests keep as the
+//! reference. [`TraceFile`] puts such a document on disk scenario by
+//! scenario, in submission order at any worker count.
 
-use beehive_sim::json::Json;
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+
+use beehive_sim::json::{write_int, write_num, write_str};
 
 use crate::{Arg, EventKind, Trace, TraceEvent, Track};
 
@@ -33,141 +42,390 @@ fn pid_tid(track: Track, base: u64) -> (u64, u64) {
     }
 }
 
-fn arg_json(a: &Arg) -> Json {
-    match *a {
-        Arg::Int(v) => Json::Int(v as i128),
-        Arg::UInt(v) => Json::Int(v as i128),
-        Arg::Float(v) => Json::Num(v),
-        Arg::Bool(v) => Json::Bool(v),
-        Arg::Str(v) => Json::from(v),
+/// Chrome timestamps are microseconds; keep sub-µs precision as a fraction.
+/// Rendered from the integer: `q.rrr` with trailing zeros stripped (`.0`
+/// when integral) is the shortest decimal that parses back to the `f64`
+/// nearest `nanos / 1000` as long as it has at most 15 significant digits.
+fn write_micros(nanos: u64, out: &mut String) {
+    if nanos >= 1_000_000_000_000_000 {
+        return write_num(nanos as f64 / 1000.0, out);
     }
-}
-
-fn micros(nanos: u64) -> Json {
-    // Chrome timestamps are microseconds; keep sub-µs precision as a
-    // fraction. f64 division is deterministic (IEEE-754), so rendering is
-    // byte-stable.
-    Json::Num(nanos as f64 / 1000.0)
-}
-
-fn event_json(e: &TraceEvent, base: u64) -> Json {
-    let (pid, tid) = pid_tid(e.track, base);
-    let ph = match e.kind {
-        EventKind::Begin => "B",
-        EventKind::End => "E",
-        EventKind::Complete(_) => "X",
-        EventKind::Instant => "i",
-        EventKind::Counter(_) => "C",
-    };
-    let cat = e.name.split(':').next().unwrap_or(e.name);
-    let mut fields: Vec<(String, Json)> = vec![
-        ("name".into(), Json::from(e.name)),
-        ("cat".into(), Json::from(cat)),
-        ("ph".into(), Json::from(ph)),
-        ("ts".into(), micros(e.at.as_nanos())),
-        ("pid".into(), Json::Int(pid as i128)),
-        ("tid".into(), Json::Int(tid as i128)),
+    write_int((nanos / 1000) as i128, out);
+    let frac = [
+        b'.',
+        b'0' + (nanos / 100 % 10) as u8,
+        b'0' + (nanos / 10 % 10) as u8,
+        b'0' + (nanos % 10) as u8,
     ];
-    match e.kind {
-        EventKind::Complete(d) => fields.push(("dur".into(), micros(d.as_nanos()))),
-        EventKind::Instant => fields.push(("s".into(), Json::from("t"))),
-        _ => {}
-    }
-    if let EventKind::Counter(v) = e.kind {
-        fields.push((
-            "args".into(),
-            Json::obj([("value".into(), Json::Int(v as i128))]),
-        ));
-    } else if !e.args.is_empty() {
-        fields.push((
-            "args".into(),
-            Json::Obj(
-                e.args
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), arg_json(v)))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(fields)
+    let keep = match frac {
+        [.., b'0', b'0'] => 2,
+        [.., b'0'] => 3,
+        _ => 4,
+    };
+    out.push_str(std::str::from_utf8(&frac[..keep]).expect("ASCII digits"));
 }
 
-fn metadata_json(pid: u64, name: &str) -> Json {
-    Json::obj([
-        ("name".into(), Json::from("process_name")),
-        ("ph".into(), Json::from("M")),
-        ("pid".into(), Json::Int(pid as i128)),
-        ("tid".into(), Json::Int(0)),
-        (
-            "args".into(),
-            Json::obj([("name".into(), Json::from(name))]),
-        ),
-    ])
+/// Bytes buffered before [`ChromeWriter`] writes them out.
+const WRITE_AT: usize = 64 << 10;
+
+/// Streams a Chrome trace-event document into `W`, one record at a time:
+/// [`open`], then per scenario [`begin_scenario`] and its [`event`]s, then
+/// [`close`] and [`finish`]. A writer that skips `open`/`close` produces a
+/// *fragment*: the records of scenarios `idx > 0`, which can be appended to
+/// a document that already holds the scenarios before them.
+///
+/// [`open`]: Self::open
+/// [`begin_scenario`]: Self::begin_scenario
+/// [`event`]: Self::event
+/// [`close`]: Self::close
+/// [`finish`]: Self::finish
+///
+/// Write errors are sticky: the first one stops all further output and is
+/// what `finish` returns, so the per-event calls stay infallible.
+pub struct ChromeWriter<W: Write> {
+    out: W,
+    buf: String,
+    /// First `pid` of the current scenario's block.
+    base: u64,
+    err: Option<io::Error>,
 }
 
-fn scenario_events(idx: usize, label: &str, trace: &Trace, out: &mut Vec<Json>) {
-    let base = 1 + idx as u64 * PIDS_PER_SCENARIO;
-    for (off, endpoint) in ["server", "faas", "db", "sim"].iter().enumerate() {
-        out.push(metadata_json(
-            base + off as u64,
-            &format!("{label} · {endpoint}"),
-        ));
+impl<W: Write> ChromeWriter<W> {
+    /// A writer onto `out`; nothing is written yet.
+    pub fn new(out: W) -> Self {
+        ChromeWriter {
+            out,
+            buf: String::new(),
+            base: 0,
+            err: None,
+        }
     }
-    for e in &trace.events {
-        out.push(event_json(e, base));
+
+    /// Start the document.
+    pub fn open(&mut self) {
+        self.buf.push_str("{\"traceEvents\":[");
+    }
+
+    /// Start scenario `idx` (from 0, in document order): its four
+    /// `process_name` records. Scenario 0's first record is the document's
+    /// first, so it alone takes no separating comma.
+    pub fn begin_scenario(&mut self, idx: usize, label: &str) {
+        self.base = 1 + idx as u64 * PIDS_PER_SCENARIO;
+        for (off, endpoint) in ["server", "faas", "db", "sim"].iter().enumerate() {
+            let b = &mut self.buf;
+            if idx > 0 || off > 0 {
+                b.push(',');
+            }
+            b.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+            write_int((self.base + off as u64) as i128, b);
+            b.push_str(",\"tid\":0,\"args\":{\"name\":");
+            write_str(&format!("{label} · {endpoint}"), b);
+            b.push_str("}}");
+        }
+    }
+
+    /// One event of the current scenario.
+    pub fn event(&mut self, e: &TraceEvent) {
+        let (pid, tid) = pid_tid(e.track, self.base);
+        let b = &mut self.buf;
+        b.push_str(",{\"name\":");
+        write_str(e.name, b);
+        b.push_str(",\"cat\":");
+        write_str(e.name.split(':').next().unwrap_or(e.name), b);
+        b.push_str(match e.kind {
+            EventKind::Begin => ",\"ph\":\"B\",\"ts\":",
+            EventKind::End => ",\"ph\":\"E\",\"ts\":",
+            EventKind::Complete(_) => ",\"ph\":\"X\",\"ts\":",
+            EventKind::Instant => ",\"ph\":\"i\",\"ts\":",
+            EventKind::Counter(_) => ",\"ph\":\"C\",\"ts\":",
+        });
+        write_micros(e.at.as_nanos(), b);
+        b.push_str(",\"pid\":");
+        write_int(pid as i128, b);
+        b.push_str(",\"tid\":");
+        write_int(tid as i128, b);
+        match e.kind {
+            EventKind::Complete(d) => {
+                b.push_str(",\"dur\":");
+                write_micros(d.as_nanos(), b);
+            }
+            EventKind::Instant => b.push_str(",\"s\":\"t\""),
+            _ => {}
+        }
+        if let EventKind::Counter(v) = e.kind {
+            b.push_str(",\"args\":{\"value\":");
+            write_int(v as i128, b);
+            b.push('}');
+        } else if !e.args.is_empty() {
+            b.push_str(",\"args\":");
+            for (i, (k, v)) in e.args.iter().enumerate() {
+                b.push(if i == 0 { '{' } else { ',' });
+                write_str(k, b);
+                b.push(':');
+                match *v {
+                    Arg::Int(v) => write_int(v as i128, b),
+                    Arg::UInt(v) => write_int(v as i128, b),
+                    Arg::Float(v) => write_num(v, b),
+                    Arg::Bool(v) => b.push_str(if v { "true" } else { "false" }),
+                    Arg::Str(v) => write_str(v, b),
+                }
+            }
+            b.push('}');
+        }
+        b.push('}');
+        if b.len() >= WRITE_AT {
+            self.write_out();
+        }
+    }
+
+    /// End the document.
+    pub fn close(&mut self) {
+        self.buf.push_str("],\"displayTimeUnit\":\"ms\"}");
+    }
+
+    fn write_out(&mut self) {
+        if self.err.is_none() {
+            self.err = self.out.write_all(self.buf.as_bytes()).err();
+        }
+        self.buf.clear();
+    }
+
+    /// Write out what is buffered and hand `W` back, or the first error any
+    /// write met.
+    pub fn finish(mut self) -> io::Result<W> {
+        self.write_out();
+        match self.err {
+            None => Ok(self.out),
+            Some(e) => Err(e),
+        }
     }
 }
 
-/// Render labelled traces as a Chrome trace-event document (a `Json` tree:
-/// `{"traceEvents": [...], "displayTimeUnit": "ms"}`).
-pub fn chrome_trace(scenarios: &[(String, Trace)]) -> Json {
-    let mut events = Vec::new();
-    for (idx, (label, trace)) in scenarios.iter().enumerate() {
-        scenario_events(idx, label, trace, &mut events);
-    }
-    Json::obj([
-        ("traceEvents".into(), Json::Arr(events)),
-        ("displayTimeUnit".into(), Json::from("ms")),
-    ])
-}
-
-/// [`chrome_trace`], rendered straight to a string. Events are rendered one
-/// at a time, so the peak memory is one event's JSON rather than a second
-/// copy of the whole trace — traced full-length experiments run to millions
-/// of events.
+/// Labelled traces as one Chrome trace-event document:
+/// `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
 pub fn chrome_trace_string(scenarios: &[(String, Trace)]) -> String {
     let total: usize = scenarios.iter().map(|(_, t)| t.events.len()).sum();
-    let mut out = String::with_capacity(64 + total * 96);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |j: Json, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&j.render());
-    };
+    let mut w = ChromeWriter::new(Vec::with_capacity(64 + total * 96));
+    w.open();
     for (idx, (label, trace)) in scenarios.iter().enumerate() {
-        let base = 1 + idx as u64 * PIDS_PER_SCENARIO;
-        for (off, endpoint) in ["server", "faas", "db", "sim"].iter().enumerate() {
-            push(
-                metadata_json(base + off as u64, &format!("{label} · {endpoint}")),
-                &mut out,
-                &mut first,
-            );
-        }
-        for e in &trace.events {
-            push(event_json(e, base), &mut out, &mut first);
-        }
+        w.begin_scenario(idx, label);
+        trace.events.iter().for_each(|e| w.event(e));
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    w.close();
+    let bytes = w.finish().expect("writing to a Vec cannot fail");
+    String::from_utf8(bytes).expect("the writer emits UTF-8")
+}
+
+/// One Chrome document on disk, streamed scenario by scenario from any
+/// number of worker threads and byte-identical whatever their number.
+///
+/// Scenario `idx` streams straight into the file when every scenario before
+/// it already has (always, with one worker); otherwise its fragment spills
+/// to `<path>.part<idx>`, which [`finish`](Self::finish) appends in order
+/// and removes.
+pub struct TraceFile {
+    path: PathBuf,
+    /// The document's file while no scenario is streaming into it, and how
+    /// many scenarios have.
+    head: Mutex<(Option<File>, usize)>,
+}
+
+/// One scenario's share of a [`TraceFile`].
+pub struct ScenarioTrace {
+    doc: Arc<TraceFile>,
+    writer: ChromeWriter<File>,
+    /// Streaming into the document itself, not a part file.
+    direct: bool,
+}
+
+impl TraceFile {
+    /// A document at `path`; nothing is created until scenario 0 opens.
+    pub fn new(path: impl Into<PathBuf>) -> Arc<TraceFile> {
+        Arc::new(TraceFile {
+            path: path.into(),
+            head: Mutex::new((None, 0)),
+        })
+    }
+
+    /// Where the document is (being) written.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    fn part(&self, idx: usize) -> PathBuf {
+        let mut name = self.path.clone().into_os_string();
+        name.push(format!(".part{idx}"));
+        name.into()
+    }
+
+    fn head(&self) -> std::sync::MutexGuard<'_, (Option<File>, usize)> {
+        self.head.lock().expect("no head-lock holder panics")
+    }
+
+    /// Open scenario `idx` (from 0, in submission order).
+    pub fn scenario(self: &Arc<Self>, idx: usize, label: &str) -> io::Result<ScenarioTrace> {
+        let mut head = self.head();
+        let direct = head.1 == idx;
+        let mut writer = ChromeWriter::new(if !direct {
+            File::create(self.part(idx))?
+        } else if idx == 0 {
+            File::create(&self.path)?
+        } else {
+            let returned = head.0.take();
+            returned.expect("the scenario before this one handed the file back")
+        });
+        if idx == 0 {
+            writer.open();
+        }
+        writer.begin_scenario(idx, label);
+        Ok(ScenarioTrace {
+            doc: Arc::clone(self),
+            writer,
+            direct,
+        })
+    }
+
+    /// Complete the document once all of its `scenarios` have finished.
+    pub fn finish(&self, scenarios: usize) -> io::Result<()> {
+        let (file, streamed) = std::mem::take(&mut *self.head());
+        let mut file = match file {
+            Some(file) => file,
+            None => File::create(&self.path)?, // no scenario at all
+        };
+        for idx in streamed..scenarios {
+            let part = self.part(idx);
+            io::copy(&mut File::open(&part)?, &mut file)?;
+            std::fs::remove_file(&part)?;
+        }
+        let mut writer = ChromeWriter::new(file);
+        if scenarios == 0 {
+            writer.open();
+        }
+        writer.close();
+        writer.finish().map(drop)
+    }
+}
+
+impl ScenarioTrace {
+    /// One event of this scenario.
+    pub fn event(&mut self, e: &TraceEvent) {
+        self.writer.event(e);
+    }
+
+    /// The scenario's last event has been written.
+    pub fn finish(self) -> io::Result<()> {
+        let file = self.writer.finish()?;
+        if self.direct {
+            let mut head = self.doc.head();
+            *head = (Some(file), head.1 + 1);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beehive_sim::{Duration, SimTime};
+    use beehive_sim::json::Json;
+    use beehive_sim::{Duration, Rng, SimTime};
+
+    fn arg_json(a: &Arg) -> Json {
+        match *a {
+            Arg::Int(v) => Json::Int(v as i128),
+            Arg::UInt(v) => Json::Int(v as i128),
+            Arg::Float(v) => Json::Num(v),
+            Arg::Bool(v) => Json::Bool(v),
+            Arg::Str(v) => Json::from(v),
+        }
+    }
+
+    fn micros(nanos: u64) -> Json {
+        // Chrome timestamps are microseconds; keep sub-µs precision as a
+        // fraction. f64 division is deterministic (IEEE-754), so rendering is
+        // byte-stable.
+        Json::Num(nanos as f64 / 1000.0)
+    }
+
+    fn event_json(e: &TraceEvent, base: u64) -> Json {
+        let (pid, tid) = pid_tid(e.track, base);
+        let ph = match e.kind {
+            EventKind::Begin => "B",
+            EventKind::End => "E",
+            EventKind::Complete(_) => "X",
+            EventKind::Instant => "i",
+            EventKind::Counter(_) => "C",
+        };
+        let cat = e.name.split(':').next().unwrap_or(e.name);
+        let mut fields: Vec<(String, Json)> = vec![
+            ("name".into(), Json::from(e.name)),
+            ("cat".into(), Json::from(cat)),
+            ("ph".into(), Json::from(ph)),
+            ("ts".into(), micros(e.at.as_nanos())),
+            ("pid".into(), Json::Int(pid as i128)),
+            ("tid".into(), Json::Int(tid as i128)),
+        ];
+        match e.kind {
+            EventKind::Complete(d) => fields.push(("dur".into(), micros(d.as_nanos()))),
+            EventKind::Instant => fields.push(("s".into(), Json::from("t"))),
+            _ => {}
+        }
+        if let EventKind::Counter(v) = e.kind {
+            fields.push((
+                "args".into(),
+                Json::obj([("value".into(), Json::Int(v as i128))]),
+            ));
+        } else if !e.args.is_empty() {
+            fields.push((
+                "args".into(),
+                Json::Obj(
+                    e.args
+                        .iter()
+                        .map(|(k, v)| ((*k).to_string(), arg_json(v)))
+                        .collect(),
+                ),
+            ));
+        }
+        Json::Obj(fields)
+    }
+
+    fn metadata_json(pid: u64, name: &str) -> Json {
+        Json::obj([
+            ("name".into(), Json::from("process_name")),
+            ("ph".into(), Json::from("M")),
+            ("pid".into(), Json::Int(pid as i128)),
+            ("tid".into(), Json::Int(0)),
+            (
+                "args".into(),
+                Json::obj([("name".into(), Json::from(name))]),
+            ),
+        ])
+    }
+
+    fn scenario_events(idx: usize, label: &str, trace: &Trace, out: &mut Vec<Json>) {
+        let base = 1 + idx as u64 * PIDS_PER_SCENARIO;
+        for (off, endpoint) in ["server", "faas", "db", "sim"].iter().enumerate() {
+            out.push(metadata_json(
+                base + off as u64,
+                &format!("{label} · {endpoint}"),
+            ));
+        }
+        for e in &trace.events {
+            out.push(event_json(e, base));
+        }
+    }
+
+    /// The reference the writer is compared against: the same document as a
+    /// `Json` tree.
+    fn chrome_trace(scenarios: &[(String, Trace)]) -> Json {
+        let mut events = Vec::new();
+        for (idx, (label, trace)) in scenarios.iter().enumerate() {
+            scenario_events(idx, label, trace, &mut events);
+        }
+        Json::obj([
+            ("traceEvents".into(), Json::Arr(events)),
+            ("displayTimeUnit".into(), Json::from("ms")),
+        ])
+    }
 
     fn sample() -> Vec<(String, Trace)> {
         let at = |us: u64| SimTime::ZERO + Duration::from_micros(us);
@@ -323,5 +581,124 @@ mod tests {
         assert!(rendered.contains("\"name\":\"Vanilla · server\""));
         // Scenario 1's server pid is 1 + 1*4 = 5.
         assert!(rendered.contains("\"pid\":5,\"tid\":4"));
+    }
+
+    fn at_nanos(n: u64) -> SimTime {
+        SimTime::ZERO + Duration::from_nanos(n)
+    }
+
+    #[test]
+    fn writer_matches_the_tree_on_every_kind_arg_and_escape() {
+        let kinds = [
+            EventKind::Begin,
+            EventKind::End,
+            EventKind::Complete(Duration::from_nanos(1_500)),
+            EventKind::Instant,
+            EventKind::Counter(-3),
+        ];
+        let args: [Vec<(&'static str, Arg)>; 7] = [
+            vec![],
+            vec![("i", Arg::Int(i64::MIN))],
+            vec![("u", Arg::UInt(u64::MAX))],
+            vec![("f", Arg::Float(0.1)), ("whole", Arg::Float(2.0))],
+            vec![("nan", Arg::Float(f64::NAN)), ("b", Arg::Bool(false))],
+            vec![("s", Arg::Str("plain")), ("t", Arg::Bool(true))],
+            vec![("k\"ey\n", Arg::Str("tab\there \\ \u{1} é"))],
+        ];
+        let tracks = [
+            Track::Server,
+            Track::Request(41),
+            Track::Instance(7),
+            Track::Platform,
+            Track::Db,
+            Track::Sim,
+        ];
+        let mut events = Vec::new();
+        for (i, kind) in kinds.into_iter().enumerate() {
+            for (j, args) in args.iter().enumerate() {
+                events.push(TraceEvent {
+                    at: at_nanos(1_000 * i as u64 + j as u64),
+                    track: tracks[(i + j) % tracks.len()],
+                    name: ["fallback:data", "gc", "we\"ird:na\\me\n"][(i + j) % 3],
+                    kind,
+                    args: args.clone(),
+                });
+            }
+        }
+        let scenarios = vec![
+            ("a \"quoted\" label".to_string(), Trace { events }),
+            ("second".to_string(), sample().remove(0).1),
+        ];
+        let s = chrome_trace_string(&scenarios);
+        assert_eq!(s, chrome_trace(&scenarios).render());
+        assert_eq!(Json::parse(&s).expect("valid JSON").render(), s);
+    }
+
+    #[test]
+    fn timestamps_match_the_float_rendering() {
+        let mut nanos = vec![0, 1, 10, 100, 999, 1_000, 1_001, 1_010, 1_100];
+        nanos.extend([1_000_000_000_001, 999_999_999_999_999]);
+        // From 10^15 ns on the writer takes the float path itself.
+        nanos.extend([1_000_000_000_000_000, 1_000_000_000_000_001, u64::MAX]);
+        let mut rng = Rng::new(0xC420);
+        for _ in 0..10_000 {
+            nanos.push(rng.next_u64() >> rng.gen_range(64));
+        }
+        for n in nanos {
+            let mut direct = String::new();
+            write_micros(n, &mut direct);
+            assert_eq!(direct, micros(n).render(), "{n} ns");
+        }
+    }
+
+    #[test]
+    fn trace_file_is_the_same_document_in_any_completion_order() {
+        let scenarios: Vec<(String, Trace)> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|l| (l.to_string(), sample().remove(0).1))
+            .collect();
+        let expected = chrome_trace_string(&scenarios);
+        let dir = std::env::temp_dir().join(format!("beehive-tracefile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |s: &mut ScenarioTrace, t: &Trace| t.events.iter().for_each(|e| s.event(e));
+        // Each order lists the scenarios as they open; `true` finishes the
+        // scenario right away (one worker), `false` leaves it running while
+        // later ones open (several workers) and finishes it last-opened-first.
+        for (round, eager) in [true, false].into_iter().enumerate() {
+            let path = dir.join(format!("doc{round}.trace.json"));
+            let file = TraceFile::new(&path);
+            let mut running = Vec::new();
+            for (idx, (label, trace)) in scenarios.iter().enumerate() {
+                let mut s = file.scenario(idx, label).unwrap();
+                write(&mut s, trace);
+                if eager {
+                    s.finish().unwrap();
+                } else {
+                    running.push(s);
+                }
+            }
+            while let Some(s) = running.pop() {
+                s.finish().unwrap();
+            }
+            file.finish(scenarios.len()).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        }
+        // No scenario at all is still a document, and no part file is left.
+        let empty = TraceFile::new(dir.join("empty.trace.json"));
+        empty.finish(0).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(empty.path()).unwrap(),
+            chrome_trace_string(&[])
+        );
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["doc0.trace.json", "doc1.trace.json", "empty.trace.json"]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

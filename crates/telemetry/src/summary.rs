@@ -7,21 +7,24 @@
 //! the log-scale [`LogHistogram`], so the rendered JSON is byte-stable — it
 //! is what `scripts/verify.sh` diffs against a golden file.
 //!
-//! The per-request fold is exposed as [`request_timelines`]: one
-//! [`RequestTimeline`] per request track, carrying the closed span
-//! intervals, completes, and instants in recorded order. The summary
-//! renders from timelines, and `beehive-insight` consumes the same
-//! extraction to attribute every nanosecond of a request's latency to a
-//! typed component — both views are guaranteed to read the trace the same
-//! way because there is only one reader.
+//! Request tracks have one reader, the streaming [`TimelineBuilder`]: it
+//! hands out one [`RequestTimeline`] per request — the closed span
+//! intervals, completes and instants in recorded order — as soon as the
+//! request's session span closes, so its state is the requests in flight.
+//! [`SummaryFold`] folds those timelines (and the endpoint events) into this
+//! module's document, and `beehive-insight` folds the same timelines into
+//! latency attributions and SLO reports; `repro` feeds all of them from one
+//! builder while the simulation runs, and [`critical_path`] /
+//! [`request_timelines`] drive the same builder and fold over a retained
+//! [`Trace`].
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 use beehive_sim::json::Json;
 use beehive_sim::{Duration, SimTime};
 
-use crate::{EventKind, LogHistogram, Trace, Track};
+use crate::{EventKind, LogHistogram, Trace, TraceEvent, Track};
 
 /// One closed `Begin`/`End` span on a request track.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +49,7 @@ impl SpanInterval {
 /// Spans left open at the horizon are dropped (the request never finished
 /// them); `End` events with no matching `Begin` are ignored, mirroring the
 /// tolerance of the rendered summary.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RequestTimeline {
     /// Request id (the server-issued rid stamped on the track).
     pub rid: u64,
@@ -104,19 +107,42 @@ impl RequestTimeline {
     }
 }
 
-/// Extract one [`RequestTimeline`] per request track, sorted by request id.
+/// The single reader of request tracks, as a streaming state machine: feed it
+/// a scenario's events in emission order and it hands out each request's
+/// [`RequestTimeline`] when the request's `req:*` session span closes.
 ///
-/// This is the single reader of request tracks: the rendered summary and
-/// the insight attribution engine both build on it, so they cannot drift in
-/// how they interpret a trace.
-pub fn request_timelines(trace: &Trace) -> Vec<RequestTimeline> {
-    let mut reqs: HashMap<u64, RequestTimeline> = HashMap::new();
-    let mut open: HashMap<u64, Vec<(&'static str, SimTime)>> = HashMap::new();
-    for e in &trace.events {
+/// The emitters never put an event on a request track after its session span
+/// ended, so a handed-out timeline is final and the state held is one
+/// timeline per request in flight.
+#[derive(Default)]
+pub struct TimelineBuilder {
+    in_flight: HashMap<u64, InFlight>,
+}
+
+/// A request whose session span has not closed.
+struct InFlight {
+    timeline: RequestTimeline,
+    /// Its open sub-spans: `(name, begin)`, innermost last.
+    open: Vec<(&'static str, SimTime)>,
+}
+
+impl TimelineBuilder {
+    /// A builder with no request in flight.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Take one event (those off the request tracks are ignored). Returns the
+    /// request's timeline when `e` closes its session span.
+    pub fn feed(&mut self, e: &TraceEvent) -> Option<RequestTimeline> {
         let Track::Request(rid) = e.track else {
-            continue;
+            return None;
         };
-        let r = reqs.entry(rid).or_insert_with(|| RequestTimeline::new(rid));
+        let InFlight { timeline: r, open } =
+            self.in_flight.entry(rid).or_insert_with(|| InFlight {
+                timeline: RequestTimeline::new(rid),
+                open: Vec::new(),
+            });
         match e.kind {
             EventKind::Begin if e.name.starts_with("req:") => {
                 r.kind = Some(e.name);
@@ -124,26 +150,51 @@ pub fn request_timelines(trace: &Trace) -> Vec<RequestTimeline> {
             }
             EventKind::End if e.name.starts_with("req:") => {
                 r.end = Some(e.at);
+                return self.in_flight.remove(&rid).map(|r| r.timeline);
             }
-            EventKind::Begin => open.entry(rid).or_default().push((e.name, e.at)),
+            EventKind::Begin => open.push((e.name, e.at)),
             EventKind::End => {
-                if let Some(stack) = open.get_mut(&rid) {
-                    if let Some(pos) = stack.iter().rposition(|(n, _)| *n == e.name) {
-                        let (name, began) = stack.remove(pos);
-                        r.spans.push(SpanInterval {
-                            name,
-                            begin: began,
-                            end: e.at,
-                        });
-                    }
+                if let Some(pos) = open.iter().rposition(|(n, _)| *n == e.name) {
+                    let (name, begin) = open.remove(pos);
+                    r.spans.push(SpanInterval {
+                        name,
+                        begin,
+                        end: e.at,
+                    });
                 }
             }
             EventKind::Complete(d) => r.completes.push((e.name, e.at, d)),
             EventKind::Instant => r.instants.push((e.name, e.at)),
             EventKind::Counter(_) => {}
         }
+        None
     }
-    let mut timelines: Vec<RequestTimeline> = reqs.into_values().collect();
+
+    /// The requests whose session span never closed, sorted by request id.
+    pub fn finish(self) -> Vec<RequestTimeline> {
+        let mut open: Vec<_> = self.in_flight.into_values().map(|r| r.timeline).collect();
+        open.sort_by_key(|r| r.rid);
+        open
+    }
+}
+
+/// Every request timeline of a retained trace: the closed ones in completion
+/// order, then the still-open ones by request id.
+pub fn for_each_timeline(trace: &Trace, mut f: impl FnMut(RequestTimeline)) {
+    let mut builder = TimelineBuilder::new();
+    for e in &trace.events {
+        if let Some(t) = builder.feed(e) {
+            f(t);
+        }
+    }
+    builder.finish().into_iter().for_each(f);
+}
+
+/// One [`RequestTimeline`] per request track of a retained trace, sorted by
+/// request id.
+pub fn request_timelines(trace: &Trace) -> Vec<RequestTimeline> {
+    let mut timelines = Vec::new();
+    for_each_timeline(trace, |t| timelines.push(t));
     timelines.sort_by_key(|r| r.rid);
     timelines
 }
@@ -198,157 +249,189 @@ pub fn critical_path(scenarios: &[(String, Trace)]) -> Json {
 
 /// [`critical_path`] with a per-scenario extension hook: when `extras`
 /// returns a value for a scenario label, it is appended to that scenario's
-/// object under a `"hottest"` key. `repro --profile` uses this to surface
-/// the top methods per request lane next to the phase breakdown; plain
-/// traced runs (`extras` always `None`) render byte-identically to
-/// [`critical_path`].
+/// object under a `"hottest"` key ([`document`]).
 pub fn critical_path_with(
     scenarios: &[(String, Trace)],
     extras: &dyn Fn(&str) -> Option<Json>,
 ) -> Json {
-    let rendered: Vec<Json> = scenarios
-        .iter()
-        .map(|(label, trace)| {
-            let mut doc = scenario_summary(label, trace);
-            if let (Json::Obj(fields), Some(extra)) = (&mut doc, extras(label)) {
-                fields.push(("hottest".into(), extra));
-            }
-            doc
-        })
-        .collect();
-    Json::obj([("scenarios".into(), Json::Arr(rendered))])
+    document(scenarios.iter().map(|(label, trace)| {
+        let mut fold = SummaryFold::default();
+        trace.events.iter().for_each(|e| fold.event(e));
+        for_each_timeline(trace, |t| fold.request(&t));
+        (fold.finish(label), extras(label))
+    }))
 }
 
-fn scenario_summary(label: &str, trace: &Trace) -> Json {
-    let timelines = request_timelines(trace);
+/// The critical-path document over per-scenario summaries
+/// ([`SummaryFold::finish`]), each with its optional `"hottest"` extension:
+/// `repro --profile` uses it to surface the top methods per request lane
+/// next to the phase breakdown, and a summary without one renders as it is.
+pub fn document(summaries: impl IntoIterator<Item = (Json, Option<Json>)>) -> Json {
+    let scenarios = summaries.into_iter().map(|(mut doc, extra)| {
+        if let (Json::Obj(fields), Some(extra)) = (&mut doc, extra) {
+            fields.push(("hottest".into(), extra));
+        }
+        doc
+    });
+    Json::obj([("scenarios".into(), Json::Arr(scenarios.collect()))])
+}
 
-    // Phase aggregates across all requests.
-    let mut phase_aggs: BTreeMap<&'static str, PhaseAgg> = BTreeMap::new();
-    for t in &timelines {
-        for s in &t.spans {
-            phase_aggs.entry(s.name).or_default().add(s.duration());
-        }
-        for (name, _, d) in &t.completes {
-            phase_aggs.entry(name).or_default().add(*d);
-        }
-        for (name, _) in &t.instants {
-            phase_aggs.entry(name).or_default().tick();
-        }
-    }
+/// How many of the slowest completed requests a summary lists.
+const SLOWEST: usize = 8;
 
-    // Open B/E spans on non-request tracks (e.g. instance boot spans).
-    let mut open_endpoint: HashMap<(Track, &'static str), Vec<SimTime>> = HashMap::new();
-    let mut endpoint_aggs: BTreeMap<&'static str, PhaseAgg> = BTreeMap::new();
-    for e in &trace.events {
+/// One of the slowest completed requests: what its `slowest` row renders.
+struct SlowRequest {
+    /// Slowest first, ties by ascending request id.
+    order: (Reverse<u64>, u64),
+    kind: &'static str,
+    phases: BTreeMap<&'static str, (u64, u64)>,
+}
+
+/// One scenario's summary as a fold over its telemetry: every event goes to
+/// [`event`](Self::event), every request timeline — completed or not — to
+/// [`request`](Self::request), in any order (all aggregates commute).
+#[derive(Default)]
+pub struct SummaryFold {
+    phases: BTreeMap<&'static str, PhaseAgg>,
+    endpoint: BTreeMap<&'static str, PhaseAgg>,
+    /// Open B/E spans on non-request tracks (e.g. instance boot spans).
+    open_endpoint: HashMap<(Track, &'static str), Vec<SimTime>>,
+    /// Completed requests by session kind.
+    by_kind: BTreeMap<&'static str, (u64, LogHistogram)>,
+    /// The [`SLOWEST`] slowest completed requests, in `order`.
+    slowest: Vec<SlowRequest>,
+}
+
+impl SummaryFold {
+    /// Aggregate one event; those on request tracks reach the summary
+    /// through their timeline instead.
+    pub fn event(&mut self, e: &TraceEvent) {
         if matches!(e.track, Track::Request(_)) {
-            continue;
+            return;
         }
         match e.kind {
-            EventKind::Begin => open_endpoint
+            EventKind::Begin => self
+                .open_endpoint
                 .entry((e.track, e.name))
                 .or_default()
                 .push(e.at),
             EventKind::End => {
-                if let Some(stack) = open_endpoint.get_mut(&(e.track, e.name)) {
-                    if let Some(began) = stack.pop() {
-                        endpoint_aggs
-                            .entry(e.name)
-                            .or_default()
-                            .add(e.at.saturating_since(began));
-                    }
+                let open = self.open_endpoint.get_mut(&(e.track, e.name));
+                if let Some(began) = open.and_then(Vec::pop) {
+                    let span = e.at.saturating_since(began);
+                    self.endpoint.entry(e.name).or_default().add(span);
                 }
             }
-            EventKind::Complete(d) => endpoint_aggs.entry(e.name).or_default().add(d),
-            EventKind::Instant => endpoint_aggs.entry(e.name).or_default().tick(),
+            EventKind::Complete(d) => self.endpoint.entry(e.name).or_default().add(d),
+            EventKind::Instant => self.endpoint.entry(e.name).or_default().tick(),
             EventKind::Counter(_) => {}
         }
     }
 
-    // Completed requests by session kind.
-    let mut by_kind: BTreeMap<&'static str, (u64, LogHistogram)> = BTreeMap::new();
-    let mut completed: Vec<(u64, &RequestTimeline, u64)> = Vec::new(); // (rid, timeline, latency)
-    for t in &timelines {
+    /// Aggregate one request.
+    pub fn request(&mut self, t: &RequestTimeline) {
+        for s in &t.spans {
+            self.phases.entry(s.name).or_default().add(s.duration());
+        }
+        for (name, _, d) in &t.completes {
+            self.phases.entry(name).or_default().add(*d);
+        }
+        for (name, _) in &t.instants {
+            self.phases.entry(name).or_default().tick();
+        }
         let (Some(kind), Some(latency)) = (t.kind, t.latency()) else {
-            continue;
+            return;
         };
-        let e = by_kind.entry(kind).or_default();
+        let e = self.by_kind.entry(kind).or_default();
         e.0 += 1;
         e.1.record(latency);
-        completed.push((t.rid, t, latency.as_nanos()));
+        let order = (Reverse(latency.as_nanos()), t.rid);
+        let rank = self.slowest.partition_point(|s| s.order < order);
+        if rank < SLOWEST {
+            let phases = t.phases();
+            self.slowest.truncate(SLOWEST - 1);
+            self.slowest.insert(
+                rank,
+                SlowRequest {
+                    order,
+                    kind,
+                    phases,
+                },
+            );
+        }
     }
-    completed.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    completed.truncate(8);
 
-    let requests = Json::Obj(
-        by_kind
-            .iter()
-            .map(|(kind, (count, hist))| {
-                let mut fields = vec![("count".into(), Json::Int(*count as i128))];
-                fields.extend(hist_quantiles(hist));
-                ((*kind).to_string(), Json::Obj(fields))
-            })
-            .collect(),
-    );
-
-    let agg_json = |aggs: &BTreeMap<&'static str, PhaseAgg>| {
-        Json::Arr(
-            aggs.iter()
-                .map(|(name, a)| {
-                    let mut fields = vec![
-                        ("name".into(), Json::from(*name)),
-                        ("count".into(), Json::Int(a.count as i128)),
-                        ("total_us".into(), us(a.total_nanos)),
-                    ];
-                    if !a.hist.is_empty() {
-                        fields.extend(hist_quantiles(&a.hist));
-                    }
-                    Json::Obj(fields)
+    /// The scenario's summary object.
+    pub fn finish(self, label: &str) -> Json {
+        let requests = Json::Obj(
+            self.by_kind
+                .iter()
+                .map(|(kind, (count, hist))| {
+                    let mut fields = vec![("count".into(), Json::Int(*count as i128))];
+                    fields.extend(hist_quantiles(hist));
+                    ((*kind).to_string(), Json::Obj(fields))
                 })
                 .collect(),
-        )
-    };
+        );
 
-    let slowest = Json::Arr(
-        completed
-            .iter()
-            .map(|(rid, t, latency)| {
-                let mut phases: Vec<(&'static str, (u64, u64))> =
-                    t.phases().iter().map(|(n, v)| (*n, *v)).collect();
-                phases.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
-                Json::obj([
-                    ("request".into(), Json::Int(*rid as i128)),
-                    (
-                        "kind".into(),
-                        Json::from(t.kind.expect("completed requests have a kind")),
-                    ),
-                    ("total_us".into(), us(*latency)),
-                    (
-                        "phases".into(),
-                        Json::Arr(
-                            phases
-                                .iter()
-                                .map(|(n, (c, nanos))| {
-                                    Json::obj([
-                                        ("name".into(), Json::from(*n)),
-                                        ("count".into(), Json::Int(*c as i128)),
-                                        ("total_us".into(), us(*nanos)),
-                                    ])
-                                })
-                                .collect(),
+        let agg_json = |aggs: &BTreeMap<&'static str, PhaseAgg>| {
+            Json::Arr(
+                aggs.iter()
+                    .map(|(name, a)| {
+                        let mut fields = vec![
+                            ("name".into(), Json::from(*name)),
+                            ("count".into(), Json::Int(a.count as i128)),
+                            ("total_us".into(), us(a.total_nanos)),
+                        ];
+                        if !a.hist.is_empty() {
+                            fields.extend(hist_quantiles(&a.hist));
+                        }
+                        Json::Obj(fields)
+                    })
+                    .collect(),
+            )
+        };
+
+        let slowest = Json::Arr(
+            self.slowest
+                .iter()
+                .map(|s| {
+                    let (Reverse(latency), rid) = s.order;
+                    let mut phases: Vec<(&'static str, (u64, u64))> =
+                        s.phases.iter().map(|(n, v)| (*n, *v)).collect();
+                    phases.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
+                    Json::obj([
+                        ("request".into(), Json::Int(rid as i128)),
+                        ("kind".into(), Json::from(s.kind)),
+                        ("total_us".into(), us(latency)),
+                        (
+                            "phases".into(),
+                            Json::Arr(
+                                phases
+                                    .iter()
+                                    .map(|(n, (c, nanos))| {
+                                        Json::obj([
+                                            ("name".into(), Json::from(*n)),
+                                            ("count".into(), Json::Int(*c as i128)),
+                                            ("total_us".into(), us(*nanos)),
+                                        ])
+                                    })
+                                    .collect(),
+                            ),
                         ),
-                    ),
-                ])
-            })
-            .collect(),
-    );
+                    ])
+                })
+                .collect(),
+        );
 
-    Json::obj([
-        ("label".into(), Json::from(label)),
-        ("requests".into(), requests),
-        ("phases".into(), agg_json(&phase_aggs)),
-        ("endpoint_events".into(), agg_json(&endpoint_aggs)),
-        ("slowest".into(), slowest),
-    ])
+        Json::obj([
+            ("label".into(), Json::from(label)),
+            ("requests".into(), requests),
+            ("phases".into(), agg_json(&self.phases)),
+            ("endpoint_events".into(), agg_json(&self.endpoint)),
+            ("slowest".into(), slowest),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -479,6 +562,92 @@ mod tests {
         assert_eq!(timelines[2].rid, 3);
         assert_eq!(timelines[2].kind, Some("req:server"));
         assert_eq!(timelines[2].latency(), None);
+    }
+
+    /// The whole-trace fold [`TimelineBuilder`] replaced, kept as the
+    /// reference it is compared against.
+    fn batch_timelines(trace: &Trace) -> Vec<RequestTimeline> {
+        let mut reqs: HashMap<u64, RequestTimeline> = HashMap::new();
+        let mut open: HashMap<u64, Vec<(&'static str, SimTime)>> = HashMap::new();
+        for e in &trace.events {
+            let Track::Request(rid) = e.track else {
+                continue;
+            };
+            let r = reqs.entry(rid).or_insert_with(|| RequestTimeline::new(rid));
+            match e.kind {
+                EventKind::Begin if e.name.starts_with("req:") => {
+                    r.kind = Some(e.name);
+                    r.start = e.at;
+                }
+                EventKind::End if e.name.starts_with("req:") => r.end = Some(e.at),
+                EventKind::Begin => open.entry(rid).or_default().push((e.name, e.at)),
+                EventKind::End => {
+                    let stack = open.entry(rid).or_default();
+                    if let Some(pos) = stack.iter().rposition(|(n, _)| *n == e.name) {
+                        let (name, begin) = stack.remove(pos);
+                        let end = e.at;
+                        r.spans.push(SpanInterval { name, begin, end });
+                    }
+                }
+                EventKind::Complete(d) => r.completes.push((e.name, e.at, d)),
+                EventKind::Instant => r.instants.push((e.name, e.at)),
+                EventKind::Counter(_) => {}
+            }
+        }
+        let mut timelines: Vec<RequestTimeline> = reqs.into_values().collect();
+        timelines.sort_by_key(|r| r.rid);
+        timelines
+    }
+
+    #[test]
+    fn streamed_timelines_equal_the_batch_fold_on_random_interleavings() {
+        const NAMES: [&str; 5] = [
+            "req:offload",
+            "req:server",
+            "wait:net",
+            "fallback:data",
+            "gc",
+        ];
+        let mut rng = beehive_sim::Rng::new(0x71AE);
+        for round in 0..200 {
+            // A handful of requests in flight at a time; a request whose
+            // session span closed is retired (the emitters' one guarantee),
+            // everything else is fair game: unmatched and repeated `End`s,
+            // sub-spans and sessions still open at the horizon, requests
+            // that never begin or never end, endpoint events in between.
+            let mut live: Vec<u64> = (0..4).collect();
+            let mut next_rid = 4;
+            let mut events = Vec::new();
+            for step in 0..rng.gen_range(120) {
+                let slot = rng.gen_range(live.len() as u64 + 1) as usize;
+                let track = match live.get(slot) {
+                    Some(&rid) => Track::Request(rid),
+                    None => [Track::Server, Track::Instance(1), Track::Db][step as usize % 3],
+                };
+                let name = NAMES[rng.gen_range(NAMES.len() as u64) as usize];
+                let kind = match rng.gen_range(6) {
+                    0 | 1 => EventKind::Begin,
+                    2 | 3 => EventKind::End,
+                    4 => EventKind::Complete(Duration::from_micros(rng.gen_range(9))),
+                    _ if step % 2 == 0 => EventKind::Instant,
+                    _ => EventKind::Counter(step as i64),
+                };
+                if kind == EventKind::End && name.starts_with("req:") && slot < live.len() {
+                    live[slot] = next_rid;
+                    next_rid += 1;
+                }
+                events.push(ev(step, track, name, kind));
+            }
+            let trace = Trace { events };
+            let batch = batch_timelines(&trace);
+            assert_eq!(request_timelines(&trace), batch, "round {round}");
+            // Handed out exactly the closed ones, each once; the rest at the end.
+            let mut builder = TimelineBuilder::new();
+            let closed = trace.events.iter().filter_map(|e| builder.feed(e)).count();
+            let open = builder.finish();
+            assert!(open.iter().all(|t| t.end.is_none()), "round {round}");
+            assert_eq!(closed + open.len(), batch.len(), "round {round}");
+        }
     }
 
     #[test]

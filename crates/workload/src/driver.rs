@@ -35,6 +35,16 @@ use crate::endpoint::{Fleet, Obs};
 use crate::lifecycle::{Done, Lane, Lifecycle, Request};
 use crate::router::{Router, Target};
 
+/// A streaming consumer of one run's telemetry ([`Sim::attach`]): fed every
+/// event once, in emission order, from the same per-step pump as the
+/// sentinel and the observatory, so what it keeps is all the run retains.
+pub trait EventSink {
+    /// One recorded event.
+    fn feed(&mut self, e: &tele::TraceEvent);
+    /// The run ended; `feed` has seen its last event.
+    fn finish(self: Box<Self>);
+}
+
 /// The simulation engine. Build with a [`SimConfig`], call [`Sim::run`].
 pub struct Sim {
     cfg: SimConfig,
@@ -55,6 +65,8 @@ pub struct Sim {
     sentinel: Option<beehive_sentinel::Sentinel>,
     /// The streaming timeline reducer, when [`SimConfig::observe`] is set.
     observatory: Option<beehive_observatory::Observer>,
+    /// The embedder's consumer, when one was [attached](Sim::attach).
+    sink: Option<Box<dyn EventSink>>,
     /// Last arrival rate seen (milli-rps), for `burst:onset` edge detection.
     last_mrps: u64,
 }
@@ -126,19 +138,32 @@ impl Sim {
             acct: Acct::new(),
             sentinel: None,
             observatory: None,
+            sink: None,
             last_mrps: 0,
         }
+    }
+
+    /// Stream this run's telemetry into `sink`. Arms the recorder like
+    /// [`SimConfig::sentinel`] does: without [`SimConfig::trace`], each event
+    /// is freed as soon as the online consumers have seen it.
+    pub fn attach(&mut self, sink: Box<dyn EventSink>) {
+        self.sink = Some(sink);
+    }
+
+    /// Whether some online consumer reads the recorder at every step.
+    fn online(&self) -> bool {
+        self.cfg.sentinel || self.cfg.observe || self.sink.is_some()
     }
 
     /// Whether this run arms the telemetry recorder: to retain the trace,
     /// or only to feed the online consumers.
     fn recording(&self) -> bool {
-        self.cfg.trace || self.cfg.sentinel || self.cfg.observe
+        self.cfg.trace || self.online()
     }
 
     /// Run to the horizon and collect results.
     pub fn run(mut self) -> SimResult {
-        let online = self.cfg.sentinel || self.cfg.observe;
+        let online = self.online();
         let recording = self.recording();
         if recording {
             // Installed here rather than in `new` so the prewarm warm-up
@@ -219,6 +244,9 @@ impl Sim {
                     }
                     if let Some(observer) = self.observatory.as_mut() {
                         observer.feed(e);
+                    }
+                    if let Some(sink) = self.sink.as_mut() {
+                        sink.feed(e);
                     }
                 });
             }
@@ -743,6 +771,9 @@ impl Sim {
         // consumers pumped it empty and returns no trace.
         let taken = if self.recording() { tele::take() } else { None };
         let trace = taken.filter(|_| self.cfg.trace);
+        if let Some(sink) = self.sink {
+            sink.finish();
+        }
         // Blank labels: the engine harvest, which knows the scenario name,
         // fills them in; standalone `Sim::run` callers label them themselves.
         let sentinel = self.sentinel.map(|s| s.finish(String::new()));

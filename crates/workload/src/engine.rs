@@ -13,7 +13,9 @@
 //!   to scheduling and every report stays bit-identical to a serial run,
 //! * [`ObsPlan`] / [`Harvest`] — the one observability path: the plan
 //!   ([`set_plan`]) says which substrates every scenario carries, and
-//!   [`run_all`] moves what they produced into the harvest ([`drain`]),
+//!   [`run_all`] moves what they produced into the harvest ([`drain`]);
+//!   [`set_sinks`] additionally streams every scenario's telemetry into an
+//!   embedder's [`EventSink`] while it runs,
 //! * [`RunReport`] — a structured title + JSON body, the machine-readable
 //!   form of a report surfaced by `repro --json`.
 //!
@@ -46,7 +48,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use beehive_sim::json::{Json, ToJson};
@@ -54,6 +56,7 @@ use beehive_telemetry::Trace;
 
 pub use crate::config::ObsPlan;
 use crate::config::{SimConfig, SimResult};
+pub use crate::driver::EventSink;
 use crate::driver::Sim;
 
 /// Until [`set_plan`]: nothing on, a plain run.
@@ -75,6 +78,21 @@ pub fn set_plan(plan: ObsPlan) {
 /// The engine-wide plan (every substrate off until [`set_plan`]).
 pub fn plan() -> ObsPlan {
     *PLAN.lock().expect("no plan-lock holder panics")
+}
+
+/// Opens the [`EventSink`] of one scenario, given its number and label.
+pub type SinkFactory = dyn Fn(usize, &str) -> Box<dyn EventSink> + Send + Sync;
+
+/// The factory [`set_sinks`] installed and the next scenario's number.
+static SINKS: Mutex<Option<(Arc<SinkFactory>, usize)>> = Mutex::new(None);
+
+/// Attach a sink from `open` to every scenario [`run_all`] runs from now on
+/// (`None`: stop). Scenarios are numbered from 0 in submission order across
+/// `run_all` calls — whichever worker runs them, and in whatever order they
+/// finish — and each sink is opened, fed and finished on the thread that
+/// runs its scenario.
+pub fn set_sinks(open: Option<Arc<SinkFactory>>) {
+    *SINKS.lock().expect("no sinks-lock holder panics") = open.map(|open| (open, 0));
 }
 
 /// What the substrates of completed runs produced, one entry per scenario
@@ -206,16 +224,32 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
         .map(|s| (s.label, Mutex::new((Some(s.cfg), None::<SimResult>))))
         .unzip();
     let next = AtomicUsize::new(0);
+    // This batch's share of the sink numbering, taken in one step so that
+    // concurrent callers cannot interleave theirs.
+    let sinks = {
+        let mut sinks = SINKS.lock().expect("no sinks-lock holder panics");
+        sinks.as_mut().map(|(open, seq)| {
+            let first = *seq;
+            *seq += cells.len();
+            (Arc::clone(open), first)
+        })
+    };
 
     // Work-stealing by atomic index: each worker claims the next unstarted
     // scenario and repeats; the claim order is irrelevant to the output.
-    let claim = || {
-        while let Some(cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let lock = || cell.lock().expect("a cell is never locked across a run");
-            let cfg = lock().0.take().expect("scenario claimed twice");
-            let result = Sim::new(cfg).run();
-            lock().1 = Some(result);
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(cell) = cells.get(i) else {
+            break;
+        };
+        let lock = || cell.lock().expect("a cell is never locked across a run");
+        let cfg = lock().0.take().expect("scenario claimed twice");
+        let mut sim = Sim::new(cfg);
+        if let Some((open, first)) = &sinks {
+            sim.attach(open(first + i, &labels[i]));
         }
+        let result = sim.run();
+        lock().1 = Some(result);
     };
     // The calling thread is one of the workers, so `workers ≤ 1` spawns
     // nothing and runs the same loop inline.

@@ -1,26 +1,35 @@
 //! Trace determinism regression: with tracing on, the Chrome trace-event
-//! export must be byte-identical regardless of worker count (same seed at
-//! 1, 2, and 8 workers), and must round-trip through the strict in-tree
-//! RFC 8259 parser.
+//! export — rendered from the retained traces, or streamed to a file while
+//! the scenarios run — must be byte-identical regardless of worker count
+//! (same seed at 1, 2, and 8 workers), and must round-trip through the
+//! strict in-tree RFC 8259 parser.
+
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use beehive_apps::AppKind;
 use beehive_sim::json::Json;
-use beehive_telemetry::chrome::chrome_trace_string;
+use beehive_telemetry::chrome::{chrome_trace_string, ScenarioTrace, TraceFile};
 use beehive_telemetry::summary::critical_path;
-use beehive_telemetry::Trace;
-use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
+use beehive_telemetry::{Trace, TraceEvent};
+use beehive_workload::engine::{drain, run_all_with_workers, set_sinks, EventSink, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
-/// Run two traced burst experiments at the given worker count and return
-/// the labelled traces (in input order).
-fn traces_at(workers: usize) -> Vec<(String, Trace)> {
+/// The engine's harvest and sinks are process-wide: one test at a time.
+fn engine() -> MutexGuard<'static, ()> {
+    static ENGINE: Mutex<()> = Mutex::new(());
+    ENGINE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run two traced burst experiments of `secs` virtual seconds at the given
+/// worker count and return the labelled traces (in input order).
+fn traces_at(workers: usize, secs: u64) -> Vec<(String, Trace)> {
     let scenarios: Vec<Scenario> = [Strategy::BeeHiveOpenWhisk, Strategy::Vanilla]
         .into_iter()
         .map(|s| {
             let e = BurstExperiment::new(AppKind::Pybbs, s)
-                .horizon_secs(20)
-                .burst_at_secs(5)
+                .horizon_secs(secs)
+                .burst_at_secs(secs / 4)
                 .seed(42);
             let mut cfg = e.config();
             cfg.trace = true;
@@ -36,7 +45,8 @@ fn traces_at(workers: usize) -> Vec<(String, Trace)> {
 
 #[test]
 fn chrome_export_is_byte_identical_at_any_worker_count() {
-    let serial = traces_at(1);
+    let _engine = engine();
+    let serial = traces_at(1, 20);
     let doc = chrome_trace_string(&serial);
     let summary = critical_path(&serial).render();
 
@@ -55,7 +65,7 @@ fn chrome_export_is_byte_identical_at_any_worker_count() {
     }
 
     for workers in [2, 8] {
-        let parallel = traces_at(workers);
+        let parallel = traces_at(workers, 20);
         assert_eq!(
             serial, parallel,
             "worker count {workers} changed the recorded traces"
@@ -79,8 +89,59 @@ fn chrome_export_is_byte_identical_at_any_worker_count() {
     assert_eq!(parsed_summary.render(), summary);
 }
 
+/// Streams one scenario's events into its share of a [`TraceFile`].
+struct FileSink(ScenarioTrace);
+
+impl EventSink for FileSink {
+    fn feed(&mut self, e: &TraceEvent) {
+        self.0.event(e);
+    }
+
+    fn finish(self: Box<Self>) {
+        self.0.finish().expect("writing the scenario's fragment");
+    }
+}
+
+#[test]
+fn streamed_trace_file_is_byte_identical_at_any_worker_count() {
+    let _engine = engine();
+    let dir = std::env::temp_dir().join(format!("beehive-streamed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("burst.trace.json");
+    let mut reference = None;
+    for workers in [1, 2, 8] {
+        let file = TraceFile::new(&path);
+        let doc = Arc::clone(&file);
+        set_sinks(Some(Arc::new(move |seq, label| {
+            Box::new(FileSink(doc.scenario(seq, label).expect("opening")))
+        })));
+        // Two batches: the numbering runs on across `run_all` calls, and the
+        // traces retained alongside are what the file must render.
+        let mut retained = traces_at(workers, 8);
+        retained.extend(traces_at(workers, 8));
+        set_sinks(None);
+        file.finish(retained.len())
+            .expect("completing the document");
+
+        let streamed = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            streamed == chrome_trace_string(&retained),
+            "{workers} workers: the streamed file is not the retained traces' export"
+        );
+        assert!(
+            *reference.get_or_insert_with(|| streamed.clone()) == streamed,
+            "worker count {workers} changed the streamed file"
+        );
+        // Fragments that spilled to part files were folded in and removed.
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "{workers} workers left {left:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn untraced_runs_leave_no_traces_behind() {
+    let _engine = engine();
     let e = BurstExperiment::new(AppKind::Pybbs, Strategy::Vanilla)
         .horizon_secs(2)
         .seed(7);

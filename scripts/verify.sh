@@ -71,11 +71,29 @@ trace_dir="$verify_out/trace"
 mkdir -p "$trace_dir"
 BEEHIVE_WORKERS=2 ./target/release/repro shadow --quick --seed 42 --trace "$trace_dir" > /dev/null
 diff -u scripts/golden/shadow_summary_quick.json "$trace_dir/shadow.summary.json"
-# The Chrome trace itself is too large for a golden file; check it is
-# well-formed where it counts instead.
 head -c 64 "$trace_dir/shadow.trace.json" | grep -q '^{"traceEvents":\[' \
   || { echo "trace file is not a Chrome trace-event document"; exit 1; }
 rm -rf "$trace_dir"
+
+echo "==> golden: the streamed --obs artifacts of table5 --quick are byte-stable"
+# The Chrome trace is too large for a golden file (72 MB); its length and
+# digest are pinned instead, with the two documents folded from the same
+# event stream, at a worker count that streams every scenario straight into
+# the file and at one that spills fragments to part files.
+digests="scripts/golden/obs_table5_quick.digests"
+for w in 1 2; do
+  mkdir -p "$trace_dir"
+  BEEHIVE_WORKERS=$w ./target/release/repro table5 --quick --seed 42 \
+    --obs "$trace_dir" > /dev/null 2>&1
+  grep -v '^#' "$digests" | while read -r _ _ file; do
+    printf '%s  %s  %s\n' "$(sha256sum < "$trace_dir/$file" | cut -d' ' -f1)" \
+      "$(wc -c < "$trace_dir/$file")" "$file"
+  done > "$verify_out/obs_table5_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/obs_table5_quick.digests"
+  [ "$(ls "$trace_dir" | wc -l)" -eq 10 ] \
+    || { echo "--obs left something besides its ten artifacts:"; ls "$trace_dir"; exit 1; }
+  rm -rf "$trace_dir" "$verify_out/obs_table5_quick.digests"
+done
 
 echo "==> golden: profiled quick repro folded stacks are byte-stable"
 profile_dir="$verify_out/profile"
