@@ -1,8 +1,7 @@
 //! The function-side runtime of one FaaS instance.
 
-use std::collections::HashMap;
-
 use beehive_proxy::ConnId;
+use beehive_sim::FastMap;
 use beehive_vm::program::Program;
 use beehive_vm::{CostModel, MethodId, VmInstance};
 
@@ -22,7 +21,7 @@ pub struct FunctionRuntime {
     pub instantiated_for: Option<MethodId>,
     /// Proxy connections attached via prepared offload IDs:
     /// offload-id → underlying logical connection.
-    pub attached: HashMap<u64, ConnId>,
+    pub attached: FastMap<u64, ConnId>,
 }
 
 impl FunctionRuntime {
@@ -36,7 +35,7 @@ impl FunctionRuntime {
             id,
             vm,
             instantiated_for: None,
-            attached: HashMap::new(),
+            attached: FastMap::default(),
         }
     }
 

@@ -6,16 +6,15 @@
 //! responsible for synchronizing updates on the shared objects between FaaS
 //! functions and the server."
 
-use std::collections::HashMap;
-
+use beehive_sim::FastMap;
 use beehive_vm::Addr;
 
 /// Bidirectional address map between server canonical addresses and one
 /// function's local addresses.
 #[derive(Clone, Debug, Default)]
 pub struct MappingTable {
-    to_local: HashMap<Addr, Addr>,
-    to_server: HashMap<Addr, Addr>,
+    to_local: FastMap<Addr, Addr>,
+    to_server: FastMap<Addr, Addr>,
 }
 
 impl MappingTable {

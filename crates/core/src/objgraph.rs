@@ -13,6 +13,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
+use beehive_sim::FastSet;
 use beehive_vm::class::PackKind;
 use beehive_vm::heap::Space;
 use beehive_vm::program::Program;
@@ -81,7 +82,7 @@ pub fn copy_to_function(
         sorted.sort_unstable(); // deterministic layout
         sorted.into()
     };
-    let mut seen: HashSet<Addr> = HashSet::new();
+    let mut seen: FastSet<Addr> = FastSet::default();
     while let Some(server_addr) = queue.pop_front() {
         assert!(
             !server_addr.is_remote(),
@@ -197,7 +198,7 @@ pub fn apply_dirty_to_server(
     // counterpart yet.
     let mut escape_order: Vec<Addr> = Vec::new();
     let mut queue: VecDeque<Addr> = dirty.iter().copied().collect();
-    let mut seen: HashSet<Addr> = HashSet::new();
+    let mut seen: FastSet<Addr> = FastSet::default();
     while let Some(local) = queue.pop_front() {
         if !seen.insert(local) {
             continue;

@@ -15,9 +15,8 @@
 //! synchronization point, and the database write journal keeps re-executed
 //! writes exactly-once.
 
-use std::collections::HashMap;
-
 use beehive_proxy::ConnId;
+use beehive_sim::FastMap;
 use beehive_vm::{Execution, MethodId, VmInstance};
 
 use crate::function::FunctionRuntime;
@@ -29,7 +28,7 @@ pub struct Snapshot {
     /// The execution (frames, locals, operand stacks) at the sync point.
     pub exec: Execution,
     vm: VmInstance,
-    attached: HashMap<u64, ConnId>,
+    attached: FastMap<u64, ConnId>,
     instantiated_for: Option<MethodId>,
     /// The write sequence counter at the sync point (re-executed writes
     /// reuse their keys, so the database journal deduplicates them).

@@ -1,10 +1,11 @@
 //! The server-side BeeHive runtime: the long-running monolith plus all the
 //! bookkeeping that coordinates its FaaS functions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use beehive_proxy::{ConnId, Proxy};
+use beehive_sim::{FastMap, FastSet};
 use beehive_vm::class::{PackKind, PackSpec};
 use beehive_vm::heap::Space;
 use beehive_vm::natives::{NativeEffect, NativeState};
@@ -51,10 +52,10 @@ pub struct ServerRuntime {
     pub config: BeeHiveConfig,
     /// Aggregate statistics.
     pub stats: RuntimeStats,
-    plans: HashMap<MethodId, ClosurePlan>,
-    mappings: HashMap<u32, MappingTable>,
-    monitor_owner: HashMap<Addr, EndpointId>,
-    locks_in_transfer: HashSet<Addr>,
+    plans: FastMap<MethodId, ClosurePlan>,
+    mappings: FastMap<u32, MappingTable>,
+    monitor_owner: FastMap<Addr, EndpointId>,
+    locks_in_transfer: FastSet<Addr>,
     freed_locks: Vec<Addr>,
     next_request: u64,
 }
@@ -74,10 +75,10 @@ impl ServerRuntime {
             proxy,
             config,
             stats: RuntimeStats::default(),
-            plans: HashMap::new(),
-            mappings: HashMap::new(),
-            monitor_owner: HashMap::new(),
-            locks_in_transfer: HashSet::new(),
+            plans: FastMap::default(),
+            mappings: FastMap::default(),
+            monitor_owner: FastMap::default(),
+            locks_in_transfer: FastSet::default(),
             freed_locks: Vec::new(),
             next_request: 1,
         }
@@ -493,7 +494,7 @@ fn pack_native_state(
     state: Option<NativeState>,
     func_vm: &mut VmInstance,
     proxy: &mut Proxy,
-    attached: &mut HashMap<u64, ConnId>,
+    attached: &mut FastMap<u64, ConnId>,
     func_id: u32,
     packageable_enabled: bool,
     proxy_enabled: bool,

@@ -286,8 +286,7 @@ impl ServerSession {
                 return SessionStep::Finished(v);
             }
 
-            let program = std::sync::Arc::clone(&server.program);
-            let r = self.exec.run(&mut server.vm, &program);
+            let r = self.exec.run(&mut server.vm, &server.program);
             self.prof_mark = prof::mark();
             if !r.cpu.is_zero() {
                 self.queue
@@ -715,8 +714,7 @@ impl OffloadSession {
                 return SessionStep::Finished(v);
             }
 
-            let program = std::sync::Arc::clone(&server.program);
-            let r = self.exec.run(&mut func.vm, &program);
+            let r = self.exec.run(&mut func.vm, &server.program);
             self.prof_mark = prof::mark();
             if !r.cpu.is_zero() {
                 self.queue
@@ -744,7 +742,7 @@ impl OffloadSession {
                             &[("class", tele::Arg::UInt(class.0 as u64))],
                         );
                     }
-                    let bytes = program.class_bytes(class) as u64;
+                    let bytes = server.program.class_bytes(class) as u64;
                     self.fallback_round_trip(server, self.net.transfer(bytes), "[fallback:code]");
                     self.fix = Some(OffloadFix::FetchClass(class));
                 }

@@ -14,9 +14,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
-use beehive_sim::Duration;
+use beehive_sim::{Duration, FastMap};
 
 /// Identifies a table.
 pub type TableId = u16;
@@ -106,10 +104,10 @@ pub struct QueryOutcome {
 /// The store: tables plus prepared queries plus the idempotent write journal.
 #[derive(Debug, Default)]
 pub struct Database {
-    tables: HashMap<TableId, HashMap<i64, i64>>,
-    next_row: HashMap<TableId, i64>,
+    tables: FastMap<TableId, FastMap<i64, i64>>,
+    next_row: FastMap<TableId, i64>,
     queries: Vec<QueryDef>,
-    journal: HashMap<WriteKey, i64>,
+    journal: FastMap<WriteKey, i64>,
     executed: u64,
     writes: u64,
     suppressed: u64,
@@ -167,27 +165,26 @@ impl Database {
         write_key: Option<WriteKey>,
         suppress_writes: bool,
     ) -> QueryOutcome {
-        let def = self.queries[query as usize].clone();
-        let service = def.service_time();
+        let def = &self.queries[query as usize];
+        let (kind, service) = (def.kind, def.service_time());
         self.executed += 1;
-        let wrote = def.kind.is_write() && !suppress_writes;
-        let result = match def.kind {
+        let wrote = kind.is_write() && !suppress_writes;
+        let result = match kind {
             QueryKind::PointRead { table } => self
                 .tables
                 .get(&table)
                 .and_then(|t| t.get(&arg))
                 .copied()
                 .unwrap_or(0),
-            QueryKind::Scan { table, rows } => {
-                let t = self.tables.entry(table).or_default();
-                (0..rows as i64)
-                    .map(|i| {
-                        t.get(&((arg + i) % (t.len().max(1) as i64)))
-                            .copied()
-                            .unwrap_or(0)
-                    })
-                    .sum()
-            }
+            QueryKind::Scan { table, rows } => match self.tables.get(&table) {
+                Some(t) => {
+                    let len = t.len().max(1) as i64;
+                    (0..rows as i64)
+                        .map(|i| t.get(&((arg + i) % len)).copied().unwrap_or(0))
+                        .sum()
+                }
+                None => 0, // a table nothing was ever written to
+            },
             QueryKind::Insert { table } => {
                 if suppress_writes {
                     // Shadow mode: pretend-insert, no state change.
@@ -246,7 +243,7 @@ impl Database {
 
     /// Number of rows in a table.
     pub fn table_len(&self, table: TableId) -> usize {
-        self.tables.get(&table).map_or(0, HashMap::len)
+        self.tables.get(&table).map_or(0, FastMap::len)
     }
 
     /// (queries executed, committed writes, suppressed shadow writes).

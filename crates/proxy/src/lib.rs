@@ -23,7 +23,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use beehive_sim::FastMap;
 
 use beehive_db::{Database, QueryId, QueryOutcome, WriteKey};
 
@@ -75,11 +75,11 @@ struct ConnEntry {
 #[derive(Debug)]
 pub struct Proxy {
     db: Database,
-    conns: HashMap<ConnId, ConnEntry>,
-    prepared: HashMap<OffloadId, ConnId>,
+    conns: FastMap<ConnId, ConnEntry>,
+    prepared: FastMap<OffloadId, ConnId>,
     next_conn: u64,
     next_offload: u64,
-    shadowing: HashMap<u32, bool>,
+    shadowing: FastMap<u32, bool>,
     rounds_server: u64,
     rounds_function: u64,
 }
@@ -89,11 +89,11 @@ impl Proxy {
     pub fn new(db: Database) -> Self {
         Proxy {
             db,
-            conns: HashMap::new(),
-            prepared: HashMap::new(),
+            conns: FastMap::default(),
+            prepared: FastMap::default(),
             next_conn: 1,
             next_offload: 1,
-            shadowing: HashMap::new(),
+            shadowing: FastMap::default(),
             rounds_server: 0,
             rounds_function: 0,
         }

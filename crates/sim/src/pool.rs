@@ -15,8 +15,6 @@
 //! kernel event; the [`epoch`](PsPool::epoch) counter lets drivers discard
 //! stale completion events after later arrivals changed the schedule.
 
-use std::collections::HashMap;
-
 use crate::{Duration, SimTime};
 
 /// Caller-assigned identifier of a job inside a pool.
@@ -42,7 +40,10 @@ pub type JobId = u64;
 #[derive(Debug, Clone)]
 pub struct PsPool {
     capacity: f64,
-    jobs: HashMap<JobId, Job>,
+    /// Jobs in service, in submission order: pools hold a handful to a few
+    /// hundred jobs and every mutation already touches all of them, so a
+    /// dense scan beats hashing — and position is the FIFO tie-break.
+    jobs: Vec<Job>,
     last_update: SimTime,
     epoch: u64,
     busy_core_time: f64,
@@ -50,10 +51,9 @@ pub struct PsPool {
 
 #[derive(Debug, Clone, Copy)]
 struct Job {
+    id: JobId,
     /// Remaining CPU work in nanoseconds-of-one-core.
     remaining: f64,
-    /// Insertion sequence for deterministic tie-breaking.
-    seq: u64,
 }
 
 impl PsPool {
@@ -70,7 +70,7 @@ impl PsPool {
         );
         PsPool {
             capacity,
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
             busy_core_time: 0.0,
@@ -122,7 +122,7 @@ impl PsPool {
         let rate = self.rate();
         let served = elapsed * rate;
         self.busy_core_time += served * self.jobs.len() as f64;
-        for job in self.jobs.values_mut() {
+        for job in &mut self.jobs {
             job.remaining = (job.remaining - served).max(0.0);
         }
     }
@@ -135,15 +135,14 @@ impl PsPool {
     /// mutation.
     pub fn add(&mut self, now: SimTime, id: JobId, work: Duration) {
         self.advance_to(now);
-        let seq = self.epoch;
-        let prev = self.jobs.insert(
-            id,
-            Job {
-                remaining: work.as_nanos() as f64,
-                seq,
-            },
+        assert!(
+            self.jobs.iter().all(|j| j.id != id),
+            "job {id} already in pool"
         );
-        assert!(prev.is_none(), "job {id} already in pool");
+        self.jobs.push(Job {
+            id,
+            remaining: work.as_nanos() as f64,
+        });
         self.epoch += 1;
     }
 
@@ -155,7 +154,13 @@ impl PsPool {
     /// Panics if the job is not in the pool.
     pub fn remove(&mut self, now: SimTime, id: JobId) -> Duration {
         self.advance_to(now);
-        let job = self.jobs.remove(&id).expect("job not in pool");
+        let at = self
+            .jobs
+            .iter()
+            .position(|j| j.id == id)
+            .expect("job not in pool");
+        // Order-preserving: the jobs behind keep their FIFO rank.
+        let job = self.jobs.remove(at);
         self.epoch += 1;
         Duration::from_nanos(job.remaining.max(0.0).round() as u64)
     }
@@ -163,31 +168,23 @@ impl PsPool {
     /// The earliest `(completion_time, job)` under the current load, assuming
     /// no further arrivals. Ties break FIFO by insertion order.
     pub fn next_completion(&self) -> Option<(SimTime, JobId)> {
-        if self.jobs.is_empty() {
-            return None;
-        }
+        // `min_by` keeps the first of equal minima: the earliest submitted.
+        let job = self.jobs.iter().min_by(|a, b| {
+            a.remaining
+                .partial_cmp(&b.remaining)
+                .expect("remaining work is never NaN")
+        })?;
         let rate = self.rate();
         debug_assert!(rate > 0.0);
-        let (id, job) = self
-            .jobs
-            .iter()
-            .min_by(|(_, a), (_, b)| {
-                a.remaining
-                    .partial_cmp(&b.remaining)
-                    .unwrap()
-                    .then(a.seq.cmp(&b.seq))
-            })
-            .map(|(id, job)| (*id, *job))
-            .expect("non-empty");
         let dt = (job.remaining / rate).ceil() as u64;
-        Some((self.last_update + Duration::from_nanos(dt), id))
+        Some((self.last_update + Duration::from_nanos(dt), job.id))
     }
 
     /// `true` when job `id` has zero remaining work at `now` (use from a
     /// completion event to confirm it is not stale).
     pub fn is_finished(&mut self, now: SimTime, id: JobId) -> bool {
         self.advance_to(now);
-        self.jobs.get(&id).is_some_and(|j| j.remaining < 1.0)
+        self.jobs.iter().any(|j| j.id == id && j.remaining < 1.0)
     }
 }
 
@@ -368,6 +365,109 @@ mod tests {
         let mut pool = PsPool::new(1.0);
         pool.add(SimTime::ZERO, 1, Duration::from_millis(1));
         pool.add(SimTime::ZERO, 1, Duration::from_millis(1));
+    }
+
+    /// The map-based pool this one replaced, arithmetic and tie-break
+    /// verbatim: the reference the dense pool must match bit for bit.
+    struct MapPool {
+        capacity: f64,
+        jobs: std::collections::HashMap<JobId, (f64, u64)>,
+        last_update: SimTime,
+        epoch: u64,
+        busy_core_time: f64,
+    }
+
+    impl MapPool {
+        fn rate(&self) -> f64 {
+            (self.capacity / self.jobs.len() as f64).min(1.0)
+        }
+
+        fn advance_to(&mut self, now: SimTime) {
+            let elapsed = (now - self.last_update).as_nanos() as f64;
+            self.last_update = now;
+            if elapsed == 0.0 || self.jobs.is_empty() {
+                return;
+            }
+            let served = elapsed * self.rate();
+            self.busy_core_time += served * self.jobs.len() as f64;
+            for (remaining, _) in self.jobs.values_mut() {
+                *remaining = (*remaining - served).max(0.0);
+            }
+        }
+
+        fn add(&mut self, now: SimTime, id: JobId, work: Duration) {
+            self.advance_to(now);
+            self.jobs.insert(id, (work.as_nanos() as f64, self.epoch));
+            self.epoch += 1;
+        }
+
+        fn remove(&mut self, now: SimTime, id: JobId) -> Duration {
+            self.advance_to(now);
+            let (remaining, _) = self.jobs.remove(&id).expect("job not in pool");
+            self.epoch += 1;
+            Duration::from_nanos(remaining.max(0.0).round() as u64)
+        }
+
+        fn next_completion(&self) -> Option<(SimTime, JobId)> {
+            let (id, (remaining, _)) = self
+                .jobs
+                .iter()
+                .min_by(|(_, a), (_, b)| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))?;
+            let dt = (remaining / self.rate()).ceil() as u64;
+            Some((self.last_update + Duration::from_nanos(dt), *id))
+        }
+    }
+
+    #[test]
+    fn dense_pool_matches_the_map_based_model_bit_for_bit() {
+        for seed in 0..1000u64 {
+            let mut rng = crate::Rng::new(seed);
+            let capacity = [0.5, 1.0, 4.0, 16.0][rng.gen_range(4) as usize];
+            let mut pool = PsPool::new(capacity);
+            let mut model = MapPool {
+                capacity,
+                jobs: Default::default(),
+                last_update: SimTime::ZERO,
+                epoch: 0,
+                busy_core_time: 0.0,
+            };
+            let mut now = SimTime::ZERO;
+            let mut live: Vec<JobId> = Vec::new();
+            for step in 0..60u64 {
+                match rng.gen_range(4) {
+                    // Complete the head job (what the broker does).
+                    0 | 1 if !live.is_empty() => {
+                        let (t, id) = pool.next_completion().expect("non-empty");
+                        assert_eq!(model.next_completion(), Some((t, id)), "seed {seed}");
+                        now = t;
+                        assert_eq!(pool.remove(now, id), model.remove(now, id));
+                        live.retain(|&j| j != id);
+                    }
+                    // Cancel an arbitrary job a little later.
+                    2 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(live.len() as u64) as usize);
+                        now += Duration::from_nanos(rng.gen_range(50_000));
+                        assert_eq!(pool.remove(now, id), model.remove(now, id));
+                    }
+                    // Submit; equal demands at one instant exercise the
+                    // FIFO tie-break.
+                    _ => {
+                        now += Duration::from_nanos(rng.gen_range(3) * 40_000);
+                        let work = Duration::from_micros(100 * (1 + rng.gen_range(4)));
+                        pool.add(now, step, work);
+                        model.add(now, step, work);
+                        live.push(step);
+                    }
+                }
+                assert_eq!(pool.next_completion(), model.next_completion());
+                assert_eq!(pool.epoch(), model.epoch);
+                assert_eq!(
+                    pool.busy_core_nanos().to_bits(),
+                    model.busy_core_time.to_bits(),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

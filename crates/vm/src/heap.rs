@@ -16,9 +16,7 @@
 //! Addresses are 8-byte-aligned byte addresses in disjoint ranges per space;
 //! bit 63 marks remote references (see [`crate::value`]).
 
-use std::collections::HashMap;
-
-use beehive_sim::Duration;
+use beehive_sim::{Duration, FastMap};
 
 use crate::ids::ClassId;
 use crate::value::{Addr, Value};
@@ -53,6 +51,11 @@ const FLAG_DIRTY: u64 = 1 << 57;
 
 const LEN_SHIFT: u32 = 32;
 const LEN_MASK: u64 = 0xFF_FFFF;
+
+/// Fields / elements of the object whose header word is `header`.
+fn header_len(header: u64) -> u32 {
+    ((header >> LEN_SHIFT) & LEN_MASK) as u32
+}
 
 /// The visitor [`Heap::collect`] hands to its root walker; the walker must
 /// call it on every root slot so the collector can relocate references.
@@ -156,7 +159,7 @@ impl Heap {
         }
     }
 
-    fn words(&self, space: Space) -> &Vec<u64> {
+    fn words(&self, space: Space) -> &[u64] {
         match space {
             Space::Closure => &self.closure,
             Space::Alloc => &self.alloc,
@@ -177,23 +180,21 @@ impl Heap {
         }
     }
 
+    /// Resolve `addr` to its space and the word index of its header. Every
+    /// accessor resolves once and works on the words from there.
     fn index(&self, addr: Addr) -> (Space, usize) {
         let space = self.space_of(addr);
-        ((space), ((addr.raw() - self.base(space)) / 8) as usize)
-    }
-
-    fn read_word(&self, addr: Addr, offset: usize) -> u64 {
-        let (space, idx) = self.index(addr);
-        self.words(space)[idx + offset]
-    }
-
-    fn write_word(&mut self, addr: Addr, offset: usize, word: u64) {
-        let (space, idx) = self.index(addr);
-        self.words_mut(space)[idx + offset] = word;
+        (space, ((addr.raw() - self.base(space)) / 8) as usize)
     }
 
     fn header(&self, addr: Addr) -> u64 {
-        self.read_word(addr, 0)
+        let (space, idx) = self.index(addr);
+        self.words(space)[idx]
+    }
+
+    fn header_mut(&mut self, addr: Addr) -> &mut u64 {
+        let (space, idx) = self.index(addr);
+        &mut self.words_mut(space)[idx]
     }
 
     /// Allocate an object with `slots` fields in `space`.
@@ -260,7 +261,7 @@ impl Heap {
 
     /// Number of fields / array elements.
     pub fn len_of(&self, addr: Addr) -> u32 {
-        ((self.header(addr) >> LEN_SHIFT) & LEN_MASK) as u32
+        header_len(self.header(addr))
     }
 
     /// Read field/element `slot`.
@@ -269,11 +270,13 @@ impl Heap {
     ///
     /// Panics if `slot` is out of bounds.
     pub fn get(&self, addr: Addr, slot: u32) -> Value {
+        let (space, idx) = self.index(addr);
+        let words = self.words(space);
         assert!(
-            slot < self.len_of(addr),
+            slot < header_len(words[idx]),
             "slot {slot} out of bounds at {addr:?}"
         );
-        Value::decode(self.read_word(addr, 1 + slot as usize))
+        Value::decode(words[idx + 1 + slot as usize])
     }
 
     /// Write field/element `slot`, maintaining the card table.
@@ -282,36 +285,69 @@ impl Heap {
     ///
     /// Panics if `slot` is out of bounds.
     pub fn set(&mut self, addr: Addr, slot: u32, value: Value) {
+        let (space, idx) = self.index(addr);
+        let words = self.words_mut(space);
         assert!(
-            slot < self.len_of(addr),
+            slot < header_len(words[idx]),
             "slot {slot} out of bounds at {addr:?}"
         );
-        self.write_word(addr, 1 + slot as usize, value.encode());
+        let word = idx + 1 + slot as usize;
+        words[word] = value.encode();
         // Card marking: a reference stored into the closure space may create
         // a closure→alloc edge the next GC must treat as a root.
-        if matches!(value, Value::Ref(a) if !a.is_remote()) && self.space_of(addr) == Space::Closure
-        {
-            let (_, idx) = self.index(addr);
-            self.cards[(idx + 1 + slot as usize) / CARD_WORDS] = true;
+        if space == Space::Closure && matches!(value, Value::Ref(a) if !a.is_remote()) {
+            self.cards[word / CARD_WORDS] = true;
+        }
+    }
+
+    /// Copy `n` slots from `src[src_pos..]` to `dst[dst_pos..]`, first to
+    /// last — the element-wise `get`/`set` loop (so a forward-overlapping
+    /// copy within one array propagates the same way), with both objects
+    /// resolved once and the card table maintained like [`Heap::set`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range runs past its object.
+    pub fn copy_slots(&mut self, src: Addr, src_pos: u32, dst: Addr, dst_pos: u32, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let (src_space, src_idx) = self.index(src);
+        let (dst_space, dst_idx) = self.index(dst);
+        let in_bounds = |pos: u32, len: u32| pos as u64 + n as u64 <= len as u64;
+        assert!(
+            in_bounds(src_pos, header_len(self.words(src_space)[src_idx])),
+            "slots {src_pos}+{n} out of bounds at {src:?}"
+        );
+        assert!(
+            in_bounds(dst_pos, header_len(self.words(dst_space)[dst_idx])),
+            "slots {dst_pos}+{n} out of bounds at {dst:?}"
+        );
+        let from = src_idx + 1 + src_pos as usize;
+        let to = dst_idx + 1 + dst_pos as usize;
+        for i in 0..n as usize {
+            let word = self.words(src_space)[from + i];
+            self.words_mut(dst_space)[to + i] = word;
+            if dst_space == Space::Closure
+                && matches!(Value::decode(word), Value::Ref(a) if !a.is_remote())
+            {
+                self.cards[(to + i) / CARD_WORDS] = true;
+            }
         }
     }
 
     /// Mark the object dirty (it will be shipped at the next synchronization,
     /// §4.2). Returns `true` if it was newly marked.
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        let h = self.header(addr);
-        if h & FLAG_DIRTY != 0 {
-            false
-        } else {
-            self.write_word(addr, 0, h | FLAG_DIRTY);
-            true
-        }
+        let h = self.header_mut(addr);
+        let newly = *h & FLAG_DIRTY == 0;
+        *h |= FLAG_DIRTY;
+        newly
     }
 
     /// Clear the dirty mark.
     pub fn clear_dirty(&mut self, addr: Addr) {
-        let h = self.header(addr);
-        self.write_word(addr, 0, h & !FLAG_DIRTY);
+        *self.header_mut(addr) &= !FLAG_DIRTY;
     }
 
     /// Bytes currently used in the allocation space.
@@ -361,12 +397,12 @@ impl Heap {
         let old_used = from.len() as u64 * 8;
         self.alloc_base = to_base;
 
-        let mut forwarding: HashMap<u64, u64> = HashMap::new();
+        let mut forwarding: FastMap<u64, u64> = FastMap::default();
         let mut copied_objects = 0u64;
 
         // Copy one object from from-space, returning its new address.
         let copy = |heap: &mut Heap,
-                    forwarding: &mut HashMap<u64, u64>,
+                    forwarding: &mut FastMap<u64, u64>,
                     copied: &mut u64,
                     old: u64|
          -> u64 {
@@ -375,7 +411,7 @@ impl Heap {
             }
             let idx = ((old - from_base) / 8) as usize;
             let header = from[idx];
-            let len = ((header >> LEN_SHIFT) & LEN_MASK) as usize;
+            let len = header_len(header) as usize;
             let new_idx = heap.alloc.len();
             heap.alloc.extend_from_slice(&from[idx..idx + 1 + len]);
             let new = to_base + new_idx as u64 * 8;
@@ -429,7 +465,7 @@ impl Heap {
         let mut scan = 0usize;
         while scan < self.alloc.len() {
             let header = self.alloc[scan];
-            let len = ((header >> LEN_SHIFT) & LEN_MASK) as usize;
+            let len = header_len(header) as usize;
             for slot in 0..len {
                 let w = self.alloc[scan + 1 + slot];
                 if in_from(w) {
@@ -597,6 +633,50 @@ mod tests {
             second.raw() & 0xF000_0000_0000
         );
         assert_eq!(h.get(second, 0), Value::I64(1));
+    }
+
+    #[test]
+    fn copy_slots_is_the_element_wise_loop() {
+        let fill = |h: &mut Heap, space: Space| {
+            let target = h.alloc_object(ClassId(1), 1, Space::Alloc).unwrap();
+            let a = h.alloc_array(12, space).unwrap();
+            for i in 0..12 {
+                let v = match i % 3 {
+                    0 => Value::I64(i as i64 - 4),
+                    1 => Value::Ref(target),
+                    _ => Value::Null,
+                };
+                h.set(a, i, v);
+            }
+            (a, h.alloc_array(12, space).unwrap())
+        };
+        for space in [Space::Alloc, Space::Closure] {
+            // (src_pos, dst_pos, n, same array?)
+            for (sp, dp, n, same) in [(0, 4, 8, false), (2, 0, 5, false), (0, 3, 9, true)] {
+                let mut by_loop = Heap::new(1 << 16, GcCosts::default());
+                let mut bulk = Heap::new(1 << 16, GcCosts::default());
+                let (a, b) = fill(&mut by_loop, space);
+                assert_eq!(fill(&mut bulk, space), (a, b));
+                let dst = if same { a } else { b };
+                for i in 0..n {
+                    let v = by_loop.get(a, sp + i);
+                    by_loop.set(dst, dp + i, v);
+                }
+                bulk.copy_slots(a, sp, dst, dp, n);
+                assert_eq!(by_loop.closure, bulk.closure);
+                assert_eq!(by_loop.alloc, bulk.alloc);
+                assert_eq!(by_loop.cards, bulk.cards, "{space:?} {sp}->{dp} x{n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "slots 8+5 out of bounds")]
+    fn copy_slots_checks_the_destination_range() {
+        let mut h = heap();
+        let a = h.alloc_array(12, Space::Alloc).unwrap();
+        let b = h.alloc_array(12, Space::Alloc).unwrap();
+        h.copy_slots(a, 0, b, 8, 5);
     }
 
     #[test]

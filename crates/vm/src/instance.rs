@@ -6,9 +6,7 @@
 //! loaded; each FaaS function gets a fresh instance that starts empty and is
 //! populated from the initial closure, growing through fallbacks.
 
-use std::collections::{HashMap, HashSet};
-
-use beehive_sim::Duration;
+use beehive_sim::{Duration, FastMap, FastSet};
 
 use crate::heap::{GcCosts, GcStats, Heap, Space};
 use crate::ids::MethodId;
@@ -103,16 +101,17 @@ pub struct VmInstance {
     statics: Vec<Value>,
     statics_fetched: Vec<bool>,
     loaded: Vec<bool>,
-    native_states: HashMap<u64, NativeState>,
+    native_states: FastMap<u64, NativeState>,
     next_handle: u64,
-    owned_monitors: HashSet<Addr>,
-    foreign_monitors: HashSet<Addr>,
+    owned_monitors: FastSet<Addr>,
+    foreign_monitors: FastSet<Addr>,
     dirty: Vec<Addr>,
     /// Activity counters.
     pub counters: VmCounters,
     /// Cost model.
     pub cost: CostModel,
-    invocations: HashMap<MethodId, u64>,
+    /// Invocation count per method, indexed by [`MethodId`].
+    invocations: Vec<u64>,
     /// Where `New` allocates (requests allocate in the allocation space;
     /// application init may switch to the closure space for long-lived shared
     /// state).
@@ -166,14 +165,14 @@ impl VmInstance {
             statics: vec![Value::Null; program.static_count()],
             statics_fetched: vec![kind == EndpointKind::Server; program.static_count()],
             loaded: vec![loaded; program.class_count()],
-            native_states: HashMap::new(),
+            native_states: FastMap::default(),
             next_handle: 1,
-            owned_monitors: HashSet::new(),
-            foreign_monitors: HashSet::new(),
+            owned_monitors: FastSet::default(),
+            foreign_monitors: FastSet::default(),
             dirty: Vec::new(),
             counters: VmCounters::default(),
             cost,
-            invocations: HashMap::new(),
+            invocations: vec![0; program.method_count()],
             alloc_target: Space::Alloc,
             gc_log: Vec::new(),
             barriers: kind == EndpointKind::Function,
@@ -372,19 +371,37 @@ impl VmInstance {
 
     /// Mark every method JIT-compiled on this instance (models an instance
     /// that served earlier traffic — the platform warm cache of §5.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` has a method this instance's program lacks.
     pub fn prewarm_all_methods(&mut self, program: &Program) {
+        let warm = self.cost.warm_threshold + 1;
         for m in 0..program.method_count() {
-            self.invocations
-                .insert(MethodId(m as u32), self.cost.warm_threshold + 1);
+            *self.invocation_count(MethodId(m as u32)) = warm;
         }
     }
 
     /// Record an invocation of `method`; returns `true` when the method is
     /// still cold (pre-JIT) on this instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `method` is not a method of this instance's program.
     pub fn note_invocation(&mut self, method: MethodId) -> bool {
-        let count = self.invocations.entry(method).or_insert(0);
+        let warm_threshold = self.cost.warm_threshold;
+        let count = self.invocation_count(method);
         *count += 1;
-        *count <= self.cost.warm_threshold
+        *count <= warm_threshold
+    }
+
+    /// A method id outside the program is a bug in the caller: name it
+    /// instead of growing the table.
+    fn invocation_count(&mut self, method: MethodId) -> &mut u64 {
+        let methods = self.invocations.len();
+        self.invocations
+            .get_mut(method.index())
+            .unwrap_or_else(|| panic!("{method:?} is outside the program ({methods} methods)"))
     }
 
     // ----- GC ---------------------------------------------------------------

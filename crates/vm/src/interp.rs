@@ -7,6 +7,20 @@
 //! fallback, or a GC. The embedder (the BeeHive runtime in `beehive-core`)
 //! services the block — possibly after simulated network time — and resumes.
 //!
+//! [`Execution::run`] is one loop nest. The outer loop runs once per *frame
+//! entry* (start of a run segment, bytecode call, return into the caller)
+//! and resolves the method's code slice, the frame's window into the
+//! execution's one value stack (`locals | operands` per frame, outermost
+//! first — a call turns the arguments on top of the caller's operands into
+//! the callee's first locals in place) and the per-op charges, multiplied by
+//! the cold factor if the frame was entered before its method turned warm.
+//! The inner loop dispatches ops on those locals until a bytecode call, a
+//! return or a block leaves the frame; natives run inline. Exact per op all
+//! the same: the virtual-time charge, `VmCounters::ops` and the runaway
+//! guard (counted in a local, flushed when the run ends), and every
+//! operand-underflow, bounds, remote-bit, class-loaded and static-fetched
+//! check.
+//!
 //! Blocks come in two resumption styles:
 //!
 //! * **retry** blocks ([`Block::RemoteRef`], [`Block::RemoteStatic`],
@@ -167,13 +181,15 @@ pub struct StepResult {
     pub cpu: Duration,
 }
 
-/// One call frame.
+/// One call frame: a window into its execution's value stack. Locals live
+/// at `base..stack_base`, the frame's operands from `stack_base` up to the
+/// next frame's `base` (or the top of the stack for the executing frame).
 #[derive(Clone, Debug)]
 pub struct Frame {
     method: MethodId,
     pc: usize,
-    locals: Vec<Value>,
-    stack: Vec<Value>,
+    base: usize,
+    stack_base: usize,
     cold: bool,
 }
 
@@ -201,17 +217,91 @@ enum Pending {
 #[derive(Clone, Debug)]
 pub struct Execution {
     frames: Vec<Frame>,
+    /// Locals and operands of every frame, outermost first: a call turns the
+    /// arguments on top of the caller's operands into the callee's first
+    /// locals in place, so calls allocate nothing.
+    values: Vec<Value>,
     pending: Option<Pending>,
     pending_push: Option<Value>,
     sync_permit: bool,
     root_warm_checked: bool,
     total_cpu: Duration,
-    ops_guard: u64,
 }
 
 /// Hard cap on ops per [`Execution::run`] call; exceeding it aborts the
 /// process (it indicates a runaway loop in application bytecode).
 const MAX_OPS_PER_RUN: u64 = 500_000_000;
+
+/// The executing frame's view of the value stack. Every access is checked
+/// against the frame's own window, so malformed bytecode panics instead of
+/// reaching into its caller's slots.
+struct Window<'a> {
+    values: &'a mut Vec<Value>,
+    base: usize,
+    floor: usize,
+}
+
+impl Window<'_> {
+    #[inline]
+    fn push(&mut self, v: Value) {
+        self.values.push(v);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Value {
+        match self.values.pop() {
+            Some(v) if self.values.len() >= self.floor => v,
+            _ => panic!("operand stack underflow"),
+        }
+    }
+
+    #[inline]
+    fn pop_i64(&mut self) -> i64 {
+        self.pop().as_i64().expect("expected integer operand")
+    }
+
+    #[inline]
+    fn pop_ref(&mut self) -> Addr {
+        match self.pop() {
+            Value::Ref(a) => a,
+            other => panic!("expected reference operand, got {other:?}"),
+        }
+    }
+
+    /// The top operand, if the frame has one.
+    #[inline]
+    fn top(&self) -> Option<Value> {
+        self.values[self.floor..].last().copied()
+    }
+
+    /// Where the top `n` operands start, if the frame has that many.
+    fn top_n(&self, n: usize) -> Option<usize> {
+        let at = self.values.len().checked_sub(n)?;
+        (at >= self.floor).then_some(at)
+    }
+
+    /// Pop the top `n` operands, in push order.
+    fn pop_args(&mut self, n: usize) -> Vec<Value> {
+        let at = self.top_n(n).expect("operand stack underflow");
+        self.values.split_off(at)
+    }
+
+    /// The frame's local slots.
+    #[inline]
+    fn locals(&mut self) -> &mut [Value] {
+        &mut self.values[self.base..self.floor]
+    }
+}
+
+/// Why the dispatch loop left the executing frame.
+enum Exit {
+    /// A bytecode call: push a frame for the method and enter it.
+    Call(MethodId),
+    /// The frame returned this value.
+    Return(Value),
+    /// The execution blocked.
+    Block(Block),
+}
 
 impl Execution {
     /// Begin an invocation of `method` with `args`.
@@ -234,22 +324,22 @@ impl Execution {
             matches!(def.body, MethodBody::Bytecode(_)),
             "cannot root an execution at a native method"
         );
-        let mut locals = args;
-        locals.resize(def.frame_slots(), Value::Null);
+        let mut values = args;
+        values.resize(def.frame_slots(), Value::Null);
         Execution {
             frames: vec![Frame {
                 method,
                 pc: 0,
-                locals,
-                stack: Vec::new(),
+                base: 0,
+                stack_base: values.len(),
                 cold: false,
             }],
+            values,
             pending: None,
             pending_push: None,
             sync_permit: false,
             root_warm_checked: false,
             total_cpu: Duration::ZERO,
-            ops_guard: 0,
         }
     }
 
@@ -297,12 +387,10 @@ impl Execution {
 
     /// Approximate wire size of the stack (for failure-recovery snapshots,
     /// §4.5: "the size of the Java stack and related objects are usually
-    /// restricted — several KBs").
+    /// restricted — several KBs"): every local and operand plus two header
+    /// words per frame.
     pub fn stack_bytes(&self) -> u64 {
-        self.frames
-            .iter()
-            .map(|f| (f.locals.len() + f.stack.len() + 2) as u64 * 8)
-            .sum()
+        (self.values.len() + 2 * self.frames.len()) as u64 * 8
     }
 
     /// Mutable access to a local slot (for remote-reference fix-ups).
@@ -311,18 +399,14 @@ impl Execution {
     ///
     /// Panics if the frame or slot is out of range.
     pub fn local_mut(&mut self, frame: usize, slot: u8) -> &mut Value {
-        &mut self.frames[frame].locals[slot as usize]
+        let f = &self.frames[frame];
+        &mut self.values[f.base..f.stack_base][slot as usize]
     }
 
     /// Visit every root slot (locals and operand stacks) for GC.
     pub fn visit_roots(&mut self, visit: &mut dyn FnMut(&mut Value)) {
-        for f in &mut self.frames {
-            for v in &mut f.locals {
-                visit(v);
-            }
-            for v in &mut f.stack {
-                visit(v);
-            }
+        for v in &mut self.values {
+            visit(v);
         }
     }
 
@@ -336,7 +420,9 @@ impl Execution {
         assert!(self.pending.is_none(), "execution is blocked; resume first");
         let mut cpu = Duration::ZERO;
 
-        if beehive_profiler::enabled() {
+        // One thread-local probe per run instead of one per call and return.
+        let profiling = beehive_profiler::enabled();
+        if profiling {
             // Rebuild the profiler's path from the live frames: executions
             // from different requests interleave on this thread across run
             // segments. The first segment counts the root invocation.
@@ -348,7 +434,7 @@ impl Execution {
             );
         }
         if let Some(v) = self.pending_push.take() {
-            self.top_frame().stack.push(v);
+            self.values.push(v);
         }
         if !self.root_warm_checked {
             self.root_warm_checked = true;
@@ -356,21 +442,453 @@ impl Execution {
             self.frames[0].cold = vm.note_invocation(root);
         }
 
+        // Constant for the whole run; the per-frame charges below are
+        // re-derived on every frame entry.
+        let cost = vm.cost;
+        let on_function = vm.kind() == EndpointKind::Function;
+        // Counted in a register and flushed once below: exact per op, like
+        // the runaway guard that reads it.
+        let mut ops = 0u64;
+
         let outcome = loop {
-            self.ops_guard += 1;
-            assert!(
-                self.ops_guard < MAX_OPS_PER_RUN,
-                "runaway execution: {} ops without completing",
-                MAX_OPS_PER_RUN
-            );
-            match self.step(vm, program, &mut cpu) {
-                StepOutcome::Continue => {}
-                StepOutcome::Done(v) => break Outcome::Done(v),
-                StepOutcome::Block(b) => {
+            // Frame entry: resolve the code slice, the (cold-multiplied)
+            // charges and the stack window once; the dispatch loop below
+            // runs on them until a call, return or block leaves the frame.
+            let depth = self.frames.len();
+            let frame = self.frames.last_mut().expect("no frames");
+            let method = program.method(frame.method);
+            let code: &[Op] = match &method.body {
+                MethodBody::Bytecode(code) => code,
+                MethodBody::Native(_) => unreachable!("native frames are never pushed"),
+            };
+            let mult = if frame.cold {
+                cost.cold_multiplier as u64
+            } else {
+                1
+            };
+            let simple = cost.simple_op * mult;
+            let call = cost.call_op * mult;
+            let alloc = cost.alloc_op * mult;
+            let field = cost.field_op * mult;
+            let monitor = cost.monitor_op * mult;
+            let mut w = Window {
+                values: &mut self.values,
+                base: frame.base,
+                floor: frame.stack_base,
+            };
+            let mut pc = frame.pc;
+
+            // A reference load on a function endpoint blocks on bit 63.
+            macro_rules! remote {
+                ($v:expr) => {
+                    match $v {
+                        Value::Ref(a) if on_function && a.is_remote() => Some(a),
+                        _ => None,
+                    }
+                };
+            }
+            // Invoke `target`: natives run inline, bytecode leaves the frame.
+            macro_rules! invoke {
+                ($target:expr) => {{
+                    let target = $target;
+                    let def = program.method(target);
+                    if !vm.is_loaded(def.class) {
+                        break Exit::Block(Block::MissingClass { class: def.class });
+                    }
+                    // The caller resumes after the call.
+                    pc += 1;
+                    match def.body {
+                        MethodBody::Native(native) => {
+                            if let Some(b) = run_native(&mut w, vm, program, native, mult, &mut cpu)
+                            {
+                                break Exit::Block(b);
+                            }
+                        }
+                        MethodBody::Bytecode(_) => break Exit::Call(target),
+                    }
+                }};
+            }
+
+            let exit = loop {
+                ops += 1;
+                assert!(
+                    ops < MAX_OPS_PER_RUN,
+                    "runaway execution: {} ops without completing",
+                    MAX_OPS_PER_RUN
+                );
+                let op = *code
+                    .get(pc)
+                    .unwrap_or_else(|| panic!("pc {pc} out of range in {}", method.name));
+                match op {
+                    Op::ConstI(x) => {
+                        cpu += simple;
+                        w.push(Value::I64(x));
+                        pc += 1;
+                    }
+                    Op::ConstNull => {
+                        cpu += simple;
+                        w.push(Value::Null);
+                        pc += 1;
+                    }
+                    Op::Load(slot) => {
+                        cpu += simple;
+                        let v = w.locals()[slot as usize];
+                        if let Some(addr) = remote!(v) {
+                            break Exit::Block(Block::RemoteRef {
+                                addr,
+                                prov: Provenance::Local {
+                                    frame: depth - 1,
+                                    slot,
+                                },
+                            });
+                        }
+                        w.push(v);
+                        pc += 1;
+                    }
+                    Op::Store(slot) => {
+                        cpu += simple;
+                        w.locals()[slot as usize] = w.pop();
+                        pc += 1;
+                    }
+                    Op::Dup => {
+                        cpu += simple;
+                        let v = w.top().expect("stack underflow");
+                        w.push(v);
+                        pc += 1;
+                    }
+                    Op::Pop => {
+                        cpu += simple;
+                        w.pop();
+                        pc += 1;
+                    }
+                    Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Rem | Op::CmpLt => {
+                        cpu += simple;
+                        let b = w.pop_i64();
+                        let a = w.pop_i64();
+                        let r = match op {
+                            Op::Add => a.wrapping_add(b),
+                            Op::Sub => a.wrapping_sub(b),
+                            Op::Mul => a.wrapping_mul(b),
+                            Op::Div => {
+                                if b == 0 {
+                                    0
+                                } else {
+                                    a.wrapping_div(b)
+                                }
+                            }
+                            Op::Rem => {
+                                if b == 0 {
+                                    0
+                                } else {
+                                    a.wrapping_rem(b)
+                                }
+                            }
+                            Op::CmpLt => (a < b) as i64,
+                            _ => unreachable!(),
+                        };
+                        w.push(Value::I64(r));
+                        pc += 1;
+                    }
+                    Op::CmpEq => {
+                        cpu += simple;
+                        let b = w.pop();
+                        let a = w.pop();
+                        w.push(Value::I64((a == b) as i64));
+                        pc += 1;
+                    }
+                    Op::Jump(target) => {
+                        cpu += simple;
+                        pc = target as usize;
+                    }
+                    Op::JumpIfZero(target) => {
+                        cpu += simple;
+                        let zero = matches!(w.pop(), Value::Null | Value::I64(0));
+                        pc = if zero { target as usize } else { pc + 1 };
+                    }
+                    Op::JumpIfNonZero(target) => {
+                        cpu += simple;
+                        let zero = matches!(w.pop(), Value::Null | Value::I64(0));
+                        pc = if zero { pc + 1 } else { target as usize };
+                    }
+                    Op::Call(target) => {
+                        cpu += call;
+                        invoke!(target);
+                    }
+                    Op::CallStub(stub) => {
+                        cpu += call + simple;
+                        // Resolve the target *before* consuming the selector
+                        // so a missing-code block can retry the instruction
+                        // intact.
+                        let sel = w
+                            .top()
+                            .and_then(Value::as_i64)
+                            .expect("stub selector must be an integer");
+                        let targets = &program.stub(stub).targets;
+                        let target = targets[sel.unsigned_abs() as usize % targets.len()];
+                        let class = program.method(target).class;
+                        if !vm.is_loaded(class) {
+                            break Exit::Block(Block::MissingClass { class });
+                        }
+                        w.pop();
+                        invoke!(target);
+                    }
+                    Op::Return => {
+                        cpu += call;
+                        break Exit::Return(Value::Null);
+                    }
+                    Op::ReturnVal => {
+                        cpu += call;
+                        break Exit::Return(w.pop());
+                    }
+                    Op::New(class) => {
+                        cpu += alloc;
+                        if !vm.is_loaded(class) {
+                            break Exit::Block(Block::MissingClass { class });
+                        }
+                        let slots = program.class(class).field_count as u32;
+                        match vm.heap.alloc_object(class, slots, vm.alloc_target) {
+                            Some(addr) => {
+                                vm.counters.allocs += 1;
+                                w.push(Value::Ref(addr));
+                                pc += 1;
+                            }
+                            None => break Exit::Block(Block::GcNeeded { slots }),
+                        }
+                    }
+                    Op::NewArray => {
+                        cpu += alloc;
+                        let len = w.pop_i64();
+                        assert!(len >= 0, "negative array length {len}");
+                        match vm.heap.alloc_array(len as u32, vm.alloc_target) {
+                            Some(addr) => {
+                                vm.counters.allocs += 1;
+                                w.push(Value::Ref(addr));
+                                pc += 1;
+                            }
+                            None => {
+                                w.push(Value::I64(len)); // restore operand
+                                break Exit::Block(Block::GcNeeded { slots: len as u32 });
+                            }
+                        }
+                    }
+                    Op::GetField(slot) => {
+                        cpu += field;
+                        let obj = w.pop_ref();
+                        let v = vm.heap.get(obj, slot as u32);
+                        if let Some(addr) = remote!(v) {
+                            w.push(Value::Ref(obj)); // restore operand
+                            break Exit::Block(Block::RemoteRef {
+                                addr,
+                                prov: Provenance::Field {
+                                    obj,
+                                    slot: slot as u32,
+                                },
+                            });
+                        }
+                        w.push(v);
+                        pc += 1;
+                    }
+                    Op::PutField(slot) => {
+                        cpu += field;
+                        let v = w.pop();
+                        let obj = w.pop_ref();
+                        vm.heap.set(obj, slot as u32, v);
+                        cpu += vm.note_write(obj);
+                        pc += 1;
+                    }
+                    Op::ArrLoad => {
+                        cpu += field;
+                        let idx = w.pop_i64();
+                        let arr = w.pop_ref();
+                        let v = vm.heap.get(arr, idx as u32);
+                        if let Some(addr) = remote!(v) {
+                            w.push(Value::Ref(arr));
+                            w.push(Value::I64(idx));
+                            break Exit::Block(Block::RemoteRef {
+                                addr,
+                                prov: Provenance::ArrayElem {
+                                    obj: arr,
+                                    idx: idx as u32,
+                                },
+                            });
+                        }
+                        w.push(v);
+                        pc += 1;
+                    }
+                    Op::ArrStore => {
+                        cpu += field;
+                        let v = w.pop();
+                        let idx = w.pop_i64();
+                        let arr = w.pop_ref();
+                        vm.heap.set(arr, idx as u32, v);
+                        cpu += vm.note_write(arr);
+                        pc += 1;
+                    }
+                    Op::ArrLen => {
+                        cpu += simple;
+                        let arr = w.pop_ref();
+                        w.push(Value::I64(vm.heap.len_of(arr) as i64));
+                        pc += 1;
+                    }
+                    Op::GetStatic(slot) => {
+                        cpu += field;
+                        if !vm.static_fetched(slot) {
+                            break Exit::Block(Block::RemoteStatic { slot });
+                        }
+                        let v = vm.static_value(slot);
+                        if let Some(addr) = remote!(v) {
+                            break Exit::Block(Block::RemoteRef {
+                                addr,
+                                prov: Provenance::Static { slot },
+                            });
+                        }
+                        w.push(v);
+                        pc += 1;
+                    }
+                    Op::PutStatic(slot) => {
+                        cpu += field;
+                        if !vm.static_fetched(slot) {
+                            break Exit::Block(Block::RemoteStatic { slot });
+                        }
+                        let v = w.pop();
+                        vm.set_static(slot, v);
+                        pc += 1;
+                    }
+                    Op::GetStaticVolatile(slot) | Op::PutStaticVolatile(slot) => {
+                        cpu += monitor;
+                        let is_write = matches!(op, Op::PutStaticVolatile(_));
+                        if on_function && !self.sync_permit {
+                            break Exit::Block(Block::VolatileSync { slot, is_write });
+                        }
+                        self.sync_permit = false;
+                        if !vm.static_fetched(slot) {
+                            break Exit::Block(Block::RemoteStatic { slot });
+                        }
+                        if is_write {
+                            let v = w.pop();
+                            vm.set_static(slot, v);
+                        } else {
+                            w.push(vm.static_value(slot));
+                        }
+                        pc += 1;
+                    }
+                    Op::MonitorEnter => {
+                        cpu += monitor;
+                        let obj = w.pop_ref();
+                        vm.counters.monitor_enters += 1;
+                        if !vm.owns_monitor(obj) {
+                            w.push(Value::Ref(obj)); // restore operand
+                            break Exit::Block(Block::MonitorAcquire { obj });
+                        }
+                        pc += 1;
+                    }
+                    Op::MonitorExit => {
+                        cpu += monitor;
+                        let _obj = w.pop_ref();
+                        pc += 1;
+                    }
+                    Op::NativeCall(native) => {
+                        // Value-style blocks resume after the instruction
+                        // (their result is pushed on resume).
+                        pc += 1;
+                        if let Some(b) = run_native(&mut w, vm, program, native, mult, &mut cpu) {
+                            break Exit::Block(b);
+                        }
+                    }
+                    Op::Work(nanos) => {
+                        cpu += Duration::from_nanos(nanos as u64) * mult;
+                        pc += 1;
+                    }
+                    Op::DbCall { conn, query } => {
+                        cpu += call;
+                        let conn_obj = match w.locals()[conn as usize] {
+                            Value::Ref(a) if on_function && a.is_remote() => {
+                                break Exit::Block(Block::RemoteRef {
+                                    addr: a,
+                                    prov: Provenance::Local {
+                                        frame: depth - 1,
+                                        slot: conn,
+                                    },
+                                });
+                            }
+                            Value::Ref(a) => a,
+                            other => panic!("DbCall connection local holds {other:?}"),
+                        };
+                        let arg = w.pop_i64();
+                        let class = vm.heap.class_of(conn_obj);
+                        let spec = program.class(class).packageable.unwrap_or_else(|| {
+                            panic!("connection class {class:?} is not packageable")
+                        });
+                        assert_eq!(spec.kind, PackKind::Socket, "DbCall on non-socket class");
+                        let handle = vm.heap.get(conn_obj, spec.handle_slot as u32);
+                        let proxy_conn_id = match handle {
+                            Value::I64(h) => match vm.native_state(h as u64) {
+                                Some(NativeState::Socket { proxy_conn_id }) => Some(*proxy_conn_id),
+                                _ => None,
+                            },
+                            _ => None,
+                        };
+                        vm.counters.db_calls += 1;
+                        // One DB round trip = write + two reads on the socket
+                        // (request, response header, response body): matches
+                        // the ~3 network natives per round of Table 2.
+                        vm.counters.natives.bump(NativeCategory::Network);
+                        vm.counters.natives.bump(NativeCategory::Network);
+                        vm.counters.natives.bump(NativeCategory::Network);
+                        pc += 1;
+                        break Exit::Block(Block::Db {
+                            conn: conn_obj,
+                            query,
+                            arg,
+                            proxy_conn_id,
+                        });
+                    }
+                }
+            };
+            frame.pc = pc;
+
+            match exit {
+                Exit::Call(target) => {
+                    let def = program.method(target);
+                    let cold = vm.note_invocation(target);
+                    // The arguments on top of the caller's operands become
+                    // the callee's first locals where they are.
+                    let base = w.top_n(def.params as usize).unwrap_or_else(|| {
+                        panic!(
+                            "stack underflow calling {} ({} params)",
+                            def.name, def.params
+                        )
+                    });
+                    let stack_base = base + def.frame_slots();
+                    self.values.resize(stack_base, Value::Null);
+                    self.frames.push(Frame {
+                        method: target,
+                        pc: 0,
+                        base,
+                        stack_base,
+                        cold,
+                    });
+                    if profiling {
+                        beehive_profiler::push(target.0, cpu);
+                    }
+                }
+                Exit::Return(value) => {
+                    if profiling {
+                        beehive_profiler::pop(cpu);
+                    }
+                    let base = frame.base;
+                    self.frames.pop();
+                    self.values.truncate(base);
+                    if self.frames.is_empty() {
+                        break Outcome::Done(value);
+                    }
+                    self.values.push(value);
+                }
+                Exit::Block(b) => {
                     // Function-side only: a server VM blocks on DB/GC as part
                     // of ordinary execution, but a function VM blocking is
                     // the start of a Semi-FaaS fallback round trip.
-                    if vm.kind() == EndpointKind::Function && beehive_telemetry::enabled() {
+                    if on_function && beehive_telemetry::enabled() {
                         beehive_telemetry::instant(
                             vm.trace_track(),
                             "block",
@@ -386,619 +904,121 @@ impl Execution {
                 }
             }
         };
-        self.ops_guard = 0;
+        vm.counters.ops += ops;
         self.total_cpu += cpu;
-        beehive_profiler::end_segment(cpu);
+        if profiling {
+            beehive_profiler::end_segment(cpu);
+        }
         StepResult { outcome, cpu }
-    }
-
-    fn top_frame(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("no frames")
-    }
-
-    fn step(&mut self, vm: &mut VmInstance, program: &Program, cpu: &mut Duration) -> StepOutcome {
-        vm.counters.ops += 1;
-        let depth = self.frames.len();
-        let cost = vm.cost;
-        let frame = self.frames.last_mut().expect("no frames");
-        let cold = frame.cold;
-        let method = program.method(frame.method);
-        let code = match &method.body {
-            MethodBody::Bytecode(code) => code,
-            MethodBody::Native(_) => unreachable!("native frames are never pushed"),
-        };
-        let op = code
-            .get(frame.pc)
-            .copied()
-            .unwrap_or_else(|| panic!("pc {} out of range in {}", frame.pc, method.name));
-
-        let charge = move |cpu: &mut Duration, base: Duration| {
-            *cpu += if cold {
-                base * cost.cold_multiplier as u64
-            } else {
-                base
-            };
-        };
-
-        macro_rules! pop {
-            () => {
-                frame.stack.pop().expect("operand stack underflow")
-            };
-        }
-        macro_rules! pop_i64 {
-            () => {
-                pop!().as_i64().expect("expected integer operand")
-            };
-        }
-        macro_rules! pop_ref {
-            () => {
-                match pop!() {
-                    Value::Ref(a) => a,
-                    other => panic!("expected reference operand, got {other:?}"),
-                }
-            };
-        }
-
-        match op {
-            Op::ConstI(x) => {
-                charge(cpu, cost.simple_op);
-                frame.stack.push(Value::I64(x));
-                frame.pc += 1;
-            }
-            Op::ConstNull => {
-                charge(cpu, cost.simple_op);
-                frame.stack.push(Value::Null);
-                frame.pc += 1;
-            }
-            Op::Load(slot) => {
-                charge(cpu, cost.simple_op);
-                let v = frame.locals[slot as usize];
-                if vm.checks_remote_refs() {
-                    if let Value::Ref(a) = v {
-                        if a.is_remote() {
-                            return StepOutcome::Block(Block::RemoteRef {
-                                addr: a,
-                                prov: Provenance::Local {
-                                    frame: depth - 1,
-                                    slot,
-                                },
-                            });
-                        }
-                    }
-                }
-                frame.stack.push(v);
-                frame.pc += 1;
-            }
-            Op::Store(slot) => {
-                charge(cpu, cost.simple_op);
-                let v = pop!();
-                frame.locals[slot as usize] = v;
-                frame.pc += 1;
-            }
-            Op::Dup => {
-                charge(cpu, cost.simple_op);
-                let v = *frame.stack.last().expect("stack underflow");
-                frame.stack.push(v);
-                frame.pc += 1;
-            }
-            Op::Pop => {
-                charge(cpu, cost.simple_op);
-                pop!();
-                frame.pc += 1;
-            }
-            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Rem | Op::CmpLt => {
-                charge(cpu, cost.simple_op);
-                let b = pop_i64!();
-                let a = pop_i64!();
-                let r = match op {
-                    Op::Add => a.wrapping_add(b),
-                    Op::Sub => a.wrapping_sub(b),
-                    Op::Mul => a.wrapping_mul(b),
-                    Op::Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_div(b)
-                        }
-                    }
-                    Op::Rem => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_rem(b)
-                        }
-                    }
-                    Op::CmpLt => (a < b) as i64,
-                    _ => unreachable!(),
-                };
-                frame.stack.push(Value::I64(r));
-                frame.pc += 1;
-            }
-            Op::CmpEq => {
-                charge(cpu, cost.simple_op);
-                let b = pop!();
-                let a = pop!();
-                frame.stack.push(Value::I64((a == b) as i64));
-                frame.pc += 1;
-            }
-            Op::Jump(target) => {
-                charge(cpu, cost.simple_op);
-                frame.pc = target as usize;
-            }
-            Op::JumpIfZero(target) => {
-                charge(cpu, cost.simple_op);
-                let v = pop!();
-                let zero = matches!(v, Value::Null | Value::I64(0));
-                frame.pc = if zero { target as usize } else { frame.pc + 1 };
-            }
-            Op::JumpIfNonZero(target) => {
-                charge(cpu, cost.simple_op);
-                let v = pop!();
-                let zero = matches!(v, Value::Null | Value::I64(0));
-                frame.pc = if zero { frame.pc + 1 } else { target as usize };
-            }
-            Op::Call(target) => {
-                charge(cpu, cost.call_op);
-                return self.do_call(vm, program, target, cpu);
-            }
-            Op::CallStub(stub) => {
-                charge(cpu, cost.call_op + cost.simple_op);
-                // Resolve the target *before* consuming the selector so a
-                // missing-code block can retry the instruction intact.
-                let sel = frame
-                    .stack
-                    .last()
-                    .and_then(|v| v.as_i64())
-                    .expect("stub selector must be an integer");
-                let targets = &program.stub(stub).targets;
-                let target = targets[sel.unsigned_abs() as usize % targets.len()];
-                if !vm.is_loaded(program.method(target).class) {
-                    return StepOutcome::Block(Block::MissingClass {
-                        class: program.method(target).class,
-                    });
-                }
-                pop!();
-                return self.do_call(vm, program, target, cpu);
-            }
-            Op::Return => {
-                charge(cpu, cost.call_op);
-                return self.do_return(Value::Null, *cpu);
-            }
-            Op::ReturnVal => {
-                charge(cpu, cost.call_op);
-                let v = pop!();
-                return self.do_return(v, *cpu);
-            }
-            Op::New(class) => {
-                charge(cpu, cost.alloc_op);
-                if !vm.is_loaded(class) {
-                    return StepOutcome::Block(Block::MissingClass { class });
-                }
-                let slots = program.class(class).field_count as u32;
-                match vm.heap.alloc_object(class, slots, vm.alloc_target) {
-                    Some(addr) => {
-                        vm.counters.allocs += 1;
-                        frame.stack.push(Value::Ref(addr));
-                        frame.pc += 1;
-                    }
-                    None => return StepOutcome::Block(Block::GcNeeded { slots }),
-                }
-            }
-            Op::NewArray => {
-                charge(cpu, cost.alloc_op);
-                let len = pop_i64!();
-                assert!(len >= 0, "negative array length {len}");
-                match vm.heap.alloc_array(len as u32, vm.alloc_target) {
-                    Some(addr) => {
-                        vm.counters.allocs += 1;
-                        frame.stack.push(Value::Ref(addr));
-                        frame.pc += 1;
-                    }
-                    None => {
-                        frame.stack.push(Value::I64(len)); // restore operand
-                        return StepOutcome::Block(Block::GcNeeded { slots: len as u32 });
-                    }
-                }
-            }
-            Op::GetField(slot) => {
-                charge(cpu, cost.field_op);
-                let obj = pop_ref!();
-                let v = vm.heap.get(obj, slot as u32);
-                if vm.checks_remote_refs() {
-                    if let Value::Ref(a) = v {
-                        if a.is_remote() {
-                            frame.stack.push(Value::Ref(obj)); // restore operand
-                            return StepOutcome::Block(Block::RemoteRef {
-                                addr: a,
-                                prov: Provenance::Field {
-                                    obj,
-                                    slot: slot as u32,
-                                },
-                            });
-                        }
-                    }
-                }
-                frame.stack.push(v);
-                frame.pc += 1;
-            }
-            Op::PutField(slot) => {
-                charge(cpu, cost.field_op);
-                let v = pop!();
-                let obj = pop_ref!();
-                vm.heap.set(obj, slot as u32, v);
-                *cpu += vm.note_write(obj);
-                frame.pc += 1;
-            }
-            Op::ArrLoad => {
-                charge(cpu, cost.field_op);
-                let idx = pop_i64!();
-                let arr = pop_ref!();
-                let v = vm.heap.get(arr, idx as u32);
-                if vm.checks_remote_refs() {
-                    if let Value::Ref(a) = v {
-                        if a.is_remote() {
-                            frame.stack.push(Value::Ref(arr));
-                            frame.stack.push(Value::I64(idx));
-                            return StepOutcome::Block(Block::RemoteRef {
-                                addr: a,
-                                prov: Provenance::ArrayElem {
-                                    obj: arr,
-                                    idx: idx as u32,
-                                },
-                            });
-                        }
-                    }
-                }
-                frame.stack.push(v);
-                frame.pc += 1;
-            }
-            Op::ArrStore => {
-                charge(cpu, cost.field_op);
-                let v = pop!();
-                let idx = pop_i64!();
-                let arr = pop_ref!();
-                vm.heap.set(arr, idx as u32, v);
-                *cpu += vm.note_write(arr);
-                frame.pc += 1;
-            }
-            Op::ArrLen => {
-                charge(cpu, cost.simple_op);
-                let arr = pop_ref!();
-                let len = vm.heap.len_of(arr);
-                frame.stack.push(Value::I64(len as i64));
-                frame.pc += 1;
-            }
-            Op::GetStatic(slot) => {
-                charge(cpu, cost.field_op);
-                if !vm.static_fetched(slot) {
-                    return StepOutcome::Block(Block::RemoteStatic { slot });
-                }
-                let v = vm.static_value(slot);
-                if vm.checks_remote_refs() {
-                    if let Value::Ref(a) = v {
-                        if a.is_remote() {
-                            return StepOutcome::Block(Block::RemoteRef {
-                                addr: a,
-                                prov: Provenance::Static { slot },
-                            });
-                        }
-                    }
-                }
-                frame.stack.push(v);
-                frame.pc += 1;
-            }
-            Op::PutStatic(slot) => {
-                charge(cpu, cost.field_op);
-                if !vm.static_fetched(slot) {
-                    return StepOutcome::Block(Block::RemoteStatic { slot });
-                }
-                let v = pop!();
-                vm.set_static(slot, v);
-                frame.pc += 1;
-            }
-            Op::GetStaticVolatile(slot) | Op::PutStaticVolatile(slot) => {
-                charge(cpu, cost.monitor_op);
-                let is_write = matches!(op, Op::PutStaticVolatile(_));
-                if vm.kind() == EndpointKind::Function && !self.sync_permit {
-                    return StepOutcome::Block(Block::VolatileSync { slot, is_write });
-                }
-                self.sync_permit = false;
-                let frame = self.frames.last_mut().expect("no frames");
-                if !vm.static_fetched(slot) {
-                    return StepOutcome::Block(Block::RemoteStatic { slot });
-                }
-                if is_write {
-                    let v = frame.stack.pop().expect("operand stack underflow");
-                    vm.set_static(slot, v);
-                } else {
-                    frame.stack.push(vm.static_value(slot));
-                }
-                frame.pc += 1;
-            }
-            Op::MonitorEnter => {
-                charge(cpu, cost.monitor_op);
-                let obj = pop_ref!();
-                vm.counters.monitor_enters += 1;
-                if !vm.owns_monitor(obj) {
-                    frame.stack.push(Value::Ref(obj)); // restore operand
-                    return StepOutcome::Block(Block::MonitorAcquire { obj });
-                }
-                frame.pc += 1;
-            }
-            Op::MonitorExit => {
-                charge(cpu, cost.monitor_op);
-                let _obj = pop_ref!();
-                frame.pc += 1;
-            }
-            Op::NativeCall(native) => {
-                return self.do_native(vm, program, native, cpu);
-            }
-            Op::Work(nanos) => {
-                charge(cpu, Duration::from_nanos(nanos as u64));
-                frame.pc += 1;
-            }
-            Op::DbCall { conn, query } => {
-                charge(cpu, cost.call_op);
-                let conn_v = frame.locals[conn as usize];
-                let conn_obj = match conn_v {
-                    Value::Ref(a) if a.is_remote() && vm.checks_remote_refs() => {
-                        return StepOutcome::Block(Block::RemoteRef {
-                            addr: a,
-                            prov: Provenance::Local {
-                                frame: depth - 1,
-                                slot: conn,
-                            },
-                        });
-                    }
-                    Value::Ref(a) => a,
-                    other => panic!("DbCall connection local holds {other:?}"),
-                };
-                let arg = pop_i64!();
-                let class = vm.heap.class_of(conn_obj);
-                let spec = program
-                    .class(class)
-                    .packageable
-                    .unwrap_or_else(|| panic!("connection class {class:?} is not packageable"));
-                assert_eq!(spec.kind, PackKind::Socket, "DbCall on non-socket class");
-                let handle = vm.heap.get(conn_obj, spec.handle_slot as u32);
-                let proxy_conn_id = match handle {
-                    Value::I64(h) => match vm.native_state(h as u64) {
-                        Some(NativeState::Socket { proxy_conn_id }) => Some(*proxy_conn_id),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                vm.counters.db_calls += 1;
-                // One DB round trip = write + two reads on the socket
-                // (request, response header, response body): matches the
-                // ~3 network natives per round of Table 2.
-                vm.counters.natives.bump(NativeCategory::Network);
-                vm.counters.natives.bump(NativeCategory::Network);
-                vm.counters.natives.bump(NativeCategory::Network);
-                frame.pc += 1;
-                return StepOutcome::Block(Block::Db {
-                    conn: conn_obj,
-                    query,
-                    arg,
-                    proxy_conn_id,
-                });
-            }
-        }
-        StepOutcome::Continue
-    }
-
-    fn do_call(
-        &mut self,
-        vm: &mut VmInstance,
-        program: &Program,
-        target: MethodId,
-        cpu: &mut Duration,
-    ) -> StepOutcome {
-        let def = program.method(target);
-        if !vm.is_loaded(def.class) {
-            return StepOutcome::Block(Block::MissingClass { class: def.class });
-        }
-        match &def.body {
-            MethodBody::Native(native) => {
-                // Natives execute inline, no frame.
-                let native = *native;
-                let r = self.do_native_inner(vm, program, native, cpu);
-                if matches!(r, StepOutcome::Continue) {
-                    // do_native_inner advanced nothing; bump pc here.
-                    self.top_frame().pc += 1;
-                }
-                r
-            }
-            MethodBody::Bytecode(_) => {
-                let cold = vm.note_invocation(target);
-                let params = def.params as usize;
-                let frame = self.frames.last_mut().expect("no frames");
-                let at = frame.stack.len().checked_sub(params).unwrap_or_else(|| {
-                    panic!("stack underflow calling {} ({params} params)", def.name)
-                });
-                let mut locals: Vec<Value> = frame.stack.split_off(at);
-                // The caller resumes after the call once the callee returns.
-                frame.pc += 1;
-                locals.resize(def.frame_slots(), Value::Null);
-                self.frames.push(Frame {
-                    method: target,
-                    pc: 0,
-                    locals,
-                    stack: Vec::new(),
-                    cold,
-                });
-                beehive_profiler::push(target.0, *cpu);
-                StepOutcome::Continue
-            }
-        }
-    }
-
-    fn do_return(&mut self, value: Value, cpu: Duration) -> StepOutcome {
-        beehive_profiler::pop(cpu);
-        self.frames.pop();
-        match self.frames.last_mut() {
-            None => StepOutcome::Done(value),
-            Some(caller) => {
-                caller.stack.push(value);
-                StepOutcome::Continue
-            }
-        }
-    }
-
-    fn do_native(
-        &mut self,
-        vm: &mut VmInstance,
-        program: &Program,
-        native: NativeId,
-        cpu: &mut Duration,
-    ) -> StepOutcome {
-        let r = self.do_native_inner(vm, program, native, cpu);
-        if matches!(r, StepOutcome::Continue) {
-            self.top_frame().pc += 1;
-        }
-        r
-    }
-
-    /// Executes a native; on `Continue` the caller advances pc. Value-style
-    /// blocks advance pc themselves (their result is pushed on resume).
-    fn do_native_inner(
-        &mut self,
-        vm: &mut VmInstance,
-        program: &Program,
-        native: NativeId,
-        cpu: &mut Duration,
-    ) -> StepOutcome {
-        let def = program.native(native);
-        let cold = self.frames.last().expect("no frames").cold;
-        *cpu += if cold {
-            def.cost * vm.cost.cold_multiplier as u64
-        } else {
-            def.cost
-        };
-        vm.counters.natives.bump(def.category);
-
-        let is_function = vm.kind() == EndpointKind::Function;
-        let frame = self.frames.last_mut().expect("no frames");
-
-        // Non-offloadable natives always fall back from FaaS.
-        if is_function && def.category == NativeCategory::NonOffloadable {
-            let n = def.effect.arity();
-            let at = frame.stack.len() - n;
-            let args = frame.stack.split_off(at);
-            frame.pc += 1;
-            return StepOutcome::Block(Block::NativeFallback { native, args });
-        }
-
-        match def.effect {
-            NativeEffect::Nop => {
-                for _ in 0..def.effect.arity() {
-                    frame.stack.pop().expect("operand stack underflow");
-                }
-                frame.stack.push(Value::Null);
-                StepOutcome::Continue
-            }
-            NativeEffect::PushToken(t) => {
-                frame.stack.push(Value::I64(t));
-                StepOutcome::Continue
-            }
-            NativeEffect::ArrayCopy => {
-                let len = frame.stack.pop().and_then(Value::as_i64).expect("len");
-                let dst_pos = frame.stack.pop().and_then(Value::as_i64).expect("dstPos");
-                let dst = frame.stack.pop().and_then(Value::as_ref).expect("dst");
-                let src_pos = frame.stack.pop().and_then(Value::as_i64).expect("srcPos");
-                let src = frame.stack.pop().and_then(Value::as_ref).expect("src");
-                let src_len = vm.heap.len_of(src) as i64;
-                let dst_len = vm.heap.len_of(dst) as i64;
-                let n = len.min(src_len - src_pos).min(dst_len - dst_pos).max(0);
-                for i in 0..n {
-                    let v = vm.heap.get(src, (src_pos + i) as u32);
-                    vm.heap.set(dst, (dst_pos + i) as u32, v);
-                }
-                *cpu += vm.note_write(dst);
-                frame.stack.push(Value::Null);
-                StepOutcome::Continue
-            }
-            NativeEffect::ReflectInvoke => {
-                let obj = match frame.stack.last().copied() {
-                    Some(Value::Ref(a)) => a,
-                    other => panic!("ReflectInvoke expects an object, got {other:?}"),
-                };
-                let class = vm.heap.class_of(obj);
-                let spec = program.class(class).packageable;
-                let resolved = spec.and_then(|s| {
-                    vm.heap
-                        .get(obj, s.handle_slot as u32)
-                        .as_i64()
-                        .and_then(|h| vm.native_state(h as u64))
-                        .cloned()
-                });
-                match resolved {
-                    Some(NativeState::MethodMeta { method }) => {
-                        frame.stack.pop();
-                        frame.stack.push(Value::I64(method.0 as i64));
-                        StepOutcome::Continue
-                    }
-                    Some(_) => {
-                        frame.stack.pop();
-                        frame.stack.push(Value::I64(0));
-                        StepOutcome::Continue
-                    }
-                    None => {
-                        // Hidden state absent on this endpoint: fall back.
-                        let arg = frame.stack.pop().expect("arg");
-                        frame.pc += 1;
-                        StepOutcome::Block(Block::NativeFallback {
-                            native,
-                            args: vec![arg],
-                        })
-                    }
-                }
-            }
-            NativeEffect::SocketIo => {
-                let obj = match frame.stack.last().copied() {
-                    Some(Value::Ref(a)) => a,
-                    other => panic!("SocketIo expects a connection object, got {other:?}"),
-                };
-                let class = vm.heap.class_of(obj);
-                let present = program.class(class).packageable.is_some_and(|s| {
-                    vm.heap
-                        .get(obj, s.handle_slot as u32)
-                        .as_i64()
-                        .is_some_and(|h| vm.native_state(h as u64).is_some())
-                });
-                if present || !is_function {
-                    frame.stack.pop();
-                    frame.stack.push(Value::Null);
-                    StepOutcome::Continue
-                } else {
-                    let arg = frame.stack.pop().expect("arg");
-                    frame.pc += 1;
-                    StepOutcome::Block(Block::NativeFallback {
-                        native,
-                        args: vec![arg],
-                    })
-                }
-            }
-            NativeEffect::FileAccess => {
-                if is_function {
-                    frame.pc += 1;
-                    StepOutcome::Block(Block::NativeFallback {
-                        native,
-                        args: Vec::new(),
-                    })
-                } else {
-                    frame.stack.push(Value::I64(0));
-                    StepOutcome::Continue
-                }
-            }
-        }
     }
 }
 
-enum StepOutcome {
-    Continue,
-    Done(Value),
-    Block(Block),
+/// Execute a native on the executing frame's operands, charging its cost at
+/// the frame's warmth (`mult`). Returns the value-style block when the
+/// native must fall back to the server; the caller has already advanced the
+/// pc (the fallback's result is pushed on resume).
+fn run_native(
+    w: &mut Window<'_>,
+    vm: &mut VmInstance,
+    program: &Program,
+    native: NativeId,
+    mult: u64,
+    cpu: &mut Duration,
+) -> Option<Block> {
+    let def = program.native(native);
+    *cpu += def.cost * mult;
+    vm.counters.natives.bump(def.category);
+
+    let is_function = vm.kind() == EndpointKind::Function;
+
+    // Non-offloadable natives always fall back from FaaS.
+    if is_function && def.category == NativeCategory::NonOffloadable {
+        let args = w.pop_args(def.effect.arity());
+        return Some(Block::NativeFallback { native, args });
+    }
+
+    match def.effect {
+        NativeEffect::Nop => {
+            for _ in 0..def.effect.arity() {
+                w.pop();
+            }
+            w.push(Value::Null);
+        }
+        NativeEffect::PushToken(t) => w.push(Value::I64(t)),
+        NativeEffect::ArrayCopy => {
+            let len = w.pop().as_i64().expect("len");
+            let dst_pos = w.pop().as_i64().expect("dstPos");
+            let dst = w.pop().as_ref().expect("dst");
+            let src_pos = w.pop().as_i64().expect("srcPos");
+            let src = w.pop().as_ref().expect("src");
+            let src_len = vm.heap.len_of(src) as i64;
+            let dst_len = vm.heap.len_of(dst) as i64;
+            let n = len.min(src_len - src_pos).min(dst_len - dst_pos).max(0);
+            vm.heap
+                .copy_slots(src, src_pos as u32, dst, dst_pos as u32, n as u32);
+            *cpu += vm.note_write(dst);
+            w.push(Value::Null);
+        }
+        NativeEffect::ReflectInvoke => {
+            let obj = match w.top() {
+                Some(Value::Ref(a)) => a,
+                other => panic!("ReflectInvoke expects an object, got {other:?}"),
+            };
+            let class = vm.heap.class_of(obj);
+            let spec = program.class(class).packageable;
+            let resolved = spec.and_then(|s| {
+                vm.heap
+                    .get(obj, s.handle_slot as u32)
+                    .as_i64()
+                    .and_then(|h| vm.native_state(h as u64))
+                    .cloned()
+            });
+            let arg = w.pop();
+            match resolved {
+                Some(NativeState::MethodMeta { method }) => w.push(Value::I64(method.0 as i64)),
+                Some(_) => w.push(Value::I64(0)),
+                None => {
+                    // Hidden state absent on this endpoint: fall back.
+                    return Some(Block::NativeFallback {
+                        native,
+                        args: vec![arg],
+                    });
+                }
+            }
+        }
+        NativeEffect::SocketIo => {
+            let obj = match w.top() {
+                Some(Value::Ref(a)) => a,
+                other => panic!("SocketIo expects a connection object, got {other:?}"),
+            };
+            let class = vm.heap.class_of(obj);
+            let present = program.class(class).packageable.is_some_and(|s| {
+                vm.heap
+                    .get(obj, s.handle_slot as u32)
+                    .as_i64()
+                    .is_some_and(|h| vm.native_state(h as u64).is_some())
+            });
+            let arg = w.pop();
+            if present || !is_function {
+                w.push(Value::Null);
+            } else {
+                return Some(Block::NativeFallback {
+                    native,
+                    args: vec![arg],
+                });
+            }
+        }
+        NativeEffect::FileAccess => {
+            if is_function {
+                return Some(Block::NativeFallback {
+                    native,
+                    args: Vec::new(),
+                });
+            }
+            w.push(Value::I64(0));
+        }
+    }
+    None
 }
 
 #[cfg(test)]

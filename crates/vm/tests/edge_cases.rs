@@ -278,3 +278,298 @@ fn op_return_pushes_null_to_caller() {
         Outcome::Done(Value::I64(1))
     ));
 }
+
+// ----- frame-resident dispatch loop: frame entry / exit edges ---------------
+
+use beehive_vm::heap::Space;
+use beehive_vm::natives::{NativeCategory, NativeEffect};
+use beehive_vm::{Addr, Duration, Provenance};
+
+#[test]
+fn a_block_on_the_first_op_of_a_callee_retries_inside_the_callee() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.user_class("A", 0, None);
+    let s = pb.static_slot("CONFIG");
+    let mut callee = Asm::new();
+    callee.get_static(s).load(0).add().return_val();
+    let f = pb.method(c, "f", 1, 0, callee.finish());
+    let mut a = Asm::new();
+    a.const_i(100).const_i(5).call(f).add().return_val();
+    let m = pb.method(c, "m", 0, 0, a.finish());
+    let p = pb.finish();
+    let mut vm = VmInstance::function(&p, CostModel::default());
+    vm.load_class(c);
+    let mut e = Execution::call(m, vec![], &p);
+    let r = e.run(&mut vm, &p);
+    assert_eq!(r.outcome, Outcome::Blocked(Block::RemoteStatic { slot: s }));
+    // The frame was entered and stopped on its first instruction; the
+    // caller already points past the call.
+    assert_eq!(e.depth(), 2);
+    assert_eq!((e.frames()[1].method(), e.frames()[1].pc()), (f, 0));
+    assert_eq!(e.frames()[0].pc(), 3);
+    let ops_before = vm.counters.ops;
+    vm.install_static(s, Value::I64(30));
+    e.resume();
+    let r = e.run(&mut vm, &p);
+    assert_eq!(r.outcome, Outcome::Done(Value::I64(135)));
+    // The retried op is counted (and charged) again: get_static, load, add,
+    // return_val in the callee, then add, return_val in the caller.
+    assert_eq!(vm.counters.ops - ops_before, 6);
+}
+
+#[test]
+fn call_stub_to_an_unloaded_class_retries_with_the_selector_intact() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.user_class("A", 0, None);
+    let dep = pb.framework_class("Interceptor", 0);
+    let mut t0 = Asm::new();
+    t0.const_i(10).return_val();
+    let m0 = pb.method(c, "t0", 0, 0, t0.finish());
+    let mut t1 = Asm::new();
+    t1.const_i(20).return_val();
+    let m1 = pb.method(dep, "t1", 0, 0, t1.finish());
+    let stub = pb.stub("MethodInterceptor", vec![m0, m1]);
+    let mut a = Asm::new();
+    a.const_i(7).const_i(1).call_stub(stub).add().return_val();
+    let m = pb.method(c, "m", 0, 0, a.finish());
+    let p = pb.finish();
+    let mut vm = VmInstance::function(&p, CostModel::default());
+    vm.load_class(c);
+    let mut e = Execution::call(m, vec![], &p);
+    let r = e.run(&mut vm, &p);
+    assert_eq!(
+        r.outcome,
+        Outcome::Blocked(Block::MissingClass { class: dep })
+    );
+    // Both operands (7 and the selector) are still on the stack, and the pc
+    // is still on the stub call.
+    assert_eq!(e.stack_bytes(), (2 + 2) * 8);
+    assert_eq!(e.frames()[0].pc(), 2);
+    vm.load_class(dep);
+    e.resume();
+    let r = e.run(&mut vm, &p);
+    assert_eq!(r.outcome, Outcome::Done(Value::I64(27)), "selector 1 -> t1");
+}
+
+#[test]
+fn gc_needed_restores_the_new_array_length_operand() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.user_class("A", 0, None);
+    // Two arrays that each need more than half the function heap: the second
+    // allocation must collect the first (garbage) before it fits.
+    let len = (beehive_vm::instance::FUNCTION_ALLOC_BYTES / 8 / 2 + 1024) as i64;
+    let mut a = Asm::new();
+    a.const_i(len).new_array().pop();
+    a.const_i(len).new_array().arr_len().return_val();
+    let m = pb.method(c, "m", 0, 0, a.finish());
+    let p = pb.finish();
+    let mut vm = VmInstance::function(&p, CostModel::default());
+    vm.load_class(c);
+    let mut e = Execution::call(m, vec![], &p);
+    let r = e.run(&mut vm, &p);
+    assert_eq!(
+        r.outcome,
+        Outcome::Blocked(Block::GcNeeded { slots: len as u32 })
+    );
+    assert_eq!(
+        e.stack_bytes(),
+        (1 + 2) * 8,
+        "the length is back on the stack"
+    );
+    vm.collect(&mut [&mut e], &mut []);
+    e.resume();
+    let r = e.run(&mut vm, &p);
+    assert_eq!(r.outcome, Outcome::Done(Value::I64(len)));
+}
+
+#[test]
+fn methods_turn_warm_on_exactly_the_invocation_after_the_threshold() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.user_class("A", 0, None);
+    let mut callee = Asm::new();
+    callee.work(1000).const_i(0).return_val();
+    let f = pb.method(c, "f", 0, 0, callee.finish());
+    let mut a = Asm::new();
+    a.call(f).return_val();
+    let m = pb.method(c, "m", 0, 0, a.finish());
+    let p = pb.finish();
+    let mut vm = VmInstance::server(&p, CostModel::default());
+    let cost = vm.cost;
+    // call + return_val in the root; work + const + return_val in the callee.
+    let warm = cost.call_op * 3 + cost.simple_op + Duration::from_nanos(1000);
+    let cold = warm * cost.cold_multiplier as u64;
+    for invocation in 1..=cost.warm_threshold + 3 {
+        let mut e = Execution::call(m, vec![], &p);
+        let r = e.run(&mut vm, &p);
+        let want = if invocation <= cost.warm_threshold {
+            cold
+        } else {
+            warm
+        };
+        assert_eq!(r.cpu, want, "invocation {invocation}");
+    }
+}
+
+/// root(a0) → f1(x) → f2(y, z), each frame holding operands across its call;
+/// f2 stops on a native fallback. Returns (program, root, [f1, f2]).
+fn three_deep() -> (
+    beehive_vm::program::Program,
+    beehive_vm::MethodId,
+    [beehive_vm::MethodId; 2],
+    beehive_vm::ClassId,
+) {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.user_class("Node", 1, None);
+    let file_read = pb.native(
+        "FileInputStream.read0",
+        NativeCategory::NonOffloadable,
+        Duration::from_nanos(100),
+        NativeEffect::FileAccess,
+    );
+    // f2(y, z): r = read(); l = r; return l.f0 + y + z      (2 params, 1 local)
+    let mut a2 = Asm::new();
+    a2.native(file_read).store(2);
+    a2.load(2)
+        .get_field(0)
+        .load(0)
+        .add()
+        .load(1)
+        .add()
+        .return_val();
+    let f2 = pb.method(c, "f2", 2, 1, a2.finish());
+    // f1(x): l1 = x + 1; return 30 + (40 + f2(x, l1))       (1 param, 2 locals)
+    let mut a1 = Asm::new();
+    a1.load(0).const_i(1).add().store(1);
+    a1.const_i(30).const_i(40).load(0).load(1).call(f2);
+    a1.add().add().return_val();
+    let f1 = pb.method(c, "f1", 1, 2, a1.finish());
+    // root(a0): l1 = 9; return 7 + f1(a0) + l1                (1 param, 1 local)
+    let mut a0 = Asm::new();
+    a0.const_i(9).store(1);
+    a0.const_i(7)
+        .load(0)
+        .call(f1)
+        .add()
+        .load(1)
+        .add()
+        .return_val();
+    let root = pb.method(c, "root", 1, 1, a0.finish());
+    (pb.finish(), root, [f1, f2], c)
+}
+
+fn roots(e: &mut Execution) -> Vec<Value> {
+    let mut seen = Vec::new();
+    e.visit_roots(&mut |v| seen.push(*v));
+    seen
+}
+
+#[test]
+fn three_deep_frames_keep_their_windows_roots_and_wire_size() {
+    let (p, root, [f1, f2], c) = three_deep();
+    let mut vm = VmInstance::function(&p, CostModel::default());
+    vm.load_class(c);
+    let mut e = Execution::call(root, vec![Value::I64(5)], &p);
+    let r = e.run(&mut vm, &p);
+    assert!(matches!(
+        r.outcome,
+        Outcome::Blocked(Block::NativeFallback { .. })
+    ));
+    assert_eq!(e.depth(), 3);
+    let methods: Vec<_> = e.frames().iter().map(|f| f.method()).collect();
+    assert_eq!(methods, vec![root, f1, f2]);
+    // Every local and operand of every frame, outermost first: root's
+    // locals [5, 9] + operand [7]; f1's locals [5, 6, null] + operands
+    // [30, 40]; f2's locals [5, 6, null] and no operands.
+    let i = Value::I64;
+    assert_eq!(
+        roots(&mut e),
+        vec![
+            i(5),
+            i(9),
+            i(7),
+            i(5),
+            i(6),
+            Value::Null,
+            i(30),
+            i(40),
+            i(5),
+            i(6),
+            Value::Null
+        ]
+    );
+    // The pre-campaign formula: Σ (locals + operands + 2) × 8 per frame.
+    let old_formula = ((2 + 1 + 2) + (3 + 2 + 2) + (3 + 2)) * 8;
+    assert_eq!(e.stack_bytes(), old_formula);
+    // A snapshot clone is independent of the live execution.
+    let snapshot = e.clone();
+
+    // The fallback's result is a remote reference: storing it is free, the
+    // load that follows must name frame 2 (not the top of some other stack).
+    let obj = vm.heap.alloc_object(c, 1, Space::Closure).unwrap();
+    vm.heap.set(obj, 0, i(1000));
+    let remote = Addr(beehive_vm::heap::CLOSURE_BASE + 0x4000).to_remote();
+    e.resume_with(Value::Ref(remote));
+    let r = e.run(&mut vm, &p);
+    assert_eq!(
+        r.outcome,
+        Outcome::Blocked(Block::RemoteRef {
+            addr: remote,
+            prov: Provenance::Local { frame: 2, slot: 2 }
+        })
+    );
+    assert_eq!(roots(&mut e)[10], Value::Ref(remote));
+    assert_eq!(*e.local_mut(2, 2), Value::Ref(remote));
+    assert_eq!(*e.local_mut(1, 1), i(6));
+    assert_eq!(*e.local_mut(0, 1), i(9));
+    *e.local_mut(2, 2) = Value::Ref(obj);
+    e.resume();
+    let r = e.run(&mut vm, &p);
+    // f2 = 1000 + 5 + 6; f1 = 30 + (40 + 1011); root = 7 + 1081 + 9.
+    assert_eq!(r.outcome, Outcome::Done(i(1097)));
+    assert_eq!(e.depth(), 0);
+    assert!(roots(&mut e).is_empty());
+    assert_eq!(e.stack_bytes(), 0);
+
+    // The snapshot still sits at the fallback with all three frames.
+    let mut e = snapshot;
+    assert_eq!(e.depth(), 3);
+    assert_eq!(e.stack_bytes(), old_formula);
+    e.resume_with(Value::Ref(obj));
+    let r = e.run(&mut vm, &p);
+    assert_eq!(r.outcome, Outcome::Done(i(1097)));
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds: the len is 3")]
+fn local_mut_cannot_reach_into_the_operand_window() {
+    let (p, root, _, c) = three_deep();
+    let mut vm = VmInstance::function(&p, CostModel::default());
+    vm.load_class(c);
+    let mut e = Execution::call(root, vec![Value::I64(5)], &p);
+    e.run(&mut vm, &p);
+    // f1 has three local slots; slot 3 is its first operand (30).
+    e.local_mut(1, 3);
+}
+
+#[test]
+#[should_panic(expected = "operand stack underflow")]
+fn a_callee_cannot_pop_its_callers_operands() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.user_class("A", 0, None);
+    // The callee pops with nothing pushed; the caller's 7 sits right below.
+    let bad = pb.method(c, "bad", 0, 0, vec![Op::Pop, Op::Return]);
+    let mut a = Asm::new();
+    a.const_i(7).call(bad).return_val();
+    let m = pb.method(c, "m", 0, 0, a.finish());
+    let p = pb.finish();
+    let mut vm = VmInstance::server(&p, CostModel::default());
+    Execution::call(m, vec![], &p).run(&mut vm, &p);
+}
+
+#[test]
+#[should_panic(expected = "method#7 is outside the program (3 methods)")]
+fn an_invocation_of_an_unknown_method_id_names_it() {
+    let (p, ..) = three_deep();
+    let mut vm = VmInstance::server(&p, CostModel::default());
+    vm.note_invocation(beehive_vm::MethodId(7));
+}

@@ -515,10 +515,10 @@ impl Sim {
             let ok = platform.acquire_warm_specific(fid);
             if ok {
                 self.fleet.idle.remove(0);
-                let mut func = self.fleet.funcs.remove(&fid).expect("tracked instance");
+                let func = self.fleet.funcs.get_mut(&fid).expect("tracked instance");
                 let session = OffloadSession::start_with_dispatch(
                     &mut self.server,
-                    &mut func,
+                    func,
                     self.cfg.app.root,
                     args,
                     false,
@@ -526,7 +526,6 @@ impl Sim {
                     false,
                     self.dispatch_cost,
                 );
-                self.fleet.funcs.insert(fid, func);
                 self.fleet.note_gcs(fid, self.now, &mut self.obs);
                 if tele::enabled() {
                     tele::instant(
@@ -627,14 +626,14 @@ impl Sim {
                 .expect("platform exists")
                 .boot_complete(self.now, fid);
         }
-        let mut func =
-            self.fleet.funcs.remove(&fid).unwrap_or_else(|| {
+        let func =
+            self.fleet.funcs.entry(fid).or_insert_with(|| {
                 FunctionRuntime::new(fid, &self.cfg.app.program, self.cost_model)
             });
         let shadow = self.cfg.shadow_enabled;
         let session = OffloadSession::start_with_dispatch(
             &mut self.server,
-            &mut func,
+            func,
             self.cfg.app.root,
             args,
             shadow,
@@ -642,7 +641,6 @@ impl Sim {
             cold, // closure computation overlaps a cold boot (§5.6)
             self.dispatch_cost,
         );
-        self.fleet.funcs.insert(fid, func);
         self.fleet.note_gcs(fid, self.now, &mut self.obs);
         if shadow {
             self.acct.shadows += 1;

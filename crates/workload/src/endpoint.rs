@@ -7,13 +7,11 @@
 //! façade ([`Obs`]), the single instrumented boundary all
 //! counter/gauge/histogram touches go through.
 
-use std::collections::HashMap;
-
 use beehive_apps::App;
 use beehive_core::config::NetProfile;
 use beehive_core::{FunctionRuntime, OffloadSession, ServerRuntime, SessionStep};
 use beehive_faas::FaasPlatform;
-use beehive_sim::{Duration, SimTime};
+use beehive_sim::{Duration, FastMap, SimTime};
 use beehive_vm::{CostModel, Value};
 
 /// The FaaS instance fleet: live runtimes, the idle (warm, closure-ready)
@@ -22,7 +20,7 @@ use beehive_vm::{CostModel, Value};
 #[derive(Debug)]
 pub struct Fleet {
     /// Live function runtimes by instance id.
-    pub(crate) funcs: HashMap<u32, FunctionRuntime>,
+    pub(crate) funcs: FastMap<u32, FunctionRuntime>,
     /// Idle warm instances, in round-robin rotation order (OpenWhisk's load
     /// balancer spreads activations across warm containers).
     pub(crate) idle: Vec<u32>,
@@ -32,12 +30,12 @@ pub struct Fleet {
     /// registry; seeded at construction so pre-virtual-time collections
     /// (prewarm warm-up) are excluded, matching what a trace of the run
     /// records.
-    gc_seen: HashMap<u32, usize>,
+    gc_seen: FastMap<u32, usize>,
 }
 
 impl Fleet {
     /// A fleet seeded with prewarmed instances (all idle).
-    pub(crate) fn new(funcs: HashMap<u32, FunctionRuntime>, idle: Vec<u32>) -> Fleet {
+    pub(crate) fn new(funcs: FastMap<u32, FunctionRuntime>, idle: Vec<u32>) -> Fleet {
         let gc_seen = funcs
             .iter()
             .map(|(&id, f)| (id, f.vm.gc_log().len()))
@@ -64,7 +62,7 @@ impl Fleet {
         net: NetProfile,
         cost: CostModel,
     ) -> Fleet {
-        let mut funcs = HashMap::new();
+        let mut funcs = FastMap::default();
         let mut idle: Vec<u32> = Vec::new();
         if ready > 0 {
             if let Some(p) = platform.as_mut() {
@@ -125,11 +123,10 @@ impl Fleet {
         };
         let log = f.vm.gc_log();
         let seen = self.gc_seen.entry(fid).or_insert(0);
-        let pauses: Vec<Duration> = log[*seen..].iter().map(|gc| gc.pause).collect();
-        *seen = log.len();
-        for p in pauses {
-            obs.gc_pause(now, p);
+        for gc in &log[*seen..] {
+            obs.gc_pause(now, gc.pause);
         }
+        *seen = log.len();
     }
 }
 

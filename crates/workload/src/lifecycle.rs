@@ -10,14 +10,14 @@
 //! is a single instrumented call site per transition rather than a per-lane
 //! match pyramid.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use beehive_chaos::{RetryDecision, RpcFault};
 use beehive_core::{
     FunctionRuntime, Need, OffloadSession, Resource, ServerRuntime, ServerSession, SessionStep,
 };
 use beehive_faas::BootKind;
-use beehive_sim::{EventQueue, SimTime};
+use beehive_sim::{EventQueue, FastMap, SimTime};
 use beehive_telemetry as tele;
 use beehive_vm::{Execution, Value};
 
@@ -163,12 +163,13 @@ impl Request {
 
 /// What became of a request whose instance died.
 enum AfterCrash {
-    /// Parked as [`Lane::Crashed`] awaiting `Ev::Recover`, or dropped
-    /// entirely (dead shadow warm-ups leave nothing to recover).
+    /// Parked as [`Lane::Crashed`] awaiting `Ev::Recover`.
     Parked,
+    /// A dead shadow warm-up: nothing to recover, retire the request.
+    Dropped,
     /// Retries exhausted with a clean write journal: the request degraded
     /// to a fresh server session — keep stepping it.
-    Degraded(Box<Request>),
+    Degraded,
 }
 
 /// A finished request, handed back to the driver for accounting.
@@ -207,8 +208,10 @@ pub struct TransitionTally {
 /// The per-request state machine over every in-flight request.
 #[derive(Debug, Default)]
 pub struct Lifecycle {
-    requests: HashMap<u64, Request>,
-    lock_waiters: HashMap<beehive_vm::Addr, VecDeque<u64>>,
+    /// Boxed: a request is stepped where it lives and only its pointer
+    /// moves when the table grows.
+    requests: FastMap<u64, Box<Request>>,
+    lock_waiters: FastMap<beehive_vm::Addr, VecDeque<u64>>,
     next_req: u64,
     tally: TransitionTally,
 }
@@ -233,7 +236,7 @@ impl Lifecycle {
     pub(crate) fn insert(&mut self, req: Request) -> u64 {
         let rid = self.next_req;
         self.next_req += 1;
-        self.requests.insert(rid, req);
+        self.requests.insert(rid, Box::new(req));
         rid
     }
 
@@ -276,16 +279,15 @@ impl Lifecycle {
         req.lane = Lane::faas(session, instance);
     }
 
-    /// The §4.5 `Crashed` transition: the instance serving `rid` died while
+    /// The §4.5 `Crashed` transition: the instance serving `req` died while
     /// the request was parked. Dead shadows are abandoned; real requests
     /// consult the retry policy — provision a replacement and park as
     /// [`Lane::Crashed`], or (retries exhausted, write journal clean)
     /// degrade to a fresh server session.
     #[allow(clippy::too_many_arguments)]
     fn crashed(
-        &mut self,
         rid: u64,
-        mut req: Request,
+        req: &mut Request,
         now: SimTime,
         server: &mut ServerRuntime,
         fleet: &mut Fleet,
@@ -293,7 +295,6 @@ impl Lifecycle {
         events: &mut EventQueue<Ev>,
         obs: &mut Obs,
     ) -> AfterCrash {
-        self.tally.crashes += 1;
         let placeholder = Lane::pending_boot(Vec::new(), u32::MAX, false);
         let Lane::Faas { mut session, .. } = std::mem::replace(&mut req.lane, placeholder) else {
             unreachable!("crash detected on a faas lane");
@@ -304,7 +305,7 @@ impl Lifecycle {
             // drop; the instance is dead, so nothing is released to the
             // platform either.
             session.abandon(server);
-            return AfterCrash::Parked;
+            return AfterCrash::Dropped;
         }
         // Everything since the last durable snapshot is lost and will be
         // re-executed after the restore.
@@ -355,7 +356,6 @@ impl Lifecycle {
                     std::cmp::max(ready, now + backoff),
                     Ev::Recover { req: rid },
                 );
-                self.requests.insert(rid, req);
                 AfterCrash::Parked
             }
             RetryDecision::Degrade => {
@@ -370,7 +370,7 @@ impl Lifecycle {
                 let args = session.args().to_vec();
                 session.abandon(server);
                 req.lane = Lane::server(ServerSession::start(server, root, args), 0);
-                AfterCrash::Degraded(Box::new(req))
+                AfterCrash::Degraded
             }
         }
     }
@@ -422,7 +422,10 @@ impl Lifecycle {
         events: &mut EventQueue<Ev>,
         obs: &mut Obs,
     ) {
-        let mut req = self.requests.remove(&rid).expect("crashed request present");
+        let req = self
+            .requests
+            .get_mut(&rid)
+            .expect("crashed request present");
         tele::end(tele::Track::Request(session.request_id()), "recovery", &[]);
         // The restore is durable: the lost-work clock restarts here.
         req.snap_seen = session.stats.snapshots;
@@ -432,8 +435,7 @@ impl Lifecycle {
             unreachable!("recovery resumes on a queued need");
         };
         self.tally.needs += 1;
-        self.park_on_need(rid, &mut req, n, now, broker, events, obs);
-        self.requests.insert(rid, req);
+        Self::park_on_need(rid, req, n, now, broker, events, obs);
     }
 
     /// Bump and return the failed-attempt count of `rid` (boot failures).
@@ -480,7 +482,9 @@ impl Lifecycle {
 
     /// Advance request `rid` until it parks on a resource or finishes.
     /// Returns the completion for the driver to account, or `None` when the
-    /// request parked (or was already gone).
+    /// request parked (or was already gone). The request and its function
+    /// instance are stepped where they live; only a finished request leaves
+    /// the table.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn advance(
         &mut self,
@@ -492,60 +496,61 @@ impl Lifecycle {
         events: &mut EventQueue<Ev>,
         obs: &mut Obs,
     ) -> Option<Done> {
-        let Some(mut req) = self.requests.remove(&rid) else {
-            return None; // already finished
-        };
+        let Lifecycle {
+            requests,
+            lock_waiters,
+            tally,
+            ..
+        } = self;
+        // `None`: already finished.
+        let mut req: &mut Request = requests.get_mut(&rid)?;
         if let Some(name) = req.open_span.take() {
             // The request resumes: close the resource span opened when it
             // parked, so the span covers service plus queueing.
             tele::end(req.lane.track(), name, &[]);
         }
         loop {
-            // §4.5 crash detection: the wait that just completed resumed
-            // into an instance the fault injector killed in the meantime —
-            // the RPC timeout is the failure detector.
-            if let Lane::Faas { instance, .. } = &req.lane {
-                if !fleet.funcs.contains_key(instance) {
-                    match self.crashed(rid, req, now, server, fleet, broker, events, obs) {
-                        AfterCrash::Parked => return None,
-                        AfterCrash::Degraded(r) => {
-                            req = *r;
-                            continue;
-                        }
-                    }
-                }
-            }
             let step = match &mut req.lane {
-                Lane::Server { session, .. } => session.next(server),
-                Lane::Faas { session, instance } => {
-                    let fid = *instance;
-                    let mut func = fleet.funcs.remove(&fid).expect("instance exists");
-                    let s = session.next(server, &mut func);
-                    fleet.funcs.insert(fid, func);
-                    fleet.note_gcs(fid, now, obs);
-                    if session.stats.snapshots > req.snap_seen {
-                        // A new durable snapshot: work before `now` would
-                        // survive a crash.
-                        req.snap_seen = session.stats.snapshots;
-                        req.progress = now;
-                    }
-                    s
-                }
+                Lane::Server { session, .. } => Some(session.next(server)),
+                Lane::Faas { session, instance } => fleet
+                    .funcs
+                    .get_mut(instance)
+                    .map(|func| session.next(server, func)),
                 Lane::PendingBoot { .. } | Lane::Crashed { .. } => {
-                    // Waits for Ev::Boot / Ev::Recover.
-                    self.requests.insert(rid, req);
-                    return None;
+                    return None; // waits for Ev::Boot / Ev::Recover
                 }
             };
+            let Some(step) = step else {
+                // §4.5 crash detection: the wait that just completed resumed
+                // into an instance the fault injector killed in the meantime
+                // — the RPC timeout is the failure detector.
+                tally.crashes += 1;
+                match Self::crashed(rid, req, now, server, fleet, broker, events, obs) {
+                    AfterCrash::Parked => {}
+                    AfterCrash::Dropped => {
+                        requests.remove(&rid);
+                    }
+                    AfterCrash::Degraded => continue,
+                }
+                return None;
+            };
+            if let Lane::Faas { session, instance } = &req.lane {
+                fleet.note_gcs(*instance, now, obs);
+                if session.stats.snapshots > req.snap_seen {
+                    // A new durable snapshot: work before `now` would
+                    // survive a crash.
+                    req.snap_seen = session.stats.snapshots;
+                    req.progress = now;
+                }
+            }
             match step {
                 SessionStep::Need(n) => {
-                    self.tally.needs += 1;
-                    self.park_on_need(rid, &mut req, n, now, broker, events, obs);
-                    self.requests.insert(rid, req);
+                    tally.needs += 1;
+                    Self::park_on_need(rid, req, n, now, broker, events, obs);
                     return None;
                 }
                 SessionStep::SyncFromPeer { peer, monitor } => {
-                    self.tally.syncs += 1;
+                    tally.syncs += 1;
                     let (objs, report) = match fleet.funcs.get_mut(&peer) {
                         Some(p) => {
                             let (objs, report) = server.pull_dirty_from(p);
@@ -573,24 +578,26 @@ impl Lifecycle {
                     }
                 }
                 SessionStep::ServerGc => {
-                    self.tally.server_gcs += 1;
+                    tally.server_gcs += 1;
+                    // Roots: every in-flight server execution, this
+                    // request's included.
+                    let mut execs: Vec<&mut Execution> = requests
+                        .values_mut()
+                        .filter_map(|r| match &mut r.lane {
+                            Lane::Server { session, .. } => Some(session.execution_mut()),
+                            _ => None,
+                        })
+                        .collect();
+                    let pause = server.collect_server_heap(&mut execs);
+                    obs.gc_pause(now, pause);
+                    req = requests.get_mut(&rid).expect("stepping request present");
                     let Lane::Server { session, .. } = &mut req.lane else {
                         unreachable!("only server sessions GC through the driver")
                     };
-                    let mut execs: Vec<&mut Execution> = vec![session.execution_mut()];
-                    for other in self.requests.values_mut() {
-                        if let Lane::Server { session: s, .. } = &mut other.lane {
-                            execs.push(s.execution_mut());
-                        }
-                    }
-                    let pause = server.collect_server_heap(&mut execs);
-                    obs.gc_pause(now, pause);
-                    if let Lane::Server { session, .. } = &mut req.lane {
-                        session.gc_done(pause);
-                    }
+                    session.gc_done(pause);
                 }
                 SessionStep::AwaitLock { canonical } => {
-                    self.tally.lock_waits += 1;
+                    tally.lock_waits += 1;
                     if tele::enabled() {
                         // Lock hand-off residence: opened here, closed by the
                         // `open_span` mechanism when the waiter resumes — the
@@ -601,15 +608,12 @@ impl Lifecycle {
                         tele::begin(req.lane.track(), name, &[]);
                         req.open_span = Some(name);
                     }
-                    self.lock_waiters
-                        .entry(canonical)
-                        .or_default()
-                        .push_back(rid);
-                    self.requests.insert(rid, req);
+                    lock_waiters.entry(canonical).or_default().push_back(rid);
                     return None;
                 }
                 SessionStep::Finished(_v) => {
-                    self.tally.finished += 1;
+                    tally.finished += 1;
+                    let req = *requests.remove(&rid).expect("stepping request present");
                     let request = match &req.lane {
                         Lane::Server { session, .. } => session.request_id(),
                         Lane::Faas { session, .. } => session.request_id(),
@@ -637,7 +641,6 @@ impl Lifecycle {
     /// network).
     #[allow(clippy::too_many_arguments)]
     fn park_on_need(
-        &mut self,
         rid: u64,
         req: &mut Request,
         n: Need,
@@ -776,7 +779,6 @@ mod tests {
     use beehive_proxy::Proxy;
     use beehive_sim::{Duration, Rng};
     use beehive_vm::CostModel;
-    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// A minimal world around the lifecycle machine: no `Sim`, no arrival
@@ -810,7 +812,7 @@ mod tests {
             rng: Rng::new(7),
             now: SimTime::ZERO,
             server,
-            fleet: Fleet::new(HashMap::new(), Vec::new()),
+            fleet: Fleet::new(FastMap::default(), Vec::new()),
             broker: Broker::new(4.0, None, None),
             events: EventQueue::new(),
             obs: Obs::off(),
@@ -908,9 +910,32 @@ mod tests {
             );
         }
 
+        /// Fill the server's allocation space with unrooted garbage, so the
+        /// next allocation blocks on `GcNeeded`.
+        fn fill_alloc_space(&mut self) {
+            for len in [65_536u32, 4_096, 256, 16, 1, 0] {
+                while self
+                    .server
+                    .vm
+                    .heap
+                    .alloc_array(len, beehive_vm::heap::Space::Alloc)
+                    .is_some()
+                {}
+            }
+        }
+
         /// Run the event queue dry, advancing virtual time.
         fn drain(&mut self) {
-            while let Some((t, ev)) = self.events.pop() {
+            self.drain_until(|_| false);
+        }
+
+        /// Run events until `stop` holds (checked after each event) or the
+        /// queue is dry.
+        fn drain_until(&mut self, stop: impl Fn(&TransitionTally) -> bool) {
+            while !stop(&self.life.tally()) {
+                let Some((t, ev)) = self.events.pop() else {
+                    return;
+                };
                 self.now = t;
                 match ev {
                     Ev::Step(rid) => self.step(rid),
@@ -1028,20 +1053,84 @@ mod tests {
         // request's first allocation blocks on GcNeeded, surfacing
         // SessionStep::ServerGc; the collection then reclaims the filler
         // and the request completes normally.
-        for len in [65_536u32, 4_096, 256, 16, 1, 0] {
-            while w
-                .server
-                .vm
-                .heap
-                .alloc_array(len, beehive_vm::heap::Space::Alloc)
-                .is_some()
-            {}
-        }
+        w.fill_alloc_space();
         w.start_server();
         w.drain();
         let t = w.life.tally();
         assert!(t.server_gcs > 0, "no ServerGc under a full heap: {t:?}");
         assert_eq!(t.finished, 1, "the request completes after the GC: {t:?}");
+    }
+
+    #[test]
+    fn server_gc_roots_every_other_in_flight_server_request() {
+        let mut w = world(false);
+        // Four server requests parked mid-flight, their frames holding
+        // allocation-space references …
+        for _ in 0..4 {
+            w.start_server();
+        }
+        assert_eq!(w.life.inflight(), 4);
+        // … then the heap fills up and a fifth request's first allocation
+        // collects it: the four parked executions are roots too, stepped
+        // where they live in the table.
+        w.fill_alloc_space();
+        w.start_server();
+        w.drain_until(|t| t.server_gcs > 0);
+        let t = w.life.tally();
+        assert!(t.server_gcs > 0, "no ServerGc under a full heap: {t:?}");
+        assert_eq!(t.finished, 0, "{t:?}");
+        assert_eq!(w.life.inflight(), 5, "the collecting request stays put");
+        w.drain();
+        let t = w.life.tally();
+        assert_eq!(t.finished, 5, "every rooted request completes: {t:?}");
+        assert_eq!(w.life.inflight(), 0);
+    }
+
+    #[test]
+    fn a_crash_detected_mid_advance_parks_the_request_where_it_is() {
+        let mut w = world(true);
+        w.broker.platform = Some(FaasPlatform::new(PlatformConfig::openwhisk(), Rng::new(1)));
+        w.start_server();
+        let rid = w.start_faas(5, false);
+        w.start_server();
+        w.fleet.funcs.remove(&5);
+        // The victim's completed wait detects the crash.
+        w.drain_until(|t| t.crashes > 0);
+        let t = w.life.tally();
+        assert_eq!((t.crashes, t.finished), (1, 0), "{t:?}");
+        assert_eq!(w.life.inflight(), 3, "a crashed lane stays in the table");
+        assert!(
+            w.life.faas_instances().is_empty(),
+            "the reserved replacement is not a fault victim"
+        );
+        // Stepping it again before Ev::Recover is a no-op.
+        w.step(rid);
+        assert_eq!(w.life.tally().crashes, 1);
+        w.drain();
+        let t = w.life.tally();
+        assert_eq!((t.crashes, t.finished), (1, 3), "{t:?}");
+        assert_eq!(w.life.inflight(), 0);
+    }
+
+    #[test]
+    fn degrading_keeps_stepping_the_same_request_in_the_same_call() {
+        let mut w = world(true);
+        w.broker.chaos.policy = RetryPolicy::new(Duration::from_millis(50), 0);
+        w.start_faas(3, false);
+        let needs_before = w.life.tally().needs;
+        w.fleet.funcs.remove(&3);
+        w.drain_until(|t| t.crashes > 0);
+        // One `advance`: crash detected, degraded, and the fresh server
+        // session already parked on its first need.
+        let t = w.life.tally();
+        assert_eq!((t.crashes, t.finished), (1, 0), "{t:?}");
+        assert_eq!(t.needs, needs_before + 1);
+        assert_eq!(w.life.inflight(), 1);
+        assert!(w.life.faas_instances().is_empty(), "now a server lane");
+        w.drain();
+        assert_eq!(w.life.tally().finished, 1);
+        assert!(w.done[0].faas.is_none());
+        assert_eq!(w.life.inflight(), 0);
     }
 
     #[test]
