@@ -1,13 +1,13 @@
-//! The `--trace` and `--insight` artifact families, streamed.
+//! The one run-and-collect path behind every `repro` form that simulates.
 //!
-//! Both read the telemetry of every simulation of an item. Instead of
-//! retaining it, `repro` attaches one [`EventSink`] per scenario
-//! ([`Artifacts::open`], through `engine::set_sinks`) that renders the Chrome
-//! document straight into `DIR/<item>.trace.json` and folds the request
-//! timelines — built once — into the critical-path summary, the latency
-//! attribution and the SLO report as the simulation runs. What a scenario
-//! leaves behind is those three small results; [`Artifacts::flush`] puts
-//! them in submission order and writes the item's files.
+//! [`collect`] runs an item's simulations under an [`ObsPlan`] with at most
+//! one [`EventSink`] per scenario and returns what they produced, in
+//! submission order: the engine's [`Harvest`] and what the sinks folded from
+//! the telemetry as it was recorded — the Chrome document, rendered straight
+//! into `DIR/<item>.trace.json`, and the request timelines, built once, behind
+//! the critical-path summary, the latency attribution and the SLO report. No
+//! trace is retained. The artifact flags write what comes back (`flush` in
+//! `main.rs`); `top`, `explain`, `check` and `timeline` print it.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -17,21 +17,65 @@ use std::sync::{Arc, Mutex};
 use beehive_insight::{AttributionFold, AttributionReport, InsightDoc, SloFold, SloReport};
 use beehive_sim::json::Json;
 use beehive_telemetry::chrome::{ScenarioTrace, TraceFile};
-use beehive_telemetry::summary::{self, RequestTimeline, SummaryFold, TimelineBuilder};
+use beehive_telemetry::summary::{RequestTimeline, SummaryFold, TimelineBuilder};
 use beehive_telemetry::TraceEvent;
-use beehive_workload::engine::EventSink;
+use beehive_workload::engine::{self, EventSink, Harvest, ObsPlan};
 
-/// The streamed artifacts of one item.
-pub struct Artifacts {
-    /// `--trace`: the Chrome document, and where its summary goes.
-    trace: Option<(Arc<TraceFile>, PathBuf)>,
-    /// `--insight`: where the document goes.
-    insight: Option<PathBuf>,
+/// What [`collect`] is asked for.
+#[derive(Clone, Copy)]
+pub struct Want<'a> {
+    /// The substrates every scenario carries.
+    pub plan: ObsPlan,
+    /// Stream the Chrome document into this directory; fold the summaries.
+    pub trace: Option<&'a Path>,
+    /// Fold the attribution + SLO document at this many slowest requests.
+    pub insight: Option<usize>,
+}
+
+/// What an item's simulations produced; of a streamed family, nothing unless
+/// it was wanted and some scenario ran.
+pub struct Collected {
+    /// The item's own report.
+    pub out: crate::Output,
+    /// What the plan's substrates produced.
+    pub harvest: Harvest,
+    /// Where the Chrome document was written…
+    pub trace: Option<PathBuf>,
+    /// …and each scenario's label and summary ([`SummaryFold::finish`]).
+    pub summaries: Vec<(String, Json)>,
+    /// The attribution + SLO document.
+    pub insight: InsightDoc,
+}
+
+/// Run the simulations of the item `name` — `run` — as `want` says.
+pub fn collect(name: &str, want: Want, run: impl FnOnce() -> crate::Output) -> Collected {
+    engine::set_plan(want.plan);
+    let doc = |dir: &Path| TraceFile::new(dir.join(format!("{name}.trace.json")));
+    let sinks = Arc::new(Sinks {
+        trace: want.trace.map(doc),
+        insight: want.insight,
+        done: Mutex::default(),
+    });
+    // A run that streams nothing keeps its recorder disarmed.
+    if sinks.trace.is_some() || sinks.insight.is_some() {
+        let sinks = Arc::clone(&sinks);
+        engine::set_sinks(Some(Arc::new(move |seq, label| sinks.open(seq, label))));
+    }
+    let out = run();
+    engine::set_sinks(None);
+    sinks.finish(out, engine::drain())
+}
+
+/// The sinks of one item's scenarios and what they leave.
+struct Sinks {
+    trace: Option<Arc<TraceFile>>,
+    /// [`Want::insight`].
+    insight: Option<usize>,
     /// What each finished scenario left, by scenario number.
     done: Mutex<BTreeMap<usize, Finished>>,
 }
 
-/// What one scenario leaves for [`Artifacts::flush`].
+/// What one scenario leaves for [`Sinks::finish`].
 struct Finished {
     label: String,
     /// Whether the scenario's share of the Chrome document was written.
@@ -42,7 +86,7 @@ struct Finished {
 
 /// One scenario's sink: every consumer of its telemetry, fed in one pass.
 struct ScenarioSink {
-    item: Arc<Artifacts>,
+    item: Arc<Sinks>,
     seq: usize,
     label: String,
     trace: Option<io::Result<ScenarioTrace>>,
@@ -99,78 +143,56 @@ impl EventSink for ScenarioSink {
     }
 }
 
-impl Artifacts {
-    /// The streamed artifacts of the item `name`, for whichever of the two
-    /// families has a directory; `None` when neither has.
-    pub fn new(name: &str, trace: Option<&Path>, insight: Option<&Path>) -> Option<Arc<Artifacts>> {
-        let file = |dir: &Path, ext: &str| dir.join(format!("{name}.{ext}"));
-        (trace.is_some() || insight.is_some()).then(|| {
-            Arc::new(Artifacts {
-                trace: trace.map(|dir| {
-                    let doc = TraceFile::new(file(dir, "trace.json"));
-                    (doc, file(dir, "summary.json"))
-                }),
-                insight: insight.map(|dir| file(dir, "insight.json")),
-                done: Mutex::default(),
-            })
-        })
-    }
-
+impl Sinks {
     /// The sink of the item's scenario number `seq`.
-    pub fn open(self: &Arc<Self>, seq: usize, label: &str) -> Box<dyn EventSink> {
+    fn open(self: &Arc<Self>, seq: usize, label: &str) -> Box<dyn EventSink> {
         let trace = self.trace.as_ref();
         Box::new(ScenarioSink {
             item: Arc::clone(self),
             seq,
             label: label.to_string(),
-            trace: trace.map(|(doc, _)| doc.scenario(seq, label)),
+            trace: trace.map(|doc| doc.scenario(seq, label)),
             summary: trace.map(|_| SummaryFold::default()),
-            insight: self.insight.as_ref().map(|_| {
+            insight: self.insight.map(|slowest| {
                 let slo = SloFold::new(beehive_insight::SloPolicy::default());
-                (AttributionFold::new(beehive_metrics::EXEMPLAR_K), slo)
+                (AttributionFold::new(slowest), slo)
             }),
             timelines: TimelineBuilder::new(),
         })
     }
 
-    /// Write the item's files from what its scenarios left, each family when
-    /// some scenario ran. `hottest` is the summary's per-scenario extension
-    /// ([`summary::document`]).
-    pub fn flush(&self, hottest: &dyn Fn(&str) -> Option<Json>) {
+    /// Complete the Chrome document and put what the scenarios left in
+    /// submission order.
+    fn finish(&self, out: crate::Output, harvest: Harvest) -> Collected {
         let done = std::mem::take(&mut *self.done.lock().expect("no holder panics"));
-        if done.is_empty() {
-            return;
-        }
         let scenarios = done.len();
         assert!(
             done.keys().copied().eq(0..scenarios),
             "every scenario leaves its results"
         );
         let mut summaries = Vec::new();
-        let mut doc = InsightDoc {
-            attributions: Vec::new(),
-            slo: Vec::new(),
-        };
+        let mut insight = InsightDoc::default();
         let mut written = Ok(());
         for s in done.into_values() {
             written = written.and(s.trace);
-            summaries.extend(s.summary.map(|summary| (summary, hottest(&s.label))));
+            summaries.extend(s.summary.map(|summary| (s.label, summary)));
             if let Some((attribution, slo)) = s.insight {
-                doc.attributions.push(attribution);
-                doc.slo.push(slo);
+                insight.attributions.push(attribution);
+                insight.slo.push(slo);
             }
         }
-        if let Some((trace, summary)) = &self.trace {
+        let trace = self.trace.as_ref().filter(|_| scenarios > 0).map(|trace| {
             if let Err(e) = written.and_then(|()| trace.finish(scenarios)) {
                 crate::die(&format!("writing {}: {e}", trace.path().display()));
             }
-            crate::write_file(summary, &summary::document(summaries).render());
-            let paths = [trace.path().to_path_buf(), summary.clone()];
-            crate::report_written("trace", scenarios, &paths);
-        }
-        if let Some(path) = &self.insight {
-            crate::write_file(path, &doc.to_json().render());
-            crate::report_written("insight", scenarios, std::slice::from_ref(path));
+            trace.path().to_path_buf()
+        });
+        Collected {
+            out,
+            harvest,
+            trace,
+            summaries,
+            insight,
         }
     }
 }
@@ -182,8 +204,9 @@ mod tests {
     use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
     use beehive_sim::Duration;
     use beehive_telemetry::chrome::chrome_trace_string;
-    use beehive_telemetry::summary::{critical_path, request_timelines};
+    use beehive_telemetry::summary::{critical_path, document, request_timelines};
     use beehive_telemetry::Trace;
+    use beehive_workload::engine::{run_all_with_workers, Scenario};
     use beehive_workload::experiment::base_rate;
     use beehive_workload::{ArrivalPattern, Sim, SimConfig, Strategy};
 
@@ -238,10 +261,26 @@ mod tests {
         dir
     }
 
+    fn no_report() -> crate::Output {
+        crate::Output {
+            text: String::new(),
+            bodies: Vec::new(),
+        }
+    }
+
+    /// Both families of an item `item`, as `--obs DIR` asks for them.
+    fn sinks(dir: &Path) -> Arc<Sinks> {
+        Arc::new(Sinks {
+            trace: Some(TraceFile::new(dir.join("item.trace.json"))),
+            insight: Some(beehive_metrics::EXEMPLAR_K),
+            done: Mutex::default(),
+        })
+    }
+
     #[test]
     fn streamed_files_equal_the_whole_trace_renderings() {
         let dir = scratch("streamed");
-        let item = Artifacts::new("item", Some(&dir), Some(&dir)).unwrap();
+        let item = sinks(&dir);
         let mut traces: Vec<(String, Trace)> = Vec::new();
         for (seq, (label, mut cfg)) in shapes().into_iter().enumerate() {
             // Retain as well: one run yields the stream and its reference.
@@ -250,7 +289,8 @@ mod tests {
             sim.attach(item.open(seq, &label));
             traces.push((label, sim.run().trace.expect("retained")));
         }
-        item.flush(&|_| None);
+        let c = item.finish(no_report(), Harvest::default());
+        let (path, summaries, insight) = (c.trace.unwrap(), c.summaries, c.insight);
 
         // The shapes are what they claim to be.
         let open = |t: &Trace| {
@@ -263,13 +303,15 @@ mod tests {
         let has = |t: &Trace, name| t.events.iter().any(|e| e.name == name);
         assert!(has(&traces[0].1, "req:offload") && has(&traces[2].1, "req:shadow"));
 
-        let read = |ext| std::fs::read_to_string(dir.join(format!("item.{ext}"))).unwrap();
-        assert!(read("trace.json") == chrome_trace_string(&traces));
-        assert_eq!(read("summary.json"), critical_path(&traces).render());
+        assert!(std::fs::read_to_string(path).unwrap() == chrome_trace_string(&traces));
+        let labels = summaries.iter().map(|(label, _)| label);
+        assert!(labels.eq(traces.iter().map(|(label, _)| label)));
+        let summary = document(summaries.into_iter().map(|(_, s)| (s, None)));
+        assert_eq!(summary, critical_path(&traces));
         let policy = beehive_insight::SloPolicy::default();
-        let insight = InsightDoc::from_traces(&traces, &policy, beehive_metrics::EXEMPLAR_K);
-        assert_eq!(read("insight.json"), insight.to_json().render());
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3, "no part file");
+        let whole = InsightDoc::from_traces(&traces, &policy, beehive_metrics::EXEMPLAR_K);
+        assert_eq!(insight, whole);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no part file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -281,7 +323,7 @@ mod tests {
         let retained = Sim::new(cfg.clone()).run().trace.expect("retained");
 
         cfg.trace = false;
-        let item = Artifacts::new("item", Some(&dir), Some(&dir)).unwrap();
+        let item = sinks(&dir);
         let mut sim = Sim::new(cfg);
         sim.attach(item.open(0, &label));
         let result = sim.run();
@@ -292,9 +334,44 @@ mod tests {
             0 < peak && peak < total / 100,
             "recorder peaked at {peak} of {total} events"
         );
-        item.flush(&|_| None);
+        item.finish(no_report(), Harvest::default());
         let streamed = std::fs::read_to_string(dir.join("item.trace.json")).unwrap();
         assert!(streamed == chrome_trace_string(&[(label, retained)]));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `check` is the plan's sentinel and `explain` the insight folds: at one
+    /// worker neither collector holds more than a step of the run's events.
+    #[test]
+    fn the_collectors_behind_check_and_explain_retain_no_trace() {
+        let steady = || {
+            // Built here, under the plan `collect` has set.
+            let (label, cfg) = shapes().swap_remove(0);
+            let outcomes = run_all_with_workers(vec![Scenario::new(label, cfg)], 1);
+            assert!(outcomes[0].result.trace.is_none());
+            no_report()
+        };
+        let want = |sentinel, insight| Want {
+            plan: ObsPlan {
+                sentinel,
+                ..engine::plan()
+            },
+            trace: None,
+            insight,
+        };
+        let checked = collect("item", want(true, None), steady);
+        let events = checked.harvest.sentinel[0].events as usize;
+        let peak = beehive_telemetry::peak_buffered();
+        assert!(0 < peak && peak < events / 100, "check: {peak} of {events}");
+
+        let explained = collect("item", want(false, Some(3)), steady);
+        assert!(explained.harvest.sentinel.is_empty());
+        let peak = beehive_telemetry::peak_buffered();
+        assert!(
+            0 < peak && peak < events / 100,
+            "explain: {peak} of {events}"
+        );
+        let attribution = &explained.insight.attributions[0];
+        assert!(attribution.requests > 100 && attribution.slowest.len() == 3);
     }
 }

@@ -57,16 +57,16 @@
 //! component whose per-request mean grew the most, the watched counters
 //! that moved, and the hottest grown profiler frame.
 //!
-//! `repro explain ITEM [--slowest N]` runs one item with tracing on and
-//! prints each scenario's latency-attribution table, SLO evaluation, and
-//! slowest-request component breakdowns.
+//! `repro explain ITEM [--slowest N]` runs one item under the `--insight`
+//! folds and prints each scenario's latency-attribution table, SLO
+//! evaluation, and slowest-request component breakdowns.
 //!
-//! `repro check ITEM...` runs the named items with tracing on, replays
-//! every recorded trace through the `beehive_sentinel` conformance engine,
-//! prints the per-scenario verdicts (`--json` for the `SentinelReport`
-//! document) and exits 1 when any invariant was violated. `--strict`
-//! escalates unknown-event-vocabulary warnings to violations. For a fixed
-//! seed the report is byte-identical at any `BEEHIVE_WORKERS`.
+//! `repro check ITEM...` runs the named items under the `--sentinel`
+//! checker (the `beehive_sentinel` conformance engine, online in every
+//! simulation), prints the per-scenario verdicts (`--json` for the
+//! `SentinelReport` document) and exits 1 when any invariant was violated.
+//! `--strict` escalates unknown-event-vocabulary warnings to violations. For
+//! a fixed seed the report is byte-identical at any `BEEHIVE_WORKERS`.
 //!
 //! `repro timeline ITEM` runs one item with the streaming observatory
 //! reducer riding the recorder and prints, per scenario, fixed-width
@@ -84,15 +84,14 @@
 //! of every matching burst, exiting 1 when any lag regressed beyond the
 //! tolerance band.
 //!
-//! `--sentinel` runs the same checker *online* inside every simulation of
-//! the selected items (no trace is retained; events stream through the
-//! checker as they are recorded) and exits 1 when any run violated an
-//! invariant. `--obs DIR` is the umbrella observability flag: it implies
-//! `--trace DIR --metrics DIR --profile DIR --insight DIR --sentinel` and
-//! additionally writes `DIR/<item>.sentinel.json` conformance reports plus
-//! `DIR/<item>.timeline.json` / `DIR/<item>.timeline.svg` elasticity
-//! timelines, so one pass captures every artifact the toolchain can
-//! produce.
+//! `--sentinel` runs the same checker inside every simulation of the
+//! selected items and exits 1 when any run violated an invariant. No form of
+//! `repro` retains a trace: events stream through every consumer as they are
+//! recorded ([`artifacts::collect`]). `--obs DIR` is the umbrella flag: it
+//! implies `--trace DIR --metrics DIR --profile DIR --insight DIR --sentinel`
+//! and additionally writes `DIR/<item>.sentinel.json` conformance reports
+//! plus `DIR/<item>.timeline.json` / `DIR/<item>.timeline.svg` elasticity
+//! timelines, so one pass captures every artifact the toolchain can produce.
 //!
 //! Unknown flags, unknown items and malformed arguments exit with status 2
 //! and a one-line error on stderr (stdout stays clean).
@@ -105,12 +104,12 @@ mod artifacts;
 
 use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
+use artifacts::{Collected, Want};
 use beehive_apps::AppKind;
 use beehive_scaling::table1;
 use beehive_sim::json::{Json, ToJson};
-use beehive_workload::engine::{self, Harvest, ObsPlan, RunReport};
+use beehive_workload::engine::{self, ObsPlan, RunReport};
 use beehive_workload::experiment::{
     ablation::ablation,
     breakdown::{gc_stats, shadow_breakdown},
@@ -472,7 +471,7 @@ static CMDS: [Cmd; 6] = [
     },
     Cmd {
         name: "check",
-        desc: "replay traces through the conformance engine (repro check ITEM...)",
+        desc: "conformance report of the online checker (repro check ITEM...)",
         operands: "ITEM...",
         flags: &[
             QUICK,
@@ -680,24 +679,24 @@ fn run_items(args: Args) {
     // `--obs DIR` is the umbrella: every artifact family, one directory, one
     // pass (`Args::dir`), plus the online checker and the timeline reducer.
     let obs = args.has("--obs");
-    // The trace and insight families stream from each simulation's recorder
-    // (`artifacts`); nothing here retains a trace.
-    engine::set_plan(ObsPlan {
-        metrics: args.dir("--metrics").is_some(),
-        profile: args.dir("--profile").is_some(),
-        sentinel: obs || args.has("--sentinel"),
-        observe: obs,
-        ..engine::plan()
-    });
+    let want = Want {
+        plan: ObsPlan {
+            metrics: args.dir("--metrics").is_some(),
+            profile: args.dir("--profile").is_some(),
+            sentinel: obs || args.has("--sentinel"),
+            observe: obs,
+            ..engine::plan()
+        },
+        trace: args.dir("--trace"),
+        insight: args.dir("--insight").map(|_| beehive_metrics::EXEMPLAR_K),
+    };
 
     let json = args.has(JSON.0);
     let mut reports: Vec<RunReport> = Vec::new();
     let mut violations = 0;
     for it in &ITEMS {
-        let (run, sims) = match it.run {
-            Run::Static(run) => (run, false),
-            Run::Sims(run) => (run, true),
-            Run::Every | Run::With(_) => continue,
+        let (Run::Static(run) | Run::Sims(run)) = it.run else {
+            continue;
         };
         if !every && !picked.iter().any(|p| printed_in(p, it)) {
             continue;
@@ -705,24 +704,15 @@ fn run_items(args: Args) {
         if !json {
             banner(it.banner);
         }
-        let streamed =
-            artifacts::Artifacts::new(it.name, args.dir("--trace"), args.dir("--insight"))
-                .filter(|_| sims);
-        if let Some(a) = streamed.clone() {
-            engine::set_sinks(Some(Arc::new(move |seq, label| a.open(seq, label))));
-        }
-        let out = run(args.profile, args.chaos_seed);
-        engine::set_sinks(None);
+        let mut c = artifacts::collect(it.name, want, || run(args.profile, args.chaos_seed));
         if json {
             let rows = ITEMS.iter().filter(|row| printed_in(row, it));
-            let titled = rows.zip(out.bodies);
+            let titled = rows.zip(std::mem::take(&mut c.out.bodies));
             reports.extend(titled.map(|(row, body)| RunReport::new(row.name, body)));
         } else {
-            print!("{}", out.text);
+            print!("{}", c.out.text);
         }
-        if sims {
-            violations += flush(it.name, &args, streamed.as_deref());
-        }
+        violations += flush(it.name, &args, c);
     }
     if json {
         println!("{}", Json::arr(reports.iter()).render());
@@ -762,25 +752,32 @@ fn write_artifacts(what: &str, dir: &Path, name: &str, scenarios: usize, files: 
     report_written(what, scenarios, &paths);
 }
 
-/// One artifact flush per item: drain what the engine harvested from the
-/// item's simulations and write every family that has a directory and ran.
-/// Profiles feed the trace summary `streamed` completes next to the trace
-/// file and the insight document; returns the online checker's violation
-/// count, which gates the exit status.
-fn flush(name: &str, args: &Args, streamed: Option<&artifacts::Artifacts>) -> usize {
-    let h = engine::drain();
-    // A family is written when it has a directory and some scenario ran it.
+/// One artifact flush per item: write every family of what the item's
+/// simulations produced ([`artifacts::collect`]) that has a directory and
+/// that some scenario ran. Returns the online checker's violation count,
+/// which gates the exit status.
+fn flush(name: &str, args: &Args, c: Collected) -> usize {
+    let h = c.harvest;
     let ran = |family, scenarios: usize| args.dir(family).filter(|_| scenarios > 0);
     if let Some(dir) = ran("--profile", h.profiles.len()) {
         flush_profiles(dir, name, &h.profiles);
     }
-    if let Some(streamed) = streamed {
+    if let Some(path) = c.trace {
+        let scenarios = c.summaries.len();
         // A scenario that was also profiled gains a `"hottest"` per-lane
         // top-methods table in its critical-path summary.
-        streamed.flush(&|label| {
-            let profile = h.profiles.iter().find(|(l, _)| l == label);
-            profile.map(|(_, p)| p.hottest_json(5))
-        });
+        let hottest = |(label, summary): (String, Json)| {
+            let profile = h.profiles.iter().find(|(l, _)| *l == label);
+            (summary, profile.map(|(_, p)| p.hottest_json(5)))
+        };
+        let doc = beehive_telemetry::summary::document(c.summaries.into_iter().map(hottest));
+        let summary = path.with_file_name(format!("{name}.summary.json"));
+        write_file(&summary, &doc.render());
+        report_written("trace", scenarios, &[path, summary]);
+    }
+    if let Some(dir) = ran("--insight", c.insight.slo.len()) {
+        let files = [("insight.json", c.insight.to_json().render())];
+        write_artifacts("insight", dir, name, c.insight.slo.len(), &files);
     }
     if let Some(dir) = ran("--metrics", h.metrics.len()) {
         let snap = beehive_metrics::MetricsSnapshot {
@@ -865,27 +862,30 @@ fn sims(name: &str) -> Option<RunFn> {
     }
 }
 
-/// Run the simulations of the item named `name` with the substrates `on`
-/// switches on, and return what the engine harvested; the item's own report
-/// is discarded. Items that run no simulations (`table1`, `table2`, `all`)
-/// and unknown names exit 2.
-fn harvest_item(name: &str, args: &Args, on: impl FnOnce(&mut ObsPlan)) -> Harvest {
+/// Run the simulations of the item named `name` and collect what `on` asks
+/// for ([`artifacts::collect`]); the item's own report is discarded. Items
+/// that run no simulations (`table1`, `table2`, `all`) and unknown names
+/// exit 2.
+fn collect_item(name: &str, args: &Args, on: impl FnOnce(&mut Want)) -> Collected {
     let Some(run) = sims(name) else {
         die(&format!(
             "item {name:?} runs no simulations (run `repro list`)"
         ));
     };
-    let mut plan = engine::plan();
-    on(&mut plan);
-    engine::set_plan(plan);
-    run(args.profile, args.chaos_seed);
-    engine::drain()
+    let mut want = Want {
+        plan: engine::plan(),
+        trace: None,
+        insight: None,
+    };
+    on(&mut want);
+    artifacts::collect(name, want, || run(args.profile, args.chaos_seed))
 }
 
 /// `repro top`: per scenario and endpoint lane, the top-N frames by self time.
 fn run_top(args: Args) {
     let item = &args.operands[0];
-    for (label, p) in &harvest_item(item, &args, |plan| plan.profile = true).profiles {
+    let profiled = collect_item(item, &args, |want| want.plan.profile = true);
+    for (label, p) in &profiled.harvest.profiles {
         banner(&format!("{item} — {label}"));
         for (lane, rows) in p.hottest(args.positive("--top", 5) as usize) {
             println!("\n  lane {lane}");
@@ -911,15 +911,12 @@ fn bp_x(bp: u64) -> String {
     format!("{}.{:02}x", bp / 10_000, (bp % 10_000) / 100)
 }
 
-/// `repro explain`. Integer-only formatting keeps the output byte-identical
-/// across worker counts.
+/// `repro explain`: the `--insight` document at `--slowest`, printed in
+/// integers only, so byte-identical across worker counts.
 fn run_explain(args: Args) {
     let item = &args.operands[0];
-    let doc = beehive_insight::InsightDoc::from_traces(
-        &harvest_item(item, &args, |plan| plan.trace = true).traces,
-        &beehive_insight::SloPolicy::default(),
-        args.positive("--slowest", beehive_metrics::EXEMPLAR_K as u64) as usize,
-    );
+    let slowest = args.positive("--slowest", beehive_metrics::EXEMPLAR_K as u64) as usize;
+    let doc = collect_item(item, &args, |want| want.insight = Some(slowest)).insight;
     for (rep, slo) in doc.attributions.iter().zip(&doc.slo) {
         banner(&format!("{item} — {}", rep.label));
         println!(
@@ -986,26 +983,20 @@ fn run_explain(args: Args) {
     }
 }
 
-/// `repro check`. Scenario labels are prefixed with the item name, so one
-/// report covers several items without collisions.
+/// `repro check`: the online sentinel, printed. Scenario labels are prefixed
+/// with the item name, so one report covers several items.
 fn run_check(args: Args) {
-    let strict = args.has("--strict");
-    let cfg = beehive_sentinel::SentinelConfig {
-        strict,
-        // The experiment drivers all run the default retry policy; pinning
-        // it lets the checker bound when `recovery:degrade` may fire.
-        max_retries: Some(beehive_chaos::RetryPolicy::default().max_retries),
-        ..Default::default()
-    };
     let mut scenarios = Vec::new();
     for item in &args.operands {
-        let traces = harvest_item(item, &args, |plan| plan.trace = true).traces;
-        let labelled: Vec<(String, beehive_telemetry::Trace)> = traces
-            .into_iter()
-            .map(|(label, trace)| (format!("{item}/{label}"), trace))
-            .collect();
-        scenarios.extend(beehive_sentinel::SentinelReport::from_traces(&labelled, &cfg).scenarios);
+        let mut checks = collect_item(item, &args, |want| want.plan.sentinel = true)
+            .harvest
+            .sentinel;
+        for check in &mut checks {
+            check.label = format!("{item}/{}", check.label);
+        }
+        scenarios.append(&mut checks);
     }
+    let strict = args.has("--strict");
     let report = beehive_sentinel::SentinelReport::from_checks(strict, scenarios);
     if args.has(JSON.0) {
         println!("{}", report.to_json().render());
@@ -1022,11 +1013,11 @@ fn run_check(args: Args) {
 /// `repro timeline`: one item under the streaming observatory reducer.
 fn run_timeline(args: Args) {
     let window = args.positive("--window", beehive_observatory::DEFAULT_WINDOW.as_nanos());
-    let harvest = harvest_item(&args.operands[0], &args, |plan| {
-        plan.observe = true;
-        plan.observe_window = beehive_sim::Duration::from_nanos(window);
+    let observed = collect_item(&args.operands[0], &args, |want| {
+        want.plan.observe = true;
+        want.plan.observe_window = beehive_sim::Duration::from_nanos(window);
     });
-    let doc = beehive_observatory::TimelineDoc::from_series(harvest.timelines);
+    let doc = beehive_observatory::TimelineDoc::from_series(observed.harvest.timelines);
     if args.has(JSON.0) {
         println!("{}", doc.to_json().render());
     } else if args.has("--svg") {

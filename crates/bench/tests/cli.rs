@@ -330,8 +330,40 @@ fn obs_writes_every_artifact_family_and_sentinel_gates() {
         );
     }
     let text = std::fs::read_to_string(dir.join("fig2.sentinel.json")).unwrap();
-    let report = beehive_sentinel::SentinelReport::parse(&text).expect("sentinel artifact parses");
+    let mut report =
+        beehive_sentinel::SentinelReport::parse(&text).expect("sentinel artifact parses");
     assert!(report.clean());
+
+    // `check` prints that report, its labels prefixed with the item.
+    for s in &mut report.scenarios {
+        s.label = format!("fig2/{}", s.label);
+    }
+    let checked = stdout(&repro(&["check", "fig2", "--quick", "--json"]));
+    assert_eq!(checked.trim_end(), report.to_json().render());
+
+    // `explain` prints the insight document: its default `--slowest` is the
+    // artifact's, and every scenario's header line carries the same totals.
+    let text = std::fs::read_to_string(dir.join("fig2.insight.json")).unwrap();
+    let doc = beehive_insight::InsightDoc::parse(&text).expect("insight artifact parses");
+    let explained = stdout(&repro(&["explain", "fig2", "--quick"]));
+    let headers: Vec<&str> = explained
+        .lines()
+        .filter(|l| l.starts_with("requests "))
+        .collect();
+    let totals = doc.attributions.iter().map(|rep| {
+        format!(
+            "requests {} (shadows {})   attributed {}us   gc {}us   residual {}ns",
+            rep.requests,
+            rep.shadows,
+            rep.total_ns / 1_000,
+            rep.gc_pause_ns / 1_000,
+            rep.residual_ns()
+        )
+    });
+    assert!(!headers.is_empty() && totals.eq(headers.iter().copied()));
+    let slowest = doc.attributions.iter().flat_map(|rep| &rep.slowest);
+    let printed = explained.lines().filter(|l| l.starts_with("  #")).count();
+    assert_eq!(slowest.count(), printed);
     let text = std::fs::read_to_string(dir.join("fig2.timeline.json")).unwrap();
     let doc = beehive_observatory::TimelineDoc::parse(&text).expect("timeline artifact parses");
     assert!(!doc.scenarios.is_empty());

@@ -37,7 +37,7 @@ use beehive_sim::json::Json;
 
 /// The on-disk `*.insight.json` document: one attribution report and one
 /// SLO report per scenario of an item, in run order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InsightDoc {
     /// Per-scenario latency attributions.
     pub attributions: Vec<AttributionReport>,

@@ -1,6 +1,6 @@
 //! Cross-run regression comparison of metrics snapshots.
 //!
-//! `repro compare BASELINE CURRENT` feeds two parsed [`MetricsSnapshot`]s
+//! `repro diff BASELINE CURRENT` feeds two parsed [`MetricsSnapshot`]s
 //! through [`compare`]: every watched metric (the [`WATCHED`] table) is
 //! diffed per scenario, and a delta beyond the metric's declared tolerance
 //! marks the run regressed. `scripts/verify.sh` runs this against the

@@ -124,21 +124,6 @@ impl LogLinearHistogram {
             .map(|(i, &c)| (i as u64, c))
             .collect()
     }
-
-    /// Rebuild a histogram from sparse `(index, count)` pairs plus the
-    /// moments a snapshot carries (used by the JSON round-trip).
-    pub fn from_parts(buckets: &[(u64, u64)], count: u64, sum: u64, max: u64) -> Option<Self> {
-        let mut h = LogLinearHistogram {
-            counts: vec![0; BUCKETS],
-            count,
-            sum,
-            max,
-        };
-        for &(i, c) in buckets {
-            *h.counts.get_mut(i as usize)? += c;
-        }
-        Some(h)
-    }
 }
 
 #[cfg(test)]
@@ -231,17 +216,5 @@ mod tests {
         assert_eq!(h.quantile(0.5), 10); // exact small-value bucket
         let p99 = h.quantile(0.99);
         assert!((1_000_000..=1_000_000 + 1_000_000 / 16).contains(&p99));
-    }
-
-    #[test]
-    fn sparse_round_trip() {
-        let mut h = LogLinearHistogram::new();
-        for v in [0u64, 5, 1_000, 123_456_789] {
-            h.record(v);
-        }
-        let back =
-            LogLinearHistogram::from_parts(&h.nonzero_buckets(), h.count(), h.sum(), h.max())
-                .unwrap();
-        assert_eq!(back, h);
     }
 }

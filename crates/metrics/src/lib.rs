@@ -21,7 +21,7 @@
 //! and [`prometheus`] writes the Prometheus text exposition format.
 //! [`mod@compare`] diffs two snapshots over the [`WATCHED`] metric table —
 //! P50/P99 request latency, fallback count, cold-boot count, total GC
-//! pause — which `repro compare` and `scripts/verify.sh` use as a
+//! pause — which `repro diff` and `scripts/verify.sh` use as a
 //! cross-run perf regression gate.
 //!
 //! # Example

@@ -28,8 +28,6 @@ use crate::{Counters, Invariant, ScenarioCheck, Violation};
 /// Checker configuration.
 #[derive(Clone, Debug)]
 pub struct SentinelConfig {
-    /// Escalate vocabulary warnings to violations.
-    pub strict: bool,
     /// The retry policy's `max_retries`, when known: bounds when
     /// `recovery:degrade` may legally fire.
     pub max_retries: Option<u32>,
@@ -40,7 +38,6 @@ pub struct SentinelConfig {
 impl Default for SentinelConfig {
     fn default() -> SentinelConfig {
         SentinelConfig {
-            strict: false,
             max_retries: None,
             window: 5,
         }
@@ -135,9 +132,9 @@ pub struct Sentinel {
     last_at: u64,
     counters: Counters,
     violations: Vec<Violation>,
-    /// Unknown event names, first-seen order, with the window at first
-    /// sight (becomes the violation window under strict).
-    unknown: Vec<(String, String, u64, Vec<String>)>,
+    /// One `Vocabulary` finding per unknown event name, first-seen order,
+    /// with the window at first sight.
+    unknown: Vec<Violation>,
     /// Offload decisions awaiting their dispatch (0 or 1: the dispatch is
     /// emitted within the same event handler as the decision).
     pending_dispatch: u64,
@@ -205,55 +202,51 @@ impl Sentinel {
         // By construction of the lifecycle machine every activation is a
         // cold boot or a warm start; record the conservation total.
         self.counters.activations = self.counters.boots_cold + self.counters.boots_warm;
-        let mut warnings = Vec::new();
-        for (name, track, at_ns, window) in std::mem::take(&mut self.unknown) {
-            if self.cfg.strict {
-                self.violations.push(Violation {
-                    invariant: Invariant::Vocabulary,
-                    track,
-                    at_ns,
-                    message: format!("unknown event name: {name}"),
-                    window,
-                });
-            } else {
-                warnings.push(format!("unknown event name: {name}"));
-            }
-        }
         ScenarioCheck {
             label,
             events: self.events,
             counters: self.counters,
-            warnings,
+            warnings: self.unknown.iter().map(|v| v.message.clone()).collect(),
             violations: self.violations,
+            unknown: self.unknown,
         }
     }
 
-    fn violate(&mut self, invariant: Invariant, track: Track, at_ns: u64, message: String) {
+    /// A finding on `track` with the window its ring holds now.
+    fn finding(
+        &self,
+        invariant: Invariant,
+        track: Track,
+        at_ns: u64,
+        message: String,
+    ) -> Violation {
         let window = self
             .rings
             .get(&track)
             .map(|r| r.iter().map(fmt_event).collect())
             .unwrap_or_default();
-        self.violations.push(Violation {
+        Violation {
             invariant,
             track: fmt_track(track),
             at_ns,
             message,
             window,
-        });
+        }
+    }
+
+    fn violate(&mut self, invariant: Invariant, track: Track, at_ns: u64, message: String) {
+        let v = self.finding(invariant, track, at_ns, message);
+        self.violations.push(v);
     }
 
     fn warn_unknown(&mut self, e: &TraceEvent, at: u64) {
-        if self.unknown.iter().any(|(n, ..)| n.as_str() == e.name) {
-            return;
+        const UNKNOWN: &str = "unknown event name: ";
+        let seen = |v: &Violation| v.message.strip_prefix(UNKNOWN) == Some(e.name);
+        if !self.unknown.iter().any(seen) {
+            let message = format!("{UNKNOWN}{}", e.name);
+            let v = self.finding(Invariant::Vocabulary, e.track, at, message);
+            self.unknown.push(v);
         }
-        let window = self
-            .rings
-            .get(&e.track)
-            .map(|r| r.iter().map(fmt_event).collect())
-            .unwrap_or_default();
-        self.unknown
-            .push((e.name.to_string(), fmt_track(e.track), at, window));
     }
 
     // ---- request tracks -------------------------------------------------

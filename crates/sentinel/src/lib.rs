@@ -39,7 +39,7 @@
 //!   request that double-applies its effects shows up as a second session
 //!   `End`),
 //! * **vocabulary** — unknown event names are warnings (instrumentation
-//!   drift), escalated to violations under `--strict`.
+//!   drift), escalated to violations by a strict [`SentinelReport`].
 //!
 //! Each [`Violation`] carries the invariant name, the offending track, the
 //! virtual time, and a minimal K-event window around the failure so it
@@ -282,6 +282,9 @@ pub struct ScenarioCheck {
     pub warnings: Vec<String>,
     /// Violations, in stream order.
     pub violations: Vec<Violation>,
+    /// The warnings as [`Invariant::Vocabulary`] findings, for
+    /// [`SentinelReport::from_checks`] to escalate; not in the document.
+    pub unknown: Vec<Violation>,
 }
 
 impl ScenarioCheck {
@@ -327,6 +330,7 @@ impl ScenarioCheck {
                 .iter()
                 .map(Violation::from_json)
                 .collect::<Result<_, _>>()?,
+            unknown: Vec::new(),
         })
     }
 }
@@ -342,26 +346,30 @@ pub struct SentinelReport {
 }
 
 impl SentinelReport {
-    /// Replay a run's labelled traces through a fresh [`Sentinel`] each.
+    /// Replay a run's labelled traces through a fresh [`Sentinel`] each:
+    /// the whole-trace reference the online checks are tested against.
     pub fn from_traces(traces: &[(String, Trace)], cfg: &SentinelConfig) -> SentinelReport {
-        SentinelReport {
-            strict: cfg.strict,
-            scenarios: traces
-                .iter()
-                .map(|(label, trace)| {
-                    let mut s = Sentinel::new(cfg.clone());
-                    for e in &trace.events {
-                        s.feed(e);
-                    }
-                    s.finish(label.clone())
-                })
-                .collect(),
-        }
+        let replay = |(label, trace): &(String, Trace)| {
+            let mut s = Sentinel::new(cfg.clone());
+            for e in &trace.events {
+                s.feed(e);
+            }
+            s.finish(label.clone())
+        };
+        SentinelReport::from_checks(false, traces.iter().map(replay).collect())
     }
 
-    /// Assemble a report from checks harvested out of online runs (e.g.
-    /// the `sentinel` field of `beehive_workload::engine::drain`).
-    pub fn from_checks(strict: bool, scenarios: Vec<ScenarioCheck>) -> SentinelReport {
+    /// Assemble a report from finished checks (e.g. the `sentinel` field of
+    /// `beehive_workload::engine::drain`). Under `strict` every warning
+    /// becomes a `vocabulary` violation, after the stream-order ones.
+    pub fn from_checks(strict: bool, mut scenarios: Vec<ScenarioCheck>) -> SentinelReport {
+        for s in &mut scenarios {
+            let unknown = std::mem::take(&mut s.unknown);
+            if strict {
+                s.warnings.clear();
+                s.violations.extend(unknown);
+            }
+        }
         SentinelReport { strict, scenarios }
     }
 

@@ -7,7 +7,9 @@
 //! ending at the offender. The legal baseline itself must check clean, so
 //! every failure here is attributable to the mutation alone.
 
-use beehive_sentinel::{Invariant, ScenarioCheck, Sentinel, SentinelConfig, Violation};
+use beehive_sentinel::{
+    Invariant, ScenarioCheck, Sentinel, SentinelConfig, SentinelReport, Violation,
+};
 use beehive_sim::{Duration, SimTime};
 use beehive_telemetry::{Arg, EventKind, TraceEvent, Track};
 
@@ -334,12 +336,14 @@ fn mutation_unknown_event_is_a_warning_and_a_strict_violation() {
     assert_eq!(c.warnings.len(), 1);
     assert!(c.warnings[0].contains("not:a:real:event"));
 
-    let strict = SentinelConfig {
-        strict: true,
-        ..Default::default()
-    };
-    let v = must_fire(&check_with(&events, strict), Invariant::Vocabulary);
+    // Escalation is the report's: the same check, read strictly.
+    let strict = SentinelReport::from_checks(true, vec![c]);
+    let c = &strict.scenarios[0];
+    assert!(c.warnings.is_empty(), "{:?}", c.warnings);
+    let v = must_fire(c, Invariant::Vocabulary);
     assert!(v.message.contains("not:a:real:event"), "{v:?}");
+    assert_eq!((v.track.as_str(), v.at_ns), ("req:99", 560_000));
+    assert!(v.window.last().unwrap().contains("not:a:real:event"));
 }
 
 #[test]
@@ -360,11 +364,8 @@ fn observability_instants_are_known_vocabulary() {
         ev(562, Track::Sim, "burst:onset", EventKind::Instant),
         &[("mrps_from", Arg::UInt(1000)), ("mrps_to", Arg::UInt(4000))],
     ));
-    let strict = SentinelConfig {
-        strict: true,
-        ..Default::default()
-    };
-    let c = check_with(&events, strict);
+    let strict = SentinelReport::from_checks(true, vec![check(&events)]);
+    let c = &strict.scenarios[0];
     assert!(c.violations.is_empty(), "{:?}", c.violations);
     assert!(c.warnings.is_empty(), "{:?}", c.warnings);
 }

@@ -83,8 +83,6 @@ impl ArrivalPattern {
 /// [`SimConfig::new`] copies into the fields of the same names.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObsPlan {
-    /// [`SimConfig::trace`]: retain the virtual-time trace.
-    pub trace: bool,
     /// [`SimConfig::metrics`]: keep a live metrics registry.
     pub metrics: bool,
     /// [`SimConfig::profile`]: record a per-lane call-tree profile.
@@ -117,9 +115,6 @@ pub struct SimConfig {
     pub engage_at: Duration,
     /// vCPUs of the (primary) server — `m4.xlarge` has 4.
     pub server_cores: f64,
-    /// Warm FaaS instances already cached at t=0 *without* closures (fresh
-    /// platform cache).
-    pub prewarm: usize,
     /// Warm instances cached at t=0 *with* the closure instantiated, plans
     /// refined and JITs warm — instances that served earlier bursts (the
     /// §5.2 warm-boot case with sub-second provisioning).
@@ -143,12 +138,14 @@ pub struct SimConfig {
     /// this is the warmup-hiding ablation: first invocations run for real on
     /// the cold instance and the client waits out the long tail.
     pub shadow_enabled: bool,
-    /// Record a virtual-time trace of this run ([`SimResult::trace`]).
-    /// Like the other observability fields, defaults to the engine-wide
-    /// plan `repro` sets from its flags ([`crate::engine::set_plan`]).
+    /// Retain the virtual-time trace of this run ([`SimResult::trace`]).
+    /// Off unless an embedder sets it: `repro` streams every artifact from
+    /// the recorder ([`crate::driver::Sim::attach`]) and retains nothing.
     pub trace: bool,
     /// Keep a live metrics registry for this run ([`SimResult::metrics`]).
-    /// Costs nothing when off.
+    /// Costs nothing when off. Like the observability fields below,
+    /// defaults to the engine-wide plan `repro` sets from its flags
+    /// ([`crate::engine::set_plan`]).
     pub metrics: bool,
     /// Time-series window of the metrics registry (virtual time).
     pub metrics_window: Duration,
@@ -185,7 +182,6 @@ impl SimConfig {
             offload_ratio: 0.5,
             engage_at: Duration::ZERO,
             server_cores: 4.0,
-            prewarm: 0,
             prewarm_ready: 0,
             max_instances: 256,
             max_concurrent_boots: 48,
@@ -193,7 +189,7 @@ impl SimConfig {
             max_server_concurrency: 256,
             beehive: BeeHiveConfig::default(),
             shadow_enabled: true,
-            trace: plan.trace,
+            trace: false,
             metrics: plan.metrics,
             metrics_window: beehive_metrics::DEFAULT_WINDOW,
             profile: plan.profile,

@@ -104,9 +104,6 @@ impl Sim {
             })
             .unwrap_or(cfg.beehive.net);
         let mut platform = platform_cfg.map(|p| FaasPlatform::new(p, rng.split()));
-        if let Some(p) = platform.as_mut() {
-            p.prewarm(SimTime::ZERO, cfg.prewarm);
-        }
         let fleet = Fleet::prewarmed(
             &mut server,
             &mut platform,

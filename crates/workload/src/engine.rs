@@ -52,7 +52,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use beehive_sim::json::{Json, ToJson};
-use beehive_telemetry::Trace;
 
 pub use crate::config::ObsPlan;
 use crate::config::{SimConfig, SimResult};
@@ -61,7 +60,6 @@ use crate::driver::Sim;
 
 /// Until [`set_plan`]: nothing on, a plain run.
 static PLAN: Mutex<ObsPlan> = Mutex::new(ObsPlan {
-    trace: false,
     metrics: false,
     profile: false,
     sentinel: false,
@@ -102,8 +100,6 @@ pub fn set_sinks(open: Option<Arc<SinkFactory>>) {
 /// `BEEHIVE_WORKERS`.
 #[derive(Debug, Default)]
 pub struct Harvest {
-    /// Retained traces.
-    pub traces: Vec<(String, Trace)>,
     /// Metrics snapshots.
     pub metrics: Vec<beehive_metrics::ScenarioMetrics>,
     /// Call-tree profiles.
@@ -128,9 +124,6 @@ fn harvest(outcomes: &mut [RunOutcome]) {
     let h = h.get_or_insert_with(Harvest::default);
     for o in outcomes {
         let r = &mut o.result;
-        if let Some(trace) = r.trace.take() {
-            h.traces.push((o.label.clone(), trace));
-        }
         if let Some(reg) = r.metrics.take() {
             h.metrics.push(reg.snapshot(&o.label));
         }

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
+use beehive_faas::Billing;
 use beehive_scaling::ScalingKind;
 use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
@@ -81,7 +82,6 @@ pub fn fig9(kind: AppKind, profile: Profile) -> Fig9Report {
     } else {
         (60, 20)
     };
-    let window = (horizon - record_from) as f64;
 
     // Measure the *marginal* cost of serving the burst's offloaded load:
     // one warm steady-state run per FaaS strategy yields GB-seconds per
@@ -111,15 +111,27 @@ pub fn fig9(kind: AppKind, profile: Profile) -> Fig9Report {
     ]);
     let la = outcomes.pop().expect("lambda outcome").result;
     let ow = outcomes.pop().expect("openwhisk outcome").result;
-    let _ = window;
+    // The tariffs are the platforms' own.
+    let platform = |s: Strategy| s.platform(&app).expect("a FaaS strategy");
     // Lambda bills usage: GB-seconds + requests, normalized over the whole
     // run (offloading is engaged from t = 0).
-    let la_per_sec = la.faas_gb_seconds / horizon as f64 * 0.0000166667
-        + la.faas_requests as f64 / horizon as f64 * 0.0000002;
+    let Billing::PerUse {
+        per_gb_second,
+        per_request,
+    } = platform(Strategy::BeeHiveLambda).billing
+    else {
+        unreachable!("Lambda bills usage");
+    };
+    let la_per_sec = la.faas_gb_seconds / horizon as f64 * per_gb_second
+        + la.faas_requests as f64 / horizon as f64 * per_request;
     // OpenWhisk bills instance-time: concurrent busy instances x m4.large.
-    let ow_busy_per_sec = ow.faas_gb_seconds / 8.0 / horizon as f64;
+    let openwhisk = platform(Strategy::BeeHiveOpenWhisk);
+    let Billing::PerInstanceHour { rate } = openwhisk.billing else {
+        unreachable!("OpenWhisk bills instance-time");
+    };
+    let ow_busy_per_sec = ow.faas_gb_seconds / openwhisk.memory_gb / horizon as f64;
     let ow_concurrent = ow_busy_per_sec.ceil().max(1.0);
-    let ow_per_sec = ow_concurrent * 0.10 / 3600.0;
+    let ow_per_sec = ow_concurrent * rate / 3600.0;
 
     let mut curves = vec![
         Fig9Curve {

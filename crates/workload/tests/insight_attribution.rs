@@ -10,7 +10,7 @@ use beehive_insight::{attribute, diagnose, Component, InsightDoc, SloPolicy};
 use beehive_metrics::{compare, MetricsSnapshot, DEFAULT_WINDOW, EXEMPLAR_K};
 use beehive_telemetry::Trace;
 use beehive_workload::config::SimConfig;
-use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
+use beehive_workload::engine::{drain, run_all_with_workers, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -44,6 +44,12 @@ fn matrix() -> Vec<Scenario> {
     scenarios
 }
 
+/// The traces the scenarios retained (`SimConfig::trace`), labelled.
+fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
+    let trace = |o: RunOutcome| (o.label, o.result.trace.expect("the scenario retains"));
+    outcomes.into_iter().map(trace).collect()
+}
+
 /// Run the matrix at a worker count, returning the labelled traces and the
 /// live metrics snapshot.
 fn run_matrix(workers: usize) -> (Vec<(String, Trace)>, MetricsSnapshot) {
@@ -51,10 +57,9 @@ fn run_matrix(workers: usize) -> (Vec<(String, Trace)>, MetricsSnapshot) {
     let outcomes = run_all_with_workers(matrix(), workers);
     assert_eq!(outcomes.len(), n);
     let h = drain();
-    assert_eq!(h.traces.len(), n, "every scenario must yield a trace");
     assert_eq!(h.metrics.len(), n, "every scenario must yield metrics");
     (
-        h.traces,
+        retained(outcomes),
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
             scenarios: h.metrics,
@@ -150,7 +155,7 @@ fn boot_posture(shadow: bool, prewarm_ready: usize) -> (Vec<(String, Trace)>, Me
     assert_eq!(outcomes.len(), 1);
     let h = drain();
     (
-        h.traces,
+        retained(outcomes),
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
             scenarios: h.metrics,

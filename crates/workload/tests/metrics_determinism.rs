@@ -7,9 +7,15 @@
 use beehive_apps::AppKind;
 use beehive_metrics::{reduce, MetricsSnapshot, DEFAULT_WINDOW};
 use beehive_telemetry::Trace;
-use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
+use beehive_workload::engine::{drain, run_all_with_workers, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
+
+/// The traces the scenarios retained (`SimConfig::trace`), labelled.
+fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
+    let trace = |o: RunOutcome| (o.label, o.result.trace.expect("the scenario retains"));
+    outcomes.into_iter().map(trace).collect()
+}
 
 /// Run two traced+metered burst experiments at the given worker count and
 /// return the snapshot plus the labelled traces (in input order).
@@ -31,9 +37,7 @@ fn snapshot_at(workers: usize) -> (MetricsSnapshot, Vec<(String, Trace)>) {
     assert_eq!(outcomes.len(), 2);
     // The engine harvests both exports out of the results, in input order.
     assert!(outcomes.iter().all(|o| o.result.metrics.is_none()));
-    let h = drain();
-    let (traces, scenarios) = (h.traces, h.metrics);
-    assert_eq!(traces.len(), 2, "both scenarios must yield a trace");
+    let (traces, scenarios) = (retained(outcomes), drain().metrics);
     assert_eq!(scenarios.len(), 2, "both scenarios must yield metrics");
     (
         MetricsSnapshot {
@@ -106,11 +110,10 @@ fn shadow_disabled_reduction_diverges_only_in_request_latency() {
     cfg.shadow_enabled = false;
     let outcomes = run_all_with_workers(vec![Scenario::new("no_shadow", cfg)], 1);
     assert_eq!(outcomes.len(), 1);
-    let h = drain();
-    let traces = h.traces;
+    let traces = retained(outcomes);
     let snap = MetricsSnapshot {
         window: DEFAULT_WINDOW,
-        scenarios: h.metrics,
+        scenarios: drain().metrics,
     };
     let reduced = reduce(&traces, DEFAULT_WINDOW);
 

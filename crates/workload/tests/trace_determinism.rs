@@ -11,7 +11,7 @@ use beehive_sim::json::Json;
 use beehive_telemetry::chrome::{chrome_trace_string, ScenarioTrace, TraceFile};
 use beehive_telemetry::summary::critical_path;
 use beehive_telemetry::{Trace, TraceEvent};
-use beehive_workload::engine::{drain, run_all_with_workers, set_sinks, EventSink, Scenario};
+use beehive_workload::engine::{run_all_with_workers, set_sinks, EventSink, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -19,6 +19,12 @@ use beehive_workload::Strategy;
 fn engine() -> MutexGuard<'static, ()> {
     static ENGINE: Mutex<()> = Mutex::new(());
     ENGINE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The traces the scenarios retained (`SimConfig::trace`), labelled.
+fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
+    let trace = |o: RunOutcome| (o.label, o.result.trace.expect("the scenario retains"));
+    outcomes.into_iter().map(trace).collect()
 }
 
 /// Run two traced burst experiments of `secs` virtual seconds at the given
@@ -38,9 +44,7 @@ fn traces_at(workers: usize, secs: u64) -> Vec<(String, Trace)> {
         .collect();
     let outcomes = run_all_with_workers(scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    let traces = drain().traces;
-    assert_eq!(traces.len(), 2, "both scenarios must yield a trace");
-    traces
+    retained(outcomes)
 }
 
 #[test]

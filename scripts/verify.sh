@@ -5,11 +5,20 @@
 # the checked-in baseline. Everything runs offline — the workspace has no
 # external dependencies.
 #
-#   scripts/verify.sh
+#   scripts/verify.sh [--full]
 #
-# Exits non-zero on the first failure.
+# `--full` additionally regenerates the paper-scale report (about a minute)
+# and diffs it against scripts/golden/repro_full.txt. Exits non-zero on the
+# first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+full=false
+case "${1-}" in
+  "") ;;
+  --full) full=true ;;
+  *) echo "usage: scripts/verify.sh [--full]" >&2; exit 2 ;;
+esac
 
 # Golden-gate outputs land in a stable directory instead of mktemp/tmpfiles:
 # each gate removes its own artifacts on success, so whatever is left after
@@ -123,12 +132,18 @@ golden_at_workers explain_shadow_quick.txt \
   ./target/release/repro explain --quick --seed 42 --slowest 3 shadow
 
 echo "==> sentinel gate: repro check is clean and byte-stable at any worker count"
-# Every golden scenario plus the §4.5 chaos recovery sweep replays through
-# the conformance engine: zero invariant violations (the exit status is the
+# Every golden scenario plus the §4.5 chaos recovery sweep runs under the
+# conformance engine: zero invariant violations (the exit status is the
 # gate), and the pinpointing report itself is byte-identical at any
 # worker-pool size.
 golden_at_workers check_quick.json \
   ./target/release/repro check fig9 shadow recovery --quick --seed 42 --json
+
+echo "==> sentinel gate: every simulating item conforms"
+# The same checker over every item that runs a simulation; the exit status
+# is the gate (the report above is the byte-stability pin).
+./target/release/repro check fig2 fig7 fig8 fig9 table4 fig10 table5 gcstats \
+  shadow ablations combination recovery --quick --seed 42 > /dev/null
 
 echo "==> golden: repro timeline is byte-stable at any worker count"
 # The elasticity timeline — sparklines, per-bin quantiles and the derived
@@ -169,5 +184,12 @@ metrics_insight_diff() {
 }
 golden_at_workers diff_quick.txt metrics_insight_diff
 rm -rf "$metrics_dir"
+
+if $full; then
+  echo "==> golden: the paper-scale repro report is byte-stable (--full)"
+  ./target/release/repro > "$verify_out/repro_full.txt"
+  diff -u scripts/golden/repro_full.txt "$verify_out/repro_full.txt"
+  rm -f "$verify_out/repro_full.txt"
+fi
 
 echo "OK: style, lint, build, tests, benchmark smoke, quick repro, goldens, sentinel, timeline, and the metrics+insight gates all pass."
