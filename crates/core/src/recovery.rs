@@ -7,17 +7,21 @@
 //! together with the closure so that the FaaS function can resume its
 //! execution from the last synchronization point."
 //!
-//! Mechanically, a [`Snapshot`] captures the execution's frames plus the
-//! instance state needed to reconstruct the function on a replacement
-//! instance. We snapshot the whole (small) instance image while charging
-//! only the paper's wire cost (stack + referenced objects, a few KBs); the
-//! observable semantics are the paper's: execution resumes from the last
-//! synchronization point, and the database write journal keeps re-executed
-//! writes exactly-once.
+//! Mechanically, a [`Snapshot`] holds the execution's frames plus an image
+//! of the instance state needed to reconstruct the function on a
+//! replacement instance. A session keeps one snapshot and refreshes it in
+//! place at every sync point; the image is kept up to date by difference —
+//! the heap pages written since the previous sync point, what each heap
+//! space appended, newly loaded classes — much as the paper ships only the
+//! stack and the updated objects. The wire cost charged is the paper's
+//! (stack + referenced objects, a few KBs); the observable semantics are
+//! the paper's too: execution resumes from the last synchronization point,
+//! and the database write journal keeps re-executed writes exactly-once.
 
 use beehive_proxy::ConnId;
 use beehive_sim::FastMap;
-use beehive_vm::{Execution, MethodId, VmInstance};
+use beehive_vm::program::Program;
+use beehive_vm::{CostModel, Execution, MethodId, VmInstance};
 
 use crate::function::FunctionRuntime;
 use crate::mapping::MappingTable;
@@ -40,8 +44,21 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// A snapshot of nothing, for [`Snapshot::refresh`] to fill: its first
+    /// refresh copies the whole instance.
+    pub(crate) fn empty() -> Self {
+        Snapshot {
+            exec: Execution::default(),
+            vm: VmInstance::function(&Program::default(), CostModel::default()),
+            attached: FastMap::default(),
+            instantiated_for: None,
+            write_seq: 0,
+            mapping: MappingTable::new(),
+        }
+    }
+
     /// Capture the state of `func` running `exec`, with the server-side
-    /// mapping table as of the sync point.
+    /// mapping table as of the sync point: the refresh of an empty snapshot.
     pub fn capture(
         exec: &Execution,
         func: &FunctionRuntime,
@@ -49,22 +66,42 @@ impl Snapshot {
         write_seq: u32,
         mapping: MappingTable,
     ) -> Self {
-        Snapshot {
-            exec: exec.clone(),
-            vm: func.vm.clone(),
-            attached: func.attached.clone(),
-            instantiated_for: Some(root),
-            write_seq,
-            mapping,
-        }
+        let mut snap = Snapshot::empty();
+        // The table is ours to keep: moved in rather than copied.
+        snap.refresh(exec, func, root, write_seq, &MappingTable::new());
+        snap.mapping = mapping;
+        snap
     }
 
-    /// Restore the captured instance state onto a replacement instance (its
-    /// id is preserved; heap, loaded classes, native state, monitor cache
-    /// and connection attachments are replaced by the snapshot's).
+    /// Move this snapshot to the sync point `func` running `exec` has
+    /// reached, in place: the instance image copies only what `func`
+    /// changed since the previous refresh (see [`VmInstance::sync_image`]),
+    /// and everything else reuses this snapshot's buffers.
+    pub(crate) fn refresh(
+        &mut self,
+        exec: &Execution,
+        func: &FunctionRuntime,
+        root: MethodId,
+        write_seq: u32,
+        mapping: &MappingTable,
+    ) {
+        self.exec.clone_from(exec);
+        func.vm.sync_image(&mut self.vm);
+        self.attached.clone_from(&func.attached);
+        self.instantiated_for = Some(root);
+        self.write_seq = write_seq;
+        self.mapping.clone_from(mapping);
+    }
+
+    /// Restore the captured instance state onto a replacement instance:
+    /// heap, loaded classes, native state, monitor cache and connection
+    /// attachments are replaced by the snapshot's, while the replacement
+    /// keeps its identity — its id, and with it the trace track and
+    /// profiler credit of whatever it runs next.
     pub fn restore_into(&self, replacement: &mut FunctionRuntime) {
-        replacement.vm = self.vm.clone();
-        replacement.attached = self.attached.clone();
+        replacement.vm.clone_from(&self.vm);
+        replacement.vm.set_trace_id(replacement.id);
+        replacement.attached.clone_from(&self.attached);
         replacement.instantiated_for = self.instantiated_for;
     }
 }
@@ -96,6 +133,11 @@ mod tests {
         assert!(replacement.vm.is_loaded(c), "loaded classes restored");
         assert_eq!(replacement.instantiated_for, Some(m));
         assert_eq!(replacement.id, 2, "identity stays with the instance");
+        assert_eq!(
+            replacement.vm.trace_track(),
+            beehive_telemetry::Track::Instance(2),
+            "the replacement's events land on its own track"
+        );
 
         // The restored execution runs to completion on the replacement.
         let mut exec2 = snap.exec.clone();

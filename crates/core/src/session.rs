@@ -43,6 +43,7 @@ use beehive_vm::{Addr, ClassId, EndpointId, MethodId, NativeId, StaticSlot, Valu
 
 use crate::config::NetProfile;
 use crate::function::FunctionRuntime;
+use crate::mapping::MappingTable;
 use crate::recovery::Snapshot;
 use crate::server::ServerRuntime;
 use crate::stats::SessionStats;
@@ -492,6 +493,8 @@ pub struct OffloadSession {
     /// Profile-tree position of the bytecode site that last blocked this
     /// request (see [`ServerSession`]'s field of the same name).
     prof_mark: Option<prof::ProfMark>,
+    /// The last sync point's snapshot (§4.5): one per session, refreshed in
+    /// place at every sync point; `None` until the first.
     snapshot: Option<Box<Snapshot>>,
     /// Per-request statistics.
     pub stats: SessionStats,
@@ -1181,14 +1184,15 @@ impl OffloadSession {
         if !server.config.recovery_enabled {
             return;
         }
-        let mapping = server.mapping(func.id).cloned().unwrap_or_default();
-        self.snapshot = Some(Box::new(Snapshot::capture(
-            &self.exec,
-            func,
-            self.root,
-            self.write_seq,
-            mapping,
-        )));
+        self.snapshot
+            .get_or_insert_with(|| Box::new(Snapshot::empty()))
+            .refresh(
+                &self.exec,
+                func,
+                self.root,
+                self.write_seq,
+                server.mapping(func.id).unwrap_or(&MappingTable::new()),
+            );
         self.stats.snapshots += 1;
         // The wire cost of the snapshot: stack + referenced objects
         // ("several KBs", §4.5).
@@ -1238,13 +1242,12 @@ impl OffloadSession {
         self.fix = None;
         let old_id = self.function_id;
         let f_s = self.net.function_server;
-        match self.snapshot.take() {
+        match self.snapshot.as_deref_mut() {
             Some(snap) => {
                 let bytes = snap.exec.stack_bytes();
-                let seq = snap.write_seq;
                 snap.restore_into(replacement);
-                self.exec = snap.exec.clone();
-                self.write_seq = seq;
+                self.exec.clone_from(&snap.exec);
+                self.write_seq = snap.write_seq;
                 // Roll the mapping table back to the sync point alongside
                 // the heap.
                 server.remove_mapping(old_id);
@@ -1259,14 +1262,17 @@ impl OffloadSession {
                         replacement.attached.insert(offload, c);
                     }
                 }
-                let mapping = server.mapping(replacement.id).cloned().unwrap_or_default();
-                self.snapshot = Some(Box::new(Snapshot::capture(
+                // The replacement's heap is a new one, so this refresh
+                // copies it whole.
+                snap.refresh(
                     &self.exec,
                     replacement,
                     self.root,
                     self.write_seq,
-                    mapping,
-                )));
+                    server
+                        .mapping(replacement.id)
+                        .unwrap_or(&MappingTable::new()),
+                );
                 self.prof_synth("[recovery]", f_s + self.net.transfer(bytes));
                 self.queue.push_back(Pending::Need(
                     Need::new(Resource::Net, f_s + self.net.transfer(bytes)).fb(),

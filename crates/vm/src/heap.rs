@@ -15,6 +15,14 @@
 //!
 //! Addresses are 8-byte-aligned byte addresses in disjoint ranges per space;
 //! bit 63 marks remote references (see [`crate::value`]).
+//!
+//! For failure recovery (§4.5) a heap also keeps a *sync image* — a mirror
+//! refreshed at every synchronization point — up to date by difference: each
+//! in-place write stamps its 64-word page with the heap's clock, so
+//! [`Heap::sync_image`] copies the pages written since the image's last
+//! refresh plus whatever each space appended, not the whole heap.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use beehive_sim::{Duration, FastMap};
 
@@ -42,6 +50,8 @@ const SPACE_SIZE: u64 = 0x1000_0000_0000;
 /// Card granularity: 512 bytes = 64 words (paper §4.4).
 pub const CARD_BYTES: u64 = 512;
 const CARD_WORDS: usize = (CARD_BYTES / 8) as usize;
+/// Granularity of the write stamps [`Heap::sync_image`] copies by: one card.
+const PAGE_WORDS: usize = CARD_WORDS;
 
 /// Header flag: object is an array (length in the `len` field, elements as
 /// slots).
@@ -62,7 +72,7 @@ fn header_len(header: u64) -> u32 {
 pub type RootVisitor<'a> = dyn FnMut(&mut Value) + 'a;
 
 /// Statistics from one collection.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GcStats {
     /// Bytes of surviving (copied) objects.
     pub live_bytes: u64,
@@ -77,7 +87,7 @@ pub struct GcStats {
 }
 
 /// Cost model for the modelled GC pause.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GcCosts {
     /// Fixed pause component.
     pub base: Duration,
@@ -100,11 +110,93 @@ impl Default for GcCosts {
     }
 }
 
-/// The two-space heap of one VM instance.
-#[derive(Debug, Clone)]
+/// One space's words, plus — per 64-word page — the heap's clock reading
+/// at the last in-place write to that page.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Region {
+    words: Vec<u64>,
+    /// Covers every page of `words` (it may run longer after a collection).
+    stamps: Vec<u64>,
+}
+
+impl Region {
+    /// Store `word` at `idx` in place, stamping its page with `clock`.
+    fn write(&mut self, idx: usize, word: u64, clock: u64) {
+        self.words[idx] = word;
+        self.stamps[idx / PAGE_WORDS] = clock;
+    }
+
+    /// Append an object (`header` then `slots` zero words), returning the
+    /// header's index.
+    fn push(&mut self, header: u64, slots: usize) -> usize {
+        let idx = self.words.len();
+        self.words.push(header);
+        self.words.extend(std::iter::repeat_n(0, slots));
+        let pages = self.words.len().div_ceil(PAGE_WORDS);
+        if self.stamps.len() < pages {
+            self.stamps.resize(pages, 0);
+        }
+        idx
+    }
+
+    /// Make `image` equal to this region. `since` is the clock reading
+    /// `image` last mirrored it at, when it did: then only the pages
+    /// stamped at or after that reading and the words appended since are
+    /// copied.
+    fn sync_into(&self, image: &mut Region, since: Option<u64>) {
+        match since {
+            Some(since) => {
+                let synced = image.words.len();
+                let pages = self.stamps[..synced.div_ceil(PAGE_WORDS)].iter();
+                for (page, _) in pages.enumerate().filter(|&(_, &at)| at >= since) {
+                    let range = page * PAGE_WORDS..synced.min((page + 1) * PAGE_WORDS);
+                    image.words[range.clone()].copy_from_slice(&self.words[range]);
+                }
+                image.words.extend_from_slice(&self.words[synced..]);
+            }
+            None => image.words.clone_from(&self.words),
+        }
+        image.stamps.clone_from(&self.stamps);
+    }
+}
+
+/// Which heap this is and — on a sync image — which heap it last mirrored,
+/// at which clock reading. Not part of a heap's value: every heap, a clone
+/// included, gets a new id, and identities always compare equal.
+#[derive(Debug)]
+struct Identity {
+    id: u64,
+    mirrors: Option<(u64, u64)>,
+}
+
+impl Identity {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Identity {
+            id: NEXT.fetch_add(1, Ordering::Relaxed),
+            mirrors: None,
+        }
+    }
+}
+
+impl Clone for Identity {
+    /// A clone is a new heap that starts out equal, not a mirror.
+    fn clone(&self) -> Self {
+        Identity::fresh()
+    }
+}
+
+impl PartialEq for Identity {
+    fn eq(&self, _: &Identity) -> bool {
+        true
+    }
+}
+
+/// The two-space heap of one VM instance. Heaps compare by content.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Heap {
-    closure: Vec<u64>,
-    alloc: Vec<u64>,
+    closure: Region,
+    alloc: Region,
     alloc_base: u64,
     alloc_capacity_words: usize,
     cards: Vec<bool>,
@@ -113,6 +205,15 @@ pub struct Heap {
     allocated_bytes: u64,
     /// High-water mark of live alloc-space bytes observed at GC.
     peak_used_bytes: u64,
+    /// Advances on every allocation and collection; in-place writes stamp
+    /// their page with its current reading. Writes are not counted — they
+    /// are the mutator's hottest path — so a page stamped at the very
+    /// reading an image last mirrored may or may not be newer than it, and
+    /// is copied again.
+    clock: u64,
+    /// Collections so far (each one rebuilds the allocation space).
+    collections: u64,
+    identity: Identity,
 }
 
 impl Heap {
@@ -128,15 +229,59 @@ impl Heap {
             "allocation space too big"
         );
         Heap {
-            closure: Vec::new(),
-            alloc: Vec::new(),
+            closure: Region::default(),
+            alloc: Region::default(),
             alloc_base: ALLOC_BASE_A,
             alloc_capacity_words: (alloc_capacity_bytes / 8) as usize,
             cards: Vec::new(),
             gc_costs,
             allocated_bytes: 0,
             peak_used_bytes: 0,
+            clock: 0,
+            collections: 0,
+            identity: Identity::fresh(),
         }
+    }
+
+    /// Bring `image` up to date with this heap, in place; returns `true`
+    /// when that went by difference. If `image` last mirrored this very heap,
+    /// only the pages written in place since that refresh and each space's
+    /// appended words are copied — the allocation space whole instead if a
+    /// collection rebuilt it in between. Otherwise everything is copied.
+    /// Either way `image` ends equal to `self.clone()`, provided nothing but
+    /// this method writes to `image` (a clone of it is a new heap, and free
+    /// to be written).
+    pub fn sync_image(&self, image: &mut Heap) -> bool {
+        let Heap {
+            closure,
+            alloc,
+            alloc_base,
+            alloc_capacity_words,
+            cards,
+            gc_costs,
+            allocated_bytes,
+            peak_used_bytes,
+            clock,
+            collections,
+            identity,
+        } = self;
+        let since = match image.identity.mirrors {
+            Some((heap, at)) if heap == identity.id => Some(at),
+            _ => None,
+        };
+        closure.sync_into(&mut image.closure, since);
+        let rebuilt = image.collections != *collections;
+        alloc.sync_into(&mut image.alloc, since.filter(|_| !rebuilt));
+        image.cards.clone_from(cards);
+        image.alloc_base = *alloc_base;
+        image.alloc_capacity_words = *alloc_capacity_words;
+        image.gc_costs = *gc_costs;
+        image.allocated_bytes = *allocated_bytes;
+        image.peak_used_bytes = *peak_used_bytes;
+        image.clock = *clock;
+        image.collections = *collections;
+        image.identity.mirrors = Some((identity.id, *clock));
+        since.is_some()
     }
 
     /// Which space `addr` points into.
@@ -161,16 +306,23 @@ impl Heap {
 
     fn words(&self, space: Space) -> &[u64] {
         match space {
-            Space::Closure => &self.closure,
-            Space::Alloc => &self.alloc,
+            Space::Closure => &self.closure.words,
+            Space::Alloc => &self.alloc.words,
         }
     }
 
-    fn words_mut(&mut self, space: Space) -> &mut Vec<u64> {
+    fn region_mut(&mut self, space: Space) -> &mut Region {
         match space {
             Space::Closure => &mut self.closure,
             Space::Alloc => &mut self.alloc,
         }
+    }
+
+    /// Store `word` at index `idx` of `space` in place: the one write path
+    /// of the mutator, so every write stamps its page.
+    fn write(&mut self, space: Space, idx: usize, word: u64) {
+        let clock = self.clock;
+        self.region_mut(space).write(idx, word, clock);
     }
 
     fn base(&self, space: Space) -> u64 {
@@ -192,9 +344,13 @@ impl Heap {
         self.words(space)[idx]
     }
 
-    fn header_mut(&mut self, addr: Addr) -> &mut u64 {
+    /// Rewrite the header of the object at `addr` with `f`, returning the
+    /// old header.
+    fn update_header(&mut self, addr: Addr, f: impl FnOnce(u64) -> u64) -> u64 {
         let (space, idx) = self.index(addr);
-        &mut self.words_mut(space)[idx]
+        let old = self.words(space)[idx];
+        self.write(space, idx, f(old));
+        old
     }
 
     /// Allocate an object with `slots` fields in `space`.
@@ -221,18 +377,16 @@ impl Heap {
     ) -> Option<Addr> {
         assert!(slots as u64 <= LEN_MASK, "object too large: {slots} slots");
         let need = 1 + slots as usize;
-        if space == Space::Alloc && self.alloc.len() + need > self.alloc_capacity_words {
+        if space == Space::Alloc && self.alloc.words.len() + need > self.alloc_capacity_words {
             return None;
         }
         let base = self.base(space);
-        let words = self.words_mut(space);
-        let idx = words.len();
         let mut header = class_bits as u64 | ((slots as u64) << LEN_SHIFT);
         if array {
             header |= FLAG_ARRAY;
         }
-        words.push(header);
-        words.extend(std::iter::repeat_n(0, slots as usize));
+        self.clock += 1;
+        let idx = self.region_mut(space).push(header, slots as usize);
         if space == Space::Closure {
             let cards_needed = (idx + need).div_ceil(CARD_WORDS);
             if self.cards.len() < cards_needed {
@@ -286,13 +440,12 @@ impl Heap {
     /// Panics if `slot` is out of bounds.
     pub fn set(&mut self, addr: Addr, slot: u32, value: Value) {
         let (space, idx) = self.index(addr);
-        let words = self.words_mut(space);
         assert!(
-            slot < header_len(words[idx]),
+            slot < header_len(self.words(space)[idx]),
             "slot {slot} out of bounds at {addr:?}"
         );
         let word = idx + 1 + slot as usize;
-        words[word] = value.encode();
+        self.write(space, word, value.encode());
         // Card marking: a reference stored into the closure space may create
         // a closure→alloc edge the next GC must treat as a root.
         if space == Space::Closure && matches!(value, Value::Ref(a) if !a.is_remote()) {
@@ -327,7 +480,7 @@ impl Heap {
         let to = dst_idx + 1 + dst_pos as usize;
         for i in 0..n as usize {
             let word = self.words(src_space)[from + i];
-            self.words_mut(dst_space)[to + i] = word;
+            self.write(dst_space, to + i, word);
             if dst_space == Space::Closure
                 && matches!(Value::decode(word), Value::Ref(a) if !a.is_remote())
             {
@@ -339,25 +492,22 @@ impl Heap {
     /// Mark the object dirty (it will be shipped at the next synchronization,
     /// §4.2). Returns `true` if it was newly marked.
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        let h = self.header_mut(addr);
-        let newly = *h & FLAG_DIRTY == 0;
-        *h |= FLAG_DIRTY;
-        newly
+        self.update_header(addr, |h| h | FLAG_DIRTY) & FLAG_DIRTY == 0
     }
 
     /// Clear the dirty mark.
     pub fn clear_dirty(&mut self, addr: Addr) {
-        *self.header_mut(addr) &= !FLAG_DIRTY;
+        self.update_header(addr, |h| h & !FLAG_DIRTY);
     }
 
     /// Bytes currently used in the allocation space.
     pub fn used_alloc_bytes(&self) -> u64 {
-        self.alloc.len() as u64 * 8
+        self.alloc.words.len() as u64 * 8
     }
 
     /// Bytes used in the closure space.
     pub fn used_closure_bytes(&self) -> u64 {
-        self.closure.len() as u64 * 8
+        self.closure.words.len() as u64 * 8
     }
 
     /// Monotonic count of all bytes ever allocated.
@@ -373,7 +523,7 @@ impl Heap {
 
     /// `true` when an allocation of `slots` fields would fail right now.
     pub fn needs_gc(&self, slots: u32) -> bool {
-        self.alloc.len() + 1 + slots as usize > self.alloc_capacity_words
+        self.alloc.words.len() + 1 + slots as usize > self.alloc_capacity_words
     }
 
     /// Semispace collection of the allocation space.
@@ -393,9 +543,11 @@ impl Heap {
         } else {
             ALLOC_BASE_A
         };
-        let from = std::mem::take(&mut self.alloc);
+        let from = std::mem::take(&mut self.alloc.words);
         let old_used = from.len() as u64 * 8;
         self.alloc_base = to_base;
+        self.clock += 1;
+        self.collections += 1;
 
         let mut forwarding: FastMap<u64, u64> = FastMap::default();
         let mut copied_objects = 0u64;
@@ -412,8 +564,10 @@ impl Heap {
             let idx = ((old - from_base) / 8) as usize;
             let header = from[idx];
             let len = header_len(header) as usize;
-            let new_idx = heap.alloc.len();
-            heap.alloc.extend_from_slice(&from[idx..idx + 1 + len]);
+            let new_idx = heap.alloc.words.len();
+            heap.alloc
+                .words
+                .extend_from_slice(&from[idx..idx + 1 + len]);
             let new = to_base + new_idx as u64 * 8;
             forwarding.insert(old, new);
             *copied += 1;
@@ -448,35 +602,38 @@ impl Heap {
             }
             cards_scanned += 1;
             let start = card * CARD_WORDS;
-            let end = ((card + 1) * CARD_WORDS).min(self.closure.len());
+            let end = ((card + 1) * CARD_WORDS).min(self.closure.words.len());
             let mut still_dirty = false;
             for i in start..end {
-                let w = self.closure[i];
+                let w = self.closure.words[i];
                 if in_from(w) {
                     let new = copy(self, &mut forwarding, &mut copied_objects, w);
-                    self.closure[i] = new;
+                    self.write(Space::Closure, i, new);
                     still_dirty = true;
                 }
             }
             self.cards[card] = still_dirty;
         }
 
-        // Phase 3: Cheney scan of to-space.
+        // Phase 3: Cheney scan of to-space. A rebuilt space is mirrored whole
+        // (see `sync_image`), so these writes need no page stamps; the stamp
+        // table still covers it, as to-space holds at most what from-space
+        // did.
         let mut scan = 0usize;
-        while scan < self.alloc.len() {
-            let header = self.alloc[scan];
+        while scan < self.alloc.words.len() {
+            let header = self.alloc.words[scan];
             let len = header_len(header) as usize;
             for slot in 0..len {
-                let w = self.alloc[scan + 1 + slot];
+                let w = self.alloc.words[scan + 1 + slot];
                 if in_from(w) {
                     let new = copy(self, &mut forwarding, &mut copied_objects, w);
-                    self.alloc[scan + 1 + slot] = new;
+                    self.alloc.words[scan + 1 + slot] = new;
                 }
             }
             scan += 1 + len;
         }
 
-        let live_bytes = self.alloc.len() as u64 * 8;
+        let live_bytes = self.alloc.words.len() as u64 * 8;
         GcStats {
             live_bytes,
             freed_bytes: old_used.saturating_sub(live_bytes),

@@ -9,7 +9,7 @@
 use beehive_sim::{Duration, FastMap, FastSet};
 
 use crate::heap::{GcCosts, GcStats, Heap, Space};
-use crate::ids::MethodId;
+use crate::ids::{ClassId, MethodId};
 use crate::interp::Execution;
 use crate::natives::{NativeCounters, NativeState};
 use crate::program::Program;
@@ -31,7 +31,7 @@ pub enum EndpointKind {
 /// A method's first `warm_threshold` invocations on an instance run at
 /// `cold_multiplier`× cost, modelling interpretation before JIT compilation —
 /// the JVM warmup that shadow execution hides (§3.4).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Cost of a simple op (const, arithmetic, load/store, branch).
     pub simple_op: Duration,
@@ -69,7 +69,7 @@ impl Default for CostModel {
 }
 
 /// Aggregate activity counters of an instance.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct VmCounters {
     /// Bytecode ops executed.
     pub ops: u64,
@@ -92,8 +92,9 @@ impl VmCounters {
     }
 }
 
-/// One endpoint's runtime state.
-#[derive(Debug, Clone)]
+/// One endpoint's runtime state. Instances compare by value (see
+/// [`Heap`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmInstance {
     kind: EndpointKind,
     /// The heap.
@@ -101,6 +102,10 @@ pub struct VmInstance {
     statics: Vec<Value>,
     statics_fetched: Vec<bool>,
     loaded: Vec<bool>,
+    /// Classes loaded after construction, in load order. Classes are never
+    /// unloaded, so this is how [`VmInstance::sync_image`] finds the new
+    /// entries of `loaded` without scanning all of them.
+    load_log: Vec<ClassId>,
     native_states: FastMap<u64, NativeState>,
     next_handle: u64,
     owned_monitors: FastSet<Addr>,
@@ -165,6 +170,7 @@ impl VmInstance {
             statics: vec![Value::Null; program.static_count()],
             statics_fetched: vec![kind == EndpointKind::Server; program.static_count()],
             loaded: vec![loaded; program.class_count()],
+            load_log: Vec::new(),
             native_states: FastMap::default(),
             next_handle: 1,
             owned_monitors: FastSet::default(),
@@ -240,18 +246,16 @@ impl VmInstance {
     // ----- classes ------------------------------------------------------
 
     /// `true` when the class's code is available on this endpoint.
-    pub fn is_loaded(&self, class: crate::ids::ClassId) -> bool {
+    pub fn is_loaded(&self, class: ClassId) -> bool {
         self.loaded[class.index()]
     }
 
     /// Mark a class's code available (after a missing-code fetch).
-    pub fn load_class(&mut self, class: crate::ids::ClassId) {
-        self.loaded[class.index()] = true;
-    }
-
-    /// Number of classes currently loaded.
-    pub fn loaded_count(&self) -> usize {
-        self.loaded.iter().filter(|&&b| b).count()
+    pub fn load_class(&mut self, class: ClassId) {
+        if !self.loaded[class.index()] {
+            self.loaded[class.index()] = true;
+            self.load_log.push(class);
+        }
     }
 
     // ----- statics ------------------------------------------------------
@@ -457,6 +461,71 @@ impl VmInstance {
     pub fn gc_log(&self) -> &[GcStats] {
         &self.gc_log
     }
+
+    // ----- sync images ------------------------------------------------------
+
+    /// Bring `image` up to date with this instance, in place, so that it
+    /// equals `self.clone()` — the recovery snapshot of §4.5, refreshed at
+    /// every synchronization point. Returns `true` when that went by
+    /// difference: `image` last mirrored this instance, so its heap copies
+    /// only what changed since ([`Heap::sync_image`]) and the loaded-class
+    /// set and GC log, which only grow, copy just their new entries.
+    /// Everything else is small and copied with `clone_from`. An image must
+    /// be written by nothing but this method.
+    pub fn sync_image(&self, image: &mut VmInstance) -> bool {
+        let VmInstance {
+            kind,
+            heap,
+            statics,
+            statics_fetched,
+            loaded,
+            load_log,
+            native_states,
+            next_handle,
+            owned_monitors,
+            foreign_monitors,
+            dirty,
+            counters,
+            cost,
+            invocations,
+            alloc_target,
+            gc_log,
+            barriers,
+            trace_id,
+            shadow,
+        } = self;
+        let by_difference = heap.sync_image(&mut image.heap);
+        if by_difference {
+            let new = &load_log[image.load_log.len()..];
+            for class in new {
+                image.loaded[class.index()] = true;
+            }
+            image.load_log.extend_from_slice(new);
+            image
+                .gc_log
+                .extend_from_slice(&gc_log[image.gc_log.len()..]);
+        } else {
+            image.loaded.clone_from(loaded);
+            image.load_log.clone_from(load_log);
+            image.gc_log.clone_from(gc_log);
+        }
+        image.kind = *kind;
+        image.statics.clone_from(statics);
+        image.statics_fetched.clone_from(statics_fetched);
+        image.native_states.clone_from(native_states);
+        image.next_handle = *next_handle;
+        image.owned_monitors.clone_from(owned_monitors);
+        image.foreign_monitors.clone_from(foreign_monitors);
+        image.dirty.clone_from(dirty);
+        image.counters = *counters;
+        image.cost = *cost;
+        image.invocations.clone_from(invocations);
+        image.alloc_target = *alloc_target;
+        image.barriers = *barriers;
+        image.trace_id = *trace_id;
+        image.shadow = *shadow;
+        by_difference
+    }
 }
 
 #[cfg(test)]
@@ -490,7 +559,6 @@ mod tests {
         assert!(vm.checks_remote_refs());
         vm.load_class(crate::ids::ClassId(0));
         assert!(vm.is_loaded(crate::ids::ClassId(0)));
-        assert_eq!(vm.loaded_count(), 1);
     }
 
     #[test]

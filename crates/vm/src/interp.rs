@@ -184,7 +184,7 @@ pub struct StepResult {
 /// One call frame: a window into its execution's value stack. Locals live
 /// at `base..stack_base`, the frame's operands from `stack_base` up to the
 /// next frame's `base` (or the top of the stack for the executing frame).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Frame {
     method: MethodId,
     pc: usize,
@@ -213,8 +213,9 @@ enum Pending {
     Value,
 }
 
-/// A resumable execution of one root-method invocation.
-#[derive(Clone, Debug)]
+/// A resumable execution of one root-method invocation. The default is an
+/// empty placeholder (no frames) to [`Clone::clone_from`] a real one into.
+#[derive(Debug, Default)]
 pub struct Execution {
     frames: Vec<Frame>,
     /// Locals and operands of every frame, outermost first: a call turns the
@@ -226,6 +227,35 @@ pub struct Execution {
     sync_permit: bool,
     root_warm_checked: bool,
     total_cpu: Duration,
+}
+
+impl Clone for Execution {
+    fn clone(&self) -> Self {
+        let mut copy = Execution::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies into this execution's buffers rather than fresh ones (a
+    /// recovery snapshot refreshes its copy at every sync point).
+    fn clone_from(&mut self, source: &Self) {
+        let Execution {
+            frames,
+            values,
+            pending,
+            pending_push,
+            sync_permit,
+            root_warm_checked,
+            total_cpu,
+        } = source;
+        self.frames.clone_from(frames);
+        self.values.clone_from(values);
+        self.pending = *pending;
+        self.pending_push = *pending_push;
+        self.sync_permit = *sync_permit;
+        self.root_warm_checked = *root_warm_checked;
+        self.total_cpu = *total_cpu;
+    }
 }
 
 /// Hard cap on ops per [`Execution::run`] call; exceeding it aborts the

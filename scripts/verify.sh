@@ -124,6 +124,23 @@ echo "==> golden: repro recovery --quick is byte-stable at any worker count"
 golden_at_workers recovery_quick.json \
   ./target/release/repro recovery --quick --seed 42 --json
 
+echo "==> golden: repro recovery --quick is byte-stable under more chaos plans"
+# Seed 42's plan restores from a snapshot only a handful of times; these
+# seeds pin further plans (scenario and fault seeds moved together) by
+# length and digest, at a single worker and at two.
+seeds="scripts/golden/recovery_seeds.digests"
+for w in 1 2; do
+  grep -v '^#' "$seeds" | while read -r _ _ s; do
+    out="$verify_out/recovery_seed_$s.json"
+    BEEHIVE_WORKERS=$w ./target/release/repro recovery --quick --json \
+      --seed "$s" --chaos-seed "$s" > "$out"
+    printf '%s  %s  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" "$s"
+    rm -f "$out"
+  done > "$verify_out/recovery_seeds.digests"
+  grep -v '^#' "$seeds" | diff -u - "$verify_out/recovery_seeds.digests"
+  rm -f "$verify_out/recovery_seeds.digests"
+done
+
 echo "==> golden: repro explain is byte-stable at any worker count"
 # The attribution + SLO breakdown is pure integer rendering over the
 # deterministic trace, so the whole report is byte-identical at any
