@@ -156,11 +156,21 @@ echo "==> sentinel gate: repro check is clean and byte-stable at any worker coun
 golden_at_workers check_quick.json \
   ./target/release/repro check fig9 shadow recovery --quick --seed 42 --json
 
-echo "==> sentinel gate: every simulating item conforms"
-# The same checker over every item that runs a simulation; the exit status
-# is the gate (the report above is the byte-stability pin).
-./target/release/repro check fig2 fig7 fig8 fig9 table4 fig10 table5 gcstats \
-  shadow ablations combination recovery --quick --seed 42 > /dev/null
+echo "==> sentinel gate: every simulating item conforms, strictly and byte-stably"
+# The same checker over every item that runs a simulation, with vocabulary
+# drift escalated to violations: the exit status is the gate, and the whole
+# report's length and digest are pinned at one worker and at two.
+digests="scripts/golden/check_all_quick.digests"
+for w in 1 2; do
+  out="$verify_out/check_all_quick.json"
+  BEEHIVE_WORKERS=$w ./target/release/repro check fig2 fig7 fig8 fig9 table4 fig10 \
+    table5 gcstats shadow ablations combination recovery --quick --seed 42 \
+    --strict --json > "$out"
+  printf '%s  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" \
+    > "$verify_out/check_all_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/check_all_quick.digests"
+  rm -f "$out" "$verify_out/check_all_quick.digests"
+done
 
 echo "==> golden: repro timeline is byte-stable at any worker count"
 # The elasticity timeline — sparklines, per-bin quantiles and the derived
