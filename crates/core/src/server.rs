@@ -306,7 +306,7 @@ impl ServerRuntime {
             use beehive_telemetry::Arg;
             beehive_telemetry::complete(
                 beehive_telemetry::Track::Server,
-                "closure:build",
+                beehive_telemetry::EventName::ClosureBuild,
                 compute,
                 &[
                     ("instance", Arg::UInt(func_id as u64)),

@@ -100,16 +100,17 @@ impl Need {
     /// The residence-span name of this need: one static string per
     /// (resource, fallback-flag) pair, so tracing the wait allocates nothing
     /// on the hot path.
-    pub fn span_name(&self) -> &'static str {
+    pub fn span_name(&self) -> tele::EventName {
+        use tele::EventName as N;
         match (self.resource, self.fallback) {
-            (Resource::ServerCpu, false) => "wait:server_cpu",
-            (Resource::ServerCpu, true) => "wait:server_cpu:fb",
-            (Resource::FunctionCpu, false) => "wait:function_cpu",
-            (Resource::FunctionCpu, true) => "wait:function_cpu:fb",
-            (Resource::Net, false) => "wait:net",
-            (Resource::Net, true) => "wait:net:fb",
-            (Resource::Db, false) => "wait:db",
-            (Resource::Db, true) => "wait:db:fb",
+            (Resource::ServerCpu, false) => N::WaitServerCpu,
+            (Resource::ServerCpu, true) => N::WaitServerCpuFb,
+            (Resource::FunctionCpu, false) => N::WaitFunctionCpu,
+            (Resource::FunctionCpu, true) => N::WaitFunctionCpuFb,
+            (Resource::Net, false) => N::WaitNet,
+            (Resource::Net, true) => N::WaitNetFb,
+            (Resource::Db, false) => N::WaitDb,
+            (Resource::Db, true) => N::WaitDbFb,
         }
     }
 }
@@ -207,7 +208,7 @@ impl ServerSession {
     pub fn start(server: &mut ServerRuntime, root: MethodId, args: Vec<Value>) -> Self {
         let request = server.next_request_id();
         server.stats.requests_local += 1;
-        tele::begin(treq(request), "req:server", &[]);
+        tele::begin(treq(request), tele::EventName::ReqServer, &[]);
         ServerSession {
             exec: Execution::call(root, args, &server.program),
             root,
@@ -283,7 +284,7 @@ impl ServerSession {
                 self.finished = true;
                 server.stats.sessions.absorb(&self.stats);
                 server.record_profile(self.root, self.exec.total_cpu());
-                tele::end(treq(self.request), "req:server", &[]);
+                tele::end(treq(self.request), tele::EventName::ReqServer, &[]);
                 return SessionStep::Finished(v);
             }
 
@@ -355,14 +356,14 @@ impl ServerSession {
                 };
                 if !server.begin_lock_transfer(obj) {
                     self.fix = Some(ServerFix::MonitorBegin { obj });
-                    tele::instant(treq(self.request), "sync:lock_wait", &[]);
+                    tele::instant(treq(self.request), tele::EventName::SyncLockWait, &[]);
                     return Some(SessionStep::AwaitLock { canonical: obj });
                 }
                 self.stats.fallbacks_sync += 1;
                 if tele::enabled() {
                     tele::begin(
                         treq(self.request),
-                        "sync:monitor",
+                        tele::EventName::SyncMonitor,
                         &[("prev_owner", tele::Arg::UInt(peer as u64))],
                     );
                 }
@@ -403,7 +404,7 @@ impl ServerSession {
             ServerFix::Monitor { obj } => {
                 server.set_monitor_owner(obj, EndpointId::Server);
                 server.end_lock_transfer(obj);
-                tele::end(treq(self.request), "sync:monitor", &[]);
+                tele::end(treq(self.request), tele::EventName::SyncMonitor, &[]);
                 self.exec.resume();
             }
             ServerFix::AfterGc => {
@@ -590,7 +591,11 @@ impl OffloadSession {
         if tele::enabled() {
             tele::begin(
                 treq(request),
-                if shadow { "req:shadow" } else { "req:offload" },
+                if shadow {
+                    tele::EventName::ReqShadow
+                } else {
+                    tele::EventName::ReqOffload
+                },
                 &[
                     ("instance", tele::Arg::UInt(func.id as u64)),
                     ("warm", tele::Arg::Bool(warm)),
@@ -664,11 +669,11 @@ impl OffloadSession {
         server.remove_mapping(self.function_id);
     }
 
-    fn span_name(&self) -> &'static str {
+    fn span_name(&self) -> tele::EventName {
         if self.shadow {
-            "req:shadow"
+            tele::EventName::ReqShadow
         } else {
-            "req:offload"
+            tele::EventName::ReqOffload
         }
     }
 
@@ -741,7 +746,7 @@ impl OffloadSession {
                     if tele::enabled() {
                         tele::begin(
                             treq(self.request),
-                            "fallback:code",
+                            tele::EventName::FallbackCode,
                             &[("class", tele::Arg::UInt(class.0 as u64))],
                         );
                     }
@@ -751,7 +756,7 @@ impl OffloadSession {
                 }
                 Outcome::Blocked(Block::RemoteRef { addr, prov }) => {
                     self.stats.fallbacks_data += 1;
-                    tele::begin(treq(self.request), "fallback:data", &[]);
+                    tele::begin(treq(self.request), tele::EventName::FallbackData, &[]);
                     self.fallback_round_trip(server, self.net.transfer(256), "[fallback:data]");
                     self.fix = Some(OffloadFix::FetchObject {
                         canonical: addr.to_local(),
@@ -760,7 +765,7 @@ impl OffloadSession {
                 }
                 Outcome::Blocked(Block::RemoteStatic { slot }) => {
                     self.stats.fallbacks_data += 1;
-                    tele::begin(treq(self.request), "fallback:static", &[]);
+                    tele::begin(treq(self.request), tele::EventName::FallbackStatic, &[]);
                     self.fallback_round_trip(server, Duration::ZERO, "[fallback:static]");
                     self.fix = Some(OffloadFix::FetchStatic(slot));
                 }
@@ -776,7 +781,7 @@ impl OffloadSession {
                 }
                 Outcome::Blocked(Block::VolatileSync { slot, .. }) => {
                     self.stats.fallbacks_sync += 1;
-                    tele::begin(treq(self.request), "sync:volatile", &[]);
+                    tele::begin(treq(self.request), tele::EventName::SyncVolatile, &[]);
                     self.prof_synth("[sync:volatile]", f_s + server.config.sync_base_cost + f_s);
                     self.queue
                         .push_back(Pending::Need(Need::new(Resource::Net, f_s).fb()));
@@ -825,7 +830,7 @@ impl OffloadSession {
                             if tele::enabled() {
                                 tele::begin(
                                     treq(self.request),
-                                    "fallback:db",
+                                    tele::EventName::FallbackDb,
                                     &[("query", tele::Arg::UInt(query as u64))],
                                 );
                             }
@@ -886,7 +891,7 @@ impl OffloadSession {
                     if tele::enabled() {
                         tele::begin(
                             treq(self.request),
-                            "fallback:native",
+                            tele::EventName::FallbackNative,
                             &[("native", tele::Arg::UInt(native.0 as u64))],
                         );
                     }
@@ -959,7 +964,7 @@ impl OffloadSession {
                 if !server.begin_lock_transfer(canonical) {
                     // Hand-off in flight: park until the driver wakes us.
                     self.fix = Some(OffloadFix::MonitorBegin { obj, canonical });
-                    tele::instant(treq(self.request), "sync:lock_wait", &[]);
+                    tele::instant(treq(self.request), tele::EventName::SyncLockWait, &[]);
                     return Some(SessionStep::AwaitLock { canonical });
                 }
                 let prev = server.monitor_owner(canonical);
@@ -971,7 +976,7 @@ impl OffloadSession {
                     };
                     tele::begin(
                         treq(self.request),
-                        "sync:monitor",
+                        tele::EventName::SyncMonitor,
                         &[("prev_owner", tele::Arg::Int(prev_arg))],
                     );
                 }
@@ -1003,10 +1008,10 @@ impl OffloadSession {
                 server.fetch_class_for(func, class);
                 server.plan_mut(self.root).note_class(class);
                 if tele::enabled() {
-                    tele::end(treq(self.request), "fallback:code", &[]);
+                    tele::end(treq(self.request), tele::EventName::FallbackCode, &[]);
                     tele::instant(
                         treq(self.request),
-                        "closure:refine",
+                        tele::EventName::ClosureRefine,
                         &[("kind", tele::Arg::Str("class"))],
                     );
                 }
@@ -1034,10 +1039,10 @@ impl OffloadSession {
                     }
                 }
                 if tele::enabled() {
-                    tele::end(treq(self.request), "fallback:data", &[]);
+                    tele::end(treq(self.request), tele::EventName::FallbackData, &[]);
                     tele::instant(
                         treq(self.request),
-                        "closure:refine",
+                        tele::EventName::ClosureRefine,
                         &[("kind", tele::Arg::Str("object"))],
                     );
                 }
@@ -1047,10 +1052,10 @@ impl OffloadSession {
                 server.fetch_static_for(func, slot);
                 server.plan_mut(self.root).note_static(slot);
                 if tele::enabled() {
-                    tele::end(treq(self.request), "fallback:static", &[]);
+                    tele::end(treq(self.request), tele::EventName::FallbackStatic, &[]);
                     tele::instant(
                         treq(self.request),
-                        "closure:refine",
+                        tele::EventName::ClosureRefine,
                         &[("kind", tele::Arg::Str("static"))],
                     );
                 }
@@ -1074,7 +1079,7 @@ impl OffloadSession {
                     // of the synchronized dirty set shipped with the lock.
                     tele::end(
                         treq(self.request),
-                        "sync:monitor",
+                        tele::EventName::SyncMonitor,
                         &[("dirty", tele::Arg::UInt(n))],
                     );
                 }
@@ -1093,7 +1098,7 @@ impl OffloadSession {
                 if tele::enabled() {
                     tele::end(
                         treq(self.request),
-                        "sync:volatile",
+                        tele::EventName::SyncVolatile,
                         &[("dirty", tele::Arg::UInt(objs.len() as u64))],
                     );
                 }
@@ -1127,13 +1132,13 @@ impl OffloadSession {
                     .execute(conn, Origin::Function(func.id), query, arg, key)
                     .expect("connection is registered with the proxy");
                 if fell_back && tele::enabled() {
-                    tele::end(treq(self.request), "fallback:db", &[]);
+                    tele::end(treq(self.request), tele::EventName::FallbackDb, &[]);
                 }
                 self.exec.resume_with(Value::I64(out.result));
             }
             OffloadFix::Native { native, args } => {
                 let v = server.execute_native_fallback(func.id, native, &args);
-                tele::end(treq(self.request), "fallback:native", &[]);
+                tele::end(treq(self.request), tele::EventName::FallbackNative, &[]);
                 self.exec.resume_with(v);
             }
             OffloadFix::Complete => {
@@ -1199,7 +1204,7 @@ impl OffloadSession {
         let bytes = self.exec.stack_bytes() + 64 * func.vm.dirty_len() as u64;
         tele::instant(
             treq(self.request),
-            "snapshot",
+            tele::EventName::Snapshot,
             &[("bytes", tele::Arg::UInt(bytes))],
         );
         self.queue.push_back(Pending::Need(
@@ -1226,7 +1231,7 @@ impl OffloadSession {
         if tele::enabled() {
             tele::instant(
                 treq(self.request),
-                "recovery",
+                tele::EventName::Recovery,
                 &[
                     ("from", tele::Arg::UInt(self.function_id as u64)),
                     ("to", tele::Arg::UInt(replacement.id as u64)),

@@ -178,7 +178,7 @@ impl FaasPlatform {
             self.warm_starts += 1;
             tele::instant(
                 tele::Track::Instance(idx as u32),
-                "instance:warm_start",
+                tele::EventName::InstanceWarmStart,
                 &[],
             );
             return (idx as InstanceId, now, BootKind::Warm);
@@ -197,7 +197,7 @@ impl FaasPlatform {
         if tele::enabled() {
             tele::instant(
                 tele::Track::Instance(id),
-                "instance:cold_boot",
+                tele::EventName::InstanceColdBoot,
                 &[("boot_us", tele::Arg::UInt(boot.as_nanos() / 1000))],
             );
         }
@@ -212,7 +212,11 @@ impl FaasPlatform {
         if matches!(inst.state, InstanceState::Warm(_)) {
             inst.state = InstanceState::Busy;
             self.warm_starts += 1;
-            tele::instant(tele::Track::Instance(id), "instance:warm_start", &[]);
+            tele::instant(
+                tele::Track::Instance(id),
+                tele::EventName::InstanceWarmStart,
+                &[],
+            );
             true
         } else {
             false
@@ -231,7 +235,11 @@ impl FaasPlatform {
             InstanceState::Booting(ready) => {
                 assert!(now >= ready, "boot_complete before ready time");
                 inst.state = InstanceState::Busy;
-                tele::instant(tele::Track::Instance(id), "instance:ready", &[]);
+                tele::instant(
+                    tele::Track::Instance(id),
+                    tele::EventName::InstanceReady,
+                    &[],
+                );
             }
             ref s => panic!("boot_complete on instance in state {s:?}"),
         }
@@ -254,7 +262,7 @@ impl FaasPlatform {
         if tele::enabled() {
             tele::instant(
                 tele::Track::Instance(id),
-                "instance:release",
+                tele::EventName::InstanceRelease,
                 &[("busy_us", tele::Arg::UInt(busy_time.as_nanos() / 1000))],
             );
         }
@@ -277,7 +285,7 @@ impl FaasPlatform {
         if n > 0 {
             tele::instant(
                 tele::Track::Platform,
-                "instance:expire",
+                tele::EventName::InstanceExpire,
                 &[("count", tele::Arg::UInt(n as u64))],
             );
         }
@@ -295,7 +303,11 @@ impl FaasPlatform {
         let inst = &mut self.instances[id as usize];
         inst.state = InstanceState::Dead;
         inst.retired_at = Some(now);
-        tele::instant(tele::Track::Instance(id), "instance:kill", &[]);
+        tele::instant(
+            tele::Track::Instance(id),
+            tele::EventName::InstanceKill,
+            &[],
+        );
     }
 
     /// `true` if the instance is alive (booting, warm or busy).
@@ -334,7 +346,7 @@ impl FaasPlatform {
         if n > 0 {
             tele::instant(
                 tele::Track::Platform,
-                "instance:prewarm",
+                tele::EventName::InstancePrewarm,
                 &[("count", tele::Arg::UInt(n as u64))],
             );
         }

@@ -22,7 +22,7 @@
 use beehive_sim::json::Json;
 use beehive_sim::SimTime;
 use beehive_telemetry::summary::{for_each_timeline, RequestTimeline};
-use beehive_telemetry::{EventKind, Trace, TraceEvent};
+use beehive_telemetry::{EventKind, EventName, Trace, TraceEvent};
 
 /// One typed latency component. The discriminant order is the canonical
 /// rendering order of every report.
@@ -124,27 +124,28 @@ impl Component {
 /// everything under a `recovery` span is recovery. `None` means the span
 /// does not claim time (unknown names, and the `req:*` session spans
 /// themselves).
-fn classify(name: &'static str) -> Option<(Component, u8)> {
+fn classify(name: EventName) -> Option<(Component, u8)> {
+    use EventName as N;
     Some(match name {
-        "recovery" => (Component::Recovery, 100),
-        "fallback:code" => (Component::FallbackCode, 90),
-        "fallback:data" => (Component::FallbackData, 90),
-        "fallback:static" => (Component::FallbackStatic, 90),
-        "fallback:db" => (Component::FallbackDb, 90),
-        "fallback:native" => (Component::FallbackNative, 90),
-        "sync:monitor" | "sync:volatile" => (Component::MonitorSync, 80),
-        "wait:lock" => (Component::LockWait, 70),
+        N::Recovery => (Component::Recovery, 100),
+        N::FallbackCode => (Component::FallbackCode, 90),
+        N::FallbackData => (Component::FallbackData, 90),
+        N::FallbackStatic => (Component::FallbackStatic, 90),
+        N::FallbackDb => (Component::FallbackDb, 90),
+        N::FallbackNative => (Component::FallbackNative, 90),
+        N::SyncMonitor | N::SyncVolatile => (Component::MonitorSync, 80),
+        N::WaitLock => (Component::LockWait, 70),
         // Fallback-flagged waits outside a fallback/sync span (there are
         // none today, but the classification stays exhaustive) charge their
         // underlying resource.
-        "wait:server_cpu:fb" => (Component::ServerAssist, 50),
-        "wait:function_cpu:fb" => (Component::FaasExec, 50),
-        "wait:net:fb" => (Component::NetWait, 50),
-        "wait:db:fb" => (Component::DbWait, 50),
-        "wait:db" => (Component::DbWait, 40),
-        "wait:net" => (Component::NetWait, 30),
-        "wait:server_cpu" => (Component::ServerAssist, 20),
-        "wait:function_cpu" => (Component::FaasExec, 10),
+        N::WaitServerCpuFb => (Component::ServerAssist, 50),
+        N::WaitFunctionCpuFb => (Component::FaasExec, 50),
+        N::WaitNetFb => (Component::NetWait, 50),
+        N::WaitDbFb => (Component::DbWait, 50),
+        N::WaitDb => (Component::DbWait, 40),
+        N::WaitNet => (Component::NetWait, 30),
+        N::WaitServerCpu => (Component::ServerAssist, 20),
+        N::WaitFunctionCpu => (Component::FaasExec, 10),
         _ => return None,
     })
 }
@@ -193,13 +194,10 @@ fn attribute_request(t: &RequestTimeline) -> Option<RequestAttribution> {
     let (Some(kind), Some(end)) = (t.kind, t.end) else {
         return None;
     };
-    if kind != "req:server" && kind != "req:offload" {
-        return None;
-    }
-    let exec = if kind == "req:server" {
-        Component::ServerExec
-    } else {
-        Component::FaasExec
+    let exec = match kind {
+        EventName::ReqServer => Component::ServerExec,
+        EventName::ReqOffload => Component::FaasExec,
+        _ => return None,
     };
     let start = t.start;
     let mut components = [0u64; COMPONENTS];
@@ -237,7 +235,7 @@ fn attribute_request(t: &RequestTimeline) -> Option<RequestAttribution> {
     // Pre-session boot wait (arrival → session start) is disjoint from the
     // span by construction: additive.
     for (name, _, d) in &t.completes {
-        if *name == "boot:wait" {
+        if *name == EventName::BootWait {
             components[Component::BootWait as usize] += d.as_nanos();
         }
     }
@@ -246,7 +244,7 @@ fn attribute_request(t: &RequestTimeline) -> Option<RequestAttribution> {
         end.saturating_since(start).as_nanos() + components[Component::BootWait as usize];
     Some(RequestAttribution {
         rid: t.rid,
-        kind: kind.to_string(),
+        kind: kind.name().to_string(),
         total_ns,
         components,
     })
@@ -402,14 +400,14 @@ impl AttributionFold {
     /// Take one event: GC pauses, on whatever track, add to the
     /// scenario-level total.
     pub fn event(&mut self, e: &TraceEvent) {
-        if let ("gc", EventKind::Complete(d)) = (e.name, e.kind) {
+        if let (EventName::Gc, EventKind::Complete(d)) = (e.name, e.kind) {
             self.gc_pause_ns += d.as_nanos();
         }
     }
 
     /// Attribute one request, when it completed.
     pub fn request(&mut self, t: &RequestTimeline) {
-        if t.kind == Some("req:shadow") {
+        if t.kind == Some(EventName::ReqShadow) {
             self.shadows += u64::from(t.end.is_some());
             return;
         }
@@ -470,43 +468,95 @@ mod tests {
         SimTime::ZERO + Duration::from_micros(us)
     }
 
-    fn ev(t: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: at(t),
-            track,
-            name,
-            kind,
-            args: vec![],
-        }
-    }
-
     /// An offload request: 2 µs boot wait, then [0,20] µs of session time
     /// with a function CPU grant [0,3], a fallback [5,9] whose inner net
     /// wait [6,8] must *not* double-count, and a monitor sync [12,15].
     fn offload_trace() -> Trace {
         Trace {
             events: vec![
-                ev(
-                    2,
+                TraceEvent::new(
+                    at(2),
                     Track::Request(7),
                     "boot:wait",
                     EventKind::Complete(Duration::from_micros(2)),
+                    &[],
                 ),
-                ev(2, Track::Request(7), "req:offload", EventKind::Begin),
-                ev(2, Track::Request(7), "wait:function_cpu", EventKind::Begin),
-                ev(5, Track::Request(7), "wait:function_cpu", EventKind::End),
-                ev(7, Track::Request(7), "fallback:data", EventKind::Begin),
-                ev(8, Track::Request(7), "wait:net:fb", EventKind::Begin),
-                ev(10, Track::Request(7), "wait:net:fb", EventKind::End),
-                ev(11, Track::Request(7), "fallback:data", EventKind::End),
-                ev(14, Track::Request(7), "sync:monitor", EventKind::Begin),
-                ev(17, Track::Request(7), "sync:monitor", EventKind::End),
-                ev(22, Track::Request(7), "req:offload", EventKind::End),
-                ev(
-                    30,
+                TraceEvent::new(
+                    at(2),
+                    Track::Request(7),
+                    "req:offload",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(2),
+                    Track::Request(7),
+                    "wait:function_cpu",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(5),
+                    Track::Request(7),
+                    "wait:function_cpu",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(7),
+                    Track::Request(7),
+                    "fallback:data",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(8),
+                    Track::Request(7),
+                    "wait:net:fb",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(10),
+                    Track::Request(7),
+                    "wait:net:fb",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(11),
+                    Track::Request(7),
+                    "fallback:data",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(14),
+                    Track::Request(7),
+                    "sync:monitor",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(17),
+                    Track::Request(7),
+                    "sync:monitor",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(22),
+                    Track::Request(7),
+                    "req:offload",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(30),
                     Track::Instance(0),
                     "gc",
                     EventKind::Complete(Duration::from_micros(4)),
+                    &[],
                 ),
             ],
         }
@@ -539,12 +589,36 @@ mod tests {
         // A recovery span covering a fallback: all recovery.
         let t = Trace {
             events: vec![
-                ev(0, Track::Request(1), "req:offload", EventKind::Begin),
-                ev(2, Track::Request(1), "recovery", EventKind::Begin),
-                ev(3, Track::Request(1), "fallback:code", EventKind::Begin),
-                ev(5, Track::Request(1), "fallback:code", EventKind::End),
-                ev(8, Track::Request(1), "recovery", EventKind::End),
-                ev(10, Track::Request(1), "req:offload", EventKind::End),
+                TraceEvent::new(
+                    at(0),
+                    Track::Request(1),
+                    "req:offload",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(at(2), Track::Request(1), "recovery", EventKind::Begin, &[]),
+                TraceEvent::new(
+                    at(3),
+                    Track::Request(1),
+                    "fallback:code",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(5),
+                    Track::Request(1),
+                    "fallback:code",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(at(8), Track::Request(1), "recovery", EventKind::End, &[]),
+                TraceEvent::new(
+                    at(10),
+                    Track::Request(1),
+                    "req:offload",
+                    EventKind::End,
+                    &[],
+                ),
             ],
         };
         let rep = attribute("s", &t, 8);
@@ -559,14 +633,44 @@ mod tests {
     fn server_requests_and_shadows_are_separated() {
         let t = Trace {
             events: vec![
-                ev(0, Track::Request(1), "req:server", EventKind::Begin),
-                ev(1, Track::Request(1), "wait:server_cpu", EventKind::Begin),
-                ev(3, Track::Request(1), "wait:server_cpu", EventKind::End),
-                ev(6, Track::Request(1), "req:server", EventKind::End),
-                ev(0, Track::Request(2), "req:shadow", EventKind::Begin),
-                ev(9, Track::Request(2), "req:shadow", EventKind::End),
+                TraceEvent::new(
+                    at(0),
+                    Track::Request(1),
+                    "req:server",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(1),
+                    Track::Request(1),
+                    "wait:server_cpu",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(3),
+                    Track::Request(1),
+                    "wait:server_cpu",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(at(6), Track::Request(1), "req:server", EventKind::End, &[]),
+                TraceEvent::new(
+                    at(0),
+                    Track::Request(2),
+                    "req:shadow",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(at(9), Track::Request(2), "req:shadow", EventKind::End, &[]),
                 // In flight at the horizon: not attributed.
-                ev(4, Track::Request(3), "req:offload", EventKind::Begin),
+                TraceEvent::new(
+                    at(4),
+                    Track::Request(3),
+                    "req:offload",
+                    EventKind::Begin,
+                    &[],
+                ),
             ],
         };
         let rep = attribute("s", &t, 8);
@@ -582,11 +686,35 @@ mod tests {
     fn slowest_k_orders_by_latency_then_rid_and_report_round_trips() {
         let mut events = Vec::new();
         for rid in 0..4u64 {
-            events.push(ev(0, Track::Request(rid), "req:server", EventKind::Begin));
-            events.push(ev(5, Track::Request(rid), "req:server", EventKind::End));
+            events.push(TraceEvent::new(
+                at(0),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            events.push(TraceEvent::new(
+                at(5),
+                Track::Request(rid),
+                "req:server",
+                EventKind::End,
+                &[],
+            ));
         }
-        events.push(ev(0, Track::Request(9), "req:server", EventKind::Begin));
-        events.push(ev(8, Track::Request(9), "req:server", EventKind::End));
+        events.push(TraceEvent::new(
+            at(0),
+            Track::Request(9),
+            "req:server",
+            EventKind::Begin,
+            &[],
+        ));
+        events.push(TraceEvent::new(
+            at(8),
+            Track::Request(9),
+            "req:server",
+            EventKind::End,
+            &[],
+        ));
         let rep = attribute("s", &Trace { events }, 3);
         let order: Vec<u64> = rep.slowest.iter().map(|r| r.rid).collect();
         assert_eq!(order, vec![9, 0, 1]);

@@ -102,20 +102,20 @@ mod tests {
     fn doc_round_trips_through_json() {
         let mut events = Vec::new();
         for rid in 0..3u64 {
-            events.push(TraceEvent {
-                at: SimTime::ZERO + Duration::from_millis(rid),
-                track: Track::Request(rid),
-                name: "req:server",
-                kind: EventKind::Begin,
-                args: vec![],
-            });
-            events.push(TraceEvent {
-                at: SimTime::ZERO + Duration::from_millis(rid + 2),
-                track: Track::Request(rid),
-                name: "req:server",
-                kind: EventKind::End,
-                args: vec![],
-            });
+            events.push(TraceEvent::new(
+                SimTime::ZERO + Duration::from_millis(rid),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            events.push(TraceEvent::new(
+                SimTime::ZERO + Duration::from_millis(rid + 2),
+                Track::Request(rid),
+                "req:server",
+                EventKind::End,
+                &[],
+            ));
         }
         let traces = vec![("s".to_string(), Trace { events })];
         let doc = InsightDoc::from_traces(&traces, &SloPolicy::default(), 5);

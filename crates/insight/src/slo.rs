@@ -15,7 +15,7 @@
 use beehive_sim::json::Json;
 use beehive_sim::{Duration, SimTime};
 use beehive_telemetry::summary::{for_each_timeline, RequestTimeline};
-use beehive_telemetry::Trace;
+use beehive_telemetry::{EventName, Trace};
 
 /// One service-level objective.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -174,13 +174,13 @@ impl SloFold {
         let (Some(kind), Some(end)) = (t.kind, t.end) else {
             return;
         };
-        if kind != "req:server" && kind != "req:offload" {
+        if !matches!(kind, EventName::ReqServer | EventName::ReqOffload) {
             return;
         }
         let boot: u64 = t
             .completes
             .iter()
-            .filter(|(n, _, _)| *n == "boot:wait")
+            .filter(|(n, _, _)| *n == EventName::BootWait)
             .map(|(_, _, d)| d.as_nanos())
             .sum();
         let latency = end.saturating_since(t.start).as_nanos() + boot;
@@ -264,14 +264,8 @@ mod tests {
     use super::*;
     use beehive_telemetry::{EventKind, TraceEvent, Track};
 
-    fn ev(ms: u64, rid: u64, name: &'static str, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::ZERO + Duration::from_millis(ms),
-            track: Track::Request(rid),
-            name,
-            kind,
-            args: vec![],
-        }
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + Duration::from_millis(ms)
     }
 
     /// `n` requests completing 1 s apart; the first `slow` of them take
@@ -281,8 +275,20 @@ mod tests {
         for rid in 0..n {
             let latency = if rid < slow { 600 } else { 100 };
             let end = (rid + 1) * 1_000;
-            events.push(ev(end - latency, rid, "req:server", EventKind::Begin));
-            events.push(ev(end, rid, "req:server", EventKind::End));
+            events.push(TraceEvent::new(
+                at_ms(end - latency),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            events.push(TraceEvent::new(
+                at_ms(end),
+                Track::Request(rid),
+                "req:server",
+                EventKind::End,
+                &[],
+            ));
         }
         Trace { events }
     }
@@ -310,18 +316,30 @@ mod tests {
     fn boot_wait_counts_toward_the_slo_latency() {
         // 400 ms session + 200 ms boot wait: over the 500 ms threshold.
         let mut events = vec![
-            ev(200, 1, "req:offload", EventKind::Begin),
-            ev(600, 1, "req:offload", EventKind::End),
+            TraceEvent::new(
+                at_ms(200),
+                Track::Request(1),
+                "req:offload",
+                EventKind::Begin,
+                &[],
+            ),
+            TraceEvent::new(
+                at_ms(600),
+                Track::Request(1),
+                "req:offload",
+                EventKind::End,
+                &[],
+            ),
         ];
         events.insert(
             1,
-            TraceEvent {
-                at: SimTime::ZERO + Duration::from_millis(200),
-                track: Track::Request(1),
-                name: "boot:wait",
-                kind: EventKind::Complete(Duration::from_millis(200)),
-                args: vec![],
-            },
+            TraceEvent::new(
+                at_ms(200),
+                Track::Request(1),
+                "boot:wait",
+                EventKind::Complete(Duration::from_millis(200)),
+                &[],
+            ),
         );
         let r = evaluate(&SloPolicy::default(), "s", &Trace { events });
         assert_eq!((r.total, r.bad), (1, 1));
@@ -342,8 +360,20 @@ mod tests {
         for rid in 0..100u64 {
             let latency = if rid == 50 || rid == 51 { 600 } else { 100 };
             let end = (rid + 1) * 1_000;
-            events.push(ev(end - latency, rid, "req:server", EventKind::Begin));
-            events.push(ev(end, rid, "req:server", EventKind::End));
+            events.push(TraceEvent::new(
+                at_ms(end - latency),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            events.push(TraceEvent::new(
+                at_ms(end),
+                Track::Request(rid),
+                "req:server",
+                EventKind::End,
+                &[],
+            ));
         }
         let r = evaluate(&policy, "s", &Trace { events });
         assert_eq!(r.burn[0].1, 100_000, "short window: {:?}", r.burn);

@@ -14,10 +14,8 @@
 //! up. The direct path is authoritative there; for shadow-enabled
 //! configurations the two agree exactly.
 
-use std::collections::HashMap;
-
-use beehive_sim::{Duration, SimTime};
-use beehive_telemetry::{EventKind, Trace, Track};
+use beehive_sim::{Duration, FastMap, SimTime};
+use beehive_telemetry::{EventKind, EventName as N, Trace, Track};
 
 use crate::registry::{MetricsSnapshot, Registry, ScenarioMetrics};
 
@@ -25,81 +23,70 @@ use crate::registry::{MetricsSnapshot, Registry, ScenarioMetrics};
 pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetrics {
     let mut reg = Registry::new(window);
     // Open request spans, for latency: (track, name) → begin-time stack.
-    let mut open: HashMap<(Track, &'static str), Vec<SimTime>> = HashMap::new();
+    let mut open: FastMap<(Track, N), Vec<SimTime>> = FastMap::default();
     for e in &trace.events {
-        match e.kind {
-            EventKind::Counter(v) => reg.set_gauge(e.name, e.at, v),
-            EventKind::Complete(d) => {
-                if e.name == "gc" {
-                    reg.observe("gc_pause", e.at, d);
-                    reg.add("gc_pause_ns", e.at, d.as_nanos());
+        match (e.kind, e.name) {
+            (EventKind::Counter(v), name) => reg.set_gauge(name.name(), e.at, v),
+            (EventKind::Complete(d), N::Gc) => {
+                reg.observe("gc_pause", e.at, d);
+                reg.add("gc_pause_ns", e.at, d.as_nanos());
+            }
+            (EventKind::Instant, N::Rejected) => reg.add("requests_rejected", e.at, 1),
+            (EventKind::Instant, N::DbRound) => {
+                let name = match e.arg_str("origin") {
+                    Some("server") => "db_rounds_server",
+                    _ => "db_rounds_function",
+                };
+                reg.add(name, e.at, 1);
+            }
+            (EventKind::Instant, N::SyncPullDirty) => {
+                reg.add(
+                    "handoff_dirty_objects",
+                    e.at,
+                    e.arg_u64("objects").unwrap_or(0),
+                );
+                reg.add("handoff_dirty_bytes", e.at, e.arg_u64("bytes").unwrap_or(0));
+            }
+            (EventKind::Begin, N::Boot) => {
+                let name = if e.arg_bool("cold").unwrap_or(false) {
+                    "boots_cold"
+                } else {
+                    "boots_warm"
+                };
+                reg.add(name, e.at, 1);
+            }
+            (EventKind::Begin, name) if name.is_session() => {
+                open.entry((e.track, name)).or_default().push(e.at);
+            }
+            (
+                EventKind::Begin,
+                N::WaitServerCpuFb | N::WaitFunctionCpuFb | N::WaitNetFb | N::WaitDbFb,
+            ) => reg.add("fallbacks", e.at, 1),
+            (EventKind::End, name @ (N::ReqServer | N::ReqOffload)) => {
+                let begun = open.get_mut(&(e.track, name)).and_then(|stack| stack.pop());
+                if let Some(start) = begun {
+                    reg.add("requests_completed", e.at, 1);
+                    // The track id is the server-issued request id the
+                    // live path records as the latency exemplar.
+                    let rid = match e.track {
+                        Track::Request(rid) => rid,
+                        _ => u64::MAX,
+                    };
+                    reg.observe_exemplar("request_latency", e.at, e.at - start, rid);
+                    if name == N::ReqOffload {
+                        reg.add("requests_offloaded", e.at, 1);
+                    }
                 }
             }
-            EventKind::Instant => match e.name {
-                "rejected" => reg.add("requests_rejected", e.at, 1),
-                "db:round" => {
-                    let name = match e.arg_str("origin") {
-                        Some("server") => "db_rounds_server",
-                        _ => "db_rounds_function",
-                    };
-                    reg.add(name, e.at, 1);
+            (EventKind::End, N::ReqShadow) => {
+                let begun = open
+                    .get_mut(&(e.track, N::ReqShadow))
+                    .and_then(|stack| stack.pop());
+                if begun.is_some() {
+                    reg.add("shadow_executions", e.at, 1);
                 }
-                "sync:pull_dirty" => {
-                    reg.add(
-                        "handoff_dirty_objects",
-                        e.at,
-                        e.arg_u64("objects").unwrap_or(0),
-                    );
-                    reg.add("handoff_dirty_bytes", e.at, e.arg_u64("bytes").unwrap_or(0));
-                }
-                _ => {}
-            },
-            EventKind::Begin => match e.name {
-                "boot" => {
-                    let name = if e.arg_bool("cold").unwrap_or(false) {
-                        "boots_cold"
-                    } else {
-                        "boots_warm"
-                    };
-                    reg.add(name, e.at, 1);
-                }
-                "req:server" | "req:offload" | "req:shadow" => {
-                    open.entry((e.track, e.name)).or_default().push(e.at);
-                }
-                n if n.starts_with("wait:") && n.ends_with(":fb") => {
-                    reg.add("fallbacks", e.at, 1);
-                }
-                _ => {}
-            },
-            EventKind::End => match e.name {
-                "req:server" | "req:offload" => {
-                    let begun = open
-                        .get_mut(&(e.track, e.name))
-                        .and_then(|stack| stack.pop());
-                    if let Some(start) = begun {
-                        reg.add("requests_completed", e.at, 1);
-                        // The track id is the server-issued request id the
-                        // live path records as the latency exemplar.
-                        let rid = match e.track {
-                            Track::Request(rid) => rid,
-                            _ => u64::MAX,
-                        };
-                        reg.observe_exemplar("request_latency", e.at, e.at - start, rid);
-                        if e.name == "req:offload" {
-                            reg.add("requests_offloaded", e.at, 1);
-                        }
-                    }
-                }
-                "req:shadow" => {
-                    let begun = open
-                        .get_mut(&(e.track, e.name))
-                        .and_then(|stack| stack.pop());
-                    if begun.is_some() {
-                        reg.add("shadow_executions", e.at, 1);
-                    }
-                }
-                _ => {}
-            },
+            }
+            _ => {}
         }
     }
     reg.snapshot(label)
@@ -122,40 +109,66 @@ mod tests {
     use crate::registry::DEFAULT_WINDOW;
     use beehive_telemetry::{Arg, TraceEvent};
 
-    fn ev(us: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::ZERO + Duration::from_micros(us),
-            track,
-            name,
-            kind,
-            args: Vec::new(),
-        }
-    }
-
     #[test]
     fn spans_counters_and_instants_reduce() {
+        let at = |us| SimTime::ZERO + Duration::from_micros(us);
         let mut events = vec![
-            ev(0, Track::Sim, "event_queue", EventKind::Counter(5)),
-            ev(10, Track::Request(1), "req:server", EventKind::Begin),
-            ev(
-                15,
+            TraceEvent::new(at(0), Track::Sim, "event_queue", EventKind::Counter(5), &[]),
+            TraceEvent::new(
+                at(10),
+                Track::Request(1),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ),
+            TraceEvent::new(
+                at(15),
                 Track::Server,
                 "gc",
                 EventKind::Complete(Duration::from_micros(3)),
+                &[],
             ),
-            ev(30, Track::Request(1), "req:server", EventKind::End),
-            ev(40, Track::Server, "rejected", EventKind::Instant),
-            ev(50, Track::Request(2), "wait:net:fb", EventKind::Begin),
-            ev(55, Track::Request(2), "wait:net:fb", EventKind::End),
+            TraceEvent::new(at(30), Track::Request(1), "req:server", EventKind::End, &[]),
+            TraceEvent::new(at(40), Track::Server, "rejected", EventKind::Instant, &[]),
+            TraceEvent::new(
+                at(50),
+                Track::Request(2),
+                "wait:net:fb",
+                EventKind::Begin,
+                &[],
+            ),
+            TraceEvent::new(
+                at(55),
+                Track::Request(2),
+                "wait:net:fb",
+                EventKind::End,
+                &[],
+            ),
             // An unmatched End must not count a completion.
-            ev(60, Track::Request(9), "req:offload", EventKind::End),
+            TraceEvent::new(
+                at(60),
+                Track::Request(9),
+                "req:offload",
+                EventKind::End,
+                &[],
+            ),
         ];
-        let mut boot = ev(5, Track::Instance(0), "boot", EventKind::Begin);
-        boot.args.push(("cold", Arg::Bool(true)));
-        events.push(boot);
-        let mut round = ev(20, Track::Db, "db:round", EventKind::Instant);
-        round.args.push(("origin", Arg::Str("server")));
-        events.push(round);
+        let cold = [("cold", Arg::Bool(true))];
+        let (instance, origin) = (Track::Instance(0), [("origin", Arg::Str("server"))]);
+        events.push(TraceEvent::new(
+            at(5),
+            instance,
+            "boot",
+            EventKind::Begin,
+            &cold,
+        ));
+        events.push(TraceEvent::new(
+            at(20),
+            Track::Db,
+            "db:round",
+            EventKind::Instant,
+            &origin,
+        ));
 
         let s = reduce_one("x", &Trace { events }, DEFAULT_WINDOW);
         assert_eq!(s.counter("requests_completed").unwrap().total, 1);

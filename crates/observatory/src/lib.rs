@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use beehive_metrics::LogLinearHistogram;
 use beehive_sim::json::Json;
 use beehive_sim::Duration;
-use beehive_telemetry::{EventKind, Trace, TraceEvent, Track};
+use beehive_telemetry::{EventKind, EventName as N, Trace, TraceEvent, Track};
 
 /// Default bin width of the timeline: one virtual second.
 pub const DEFAULT_WINDOW: Duration = Duration::from_secs(1);
@@ -382,8 +382,8 @@ impl Observer {
 
     fn feed_request(&mut self, rid: u64, e: &TraceEvent) {
         match (e.kind, e.name) {
-            (EventKind::Begin, "req:server" | "req:offload" | "req:shadow") => {
-                let shadow = e.name == "req:shadow";
+            (EventKind::Begin, N::ReqServer | N::ReqOffload | N::ReqShadow) => {
+                let shadow = e.name == N::ReqShadow;
                 if !shadow {
                     self.offered += 1;
                 }
@@ -393,11 +393,11 @@ impl Observer {
                 st.begin_ns = e.at.as_nanos();
                 st.shadow = shadow;
             }
-            (EventKind::Complete(d), "boot:wait") => {
+            (EventKind::Complete(d), N::BootWait) => {
                 let st = self.reqs.entry(rid).or_default();
                 st.boot_wait_ns = d.as_nanos();
             }
-            (EventKind::End, "req:server" | "req:offload" | "req:shadow") => {
+            (EventKind::End, N::ReqServer | N::ReqOffload | N::ReqShadow) => {
                 if let Some(st) = self.reqs.remove(&rid) {
                     if !st.shadow {
                         self.served += 1;
@@ -415,17 +415,17 @@ impl Observer {
 
     fn feed_server(&mut self, e: &TraceEvent) {
         match (e.kind, e.name) {
-            (EventKind::Instant, "offload:dispatch") => match e.arg_str("outcome") {
+            (EventKind::Instant, N::OffloadDispatch) => match e.arg_str("outcome") {
                 Some("warm") => self.warm += 1,
                 Some("spawn") => self.spawn += 1,
                 Some("server") => self.server_disp += 1,
                 _ => {}
             },
-            (EventKind::Instant, "rejected") => {
+            (EventKind::Instant, N::Rejected) => {
                 self.rejected += 1;
                 self.offered += 1;
             }
-            (EventKind::Instant, "burst:route") if e.arg_str("route") == Some("scaled") => {
+            (EventKind::Instant, N::BurstRoute) if e.arg_str("route") == Some("scaled") => {
                 self.forwarded += 1;
             }
             _ => {}
@@ -437,16 +437,16 @@ impl Observer {
             return;
         }
         match e.name {
-            "instance:cold_boot" => {
+            N::InstanceColdBoot => {
                 self.set_life(fid, Some(Life::Booting));
             }
-            "instance:ready" | "instance:warm_start" => {
+            N::InstanceReady | N::InstanceWarmStart => {
                 self.set_life(fid, Some(Life::Active));
             }
-            "instance:release" => {
+            N::InstanceRelease => {
                 self.set_life(fid, Some(Life::Idle));
             }
-            "instance:kill" => {
+            N::InstanceKill => {
                 self.set_life(fid, None);
             }
             _ => {}
@@ -478,7 +478,7 @@ impl Observer {
     }
 
     fn feed_platform(&mut self, e: &TraceEvent) {
-        if let (EventKind::Instant, "instance:expire") = (e.kind, e.name) {
+        if let (EventKind::Instant, N::InstanceExpire) = (e.kind, e.name) {
             // The keep-alive sweep reports a count, not ids; the expired
             // instances leave the warm cache.
             let n = e.arg_u64("count").unwrap_or(0);
@@ -500,12 +500,12 @@ impl Observer {
 
     fn feed_sim(&mut self, e: &TraceEvent) {
         match (e.kind, e.name) {
-            (EventKind::Counter(v), "server_pool") => self.queue_primary = v,
-            (EventKind::Counter(v), "inflight") => self.inflight = v,
-            (EventKind::Instant, "pool:depth") if e.arg_u64("pool") == Some(1) => {
+            (EventKind::Counter(v), N::ServerPool) => self.queue_primary = v,
+            (EventKind::Counter(v), N::Inflight) => self.inflight = v,
+            (EventKind::Instant, N::PoolDepth) if e.arg_u64("pool") == Some(1) => {
                 self.queue_scaled = e.arg_u64("depth").unwrap_or(0) as i64;
             }
-            (EventKind::Instant, "burst:onset") => {
+            (EventKind::Instant, N::BurstOnset) => {
                 // Only rate increases are elasticity events; rate drops end
                 // a burst and need no capacity response.
                 let from = e.arg_u64("mrps_from").unwrap_or(0);
@@ -982,30 +982,8 @@ mod tests {
     use beehive_sim::SimTime;
     use beehive_telemetry::{Arg, EventKind, TraceEvent, Track};
 
-    fn ev(ms: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::from_nanos(ms * 1_000_000),
-            track,
-            name,
-            kind,
-            args: Vec::new(),
-        }
-    }
-
-    fn ev_args(
-        ms: u64,
-        track: Track,
-        name: &'static str,
-        kind: EventKind,
-        args: Vec<(&'static str, Arg)>,
-    ) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::from_nanos(ms * 1_000_000),
-            track,
-            name,
-            kind,
-            args,
-        }
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::from_nanos(ms * 1_000_000)
     }
 
     /// One request served per 100ms-ish bin with stable latency, plus a
@@ -1015,12 +993,19 @@ mod tests {
             let rid = i;
             let t0 = i * 100;
             let lat = if i < 8 { 40 } else { 5 }; // slow start, then steady
-            obs.feed(&ev(t0, Track::Request(rid), "req:server", EventKind::Begin));
-            obs.feed(&ev(
-                t0 + lat,
+            obs.feed(&TraceEvent::new(
+                at_ms(t0),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            obs.feed(&TraceEvent::new(
+                at_ms(t0 + lat),
                 Track::Request(rid),
                 "req:server",
                 EventKind::End,
+                &[],
             ));
         }
     }
@@ -1054,10 +1039,34 @@ mod tests {
     #[test]
     fn shadow_requests_are_not_offered_load() {
         let mut obs = Observer::new(Duration::from_millis(100));
-        obs.feed(&ev(0, Track::Request(1), "req:shadow", EventKind::Begin));
-        obs.feed(&ev(10, Track::Request(1), "req:shadow", EventKind::End));
-        obs.feed(&ev(20, Track::Request(2), "req:offload", EventKind::Begin));
-        obs.feed(&ev(30, Track::Request(2), "req:offload", EventKind::End));
+        obs.feed(&TraceEvent::new(
+            at_ms(0),
+            Track::Request(1),
+            "req:shadow",
+            EventKind::Begin,
+            &[],
+        ));
+        obs.feed(&TraceEvent::new(
+            at_ms(10),
+            Track::Request(1),
+            "req:shadow",
+            EventKind::End,
+            &[],
+        ));
+        obs.feed(&TraceEvent::new(
+            at_ms(20),
+            Track::Request(2),
+            "req:offload",
+            EventKind::Begin,
+            &[],
+        ));
+        obs.feed(&TraceEvent::new(
+            at_ms(30),
+            Track::Request(2),
+            "req:offload",
+            EventKind::End,
+            &[],
+        ));
         let s = obs.finish("t".into());
         assert_eq!(s.offered.iter().sum::<u64>(), 1);
         assert_eq!(s.served.iter().sum::<u64>(), 1);
@@ -1067,15 +1076,27 @@ mod tests {
     fn boot_wait_is_charged_to_the_request_latency() {
         let mut obs = Observer::new(Duration::from_millis(100));
         // boot:wait precedes the session span at the same instant.
-        obs.feed(&ev_args(
-            50,
+        obs.feed(&TraceEvent::new(
+            at_ms(50),
             Track::Request(7),
             "boot:wait",
             EventKind::Complete(Duration::from_millis(50)),
-            vec![("cold", Arg::Bool(true))],
+            &[("cold", Arg::Bool(true))],
         ));
-        obs.feed(&ev(50, Track::Request(7), "req:offload", EventKind::Begin));
-        obs.feed(&ev(60, Track::Request(7), "req:offload", EventKind::End));
+        obs.feed(&TraceEvent::new(
+            at_ms(50),
+            Track::Request(7),
+            "req:offload",
+            EventKind::Begin,
+            &[],
+        ));
+        obs.feed(&TraceEvent::new(
+            at_ms(60),
+            Track::Request(7),
+            "req:offload",
+            EventKind::End,
+            &[],
+        ));
         let s = obs.finish("t".into());
         // 10ms of execution + 50ms hidden boot wait = 60ms latency.
         assert!(s.p99_ns.iter().any(|&v| v >= 60_000_000));
@@ -1084,9 +1105,27 @@ mod tests {
     #[test]
     fn rejections_count_as_offered() {
         let mut obs = Observer::new(Duration::from_millis(100));
-        obs.feed(&ev(10, Track::Server, "rejected", EventKind::Instant));
-        obs.feed(&ev(20, Track::Request(1), "req:server", EventKind::Begin));
-        obs.feed(&ev(25, Track::Request(1), "req:server", EventKind::End));
+        obs.feed(&TraceEvent::new(
+            at_ms(10),
+            Track::Server,
+            "rejected",
+            EventKind::Instant,
+            &[],
+        ));
+        obs.feed(&TraceEvent::new(
+            at_ms(20),
+            Track::Request(1),
+            "req:server",
+            EventKind::Begin,
+            &[],
+        ));
+        obs.feed(&TraceEvent::new(
+            at_ms(25),
+            Track::Request(1),
+            "req:server",
+            EventKind::End,
+            &[],
+        ));
         let s = obs.finish("t".into());
         assert_eq!(s.offered.iter().sum::<u64>(), 2);
         assert_eq!(s.rejected.iter().sum::<u64>(), 1);
@@ -1096,41 +1135,47 @@ mod tests {
     #[test]
     fn instance_lifecycle_tracks_fleet_gauges() {
         let mut obs = Observer::new(Duration::from_millis(10));
-        obs.feed(&ev(
-            1,
+        obs.feed(&TraceEvent::new(
+            at_ms(1),
             Track::Instance(0),
             "instance:cold_boot",
             EventKind::Instant,
+            &[],
         ));
-        obs.feed(&ev(
-            2,
+        obs.feed(&TraceEvent::new(
+            at_ms(2),
             Track::Instance(1),
             "instance:cold_boot",
             EventKind::Instant,
+            &[],
         ));
-        obs.feed(&ev(
-            15,
+        obs.feed(&TraceEvent::new(
+            at_ms(15),
             Track::Instance(0),
             "instance:ready",
             EventKind::Instant,
+            &[],
         ));
-        obs.feed(&ev(
-            25,
+        obs.feed(&TraceEvent::new(
+            at_ms(25),
             Track::Instance(0),
             "instance:release",
             EventKind::Instant,
+            &[],
         ));
-        obs.feed(&ev(
-            35,
+        obs.feed(&TraceEvent::new(
+            at_ms(35),
             Track::Instance(0),
             "instance:warm_start",
             EventKind::Instant,
+            &[],
         ));
-        obs.feed(&ev(
-            45,
+        obs.feed(&TraceEvent::new(
+            at_ms(45),
             Track::Instance(0),
             "instance:kill",
             EventKind::Instant,
+            &[],
         ));
         let s = obs.finish("t".into());
         // Bin 0: both booting; peak 2.
@@ -1153,25 +1198,27 @@ mod tests {
     fn expire_drains_the_idle_gauge() {
         let mut obs = Observer::new(Duration::from_millis(10));
         for id in 0..3u32 {
-            obs.feed(&ev(
-                1,
+            obs.feed(&TraceEvent::new(
+                at_ms(1),
                 Track::Instance(id),
                 "instance:warm_start",
                 EventKind::Instant,
+                &[],
             ));
-            obs.feed(&ev(
-                2,
+            obs.feed(&TraceEvent::new(
+                at_ms(2),
                 Track::Instance(id),
                 "instance:release",
                 EventKind::Instant,
+                &[],
             ));
         }
-        obs.feed(&ev_args(
-            15,
+        obs.feed(&TraceEvent::new(
+            at_ms(15),
             Track::Platform,
             "instance:expire",
             EventKind::Instant,
-            vec![("count", Arg::UInt(2))],
+            &[("count", Arg::UInt(2))],
         ));
         let s = obs.finish("t".into());
         assert_eq!(s.idle[0], 3);
@@ -1182,23 +1229,23 @@ mod tests {
     fn onsets_from_rate_steps_produce_extra_signals() {
         let mut obs = Observer::new(Duration::from_millis(100));
         stable_run(&mut obs);
-        obs.feed(&ev_args(
-            2_000,
+        obs.feed(&TraceEvent::new(
+            at_ms(2_000),
             Track::Sim,
             "burst:onset",
             EventKind::Instant,
-            vec![
+            &[
                 ("mrps_from", Arg::UInt(50_000)),
                 ("mrps_to", Arg::UInt(150_000)),
             ],
         ));
         // A rate *drop* is not an onset.
-        obs.feed(&ev_args(
-            3_000,
+        obs.feed(&TraceEvent::new(
+            at_ms(3_000),
             Track::Sim,
             "burst:onset",
             EventKind::Instant,
-            vec![
+            &[
                 ("mrps_from", Arg::UInt(150_000)),
                 ("mrps_to", Arg::UInt(50_000)),
             ],
@@ -1212,27 +1259,27 @@ mod tests {
     fn dispatch_outcomes_and_burst_routes_are_binned() {
         let mut obs = Observer::new(Duration::from_millis(100));
         for (ms, outcome) in [(10, "warm"), (20, "spawn"), (30, "server"), (40, "warm")] {
-            obs.feed(&ev_args(
-                ms,
+            obs.feed(&TraceEvent::new(
+                at_ms(ms),
                 Track::Server,
                 "offload:dispatch",
                 EventKind::Instant,
-                vec![("outcome", Arg::Str(outcome))],
+                &[("outcome", Arg::Str(outcome))],
             ));
         }
-        obs.feed(&ev_args(
-            50,
+        obs.feed(&TraceEvent::new(
+            at_ms(50),
             Track::Server,
             "burst:route",
             EventKind::Instant,
-            vec![("route", Arg::Str("scaled"))],
+            &[("route", Arg::Str("scaled"))],
         ));
-        obs.feed(&ev_args(
-            60,
+        obs.feed(&TraceEvent::new(
+            at_ms(60),
             Track::Server,
             "burst:route",
             EventKind::Instant,
-            vec![("route", Arg::Str("primary"))],
+            &[("route", Arg::Str("primary"))],
         ));
         let s = obs.finish("t".into());
         assert_eq!(s.dispatch_warm[0], 2);
@@ -1244,14 +1291,20 @@ mod tests {
     #[test]
     fn gauges_carry_forward_across_empty_bins() {
         let mut obs = Observer::new(Duration::from_millis(10));
-        obs.feed(&ev_args(
-            1,
+        obs.feed(&TraceEvent::new(
+            at_ms(1),
             Track::Sim,
             "server_pool",
             EventKind::Counter(5),
-            vec![],
+            &[],
         ));
-        obs.feed(&ev(55, Track::Server, "rejected", EventKind::Instant));
+        obs.feed(&TraceEvent::new(
+            at_ms(55),
+            Track::Server,
+            "rejected",
+            EventKind::Instant,
+            &[],
+        ));
         let s = obs.finish("t".into());
         assert!(s.bins() >= 5);
         for b in 0..s.bins() {
@@ -1263,12 +1316,12 @@ mod tests {
     fn json_round_trips_byte_identically() {
         let mut obs = Observer::new(Duration::from_millis(100));
         stable_run(&mut obs);
-        obs.feed(&ev_args(
-            1_500,
+        obs.feed(&TraceEvent::new(
+            at_ms(1_500),
             Track::Sim,
             "pool:depth",
             EventKind::Instant,
-            vec![("pool", Arg::UInt(1)), ("depth", Arg::UInt(3))],
+            &[("pool", Arg::UInt(1)), ("depth", Arg::UInt(3))],
         ));
         let doc = TimelineDoc::from_series(vec![obs.finish("scenario a".into())]);
         let text = doc.to_json().render();
@@ -1335,8 +1388,20 @@ mod tests {
         let events: Vec<TraceEvent> = (0..10u64)
             .flat_map(|i| {
                 vec![
-                    ev(i * 100, Track::Request(i), "req:server", EventKind::Begin),
-                    ev(i * 100 + 5, Track::Request(i), "req:server", EventKind::End),
+                    TraceEvent::new(
+                        at_ms(i * 100),
+                        Track::Request(i),
+                        "req:server",
+                        EventKind::Begin,
+                        &[],
+                    ),
+                    TraceEvent::new(
+                        at_ms(i * 100 + 5),
+                        Track::Request(i),
+                        "req:server",
+                        EventKind::End,
+                        &[],
+                    ),
                 ]
             })
             .collect();

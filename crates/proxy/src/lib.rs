@@ -218,7 +218,7 @@ impl Proxy {
                 use beehive_telemetry as tele;
                 tele::instant(
                     tele::Track::Db,
-                    "db:execute",
+                    tele::EventName::DbExecute,
                     &[
                         ("query", tele::Arg::UInt(query as u64)),
                         ("function", tele::Arg::UInt(f as u64)),

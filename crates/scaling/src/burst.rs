@@ -74,7 +74,7 @@ impl BurstHandler {
             };
             tele::instant(
                 tele::Track::Server,
-                "burst:route",
+                tele::EventName::BurstRoute,
                 &[("route", tele::Arg::Str(name))],
             );
         }

@@ -451,14 +451,8 @@ mod tests {
     use beehive_sim::{Duration, SimTime};
     use beehive_telemetry::{EventKind, TraceEvent, Track};
 
-    fn ev(ms: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::ZERO + Duration::from_millis(ms),
-            track,
-            name,
-            kind,
-            args: vec![],
-        }
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + Duration::from_millis(ms)
     }
 
     #[test]
@@ -474,10 +468,22 @@ mod tests {
     fn report_round_trips_through_json() {
         let trace = Trace {
             events: vec![
-                ev(1, Track::Request(3), "req:server", EventKind::Begin),
-                ev(4, Track::Request(3), "req:server", EventKind::End),
+                TraceEvent::new(
+                    at_ms(1),
+                    Track::Request(3),
+                    "req:server",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at_ms(4),
+                    Track::Request(3),
+                    "req:server",
+                    EventKind::End,
+                    &[],
+                ),
                 // An End without a Begin: one violation with a window.
-                ev(5, Track::Request(9), "wait:db", EventKind::End),
+                TraceEvent::new(at_ms(5), Track::Request(9), "wait:db", EventKind::End, &[]),
             ],
         };
         let report =

@@ -19,18 +19,18 @@
 //! [`Trace`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use beehive_sim::json::Json;
-use beehive_sim::{Duration, SimTime};
+use beehive_sim::{Duration, FastMap, SimTime};
 
-use crate::{EventKind, LogHistogram, Trace, TraceEvent, Track};
+use crate::{EventKind, EventName, LogHistogram, Trace, TraceEvent, Track};
 
 /// One closed `Begin`/`End` span on a request track.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanInterval {
-    /// Span name, e.g. `"wait:net"` or `"fallback:data"`.
-    pub name: &'static str,
+    /// Span name, e.g. `wait:net` or `fallback:data`.
+    pub name: EventName,
     /// Virtual time the span opened.
     pub begin: SimTime,
     /// Virtual time the span closed.
@@ -55,7 +55,7 @@ pub struct RequestTimeline {
     pub rid: u64,
     /// Session kind (`req:server` / `req:offload` / `req:shadow`), when the
     /// request track carried one.
-    pub kind: Option<&'static str>,
+    pub kind: Option<EventName>,
     /// Virtual time the session span opened.
     pub start: SimTime,
     /// Virtual time the session span closed; `None` while in flight.
@@ -63,9 +63,9 @@ pub struct RequestTimeline {
     /// Closed sub-spans, in close order.
     pub spans: Vec<SpanInterval>,
     /// `Complete` events: `(name, start, duration)`.
-    pub completes: Vec<(&'static str, SimTime, Duration)>,
+    pub completes: Vec<(EventName, SimTime, Duration)>,
     /// `Instant` events: `(name, at)`.
-    pub instants: Vec<(&'static str, SimTime)>,
+    pub instants: Vec<(EventName, SimTime)>,
 }
 
 impl RequestTimeline {
@@ -91,17 +91,17 @@ impl RequestTimeline {
     pub fn phases(&self) -> BTreeMap<&'static str, (u64, u64)> {
         let mut phases: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
         for s in &self.spans {
-            let e = phases.entry(s.name).or_default();
+            let e = phases.entry(s.name.name()).or_default();
             e.0 += 1;
             e.1 += s.duration().as_nanos();
         }
         for (name, _, d) in &self.completes {
-            let e = phases.entry(name).or_default();
+            let e = phases.entry(name.name()).or_default();
             e.0 += 1;
             e.1 += d.as_nanos();
         }
         for (name, _) in &self.instants {
-            phases.entry(name).or_default().0 += 1;
+            phases.entry(name.name()).or_default().0 += 1;
         }
         phases
     }
@@ -116,14 +116,14 @@ impl RequestTimeline {
 /// timeline per request in flight.
 #[derive(Default)]
 pub struct TimelineBuilder {
-    in_flight: HashMap<u64, InFlight>,
+    in_flight: FastMap<u64, InFlight>,
 }
 
 /// A request whose session span has not closed.
 struct InFlight {
     timeline: RequestTimeline,
     /// Its open sub-spans: `(name, begin)`, innermost last.
-    open: Vec<(&'static str, SimTime)>,
+    open: Vec<(EventName, SimTime)>,
 }
 
 impl TimelineBuilder {
@@ -144,11 +144,11 @@ impl TimelineBuilder {
                 open: Vec::new(),
             });
         match e.kind {
-            EventKind::Begin if e.name.starts_with("req:") => {
+            EventKind::Begin if e.name.is_session() => {
                 r.kind = Some(e.name);
                 r.start = e.at;
             }
-            EventKind::End if e.name.starts_with("req:") => {
+            EventKind::End if e.name.is_session() => {
                 r.end = Some(e.at);
                 return self.in_flight.remove(&rid).map(|r| r.timeline);
             }
@@ -283,7 +283,7 @@ const SLOWEST: usize = 8;
 struct SlowRequest {
     /// Slowest first, ties by ascending request id.
     order: (Reverse<u64>, u64),
-    kind: &'static str,
+    kind: EventName,
     phases: BTreeMap<&'static str, (u64, u64)>,
 }
 
@@ -295,7 +295,7 @@ pub struct SummaryFold {
     phases: BTreeMap<&'static str, PhaseAgg>,
     endpoint: BTreeMap<&'static str, PhaseAgg>,
     /// Open B/E spans on non-request tracks (e.g. instance boot spans).
-    open_endpoint: HashMap<(Track, &'static str), Vec<SimTime>>,
+    open_endpoint: FastMap<(Track, EventName), Vec<SimTime>>,
     /// Completed requests by session kind.
     by_kind: BTreeMap<&'static str, (u64, LogHistogram)>,
     /// The [`SLOWEST`] slowest completed requests, in `order`.
@@ -319,11 +319,11 @@ impl SummaryFold {
                 let open = self.open_endpoint.get_mut(&(e.track, e.name));
                 if let Some(began) = open.and_then(Vec::pop) {
                     let span = e.at.saturating_since(began);
-                    self.endpoint.entry(e.name).or_default().add(span);
+                    self.endpoint.entry(e.name.name()).or_default().add(span);
                 }
             }
-            EventKind::Complete(d) => self.endpoint.entry(e.name).or_default().add(d),
-            EventKind::Instant => self.endpoint.entry(e.name).or_default().tick(),
+            EventKind::Complete(d) => self.endpoint.entry(e.name.name()).or_default().add(d),
+            EventKind::Instant => self.endpoint.entry(e.name.name()).or_default().tick(),
             EventKind::Counter(_) => {}
         }
     }
@@ -331,18 +331,21 @@ impl SummaryFold {
     /// Aggregate one request.
     pub fn request(&mut self, t: &RequestTimeline) {
         for s in &t.spans {
-            self.phases.entry(s.name).or_default().add(s.duration());
+            self.phases
+                .entry(s.name.name())
+                .or_default()
+                .add(s.duration());
         }
         for (name, _, d) in &t.completes {
-            self.phases.entry(name).or_default().add(*d);
+            self.phases.entry(name.name()).or_default().add(*d);
         }
         for (name, _) in &t.instants {
-            self.phases.entry(name).or_default().tick();
+            self.phases.entry(name.name()).or_default().tick();
         }
         let (Some(kind), Some(latency)) = (t.kind, t.latency()) else {
             return;
         };
-        let e = self.by_kind.entry(kind).or_default();
+        let e = self.by_kind.entry(kind.name()).or_default();
         e.0 += 1;
         e.1.record(latency);
         let order = (Reverse(latency.as_nanos()), t.rid);
@@ -402,7 +405,7 @@ impl SummaryFold {
                     phases.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
                     Json::obj([
                         ("request".into(), Json::Int(rid as i128)),
-                        ("kind".into(), Json::from(s.kind)),
+                        ("kind".into(), Json::from(s.kind.name())),
                         ("total_us".into(), us(latency)),
                         (
                             "phases".into(),
@@ -438,41 +441,69 @@ impl SummaryFold {
 mod tests {
     use super::*;
     use crate::{Arg, TraceEvent};
+    use std::collections::HashMap;
 
     fn at(us: u64) -> SimTime {
         SimTime::ZERO + Duration::from_micros(us)
     }
 
-    fn ev(t: u64, track: Track, name: &'static str, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: at(t),
-            track,
-            name,
-            kind,
-            args: vec![],
-        }
-    }
-
     fn sample_trace() -> Trace {
         Trace {
             events: vec![
-                ev(0, Track::Request(1), "req:offload", EventKind::Begin),
-                ev(0, Track::Request(1), "net", EventKind::Begin),
-                ev(5, Track::Request(1), "net", EventKind::End),
-                ev(5, Track::Request(1), "fallback:data", EventKind::Begin),
-                ev(9, Track::Request(1), "fallback:data", EventKind::End),
-                ev(
-                    9,
+                TraceEvent::new(
+                    at(0),
+                    Track::Request(1),
+                    "req:offload",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(at(0), Track::Request(1), "net", EventKind::Begin, &[]),
+                TraceEvent::new(at(5), Track::Request(1), "net", EventKind::End, &[]),
+                TraceEvent::new(
+                    at(5),
+                    Track::Request(1),
+                    "fallback:data",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(9),
+                    Track::Request(1),
+                    "fallback:data",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(9),
                     Track::Instance(0),
                     "gc",
                     EventKind::Complete(Duration::from_micros(2)),
+                    &[],
                 ),
-                ev(12, Track::Request(1), "req:offload", EventKind::End),
-                ev(1, Track::Request(2), "req:server", EventKind::Begin),
-                ev(3, Track::Request(2), "req:server", EventKind::End),
+                TraceEvent::new(
+                    at(12),
+                    Track::Request(1),
+                    "req:offload",
+                    EventKind::End,
+                    &[],
+                ),
+                TraceEvent::new(
+                    at(1),
+                    Track::Request(2),
+                    "req:server",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(at(3), Track::Request(2), "req:server", EventKind::End, &[]),
                 // In flight at the horizon: excluded from request stats.
-                ev(2, Track::Request(3), "req:server", EventKind::Begin),
-                ev(2, Track::Db, "db:execute", EventKind::Instant),
+                TraceEvent::new(
+                    at(2),
+                    Track::Request(3),
+                    "req:server",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(at(2), Track::Db, "db:execute", EventKind::Instant, &[]),
             ],
         }
     }
@@ -528,7 +559,7 @@ mod tests {
     fn args_do_not_affect_summaries() {
         let mut t = sample_trace();
         for e in &mut t.events {
-            e.args.push(("k", Arg::Int(1)));
+            *e = TraceEvent::new(e.at, e.track, e.name, e.kind, &[("k", Arg::Int(1))]);
         }
         assert_eq!(
             critical_path(&[("s".into(), t)]).render(),
@@ -541,18 +572,18 @@ mod tests {
         let timelines = request_timelines(&sample_trace());
         assert_eq!(timelines.len(), 3, "one timeline per request track");
         assert_eq!(timelines[0].rid, 1);
-        assert_eq!(timelines[0].kind, Some("req:offload"));
+        assert_eq!(timelines[0].kind, Some(EventName::ReqOffload));
         assert_eq!(timelines[0].latency(), Some(Duration::from_micros(12)));
         assert_eq!(
             timelines[0].spans,
             vec![
                 SpanInterval {
-                    name: "net",
+                    name: EventName::Other("net"),
                     begin: at(0),
                     end: at(5)
                 },
                 SpanInterval {
-                    name: "fallback:data",
+                    name: EventName::FallbackData,
                     begin: at(5),
                     end: at(9)
                 },
@@ -560,7 +591,7 @@ mod tests {
         );
         // Request 3 never completed: kind is known, latency is not.
         assert_eq!(timelines[2].rid, 3);
-        assert_eq!(timelines[2].kind, Some("req:server"));
+        assert_eq!(timelines[2].kind, Some(EventName::ReqServer));
         assert_eq!(timelines[2].latency(), None);
     }
 
@@ -568,18 +599,18 @@ mod tests {
     /// reference it is compared against.
     fn batch_timelines(trace: &Trace) -> Vec<RequestTimeline> {
         let mut reqs: HashMap<u64, RequestTimeline> = HashMap::new();
-        let mut open: HashMap<u64, Vec<(&'static str, SimTime)>> = HashMap::new();
+        let mut open: HashMap<u64, Vec<(EventName, SimTime)>> = HashMap::new();
         for e in &trace.events {
             let Track::Request(rid) = e.track else {
                 continue;
             };
             let r = reqs.entry(rid).or_insert_with(|| RequestTimeline::new(rid));
             match e.kind {
-                EventKind::Begin if e.name.starts_with("req:") => {
+                EventKind::Begin if e.name.is_session() => {
                     r.kind = Some(e.name);
                     r.start = e.at;
                 }
-                EventKind::End if e.name.starts_with("req:") => r.end = Some(e.at),
+                EventKind::End if e.name.is_session() => r.end = Some(e.at),
                 EventKind::Begin => open.entry(rid).or_default().push((e.name, e.at)),
                 EventKind::End => {
                     let stack = open.entry(rid).or_default();
@@ -636,7 +667,7 @@ mod tests {
                     live[slot] = next_rid;
                     next_rid += 1;
                 }
-                events.push(ev(step, track, name, kind));
+                events.push(TraceEvent::new(at(step), track, name, kind, &[]));
             }
             let trace = Trace { events };
             let batch = batch_timelines(&trace);
@@ -656,8 +687,14 @@ mod tests {
         // legal trace (e.g. a server request that never waited on anything).
         let t = Trace {
             events: vec![
-                ev(4, Track::Request(9), "req:server", EventKind::Begin),
-                ev(7, Track::Request(9), "req:server", EventKind::End),
+                TraceEvent::new(
+                    at(4),
+                    Track::Request(9),
+                    "req:server",
+                    EventKind::Begin,
+                    &[],
+                ),
+                TraceEvent::new(at(7), Track::Request(9), "req:server", EventKind::End, &[]),
             ],
         };
         let timelines = request_timelines(&t);
@@ -685,22 +722,36 @@ mod tests {
         // the trace (requests land in a HashMap before the final sort).
         let mut forward = Vec::new();
         for rid in 0..12u64 {
-            forward.push(ev(rid, Track::Request(rid), "req:server", EventKind::Begin));
-            forward.push(ev(
-                rid + 5,
+            forward.push(TraceEvent::new(
+                at(rid),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            forward.push(TraceEvent::new(
+                at(rid + 5),
                 Track::Request(rid),
                 "req:server",
                 EventKind::End,
+                &[],
             ));
         }
         let mut backward = Vec::new();
         for rid in (0..12u64).rev() {
-            backward.push(ev(rid, Track::Request(rid), "req:server", EventKind::Begin));
-            backward.push(ev(
-                rid + 5,
+            backward.push(TraceEvent::new(
+                at(rid),
+                Track::Request(rid),
+                "req:server",
+                EventKind::Begin,
+                &[],
+            ));
+            backward.push(TraceEvent::new(
+                at(rid + 5),
                 Track::Request(rid),
                 "req:server",
                 EventKind::End,
+                &[],
             ));
         }
         let a = critical_path(&[("s".into(), Trace { events: forward })]).render();

@@ -444,7 +444,7 @@ impl VmInstance {
             use beehive_telemetry::Arg;
             beehive_telemetry::complete(
                 self.trace_track(),
-                "gc",
+                beehive_telemetry::EventName::Gc,
                 stats.pause,
                 &[
                     ("copied_bytes", Arg::UInt(stats.live_bytes)),

@@ -921,7 +921,7 @@ impl Execution {
                     if on_function && beehive_telemetry::enabled() {
                         beehive_telemetry::instant(
                             vm.trace_track(),
-                            "block",
+                            beehive_telemetry::EventName::Block,
                             &[("reason", beehive_telemetry::Arg::Str(b.reason()))],
                         );
                     }

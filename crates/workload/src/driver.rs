@@ -259,17 +259,17 @@ impl Sim {
                 let inflight = self.lifecycle.inflight() as i64;
                 let idle = self.fleet.idle.len() as i64;
                 if tele::enabled() {
-                    tele::counter(tele::Track::Sim, "event_queue", queue);
-                    tele::counter(tele::Track::Sim, "server_pool", pool);
-                    tele::counter(tele::Track::Sim, "inflight", inflight);
-                    tele::counter(tele::Track::Sim, "idle_instances", idle);
+                    tele::counter(tele::Track::Sim, tele::EventName::EventQueue, queue);
+                    tele::counter(tele::Track::Sim, tele::EventName::ServerPool, pool);
+                    tele::counter(tele::Track::Sim, tele::EventName::Inflight, inflight);
+                    tele::counter(tele::Track::Sim, tele::EventName::IdleInstances, idle);
                     // Per-pool depth beyond the primary (a scaled pool only
                     // exists under instance-scaling strategies, so steady
                     // single-pool traces record no extra events).
                     for (i, p) in self.broker.pools.iter().enumerate().skip(1) {
                         tele::instant(
                             tele::Track::Sim,
-                            "pool:depth",
+                            tele::EventName::PoolDepth,
                             &[
                                 ("pool", tele::Arg::UInt(i as u64)),
                                 ("depth", tele::Arg::UInt(p.len() as u64)),
@@ -291,7 +291,7 @@ impl Sim {
                     if tele::enabled() {
                         tele::instant(
                             tele::Track::Sim,
-                            "burst:onset",
+                            tele::EventName::BurstOnset,
                             &[
                                 ("mrps_from", tele::Arg::UInt(self.last_mrps)),
                                 ("mrps_to", tele::Arg::UInt(mrps)),
@@ -370,7 +370,7 @@ impl Sim {
             if tele::enabled() {
                 tele::instant(
                     tele::Track::Platform,
-                    "chaos:crash",
+                    tele::EventName::ChaosCrash,
                     &[("instance", tele::Arg::UInt(victim as u64))],
                 );
             }
@@ -379,11 +379,11 @@ impl Sim {
         if tele::enabled() {
             let name = match fault {
                 Fault::InstanceCrash { .. } => unreachable!("handled above"),
-                Fault::BootFailure => "chaos:boot_failure",
-                Fault::RpcDrop { .. } => "chaos:arm_rpc_drop",
-                Fault::RpcDelay { .. } => "chaos:arm_rpc_delay",
-                Fault::NetworkDegrade { .. } => "chaos:net_degrade",
-                Fault::DbConnDrop { .. } => "chaos:arm_db_drop",
+                Fault::BootFailure => tele::EventName::ChaosBootFailure,
+                Fault::RpcDrop { .. } => tele::EventName::ChaosArmRpcDrop,
+                Fault::RpcDelay { .. } => tele::EventName::ChaosArmRpcDelay,
+                Fault::NetworkDegrade { .. } => tele::EventName::ChaosNetDegrade,
+                Fault::DbConnDrop { .. } => tele::EventName::ChaosArmDbDrop,
             };
             tele::instant(tele::Track::Sim, name, &[]);
         }
@@ -449,7 +449,7 @@ impl Sim {
             if tele::enabled() {
                 tele::instant(
                     tele::Track::Server,
-                    "offload:decision",
+                    tele::EventName::OffloadDecision,
                     &[
                         ("offload", tele::Arg::Bool(c.offload)),
                         ("engaged", tele::Arg::Bool(c.engaged)),
@@ -475,7 +475,7 @@ impl Sim {
         if self.broker.pools[pool].len() >= self.cfg.max_server_concurrency {
             // Connection refused: the worker pool is saturated.
             self.acct.rejected += 1;
-            tele::instant(tele::Track::Server, "rejected", &[]);
+            tele::instant(tele::Track::Server, tele::EventName::Rejected, &[]);
             self.obs.add(self.now, "requests_rejected", 1);
             if closed_loop {
                 let backoff = self.rng.exponential(Duration::from_millis(50));
@@ -527,7 +527,7 @@ impl Sim {
                 if tele::enabled() {
                     tele::instant(
                         tele::Track::Server,
-                        "offload:dispatch",
+                        tele::EventName::OffloadDispatch,
                         &[("outcome", tele::Arg::Str("warm"))],
                     );
                 }
@@ -563,7 +563,7 @@ impl Sim {
             if tele::enabled() {
                 tele::begin(
                     tele::Track::Instance(fid),
-                    "boot",
+                    tele::EventName::Boot,
                     &[("cold", tele::Arg::Bool(cold))],
                 );
             }
@@ -583,7 +583,7 @@ impl Sim {
             if tele::enabled() {
                 tele::instant(
                     tele::Track::Server,
-                    "offload:dispatch",
+                    tele::EventName::OffloadDispatch,
                     &[("outcome", tele::Arg::Str("spawn"))],
                 );
             }
@@ -599,7 +599,7 @@ impl Sim {
         if tele::enabled() {
             tele::instant(
                 tele::Track::Server,
-                "offload:dispatch",
+                tele::EventName::OffloadDispatch,
                 &[("outcome", tele::Arg::Str("server"))],
             );
         }
@@ -611,7 +611,7 @@ impl Sim {
             return;
         };
         self.fleet.booting = self.fleet.booting.saturating_sub(1);
-        tele::end(tele::Track::Instance(fid), "boot", &[]);
+        tele::end(tele::Track::Instance(fid), tele::EventName::Boot, &[]);
         if self.broker.chaos.take_boot_failure() {
             self.boot_failed(rid, args, fid);
             return;
@@ -650,7 +650,7 @@ impl Sim {
             // even when shadowing is off and the client eats the cold tail.
             tele::complete(
                 tele::Track::Request(session.request_id()),
-                "boot:wait",
+                tele::EventName::BootWait,
                 self.now.saturating_since(arrival),
                 &[("cold", tele::Arg::Bool(cold))],
             );
@@ -671,7 +671,11 @@ impl Sim {
         self.fleet.funcs.remove(&fid);
         self.broker.chaos.stats.boot_failures += 1;
         self.obs.add(self.now, "boot_failures", 1);
-        tele::instant(tele::Track::Instance(fid), "chaos:boot_failure", &[]);
+        tele::instant(
+            tele::Track::Instance(fid),
+            tele::EventName::ChaosBootFailure,
+            &[],
+        );
         let attempt = self.lifecycle.bump_recovery_attempts(rid);
         // A pending boot has no session, so no writes are ever committed.
         match self.broker.chaos.policy.decide(attempt, false) {
@@ -688,7 +692,7 @@ impl Sim {
                 if tele::enabled() {
                     tele::begin(
                         tele::Track::Instance(new_fid),
-                        "boot",
+                        tele::EventName::Boot,
                         &[("cold", tele::Arg::Bool(cold))],
                     );
                 }

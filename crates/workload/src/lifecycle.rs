@@ -131,7 +131,7 @@ pub(crate) struct Request {
     /// Name of the resource span opened when this request parked on a
     /// [`Need`]; closed when the request resumes, so the span covers true
     /// residence (service + queueing).
-    open_span: Option<&'static str>,
+    open_span: Option<tele::EventName>,
     /// The execution lane.
     pub(crate) lane: Lane,
     /// Session snapshot count last seen by the lifecycle (watermark for
@@ -338,7 +338,7 @@ impl Lifecycle {
                 if tele::enabled() {
                     tele::begin(
                         tele::Track::Request(session.request_id()),
-                        "recovery",
+                        tele::EventName::Recovery,
                         &[
                             ("attempt", tele::Arg::UInt(attempt as u64)),
                             ("replacement", tele::Arg::UInt(fid as u64)),
@@ -363,7 +363,7 @@ impl Lifecycle {
                 obs.add(now, "degraded_to_server", 1);
                 tele::instant(
                     tele::Track::Request(session.request_id()),
-                    "recovery:degrade",
+                    tele::EventName::RecoveryDegrade,
                     &[],
                 );
                 let root = session.root();
@@ -426,7 +426,11 @@ impl Lifecycle {
             .requests
             .get_mut(&rid)
             .expect("crashed request present");
-        tele::end(tele::Track::Request(session.request_id()), "recovery", &[]);
+        tele::end(
+            tele::Track::Request(session.request_id()),
+            tele::EventName::Recovery,
+            &[],
+        );
         // The restore is durable: the lost-work clock restarts here.
         req.snap_seen = session.stats.snapshots;
         req.progress = now;
@@ -564,7 +568,7 @@ impl Lifecycle {
                     if tele::enabled() {
                         tele::instant(
                             req.lane.track(),
-                            "sync:pull_dirty",
+                            tele::EventName::SyncPullDirty,
                             &[
                                 ("objects", tele::Arg::UInt(objs.len() as u64)),
                                 ("bytes", tele::Arg::UInt(report.bytes)),
@@ -604,7 +608,7 @@ impl Lifecycle {
                         // same shape as the resource spans of `park_on_need`,
                         // so the insight attribution sees lock wait as its
                         // own component instead of folding it into execution.
-                        let name = "wait:lock";
+                        let name = tele::EventName::WaitLock;
                         tele::begin(req.lane.track(), name, &[]);
                         req.open_span = Some(name);
                     }
@@ -699,11 +703,11 @@ impl Lifecycle {
                             // and re-sends over the degraded leg.
                             broker.chaos.stats.retries += 1;
                             obs.add(now, "retries", 1);
-                            tele::instant(track, "chaos:rpc_drop", &[]);
+                            tele::instant(track, tele::EventName::ChaosRpcDrop, &[]);
                             wait = wait + timeout + wait;
                         }
                         Some(RpcFault::Delay { delay }) => {
-                            tele::instant(track, "chaos:rpc_delay", &[]);
+                            tele::instant(track, tele::EventName::ChaosRpcDelay, &[]);
                             wait += delay;
                         }
                         None => {}
@@ -715,7 +719,7 @@ impl Lifecycle {
                 if tele::enabled() {
                     tele::instant(
                         tele::Track::Db,
-                        "db:round",
+                        tele::EventName::DbRound,
                         &[("origin", tele::Arg::Str(db_origin))],
                     );
                 }
@@ -726,7 +730,7 @@ impl Lifecycle {
                     // round is served.
                     broker.chaos.stats.retries += 1;
                     obs.add(now, "retries", 1);
-                    tele::instant(tele::Track::Db, "chaos:db_reconnect", &[]);
+                    tele::instant(tele::Track::Db, tele::EventName::ChaosDbReconnect, &[]);
                     demand += reconnect;
                 }
                 broker.db_pool.add(now, rid, demand);

@@ -137,7 +137,7 @@ fn schedule_past_the_horizon_injects_nothing() {
     // stats, identical outcomes.
     let events = without_queue_gauge(late.trace.as_ref().unwrap());
     assert!(
-        events.iter().all(|e| !e.name.starts_with("chaos:")),
+        events.iter().all(|e| !e.name.name().starts_with("chaos:")),
         "a past-horizon schedule still emitted chaos events"
     );
     assert_eq!(
