@@ -20,8 +20,10 @@
 //! (`DIR/<item>.summary.json`); nothing of the trace is kept in memory, and
 //! for a fixed seed these files are byte-identical at any `BEEHIVE_WORKERS`.
 //!
-//! `--metrics DIR` keeps a live virtual-time metrics registry in every
-//! simulation and writes, per experiment, a snapshot
+//! `--metrics DIR` folds every simulation's telemetry, as it is recorded,
+//! into a virtual-time metrics registry (`beehive_metrics::MetricsFold`, so
+//! it arms the recorder like `--sentinel`) and writes, per experiment, a
+//! snapshot
 //! (`DIR/<item>.metrics.json`, the `beehive_metrics` JSON shape) plus a
 //! Prometheus text-exposition rendering (`DIR/<item>.prom`). These too are
 //! byte-identical at any worker count for a fixed seed.

@@ -126,6 +126,12 @@ impl ServerRuntime {
         id
     }
 
+    /// The identifier [`next_request_id`](Self::next_request_id) hands out
+    /// next.
+    pub fn peek_request_id(&self) -> u64 {
+        self.next_request
+    }
+
     /// The closure plan for `root` (created minimal on first use).
     pub fn plan_mut(&mut self, root: MethodId) -> &mut ClosurePlan {
         let class = self.program.method(root).class;

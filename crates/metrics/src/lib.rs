@@ -8,13 +8,11 @@
 //! so exported metrics are byte-identical for a fixed seed at any
 //! `BEEHIVE_WORKERS`.
 //!
-//! Two producers feed the same [`Registry`] shape:
-//!
-//! * the workload driver instruments its call sites directly
-//!   (`SimConfig::metrics`), which costs nothing when disabled, and
-//! * [`mod@reduce`] replays a recorded [`beehive_telemetry`] trace through a
-//!   registry, so a traced run and an untraced run of the same scenario
-//!   produce the same `.metrics.json`.
+//! One producer fills a [`Registry`]: [`MetricsFold`] folds a run's
+//! [`beehive_telemetry`] events into it. The workload driver feeds the fold
+//! online from its one consumer pump (`SimConfig::metrics`), and
+//! [`reduce()`] runs the same fold over retained traces, so a traced run and
+//! an untraced run of the same scenario produce the same `.metrics.json`.
 //!
 //! Exports: [`MetricsSnapshot`] renders through the in-tree
 //! `beehive_sim::json` (and parses back via [`MetricsSnapshot::from_json`]),
@@ -50,7 +48,7 @@ pub mod registry;
 pub use compare::{compare, Delta, Watched, WATCHED};
 pub use hist::LogLinearHistogram;
 pub use prom::prometheus;
-pub use reduce::{reduce, reduce_one};
+pub use reduce::{reduce, reduce_one, MetricsFold};
 pub use registry::{
     CounterSeries, GaugeSeries, HistogramSummary, MetricsSnapshot, Registry, ScenarioMetrics,
     DEFAULT_WINDOW, EXEMPLAR_K,

@@ -1,35 +1,53 @@
-//! `Trace → MetricsSnapshot` reducer.
+//! The metrics registry as a fold over telemetry.
 //!
-//! Replays a recorded [`beehive_telemetry`] event stream through a
-//! [`Registry`], producing the same snapshot the driver's direct
-//! instrumentation produces for a traced run: both paths observe the same
-//! call sites at the same virtual times, so `reduce(traces) ==` the direct
-//! snapshot (the `workload` determinism test asserts it). This keeps traced
-//! and untraced runs comparable — a `.metrics.json` means the same thing
-//! whether it came from live counters or from a post-hoc trace reduction.
-//!
-//! One documented divergence: with shadow execution *disabled* (the warmup
-//! ablation), the driver charges a boot-waiting request's latency from its
-//! arrival, while its `req:offload` span only begins once the instance is
-//! up. The direct path is authoritative there; for shadow-enabled
-//! configurations the two agree exactly.
+//! [`MetricsFold`] takes a run's [`beehive_telemetry`] events one at a time,
+//! in emission order, and derives every counter, gauge and histogram the
+//! workload driver reports from them. The driver feeds it online, from the
+//! same per-step pump as the sentinel and the observatory
+//! (`SimConfig::metrics`); [`reduce`] runs the same fold over retained
+//! traces. There is one path, so a traced and an untraced run of a scenario
+//! write the same `.metrics.json`.
 
 use beehive_sim::{Duration, FastMap, SimTime};
-use beehive_telemetry::{EventKind, EventName as N, Trace, Track};
+use beehive_telemetry::{EventKind, EventName as N, Trace, TraceEvent, Track};
 
 use crate::registry::{MetricsSnapshot, Registry, ScenarioMetrics};
 
-/// Reduce one labelled trace to its scenario metrics.
-pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetrics {
-    let mut reg = Registry::new(window);
-    // Open request spans, for latency: (track, name) → begin-time stack.
-    let mut open: FastMap<(Track, N), Vec<SimTime>> = FastMap::default();
-    for e in &trace.events {
+/// One run's metrics, folded from its telemetry: [`feed`](Self::feed) every
+/// event once, in emission order, then [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct MetricsFold {
+    reg: Registry,
+    /// Per open session span, when its request arrived: the span's Begin,
+    /// moved back by a `boot:wait`, or carried over from the crashed
+    /// session a `recovery:degrade` rerouted.
+    arrived: FastMap<Track, SimTime>,
+    /// Per recovering request, when its crash was detected.
+    detected: FastMap<Track, SimTime>,
+}
+
+impl MetricsFold {
+    /// An empty fold bucketing its time series into `window`-sized windows.
+    pub fn new(window: Duration) -> MetricsFold {
+        MetricsFold {
+            reg: Registry::new(window),
+            arrived: FastMap::default(),
+            detected: FastMap::default(),
+        }
+    }
+
+    /// Take one event.
+    pub fn feed(&mut self, e: &TraceEvent) {
+        let reg = &mut self.reg;
         match (e.kind, e.name) {
             (EventKind::Counter(v), name) => reg.set_gauge(name.name(), e.at, v),
             (EventKind::Complete(d), N::Gc) => {
                 reg.observe("gc_pause", e.at, d);
                 reg.add("gc_pause_ns", e.at, d.as_nanos());
+            }
+            (EventKind::Complete(d), N::BootWait) => {
+                let at = e.at.as_nanos().saturating_sub(d.as_nanos());
+                self.arrived.insert(e.track, SimTime::from_nanos(at));
             }
             (EventKind::Instant, N::Rejected) => reg.add("requests_rejected", e.at, 1),
             (EventKind::Instant, N::DbRound) => {
@@ -40,12 +58,30 @@ pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetri
                 reg.add(name, e.at, 1);
             }
             (EventKind::Instant, N::SyncPullDirty) => {
-                reg.add(
-                    "handoff_dirty_objects",
-                    e.at,
-                    e.arg_u64("objects").unwrap_or(0),
-                );
+                let objects = e.arg_u64("objects").unwrap_or(0);
+                reg.add("handoff_dirty_objects", e.at, objects);
                 reg.add("handoff_dirty_bytes", e.at, e.arg_u64("bytes").unwrap_or(0));
+            }
+            (EventKind::Instant, N::ChaosCrash) => reg.add("crashes", e.at, 1),
+            (EventKind::Instant, N::ChaosRpcDrop | N::ChaosDbReconnect) => {
+                reg.add("retries", e.at, 1);
+            }
+            // The kernel-track one only arms the fault.
+            (EventKind::Instant, N::ChaosBootFailure) if matches!(e.track, Track::Instance(_)) => {
+                reg.add("boot_failures", e.at, 1);
+                match e.arg_str("outcome") {
+                    Some("retry") => reg.add("retries", e.at, 1),
+                    Some("degrade") => reg.add("degraded_to_server", e.at, 1),
+                    _ => {}
+                }
+            }
+            (EventKind::Instant, N::RecoveryDegrade) => {
+                reg.add("re_executed_ns", e.at, e.arg_u64("lost_ns").unwrap_or(0));
+                reg.add("degraded_to_server", e.at, 1);
+                let arrived = self.arrived.remove(&e.track);
+                if let (Some(at), Some(rid)) = (arrived, e.arg_u64("server_request")) {
+                    self.arrived.insert(Track::Request(rid), at);
+                }
             }
             (EventKind::Begin, N::Boot) => {
                 let name = if e.arg_bool("cold").unwrap_or(false) {
@@ -55,41 +91,62 @@ pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetri
                 };
                 reg.add(name, e.at, 1);
             }
+            (EventKind::Begin, N::Recovery) => {
+                reg.add("re_executed_ns", e.at, e.arg_u64("lost_ns").unwrap_or(0));
+                reg.add("retries", e.at, 1);
+                self.detected.insert(e.track, e.at);
+            }
+            (EventKind::End, N::Recovery) => {
+                if let Some(at) = self.detected.remove(&e.track) {
+                    let latency = e.at.saturating_since(at);
+                    reg.observe_exemplar("recovery_latency", e.at, latency, request_id(e.track));
+                    reg.add("recoveries", e.at, 1);
+                }
+            }
             (EventKind::Begin, name) if name.is_session() => {
-                open.entry((e.track, name)).or_default().push(e.at);
+                self.arrived.entry(e.track).or_insert(e.at);
             }
             (
                 EventKind::Begin,
                 N::WaitServerCpuFb | N::WaitFunctionCpuFb | N::WaitNetFb | N::WaitDbFb,
             ) => reg.add("fallbacks", e.at, 1),
             (EventKind::End, name @ (N::ReqServer | N::ReqOffload)) => {
-                let begun = open.get_mut(&(e.track, name)).and_then(|stack| stack.pop());
-                if let Some(start) = begun {
+                if let Some(at) = self.arrived.remove(&e.track) {
                     reg.add("requests_completed", e.at, 1);
-                    // The track id is the server-issued request id the
-                    // live path records as the latency exemplar.
-                    let rid = match e.track {
-                        Track::Request(rid) => rid,
-                        _ => u64::MAX,
-                    };
-                    reg.observe_exemplar("request_latency", e.at, e.at - start, rid);
+                    let latency = e.at.saturating_since(at);
+                    reg.observe_exemplar("request_latency", e.at, latency, request_id(e.track));
                     if name == N::ReqOffload {
                         reg.add("requests_offloaded", e.at, 1);
                     }
                 }
             }
-            (EventKind::End, N::ReqShadow) => {
-                let begun = open
-                    .get_mut(&(e.track, N::ReqShadow))
-                    .and_then(|stack| stack.pop());
-                if begun.is_some() {
-                    reg.add("shadow_executions", e.at, 1);
-                }
+            (EventKind::End, N::ReqShadow) if self.arrived.remove(&e.track).is_some() => {
+                reg.add("shadow_executions", e.at, 1);
             }
             _ => {}
         }
     }
-    reg.snapshot(label)
+
+    /// The registry the events folded into.
+    pub fn finish(self) -> Registry {
+        self.reg
+    }
+}
+
+/// The server-issued request id a request track carries: the id latency
+/// exemplars point at.
+fn request_id(track: Track) -> u64 {
+    match track {
+        Track::Request(rid) => rid,
+        _ => u64::MAX,
+    }
+}
+
+/// Reduce one labelled trace to its scenario metrics.
+pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetrics {
+    let mut fold = MetricsFold::new(window);
+    trace.events.iter().for_each(|e| fold.feed(e));
+    fold.finish().snapshot(label)
 }
 
 /// Reduce labelled traces (as drained from the engine) to a full snapshot.

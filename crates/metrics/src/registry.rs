@@ -1,7 +1,8 @@
 //! The deterministic metric registry and its snapshot document.
 //!
-//! A [`Registry`] belongs to one simulation: the driver feeds it counters,
-//! gauges and histogram observations stamped with the virtual clock, and
+//! A [`Registry`] belongs to one simulation: the metrics fold
+//! ([`crate::MetricsFold`]) feeds it counters, gauges and histogram
+//! observations stamped with the virtual clock, and
 //! [`Registry::snapshot`] freezes it into a [`ScenarioMetrics`] — plain
 //! owned data that renders through `beehive_sim::json` and parses back with
 //! [`MetricsSnapshot::from_json`]. Metric names iterate in `BTreeMap` order

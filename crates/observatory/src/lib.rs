@@ -32,11 +32,9 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use beehive_metrics::LogLinearHistogram;
 use beehive_sim::json::Json;
-use beehive_sim::Duration;
+use beehive_sim::{Duration, FastMap};
 use beehive_telemetry::{EventKind, EventName as N, Trace, TraceEvent, Track};
 
 /// Default bin width of the timeline: one virtual second.
@@ -280,8 +278,8 @@ pub struct Observer {
     forwarded: u64,
     hist: LogLinearHistogram,
     // Cross-bin state.
-    reqs: HashMap<u64, ReqState>,
-    insts: HashMap<u32, Life>,
+    reqs: FastMap<u64, ReqState>,
+    insts: FastMap<u32, Life>,
     onsets: Vec<u64>,
     events: u64,
 }
@@ -307,8 +305,8 @@ impl Observer {
             server_disp: 0,
             forwarded: 0,
             hist: LogLinearHistogram::new(),
-            reqs: HashMap::new(),
-            insts: HashMap::new(),
+            reqs: FastMap::default(),
+            insts: FastMap::default(),
             onsets: Vec::new(),
             events: 0,
         }

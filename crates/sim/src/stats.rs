@@ -186,42 +186,6 @@ impl Timeline {
             })
             .collect()
     }
-
-    /// First second `>= from_second` after which the p99 stays within
-    /// `factor`× of `baseline` for `hold` consecutive non-empty seconds.
-    /// This is the paper's "duration to reach stable latency" metric (§5.2).
-    ///
-    /// Returns `None` if the latency never stabilizes within the recorded
-    /// horizon.
-    pub fn stabilization_second(
-        &mut self,
-        from_second: u64,
-        baseline: Duration,
-        factor: f64,
-        hold: usize,
-    ) -> Option<u64> {
-        let threshold = baseline.mul_f64(factor);
-        let points = self.points();
-        let mut run = 0usize;
-        let mut run_start = 0u64;
-        for p in points.iter().filter(|p| p.second >= from_second) {
-            if p.count == 0 {
-                continue; // empty buckets say nothing either way
-            }
-            if p.p99_ms <= threshold.as_millis_f64() {
-                if run == 0 {
-                    run_start = p.second;
-                }
-                run += 1;
-                if run >= hold {
-                    return Some(run_start);
-                }
-            } else {
-                run = 0;
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -263,32 +227,6 @@ mod tests {
         assert_eq!(pts[2].count, 2);
         assert!((pts[2].p99_ms - 50.0).abs() < 1e-9);
         assert!((pts[2].mean_ms - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stabilization_detects_recovery() {
-        let mut t = Timeline::new();
-        // Seconds 0..5: 100ms p99 (elevated); seconds 5..10: 10ms (stable).
-        for sec in 0..10u64 {
-            let lat = if sec < 5 { 100 } else { 10 };
-            for _ in 0..10 {
-                t.record(SimTime::from_secs(sec), Duration::from_millis(lat));
-            }
-        }
-        let stab = t.stabilization_second(0, Duration::from_millis(12), 1.2, 3);
-        assert_eq!(stab, Some(5));
-    }
-
-    #[test]
-    fn stabilization_none_when_never_stable() {
-        let mut t = Timeline::new();
-        for sec in 0..5u64 {
-            t.record(SimTime::from_secs(sec), Duration::from_millis(100));
-        }
-        assert_eq!(
-            t.stabilization_second(0, Duration::from_millis(10), 1.2, 2),
-            None
-        );
     }
 
     #[test]

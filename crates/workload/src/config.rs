@@ -16,7 +16,7 @@ use beehive_sim::stats::{LatencySampler, Timeline};
 use beehive_sim::{Duration, SimTime};
 use beehive_telemetry as tele;
 
-use crate::endpoint::{Fleet, Obs};
+use crate::endpoint::Fleet;
 use crate::strategy::Strategy;
 
 /// How clients generate requests.
@@ -83,7 +83,7 @@ impl ArrivalPattern {
 /// [`SimConfig::new`] copies into the fields of the same names.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObsPlan {
-    /// [`SimConfig::metrics`]: keep a live metrics registry.
+    /// [`SimConfig::metrics`]: fold telemetry into a metrics registry.
     pub metrics: bool,
     /// [`SimConfig::profile`]: record a per-lane call-tree profile.
     pub profile: bool,
@@ -142,9 +142,10 @@ pub struct SimConfig {
     /// Off unless an embedder sets it: `repro` streams every artifact from
     /// the recorder ([`crate::driver::Sim::attach`]) and retains nothing.
     pub trace: bool,
-    /// Keep a live metrics registry for this run ([`SimResult::metrics`]).
-    /// Costs nothing when off. Like the observability fields below,
-    /// defaults to the engine-wide plan `repro` sets from its flags
+    /// Fold this run's telemetry into a metrics registry
+    /// ([`SimResult::metrics`]). Rides the recorder like the sentinel; costs
+    /// nothing when off. Like the observability fields below, defaults to
+    /// the engine-wide plan `repro` sets from its flags
     /// ([`crate::engine::set_plan`]).
     pub metrics: bool,
     /// Time-series window of the metrics registry (virtual time).
@@ -206,8 +207,6 @@ impl SimConfig {
 pub struct SimResult {
     /// Per-second latency timeline (Figure 7).
     pub timeline: Timeline,
-    /// All recorded request latencies.
-    pub all: LatencySampler,
     /// Latencies of requests completing after `record_from`.
     pub steady: LatencySampler,
     /// Recorded completed requests.
@@ -257,8 +256,9 @@ pub struct SimResult {
     pub end: SimTime,
     /// The recorded trace, when [`SimConfig::trace`] was set.
     pub trace: Option<tele::Trace>,
-    /// The live metrics registry, when [`SimConfig::metrics`] was set.
-    /// Snapshot with [`beehive_metrics::Registry::snapshot`].
+    /// The metrics registry folded from this run's telemetry, when
+    /// [`SimConfig::metrics`] was set. Snapshot with
+    /// [`beehive_metrics::Registry::snapshot`].
     pub metrics: Option<beehive_metrics::Registry>,
     /// The resolved call-tree profile, when [`SimConfig::profile`] was set.
     pub profile: Option<beehive_profiler::Profile>,
@@ -274,7 +274,6 @@ pub struct SimResult {
 /// feeds, folded into a [`SimResult`] when the run ends.
 pub(crate) struct Acct {
     timeline: Timeline,
-    all: LatencySampler,
     steady: LatencySampler,
     completed: u64,
     /// Requests refused because the server's worker pool was full.
@@ -293,7 +292,6 @@ impl Acct {
     pub(crate) fn new() -> Acct {
         Acct {
             timeline: Timeline::new(),
-            all: LatencySampler::new(),
             steady: LatencySampler::new(),
             completed: 0,
             rejected: 0,
@@ -307,24 +305,17 @@ impl Acct {
         }
     }
 
-    /// Record a finished request: latency samplers, the timeline, and the
-    /// completion counters (recorded requests only). `request` is the
-    /// session's server-issued id, kept as the histogram exemplar so a
-    /// latency quantile can be traced back to concrete requests.
+    /// Record a finished request: the steady-state sampler, the timeline,
+    /// and the completion count (recorded requests only).
     pub(crate) fn on_complete(
         &mut self,
         now: SimTime,
         record_from: Duration,
         latency: Duration,
         record: bool,
-        request: u64,
-        obs: &mut Obs,
     ) {
         if record {
             self.completed += 1;
-            obs.add(now, "requests_completed", 1);
-            obs.observe_exemplar(now, "request_latency", latency, request);
-            self.all.record(latency);
             self.timeline.record(now, latency);
             if now.saturating_since(SimTime::ZERO) >= record_from {
                 self.steady.record(latency);
@@ -333,7 +324,6 @@ impl Acct {
     }
 
     /// Fold a finished FaaS session into the shadow or offload aggregates.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_faas(
         &mut self,
         now: SimTime,
@@ -342,15 +332,12 @@ impl Acct {
         record: bool,
         is_shadow: bool,
         stats: &SessionStats,
-        obs: &mut Obs,
     ) {
         if is_shadow {
-            obs.add(now, "shadow_executions", 1);
             self.shadow_stats.absorb(stats);
             self.shadow_durations.record(latency);
         } else {
             self.offloaded += 1;
-            obs.add(now, "requests_offloaded", 1);
             if record {
                 self.offload_latencies.record(latency);
             }
@@ -389,7 +376,6 @@ impl Acct {
         }
         SimResult {
             timeline: self.timeline,
-            all: self.all,
             steady: self.steady,
             completed: self.completed,
             rejected: self.rejected,

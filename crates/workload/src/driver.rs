@@ -6,7 +6,7 @@
 //!   offload controller) deciding where each admitted request goes,
 //! * [`crate::lifecycle`] — the per-request state machine consuming
 //!   [`beehive_core::SessionStep`]s uniformly across all three lanes,
-//! * [`crate::endpoint`] — the instance fleet and the metrics façade,
+//! * [`crate::endpoint`] — the instance fleet,
 //! * [`crate::broker`] — the contended resources (server pools, database,
 //!   FaaS platform, instance scaler) and their completion-event dances.
 //!
@@ -31,7 +31,7 @@ pub use crate::config::{ArrivalPattern, SimConfig, SimResult};
 
 use crate::broker::{Broker, Ev};
 use crate::config::Acct;
-use crate::endpoint::{Fleet, Obs};
+use crate::endpoint::Fleet;
 use crate::lifecycle::{Done, Lane, Lifecycle, Request};
 use crate::router::{Router, Target};
 
@@ -59,8 +59,9 @@ pub struct Sim {
     router: Router,
     dispatch_cost: Duration,
     cost_model: CostModel,
-    obs: Obs,
     acct: Acct,
+    /// The metrics fold, when [`SimConfig::metrics`] is set.
+    metrics: Option<beehive_metrics::MetricsFold>,
     /// The online conformance checker, when [`SimConfig::sentinel`] is set.
     sentinel: Option<beehive_sentinel::Sentinel>,
     /// The streaming timeline reducer, when [`SimConfig::observe`] is set.
@@ -131,8 +132,8 @@ impl Sim {
             router,
             dispatch_cost,
             cost_model: cost,
-            obs: Obs::off(),
             acct: Acct::new(),
+            metrics: None,
             sentinel: None,
             observatory: None,
             sink: None,
@@ -149,7 +150,7 @@ impl Sim {
 
     /// Whether some online consumer reads the recorder at every step.
     fn online(&self) -> bool {
-        self.cfg.sentinel || self.cfg.observe || self.sink.is_some()
+        self.cfg.sentinel || self.cfg.metrics || self.cfg.observe || self.sink.is_some()
     }
 
     /// Whether this run arms the telemetry recorder: to retain the trace,
@@ -165,9 +166,9 @@ impl Sim {
         if recording {
             // Installed here rather than in `new` so the prewarm warm-up
             // shadow (which runs outside virtual time) is not recorded. The
-            // online checker and the timeline reducer ride the same recorder
-            // and are pumped once per simulation step; without `trace` the
-            // pump frees each event as soon as both have seen it.
+            // online checker, the metrics fold and the timeline reducer ride
+            // the same recorder and are pumped once per simulation step;
+            // without `trace` the pump frees each event once all have seen it.
             tele::install();
         }
         if self.cfg.sentinel {
@@ -177,6 +178,10 @@ impl Sim {
             };
             self.sentinel = Some(beehive_sentinel::Sentinel::new(cfg));
         }
+        if self.cfg.metrics {
+            let window = self.cfg.metrics_window;
+            self.metrics = Some(beehive_metrics::MetricsFold::new(window));
+        }
         if self.cfg.observe {
             let window = self.cfg.observe_window;
             self.observatory = Some(beehive_observatory::Observer::new(window));
@@ -185,9 +190,6 @@ impl Sim {
             // Same rationale as the trace recorder: the prewarm warm-up
             // shadow must not pollute the profile.
             beehive_profiler::install();
-        }
-        if self.cfg.metrics {
-            self.obs.install(self.cfg.metrics_window);
         }
         match self.cfg.arrivals {
             ArrivalPattern::Open { .. } => {
@@ -239,6 +241,9 @@ impl Sim {
                     if let Some(sentinel) = self.sentinel.as_mut() {
                         sentinel.feed(e);
                     }
+                    if let Some(metrics) = self.metrics.as_mut() {
+                        metrics.feed(e);
+                    }
                     if let Some(observer) = self.observatory.as_mut() {
                         observer.feed(e);
                     }
@@ -254,19 +259,18 @@ impl Sim {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival => {
-                let queue = self.events.len() as i64;
-                let pool = self.broker.pools[0].len() as i64;
-                let inflight = self.lifecycle.inflight() as i64;
-                let idle = self.fleet.idle.len() as i64;
                 if tele::enabled() {
-                    tele::counter(tele::Track::Sim, tele::EventName::EventQueue, queue);
-                    tele::counter(tele::Track::Sim, tele::EventName::ServerPool, pool);
-                    tele::counter(tele::Track::Sim, tele::EventName::Inflight, inflight);
-                    tele::counter(tele::Track::Sim, tele::EventName::IdleInstances, idle);
+                    let (sim, pools) = (tele::Track::Sim, &self.broker.pools);
+                    tele::counter(sim, tele::EventName::EventQueue, self.events.len() as i64);
+                    tele::counter(sim, tele::EventName::ServerPool, pools[0].len() as i64);
+                    let inflight = self.lifecycle.inflight() as i64;
+                    tele::counter(sim, tele::EventName::Inflight, inflight);
+                    let idle = self.fleet.idle.len() as i64;
+                    tele::counter(sim, tele::EventName::IdleInstances, idle);
                     // Per-pool depth beyond the primary (a scaled pool only
                     // exists under instance-scaling strategies, so steady
                     // single-pool traces record no extra events).
-                    for (i, p) in self.broker.pools.iter().enumerate().skip(1) {
+                    for (i, p) in pools.iter().enumerate().skip(1) {
                         tele::instant(
                             tele::Track::Sim,
                             tele::EventName::PoolDepth,
@@ -277,10 +281,6 @@ impl Sim {
                         );
                     }
                 }
-                self.obs.gauge(self.now, "event_queue", queue);
-                self.obs.gauge(self.now, "server_pool", pool);
-                self.obs.gauge(self.now, "inflight", inflight);
-                self.obs.gauge(self.now, "idle_instances", idle);
                 let t = self.now.saturating_since(SimTime::ZERO);
                 let rate = self.cfg.arrivals.rate_at(t).max(1e-9);
                 // Edge-detect arrival-rate steps for the elasticity
@@ -366,7 +366,6 @@ impl Sim {
             self.fleet.idle.retain(|&i| i != victim);
             self.fleet.funcs.remove(&victim);
             self.broker.chaos.stats.crashes += 1;
-            self.obs.add(self.now, "crashes", 1);
             if tele::enabled() {
                 tele::instant(
                     tele::Track::Platform,
@@ -412,7 +411,6 @@ impl Sim {
         let step = session.recover(&mut self.server, &mut func);
         self.fleet.funcs.insert(fid, func);
         let latency = self.now.saturating_since(detected);
-        self.obs.recovery(self.now, latency, session.request_id());
         self.broker.chaos.stats.recovery.record(latency);
         self.lifecycle.resume_recovered(
             rid,
@@ -422,7 +420,6 @@ impl Sim {
             self.now,
             &mut self.broker,
             &mut self.events,
-            &mut self.obs,
         );
     }
 
@@ -435,7 +432,6 @@ impl Sim {
             &mut self.fleet,
             &mut self.broker,
             &mut self.events,
-            &mut self.obs,
         ) {
             self.complete(done);
         }
@@ -476,7 +472,6 @@ impl Sim {
             // Connection refused: the worker pool is saturated.
             self.acct.rejected += 1;
             tele::instant(tele::Track::Server, tele::EventName::Rejected, &[]);
-            self.obs.add(self.now, "requests_rejected", 1);
             if closed_loop {
                 let backoff = self.rng.exponential(Duration::from_millis(50));
                 self.events.schedule(self.now + backoff, Ev::ClientReissue);
@@ -523,7 +518,6 @@ impl Sim {
                     false,
                     self.dispatch_cost,
                 );
-                self.fleet.note_gcs(fid, self.now, &mut self.obs);
                 if tele::enabled() {
                     tele::instant(
                         tele::Track::Server,
@@ -567,8 +561,6 @@ impl Sim {
                     &[("cold", tele::Arg::Bool(cold))],
                 );
             }
-            let boot_metric = if cold { "boots_cold" } else { "boots_warm" };
-            self.obs.add(self.now, boot_metric, 1);
             self.fleet.booting += 1;
             let shadow = self.cfg.shadow_enabled;
             let boot_rid = self.lifecycle.insert(Request::new(
@@ -613,7 +605,7 @@ impl Sim {
         self.fleet.booting = self.fleet.booting.saturating_sub(1);
         tele::end(tele::Track::Instance(fid), tele::EventName::Boot, &[]);
         if self.broker.chaos.take_boot_failure() {
-            self.boot_failed(rid, args, fid);
+            self.boot_failed(rid, args, fid, cold, arrival);
             return;
         }
         if cold {
@@ -638,7 +630,6 @@ impl Sim {
             cold, // closure computation overlaps a cold boot (§5.6)
             self.dispatch_cost,
         );
-        self.fleet.note_gcs(fid, self.now, &mut self.obs);
         if shadow {
             self.acct.shadows += 1;
         }
@@ -663,32 +654,34 @@ impl Sim {
     /// up. Kill it and consult the retry policy — re-arm the pending boot
     /// on a fresh instance after the backoff, or (retries exhausted)
     /// degrade: shadow warm-ups are dropped, real requests reroute to a
-    /// fresh server session.
-    fn boot_failed(&mut self, rid: u64, args: Vec<Value>, fid: u32) {
+    /// fresh server session. The failure's `outcome` says which.
+    fn boot_failed(&mut self, rid: u64, args: Vec<Value>, fid: u32, cold: bool, arrival: SimTime) {
         let p = self.broker.platform.as_mut().expect("platform exists");
         p.kill(self.now, fid);
         self.fleet.idle.retain(|&i| i != fid);
         self.fleet.funcs.remove(&fid);
         self.broker.chaos.stats.boot_failures += 1;
-        self.obs.add(self.now, "boot_failures", 1);
+        let attempt = self.lifecycle.bump_recovery_attempts(rid);
+        // A pending boot has no session, so no writes are ever committed.
+        let decision = self.broker.chaos.policy.decide(attempt, false);
+        let outcome = match decision {
+            RetryDecision::Retry { .. } => "retry",
+            RetryDecision::Degrade if self.cfg.shadow_enabled => "drop",
+            RetryDecision::Degrade => "degrade",
+        };
         tele::instant(
             tele::Track::Instance(fid),
             tele::EventName::ChaosBootFailure,
-            &[],
+            &[("outcome", tele::Arg::Str(outcome))],
         );
-        let attempt = self.lifecycle.bump_recovery_attempts(rid);
-        // A pending boot has no session, so no writes are ever committed.
-        match self.broker.chaos.policy.decide(attempt, false) {
+        match decision {
             RetryDecision::Retry { backoff } => {
                 let p = self.broker.platform.as_mut().expect("platform exists");
                 let (new_fid, ready, kind) = p.acquire(self.now);
                 self.fleet.idle.retain(|&i| i != new_fid);
                 self.fleet.booting += 1;
                 self.broker.chaos.stats.retries += 1;
-                self.obs.add(self.now, "retries", 1);
                 let cold = kind == BootKind::Cold;
-                let boot_metric = if cold { "boots_cold" } else { "boots_warm" };
-                self.obs.add(self.now, boot_metric, 1);
                 if tele::enabled() {
                     tele::begin(
                         tele::Track::Instance(new_fid),
@@ -702,16 +695,20 @@ impl Sim {
                     Ev::Boot { req: rid },
                 );
             }
+            // The pending boot is a shadow warm-up; the real request already
+            // runs on the server. Nothing to save.
+            RetryDecision::Degrade if self.cfg.shadow_enabled => self.lifecycle.drop_request(rid),
             RetryDecision::Degrade => {
-                if self.cfg.shadow_enabled {
-                    // The pending boot is a shadow warm-up; the real
-                    // request already runs on the server. Nothing to save.
-                    self.lifecycle.drop_request(rid);
-                    return;
-                }
                 self.broker.chaos.stats.degraded_to_server += 1;
-                self.obs.add(self.now, "degraded_to_server", 1);
                 let session = ServerSession::start(&mut self.server, self.cfg.app.root, args);
+                // The new session's span opens now; its latency runs from
+                // the arrival, as on the boot path.
+                tele::complete(
+                    tele::Track::Request(session.request_id()),
+                    tele::EventName::BootWait,
+                    self.now.saturating_since(arrival),
+                    &[("cold", tele::Arg::Bool(cold))],
+                );
                 self.lifecycle.reroute_to_server(rid, session);
                 self.step(rid);
             }
@@ -720,14 +717,8 @@ impl Sim {
 
     fn complete(&mut self, done: Done) {
         let latency = self.now - done.arrival;
-        self.acct.on_complete(
-            self.now,
-            self.cfg.record_from,
-            latency,
-            done.record,
-            done.request,
-            &mut self.obs,
-        );
+        self.acct
+            .on_complete(self.now, self.cfg.record_from, latency, done.record);
         if let Some((session, instance)) = done.faas {
             // The instance was held busy for the whole request.
             if let Some(p) = self.broker.platform.as_mut() {
@@ -743,7 +734,6 @@ impl Sim {
                 done.record,
                 session.is_shadow(),
                 &session.stats,
-                &mut self.obs,
             );
         }
         if done.closed_loop {
@@ -787,7 +777,7 @@ impl Sim {
             mapping_bytes,
             chaos,
             trace,
-            self.obs.into_registry(),
+            self.metrics.map(beehive_metrics::MetricsFold::finish),
             profile,
             sentinel,
             observatory,

@@ -6,7 +6,7 @@
 //! collect the server heap, wait on a lock hand-off, finish. The
 //! [`Lifecycle`] machine consumes [`SessionStep`]s uniformly for the
 //! server, faas-primary and shadow lanes; lane differences (telemetry
-//! track, pool index, metric names) are three methods on `Lane`, so there
+//! track, pool index, FaaS or not) are three methods on `Lane`, so there
 //! is a single instrumented call site per transition rather than a per-lane
 //! match pyramid.
 
@@ -22,7 +22,7 @@ use beehive_telemetry as tele;
 use beehive_vm::{Execution, Value};
 
 use crate::broker::{Broker, Ev};
-use crate::endpoint::{Fleet, Obs};
+use crate::endpoint::Fleet;
 
 /// A request's execution lane. Lanes carry indices, not resources — the
 /// pools and instances live in [`crate::broker::Broker`] and [`Fleet`].
@@ -180,9 +180,6 @@ pub(crate) struct Done {
     pub record: bool,
     /// Whether a closed-loop client reissues.
     pub closed_loop: bool,
-    /// The server-issued request id of the finishing session (its telemetry
-    /// track) — the id metric exemplars point at.
-    pub request: u64,
     /// The finished offload session and its instance, for FaaS lanes.
     pub faas: Option<(OffloadSession, u32)>,
 }
@@ -284,7 +281,6 @@ impl Lifecycle {
     /// consult the retry policy — provision a replacement and park as
     /// [`Lane::Crashed`], or (retries exhausted, write journal clean)
     /// degrade to a fresh server session.
-    #[allow(clippy::too_many_arguments)]
     fn crashed(
         rid: u64,
         req: &mut Request,
@@ -293,7 +289,6 @@ impl Lifecycle {
         fleet: &mut Fleet,
         broker: &mut Broker,
         events: &mut EventQueue<Ev>,
-        obs: &mut Obs,
     ) -> AfterCrash {
         let placeholder = Lane::pending_boot(Vec::new(), u32::MAX, false);
         let Lane::Faas { mut session, .. } = std::mem::replace(&mut req.lane, placeholder) else {
@@ -309,9 +304,8 @@ impl Lifecycle {
         }
         // Everything since the last durable snapshot is lost and will be
         // re-executed after the restore.
-        let lost = now.saturating_since(req.progress);
-        broker.chaos.stats.re_executed_ns += lost.as_nanos();
-        obs.add(now, "re_executed_ns", lost.as_nanos());
+        let lost = now.saturating_since(req.progress).as_nanos();
+        broker.chaos.stats.re_executed_ns += lost;
         req.recovery_attempts += 1;
         let attempt = req.recovery_attempts;
         match broker
@@ -334,7 +328,6 @@ impl Lifecycle {
                 let runtime = fleet.funcs.remove(&fid).map(Box::new);
                 fleet.booting += 1;
                 broker.chaos.stats.retries += 1;
-                obs.add(now, "retries", 1);
                 if tele::enabled() {
                     tele::begin(
                         tele::Track::Request(session.request_id()),
@@ -342,6 +335,7 @@ impl Lifecycle {
                         &[
                             ("attempt", tele::Arg::UInt(attempt as u64)),
                             ("replacement", tele::Arg::UInt(fid as u64)),
+                            ("lost_ns", tele::Arg::UInt(lost)),
                         ],
                     );
                 }
@@ -360,11 +354,16 @@ impl Lifecycle {
             }
             RetryDecision::Degrade => {
                 broker.chaos.stats.degraded_to_server += 1;
-                obs.add(now, "degraded_to_server", 1);
+                // The request carries on as the server session started
+                // below, under the id it will be issued.
+                let next = server.peek_request_id();
                 tele::instant(
                     tele::Track::Request(session.request_id()),
                     tele::EventName::RecoveryDegrade,
-                    &[],
+                    &[
+                        ("lost_ns", tele::Arg::UInt(lost)),
+                        ("server_request", tele::Arg::UInt(next)),
+                    ],
                 );
                 let root = session.root();
                 let args = session.args().to_vec();
@@ -420,7 +419,6 @@ impl Lifecycle {
         now: SimTime,
         broker: &mut Broker,
         events: &mut EventQueue<Ev>,
-        obs: &mut Obs,
     ) {
         let req = self
             .requests
@@ -439,7 +437,7 @@ impl Lifecycle {
             unreachable!("recovery resumes on a queued need");
         };
         self.tally.needs += 1;
-        Self::park_on_need(rid, req, n, now, broker, events, obs);
+        Self::park_on_need(rid, req, n, now, broker, events);
     }
 
     /// Bump and return the failed-attempt count of `rid` (boot failures).
@@ -489,7 +487,6 @@ impl Lifecycle {
     /// request parked (or was already gone). The request and its function
     /// instance are stepped where they live; only a finished request leaves
     /// the table.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn advance(
         &mut self,
         rid: u64,
@@ -498,7 +495,6 @@ impl Lifecycle {
         fleet: &mut Fleet,
         broker: &mut Broker,
         events: &mut EventQueue<Ev>,
-        obs: &mut Obs,
     ) -> Option<Done> {
         let Lifecycle {
             requests,
@@ -529,7 +525,7 @@ impl Lifecycle {
                 // into an instance the fault injector killed in the meantime
                 // — the RPC timeout is the failure detector.
                 tally.crashes += 1;
-                match Self::crashed(rid, req, now, server, fleet, broker, events, obs) {
+                match Self::crashed(rid, req, now, server, fleet, broker, events) {
                     AfterCrash::Parked => {}
                     AfterCrash::Dropped => {
                         requests.remove(&rid);
@@ -538,8 +534,7 @@ impl Lifecycle {
                 }
                 return None;
             };
-            if let Lane::Faas { session, instance } = &req.lane {
-                fleet.note_gcs(*instance, now, obs);
+            if let Lane::Faas { session, .. } = &req.lane {
                 if session.stats.snapshots > req.snap_seen {
                     // A new durable snapshot: work before `now` would
                     // survive a crash.
@@ -550,7 +545,7 @@ impl Lifecycle {
             match step {
                 SessionStep::Need(n) => {
                     tally.needs += 1;
-                    Self::park_on_need(rid, req, n, now, broker, events, obs);
+                    Self::park_on_need(rid, req, n, now, broker, events);
                     return None;
                 }
                 SessionStep::SyncFromPeer { peer, monitor } => {
@@ -575,8 +570,6 @@ impl Lifecycle {
                             ],
                         );
                     }
-                    obs.add(now, "handoff_dirty_objects", objs.len() as u64);
-                    obs.add(now, "handoff_dirty_bytes", report.bytes);
                     if let Lane::Faas { session, .. } = &mut req.lane {
                         session.deliver_peer_objects(objs);
                     }
@@ -593,7 +586,6 @@ impl Lifecycle {
                         })
                         .collect();
                     let pause = server.collect_server_heap(&mut execs);
-                    obs.gc_pause(now, pause);
                     req = requests.get_mut(&rid).expect("stepping request present");
                     let Lane::Server { session, .. } = &mut req.lane else {
                         unreachable!("only server sessions GC through the driver")
@@ -618,18 +610,10 @@ impl Lifecycle {
                 SessionStep::Finished(_v) => {
                     tally.finished += 1;
                     let req = *requests.remove(&rid).expect("stepping request present");
-                    let request = match &req.lane {
-                        Lane::Server { session, .. } => session.request_id(),
-                        Lane::Faas { session, .. } => session.request_id(),
-                        Lane::PendingBoot { .. } | Lane::Crashed { .. } => {
-                            unreachable!("finished requests run on an active lane")
-                        }
-                    };
                     return Some(Done {
                         arrival: req.arrival,
                         record: req.record,
                         closed_loop: req.closed_loop,
-                        request,
                         faas: match req.lane {
                             Lane::Faas { session, instance } => Some((session, instance)),
                             _ => None,
@@ -643,7 +627,6 @@ impl Lifecycle {
     /// Park `req` on `n`: trace the residence span, then hand the wait to
     /// the broker (pools, database) or the event queue (dedicated CPU,
     /// network).
-    #[allow(clippy::too_many_arguments)]
     fn park_on_need(
         rid: u64,
         req: &mut Request,
@@ -651,7 +634,6 @@ impl Lifecycle {
         now: SimTime,
         broker: &mut Broker,
         events: &mut EventQueue<Ev>,
-        obs: &mut Obs,
     ) {
         let (track, pool, on_faas) = (req.lane.track(), req.lane.pool(), req.lane.on_faas());
         // Offloaded sessions trace every wait as a residence span; plain
@@ -659,19 +641,10 @@ impl Lifecycle {
         // fallback round trips are traced — recording every one would dwarf
         // the Semi-FaaS machinery the trace is for.
         let traced = n.fallback || on_faas;
-        // Origin label and metrics counter of database rounds issued here.
-        let (db_origin, db_metric) = if on_faas {
-            ("function", "db_rounds_function")
-        } else {
-            ("server", "db_rounds_server")
-        };
         if traced && tele::enabled() {
             let name = n.span_name();
             tele::begin(track, name, &[]);
             req.open_span = Some(name);
-        }
-        if n.fallback {
-            obs.add(now, "fallbacks", 1);
         }
         match n.resource {
             Resource::ServerCpu => {
@@ -702,7 +675,6 @@ impl Lifecycle {
                             // The round-trip is lost: the caller times out
                             // and re-sends over the degraded leg.
                             broker.chaos.stats.retries += 1;
-                            obs.add(now, "retries", 1);
                             tele::instant(track, tele::EventName::ChaosRpcDrop, &[]);
                             wait = wait + timeout + wait;
                         }
@@ -717,19 +689,18 @@ impl Lifecycle {
             }
             Resource::Db => {
                 if tele::enabled() {
+                    let origin = if on_faas { "function" } else { "server" };
                     tele::instant(
                         tele::Track::Db,
                         tele::EventName::DbRound,
-                        &[("origin", tele::Arg::Str(db_origin))],
+                        &[("origin", tele::Arg::Str(origin))],
                     );
                 }
-                obs.add(now, db_metric, 1);
                 let mut demand = n.amount;
                 if let Some(reconnect) = broker.chaos.db_drop() {
                     // Connection dropped: pay the reconnect before the
                     // round is served.
                     broker.chaos.stats.retries += 1;
-                    obs.add(now, "retries", 1);
                     tele::instant(tele::Track::Db, tele::EventName::ChaosDbReconnect, &[]);
                     demand += reconnect;
                 }
@@ -795,7 +766,6 @@ mod tests {
         fleet: Fleet,
         broker: Broker,
         events: EventQueue<Ev>,
-        obs: Obs,
         life: Lifecycle,
         done: Vec<Done>,
     }
@@ -816,10 +786,9 @@ mod tests {
             rng: Rng::new(7),
             now: SimTime::ZERO,
             server,
-            fleet: Fleet::new(FastMap::default(), Vec::new()),
+            fleet: Fleet::default(),
             broker: Broker::new(4.0, None, None),
             events: EventQueue::new(),
-            obs: Obs::off(),
             life: Lifecycle::new(),
             done: Vec::new(),
         }
@@ -834,7 +803,6 @@ mod tests {
                 &mut self.fleet,
                 &mut self.broker,
                 &mut self.events,
-                &mut self.obs,
             ) {
                 self.done.push(d);
             }
@@ -910,7 +878,6 @@ mod tests {
                 self.now,
                 &mut self.broker,
                 &mut self.events,
-                &mut self.obs,
             );
         }
 

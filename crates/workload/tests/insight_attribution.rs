@@ -1,7 +1,7 @@
 //! Latency-attribution invariants over real simulated runs: every
 //! per-request decomposition must sum *exactly* to the driver-measured
 //! latency (residual zero, no unattributed time), the aggregate report
-//! must equal the live `request_latency` histogram, the insight document
+//! must equal the streamed `request_latency` histogram, the insight document
 //! must be byte-identical across worker counts, and an injected cold-boot
 //! regression must be root-caused to `boot_wait`.
 
@@ -51,7 +51,7 @@ fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
 }
 
 /// Run the matrix at a worker count, returning the labelled traces and the
-/// live metrics snapshot.
+/// streamed metrics snapshot.
 fn run_matrix(workers: usize) -> (Vec<(String, Trace)>, MetricsSnapshot) {
     let n = matrix().len();
     let outcomes = run_all_with_workers(matrix(), workers);
@@ -92,7 +92,7 @@ fn components_sum_to_measured_latency_across_the_config_matrix() {
         }
         assert_eq!(report.residual_ns(), 0, "{label}: aggregate residual");
 
-        // The attribution totals are the *same numbers* the driver's live
+        // The attribution totals are the *same numbers* the streamed metrics
         // histogram measured — arrival to completion, boot waits included.
         let hist = live.histogram("request_latency").expect("live histogram");
         assert_eq!(report.requests, hist.count, "{label}: request count");

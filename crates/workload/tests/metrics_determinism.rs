@@ -2,7 +2,8 @@
 //! must be byte-identical regardless of worker count (same seed at 1, 2,
 //! and 8 workers), must round-trip through the in-tree JSON parser, and —
 //! for a traced run — must equal the `beehive_metrics::reduce` reduction of
-//! the recorded trace, so traced and untraced runs report the same numbers.
+//! the recorded trace. `metrics_fold.rs` holds the same equality over the
+//! chaos and shadow-off paths.
 
 use beehive_apps::AppKind;
 use beehive_metrics::{reduce, MetricsSnapshot, DEFAULT_WINDOW};
@@ -86,66 +87,12 @@ fn metrics_are_byte_identical_and_agree_with_the_trace_reduction() {
     assert_eq!(back.render(), doc);
 
     // A post-hoc reduction of the trace produces the same snapshot as the
-    // driver's direct instrumentation (shadowing enabled ⇒ exact agreement).
+    // fold the driver fed online.
     let reduced = reduce(&traces, DEFAULT_WINDOW);
-    assert_eq!(reduced, snap, "trace reduction diverged from live metrics");
-}
-
-/// Shadow-*disabled* parity (the warmup ablation): the reducer documents one
-/// divergence from live instrumentation — a boot-waiting request's latency is
-/// charged from its arrival by the driver, while its `req:offload` span only
-/// begins once the instance is up. This pins that divergence down exactly:
-/// every counter, every gauge, and every histogram except `request_latency`
-/// must agree; `request_latency` must keep the same completion count while
-/// the live sum is strictly larger (it includes the boot wait).
-#[test]
-fn shadow_disabled_reduction_diverges_only_in_request_latency() {
-    let e = BurstExperiment::new(AppKind::Pybbs, Strategy::BeeHiveOpenWhisk)
-        .horizon_secs(20)
-        .burst_at_secs(5)
-        .seed(42);
-    let mut cfg = e.config();
-    cfg.trace = true;
-    cfg.metrics = true;
-    cfg.shadow_enabled = false;
-    let outcomes = run_all_with_workers(vec![Scenario::new("no_shadow", cfg)], 1);
-    assert_eq!(outcomes.len(), 1);
-    let traces = retained(outcomes);
-    let snap = MetricsSnapshot {
-        window: DEFAULT_WINDOW,
-        scenarios: drain().metrics,
-    };
-    let reduced = reduce(&traces, DEFAULT_WINDOW);
-
-    let live = &snap.scenarios[0];
-    let red = &reduced.scenarios[0];
-    assert_eq!(live.label, red.label);
-    assert_eq!(live.counters, red.counters, "counters must agree exactly");
-    assert_eq!(live.gauges, red.gauges, "gauges must agree exactly");
     assert_eq!(
-        live.histograms.iter().map(|h| &h.name).collect::<Vec<_>>(),
-        red.histograms.iter().map(|h| &h.name).collect::<Vec<_>>(),
+        reduced, snap,
+        "trace reduction diverged from the streamed metrics"
     );
-    for (lh, rh) in live.histograms.iter().zip(&red.histograms) {
-        if lh.name == "request_latency" {
-            assert_eq!(lh.count, rh.count, "same completions either way");
-            assert!(
-                lh.sum_ns > rh.sum_ns,
-                "live latency includes boot waits the span misses \
-                 ({} !> {}); if these now agree, the reducer divergence \
-                 note in reduce.rs is stale",
-                lh.sum_ns,
-                rh.sum_ns
-            );
-        } else {
-            assert_eq!(lh, rh, "only request_latency may diverge");
-        }
-    }
-    // The run actually exercised the divergent path (cold boots happened and
-    // requests offloaded without a shadow to pre-warm the instance).
-    assert!(live.counter("boots_cold").unwrap().total > 0);
-    assert!(live.counter("requests_offloaded").unwrap().total > 0);
-    assert!(live.counter("shadow_executions").is_none());
 }
 
 #[test]

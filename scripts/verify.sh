@@ -198,18 +198,36 @@ echo "==> metrics+insight gate: repro diff against scripts/golden/metrics_quick"
 # byte-stable across verify runs. The golden directory carries both the
 # metrics snapshots and the insight documents, so this exercises the full
 # root-cause path of `repro diff`; with nothing regressed its verdict table
-# must be byte-stable too, at every worker count.
+# must be byte-stable too, at every worker count. Every artifact is also
+# byte-pinned: the metrics registry is a fold over the same events as the
+# insight document, and must not drift inside the diff's tolerances either.
 metrics_dir="target/metrics_quick"
+# cmp_golden_metrics GLOB...: the named golden files equal the fresh ones.
+cmp_golden_metrics() {
+  for f in "$@"; do
+    cmp "$f" "$metrics_dir/$(basename "$f")" >&2
+  done
+}
 # The verdict table on stdout; everything else this prints goes to stderr.
 metrics_insight_diff() {
   rm -rf "$metrics_dir" && mkdir -p "$metrics_dir"
   ./target/release/repro shadow fig9 recovery --quick --seed 42 \
     --metrics "$metrics_dir" --insight "$metrics_dir" > /dev/null
-  diff -u scripts/golden/metrics_quick/shadow.insight.json "$metrics_dir/shadow.insight.json" >&2
+  cmp_golden_metrics scripts/golden/metrics_quick/*
   ./target/release/repro diff scripts/golden/metrics_quick "$metrics_dir" \
     --bench-out BENCH_metrics.json
 }
 golden_at_workers diff_quick.txt metrics_insight_diff
+
+echo "==> metrics gate: --metrics alone writes the same snapshots"
+# With no other consumer, --metrics is what arms the telemetry recorder.
+for w in 1 8; do
+  rm -rf "$metrics_dir" && mkdir -p "$metrics_dir"
+  BEEHIVE_WORKERS=$w ./target/release/repro shadow fig9 recovery --quick --seed 42 \
+    --metrics "$metrics_dir" > /dev/null
+  cmp_golden_metrics scripts/golden/metrics_quick/*.metrics.json \
+    scripts/golden/metrics_quick/*.prom
+done
 rm -rf "$metrics_dir"
 
 if $full; then
@@ -219,4 +237,4 @@ if $full; then
   rm -f "$verify_out/repro_full.txt"
 fi
 
-echo "OK: style, lint, build, tests, benchmark smoke, quick repro, goldens, sentinel, timeline, and the metrics+insight gates all pass."
+echo "OK: style, lint, build, tests, benchmark smoke, quick repro, goldens, sentinel, timeline, and the metrics gates all pass."
