@@ -67,8 +67,18 @@ echo "==> benchmark: benchmark/run.sh --smoke + the package's own unit tests"
 benchmark/run.sh --smoke
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
-echo "==> repro all --quick (smoke: every table and figure regenerates)"
-./target/release/repro all --quick --seed 42 > /dev/null
+echo "==> golden: repro all --quick is byte-stable (text at 1 worker, --json at 2)"
+# Every table and figure at quick scale, pinned by length and digest: the
+# report text at a single worker and the JSON document at two.
+digests="scripts/golden/all_quick.digests"
+BEEHIVE_WORKERS=1 ./target/release/repro all --quick --seed 42 > "$verify_out/all_quick.text"
+BEEHIVE_WORKERS=2 ./target/release/repro all --quick --seed 42 --json > "$verify_out/all_quick.json"
+for form in text json; do
+  out="$verify_out/all_quick.$form"
+  printf '%s  %s  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" "$form"
+done > "$verify_out/all_quick.digests"
+grep -v '^#' "$digests" | diff -u - "$verify_out/all_quick.digests"
+rm -f "$verify_out"/all_quick.*
 
 echo "==> golden: repro fig9 --quick --seed 42 --json is byte-stable"
 ./target/release/repro fig9 --quick --seed 42 --json > "$verify_out/fig9_quick.json"
