@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 
-use beehive_sim::stats::LatencySampler;
+use beehive_sim::stats::MeanMax;
 use beehive_sim::{Duration, Rng, SimTime};
 
 /// One typed fault, delivered at a point in virtual time.
@@ -186,7 +186,7 @@ pub struct ChaosStats {
     /// Virtual time of work lost to crashes and re-executed after recovery.
     pub re_executed_ns: u64,
     /// Detection-to-resume latency of each completed recovery (MTTR).
-    pub recovery: LatencySampler,
+    pub recovery: MeanMax,
 }
 
 impl ChaosStats {

@@ -127,6 +127,49 @@ impl LatencySampler {
     }
 }
 
+/// A fixed-size stand-in for a [`LatencySampler`] whose readers need only
+/// the count, the mean or the max: it keeps those three and no sample, and
+/// answers them exactly as the sampler would on the same samples. Stores
+/// whose readers take percentiles keep every sample in a sampler.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MeanMax {
+    count: u64,
+    sum: u128,
+    max: u64,
+}
+
+impl MeanMax {
+    /// Record one sample.
+    pub fn record(&mut self, d: Duration) {
+        self.count += 1;
+        self.sum += u128::from(d.as_nanos());
+        self.max = self.max.max(d.as_nanos());
+    }
+
+    /// Number of samples recorded.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// `true` when no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Arithmetic mean, or zero when empty.
+    pub fn mean(&self) -> Duration {
+        match self.count {
+            0 => Duration::ZERO,
+            n => Duration::from_nanos((self.sum / u128::from(n)) as u64),
+        }
+    }
+
+    /// Largest sample, or zero when empty.
+    pub fn max(&self) -> Duration {
+        Duration::from_nanos(self.max)
+    }
+}
+
 /// One point of a per-bucket latency timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct TimelinePoint {
@@ -212,6 +255,22 @@ mod tests {
         assert_eq!(s.percentile(0.99), Duration::ZERO);
         assert_eq!(s.mean(), Duration::ZERO);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn mean_max_answers_as_the_sampler_does() {
+        let mut rng = crate::Rng::new(0x5EED);
+        let (mut exact, mut bounded) = (LatencySampler::new(), MeanMax::default());
+        assert_eq!((bounded.mean(), bounded.max()), (exact.mean(), exact.max()));
+        for _ in 0..10_000 {
+            let d = rng.exponential(Duration::from_millis(40));
+            exact.record(d);
+            bounded.record(d);
+        }
+        assert_eq!(bounded.len(), exact.len());
+        assert!(!bounded.is_empty());
+        assert_eq!(bounded.mean(), exact.mean());
+        assert_eq!(bounded.max(), exact.max());
     }
 
     #[test]
