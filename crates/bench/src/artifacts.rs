@@ -1,13 +1,15 @@
 //! The one run-and-collect path behind every `repro` form that simulates.
 //!
-//! [`collect`] runs an item's simulations under an [`ObsPlan`] with at most
-//! one [`EventSink`] per scenario and returns what they produced, in
-//! submission order: the engine's [`Harvest`] and what the sinks folded from
-//! the telemetry as it was recorded — the Chrome document, rendered straight
-//! into `DIR/<item>.trace.json`, and the request timelines, built once, behind
-//! the critical-path summary, the latency attribution and the SLO report. No
-//! trace is retained. The artifact flags write what comes back (`flush` in
-//! `main.rs`); `top`, `explain`, `check` and `timeline` print it.
+//! [`collect`] installs the item's [`Collector`], runs its simulations and
+//! returns what each scenario produced, in submission order: what its
+//! substrates left in its `SimResult` — the conformance check, the metrics
+//! snapshot, the profile and the elasticity series — next to what its
+//! [`EventSink`] folded from the telemetry as it was recorded — its share of
+//! the Chrome document, rendered straight into `DIR/<item>.trace.json`, and
+//! the request timelines, built once, behind the critical-path summary, the
+//! latency attribution and the SLO report. No trace is retained. The
+//! artifact flags write what comes back (`flush` in `main.rs`); `top`,
+//! `explain`, `check` and `timeline` print it.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -15,78 +17,193 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use beehive_insight::{AttributionFold, AttributionReport, InsightDoc, SloFold, SloReport};
+use beehive_metrics::ScenarioMetrics;
+use beehive_observatory::ScenarioSeries;
+use beehive_profiler::Profile;
+use beehive_sentinel::ScenarioCheck;
 use beehive_sim::json::Json;
+use beehive_sim::Duration;
 use beehive_telemetry::chrome::{ScenarioTrace, TraceFile};
 use beehive_telemetry::summary::{RequestTimeline, SummaryFold, TimelineBuilder};
 use beehive_telemetry::TraceEvent;
-use beehive_workload::engine::{self, EventSink, Harvest, ObsPlan};
+use beehive_workload::engine::{self, Collector, EventSink};
+use beehive_workload::{SimConfig, SimResult};
 
-/// What [`collect`] is asked for.
-#[derive(Clone, Copy)]
-pub struct Want<'a> {
-    /// The substrates every scenario carries.
-    pub plan: ObsPlan,
+/// What [`collect`] is asked for: the substrates every scenario carries and
+/// the families its sink folds.
+#[derive(Clone, Default)]
+pub struct Want {
+    /// Fold every scenario's telemetry into a metrics registry.
+    pub metrics: bool,
+    /// Record every scenario's call-tree profile.
+    pub profile: bool,
+    /// Run the online conformance checker in every scenario.
+    pub sentinel: bool,
+    /// Reduce every scenario into an elasticity timeline of this bin width.
+    pub observe: Option<Duration>,
     /// Stream the Chrome document into this directory; fold the summaries.
-    pub trace: Option<&'a Path>,
+    pub trace: Option<PathBuf>,
     /// Fold the attribution + SLO document at this many slowest requests.
     pub insight: Option<usize>,
 }
 
-/// What an item's simulations produced; of a streamed family, nothing unless
-/// it was wanted and some scenario ran.
+/// What an item's simulations produced.
 pub struct Collected {
     /// The item's own report.
     pub out: crate::Output,
-    /// What the plan's substrates produced.
-    pub harvest: Harvest,
-    /// Where the Chrome document was written…
+    /// Where the Chrome document was written, when it was wanted and some
+    /// scenario ran.
     pub trace: Option<PathBuf>,
-    /// …and each scenario's label and summary ([`SummaryFold::finish`]).
-    pub summaries: Vec<(String, Json)>,
+    /// What each scenario left, in submission order.
+    pub scenarios: Vec<Finished>,
+}
+
+impl Collected {
+    /// One family of what the scenarios left, taken out of every scenario
+    /// that has it, in submission order.
+    pub fn take<T>(&mut self, family: impl FnMut(&mut Finished) -> Option<T>) -> Vec<T> {
+        self.scenarios.iter_mut().filter_map(family).collect()
+    }
+
     /// The attribution + SLO document.
-    pub insight: InsightDoc,
+    pub fn insight(&mut self) -> InsightDoc {
+        let (attributions, slo) = self.take(|s| s.insight.take()).into_iter().unzip();
+        InsightDoc { attributions, slo }
+    }
+}
+
+/// What one scenario left; of each family, nothing unless it was wanted.
+#[derive(Default)]
+pub struct Finished {
+    /// The scenario's label.
+    pub label: String,
+    /// Its critical-path summary ([`SummaryFold::finish`]).
+    pub summary: Option<Json>,
+    /// Its latency attribution and SLO evaluation.
+    pub insight: Option<(AttributionReport, SloReport)>,
+    /// Its conformance check.
+    pub check: Option<ScenarioCheck>,
+    /// Its metrics snapshot.
+    pub metrics: Option<ScenarioMetrics>,
+    /// Its call-tree profile.
+    pub profile: Option<Profile>,
+    /// Its elasticity timeline.
+    pub series: Option<ScenarioSeries>,
+    /// Why its share of the Chrome document was not written, if it was not.
+    trace_error: Option<io::Error>,
+}
+
+impl Finished {
+    /// The scenario's label and profile, when it was profiled.
+    pub fn profiled(&self) -> Option<(&str, &Profile)> {
+        Some((&self.label, self.profile.as_ref()?))
+    }
 }
 
 /// Run the simulations of the item `name` — `run` — as `want` says.
 pub fn collect(name: &str, want: Want, run: impl FnOnce() -> crate::Output) -> Collected {
-    engine::set_plan(want.plan);
     let doc = |dir: &Path| TraceFile::new(dir.join(format!("{name}.trace.json")));
     let sinks = Arc::new(Sinks {
-        trace: want.trace.map(doc),
-        insight: want.insight,
-        done: Mutex::default(),
+        trace: want.trace.as_deref().map(doc),
+        want,
+        done: Arc::default(),
     });
-    // A run that streams nothing keeps its recorder disarmed.
-    if sinks.trace.is_some() || sinks.insight.is_some() {
-        let sinks = Arc::clone(&sinks);
-        engine::set_sinks(Some(Arc::new(move |seq, label| sinks.open(seq, label))));
-    }
+    engine::set_collector(Some(Arc::clone(&sinks) as Arc<dyn Collector>));
     let out = run();
-    engine::set_sinks(None);
-    sinks.finish(out, engine::drain())
+    engine::set_collector(None);
+    sinks.finish(out)
 }
 
-/// The sinks of one item's scenarios and what they leave.
+/// What each scenario left, by scenario number.
+#[derive(Default)]
+struct Done(Mutex<BTreeMap<usize, Finished>>);
+
+impl Done {
+    /// Fill in what scenario `seq`, labelled `label`, left.
+    fn fill(&self, seq: usize, label: &str, fill: impl FnOnce(&mut Finished)) {
+        let mut done = self.0.lock().expect("no holder panics");
+        fill(done.entry(seq).or_insert_with(|| Finished {
+            label: label.to_string(),
+            ..Finished::default()
+        }));
+    }
+}
+
+/// The collector of one item's scenarios.
 struct Sinks {
+    want: Want,
     trace: Option<Arc<TraceFile>>,
-    /// [`Want::insight`].
-    insight: Option<usize>,
-    /// What each finished scenario left, by scenario number.
-    done: Mutex<BTreeMap<usize, Finished>>,
+    done: Arc<Done>,
 }
 
-/// What one scenario leaves for [`Sinks::finish`].
-struct Finished {
-    label: String,
-    /// Whether the scenario's share of the Chrome document was written.
-    trace: io::Result<()>,
-    summary: Option<Json>,
-    insight: Option<(AttributionReport, SloReport)>,
+impl Collector for Sinks {
+    fn open(&self, seq: usize, label: &str, cfg: &mut SimConfig) -> Option<Box<dyn EventSink>> {
+        let want = &self.want;
+        cfg.metrics |= want.metrics;
+        cfg.profile |= want.profile;
+        cfg.sentinel |= want.sentinel;
+        if let Some(window) = want.observe {
+            cfg.observe = true;
+            cfg.observe_window = window;
+        }
+        // A run that streams nothing keeps its recorder disarmed.
+        if self.trace.is_none() && want.insight.is_none() {
+            return None;
+        }
+        let trace = self.trace.as_ref();
+        Some(Box::new(ScenarioSink {
+            done: Arc::clone(&self.done),
+            seq,
+            label: label.to_string(),
+            trace: trace.map(|doc| doc.scenario(seq, label)),
+            summary: trace.map(|_| SummaryFold::default()),
+            insight: want.insight.map(|slowest| {
+                let slo = SloFold::new(beehive_insight::SloPolicy::default());
+                (AttributionFold::new(slowest), slo)
+            }),
+            timelines: TimelineBuilder::new(),
+        }))
+    }
+
+    fn close(&self, seq: usize, label: &str, result: &mut SimResult) {
+        self.done.fill(seq, label, |f| {
+            f.check = result.sentinel.take();
+            f.metrics = result.metrics.take().map(|reg| reg.snapshot(label));
+            f.profile = result.profile.take();
+            f.series = result.observatory.take();
+        });
+    }
+}
+
+impl Sinks {
+    /// Complete the Chrome document and put what the scenarios left in
+    /// submission order.
+    fn finish(&self, out: crate::Output) -> Collected {
+        let done = std::mem::take(&mut *self.done.0.lock().expect("no holder panics"));
+        let n = done.len();
+        assert!(
+            done.keys().copied().eq(0..n),
+            "every scenario leaves its results"
+        );
+        let mut scenarios: Vec<Finished> = done.into_values().collect();
+        let unwritten = scenarios.iter_mut().find_map(|s| s.trace_error.take());
+        let trace = self.trace.as_ref().filter(|_| n > 0).map(|trace| {
+            if let Err(e) = unwritten.map_or(Ok(()), Err).and_then(|()| trace.finish(n)) {
+                crate::die(&format!("writing {}: {e}", trace.path().display()));
+            }
+            trace.path().to_path_buf()
+        });
+        Collected {
+            out,
+            trace,
+            scenarios,
+        }
+    }
 }
 
 /// One scenario's sink: every consumer of its telemetry, fed in one pass.
 struct ScenarioSink {
-    item: Arc<Sinks>,
+    done: Arc<Done>,
     seq: usize,
     label: String,
     trace: Option<io::Result<ScenarioTrace>>,
@@ -128,72 +245,16 @@ impl EventSink for ScenarioSink {
             self.request(&t);
         }
         let label = &self.label;
-        let finished = Finished {
-            trace: self
-                .trace
-                .map_or(Ok(()), |t| t.and_then(ScenarioTrace::finish)),
-            summary: self.summary.map(|s| s.finish(label)),
-            insight: self
-                .insight
-                .map(|(a, s)| (a.finish(label), s.finish(label))),
-            label: self.label,
-        };
-        let mut done = self.item.done.lock().expect("no holder panics");
-        done.insert(self.seq, finished);
-    }
-}
-
-impl Sinks {
-    /// The sink of the item's scenario number `seq`.
-    fn open(self: &Arc<Self>, seq: usize, label: &str) -> Box<dyn EventSink> {
-        let trace = self.trace.as_ref();
-        Box::new(ScenarioSink {
-            item: Arc::clone(self),
-            seq,
-            label: label.to_string(),
-            trace: trace.map(|doc| doc.scenario(seq, label)),
-            summary: trace.map(|_| SummaryFold::default()),
-            insight: self.insight.map(|slowest| {
-                let slo = SloFold::new(beehive_insight::SloPolicy::default());
-                (AttributionFold::new(slowest), slo)
-            }),
-            timelines: TimelineBuilder::new(),
-        })
-    }
-
-    /// Complete the Chrome document and put what the scenarios left in
-    /// submission order.
-    fn finish(&self, out: crate::Output, harvest: Harvest) -> Collected {
-        let done = std::mem::take(&mut *self.done.lock().expect("no holder panics"));
-        let scenarios = done.len();
-        assert!(
-            done.keys().copied().eq(0..scenarios),
-            "every scenario leaves its results"
-        );
-        let mut summaries = Vec::new();
-        let mut insight = InsightDoc::default();
-        let mut written = Ok(());
-        for s in done.into_values() {
-            written = written.and(s.trace);
-            summaries.extend(s.summary.map(|summary| (s.label, summary)));
-            if let Some((attribution, slo)) = s.insight {
-                insight.attributions.push(attribution);
-                insight.slo.push(slo);
-            }
-        }
-        let trace = self.trace.as_ref().filter(|_| scenarios > 0).map(|trace| {
-            if let Err(e) = written.and_then(|()| trace.finish(scenarios)) {
-                crate::die(&format!("writing {}: {e}", trace.path().display()));
-            }
-            trace.path().to_path_buf()
+        let written = self.trace.map(|t| t.and_then(ScenarioTrace::finish));
+        let summary = self.summary.map(|s| s.finish(label));
+        let insight = self
+            .insight
+            .map(|(a, s)| (a.finish(label), s.finish(label)));
+        self.done.fill(self.seq, label, |f| {
+            f.trace_error = written.and_then(Result::err);
+            f.summary = summary;
+            f.insight = insight;
         });
-        Collected {
-            out,
-            harvest,
-            trace,
-            summaries,
-            insight,
-        }
     }
 }
 
@@ -202,13 +263,12 @@ mod tests {
     use super::*;
     use beehive_apps::{App, AppKind, Fidelity};
     use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
-    use beehive_sim::Duration;
     use beehive_telemetry::chrome::chrome_trace_string;
     use beehive_telemetry::summary::{critical_path, document, request_timelines};
     use beehive_telemetry::Trace;
     use beehive_workload::engine::{run_all_with_workers, Scenario};
     use beehive_workload::experiment::base_rate;
-    use beehive_workload::{ArrivalPattern, Sim, SimConfig, Strategy};
+    use beehive_workload::{ArrivalPattern, Sim, Strategy};
 
     /// A steady offload, a chaos run that strands requests, and a burst with
     /// shadow executions: the shapes of `table5`, `recovery` and `shadow`.
@@ -268,13 +328,27 @@ mod tests {
         }
     }
 
-    /// Both families of an item `item`, as `--obs DIR` asks for them.
-    fn sinks(dir: &Path) -> Arc<Sinks> {
-        Arc::new(Sinks {
+    /// Both streamed families of an item `item`, as `--obs DIR` asks for
+    /// them.
+    fn sinks(dir: &Path) -> Sinks {
+        Sinks {
+            want: Want {
+                insight: Some(beehive_metrics::EXEMPLAR_K),
+                ..Want::default()
+            },
             trace: Some(TraceFile::new(dir.join("item.trace.json"))),
-            insight: Some(beehive_metrics::EXEMPLAR_K),
-            done: Mutex::default(),
-        })
+            done: Arc::default(),
+        }
+    }
+
+    /// Run scenario `seq` of `item` alone, as the engine runs it.
+    fn run(item: &Sinks, seq: usize, label: &str, mut cfg: SimConfig) -> SimResult {
+        let sink = item.open(seq, label, &mut cfg).expect("a streamed family");
+        let mut sim = Sim::new(cfg);
+        sim.attach(sink);
+        let mut result = sim.run();
+        item.close(seq, label, &mut result);
+        result
     }
 
     #[test]
@@ -285,12 +359,13 @@ mod tests {
         for (seq, (label, mut cfg)) in shapes().into_iter().enumerate() {
             // Retain as well: one run yields the stream and its reference.
             cfg.trace = true;
-            let mut sim = Sim::new(cfg);
-            sim.attach(item.open(seq, &label));
-            traces.push((label, sim.run().trace.expect("retained")));
+            let trace = run(&item, seq, &label, cfg).trace.expect("retained");
+            traces.push((label, trace));
         }
-        let c = item.finish(no_report(), Harvest::default());
-        let (path, summaries, insight) = (c.trace.unwrap(), c.summaries, c.insight);
+        let mut c = item.finish(no_report());
+        let insight = c.insight();
+        let summaries = c.take(|s| Some((s.label.clone(), s.summary.take()?)));
+        let path = c.trace.unwrap();
 
         // The shapes are what they claim to be.
         let open = |t: &Trace| {
@@ -324,9 +399,7 @@ mod tests {
 
         cfg.trace = false;
         let item = sinks(&dir);
-        let mut sim = Sim::new(cfg);
-        sim.attach(item.open(0, &label));
-        let result = sim.run();
+        let result = run(&item, 0, &label, cfg);
         assert!(result.trace.is_none(), "a sink alone must not keep a trace");
         // The recorder was pumped empty after every simulation step.
         let (peak, total) = (beehive_telemetry::peak_buffered(), retained.events.len());
@@ -334,44 +407,41 @@ mod tests {
             0 < peak && peak < total / 100,
             "recorder peaked at {peak} of {total} events"
         );
-        item.finish(no_report(), Harvest::default());
+        item.finish(no_report());
         let streamed = std::fs::read_to_string(dir.join("item.trace.json")).unwrap();
         assert!(streamed == chrome_trace_string(&[(label, retained)]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `check` is the plan's sentinel and `explain` the insight folds: at one
-    /// worker neither collector holds more than a step of the run's events.
+    /// `check` is the collector's sentinel and `explain` the insight folds: at
+    /// one worker neither collector holds more than a step of the run's
+    /// events.
     #[test]
     fn the_collectors_behind_check_and_explain_retain_no_trace() {
         let steady = || {
-            // Built here, under the plan `collect` has set.
             let (label, cfg) = shapes().swap_remove(0);
             let outcomes = run_all_with_workers(vec![Scenario::new(label, cfg)], 1);
             assert!(outcomes[0].result.trace.is_none());
             no_report()
         };
         let want = |sentinel, insight| Want {
-            plan: ObsPlan {
-                sentinel,
-                ..engine::plan()
-            },
-            trace: None,
+            sentinel,
             insight,
+            ..Want::default()
         };
         let checked = collect("item", want(true, None), steady);
-        let events = checked.harvest.sentinel[0].events as usize;
+        let events = checked.scenarios[0].check.as_ref().expect("checked").events as usize;
         let peak = beehive_telemetry::peak_buffered();
         assert!(0 < peak && peak < events / 100, "check: {peak} of {events}");
 
-        let explained = collect("item", want(false, Some(3)), steady);
-        assert!(explained.harvest.sentinel.is_empty());
+        let mut explained = collect("item", want(false, Some(3)), steady);
+        assert!(explained.scenarios[0].check.is_none());
         let peak = beehive_telemetry::peak_buffered();
         assert!(
             0 < peak && peak < events / 100,
             "explain: {peak} of {events}"
         );
-        let attribution = &explained.insight.attributions[0];
+        let attribution = &explained.insight().attributions[0];
         assert!(attribution.requests > 100 && attribution.slowest.len() == 3);
     }
 }

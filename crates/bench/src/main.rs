@@ -107,11 +107,10 @@ mod artifacts;
 use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
 
-use artifacts::{Collected, Want};
+use artifacts::{Collected, Finished, Want};
 use beehive_apps::AppKind;
 use beehive_scaling::table1;
 use beehive_sim::json::{Json, ToJson};
-use beehive_workload::engine::{self, ObsPlan, RunReport};
 use beehive_workload::experiment::{
     ablation::ablation,
     breakdown::{gc_stats, shadow_breakdown},
@@ -682,19 +681,16 @@ fn run_items(args: Args) {
     // pass (`Args::dir`), plus the online checker and the timeline reducer.
     let obs = args.has("--obs");
     let want = Want {
-        plan: ObsPlan {
-            metrics: args.dir("--metrics").is_some(),
-            profile: args.dir("--profile").is_some(),
-            sentinel: obs || args.has("--sentinel"),
-            observe: obs,
-            ..engine::plan()
-        },
-        trace: args.dir("--trace"),
+        metrics: args.dir("--metrics").is_some(),
+        profile: args.dir("--profile").is_some(),
+        sentinel: obs || args.has("--sentinel"),
+        observe: obs.then_some(beehive_observatory::DEFAULT_WINDOW),
+        trace: args.dir("--trace").map(Path::to_path_buf),
         insight: args.dir("--insight").map(|_| beehive_metrics::EXEMPLAR_K),
     };
 
     let json = args.has(JSON.0);
-    let mut reports: Vec<RunReport> = Vec::new();
+    let mut reports: Vec<Json> = Vec::new();
     let mut violations = 0;
     for it in &ITEMS {
         let (Run::Static(run) | Run::Sims(run)) = it.run else {
@@ -706,18 +702,24 @@ fn run_items(args: Args) {
         if !json {
             banner(it.banner);
         }
-        let mut c = artifacts::collect(it.name, want, || run(args.profile, args.chaos_seed));
+        let mut c =
+            artifacts::collect(it.name, want.clone(), || run(args.profile, args.chaos_seed));
         if json {
             let rows = ITEMS.iter().filter(|row| printed_in(row, it));
             let titled = rows.zip(std::mem::take(&mut c.out.bodies));
-            reports.extend(titled.map(|(row, body)| RunReport::new(row.name, body)));
+            reports.extend(titled.map(|(row, body)| {
+                Json::obj([
+                    ("title".into(), Json::from(row.name)),
+                    ("body".into(), body),
+                ])
+            }));
         } else {
             print!("{}", c.out.text);
         }
         violations += flush(it.name, &args, c);
     }
     if json {
-        println!("{}", Json::arr(reports.iter()).render());
+        println!("{}", Json::Arr(reports).render());
     }
     if violations > 0 {
         eprintln!("sentinel: {violations} invariant violation(s) detected (see above)");
@@ -758,33 +760,35 @@ fn write_artifacts(what: &str, dir: &Path, name: &str, scenarios: usize, files: 
 /// simulations produced ([`artifacts::collect`]) that has a directory and
 /// that some scenario ran. Returns the online checker's violation count,
 /// which gates the exit status.
-fn flush(name: &str, args: &Args, c: Collected) -> usize {
-    let h = c.harvest;
+fn flush(name: &str, args: &Args, mut c: Collected) -> usize {
     let ran = |family, scenarios: usize| args.dir(family).filter(|_| scenarios > 0);
-    if let Some(dir) = ran("--profile", h.profiles.len()) {
-        flush_profiles(dir, name, &h.profiles);
+    let profiles: Vec<_> = c.scenarios.iter().filter_map(Finished::profiled).collect();
+    if let Some(dir) = ran("--profile", profiles.len()) {
+        flush_profiles(dir, name, &profiles);
     }
-    if let Some(path) = c.trace {
-        let scenarios = c.summaries.len();
+    if let Some(path) = c.trace.take() {
         // A scenario that was also profiled gains a `"hottest"` per-lane
         // top-methods table in its critical-path summary.
-        let hottest = |(label, summary): (String, Json)| {
-            let profile = h.profiles.iter().find(|(l, _)| *l == label);
-            (summary, profile.map(|(_, p)| p.hottest_json(5)))
-        };
-        let doc = beehive_telemetry::summary::document(c.summaries.into_iter().map(hottest));
+        let summaries = c.take(|s| {
+            let hottest = s.profile.as_ref().map(|p| p.hottest_json(5));
+            Some((s.summary.take()?, hottest))
+        });
+        let scenarios = summaries.len();
+        let doc = beehive_telemetry::summary::document(summaries);
         let summary = path.with_file_name(format!("{name}.summary.json"));
         write_file(&summary, &doc.render());
         report_written("trace", scenarios, &[path, summary]);
     }
-    if let Some(dir) = ran("--insight", c.insight.slo.len()) {
-        let files = [("insight.json", c.insight.to_json().render())];
-        write_artifacts("insight", dir, name, c.insight.slo.len(), &files);
+    let insight = c.insight();
+    if let Some(dir) = ran("--insight", insight.slo.len()) {
+        let files = [("insight.json", insight.to_json().render())];
+        write_artifacts("insight", dir, name, insight.slo.len(), &files);
     }
-    if let Some(dir) = ran("--metrics", h.metrics.len()) {
+    let metrics = c.take(|s| s.metrics.take());
+    if let Some(dir) = ran("--metrics", metrics.len()) {
         let snap = beehive_metrics::MetricsSnapshot {
             window: beehive_metrics::DEFAULT_WINDOW,
-            scenarios: h.metrics,
+            scenarios: metrics,
         };
         let files = [
             ("metrics.json", snap.render()),
@@ -792,18 +796,20 @@ fn flush(name: &str, args: &Args, c: Collected) -> usize {
         ];
         write_artifacts("metrics", dir, name, snap.scenarios.len(), &files);
     }
-    if let Some(dir) = ran("--obs", h.timelines.len()) {
-        let doc = beehive_observatory::TimelineDoc::from_series(h.timelines);
+    let series = c.take(|s| s.series.take());
+    if let Some(dir) = ran("--obs", series.len()) {
+        let doc = beehive_observatory::TimelineDoc::from_series(series);
         let files = [
             ("timeline.json", doc.to_json().render()),
             ("timeline.svg", doc.render_svg()),
         ];
         write_artifacts("timeline", dir, name, doc.scenarios.len(), &files);
     }
-    if h.sentinel.is_empty() {
+    let checks = c.take(|s| s.check.take());
+    if checks.is_empty() {
         return 0;
     }
-    let report = beehive_sentinel::SentinelReport::from_checks(false, h.sentinel);
+    let report = beehive_sentinel::SentinelReport::from_checks(false, checks);
     if let Some(dir) = args.dir("--obs") {
         let files = [("sentinel.json", report.to_json().render())];
         write_artifacts("sentinel", dir, name, report.scenarios.len(), &files);
@@ -819,7 +825,7 @@ fn flush(name: &str, args: &Args, c: Collected) -> usize {
 /// `DIR/<name>.folded` — the scenario label, sanitized, is the first frame of
 /// every line, so one file holds every scenario of the item and feeds
 /// flamegraph.pl / inferno unchanged — plus `DIR/<name>.profile.json`.
-fn flush_profiles(dir: &Path, name: &str, profiles: &[(String, beehive_profiler::Profile)]) {
+fn flush_profiles(dir: &Path, name: &str, profiles: &[(&str, &beehive_profiler::Profile)]) {
     let mut folded = String::new();
     for (label, p) in profiles {
         // Folded frames may not contain the `;` separator or the trailing
@@ -842,7 +848,7 @@ fn flush_profiles(dir: &Path, name: &str, profiles: &[(String, beehive_profiler:
                 .iter()
                 .map(|(label, p)| {
                     Json::obj([
-                        ("label".into(), Json::from(label.clone())),
+                        ("label".into(), Json::from(*label)),
                         ("profile".into(), p.to_json()),
                     ])
                 })
@@ -874,11 +880,7 @@ fn collect_item(name: &str, args: &Args, on: impl FnOnce(&mut Want)) -> Collecte
             "item {name:?} runs no simulations (run `repro list`)"
         ));
     };
-    let mut want = Want {
-        plan: engine::plan(),
-        trace: None,
-        insight: None,
-    };
+    let mut want = Want::default();
     on(&mut want);
     artifacts::collect(name, want, || run(args.profile, args.chaos_seed))
 }
@@ -886,8 +888,8 @@ fn collect_item(name: &str, args: &Args, on: impl FnOnce(&mut Want)) -> Collecte
 /// `repro top`: per scenario and endpoint lane, the top-N frames by self time.
 fn run_top(args: Args) {
     let item = &args.operands[0];
-    let profiled = collect_item(item, &args, |want| want.plan.profile = true);
-    for (label, p) in &profiled.harvest.profiles {
+    let profiled = collect_item(item, &args, |want| want.profile = true);
+    for (label, p) in profiled.scenarios.iter().filter_map(Finished::profiled) {
         banner(&format!("{item} — {label}"));
         for (lane, rows) in p.hottest(args.positive("--top", 5) as usize) {
             println!("\n  lane {lane}");
@@ -918,7 +920,7 @@ fn bp_x(bp: u64) -> String {
 fn run_explain(args: Args) {
     let item = &args.operands[0];
     let slowest = args.positive("--slowest", beehive_metrics::EXEMPLAR_K as u64) as usize;
-    let doc = collect_item(item, &args, |want| want.insight = Some(slowest)).insight;
+    let doc = collect_item(item, &args, |want| want.insight = Some(slowest)).insight();
     for (rep, slo) in doc.attributions.iter().zip(&doc.slo) {
         banner(&format!("{item} — {}", rep.label));
         println!(
@@ -990,9 +992,8 @@ fn run_explain(args: Args) {
 fn run_check(args: Args) {
     let mut scenarios = Vec::new();
     for item in &args.operands {
-        let mut checks = collect_item(item, &args, |want| want.plan.sentinel = true)
-            .harvest
-            .sentinel;
+        let mut checks =
+            collect_item(item, &args, |want| want.sentinel = true).take(|s| s.check.take());
         for check in &mut checks {
             check.label = format!("{item}/{}", check.label);
         }
@@ -1015,11 +1016,10 @@ fn run_check(args: Args) {
 /// `repro timeline`: one item under the streaming observatory reducer.
 fn run_timeline(args: Args) {
     let window = args.positive("--window", beehive_observatory::DEFAULT_WINDOW.as_nanos());
-    let observed = collect_item(&args.operands[0], &args, |want| {
-        want.plan.observe = true;
-        want.plan.observe_window = beehive_sim::Duration::from_nanos(window);
+    let mut observed = collect_item(&args.operands[0], &args, |want| {
+        want.observe = Some(beehive_sim::Duration::from_nanos(window));
     });
-    let doc = beehive_observatory::TimelineDoc::from_series(observed.harvest.timelines);
+    let doc = beehive_observatory::TimelineDoc::from_series(observed.take(|s| s.series.take()));
     if args.has(JSON.0) {
         println!("{}", doc.to_json().render());
     } else if args.has("--svg") {

@@ -149,7 +149,8 @@ pub fn reduce_one(label: &str, trace: &Trace, window: Duration) -> ScenarioMetri
     fold.finish().snapshot(label)
 }
 
-/// Reduce labelled traces (as drained from the engine) to a full snapshot.
+/// Reduce labelled traces (as the engine's runs retain them) to a full
+/// snapshot.
 pub fn reduce(traces: &[(String, Trace)], window: Duration) -> MetricsSnapshot {
     MetricsSnapshot {
         window,

@@ -120,7 +120,7 @@ impl BurstSignal {
 /// derived burst signals. All series have the same length.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioSeries {
-    /// Scenario label (blank until the engine harvest fills it in).
+    /// Scenario label (blank until the engine labels the run's result).
     pub label: String,
     /// Bin width in nanoseconds of virtual time.
     pub window_ns: u64,

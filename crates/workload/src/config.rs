@@ -8,15 +8,11 @@
 use beehive_apps::App;
 use beehive_chaos::{ChaosStats, FaultPlan};
 use beehive_core::config::BeeHiveConfig;
-use beehive_core::server::RuntimeStats;
 use beehive_core::SessionStats;
-use beehive_faas::FaasPlatform;
-use beehive_scaling::InstanceScaler;
-use beehive_sim::stats::{LatencySampler, Timeline};
+use beehive_sim::stats::{LatencySampler, MeanMax, Timeline};
 use beehive_sim::{Duration, SimTime};
 use beehive_telemetry as tele;
 
-use crate::endpoint::Fleet;
 use crate::strategy::Strategy;
 
 /// How clients generate requests.
@@ -78,23 +74,6 @@ impl ArrivalPattern {
     }
 }
 
-/// Which observability substrates a run carries: the engine-wide decision
-/// `repro` makes once from its flags ([`crate::engine::set_plan`]) and
-/// [`SimConfig::new`] copies into the fields of the same names.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ObsPlan {
-    /// [`SimConfig::metrics`]: fold telemetry into a metrics registry.
-    pub metrics: bool,
-    /// [`SimConfig::profile`]: record a per-lane call-tree profile.
-    pub profile: bool,
-    /// [`SimConfig::sentinel`]: run the online conformance checker.
-    pub sentinel: bool,
-    /// [`SimConfig::observe`]: reduce telemetry into an elasticity timeline.
-    pub observe: bool,
-    /// [`SimConfig::observe_window`]: the timeline's bin width.
-    pub observe_window: Duration,
-}
-
 /// Full experiment configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -144,9 +123,9 @@ pub struct SimConfig {
     pub trace: bool,
     /// Fold this run's telemetry into a metrics registry
     /// ([`SimResult::metrics`]). Rides the recorder like the sentinel; costs
-    /// nothing when off. Like the observability fields below, defaults to
-    /// the engine-wide plan `repro` sets from its flags
-    /// ([`crate::engine::set_plan`]).
+    /// nothing when off. Like the observability fields below, an embedder
+    /// may also switch it on for every scenario of a batch
+    /// ([`crate::engine::Collector::open`]).
     pub metrics: bool,
     /// Time-series window of the metrics registry (virtual time).
     pub metrics_window: Duration,
@@ -173,7 +152,6 @@ pub struct SimConfig {
 impl SimConfig {
     /// A configuration with paper-style defaults.
     pub fn new(app: App, strategy: Strategy) -> Self {
-        let plan = crate::engine::plan();
         SimConfig {
             app,
             strategy,
@@ -191,19 +169,23 @@ impl SimConfig {
             beehive: BeeHiveConfig::default(),
             shadow_enabled: true,
             trace: false,
-            metrics: plan.metrics,
+            metrics: false,
             metrics_window: beehive_metrics::DEFAULT_WINDOW,
-            profile: plan.profile,
-            sentinel: plan.sentinel,
-            observe: plan.observe,
-            observe_window: plan.observe_window,
+            profile: false,
+            sentinel: false,
+            observe: false,
+            observe_window: beehive_observatory::DEFAULT_WINDOW,
             faults: FaultPlan::default(),
         }
     }
 }
 
-/// What one run produced.
-#[derive(Debug)]
+/// What one run produced. The driver accumulates into it as the run goes
+/// and fills the end-of-run fields when it stops. Stores read only through a
+/// count, mean or max are fixed-size [`MeanMax`]es; `timeline`, `steady` and
+/// `function_gc_pauses` keep every sample because their readers take
+/// percentiles.
+#[derive(Debug, Default)]
 pub struct SimResult {
     /// Per-second latency timeline (Figure 7).
     pub timeline: Timeline,
@@ -229,8 +211,6 @@ pub struct SimResult {
     pub faas_requests: u64,
     /// Dollars billed for the scaled instance (instance strategies).
     pub scaled_cost: f64,
-    /// Server runtime statistics.
-    pub server_stats: RuntimeStats,
     /// Aggregate session stats of steady-state offloaded requests.
     pub steady_offload: SessionStats,
     /// Number of steady-state offloaded requests behind `steady_offload`.
@@ -239,10 +219,10 @@ pub struct SimResult {
     pub shadow_stats: SessionStats,
     /// End-to-end durations of shadow executions (arrival → completion,
     /// including the boot they hide).
-    pub shadow_durations: LatencySampler,
+    pub shadow_durations: MeanMax,
     /// Latencies of recorded offloaded requests only (exposes the cold-start
     /// tail when shadowing is disabled).
-    pub offload_latencies: LatencySampler,
+    pub offload_latencies: MeanMax,
     /// Function-side GC pauses across all instances.
     pub function_gc_pauses: Vec<Duration>,
     /// Peak heap bytes over all function instances.
@@ -263,48 +243,14 @@ pub struct SimResult {
     /// The resolved call-tree profile, when [`SimConfig::profile`] was set.
     pub profile: Option<beehive_profiler::Profile>,
     /// The conformance-check result, when [`SimConfig::sentinel`] was set.
-    /// Its label is blank until [`crate::engine::run_all`] harvests it.
+    /// [`crate::engine::run_all`] labels it with the scenario's label.
     pub sentinel: Option<beehive_sentinel::ScenarioCheck>,
     /// The reduced elasticity timeline, when [`SimConfig::observe`] was
-    /// set. Its label is blank until [`crate::engine::run_all`] harvests it.
+    /// set. [`crate::engine::run_all`] labels it with the scenario's label.
     pub observatory: Option<beehive_observatory::ScenarioSeries>,
 }
 
-/// Completion-side accounting: every sampler and counter the event loop
-/// feeds, folded into a [`SimResult`] when the run ends.
-pub(crate) struct Acct {
-    timeline: Timeline,
-    steady: LatencySampler,
-    completed: u64,
-    /// Requests refused because the server's worker pool was full.
-    pub(crate) rejected: u64,
-    offloaded: u64,
-    /// Shadow executions started.
-    pub(crate) shadows: u64,
-    steady_offload: SessionStats,
-    steady_offload_count: u64,
-    shadow_stats: SessionStats,
-    shadow_durations: LatencySampler,
-    offload_latencies: LatencySampler,
-}
-
-impl Acct {
-    pub(crate) fn new() -> Acct {
-        Acct {
-            timeline: Timeline::new(),
-            steady: LatencySampler::new(),
-            completed: 0,
-            rejected: 0,
-            offloaded: 0,
-            shadows: 0,
-            steady_offload: SessionStats::default(),
-            steady_offload_count: 0,
-            shadow_stats: SessionStats::default(),
-            shadow_durations: LatencySampler::new(),
-            offload_latencies: LatencySampler::new(),
-        }
-    }
-
+impl SimResult {
     /// Record a finished request: the steady-state sampler, the timeline,
     /// and the completion count (recorded requests only).
     pub(crate) fn on_complete(
@@ -345,64 +291,6 @@ impl Acct {
                 self.steady_offload.absorb(stats);
                 self.steady_offload_count += 1;
             }
-        }
-    }
-
-    /// Assemble the run's [`SimResult`] from the accumulated accounting and
-    /// the end-of-run state of the world.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        self,
-        end: SimTime,
-        fleet: &Fleet,
-        platform: Option<&FaasPlatform>,
-        scaler: Option<&InstanceScaler>,
-        server_stats: RuntimeStats,
-        mapping_bytes: u64,
-        chaos: ChaosStats,
-        trace: Option<tele::Trace>,
-        metrics: Option<beehive_metrics::Registry>,
-        profile: Option<beehive_profiler::Profile>,
-        sentinel: Option<beehive_sentinel::ScenarioCheck>,
-        observatory: Option<beehive_observatory::ScenarioSeries>,
-    ) -> SimResult {
-        let mut function_gc_pauses = Vec::new();
-        let mut peak = 0;
-        for f in fleet.funcs.values() {
-            for gc in f.vm.gc_log() {
-                function_gc_pauses.push(gc.pause);
-            }
-            peak = peak.max(f.vm.heap.peak_used_bytes());
-        }
-        SimResult {
-            timeline: self.timeline,
-            steady: self.steady,
-            completed: self.completed,
-            rejected: self.rejected,
-            offloaded: self.offloaded,
-            shadows: self.shadows,
-            boots: platform.map(|p| p.boot_stats()).unwrap_or((0, 0)),
-            instances: platform.map(|p| p.instances_created()).unwrap_or(0),
-            faas_cost: platform.map(|p| p.cost(end)).unwrap_or(0.0),
-            faas_gb_seconds: platform.map(|p| p.ledger().gb_seconds()).unwrap_or(0.0),
-            faas_requests: platform.map(|p| p.ledger().requests()).unwrap_or(0),
-            scaled_cost: scaler.map(|s| s.cost(end)).unwrap_or(0.0),
-            server_stats,
-            steady_offload: self.steady_offload,
-            steady_offload_count: self.steady_offload_count,
-            shadow_stats: self.shadow_stats,
-            shadow_durations: self.shadow_durations,
-            offload_latencies: self.offload_latencies,
-            function_gc_pauses,
-            function_peak_heap: peak,
-            mapping_bytes,
-            chaos,
-            end,
-            trace,
-            metrics,
-            profile,
-            sentinel,
-            observatory,
         }
     }
 }

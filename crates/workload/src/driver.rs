@@ -30,7 +30,6 @@ use beehive_vm::{CostModel, Value};
 pub use crate::config::{ArrivalPattern, SimConfig, SimResult};
 
 use crate::broker::{Broker, Ev};
-use crate::config::Acct;
 use crate::endpoint::Fleet;
 use crate::lifecycle::{Done, Lane, Lifecycle, Request};
 use crate::router::{Router, Target};
@@ -59,7 +58,8 @@ pub struct Sim {
     router: Router,
     dispatch_cost: Duration,
     cost_model: CostModel,
-    acct: Acct,
+    /// What the run has produced so far; returned whole by [`Sim::run`].
+    result: SimResult,
     /// The metrics fold, when [`SimConfig::metrics`] is set.
     metrics: Option<beehive_metrics::MetricsFold>,
     /// The online conformance checker, when [`SimConfig::sentinel`] is set.
@@ -132,7 +132,7 @@ impl Sim {
             router,
             dispatch_cost,
             cost_model: cost,
-            acct: Acct::new(),
+            result: SimResult::default(),
             metrics: None,
             sentinel: None,
             observatory: None,
@@ -470,7 +470,7 @@ impl Sim {
     ) -> u64 {
         if self.broker.pools[pool].len() >= self.cfg.max_server_concurrency {
             // Connection refused: the worker pool is saturated.
-            self.acct.rejected += 1;
+            self.result.rejected += 1;
             tele::instant(tele::Track::Server, tele::EventName::Rejected, &[]);
             if closed_loop {
                 let backoff = self.rng.exponential(Duration::from_millis(50));
@@ -631,7 +631,7 @@ impl Sim {
             self.dispatch_cost,
         );
         if shadow {
-            self.acct.shadows += 1;
+            self.result.shadows += 1;
         }
         if tele::enabled() {
             // The session span begins now, after the boot — so the wait from
@@ -717,7 +717,7 @@ impl Sim {
 
     fn complete(&mut self, done: Done) {
         let latency = self.now - done.arrival;
-        self.acct
+        self.result
             .on_complete(self.now, self.cfg.record_from, latency, done.record);
         if let Some((session, instance)) = done.faas {
             // The instance was held busy for the whole request.
@@ -727,7 +727,7 @@ impl Sim {
                     self.fleet.idle.push(instance);
                 }
             }
-            self.acct.on_faas(
+            self.result.on_faas(
                 self.now,
                 self.cfg.record_from,
                 latency,
@@ -743,44 +743,48 @@ impl Sim {
         }
     }
 
-    fn finish(self) -> SimResult {
-        let profile = if self.cfg.profile {
+    /// Fill the end-of-run fields of the result: bills, the fleet's GC
+    /// pauses and peak heap, the mapping footprint, the substrates' outputs.
+    fn finish(mut self) -> SimResult {
+        let (end, recording) = (self.now, self.recording());
+        let r = &mut self.result;
+        if let Some(p) = &self.broker.platform {
+            r.boots = p.boot_stats();
+            r.instances = p.instances_created();
+            r.faas_cost = p.cost(end);
+            r.faas_gb_seconds = p.ledger().gb_seconds();
+            r.faas_requests = p.ledger().requests();
+        }
+        r.scaled_cost = self.broker.scaler.as_ref().map_or(0.0, |s| s.cost(end));
+        for f in self.fleet.funcs.values() {
+            r.function_gc_pauses
+                .extend(f.vm.gc_log().iter().map(|gc| gc.pause));
+            r.function_peak_heap = r.function_peak_heap.max(f.vm.heap.peak_used_bytes());
+        }
+        r.mapping_bytes = self.server.mapping_footprint_bytes();
+        r.chaos = std::mem::take(&mut self.broker.chaos.stats);
+        r.end = end;
+        if self.cfg.profile {
             let program = Arc::clone(&self.cfg.app.program);
-            beehive_profiler::take().map(|raw| {
+            r.profile = beehive_profiler::take().map(|raw| {
                 raw.resolve(|id| {
                     let m = program.method(beehive_vm::MethodId(id));
                     format!("{}.{}", program.class(m.class).name, m.name)
                 })
-            })
-        } else {
-            None
-        };
-        let mapping_bytes = self.server.mapping_footprint_bytes();
+            });
+        }
         // Disarm the recorder this run armed; a run that only fed the online
         // consumers pumped it empty and returns no trace.
-        let taken = if self.recording() { tele::take() } else { None };
-        let trace = taken.filter(|_| self.cfg.trace);
+        let taken = if recording { tele::take() } else { None };
+        r.trace = taken.filter(|_| self.cfg.trace);
         if let Some(sink) = self.sink {
             sink.finish();
         }
-        // Blank labels: the engine harvest, which knows the scenario name,
-        // fills them in; standalone `Sim::run` callers label them themselves.
-        let sentinel = self.sentinel.map(|s| s.finish(String::new()));
-        let observatory = self.observatory.map(|o| o.finish(String::new()));
-        let chaos = self.broker.chaos.stats.clone();
-        self.acct.finish(
-            self.now,
-            &self.fleet,
-            self.broker.platform.as_ref(),
-            self.broker.scaler.as_ref(),
-            self.server.stats,
-            mapping_bytes,
-            chaos,
-            trace,
-            self.metrics.map(beehive_metrics::MetricsFold::finish),
-            profile,
-            sentinel,
-            observatory,
-        )
+        // Blank labels: the engine, which knows the scenario name, fills
+        // them in; standalone `Sim::run` callers label them themselves.
+        r.sentinel = self.sentinel.map(|s| s.finish(String::new()));
+        r.observatory = self.observatory.map(|o| o.finish(String::new()));
+        r.metrics = self.metrics.map(beehive_metrics::MetricsFold::finish);
+        self.result
     }
 }

@@ -10,14 +10,12 @@
 //! * [`run_all`] — executes every scenario across a `std::thread::scope`
 //!   worker pool (capped at available parallelism) and returns
 //!   [`RunOutcome`]s **in input order**, so aggregation code is oblivious
-//!   to scheduling and every report stays bit-identical to a serial run,
-//! * [`ObsPlan`] / [`Harvest`] — the one observability path: the plan
-//!   ([`set_plan`]) says which substrates every scenario carries, and
-//!   [`run_all`] moves what they produced into the harvest ([`drain`]);
-//!   [`set_sinks`] additionally streams every scenario's telemetry into an
-//!   embedder's [`EventSink`] while it runs,
-//! * [`RunReport`] — a structured title + JSON body, the machine-readable
-//!   form of a report surfaced by `repro --json`.
+//!   to scheduling and every report stays bit-identical to a serial run.
+//!   Each outcome carries its run's whole [`SimResult`], the substrates'
+//!   outputs labelled with the scenario's label,
+//! * [`Collector`] — the one observability hook: an embedder installs one
+//!   ([`set_collector`]) to switch substrates on in every scenario, attach
+//!   an [`EventSink`] to its telemetry, and take what it produced.
 //!
 //! Worker count can be pinned with the `BEEHIVE_WORKERS` environment
 //! variable (useful for the determinism regression test, which compares
@@ -51,94 +49,33 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use beehive_sim::json::{Json, ToJson};
-
-pub use crate::config::ObsPlan;
 use crate::config::{SimConfig, SimResult};
 pub use crate::driver::EventSink;
 use crate::driver::Sim;
 
-/// Until [`set_plan`]: nothing on, a plain run.
-static PLAN: Mutex<ObsPlan> = Mutex::new(ObsPlan {
-    metrics: false,
-    profile: false,
-    sentinel: false,
-    observe: false,
-    observe_window: beehive_observatory::DEFAULT_WINDOW,
-});
-
-/// Set the engine-wide plan. Scenarios built *after* this call carry it, and
-/// [`run_all`] harvests what their substrates produce for [`drain`].
-pub fn set_plan(plan: ObsPlan) {
-    *PLAN.lock().expect("no plan-lock holder panics") = plan;
+/// What an embedder installs ([`set_collector`]) to observe every scenario
+/// [`run_all`] runs. Scenarios are numbered from 0 in submission order
+/// across `run_all` calls — whichever worker runs them, and in whatever
+/// order they finish — and both methods are called on the thread that runs
+/// the scenario.
+pub trait Collector: Send + Sync {
+    /// Scenario `seq`, labelled `label`, is about to run: switch on the
+    /// substrates it should carry (keeping any it switched on itself), and
+    /// return the sink its telemetry should stream into, if any. A run with
+    /// no sink and no substrate keeps its recorder disarmed.
+    fn open(&self, seq: usize, label: &str, cfg: &mut SimConfig) -> Option<Box<dyn EventSink>>;
+    /// Scenario `seq` finished: take what it produced from `result`, whose
+    /// check and timeline already carry `label`.
+    fn close(&self, seq: usize, label: &str, result: &mut SimResult);
 }
 
-/// The engine-wide plan (every substrate off until [`set_plan`]).
-pub fn plan() -> ObsPlan {
-    *PLAN.lock().expect("no plan-lock holder panics")
-}
+/// The collector [`set_collector`] installed and the next scenario's number.
+static COLLECTOR: Mutex<Option<(Arc<dyn Collector>, usize)>> = Mutex::new(None);
 
-/// Opens the [`EventSink`] of one scenario, given its number and label.
-pub type SinkFactory = dyn Fn(usize, &str) -> Box<dyn EventSink> + Send + Sync;
-
-/// The factory [`set_sinks`] installed and the next scenario's number.
-static SINKS: Mutex<Option<(Arc<SinkFactory>, usize)>> = Mutex::new(None);
-
-/// Attach a sink from `open` to every scenario [`run_all`] runs from now on
-/// (`None`: stop). Scenarios are numbered from 0 in submission order across
-/// `run_all` calls — whichever worker runs them, and in whatever order they
-/// finish — and each sink is opened, fed and finished on the thread that
-/// runs its scenario.
-pub fn set_sinks(open: Option<Arc<SinkFactory>>) {
-    *SINKS.lock().expect("no sinks-lock holder panics") = open.map(|open| (open, 0));
-}
-
-/// What the substrates of completed runs produced, one entry per scenario
-/// that carried the substrate, each labelled with its scenario label and in
-/// [`run_all`] input order — independent of the worker count, so every
-/// artifact rendered from a harvest is byte-identical under any
-/// `BEEHIVE_WORKERS`.
-#[derive(Debug, Default)]
-pub struct Harvest {
-    /// Metrics snapshots.
-    pub metrics: Vec<beehive_metrics::ScenarioMetrics>,
-    /// Call-tree profiles.
-    pub profiles: Vec<(String, beehive_profiler::Profile)>,
-    /// Online conformance checks.
-    pub sentinel: Vec<beehive_sentinel::ScenarioCheck>,
-    /// Elasticity timelines.
-    pub timelines: Vec<beehive_observatory::ScenarioSeries>,
-}
-
-static HARVEST: Mutex<Option<Harvest>> = Mutex::new(None);
-
-/// Take everything harvested since the last drain.
-pub fn drain() -> Harvest {
-    let mut h = HARVEST.lock().expect("no harvest-lock holder panics");
-    h.take().unwrap_or_default()
-}
-
-/// Move every substrate output out of `outcomes` into the harvest.
-fn harvest(outcomes: &mut [RunOutcome]) {
-    let mut h = HARVEST.lock().expect("no harvest-lock holder panics");
-    let h = h.get_or_insert_with(Harvest::default);
-    for o in outcomes {
-        let r = &mut o.result;
-        if let Some(reg) = r.metrics.take() {
-            h.metrics.push(reg.snapshot(&o.label));
-        }
-        if let Some(profile) = r.profile.take() {
-            h.profiles.push((o.label.clone(), profile));
-        }
-        if let Some(mut check) = r.sentinel.take() {
-            check.label = o.label.clone();
-            h.sentinel.push(check);
-        }
-        if let Some(mut series) = r.observatory.take() {
-            series.label = o.label.clone();
-            h.timelines.push(series);
-        }
-    }
+/// Hand every scenario [`run_all`] runs from now on to `collector` (`None`:
+/// stop), numbering them from 0 again.
+pub fn set_collector(collector: Option<Arc<dyn Collector>>) {
+    *COLLECTOR.lock().expect("no collector-lock holder panics") = collector.map(|c| (c, 0));
 }
 
 /// One labelled simulation to run.
@@ -167,7 +104,7 @@ impl Scenario {
 pub struct RunOutcome {
     /// The scenario's label.
     pub label: String,
-    /// The simulation result.
+    /// The simulation result, whatever a [`Collector`] left of it.
     pub result: SimResult,
 }
 
@@ -217,14 +154,14 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
         .map(|s| (s.label, Mutex::new((Some(s.cfg), None::<SimResult>))))
         .unzip();
     let next = AtomicUsize::new(0);
-    // This batch's share of the sink numbering, taken in one step so that
-    // concurrent callers cannot interleave theirs.
-    let sinks = {
-        let mut sinks = SINKS.lock().expect("no sinks-lock holder panics");
-        sinks.as_mut().map(|(open, seq)| {
+    // This batch's share of the collector's numbering, taken in one step so
+    // that concurrent callers cannot interleave theirs.
+    let collector = {
+        let mut collector = COLLECTOR.lock().expect("no collector-lock holder panics");
+        collector.as_mut().map(|(c, seq)| {
             let first = *seq;
             *seq += cells.len();
-            (Arc::clone(open), first)
+            (Arc::clone(c), first)
         })
     };
 
@@ -236,12 +173,24 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
             break;
         };
         let lock = || cell.lock().expect("a cell is never locked across a run");
-        let cfg = lock().0.take().expect("scenario claimed twice");
+        let mut cfg = lock().0.take().expect("scenario claimed twice");
+        let label = &labels[i];
+        let collector = collector.as_ref().map(|(c, first)| (c, first + i));
+        let sink = collector.and_then(|(c, seq)| c.open(seq, label, &mut cfg));
         let mut sim = Sim::new(cfg);
-        if let Some((open, first)) = &sinks {
-            sim.attach(open(first + i, &labels[i]));
+        if let Some(sink) = sink {
+            sim.attach(sink);
         }
-        let result = sim.run();
+        let mut result = sim.run();
+        if let Some(check) = &mut result.sentinel {
+            check.label.clone_from(label);
+        }
+        if let Some(series) = &mut result.observatory {
+            series.label.clone_from(label);
+        }
+        if let Some((c, seq)) = collector {
+            c.close(seq, label, &mut result);
+        }
         lock().1 = Some(result);
     };
     // The calling thread is one of the workers, so `workers ≤ 1` spawns
@@ -253,7 +202,7 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
         claim();
     });
 
-    let mut outcomes: Vec<RunOutcome> = labels
+    labels
         .into_iter()
         .zip(cells)
         .map(|(label, cell)| RunOutcome {
@@ -264,48 +213,7 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
                 .1
                 .expect("worker pool exited with an unfilled slot"),
         })
-        .collect();
-    harvest(&mut outcomes);
-    outcomes
-}
-
-/// A structured experiment report: a title plus a JSON body.
-///
-/// Every experiment module produces one `RunReport` alongside its typed
-/// report struct; `repro --json` renders these instead of the Display
-/// tables. Bodies contain only simulation-derived data (never wall-clock
-/// readings), so rendered reports are byte-stable across machines and
-/// worker counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// Report title (e.g. `"fig8"`).
-    pub title: String,
-    /// The report data.
-    pub body: Json,
-}
-
-impl RunReport {
-    /// A report titled `title` with `body`.
-    pub fn new(title: impl Into<String>, body: Json) -> Self {
-        RunReport {
-            title: title.into(),
-            body,
-        }
-    }
-
-    /// Render as a single JSON object `{"title": ..., "body": ...}`.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-}
-
-impl ToJson for RunReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("title".into(), Json::from(self.title.clone())),
-            ("body".into(), self.body.clone()),
-        ])
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -396,11 +304,5 @@ mod tests {
     fn more_workers_than_scenarios() {
         let outcomes = run_all_with_workers(tiny_scenarios(2), 64);
         assert_eq!(outcomes.len(), 2);
-    }
-
-    #[test]
-    fn run_report_renders_title_and_body() {
-        let r = RunReport::new("t", Json::obj([("x".into(), Json::Int(1))]));
-        assert_eq!(r.render(), r#"{"title":"t","body":{"x":1}}"#);
     }
 }

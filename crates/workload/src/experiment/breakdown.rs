@@ -190,8 +190,8 @@ pub fn shadow_breakdown(kind: AppKind, profile: Profile) -> ShadowReport {
         Scenario::new(format!("{} shadow", kind.name()), configure(true)),
         Scenario::new(format!("{} no-shadow", kind.name()), configure(false)),
     ]);
-    let mut without_shadow = outcomes.pop().expect("no-shadow outcome").result;
-    let mut with_shadow = outcomes.pop().expect("shadow outcome").result;
+    let without_shadow = outcomes.pop().expect("no-shadow outcome").result;
+    let with_shadow = outcomes.pop().expect("shadow outcome").result;
     let sh = with_shadow.shadows.max(1) as f64;
 
     ShadowReport {

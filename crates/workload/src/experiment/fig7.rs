@@ -312,8 +312,8 @@ pub fn fig7(kind: AppKind, profile: Profile) -> Fig7Report {
         ])
         .collect();
     // Labels carry the app plus a warm marker: the two warm-boot runs reuse
-    // strategies already in the grid, and harvested traces/metrics key
-    // scenarios by label.
+    // strategies already in the grid, and the artifacts key scenarios by
+    // label.
     let cold_count = Strategy::fig7_set().len();
     let outcomes = run_all(
         experiments

@@ -21,5 +21,5 @@ pub mod strategy;
 
 pub use config::{ArrivalPattern, SimConfig, SimResult};
 pub use driver::Sim;
-pub use engine::{run_all, RunOutcome, RunReport, Scenario};
+pub use engine::{run_all, RunOutcome, Scenario};
 pub use strategy::Strategy;

@@ -896,13 +896,13 @@ mod tests {
         }
 
         /// Run the event queue dry, advancing virtual time.
-        fn drain(&mut self) {
-            self.drain_until(|_| false);
+        fn run_dry(&mut self) {
+            self.run_until(|_| false);
         }
 
         /// Run events until `stop` holds (checked after each event) or the
         /// queue is dry.
-        fn drain_until(&mut self, stop: impl Fn(&TransitionTally) -> bool) {
+        fn run_until(&mut self, stop: impl Fn(&TransitionTally) -> bool) {
             while !stop(&self.life.tally()) {
                 let Some((t, ev)) = self.events.pop() else {
                     return;
@@ -941,7 +941,7 @@ mod tests {
         for _ in 0..3 {
             w.start_server();
         }
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.finished, 3);
         assert_eq!(w.done.len(), 3);
@@ -972,9 +972,9 @@ mod tests {
     fn faas_primary_and_shadow_lanes_finish() {
         let mut w = world(true);
         w.start_faas(0, false);
-        w.drain();
+        w.run_dry();
         w.start_faas(1, true);
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.finished, 2);
         assert!(t.needs > 2, "offload sessions park on net/CPU: {t:?}");
@@ -993,7 +993,7 @@ mod tests {
         // requests must sync the previous owner's dirty set (§4.2).
         for i in 0..6 {
             w.start_faas(i % 2, false);
-            w.drain();
+            w.run_dry();
         }
         let t = w.life.tally();
         assert_eq!(t.finished, 6);
@@ -1008,7 +1008,7 @@ mod tests {
         for i in 0..8 {
             w.start_faas(i, false);
         }
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.finished, 8);
         assert!(t.syncs > 0, "expected SyncFromPeer hand-offs: {t:?}");
@@ -1026,7 +1026,7 @@ mod tests {
         // and the request completes normally.
         w.fill_alloc_space();
         w.start_server();
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert!(t.server_gcs > 0, "no ServerGc under a full heap: {t:?}");
         assert_eq!(t.finished, 1, "the request completes after the GC: {t:?}");
@@ -1046,12 +1046,12 @@ mod tests {
         // where they live in the table.
         w.fill_alloc_space();
         w.start_server();
-        w.drain_until(|t| t.server_gcs > 0);
+        w.run_until(|t| t.server_gcs > 0);
         let t = w.life.tally();
         assert!(t.server_gcs > 0, "no ServerGc under a full heap: {t:?}");
         assert_eq!(t.finished, 0, "{t:?}");
         assert_eq!(w.life.inflight(), 5, "the collecting request stays put");
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.finished, 5, "every rooted request completes: {t:?}");
         assert_eq!(w.life.inflight(), 0);
@@ -1066,7 +1066,7 @@ mod tests {
         w.start_server();
         w.fleet.funcs.remove(&5);
         // The victim's completed wait detects the crash.
-        w.drain_until(|t| t.crashes > 0);
+        w.run_until(|t| t.crashes > 0);
         let t = w.life.tally();
         assert_eq!((t.crashes, t.finished), (1, 0), "{t:?}");
         assert_eq!(w.life.inflight(), 3, "a crashed lane stays in the table");
@@ -1077,7 +1077,7 @@ mod tests {
         // Stepping it again before Ev::Recover is a no-op.
         w.step(rid);
         assert_eq!(w.life.tally().crashes, 1);
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!((t.crashes, t.finished), (1, 3), "{t:?}");
         assert_eq!(w.life.inflight(), 0);
@@ -1090,7 +1090,7 @@ mod tests {
         w.start_faas(3, false);
         let needs_before = w.life.tally().needs;
         w.fleet.funcs.remove(&3);
-        w.drain_until(|t| t.crashes > 0);
+        w.run_until(|t| t.crashes > 0);
         // One `advance`: crash detected, degraded, and the fresh server
         // session already parked on its first need.
         let t = w.life.tally();
@@ -1098,7 +1098,7 @@ mod tests {
         assert_eq!(t.needs, needs_before + 1);
         assert_eq!(w.life.inflight(), 1);
         assert!(w.life.faas_instances().is_empty(), "now a server lane");
-        w.drain();
+        w.run_dry();
         assert_eq!(w.life.tally().finished, 1);
         assert!(w.done[0].faas.is_none());
         assert_eq!(w.life.inflight(), 0);
@@ -1113,7 +1113,7 @@ mod tests {
         // replacement gets id 0, so the ids cannot collide.
         w.start_faas(5, false);
         w.fleet.funcs.remove(&5);
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.crashes, 1, "{t:?}");
         assert_eq!(t.finished, 1, "{t:?}");
@@ -1134,7 +1134,7 @@ mod tests {
         w.broker.chaos.policy = RetryPolicy::new(Duration::from_millis(50), 0);
         w.start_faas(3, false);
         w.fleet.funcs.remove(&3);
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.crashes, 1, "{t:?}");
         assert_eq!(t.finished, 1, "{t:?}");
@@ -1150,7 +1150,7 @@ mod tests {
         let mut w = world(true);
         w.start_faas(0, true);
         w.fleet.funcs.remove(&0);
-        w.drain();
+        w.run_dry();
         let t = w.life.tally();
         assert_eq!(t.crashes, 1, "{t:?}");
         assert_eq!(t.finished, 0, "a dead warm-up leaves nothing to finish");
@@ -1165,7 +1165,7 @@ mod tests {
         // the span logic rides on.
         let mut w = world(true);
         w.start_faas(0, false);
-        w.drain();
+        w.run_dry();
         assert!(w.life.tally().needs > 0);
         assert_eq!(w.life.inflight(), 0);
     }

@@ -116,7 +116,7 @@ fn no_shadow_ablation_exposes_cold_start_tails() {
     let run = |shadow: bool| {
         let mut cfg = burst_cfg(Strategy::BeeHiveOpenWhisk);
         cfg.shadow_enabled = shadow;
-        let mut r = Sim::new(cfg).run();
+        let r = Sim::new(cfg).run();
         (r.shadows, r.offload_latencies.max())
     };
     let (shadows_on, worst_on) = run(true);

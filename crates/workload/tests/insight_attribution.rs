@@ -10,7 +10,7 @@ use beehive_insight::{attribute, diagnose, Component, InsightDoc, SloPolicy};
 use beehive_metrics::{compare, MetricsSnapshot, DEFAULT_WINDOW, EXEMPLAR_K};
 use beehive_telemetry::Trace;
 use beehive_workload::config::SimConfig;
-use beehive_workload::engine::{drain, run_all_with_workers, RunOutcome, Scenario};
+use beehive_workload::engine::{run_all_with_workers, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -44,10 +44,17 @@ fn matrix() -> Vec<Scenario> {
     scenarios
 }
 
-/// The traces the scenarios retained (`SimConfig::trace`), labelled.
-fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
-    let trace = |o: RunOutcome| (o.label, o.result.trace.expect("the scenario retains"));
-    outcomes.into_iter().map(trace).collect()
+/// The traces the scenarios retained (`SimConfig::trace`), labelled, and
+/// the snapshot of the metrics they streamed.
+fn retained(outcomes: Vec<RunOutcome>) -> (Vec<(String, Trace)>, MetricsSnapshot) {
+    let (mut traces, mut scenarios) = (Vec::new(), Vec::new());
+    for o in outcomes {
+        let metrics = o.result.metrics.expect("every scenario must yield metrics");
+        scenarios.push(metrics.snapshot(&o.label));
+        traces.push((o.label, o.result.trace.expect("the scenario retains")));
+    }
+    let window = DEFAULT_WINDOW;
+    (traces, MetricsSnapshot { window, scenarios })
 }
 
 /// Run the matrix at a worker count, returning the labelled traces and the
@@ -56,15 +63,7 @@ fn run_matrix(workers: usize) -> (Vec<(String, Trace)>, MetricsSnapshot) {
     let n = matrix().len();
     let outcomes = run_all_with_workers(matrix(), workers);
     assert_eq!(outcomes.len(), n);
-    let h = drain();
-    assert_eq!(h.metrics.len(), n, "every scenario must yield metrics");
-    (
-        retained(outcomes),
-        MetricsSnapshot {
-            window: DEFAULT_WINDOW,
-            scenarios: h.metrics,
-        },
-    )
+    retained(outcomes)
 }
 
 #[test]
@@ -153,14 +152,7 @@ fn boot_posture(shadow: bool, prewarm_ready: usize) -> (Vec<(String, Trace)>, Me
     cfg.max_server_concurrency = 1024;
     let outcomes = run_all_with_workers(vec![Scenario::new("burst", cfg)], 1);
     assert_eq!(outcomes.len(), 1);
-    let h = drain();
-    (
-        retained(outcomes),
-        MetricsSnapshot {
-            window: DEFAULT_WINDOW,
-            scenarios: h.metrics,
-        },
-    )
+    retained(outcomes)
 }
 
 #[test]

@@ -8,15 +8,9 @@
 use beehive_apps::AppKind;
 use beehive_metrics::{reduce, MetricsSnapshot, DEFAULT_WINDOW};
 use beehive_telemetry::Trace;
-use beehive_workload::engine::{drain, run_all_with_workers, RunOutcome, Scenario};
+use beehive_workload::engine::{run_all_with_workers, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
-
-/// The traces the scenarios retained (`SimConfig::trace`), labelled.
-fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
-    let trace = |o: RunOutcome| (o.label, o.result.trace.expect("the scenario retains"));
-    outcomes.into_iter().map(trace).collect()
-}
 
 /// Run two traced+metered burst experiments at the given worker count and
 /// return the snapshot plus the labelled traces (in input order).
@@ -36,17 +30,15 @@ fn snapshot_at(workers: usize) -> (MetricsSnapshot, Vec<(String, Trace)>) {
         .collect();
     let outcomes = run_all_with_workers(scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    // The engine harvests both exports out of the results, in input order.
-    assert!(outcomes.iter().all(|o| o.result.metrics.is_none()));
-    let (traces, scenarios) = (retained(outcomes), drain().metrics);
-    assert_eq!(scenarios.len(), 2, "both scenarios must yield metrics");
-    (
-        MetricsSnapshot {
-            window: DEFAULT_WINDOW,
-            scenarios,
-        },
-        traces,
-    )
+    // Each result carries both exports, in input order.
+    let (mut traces, mut scenarios) = (Vec::new(), Vec::new());
+    for o in outcomes {
+        let metrics = o.result.metrics.expect("every scenario must yield metrics");
+        scenarios.push(metrics.snapshot(&o.label));
+        traces.push((o.label, o.result.trace.expect("the scenario retains")));
+    }
+    let window = DEFAULT_WINDOW;
+    (MetricsSnapshot { window, scenarios }, traces)
 }
 
 #[test]
@@ -103,8 +95,6 @@ fn unmetered_runs_leave_no_metrics_behind() {
     let mut cfg = e.config();
     cfg.trace = false;
     cfg.metrics = false;
-    // No drain assertion here: the determinism test shares this binary's
-    // collection statics and may be mid-run on another thread.
     let outcomes = run_all_with_workers(vec![Scenario::new("unmetered", cfg)], 1);
     assert!(outcomes[0].result.metrics.is_none());
 }

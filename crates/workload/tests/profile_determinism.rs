@@ -7,7 +7,7 @@
 
 use beehive_apps::AppKind;
 use beehive_profiler::{parse_folded, Profile};
-use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -28,11 +28,8 @@ fn profiles_at(workers: usize) -> Vec<(String, Profile)> {
         .collect();
     let outcomes = run_all_with_workers(scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    // The engine harvests the profiles out of the results, in input order.
-    assert!(outcomes.iter().all(|o| o.result.profile.is_none()));
-    let profiles = drain().profiles;
-    assert_eq!(profiles.len(), 2, "both scenarios must yield a profile");
-    profiles
+    let profile = |o: RunOutcome| (o.label, o.result.profile.expect("a profile"));
+    outcomes.into_iter().map(profile).collect()
 }
 
 fn render(profiles: &[(String, Profile)]) -> (String, String) {

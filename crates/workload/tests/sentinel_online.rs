@@ -1,5 +1,5 @@
 //! Online conformance checking: real simulations run clean under the
-//! sentinel, with and without fault injection, and the harvested reports
+//! sentinel, with and without fault injection, and the reports they return
 //! are byte-identical regardless of worker count.
 
 use beehive_apps::{App, AppKind, Fidelity};
@@ -10,7 +10,7 @@ use beehive_sim::json::Json;
 use beehive_sim::Duration;
 use beehive_telemetry::Trace;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
-use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -64,9 +64,8 @@ fn checks_at(workers: usize) -> Vec<ScenarioCheck> {
     };
     let outcomes = run_all_with_workers(vec![burst, recovery], workers);
     assert_eq!(outcomes.len(), 2);
-    let checks = drain().sentinel;
-    assert_eq!(checks.len(), 2, "both scenarios must yield a check");
-    checks
+    let check = |o: RunOutcome| o.result.sentinel.expect("every scenario yields a check");
+    outcomes.into_iter().map(check).collect()
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The streaming observatory on real simulations: timelines harvest from
+//! The streaming observatory on real simulations: timelines come back from
 //! serial and parallel runs byte-identically, the derived scale-up lag is
 //! finite, and the online reducer agrees with an offline trace replay.
 
@@ -7,7 +7,7 @@ use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
 use beehive_observatory::{ScenarioSeries, TimelineDoc};
 use beehive_sim::Duration;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
-use beehive_workload::engine::{drain, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, RunOutcome, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -53,9 +53,12 @@ fn timelines_at(workers: usize) -> Vec<ScenarioSeries> {
     };
     let outcomes = run_all_with_workers(vec![burst, recovery], workers);
     assert_eq!(outcomes.len(), 2);
-    let series = drain().timelines;
-    assert_eq!(series.len(), 2, "both scenarios must yield a timeline");
-    series
+    let series = |o: RunOutcome| {
+        o.result
+            .observatory
+            .expect("every scenario yields a timeline")
+    };
+    outcomes.into_iter().map(series).collect()
 }
 
 #[test]

@@ -11,11 +11,14 @@ use beehive_sim::json::Json;
 use beehive_telemetry::chrome::{chrome_trace_string, ScenarioTrace, TraceFile};
 use beehive_telemetry::summary::critical_path;
 use beehive_telemetry::{Trace, TraceEvent};
-use beehive_workload::engine::{run_all_with_workers, set_sinks, EventSink, RunOutcome, Scenario};
+use beehive_workload::engine::{
+    run_all_with_workers, set_collector, Collector, EventSink, RunOutcome, Scenario,
+};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
+use beehive_workload::{SimConfig, SimResult};
 
-/// The engine's harvest and sinks are process-wide: one test at a time.
+/// The engine's collector is process-wide: one test at a time.
 fn engine() -> MutexGuard<'static, ()> {
     static ENGINE: Mutex<()> = Mutex::new(());
     ENGINE.lock().unwrap_or_else(|e| e.into_inner())
@@ -106,6 +109,19 @@ impl EventSink for FileSink {
     }
 }
 
+/// Streams every scenario into its share of one [`TraceFile`].
+struct FileCollector(Arc<TraceFile>);
+
+impl Collector for FileCollector {
+    fn open(&self, seq: usize, label: &str, _: &mut SimConfig) -> Option<Box<dyn EventSink>> {
+        Some(Box::new(FileSink(
+            self.0.scenario(seq, label).expect("opening"),
+        )))
+    }
+
+    fn close(&self, _: usize, _: &str, _: &mut SimResult) {}
+}
+
 #[test]
 fn streamed_trace_file_is_byte_identical_at_any_worker_count() {
     let _engine = engine();
@@ -115,15 +131,12 @@ fn streamed_trace_file_is_byte_identical_at_any_worker_count() {
     let mut reference = None;
     for workers in [1, 2, 8] {
         let file = TraceFile::new(&path);
-        let doc = Arc::clone(&file);
-        set_sinks(Some(Arc::new(move |seq, label| {
-            Box::new(FileSink(doc.scenario(seq, label).expect("opening")))
-        })));
+        set_collector(Some(Arc::new(FileCollector(Arc::clone(&file)))));
         // Two batches: the numbering runs on across `run_all` calls, and the
         // traces retained alongside are what the file must render.
         let mut retained = traces_at(workers, 8);
         retained.extend(traces_at(workers, 8));
-        set_sinks(None);
+        set_collector(None);
         file.finish(retained.len())
             .expect("completing the document");
 
