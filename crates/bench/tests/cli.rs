@@ -4,6 +4,8 @@
 
 use std::process::Command;
 
+use beehive_sim::json::Json;
+
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -295,15 +297,25 @@ fn check_runs_clean_and_emits_parseable_json() {
         stderr(&out)
     );
     let text = stdout(&out);
-    let report =
-        beehive_sentinel::SentinelReport::parse(&text).expect("check --json output parses");
-    assert!(report.clean());
-    assert!(!report.scenarios.is_empty());
-    assert!(report
-        .scenarios
-        .iter()
-        .all(|s| s.label.starts_with("fig2/")));
+    let report = Json::parse(&text).expect("check --json output parses");
+    assert_eq!(report.get("strict"), Some(&Json::Bool(false)));
+    let scenarios = report.arr_field("scenarios").unwrap();
+    assert!(!scenarios.is_empty());
+    for s in scenarios {
+        assert!(s.str_field("label").unwrap().starts_with("fig2/"));
+        assert!(s.u64_field("events").unwrap() > 0);
+        assert!(s.arr_field("violations").unwrap().is_empty());
+    }
     assert!(stderr(&out).contains("check: ok"));
+}
+
+/// The field `key` of the object `j`, to edit in place.
+fn field<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = j else {
+        panic!("not an object: {}", j.render());
+    };
+    let at = fields.iter().position(|(k, _)| k == key);
+    &mut fields[at.unwrap_or_else(|| panic!("no field {key:?}"))].1
 }
 
 #[test]
@@ -330,16 +342,20 @@ fn obs_writes_every_artifact_family_and_sentinel_gates() {
         );
     }
     let text = std::fs::read_to_string(dir.join("fig2.sentinel.json")).unwrap();
-    let mut report =
-        beehive_sentinel::SentinelReport::parse(&text).expect("sentinel artifact parses");
-    assert!(report.clean());
-
+    let mut report = Json::parse(&text).expect("sentinel artifact parses");
+    let Json::Arr(scenarios) = field(&mut report, "scenarios") else {
+        panic!("scenarios is not an array: {text}");
+    };
     // `check` prints that report, its labels prefixed with the item.
-    for s in &mut report.scenarios {
-        s.label = format!("fig2/{}", s.label);
+    for s in scenarios {
+        assert!(s.arr_field("violations").unwrap().is_empty());
+        let Json::Str(label) = field(s, "label") else {
+            panic!("a label that is not a string: {text}");
+        };
+        *label = format!("fig2/{label}");
     }
     let checked = stdout(&repro(&["check", "fig2", "--quick", "--json"]));
-    assert_eq!(checked.trim_end(), report.to_json().render());
+    assert_eq!(checked.trim_end(), report.render());
 
     // `explain` prints the insight document: its default `--slowest` is the
     // artifact's, and every scenario's header line carries the same totals.

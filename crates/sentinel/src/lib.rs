@@ -131,11 +131,6 @@ impl Invariant {
             Invariant::Vocabulary => "event names stay in the known vocabulary",
         }
     }
-
-    /// Inverse of [`Invariant::name`].
-    pub fn from_name(name: &str) -> Option<Invariant> {
-        Invariant::ALL.into_iter().find(|i| i.name() == name)
-    }
 }
 
 /// One conformance violation: the invariant, where, when, why, and the
@@ -168,26 +163,6 @@ impl Violation {
             ),
         ])
     }
-
-    fn from_json(j: &Json) -> Result<Violation, String> {
-        let invariant = j.str_field("invariant").and_then(|s| {
-            Invariant::from_name(s).ok_or_else(|| format!("unknown invariant {s}"))
-        })?;
-        Ok(Violation {
-            invariant,
-            track: j.str_field("track")?.to_string(),
-            at_ns: j.u64_field("at_ns")?,
-            message: j.str_field("message")?.to_string(),
-            window: j
-                .arr_field("window")?
-                .iter()
-                .map(|w| match w {
-                    Json::Str(s) => Ok(s.clone()),
-                    _ => Err("window entry is not a string".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-        })
-    }
 }
 
 macro_rules! counters {
@@ -205,10 +180,6 @@ macro_rules! counters {
         impl Counters {
             fn to_json(&self) -> Json {
                 Json::obj([$((stringify!($field).into(), Json::from(self.$field)),)+])
-            }
-
-            fn from_json(j: &Json) -> Result<Counters, String> {
-                Ok(Counters { $($field: j.u64_field(stringify!($field))?,)+ })
             }
         }
     };
@@ -308,31 +279,6 @@ impl ScenarioCheck {
             ),
         ])
     }
-
-    fn from_json(j: &Json) -> Result<ScenarioCheck, String> {
-        let Some(counters) = j.get("counters") else {
-            return Err("scenario missing counters".into());
-        };
-        Ok(ScenarioCheck {
-            label: j.str_field("label")?.to_string(),
-            events: j.u64_field("events")?,
-            counters: Counters::from_json(counters)?,
-            warnings: j
-                .arr_field("warnings")?
-                .iter()
-                .map(|w| match w {
-                    Json::Str(s) => Ok(s.clone()),
-                    _ => Err("warning is not a string".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-            violations: j
-                .arr_field("violations")?
-                .iter()
-                .map(Violation::from_json)
-                .collect::<Result<_, _>>()?,
-            unknown: Vec::new(),
-        })
-    }
 }
 
 /// The on-disk / on-stdout `*.sentinel.json` document: one
@@ -360,7 +306,7 @@ impl SentinelReport {
     }
 
     /// Assemble a report from finished checks (e.g. the `sentinel` field of
-    /// `beehive_workload::engine::drain`). Under `strict` every warning
+    /// each `beehive_workload::SimResult`). Under `strict` every warning
     /// becomes a `vocabulary` violation, after the stream-order ones.
     pub fn from_checks(strict: bool, mut scenarios: Vec<ScenarioCheck>) -> SentinelReport {
         for s in &mut scenarios {
@@ -392,22 +338,6 @@ impl SentinelReport {
                 Json::Arr(self.scenarios.iter().map(|s| s.to_json()).collect()),
             ),
         ])
-    }
-
-    /// Strict inverse of [`SentinelReport::to_json`].
-    pub fn parse(text: &str) -> Result<SentinelReport, String> {
-        let j = Json::parse(text).map_err(|e| e.to_string())?;
-        let Some(Json::Bool(strict)) = j.get("strict") else {
-            return Err("missing strict flag".into());
-        };
-        Ok(SentinelReport {
-            strict: *strict,
-            scenarios: j
-                .arr_field("scenarios")?
-                .iter()
-                .map(ScenarioCheck::from_json)
-                .collect::<Result<_, _>>()?,
-        })
     }
 
     /// Human-readable summary: one line per scenario, then each violation
@@ -457,11 +387,12 @@ mod tests {
 
     #[test]
     fn invariant_names_round_trip() {
+        // Each name picks its own invariant out of the catalog.
         for i in Invariant::ALL {
-            assert_eq!(Invariant::from_name(i.name()), Some(i));
+            let named = Invariant::ALL.into_iter().find(|j| j.name() == i.name());
+            assert_eq!(named, Some(i));
             assert!(!i.describe().is_empty());
         }
-        assert_eq!(Invariant::from_name("nope"), None);
     }
 
     #[test]
@@ -495,9 +426,13 @@ mod tests {
         assert_eq!(v.invariant, Invariant::SpanNesting);
         assert!(!v.window.is_empty());
         let rendered = report.to_json().render();
-        let back = SentinelReport::parse(&rendered).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json().render(), rendered);
+        let back = Json::parse(&rendered).unwrap();
+        assert_eq!(back.render(), rendered);
+        let scenario = &back.arr_field("scenarios").unwrap()[0];
+        assert_eq!(scenario.str_field("label"), Ok("s"));
+        let violation = &scenario.arr_field("violations").unwrap()[0];
+        assert_eq!(violation.str_field("invariant"), Ok("span-nesting"));
+        assert_eq!(violation.u64_field("at_ns"), Ok(5_000_000));
         assert!(report.render_text().contains("span-nesting"));
     }
 }
