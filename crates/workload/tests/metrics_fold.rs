@@ -5,7 +5,8 @@
 //! one digest. The digest was recorded from the live registry the driver
 //! kept before metrics became a fold over its telemetry, and the fold
 //! reproduces it byte for byte, streamed alone or beside a retained trace
-//! whose `reduce` gives the same snapshot.
+//! whose `reduce` gives the same snapshot. Its counters also agree with what
+//! the driver counts itself in the `SimResult`.
 
 use beehive_apps::AppKind;
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector, RetryPolicy};
@@ -187,4 +188,42 @@ fn reducing_the_retained_trace_gives_the_streamed_snapshot() {
     }
     // Retaining the trace changes nothing the fold sees.
     assert_eq!(digest(&snaps), DIGEST);
+}
+
+/// The fold derives from the telemetry what the driver counts as it goes
+/// (`SimResult`): the two must agree on every quantity both keep.
+#[test]
+fn the_fold_counts_what_the_driver_counts() {
+    for (label, cfg) in scenarios() {
+        let r = Sim::new(cfg).run();
+        let s = r.metrics.expect("metrics were on").snapshot(label);
+        let c = &r.chaos;
+        for (counter, driver) in [
+            ("requests_completed", r.completed),
+            ("requests_rejected", r.rejected),
+            ("requests_offloaded", r.offloaded),
+            ("crashes", c.crashes),
+            ("retries", c.retries),
+            ("boot_failures", c.boot_failures),
+            ("degraded_to_server", c.degraded_to_server),
+            ("re_executed_ns", c.re_executed_ns),
+            ("recoveries", c.recoveries()),
+        ] {
+            assert_eq!(total(&s, counter), driver, "{label}: {counter}");
+        }
+        // `shadow_executions` counts shadows that finished, as the driver's
+        // shadow aggregates do; `SimResult.shadows` counts those started,
+        // some of which a crash or the horizon cuts short.
+        let finished = total(&s, "shadow_executions");
+        assert_eq!(
+            finished,
+            r.shadow_durations.len() as u64,
+            "{label}: shadows"
+        );
+        assert!(
+            finished <= r.shadows,
+            "{label}: {finished} of {}",
+            r.shadows
+        );
+    }
 }
