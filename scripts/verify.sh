@@ -189,6 +189,22 @@ echo "==> golden: repro timeline is byte-stable at any worker count"
 golden_at_workers timeline_quick.txt \
   ./target/release/repro timeline recovery --quick --seed 42
 
+echo "==> golden: repro timeline --json is byte-stable at any worker count"
+# The timeline document `repro lag` reads back, pinned by length and digest
+# for a bursty item (it carries a burst onset signal) and for one run under
+# chaos, at a single worker and at two.
+digests="scripts/golden/timeline_json_quick.digests"
+for w in 1 2; do
+  grep -v '^#' "$digests" | while read -r _ _ item; do
+    out="$verify_out/timeline_$item.json"
+    BEEHIVE_WORKERS=$w ./target/release/repro timeline "$item" --quick --seed 42 --json > "$out"
+    printf '%s  %s  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" "$item"
+    rm -f "$out"
+  done > "$verify_out/timeline_json_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/timeline_json_quick.digests"
+  rm -f "$verify_out/timeline_json_quick.digests"
+done
+
 echo "==> lag gate: repro lag agrees across worker counts"
 # Two --obs passes at different worker counts must yield identical timeline
 # artifacts, so the scale-up-lag diff between them reports no regression.
@@ -204,8 +220,9 @@ diff -u "$lag_base/recovery.timeline.json" "$lag_cur/recovery.timeline.json"
 rm -rf "$lag_base" "$lag_cur"
 
 echo "==> metrics+insight gate: repro diff against scripts/golden/metrics_quick"
-# A fixed path (not mktemp) so the committed BENCH_metrics.json is
-# byte-stable across verify runs. The golden directory carries both the
+# A fixed path (not mktemp), since the `--bench-out` verdict names it: that
+# verdict must equal the committed BENCH_metrics.json byte for byte. The
+# golden directory carries both the
 # metrics snapshots and the insight documents, so this exercises the full
 # root-cause path of `repro diff`; with nothing regressed its verdict table
 # must be byte-stable too, at every worker count. Every artifact is also
@@ -225,9 +242,11 @@ metrics_insight_diff() {
     --metrics "$metrics_dir" --insight "$metrics_dir" > /dev/null
   cmp_golden_metrics scripts/golden/metrics_quick/*
   ./target/release/repro diff scripts/golden/metrics_quick "$metrics_dir" \
-    --bench-out BENCH_metrics.json
+    --bench-out "$verify_out/BENCH_metrics.json"
+  cmp BENCH_metrics.json "$verify_out/BENCH_metrics.json" >&2
 }
 golden_at_workers diff_quick.txt metrics_insight_diff
+rm -f "$verify_out/BENCH_metrics.json"
 
 echo "==> metrics gate: --metrics alone writes the same snapshots"
 # With no other consumer, --metrics is what arms the telemetry recorder.
