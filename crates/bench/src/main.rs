@@ -76,7 +76,7 @@
 //! in-flight, fleet gauges, warm-hit rate) as ASCII sparklines, plus the
 //! derived elasticity signals: per-burst scale-up lag, provisioning
 //! efficiency and cold-start amplification. `--window NS` sets the bin
-//! width (default 1 s of virtual time); `--json` prints the
+//! width (default 1 s of virtual time, at least 1 ms); `--json` prints the
 //! `TimelineDoc` JSON artifact instead, `--svg` a self-contained SVG
 //! panel chart. For a fixed seed all three renderings are byte-identical
 //! at any `BEEHIVE_WORKERS`.
@@ -384,13 +384,20 @@ impl Takes {
     /// needs ...` calls it, and the check it must pass.
     fn value(self) -> Option<(&'static str, &'static str, Check)> {
         let positive: Check = |v| v.parse::<u64>().is_ok_and(|n| n >= 1);
+        // The observer keeps every bin of the run, so nanosecond bins over
+        // seconds of virtual time exhaust memory.
+        let window: Check = |v| v.parse::<u64>().is_ok_and(|n| n >= 1_000_000);
         // A path may not look like the next flag.
         let path: Check = |v| !v.starts_with('-');
         match self {
             Takes::Switch | Takes::OrSwitch => None,
             Takes::Seed => Some(("N", "an integer", |v| v.parse::<u64>().is_ok())),
             Takes::Count => Some(("N", "a positive integer", positive)),
-            Takes::Nanos => Some(("NS", "a positive nanosecond count", positive)),
+            Takes::Nanos => Some((
+                "NS",
+                "a nanosecond count of at least 1000000 (1 ms)",
+                window,
+            )),
             Takes::Dir => Some(("DIR", "a directory", path)),
             Takes::File => Some(("FILE", "a file", path)),
         }
