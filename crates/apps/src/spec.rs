@@ -1,5 +1,6 @@
 //! Per-application parameters.
 
+use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 /// Which evaluation application (§5.1).
@@ -26,6 +27,12 @@ impl AppKind {
     /// All three applications in paper order.
     pub fn all() -> [AppKind; 3] {
         [AppKind::Thumbnail, AppKind::Pybbs, AppKind::Blog]
+    }
+}
+
+impl ToJson for AppKind {
+    fn to_json(&self) -> Json {
+        self.name().to_json()
     }
 }
 

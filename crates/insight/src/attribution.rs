@@ -19,7 +19,7 @@
 //! session's CPU budget, so they surface as execution time); the report
 //! carries the scenario-level pause total separately.
 
-use beehive_sim::json::Json;
+use beehive_sim::json::{FromJson, Json};
 use beehive_sim::SimTime;
 use beehive_telemetry::summary::{for_each_timeline, RequestTimeline};
 use beehive_telemetry::{EventKind, EventName, Trace, TraceEvent};
@@ -341,28 +341,27 @@ impl AttributionReport {
             for (k, v) in pairs {
                 let c =
                     Component::from_name(k).ok_or_else(|| format!("unknown component {k:?}"))?;
-                out[c as usize] = v
-                    .as_u64()
-                    .ok_or_else(|| format!("invalid nanos for component {k:?}"))?;
+                out[c as usize] =
+                    u64::from_json(v).map_err(|_| format!("invalid nanos for component {k:?}"))?;
             }
             Ok(out)
         }
         let mut slowest = Vec::new();
         for item in j.arr_field("slowest")? {
             slowest.push(RequestAttribution {
-                rid: item.u64_field("request")?,
-                kind: item.str_field("kind")?.to_string(),
-                total_ns: item.u64_field("total_ns")?,
+                rid: item.field("request")?,
+                kind: item.field("kind")?,
+                total_ns: item.field("total_ns")?,
                 components: components_of(item)?,
             });
         }
         Ok(AttributionReport {
-            label: j.str_field("label")?.to_string(),
-            requests: j.u64_field("requests")?,
-            shadows: j.u64_field("shadows")?,
-            total_ns: j.u64_field("total_ns")?,
+            label: j.field("label")?,
+            requests: j.field("requests")?,
+            shadows: j.field("shadows")?,
+            total_ns: j.field("total_ns")?,
             components: components_of(j)?,
-            gc_pause_ns: j.u64_field("gc_pause_ns")?,
+            gc_pause_ns: j.field("gc_pause_ns")?,
             slowest,
         })
     }

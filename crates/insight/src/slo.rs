@@ -120,17 +120,16 @@ impl SloReport {
     pub fn from_json(j: &Json) -> Result<SloReport, String> {
         let mut burn = Vec::new();
         for item in j.arr_field("burn")? {
-            burn.push((item.u64_field("window_ns")?, item.u64_field("max_burn_bp")?));
+            burn.push((item.field("window_ns")?, item.field("max_burn_bp")?));
         }
         Ok(SloReport {
-            label: j.str_field("label")?.to_string(),
-            threshold_ns: j.u64_field("threshold_ns")?,
-            objective_bp: u32::try_from(j.u64_field("objective_bp")?)
-                .map_err(|_| "field \"objective_bp\": expected an integer in 0..=u32::MAX")?,
-            total: j.u64_field("total")?,
-            good: j.u64_field("good")?,
-            bad: j.u64_field("bad")?,
-            budget_consumed_bp: j.u64_field("budget_consumed_bp")?,
+            label: j.field("label")?,
+            threshold_ns: j.field("threshold_ns")?,
+            objective_bp: j.field("objective_bp")?,
+            total: j.field("total")?,
+            good: j.field("good")?,
+            bad: j.field("bad")?,
+            budget_consumed_bp: j.field("budget_consumed_bp")?,
             burn,
         })
     }

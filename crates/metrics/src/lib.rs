@@ -15,7 +15,7 @@
 //! an untraced run of the same scenario produce the same `.metrics.json`.
 //!
 //! Exports: [`MetricsSnapshot`] renders through the in-tree
-//! `beehive_sim::json` (and parses back via [`MetricsSnapshot::from_json`]),
+//! `beehive_sim::json` (and parses back via [`MetricsSnapshot::parse`]),
 //! and [`prometheus`] writes the Prometheus text exposition format.
 //! [`mod@compare`] diffs two snapshots over the [`WATCHED`] metric table —
 //! P50/P99 request latency, fallback count, cold-boot count, total GC

@@ -5,14 +5,14 @@
 //! observations stamped with the virtual clock, and
 //! [`Registry::snapshot`] freezes it into a [`ScenarioMetrics`] — plain
 //! owned data that renders through `beehive_sim::json` and parses back with
-//! [`MetricsSnapshot::from_json`]. Metric names iterate in `BTreeMap` order
+//! [`MetricsSnapshot::parse`]. Metric names iterate in `BTreeMap` order
 //! and window indices in ascending order, so rendering is byte-stable for a
 //! fixed seed at any worker count.
 
 use std::collections::BTreeMap;
 
-use beehive_sim::json::{Json, ToJson};
-use beehive_sim::{Duration, SimTime};
+use beehive_sim::json::{FromJson, Json, ToJson};
+use beehive_sim::{json_record, Duration, SimTime};
 
 use crate::hist::LogLinearHistogram;
 
@@ -144,27 +144,33 @@ impl Registry {
     }
 }
 
-/// One counter's total plus its per-window sums.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CounterSeries {
-    /// Metric name.
-    pub name: String,
-    /// Sum over the whole run.
-    pub total: u64,
-    /// `(window index, sum within that window)`, ascending, empty windows
-    /// omitted.
-    pub windows: Vec<(u64, u64)>,
+json_record! {
+    parse
+    /// One counter's total plus its per-window sums.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CounterSeries {
+        /// Metric name.
+        pub name: String,
+        /// Sum over the whole run.
+        pub total: u64,
+        /// `(window index, sum within that window)`, ascending, empty windows
+        /// omitted.
+        pub windows: Vec<(u64, u64)>,
+    }
 }
 
-/// One gauge's final value plus the last sample of each window.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GaugeSeries {
-    /// Metric name.
-    pub name: String,
-    /// The last sample of the run.
-    pub last: i64,
-    /// `(window index, last sample in that window)`, ascending.
-    pub windows: Vec<(u64, i64)>,
+json_record! {
+    parse
+    /// One gauge's final value plus the last sample of each window.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct GaugeSeries {
+        /// Metric name.
+        pub name: String,
+        /// The last sample of the run.
+        pub last: i64,
+        /// `(window index, last sample in that window)`, ascending.
+        pub windows: Vec<(u64, i64)>,
+    }
 }
 
 /// One histogram's moments, quantiles and sparse buckets.
@@ -208,17 +214,20 @@ impl HistogramSummary {
     }
 }
 
-/// Every metric of one scenario (one simulation run).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScenarioMetrics {
-    /// The scenario label (same label the engine attaches to traces).
-    pub label: String,
-    /// Counters, in name order.
-    pub counters: Vec<CounterSeries>,
-    /// Gauges, in name order.
-    pub gauges: Vec<GaugeSeries>,
-    /// Histograms, in name order.
-    pub histograms: Vec<HistogramSummary>,
+json_record! {
+    parse
+    /// Every metric of one scenario (one simulation run).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ScenarioMetrics {
+        /// The scenario label (same label the engine attaches to traces).
+        pub label: String,
+        /// Counters, in name order.
+        pub counters: Vec<CounterSeries>,
+        /// Gauges, in name order.
+        pub gauges: Vec<GaugeSeries>,
+        /// Histograms, in name order.
+        pub histograms: Vec<HistogramSummary>,
+    }
 }
 
 impl ScenarioMetrics {
@@ -249,157 +258,69 @@ pub struct MetricsSnapshot {
     pub scenarios: Vec<ScenarioMetrics>,
 }
 
-fn pairs_json<A: Copy + Into<i128>, B: Copy + Into<i128>>(pairs: &[(A, B)]) -> Json {
-    Json::Arr(
-        pairs
-            .iter()
-            .map(|&(a, b)| Json::Arr(vec![Json::Int(a.into()), Json::Int(b.into())]))
-            .collect(),
-    )
-}
-
-impl ToJson for CounterSeries {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name".into(), Json::from(self.name.clone())),
-            ("total".into(), Json::from(self.total)),
-            ("windows".into(), pairs_json(&self.windows)),
-        ])
-    }
-}
-
-impl ToJson for GaugeSeries {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name".into(), Json::from(self.name.clone())),
-            ("last".into(), Json::from(self.last)),
-            ("windows".into(), pairs_json(&self.windows)),
-        ])
-    }
-}
-
+// Not records: a histogram omits `exemplars` when it has none (so
+// pre-exemplar documents still parse, and the round trip stays exact), and
+// the snapshot's `window` is a `Duration` rendered as `window_ns`.
 impl ToJson for HistogramSummary {
     fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("name".into(), Json::from(self.name.clone())),
-            ("count".into(), Json::from(self.count)),
-            ("sum_ns".into(), Json::from(self.sum_ns)),
-            ("max_ns".into(), Json::from(self.max_ns)),
-            ("p50_ns".into(), Json::from(self.p50_ns)),
-            ("p90_ns".into(), Json::from(self.p90_ns)),
-            ("p99_ns".into(), Json::from(self.p99_ns)),
-            ("buckets".into(), pairs_json(&self.buckets)),
+            ("name".into(), self.name.to_json()),
+            ("count".into(), self.count.to_json()),
+            ("sum_ns".into(), self.sum_ns.to_json()),
+            ("max_ns".into(), self.max_ns.to_json()),
+            ("p50_ns".into(), self.p50_ns.to_json()),
+            ("p90_ns".into(), self.p90_ns.to_json()),
+            ("p99_ns".into(), self.p99_ns.to_json()),
+            ("buckets".into(), self.buckets.to_json()),
         ];
         if !self.exemplars.is_empty() {
-            fields.push(("exemplars".into(), pairs_json(&self.exemplars)));
+            fields.push(("exemplars".into(), self.exemplars.to_json()));
         }
         Json::Obj(fields)
     }
 }
 
-impl ToJson for ScenarioMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label".into(), Json::from(self.label.clone())),
-            ("counters".into(), Json::arr(self.counters.iter())),
-            ("gauges".into(), Json::arr(self.gauges.iter())),
-            ("histograms".into(), Json::arr(self.histograms.iter())),
-        ])
+impl FromJson for HistogramSummary {
+    fn from_json(j: &Json) -> Result<HistogramSummary, String> {
+        Ok(HistogramSummary {
+            name: j.field("name")?,
+            count: j.field("count")?,
+            sum_ns: j.field("sum_ns")?,
+            max_ns: j.field("max_ns")?,
+            p50_ns: j.field("p50_ns")?,
+            p90_ns: j.field("p90_ns")?,
+            p99_ns: j.field("p99_ns")?,
+            buckets: j.field("buckets")?,
+            exemplars: match j.get("exemplars") {
+                Some(_) => j.field("exemplars")?,
+                None => Vec::new(),
+            },
+        })
     }
 }
 
 impl ToJson for MetricsSnapshot {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("window_ns".into(), Json::from(self.window.as_nanos())),
-            ("scenarios".into(), Json::arr(self.scenarios.iter())),
+            ("window_ns".into(), self.window.as_nanos().to_json()),
+            ("scenarios".into(), self.scenarios.to_json()),
         ])
     }
 }
 
-// --- parsing -------------------------------------------------------------
-
-/// The `[index, value]` pairs under `key`, each value read through `value`.
-fn parse_pairs<V>(
-    j: &Json,
-    key: &str,
-    value: fn(&Json) -> Option<V>,
-) -> Result<Vec<(u64, V)>, String> {
-    let pair = |p: &Json| match p {
-        Json::Arr(p) if p.len() == 2 => p[0].as_u64().zip(value(&p[1])),
-        _ => None,
-    };
-    let pairs: Option<Vec<(u64, V)>> = j.arr_field(key)?.iter().map(pair).collect();
-    pairs.ok_or_else(|| format!("field {key:?}: expected [index, value] integer pairs"))
+impl FromJson for MetricsSnapshot {
+    /// The inverse of `to_json().render()` up to exact equality (the
+    /// determinism test asserts the round trip).
+    fn from_json(j: &Json) -> Result<MetricsSnapshot, String> {
+        Ok(MetricsSnapshot {
+            window: Duration::from_nanos(j.field("window_ns")?),
+            scenarios: j.field("scenarios")?,
+        })
+    }
 }
 
 impl MetricsSnapshot {
-    /// Parse the document form emitted by [`ToJson`]. Inverse of
-    /// `to_json().render()` up to exact equality (the determinism test
-    /// asserts the round trip).
-    pub fn from_json(j: &Json) -> Result<MetricsSnapshot, String> {
-        let window = Duration::from_nanos(j.u64_field("window_ns")?);
-        let scenarios = j
-            .arr_field("scenarios")?
-            .iter()
-            .map(|s| {
-                let counters = s
-                    .arr_field("counters")?
-                    .iter()
-                    .map(|c| {
-                        Ok(CounterSeries {
-                            name: c.str_field("name")?.to_string(),
-                            total: c.u64_field("total")?,
-                            windows: parse_pairs(c, "windows", Json::as_u64)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let gauges = s
-                    .arr_field("gauges")?
-                    .iter()
-                    .map(|g| {
-                        Ok(GaugeSeries {
-                            name: g.str_field("name")?.to_string(),
-                            last: g.i64_field("last")?,
-                            windows: parse_pairs(g, "windows", Json::as_i64)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let histograms = s
-                    .arr_field("histograms")?
-                    .iter()
-                    .map(|h| {
-                        Ok(HistogramSummary {
-                            name: h.str_field("name")?.to_string(),
-                            count: h.u64_field("count")?,
-                            sum_ns: h.u64_field("sum_ns")?,
-                            max_ns: h.u64_field("max_ns")?,
-                            p50_ns: h.u64_field("p50_ns")?,
-                            p90_ns: h.u64_field("p90_ns")?,
-                            p99_ns: h.u64_field("p99_ns")?,
-                            buckets: parse_pairs(h, "buckets", Json::as_u64)?,
-                            // Optional: pre-exemplar documents omit it, and
-                            // the renderer drops it again when empty, so the
-                            // round trip stays exact either way.
-                            exemplars: match h.get("exemplars") {
-                                Some(_) => parse_pairs(h, "exemplars", Json::as_u64)?,
-                                None => Vec::new(),
-                            },
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(ScenarioMetrics {
-                    label: s.str_field("label")?.to_string(),
-                    counters,
-                    gauges,
-                    histograms,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(MetricsSnapshot { window, scenarios })
-    }
-
-    /// Parse a rendered document (text → [`Json::parse`] → [`Self::from_json`]).
+    /// Parse a rendered document (text → [`Json::parse`] → [`FromJson`]).
     pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
         let j = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&j)
@@ -468,6 +389,59 @@ mod tests {
         let back = MetricsSnapshot::parse(&text).expect("parses");
         assert_eq!(back, snap);
         assert_eq!(back.render(), text);
+
+        // Seeded scenarios: any number of series, any magnitude, histograms
+        // with and without exemplars.
+        let mut rng = beehive_sim::Rng::new(0x3E7);
+        let scenario = |rng: &mut beehive_sim::Rng| {
+            let mut n = |max| 0..rng.gen_range(max);
+            let (counters, gauges, histograms) = (n(4), n(4), n(4));
+            let pairs = |rng: &mut beehive_sim::Rng| -> Vec<(u64, u64)> {
+                (0..rng.gen_range(6))
+                    .map(|_| (rng.next_u64(), rng.next_u64() >> rng.gen_range(64)))
+                    .collect()
+            };
+            ScenarioMetrics {
+                label: format!("s{}", rng.next_u64()),
+                counters: counters
+                    .map(|i| CounterSeries {
+                        name: format!("c{i}"),
+                        total: rng.next_u64(),
+                        windows: pairs(rng),
+                    })
+                    .collect(),
+                gauges: gauges
+                    .map(|i| GaugeSeries {
+                        name: format!("g{i}"),
+                        last: rng.next_u64() as i64,
+                        windows: pairs(rng).into_iter().map(|(w, v)| (w, v as i64)).collect(),
+                    })
+                    .collect(),
+                histograms: histograms
+                    .map(|i| HistogramSummary {
+                        name: format!("h{i}"),
+                        count: rng.next_u64(),
+                        sum_ns: rng.next_u64(),
+                        max_ns: rng.next_u64(),
+                        p50_ns: rng.next_u64(),
+                        p90_ns: rng.next_u64(),
+                        p99_ns: rng.next_u64(),
+                        buckets: pairs(rng),
+                        exemplars: pairs(rng),
+                    })
+                    .collect(),
+            }
+        };
+        for _ in 0..50 {
+            let snap = MetricsSnapshot {
+                window: Duration::from_nanos(rng.next_u64()),
+                scenarios: (0..rng.gen_range(3)).map(|_| scenario(&mut rng)).collect(),
+            };
+            let text = snap.render();
+            let back = MetricsSnapshot::parse(&text).expect("parses");
+            assert_eq!(back, snap);
+            assert_eq!(back.render(), text);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The scaling solutions of Table 1 and their provisioning/cost models.
 
 use beehive_sim::json::{Json, ToJson};
-use beehive_sim::{Duration, Rng, SimTime};
+use beehive_sim::{json_record, Duration, Rng, SimTime};
 
 /// Which scaling solution (Table 1 rows; Lambda is modelled by
 /// `beehive-faas`, listed here for the comparison table).
@@ -81,39 +81,22 @@ impl ToJson for ScalingKind {
     }
 }
 
-/// One row of Table 1.
-#[derive(Clone, Debug)]
-pub struct SolutionRow {
-    /// Solution name.
-    pub name: &'static str,
-    /// Minimum running time (commitment).
-    pub min_running_time: &'static str,
-    /// Billing granularity.
-    pub billing_granularity: &'static str,
-    /// Preparation time.
-    pub preparation_time: &'static str,
-    /// Memory configuration granularity.
-    pub config_granularity: &'static str,
-    /// Whether the solution auto-scales.
-    pub auto_scaling: bool,
-}
-
-impl ToJson for SolutionRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name".into(), Json::from(self.name)),
-            ("min_running_time".into(), Json::from(self.min_running_time)),
-            (
-                "billing_granularity".into(),
-                Json::from(self.billing_granularity),
-            ),
-            ("preparation_time".into(), Json::from(self.preparation_time)),
-            (
-                "config_granularity".into(),
-                Json::from(self.config_granularity),
-            ),
-            ("auto_scaling".into(), Json::from(self.auto_scaling)),
-        ])
+json_record! {
+    /// One row of Table 1.
+    #[derive(Clone, Debug)]
+    pub struct SolutionRow {
+        /// Solution name.
+        pub name: &'static str,
+        /// Minimum running time (commitment).
+        pub min_running_time: &'static str,
+        /// Billing granularity.
+        pub billing_granularity: &'static str,
+        /// Preparation time.
+        pub preparation_time: &'static str,
+        /// Memory configuration granularity.
+        pub config_granularity: &'static str,
+        /// Whether the solution auto-scales.
+        pub auto_scaling: bool,
     }
 }
 

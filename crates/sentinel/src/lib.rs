@@ -53,7 +53,8 @@ mod engine;
 
 pub use engine::{Sentinel, SentinelConfig};
 
-use beehive_sim::json::Json;
+use beehive_sim::json::{Json, ToJson};
+use beehive_sim::json_record;
 use beehive_telemetry::Trace;
 
 /// The typed invariant classes the sentinel checks.
@@ -133,111 +134,92 @@ impl Invariant {
     }
 }
 
-/// One conformance violation: the invariant, where, when, why, and the
-/// minimal event window around the failure (oldest first, offending event
-/// last).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Violation {
-    /// Which invariant class fired.
-    pub invariant: Invariant,
-    /// The offending track, rendered (`req:7`, `inst:3`, `server`, …).
-    pub track: String,
-    /// Virtual time of the offending event, nanoseconds since t=0.
-    pub at_ns: u64,
-    /// What went wrong.
-    pub message: String,
-    /// The K events around the failure on the offending track, rendered.
-    pub window: Vec<String>,
-}
-
-impl Violation {
+impl ToJson for Invariant {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("invariant".into(), Json::from(self.invariant.name())),
-            ("track".into(), Json::from(self.track.as_str())),
-            ("at_ns".into(), Json::from(self.at_ns)),
-            ("message".into(), Json::from(self.message.as_str())),
-            (
-                "window".into(),
-                Json::Arr(self.window.iter().map(|w| Json::from(w.as_str())).collect()),
-            ),
-        ])
+        self.name().to_json()
     }
 }
 
-macro_rules! counters {
-    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
-        /// Conservation counters the sentinel accumulates while checking.
-        ///
-        /// `activations == boots_cold + boots_warm` holds by construction of
-        /// the lifecycle machine; the hand-off totals mirror the
-        /// `handoff_dirty_*` metrics so reports can be cross-checked.
-        #[derive(Clone, Debug, Default, PartialEq, Eq)]
-        pub struct Counters {
-            $($(#[$doc])* pub $field: u64,)+
-        }
-
-        impl Counters {
-            fn to_json(&self) -> Json {
-                Json::obj([$((stringify!($field).into(), Json::from(self.$field)),)+])
-            }
-        }
-    };
+json_record! {
+    /// One conformance violation: the invariant, where, when, why, and the
+    /// minimal event window around the failure (oldest first, offending event
+    /// last).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Violation {
+        /// Which invariant class fired.
+        pub invariant: Invariant,
+        /// The offending track, rendered (`req:7`, `inst:3`, `server`, …).
+        pub track: String,
+        /// Virtual time of the offending event, nanoseconds since t=0.
+        pub at_ns: u64,
+        /// What went wrong.
+        pub message: String,
+        /// The K events around the failure on the offending track, rendered.
+        pub window: Vec<String>,
+    }
 }
 
-counters! {
-    /// Cold boots (`instance:cold_boot`).
-    boots_cold,
-    /// Warm starts (`instance:warm_start`).
-    boots_warm,
-    /// Instance activations; equals `boots_cold + boots_warm`.
-    activations,
-    /// Cold boots that came up (`instance:ready`).
-    readies,
-    /// Busy instances returned to the warm cache (`instance:release`).
-    releases,
-    /// Instances killed (`instance:kill`): chaos crashes and boot failures.
-    kills,
-    /// Idle instances reclaimed by the keep-alive sweep (`instance:expire`).
-    expires,
-    /// Instances pre-provisioned by the scaler (`instance:prewarm`).
-    prewarms,
-    /// Offloaded sessions begun (`req:offload`).
-    sessions_offload,
-    /// Shadow warm-up sessions begun (`req:shadow`).
-    sessions_shadow,
-    /// Server sessions begun (`req:server`).
-    sessions_server,
-    /// Sessions completed (request-span `End`s).
-    completions,
-    /// Offload decisions that chose to offload.
-    decisions_offload,
-    /// Offload decisions that kept the request on the server.
-    decisions_kept,
-    /// Dispatches reusing a warm instance.
-    dispatch_warm,
-    /// Dispatches spawning a new instance.
-    dispatch_spawn,
-    /// Dispatches that fell back to the server (platform saturated).
-    dispatch_server,
-    /// Requests refused by the saturated worker pool (`rejected`).
-    rejections,
-    /// Recovery spans begun (`recovery` after an instance crash).
-    recoveries,
-    /// Requests degraded to server execution (`recovery:degrade`).
-    degrades,
-    /// Armed boot failures consumed (`chaos:boot_failure`).
-    boot_failures,
-    /// Dirty-set syncs pulled from a peer (`sync:pull_dirty`).
-    handoff_syncs,
-    /// Objects shipped by dirty-set syncs.
-    handoff_objects,
-    /// Bytes shipped by dirty-set syncs.
-    handoff_bytes,
-    /// Monitor hand-offs completed (`sync:monitor` ends).
-    monitor_handoffs,
-    /// Dirty objects shipped with monitor hand-offs.
-    monitor_dirty,
+json_record! {
+    /// Conservation counters the sentinel accumulates while checking.
+    ///
+    /// `activations == boots_cold + boots_warm` holds by construction of
+    /// the lifecycle machine; the hand-off totals mirror the
+    /// `handoff_dirty_*` metrics so reports can be cross-checked.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Cold boots (`instance:cold_boot`).
+        pub boots_cold: u64,
+        /// Warm starts (`instance:warm_start`).
+        pub boots_warm: u64,
+        /// Instance activations; equals `boots_cold + boots_warm`.
+        pub activations: u64,
+        /// Cold boots that came up (`instance:ready`).
+        pub readies: u64,
+        /// Busy instances returned to the warm cache (`instance:release`).
+        pub releases: u64,
+        /// Instances killed (`instance:kill`): chaos crashes and boot failures.
+        pub kills: u64,
+        /// Idle instances reclaimed by the keep-alive sweep (`instance:expire`).
+        pub expires: u64,
+        /// Instances pre-provisioned by the scaler (`instance:prewarm`).
+        pub prewarms: u64,
+        /// Offloaded sessions begun (`req:offload`).
+        pub sessions_offload: u64,
+        /// Shadow warm-up sessions begun (`req:shadow`).
+        pub sessions_shadow: u64,
+        /// Server sessions begun (`req:server`).
+        pub sessions_server: u64,
+        /// Sessions completed (request-span `End`s).
+        pub completions: u64,
+        /// Offload decisions that chose to offload.
+        pub decisions_offload: u64,
+        /// Offload decisions that kept the request on the server.
+        pub decisions_kept: u64,
+        /// Dispatches reusing a warm instance.
+        pub dispatch_warm: u64,
+        /// Dispatches spawning a new instance.
+        pub dispatch_spawn: u64,
+        /// Dispatches that fell back to the server (platform saturated).
+        pub dispatch_server: u64,
+        /// Requests refused by the saturated worker pool (`rejected`).
+        pub rejections: u64,
+        /// Recovery spans begun (`recovery` after an instance crash).
+        pub recoveries: u64,
+        /// Requests degraded to server execution (`recovery:degrade`).
+        pub degrades: u64,
+        /// Armed boot failures consumed (`chaos:boot_failure`).
+        pub boot_failures: u64,
+        /// Dirty-set syncs pulled from a peer (`sync:pull_dirty`).
+        pub handoff_syncs: u64,
+        /// Objects shipped by dirty-set syncs.
+        pub handoff_objects: u64,
+        /// Bytes shipped by dirty-set syncs.
+        pub handoff_bytes: u64,
+        /// Monitor hand-offs completed (`sync:monitor` ends).
+        pub monitor_handoffs: u64,
+        /// Dirty objects shipped with monitor hand-offs.
+        pub monitor_dirty: u64,
+    }
 }
 
 /// One scenario's conformance result.
@@ -258,37 +240,29 @@ pub struct ScenarioCheck {
     pub unknown: Vec<Violation>,
 }
 
-impl ScenarioCheck {
+// Not a record: `unknown` is not in the document.
+impl ToJson for ScenarioCheck {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("label".into(), Json::from(self.label.as_str())),
-            ("events".into(), Json::from(self.events)),
+            ("label".into(), self.label.to_json()),
+            ("events".into(), self.events.to_json()),
             ("counters".into(), self.counters.to_json()),
-            (
-                "warnings".into(),
-                Json::Arr(
-                    self.warnings
-                        .iter()
-                        .map(|w| Json::from(w.as_str()))
-                        .collect(),
-                ),
-            ),
-            (
-                "violations".into(),
-                Json::Arr(self.violations.iter().map(|v| v.to_json()).collect()),
-            ),
+            ("warnings".into(), self.warnings.to_json()),
+            ("violations".into(), self.violations.to_json()),
         ])
     }
 }
 
-/// The on-disk / on-stdout `*.sentinel.json` document: one
-/// [`ScenarioCheck`] per scenario, in run order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SentinelReport {
-    /// Whether vocabulary warnings were escalated to violations.
-    pub strict: bool,
-    /// Per-scenario results.
-    pub scenarios: Vec<ScenarioCheck>,
+json_record! {
+    /// The on-disk / on-stdout `*.sentinel.json` document: one
+    /// [`ScenarioCheck`] per scenario, in run order.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SentinelReport {
+        /// Whether vocabulary warnings were escalated to violations.
+        pub strict: bool,
+        /// Per-scenario results.
+        pub scenarios: Vec<ScenarioCheck>,
+    }
 }
 
 impl SentinelReport {
@@ -327,17 +301,6 @@ impl SentinelReport {
     /// `true` when no scenario has violations.
     pub fn clean(&self) -> bool {
         self.violations() == 0
-    }
-
-    /// Render to the `*.sentinel.json` shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("strict".into(), Json::Bool(self.strict)),
-            (
-                "scenarios".into(),
-                Json::Arr(self.scenarios.iter().map(|s| s.to_json()).collect()),
-            ),
-        ])
     }
 
     /// Human-readable summary: one line per scenario, then each violation
@@ -432,7 +395,7 @@ mod tests {
         assert_eq!(scenario.str_field("label"), Ok("s"));
         let violation = &scenario.arr_field("violations").unwrap()[0];
         assert_eq!(violation.str_field("invariant"), Ok("span-nesting"));
-        assert_eq!(violation.u64_field("at_ns"), Ok(5_000_000));
+        assert_eq!(violation.field("at_ns"), Ok(5_000_000u64));
         assert!(report.render_text().contains("span-nesting"));
     }
 }

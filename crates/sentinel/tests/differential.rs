@@ -10,6 +10,7 @@
 //! must reproduce that engine's reports byte for byte.
 
 use beehive_sentinel::{Invariant, Sentinel, SentinelConfig, SentinelReport};
+use beehive_sim::json::ToJson;
 use beehive_sim::{Duration, Rng, SimTime};
 use beehive_telemetry::{Arg, EventKind, EventName, TraceEvent, Track};
 

@@ -1,33 +1,51 @@
 //! Minimal, dependency-free JSON tree with a deterministic emitter and a
 //! strict parser.
 //!
-//! The reproduction publishes every experiment report as machine-readable
-//! JSON (`repro --json`). Rather than pulling serde into an otherwise
-//! self-contained workspace, reports build a [`Json`] tree and render it
-//! with [`Json::render`]. The emitter is deterministic: object keys keep
-//! insertion order, floats use Rust's shortest-round-trip `Display`
-//! formatting, and non-finite floats become `null`. This determinism is
-//! load-bearing — the engine's regression tests byte-compare rendered
-//! reports across worker counts, and `scripts/verify.sh` diffs a golden
-//! file.
+//! The reproduction publishes every experiment report and observability
+//! artifact as machine-readable JSON. Rather than pulling serde into an
+//! otherwise self-contained workspace, documents build a [`Json`] tree and
+//! render it with [`Json::render`]. The emitter is deterministic: object
+//! keys keep insertion order, floats use Rust's shortest-round-trip
+//! `Display` formatting, and non-finite floats become `null`. This
+//! determinism is load-bearing — the engine's regression tests
+//! byte-compare rendered reports across worker counts, and
+//! `scripts/verify.sh` diffs golden files.
 //!
-//! The parser exists so tests (and the golden-file check) can assert that
-//! emitted reports are well-formed JSON; it accepts exactly the JSON
-//! grammar (RFC 8259) with no extensions.
+//! The parser accepts exactly the JSON grammar (RFC 8259) with no
+//! extensions; `repro diff` and `repro lag` read their artifacts back
+//! through it.
 //!
-//! # Example
+//! # Records
+//!
+//! Most documents are a struct's fields in declaration order. Such a
+//! record is declared once, inside [`json_record!`](crate::json_record),
+//! which writes the struct, its [`ToJson`] (one key per field, named after
+//! the field) and, in its `parse` form, its [`FromJson`]. Field types
+//! render and parse through the leaf impls below: integers, `f64`, `bool`,
+//! strings, `Option` (`null` when `None`), `Vec` and pairs (two-element
+//! arrays). A document of any other shape implements the traits by hand.
 //!
 //! ```
-//! use beehive_sim::json::Json;
+//! use beehive_sim::json::{FromJson, Json, ToJson};
 //!
-//! let j = Json::obj([
-//!     ("label".into(), Json::from("fig8")),
-//!     ("p99_ms".into(), Json::from(12.5)),
-//!     ("points".into(), Json::Arr(vec![Json::from(1u64), Json::from(2u64)])),
-//! ]);
-//! let text = j.render();
+//! beehive_sim::json_record! {
+//!     parse
+//!     /// One point of a curve.
+//!     #[derive(Debug, PartialEq)]
+//!     pub struct Point {
+//!         /// Its label.
+//!         pub label: String,
+//!         /// Its tail latency, if measured.
+//!         pub p99_ms: Option<f64>,
+//!         /// Its samples.
+//!         pub points: Vec<u64>,
+//!     }
+//! }
+//!
+//! let p = Point { label: "fig8".into(), p99_ms: Some(12.5), points: vec![1, 2] };
+//! let text = p.to_json().render();
 //! assert_eq!(text, r#"{"label":"fig8","p99_ms":12.5,"points":[1,2]}"#);
-//! assert_eq!(Json::parse(&text).unwrap(), j);
+//! assert_eq!(Point::from_json(&Json::parse(&text).unwrap()), Ok(p));
 //! ```
 
 use std::fmt;
@@ -57,12 +75,22 @@ pub enum Json {
 
 /// Types that can describe themselves as a [`Json`] tree.
 ///
-/// This is the workspace's stand-in for `serde::Serialize`: report structs
-/// implement it by hand, which keeps the emitted shape explicit and
-/// reviewable.
+/// This is the workspace's stand-in for `serde::Serialize`. A record whose
+/// document is its fields in declaration order gets its impl from
+/// [`json_record!`](crate::json_record); a document of any other shape (a
+/// derived value among the fields, a map keyed by name, a renamed or
+/// omitted field) implements it by hand.
 pub trait ToJson {
     /// Build the JSON representation.
     fn to_json(&self) -> Json;
+}
+
+/// Types that can rebuild themselves from the [`Json`] tree their
+/// [`ToJson`] renders: the documents `repro` reads back in.
+pub trait FromJson: Sized {
+    /// Read `j`. The error says what was expected of `j`; a record's error
+    /// names the field that failed (see [`Json::field`]).
+    fn from_json(j: &Json) -> Result<Self, String>;
 }
 
 impl Json {
@@ -140,76 +168,40 @@ impl Json {
         }
     }
 
-    /// This value as a `u64`: `None` unless it is an integer in range. The
-    /// parser holds integers as `i128`, so a plain `as` cast would wrap.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// This value as an `i64`: `None` unless it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
     /// The field `key` read through `read`; a missing key and a value
     /// `read` refuses are both errors naming the key.
     fn typed_field<'a, T>(
         &'a self,
         key: &str,
-        expected: &str,
-        read: impl FnOnce(&'a Json) -> Option<T>,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
     ) -> Result<T, String> {
         let v = self
             .get(key)
             .ok_or_else(|| format!("missing field {key:?}"))?;
-        read(v).ok_or_else(|| format!("field {key:?}: expected {expected}"))
+        read(v).map_err(|e| format!("field {key:?}: {e}"))
     }
 
-    /// The unsigned integer field `key`. Like every typed accessor below:
-    /// missing, of another type or out of range is an `Err` naming the key.
-    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
-        self.typed_field(key, "an integer in 0..=u64::MAX", Json::as_u64)
+    /// The field `key` as a `T`. Like every typed accessor below: missing,
+    /// of another type or out of range is an `Err` naming the key
+    /// (`missing field "k"`, `field "k": expected ...`).
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        self.typed_field(key, T::from_json)
     }
 
-    /// The signed integer field `key`.
-    pub fn i64_field(&self, key: &str) -> Result<i64, String> {
-        self.typed_field(key, "an integer in the i64 range", Json::as_i64)
-    }
-
-    /// The string field `key`.
+    /// The string field `key`, borrowed.
     pub fn str_field(&self, key: &str) -> Result<&str, String> {
-        self.typed_field(key, "a string", |v| match v {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
+        self.typed_field(key, |v| match v {
+            Json::Str(s) => Ok(s.as_str()),
+            _ => Err(expected("a string")),
         })
     }
 
-    /// The array field `key`.
+    /// The array field `key`, borrowed.
     pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
-        self.typed_field(key, "an array", |v| match v {
-            Json::Arr(items) => Some(items.as_slice()),
-            _ => None,
+        self.typed_field(key, |v| match v {
+            Json::Arr(items) => Ok(items.as_slice()),
+            _ => Err(expected("an array")),
         })
-    }
-
-    /// The field `key` as an array of unsigned integers.
-    pub fn u64_arr(&self, key: &str) -> Result<Vec<u64>, String> {
-        let items = self.arr_field(key)?.iter().map(Json::as_u64);
-        let all: Option<Vec<u64>> = items.collect();
-        all.ok_or_else(|| format!("field {key:?}: expected integers in 0..=u64::MAX"))
-    }
-
-    /// The field `key` as an array of signed integers.
-    pub fn i64_arr(&self, key: &str) -> Result<Vec<i64>, String> {
-        let items = self.arr_field(key)?.iter().map(Json::as_i64);
-        let all: Option<Vec<i64>> = items.collect();
-        all.ok_or_else(|| format!("field {key:?}: expected integers in the i64 range"))
     }
 }
 
@@ -259,10 +251,185 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-impl<T: ToJson> ToJson for &T {
+/// The error of a value that is not `what`.
+fn expected(what: &str) -> String {
+    format!("expected {what}")
+}
+
+// --- leaf impls: the field types records use ------------------------------
+
+/// Integers render as [`Json::Int`] and parse back only in range (the
+/// parser holds integers as `i128`, so a plain `as` cast would wrap).
+macro_rules! int_leaf {
+    ($($t:ty: $range:literal),+) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::Int(*self as i128)
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Result<$t, String> {
+                match j {
+                    Json::Int(i) => <$t>::try_from(*i).ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| expected(concat!("an integer in ", $range)))
+            }
+        }
+    )+};
+}
+
+int_leaf!(u64: "0..=u64::MAX", u32: "0..=u32::MAX", usize: "0..=usize::MAX", i64: "the i64 range");
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+}
+
+// A non-finite float renders as `null`, which does not parse back.
+impl FromJson for f64 {
+    fn from_json(j: &Json) -> Result<f64, String> {
+        match j {
+            Json::Num(x) => Ok(*x),
+            Json::Int(i) => Ok(*i as f64),
+            _ => Err(expected("a number")),
+        }
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(j: &Json) -> Result<bool, String> {
+        match j {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(expected("true or false")),
+        }
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (*self).to_json()
     }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_owned())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(j: &Json) -> Result<String, String> {
+        match j {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(expected("a string")),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: &Json) -> Result<Option<T>, String> {
+        match j {
+            Json::Null => Ok(None),
+            _ => T::from_json(j).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::arr(self)
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: &Json) -> Result<Vec<T>, String> {
+        match j {
+            Json::Arr(items) => items.iter().map(T::from_json).collect(),
+            _ => Err(expected("an array")),
+        }
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(j: &Json) -> Result<(A, B), String> {
+        match j {
+            Json::Arr(pair) if pair.len() == 2 => {
+                Ok((A::from_json(&pair[0])?, B::from_json(&pair[1])?))
+            }
+            _ => Err(expected("a two-element array")),
+        }
+    }
+}
+
+/// Declare a record: a struct whose JSON document is its fields in
+/// declaration order, each under its own name.
+///
+/// `json_record! { <struct> }` emits the struct unchanged (docs, derives
+/// and visibility included) and its [`ToJson`](crate::json::ToJson);
+/// `json_record! { parse <struct> }` also emits its
+/// [`FromJson`](crate::json::FromJson), which reads each field through
+/// [`Json::field`](crate::json::Json::field). Every field type must
+/// implement the same traits. See the [module docs](crate::json) for an
+/// example.
+#[macro_export]
+macro_rules! json_record {
+    (@parse $(#[$attr:meta])* $vis:vis struct $name:ident {
+        $($(#[$fattr:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    }) => {
+        impl $crate::json::FromJson for $name {
+            fn from_json(j: &$crate::json::Json) -> Result<$name, String> {
+                Ok($name { $($field: j.field(stringify!($field))?),* })
+            }
+        }
+    };
+    (parse $($record:tt)*) => {
+        $crate::json_record!($($record)*);
+        $crate::json_record!(@parse $($record)*);
+    };
+    ($(#[$attr:meta])* $vis:vis struct $name:ident {
+        $($(#[$fattr:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    }) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$fattr])* $fvis $field: $ty),*
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Obj(vec![$((
+                    stringify!($field).to_string(),
+                    $crate::json::ToJson::to_json(&self.$field),
+                )),*])
+            }
+        }
+    };
 }
 
 impl fmt::Display for Json {
@@ -750,33 +917,151 @@ mod tests {
             ("null", false, false),
         ] {
             let j = doc(v);
-            assert_eq!(j.u64_field("k").is_ok(), u, "u64 {v}");
-            assert_eq!(j.i64_field("k").is_ok(), i, "i64 {v}");
-            assert_eq!(j.u64_arr("ks").is_ok(), u, "u64 array {v}");
-            assert_eq!(j.i64_arr("ks").is_ok(), i, "i64 array {v}");
-            for err in [j.u64_field("k").err(), j.u64_arr("ks").err()] {
+            assert_eq!(j.field::<u64>("k").is_ok(), u, "u64 {v}");
+            assert_eq!(j.field::<i64>("k").is_ok(), i, "i64 {v}");
+            assert_eq!(j.field::<Vec<u64>>("ks").is_ok(), u, "u64 array {v}");
+            assert_eq!(j.field::<Vec<i64>>("ks").is_ok(), i, "i64 array {v}");
+            for err in [j.field::<u64>("k").err(), j.field::<Vec<u64>>("ks").err()] {
                 assert!(err.is_none_or(|e| e.contains("\"k")), "{v} names the key");
             }
         }
         let j = doc("18446744073709551615");
-        assert_eq!(j.u64_field("k"), Ok(u64::MAX));
-        assert_eq!(j.u64_arr("ks"), Ok(vec![0, u64::MAX]));
-        assert_eq!(doc("-9223372036854775808").i64_field("k"), Ok(i64::MIN));
+        assert_eq!(j.field("k"), Ok(u64::MAX));
+        assert_eq!(j.field("ks"), Ok(vec![0, u64::MAX]));
+        assert_eq!(
+            j.field::<u32>("k"),
+            Err("field \"k\": expected an integer in 0..=u32::MAX".into())
+        );
+        assert_eq!(doc("-9223372036854775808").field("k"), Ok(i64::MIN));
         assert_eq!(doc("\"s\"").str_field("k"), Ok("s"));
         assert_eq!(j.arr_field("ks").map(<[Json]>::len), Ok(2));
         // Wrong type and missing key, for every accessor.
         assert!(j.str_field("k").is_err() && j.arr_field("k").is_err());
-        assert!(j.u64_field("ks").is_err() && j.u64_arr("k").is_err());
+        assert!(j.field::<u64>("ks").is_err() && j.field::<Vec<u64>>("k").is_err());
         for missing in [
-            j.u64_field("nope").err(),
-            j.i64_field("nope").err(),
+            j.field::<u64>("nope").err(),
+            j.field::<i64>("nope").err(),
             j.str_field("nope").map(drop).err(),
             j.arr_field("nope").map(drop).err(),
-            j.u64_arr("nope").err(),
-            j.i64_arr("nope").err(),
-            Json::Null.u64_field("nope").err(),
+            j.field::<Vec<u64>>("nope").err(),
+            j.field::<Option<i64>>("nope").err(),
+            Json::Null.field::<u64>("nope").err(),
         ] {
             assert_eq!(missing.as_deref(), Some("missing field \"nope\""));
+        }
+    }
+
+    crate::json_record! {
+        parse
+        /// Every leaf type a record field may have, nested records included.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Leaves {
+            wide: u64,
+            narrow: u32,
+            count: usize,
+            signed: i64,
+            ratio: f64,
+            flag: bool,
+            name: String,
+            maybe: Option<u64>,
+            never: Option<u64>,
+            items: Vec<i64>,
+            pairs: Vec<(u64, i64)>,
+            inner: Vec<Inner>,
+        }
+    }
+
+    crate::json_record! {
+        parse
+        #[derive(Clone, Debug, PartialEq)]
+        struct Inner {
+            label: String,
+            at: Option<u32>,
+        }
+    }
+
+    crate::json_record! {
+        /// A render-only record: `&'static str` fields have no parser.
+        struct Label {
+            text: &'static str,
+            inner: Inner,
+        }
+    }
+
+    fn leaves() -> Leaves {
+        Leaves {
+            wide: u64::MAX,
+            narrow: u32::MAX,
+            count: 7,
+            signed: i64::MIN,
+            ratio: 0.1,
+            flag: true,
+            name: "a \"b\"\n".into(),
+            maybe: Some(3),
+            never: None,
+            items: vec![-1, 0, 1],
+            pairs: vec![(0, -9), (4, 2)],
+            inner: vec![Inner {
+                label: "x".into(),
+                at: None,
+            }],
+        }
+    }
+
+    #[test]
+    fn record_macro_round_trips_every_leaf_type() {
+        let rec = leaves();
+        let text = rec.to_json().render();
+        assert!(text.starts_with(r#"{"wide":18446744073709551615,"narrow":4294967295,"#));
+        assert!(text.contains(r#""never":null,"items":[-1,0,1],"pairs":[[0,-9],[4,2]]"#));
+        let back = Leaves::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, rec);
+        assert_eq!(back.to_json().render(), text);
+        let label = Label {
+            text: "t",
+            inner: rec.inner[0].clone(),
+        };
+        assert_eq!(
+            label.to_json().render(),
+            r#"{"text":"t","inner":{"label":"x","at":null}}"#
+        );
+    }
+
+    #[test]
+    fn record_macro_rejects_bad_and_missing_keys_by_name() {
+        let Json::Obj(pairs) = leaves().to_json() else {
+            panic!("a record renders as an object");
+        };
+        // An out-of-range u32, and a wrong type inside a nested record.
+        let with = |key: &str, v: Json| {
+            let mut pairs = pairs.clone();
+            pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = v;
+            Leaves::from_json(&Json::Obj(pairs)).unwrap_err()
+        };
+        assert_eq!(
+            with("narrow", Json::Int(1 << 32)),
+            "field \"narrow\": expected an integer in 0..=u32::MAX"
+        );
+        let bad_inner = Json::Arr(vec![Json::obj([
+            ("label".into(), Json::from("x")),
+            ("at".into(), Json::from(-1i64)),
+        ])]);
+        assert_eq!(
+            with("inner", bad_inner),
+            "field \"inner\": field \"at\": expected an integer in 0..=u32::MAX"
+        );
+        assert_eq!(
+            with("pairs", Json::Arr(vec![Json::Arr(vec![Json::Int(1)])])),
+            "field \"pairs\": expected a two-element array"
+        );
+        // Every key, deleted in turn.
+        for i in 0..pairs.len() {
+            let mut short = pairs.clone();
+            let (key, _) = short.remove(i);
+            assert_eq!(
+                Leaves::from_json(&Json::Obj(short)),
+                Err(format!("missing field {key:?}"))
+            );
         }
     }
 

@@ -1,6 +1,5 @@
 //! Latency statistics: percentile samplers and per-second timelines.
 
-use crate::json::{Json, ToJson};
 use crate::{Duration, SimTime};
 
 /// The `q`-quantile of `sorted` (ascending), nearest-rank method; zero when
@@ -170,27 +169,18 @@ impl MeanMax {
     }
 }
 
-/// One point of a per-bucket latency timeline.
-#[derive(Debug, Clone, Copy)]
-pub struct TimelinePoint {
-    /// Start of the bucket, seconds since simulation start.
-    pub second: u64,
-    /// Number of requests completing in the bucket.
-    pub count: u64,
-    /// p99 latency of those requests, milliseconds.
-    pub p99_ms: f64,
-    /// Mean latency of those requests, milliseconds.
-    pub mean_ms: f64,
-}
-
-impl ToJson for TimelinePoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("second".into(), Json::from(self.second)),
-            ("count".into(), Json::from(self.count)),
-            ("p99_ms".into(), Json::from(self.p99_ms)),
-            ("mean_ms".into(), Json::from(self.mean_ms)),
-        ])
+crate::json_record! {
+    /// One point of a per-bucket latency timeline.
+    #[derive(Debug, Clone, Copy)]
+    pub struct TimelinePoint {
+        /// Start of the bucket, seconds since simulation start.
+        pub second: u64,
+        /// Number of requests completing in the bucket.
+        pub count: u64,
+        /// p99 latency of those requests, milliseconds.
+        pub p99_ms: f64,
+        /// Mean latency of those requests, milliseconds.
+        pub mean_ms: f64,
     }
 }
 

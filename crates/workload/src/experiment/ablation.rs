@@ -7,8 +7,7 @@ use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_core::config::BeeHiveConfig;
-use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -16,28 +15,32 @@ use crate::strategy::Strategy;
 
 use super::{base_rate, Profile};
 
-/// One ablation configuration's steady-state metrics.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Steady p99 (ms).
-    pub p99_ms: f64,
-    /// Native fallbacks per offloaded request.
-    pub native_fallbacks: f64,
-    /// Database fallbacks per offloaded request.
-    pub db_fallbacks: f64,
-    /// Total fallback overhead per offloaded request (ms).
-    pub fallback_overhead_ms: f64,
+json_record! {
+    /// One ablation configuration's steady-state metrics.
+    #[derive(Clone, Debug)]
+    pub struct AblationRow {
+        /// Configuration label.
+        pub label: &'static str,
+        /// Steady p99 (ms).
+        pub p99_ms: f64,
+        /// Native fallbacks per offloaded request.
+        pub native_fallbacks: f64,
+        /// Database fallbacks per offloaded request.
+        pub db_fallbacks: f64,
+        /// Total fallback overhead per offloaded request (ms).
+        pub fallback_overhead_ms: f64,
+    }
 }
 
-/// The ablation study.
-#[derive(Clone, Debug)]
-pub struct AblationReport {
-    /// The application.
-    pub app: AppKind,
-    /// Rows: full BeeHive, no packaging, no proxy.
-    pub rows: Vec<AblationRow>,
+json_record! {
+    /// The ablation study.
+    #[derive(Clone, Debug)]
+    pub struct AblationReport {
+        /// The application.
+        pub app: AppKind,
+        /// Rows: full BeeHive, no packaging, no proxy.
+        pub rows: Vec<AblationRow>,
+    }
 }
 
 /// Run the ablations on `kind` (BeeHiveO, steady state, half offloaded).
@@ -89,34 +92,6 @@ pub fn ablation(kind: AppKind, profile: Profile) -> AblationReport {
         })
         .collect();
     AblationReport { app: kind, rows }
-}
-
-impl ToJson for AblationReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            (
-                "rows".into(),
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("label".into(), Json::from(r.label)),
-                                ("p99_ms".into(), Json::from(r.p99_ms)),
-                                ("native_fallbacks".into(), Json::from(r.native_fallbacks)),
-                                ("db_fallbacks".into(), Json::from(r.db_fallbacks)),
-                                (
-                                    "fallback_overhead_ms".into(),
-                                    Json::from(r.fallback_overhead_ms),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 impl fmt::Display for AblationReport {

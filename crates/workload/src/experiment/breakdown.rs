@@ -6,7 +6,7 @@ use std::fmt;
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_sim::json::{Json, ToJson};
 use beehive_sim::stats::LatencySampler;
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -14,26 +14,30 @@ use crate::strategy::Strategy;
 
 use super::Profile;
 
-/// GC and memory metrics of one application's function instances (§5.6).
-#[derive(Clone, Debug)]
-pub struct GcStatsRow {
-    /// The application.
-    pub app: AppKind,
-    /// Median GC pause on function instances (ms).
-    pub median_pause_ms: f64,
-    /// Number of collections observed.
-    pub collections: usize,
-    /// Peak per-function heap footprint (MB).
-    pub peak_heap_mb: f64,
-    /// Server-side mapping-table footprint (KB).
-    pub mapping_kb: f64,
+json_record! {
+    /// GC and memory metrics of one application's function instances (§5.6).
+    #[derive(Clone, Debug)]
+    pub struct GcStatsRow {
+        /// The application.
+        pub app: AppKind,
+        /// Median GC pause on function instances (ms).
+        pub median_pause_ms: f64,
+        /// Number of collections observed.
+        pub collections: usize,
+        /// Peak per-function heap footprint (MB).
+        pub peak_heap_mb: f64,
+        /// Server-side mapping-table footprint (KB).
+        pub mapping_kb: f64,
+    }
 }
 
-/// The §5.6 GC study.
-#[derive(Clone, Debug)]
-pub struct GcStatsReport {
-    /// One row per application.
-    pub rows: Vec<GcStatsRow>,
+json_record! {
+    /// The §5.6 GC study.
+    #[derive(Clone, Debug)]
+    pub struct GcStatsReport {
+        /// One row per application.
+        pub rows: Vec<GcStatsRow>,
+    }
 }
 
 /// Measure function-side GC behaviour with real allocation churn: a short
@@ -82,28 +86,6 @@ pub fn gc_stats(apps: &[AppKind], profile: Profile) -> GcStatsReport {
         })
         .collect();
     GcStatsReport { rows }
-}
-
-impl ToJson for GcStatsReport {
-    fn to_json(&self) -> Json {
-        Json::obj([(
-            "rows".into(),
-            Json::Arr(
-                self.rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("app".into(), Json::from(r.app.name())),
-                            ("median_pause_ms".into(), Json::from(r.median_pause_ms)),
-                            ("collections".into(), Json::from(r.collections)),
-                            ("peak_heap_mb".into(), Json::from(r.peak_heap_mb)),
-                            ("mapping_kb".into(), Json::from(r.mapping_kb)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
 }
 
 impl fmt::Display for GcStatsReport {

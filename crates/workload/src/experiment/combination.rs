@@ -8,7 +8,7 @@ use std::fmt;
 
 use beehive_apps::AppKind;
 use beehive_scaling::ScalingKind;
-use beehive_sim::json::{Json, ToJson};
+use beehive_sim::json_record;
 
 use crate::engine::{run_all, Scenario};
 use crate::strategy::Strategy;
@@ -16,17 +16,19 @@ use crate::strategy::Strategy;
 use super::fig7::{BurstExperiment, BurstReport};
 use super::Profile;
 
-/// Comparison of pure strategies against the §5.7 combination.
-#[derive(Debug)]
-pub struct CombinationReport {
-    /// The application.
-    pub app: AppKind,
-    /// Pure EC2 on-demand scaling.
-    pub ec2: BurstReport,
-    /// Pure BeeHive on OpenWhisk.
-    pub beehive: BurstReport,
-    /// BeeHive bridging the gap until the EC2 instance is ready.
-    pub combined: BurstReport,
+json_record! {
+    /// Comparison of pure strategies against the §5.7 combination.
+    #[derive(Debug)]
+    pub struct CombinationReport {
+        /// The application.
+        pub app: AppKind,
+        /// Pure EC2 on-demand scaling.
+        pub ec2: BurstReport,
+        /// Pure BeeHive on OpenWhisk.
+        pub beehive: BurstReport,
+        /// BeeHive bridging the gap until the EC2 instance is ready.
+        pub combined: BurstReport,
+    }
 }
 
 /// Run the §5.7 combination study (all three burst windows concurrently).
@@ -64,17 +66,6 @@ pub fn combination(kind: AppKind, profile: Profile) -> CombinationReport {
         ec2: reports.next().expect("ec2 report"),
         beehive: reports.next().expect("beehive report"),
         combined: reports.next().expect("combined report"),
-    }
-}
-
-impl ToJson for CombinationReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            ("ec2".into(), self.ec2.to_json()),
-            ("beehive".into(), self.beehive.to_json()),
-            ("combined".into(), self.combined.to_json()),
-        ])
     }
 }
 

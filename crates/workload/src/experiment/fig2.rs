@@ -4,8 +4,7 @@
 use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
-use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -13,24 +12,28 @@ use crate::strategy::Strategy;
 
 use super::Profile;
 
-/// One point of Figure 2.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig2Point {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Average request latency (ms).
-    pub mean_ms: f64,
-    /// p99 request latency (ms).
-    pub p99_ms: f64,
-    /// Achieved throughput (requests/s).
-    pub throughput: f64,
+json_record! {
+    /// One point of Figure 2.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Fig2Point {
+        /// Concurrent closed-loop clients.
+        pub clients: usize,
+        /// Average request latency (ms).
+        pub mean_ms: f64,
+        /// p99 request latency (ms).
+        pub p99_ms: f64,
+        /// Achieved throughput (requests/s).
+        pub throughput: f64,
+    }
 }
 
-/// The Figure 2 series.
-#[derive(Clone, Debug)]
-pub struct Fig2Report {
-    /// Latency points by client count.
-    pub points: Vec<Fig2Point>,
+json_record! {
+    /// The Figure 2 series.
+    #[derive(Clone, Debug)]
+    pub struct Fig2Report {
+        /// Latency points by client count.
+        pub points: Vec<Fig2Point>,
+    }
 }
 
 /// Run Figure 2: vanilla pybbs under increasing closed-loop client counts.
@@ -71,23 +74,6 @@ pub fn fig2(profile: Profile) -> Fig2Report {
         })
         .collect();
     Fig2Report { points }
-}
-
-impl ToJson for Fig2Point {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("clients".into(), Json::from(self.clients)),
-            ("mean_ms".into(), Json::from(self.mean_ms)),
-            ("p99_ms".into(), Json::from(self.p99_ms)),
-            ("throughput".into(), Json::from(self.throughput)),
-        ])
-    }
-}
-
-impl ToJson for Fig2Report {
-    fn to_json(&self) -> Json {
-        Json::obj([("points".into(), Json::arr(self.points.iter()))])
-    }
 }
 
 impl fmt::Display for Fig2Report {

@@ -4,9 +4,8 @@
 use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
-use beehive_sim::json::{Json, ToJson};
 use beehive_sim::stats::{median, percentile_sorted, TimelinePoint};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, Sim, SimConfig, SimResult};
 use crate::engine::{run_all, Scenario};
@@ -124,29 +123,33 @@ impl BurstExperiment {
     }
 }
 
-/// The outcome of one burst run.
-#[derive(Debug)]
-pub struct BurstReport {
-    /// The strategy.
-    pub strategy: Strategy,
-    /// Recorded completed requests.
-    pub completed: u64,
-    /// Per-second p99 series.
-    pub timeline: Vec<TimelinePoint>,
-    /// p99 before the burst (ms).
-    pub pre_burst_p99_ms: f64,
-    /// Seconds from the burst start until the p99 re-stabilizes (§5.2's
-    /// "duration to reach stable latency"); `None` = never within the
-    /// horizon.
-    pub stabilization_secs: Option<u64>,
-    /// p99 over the last 30 seconds (ms) — the stabilized tail latency.
-    pub stabilized_p99_ms: f64,
-    /// Dollars spent on the scaled capacity (FaaS bill or extra instance).
-    pub scaling_cost: f64,
-    /// Cold/warm boots (FaaS strategies).
-    pub boots: (u64, u64),
-    /// Shadow executions run.
-    pub shadows: u64,
+json_record! {
+    /// The outcome of one burst run.
+    #[derive(Debug)]
+    pub struct BurstReport {
+        /// The strategy.
+        pub strategy: Strategy,
+        /// Recorded completed requests.
+        pub completed: u64,
+        /// p99 before the burst (ms).
+        pub pre_burst_p99_ms: f64,
+        /// Seconds from the burst start until the p99 re-stabilizes (§5.2's
+        /// "duration to reach stable latency"); `None` = never within the
+        /// horizon.
+        pub stabilization_secs: Option<u64>,
+        /// p99 over the last 30 seconds (ms) — the stabilized tail latency.
+        pub stabilized_p99_ms: f64,
+        /// Dollars spent on the scaled capacity (FaaS bill or extra instance).
+        pub scaling_cost: f64,
+        /// Cold boots (FaaS strategies).
+        pub cold_boots: u64,
+        /// Warm boots (FaaS strategies).
+        pub warm_boots: u64,
+        /// Shadow executions run.
+        pub shadows: u64,
+        /// Per-second p99 series.
+        pub timeline: Vec<TimelinePoint>,
+    }
 }
 
 impl BurstReport {
@@ -164,6 +167,18 @@ impl BurstReport {
             0.0
         } else {
             pre.iter().map(|p| p.p99_ms).sum::<f64>() / pre.len() as f64
+        };
+        let report = |stabilization_secs, stabilized_p99_ms, timeline| BurstReport {
+            strategy,
+            completed: r.completed,
+            pre_burst_p99_ms,
+            stabilization_secs,
+            stabilized_p99_ms,
+            scaling_cost: r.faas_cost + r.scaled_cost,
+            cold_boots: r.boots.0,
+            warm_boots: r.boots.1,
+            shadows: r.shadows,
+            timeline,
         };
         // Per-second p99s are noisy (a hundred-odd samples each); "stable"
         // means back within the envelope the pre-burst series itself
@@ -208,17 +223,7 @@ impl BurstReport {
             let pre_peak = pre.iter().map(|p| p.p99_ms).fold(0.0, f64::max);
             let peak = smoothed.iter().map(|(_, p)| *p).fold(0.0, f64::max);
             if peak <= (tail_median * 3.0).max(pre_peak * 1.5) {
-                return BurstReport {
-                    strategy,
-                    completed: r.completed,
-                    timeline: points.clone(),
-                    pre_burst_p99_ms,
-                    stabilization_secs: Some(0),
-                    stabilized_p99_ms: tail_median,
-                    scaling_cost: r.faas_cost + r.scaled_cost,
-                    boots: r.boots,
-                    shadows: r.shadows,
-                };
+                return report(Some(0), tail_median, points.clone());
             }
             let threshold_ms = (tail_median * 2.5).max(peak * 0.6).max(1.0);
             let last_unstable = smoothed
@@ -241,52 +246,21 @@ impl BurstReport {
         } else {
             tail.iter().map(|p| p.p99_ms).sum::<f64>() / tail.len() as f64
         };
-        BurstReport {
-            strategy,
-            completed: r.completed,
-            timeline: points,
-            pre_burst_p99_ms,
-            stabilization_secs,
-            stabilized_p99_ms,
-            scaling_cost: r.faas_cost + r.scaled_cost,
-            boots: r.boots,
-            shadows: r.shadows,
-        }
+        report(stabilization_secs, stabilized_p99_ms, points)
     }
 }
 
-impl ToJson for BurstReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("strategy".into(), Json::from(self.strategy.label())),
-            ("completed".into(), Json::from(self.completed)),
-            ("pre_burst_p99_ms".into(), Json::from(self.pre_burst_p99_ms)),
-            (
-                "stabilization_secs".into(),
-                Json::from(self.stabilization_secs),
-            ),
-            (
-                "stabilized_p99_ms".into(),
-                Json::from(self.stabilized_p99_ms),
-            ),
-            ("scaling_cost".into(), Json::from(self.scaling_cost)),
-            ("cold_boots".into(), Json::from(self.boots.0)),
-            ("warm_boots".into(), Json::from(self.boots.1)),
-            ("shadows".into(), Json::from(self.shadows)),
-            ("timeline".into(), Json::arr(self.timeline.iter())),
-        ])
+json_record! {
+    /// Figure 7 for one application: all five strategies.
+    #[derive(Debug)]
+    pub struct Fig7Report {
+        /// The application.
+        pub app: AppKind,
+        /// One report per strategy.
+        pub rows: Vec<BurstReport>,
+        /// The warm-boot BeeHive runs (sub-second provisioning, §5.2).
+        pub warm_rows: Vec<BurstReport>,
     }
-}
-
-/// Figure 7 for one application: all five strategies.
-#[derive(Debug)]
-pub struct Fig7Report {
-    /// The application.
-    pub app: AppKind,
-    /// One report per strategy.
-    pub rows: Vec<BurstReport>,
-    /// The warm-boot BeeHive runs (sub-second provisioning, §5.2).
-    pub warm_rows: Vec<BurstReport>,
 }
 
 /// Run Figure 7 (and collect Table 3's costs) for `kind`.
@@ -338,16 +312,6 @@ pub fn fig7(kind: AppKind, profile: Profile) -> Fig7Report {
         app: kind,
         rows: reports,
         warm_rows,
-    }
-}
-
-impl ToJson for Fig7Report {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            ("rows".into(), Json::arr(self.rows.iter())),
-            ("warm_rows".into(), Json::arr(self.warm_rows.iter())),
-        ])
     }
 }
 
@@ -440,6 +404,6 @@ mod tests {
             "warm {warm_stab}s vs cold {cold_stab}s"
         );
         assert!(warm_stab <= 2, "warm boot should stabilize in ~a second");
-        assert_eq!(warm.boots.0, 0, "no cold boots in the warm scenario");
+        assert_eq!(warm.cold_boots, 0, "no cold boots in the warm scenario");
     }
 }

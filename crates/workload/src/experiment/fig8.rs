@@ -6,7 +6,7 @@ use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -14,17 +14,19 @@ use crate::strategy::Strategy;
 
 use super::{vanilla_capacity, Profile};
 
-/// One measured point.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig8Point {
-    /// Offered load (requests/s).
-    pub offered_rps: f64,
-    /// Achieved throughput (requests/s, steady window).
-    pub achieved_rps: f64,
-    /// Mean latency (ms).
-    pub mean_ms: f64,
-    /// p99 latency (ms).
-    pub p99_ms: f64,
+json_record! {
+    /// One measured point.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Fig8Point {
+        /// Offered load (requests/s).
+        pub offered_rps: f64,
+        /// Achieved throughput (requests/s, steady window).
+        pub achieved_rps: f64,
+        /// Mean latency (ms).
+        pub mean_ms: f64,
+        /// p99 latency (ms).
+        pub p99_ms: f64,
+    }
 }
 
 /// One strategy's curve.
@@ -53,13 +55,15 @@ impl Fig8Curve {
     }
 }
 
-/// Figure 8 for one application.
-#[derive(Clone, Debug)]
-pub struct Fig8Report {
-    /// The application.
-    pub app: AppKind,
-    /// Curves per strategy.
-    pub curves: Vec<Fig8Curve>,
+json_record! {
+    /// Figure 8 for one application.
+    #[derive(Clone, Debug)]
+    pub struct Fig8Report {
+        /// The application.
+        pub app: AppKind,
+        /// Curves per strategy.
+        pub curves: Vec<Fig8Curve>,
+    }
 }
 
 impl Fig8Report {
@@ -163,32 +167,13 @@ pub fn fig8(kind: AppKind, profile: Profile) -> Fig8Report {
     Fig8Report { app: kind, curves }
 }
 
-impl ToJson for Fig8Point {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("offered_rps".into(), Json::from(self.offered_rps)),
-            ("achieved_rps".into(), Json::from(self.achieved_rps)),
-            ("mean_ms".into(), Json::from(self.mean_ms)),
-            ("p99_ms".into(), Json::from(self.p99_ms)),
-        ])
-    }
-}
-
+// Not a record: the derived `saturated_rps` sits among the fields.
 impl ToJson for Fig8Curve {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("strategy".into(), Json::from(self.strategy.label())),
-            ("saturated_rps".into(), Json::from(self.saturated_rps())),
-            ("points".into(), Json::arr(self.points.iter())),
-        ])
-    }
-}
-
-impl ToJson for Fig8Report {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            ("curves".into(), Json::arr(self.curves.iter())),
+            ("strategy".into(), self.strategy.to_json()),
+            ("saturated_rps".into(), self.saturated_rps().to_json()),
+            ("points".into(), self.points.to_json()),
         ])
     }
 }

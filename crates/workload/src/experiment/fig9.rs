@@ -12,8 +12,7 @@ use std::fmt;
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_faas::Billing;
 use beehive_scaling::ScalingKind;
-use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -21,13 +20,26 @@ use crate::strategy::Strategy;
 
 use super::{base_rate, Profile};
 
-/// Cost curve of one strategy.
-#[derive(Clone, Debug)]
-pub struct Fig9Curve {
-    /// Strategy label.
-    pub label: &'static str,
-    /// `(burst_ratio, dollars_per_hour)` points.
-    pub points: Vec<(f64, f64)>,
+json_record! {
+    /// Cost curve of one strategy.
+    #[derive(Clone, Debug)]
+    pub struct Fig9Curve {
+        /// Strategy label.
+        pub label: &'static str,
+        /// One point per sampled burst ratio.
+        pub points: Vec<Fig9Point>,
+    }
+}
+
+json_record! {
+    /// One point of a cost curve.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Fig9Point {
+        /// Share of each hour spent in burst.
+        pub burst_ratio: f64,
+        /// Cost per hour at that ratio, in dollars.
+        pub dollars_per_hour: f64,
+    }
 }
 
 impl Fig9Curve {
@@ -39,21 +51,23 @@ impl Fig9Curve {
     pub fn at(&self, ratio: f64) -> f64 {
         self.points
             .iter()
-            .find(|(r, _)| (r - ratio).abs() < 1e-9)
-            .map(|(_, c)| *c)
+            .find(|p| (p.burst_ratio - ratio).abs() < 1e-9)
+            .map(|p| p.dollars_per_hour)
             .expect("sampled ratio")
     }
 }
 
-/// The Figure 9 reproduction for one application.
-#[derive(Clone, Debug)]
-pub struct Fig9Report {
-    /// The application.
-    pub app: AppKind,
-    /// Sampled burst ratios.
-    pub ratios: Vec<f64>,
-    /// One curve per strategy.
-    pub curves: Vec<Fig9Curve>,
+json_record! {
+    /// The Figure 9 reproduction for one application.
+    #[derive(Clone, Debug)]
+    pub struct Fig9Report {
+        /// The application.
+        pub app: AppKind,
+        /// Sampled burst ratios.
+        pub ratios: Vec<f64>,
+        /// One curve per strategy.
+        pub curves: Vec<Fig9Curve>,
+    }
 }
 
 impl Fig9Report {
@@ -133,95 +147,32 @@ pub fn fig9(kind: AppKind, profile: Profile) -> Fig9Report {
     let ow_concurrent = ow_busy_per_sec.ceil().max(1.0);
     let ow_per_sec = ow_concurrent * rate / 3600.0;
 
+    let curve = |label, cost: &dyn Fn(f64) -> f64| Fig9Curve {
+        label,
+        points: ratios
+            .iter()
+            .map(|&r| Fig9Point {
+                burst_ratio: r,
+                dollars_per_hour: cost(r),
+            })
+            .collect(),
+    };
+    // Provisioning + app launch per burst episode, §2.1/§5.2.
+    let scaled = |kind: ScalingKind, prov: f64| {
+        move |r: f64| kind.hourly_rate() * (3600.0 * r + prov) / 3600.0
+    };
     let mut curves = vec![
-        Fig9Curve {
-            label: "EC2",
-            points: ratios
-                .iter()
-                .map(|&r| {
-                    let prov = 61.0; // provisioning + app launch, §2.1/§5.2
-                    (
-                        r,
-                        ScalingKind::OnDemand.hourly_rate() * (3600.0 * r + prov) / 3600.0,
-                    )
-                })
-                .collect(),
-        },
-        Fig9Curve {
-            label: "Fargate",
-            points: ratios
-                .iter()
-                .map(|&r| {
-                    let prov = 46.0;
-                    (
-                        r,
-                        ScalingKind::Fargate.hourly_rate() * (3600.0 * r + prov) / 3600.0,
-                    )
-                })
-                .collect(),
-        },
-        Fig9Curve {
-            label: "Burstable",
-            points: ratios
-                .iter()
-                .map(|&r| (r, ScalingKind::Burstable.hourly_rate()))
-                .collect(),
-        },
-        Fig9Curve {
-            label: "BeeHiveO",
-            points: ratios
-                .iter()
-                .map(|&r| (r, ow_per_sec * 3600.0 * r))
-                .collect(),
-        },
-        Fig9Curve {
-            label: "BeeHiveL",
-            points: ratios
-                .iter()
-                .map(|&r| (r, la_per_sec * 3600.0 * r))
-                .collect(),
-        },
+        curve("EC2", &scaled(ScalingKind::OnDemand, 61.0)),
+        curve("Fargate", &scaled(ScalingKind::Fargate, 46.0)),
+        curve("Burstable", &|_| ScalingKind::Burstable.hourly_rate()),
+        curve("BeeHiveO", &|r| ow_per_sec * 3600.0 * r),
+        curve("BeeHiveL", &|r| la_per_sec * 3600.0 * r),
     ];
     curves.sort_by(|a, b| a.label.cmp(b.label));
     Fig9Report {
         app: kind,
         ratios,
         curves,
-    }
-}
-
-impl ToJson for Fig9Curve {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label".into(), Json::from(self.label)),
-            (
-                "points".into(),
-                Json::Arr(
-                    self.points
-                        .iter()
-                        .map(|&(r, c)| {
-                            Json::obj([
-                                ("burst_ratio".into(), Json::from(r)),
-                                ("dollars_per_hour".into(), Json::from(c)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl ToJson for Fig9Report {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            (
-                "ratios".into(),
-                Json::Arr(self.ratios.iter().map(|&r| Json::from(r)).collect()),
-            ),
-            ("curves".into(), Json::arr(self.curves.iter())),
-        ])
     }
 }
 
@@ -240,7 +191,7 @@ impl fmt::Display for Fig9Report {
         for (i, r) in self.ratios.iter().enumerate() {
             write!(f, "{:<12.2}", r)?;
             for c in &self.curves {
-                write!(f, "{:>12.4}", c.points[i].1)?;
+                write!(f, "{:>12.4}", c.points[i].dollars_per_hour)?;
             }
             writeln!(f)?;
         }

@@ -15,8 +15,7 @@ use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
-use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -24,43 +23,47 @@ use crate::strategy::Strategy;
 
 use super::{base_rate, Profile};
 
-/// One crash-rate operating point.
-#[derive(Clone, Debug)]
-pub struct RecoveryRow {
-    /// Scenario label (also the fault-plan key).
-    pub label: String,
-    /// Injected instance crashes per second.
-    pub crash_rate: f64,
-    /// Recorded completed requests.
-    pub completed: u64,
-    /// Instances killed under a request or in the warm cache.
-    pub crashes: u64,
-    /// Boots that failed to come up.
-    pub boot_failures: u64,
-    /// Retry attempts (replacement boots, re-sent round-trips, reconnects).
-    pub retries: u64,
-    /// Sessions restored from a snapshot on a replacement instance.
-    pub recoveries: u64,
-    /// Requests degraded to a fresh server session (retries exhausted).
-    pub degraded: u64,
-    /// Virtual time re-executed after restores (work since the last
-    /// durable snapshot), in milliseconds.
-    pub re_executed_ms: f64,
-    /// Mean time to recovery: crash detection → resume, in milliseconds.
-    pub mttr_ms: f64,
-    /// Steady-state median latency, milliseconds.
-    pub p50_ms: f64,
-    /// Steady-state p99 latency, milliseconds.
-    pub p99_ms: f64,
+json_record! {
+    /// One crash-rate operating point.
+    #[derive(Clone, Debug)]
+    pub struct RecoveryRow {
+        /// Scenario label (also the fault-plan key).
+        pub label: String,
+        /// Injected instance crashes per second.
+        pub crash_rate: f64,
+        /// Recorded completed requests.
+        pub completed: u64,
+        /// Instances killed under a request or in the warm cache.
+        pub crashes: u64,
+        /// Boots that failed to come up.
+        pub boot_failures: u64,
+        /// Retry attempts (replacement boots, re-sent round-trips, reconnects).
+        pub retries: u64,
+        /// Sessions restored from a snapshot on a replacement instance.
+        pub recoveries: u64,
+        /// Requests degraded to a fresh server session (retries exhausted).
+        pub degraded: u64,
+        /// Virtual time re-executed after restores (work since the last
+        /// durable snapshot), in milliseconds.
+        pub re_executed_ms: f64,
+        /// Mean time to recovery: crash detection → resume, in milliseconds.
+        pub mttr_ms: f64,
+        /// Steady-state median latency, milliseconds.
+        pub p50_ms: f64,
+        /// Steady-state p99 latency, milliseconds.
+        pub p99_ms: f64,
+    }
 }
 
-/// The recovery sweep for one application.
-#[derive(Clone, Debug)]
-pub struct RecoveryReport {
-    /// The application.
-    pub app: AppKind,
-    /// One row per crash rate, in sweep order.
-    pub rows: Vec<RecoveryRow>,
+json_record! {
+    /// The recovery sweep for one application.
+    #[derive(Clone, Debug)]
+    pub struct RecoveryReport {
+        /// The application.
+        pub app: AppKind,
+        /// One row per crash rate, in sweep order.
+        pub rows: Vec<RecoveryRow>,
+    }
 }
 
 impl RecoveryReport {
@@ -176,37 +179,6 @@ pub fn recovery(kind: AppKind, profile: Profile, chaos_seed: u64) -> RecoveryRep
         })
         .collect();
     RecoveryReport { app: kind, rows }
-}
-
-impl ToJson for RecoveryRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label".into(), Json::from(self.label.clone())),
-            ("crash_rate".into(), Json::from(self.crash_rate)),
-            ("completed".into(), Json::Int(self.completed as i128)),
-            ("crashes".into(), Json::Int(self.crashes as i128)),
-            (
-                "boot_failures".into(),
-                Json::Int(self.boot_failures as i128),
-            ),
-            ("retries".into(), Json::Int(self.retries as i128)),
-            ("recoveries".into(), Json::Int(self.recoveries as i128)),
-            ("degraded".into(), Json::Int(self.degraded as i128)),
-            ("re_executed_ms".into(), Json::from(self.re_executed_ms)),
-            ("mttr_ms".into(), Json::from(self.mttr_ms)),
-            ("p50_ms".into(), Json::from(self.p50_ms)),
-            ("p99_ms".into(), Json::from(self.p99_ms)),
-        ])
-    }
-}
-
-impl ToJson for RecoveryReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            ("rows".into(), Json::arr(self.rows.iter())),
-        ])
-    }
 }
 
 impl fmt::Display for RecoveryReport {

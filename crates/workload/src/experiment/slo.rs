@@ -14,7 +14,7 @@ use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, RunOutcome, Scenario};
@@ -53,26 +53,30 @@ fn ratio_grid(profile: Profile) -> &'static [f64] {
     }
 }
 
-/// One row of Table 4.
-#[derive(Clone, Debug)]
-pub struct Table4Row {
-    /// The application.
-    pub app: AppKind,
-    /// The fixed throughput (requests/s).
-    pub rps: f64,
-    /// Minimal p99 (ms) for the vanilla baseline.
-    pub vanilla_ms: f64,
-    /// Minimal p99 (ms) for BeeHive on OpenWhisk (over the ratio grid).
-    pub beehive_o_ms: f64,
-    /// Minimal p99 (ms) for BeeHive on Lambda.
-    pub beehive_l_ms: f64,
+json_record! {
+    /// One row of Table 4.
+    #[derive(Clone, Debug)]
+    pub struct Table4Row {
+        /// The application.
+        pub app: AppKind,
+        /// The fixed throughput (requests/s).
+        pub rps: f64,
+        /// Minimal p99 (ms) for the vanilla baseline.
+        pub vanilla_ms: f64,
+        /// Minimal p99 (ms) for BeeHive on OpenWhisk (over the ratio grid).
+        pub beehive_o_ms: f64,
+        /// Minimal p99 (ms) for BeeHive on Lambda.
+        pub beehive_l_ms: f64,
+    }
 }
 
-/// Table 4.
-#[derive(Clone, Debug)]
-pub struct Table4Report {
-    /// Rows per application.
-    pub rows: Vec<Table4Row>,
+json_record! {
+    /// Table 4.
+    #[derive(Clone, Debug)]
+    pub struct Table4Report {
+        /// Rows per application.
+        pub rows: Vec<Table4Row>,
+    }
 }
 
 /// Run Table 4 for the given applications.
@@ -127,28 +131,6 @@ pub fn table4(apps: &[AppKind], profile: Profile) -> Table4Report {
         })
         .collect();
     Table4Report { rows }
-}
-
-impl ToJson for Table4Report {
-    fn to_json(&self) -> Json {
-        Json::obj([(
-            "rows".into(),
-            Json::Arr(
-                self.rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("app".into(), Json::from(r.app.name())),
-                            ("rps".into(), Json::from(r.rps)),
-                            ("vanilla_ms".into(), Json::from(r.vanilla_ms)),
-                            ("beehive_o_ms".into(), Json::from(r.beehive_o_ms)),
-                            ("beehive_l_ms".into(), Json::from(r.beehive_l_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
 }
 
 impl fmt::Display for Table4Report {

@@ -9,18 +9,21 @@ use beehive_core::{ServerRuntime, ServerSession, SessionStep};
 use beehive_db::Database;
 use beehive_proxy::Proxy;
 use beehive_sim::json::{Json, ToJson};
+use beehive_sim::json_record;
 use beehive_vm::natives::NativeCounters;
 use beehive_vm::{CostModel, Value};
 
-/// One row of Table 2.
-#[derive(Clone, Debug)]
-pub struct Table2Row {
-    /// Category label.
-    pub category: &'static str,
-    /// Invocations in one request.
-    pub invocations: u64,
-    /// Representative method.
-    pub representative: &'static str,
+json_record! {
+    /// One row of Table 2.
+    #[derive(Clone, Debug)]
+    pub struct Table2Row {
+        /// Category label.
+        pub category: &'static str,
+        /// Invocations in one request.
+        pub invocations: u64,
+        /// Representative method.
+        pub representative: &'static str,
+    }
 }
 
 /// The Table 2 reproduction.
@@ -37,25 +40,12 @@ impl Table2Report {
     }
 }
 
+// Not a record: the derived `total` leads the document.
 impl ToJson for Table2Report {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("total".into(), Json::from(self.total())),
-            (
-                "rows".into(),
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("category".into(), Json::from(r.category)),
-                                ("invocations".into(), Json::from(r.invocations)),
-                                ("representative".into(), Json::from(r.representative)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("total".into(), self.total().to_json()),
+            ("rows".into(), self.rows.to_json()),
         ])
     }
 }

@@ -4,8 +4,7 @@
 use std::fmt;
 
 use beehive_apps::{App, AppKind, Fidelity};
-use beehive_sim::json::{Json, ToJson};
-use beehive_sim::Duration;
+use beehive_sim::{json_record, Duration};
 
 use crate::driver::{ArrivalPattern, SimConfig};
 use crate::engine::{run_all, Scenario};
@@ -13,33 +12,37 @@ use crate::strategy::Strategy;
 
 use super::{base_rate, Profile};
 
-/// Per-application fallback metrics (averages per invocation).
-#[derive(Clone, Debug)]
-pub struct Table5Column {
-    /// The application.
-    pub app: AppKind,
-    /// Steady-state fallbacks per invocation.
-    pub fallbacks: f64,
-    /// Steady-state fallback overhead (ms) per invocation.
-    pub fallback_overhead_ms: f64,
-    /// Steady-state remote code/data fetches per invocation (0 once the
-    /// closure is refined).
-    pub remote_fetching: f64,
-    /// Objects shipped at synchronizations per invocation.
-    pub synchronized_objects: f64,
-    /// Fallbacks during the shadow execution.
-    pub fallbacks_shadow: f64,
-    /// Remote fetches during the shadow execution.
-    pub remote_fetching_shadow: f64,
-    /// Remote-fetch overhead during the shadow execution (ms).
-    pub fetching_overhead_shadow_ms: f64,
+json_record! {
+    /// Per-application fallback metrics (averages per invocation).
+    #[derive(Clone, Debug)]
+    pub struct Table5Column {
+        /// The application.
+        pub app: AppKind,
+        /// Steady-state fallbacks per invocation.
+        pub fallbacks: f64,
+        /// Steady-state fallback overhead (ms) per invocation.
+        pub fallback_overhead_ms: f64,
+        /// Steady-state remote code/data fetches per invocation (0 once the
+        /// closure is refined).
+        pub remote_fetching: f64,
+        /// Objects shipped at synchronizations per invocation.
+        pub synchronized_objects: f64,
+        /// Fallbacks during the shadow execution.
+        pub fallbacks_shadow: f64,
+        /// Remote fetches during the shadow execution.
+        pub remote_fetching_shadow: f64,
+        /// Remote-fetch overhead during the shadow execution (ms).
+        pub fetching_overhead_shadow_ms: f64,
+    }
 }
 
-/// Table 5.
-#[derive(Clone, Debug)]
-pub struct Table5Report {
-    /// One column per application.
-    pub columns: Vec<Table5Column>,
+json_record! {
+    /// Table 5.
+    #[derive(Clone, Debug)]
+    pub struct Table5Report {
+        /// One column per application.
+        pub columns: Vec<Table5Column>,
+    }
 }
 
 /// Run Table 5 for the given applications on the OpenWhisk deployment (one
@@ -85,39 +88,6 @@ pub fn table5(apps: &[AppKind], profile: Profile) -> Table5Report {
         })
         .collect();
     Table5Report { columns }
-}
-
-impl ToJson for Table5Column {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app".into(), Json::from(self.app.name())),
-            ("fallbacks".into(), Json::from(self.fallbacks)),
-            (
-                "fallback_overhead_ms".into(),
-                Json::from(self.fallback_overhead_ms),
-            ),
-            ("remote_fetching".into(), Json::from(self.remote_fetching)),
-            (
-                "synchronized_objects".into(),
-                Json::from(self.synchronized_objects),
-            ),
-            ("fallbacks_shadow".into(), Json::from(self.fallbacks_shadow)),
-            (
-                "remote_fetching_shadow".into(),
-                Json::from(self.remote_fetching_shadow),
-            ),
-            (
-                "fetching_overhead_shadow_ms".into(),
-                Json::from(self.fetching_overhead_shadow_ms),
-            ),
-        ])
-    }
-}
-
-impl ToJson for Table5Report {
-    fn to_json(&self) -> Json {
-        Json::obj([("columns".into(), Json::arr(self.columns.iter()))])
-    }
 }
 
 impl fmt::Display for Table5Report {

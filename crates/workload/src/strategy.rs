@@ -3,6 +3,7 @@
 use beehive_apps::App;
 use beehive_faas::PlatformConfig;
 use beehive_scaling::ScalingKind;
+use beehive_sim::json::{Json, ToJson};
 
 /// One scaling strategy under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +112,12 @@ impl Strategy {
             Strategy::BeeHiveOpenWhisk,
             Strategy::BeeHiveLambda,
         ]
+    }
+}
+
+impl ToJson for Strategy {
+    fn to_json(&self) -> Json {
+        self.label().to_json()
     }
 }
 

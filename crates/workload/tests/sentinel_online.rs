@@ -6,7 +6,7 @@ use beehive_apps::{App, AppKind, Fidelity};
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
 use beehive_observatory::TimelineDoc;
 use beehive_sentinel::{ScenarioCheck, SentinelReport};
-use beehive_sim::json::Json;
+use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 use beehive_telemetry::Trace;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};

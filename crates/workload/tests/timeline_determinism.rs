@@ -5,6 +5,7 @@
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
 use beehive_observatory::{ScenarioSeries, TimelineDoc};
+use beehive_sim::json::ToJson;
 use beehive_sim::Duration;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
 use beehive_workload::engine::{run_all_with_workers, RunOutcome, Scenario};

@@ -22,7 +22,7 @@ fn main() {
     println!("shadow executions:      {}", report.shadows);
     println!(
         "cold / warm boots:      {} / {}",
-        report.boots.0, report.boots.1
+        report.cold_boots, report.warm_boots
     );
     println!("pre-burst p99:          {:.1} ms", report.pre_burst_p99_ms);
     match report.stabilization_secs {

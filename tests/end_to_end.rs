@@ -205,7 +205,7 @@ fn experiments_are_deterministic() {
     let (a, b) = (run(), run());
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.stabilization_secs, b.stabilization_secs);
-    assert_eq!(a.boots, b.boots);
+    assert_eq!((a.cold_boots, a.warm_boots), (b.cold_boots, b.warm_boots));
     assert!((a.scaling_cost - b.scaling_cost).abs() < 1e-12);
 }
 
