@@ -127,6 +127,24 @@ head -c 32 "$profile_dir/shadow.profile.json" | grep -q '^{"scenarios":\[' \
   || { echo "profile file is not a profile document"; exit 1; }
 rm -rf "$profile_dir"
 
+echo "==> golden: every synthetic profile frame is byte-stable"
+# Between them these three items charge every synthetic cost frame but
+# `[sync:volatile]` (`[db:fallback]`, `[fallback:native]`, `[gc]`,
+# `[recovery]`, …): their folded stacks are pinned by length and digest, at
+# a single worker and at two.
+digests="scripts/golden/profile_quick.digests"
+for w in 1 2; do
+  mkdir -p "$profile_dir"
+  BEEHIVE_WORKERS=$w ./target/release/repro ablations recovery gcstats --quick --seed 42 \
+    --profile "$profile_dir" > /dev/null 2>&1
+  grep -v '^#' "$digests" | while read -r _ _ file; do
+    printf '%s  %s  %s\n' "$(sha256sum < "$profile_dir/$file" | cut -d' ' -f1)" \
+      "$(wc -c < "$profile_dir/$file")" "$file"
+  done > "$verify_out/profile_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/profile_quick.digests"
+  rm -rf "$profile_dir" "$verify_out/profile_quick.digests"
+done
+
 echo "==> golden: repro recovery --quick is byte-stable at any worker count"
 # The §4.5 fault-injection sweep must be deterministic in the worker pool
 # size: the fault plan is expanded from its own seeded stream, and recovery
