@@ -636,6 +636,115 @@ fn recovery_without_snapshot_restarts_from_scratch() {
     assert_eq!(server.proxy.db().table_len(1), 1);
 }
 
+/// A handler that dirties a shared object and then reads a volatile static:
+/// `SHARED.f0 = arg; return FLAG` (volatile read). Returns the runtime with
+/// `SHARED` and `FLAG = 5` installed, the root, and the two slots.
+fn volatile_setup(config: BeeHiveConfig) -> (ServerRuntime, MethodId, StaticSlot, StaticSlot) {
+    let mut pb = ProgramBuilder::new();
+    let app = pb.user_class("FlagController", 0, Some("@RestController"));
+    let boxed = pb.user_class("Box", 1, None);
+    let shared = pb.static_slot("SHARED");
+    let flag = pb.static_slot("FLAG");
+    let mut a = Asm::new();
+    a.get_static(shared).load(0).put_field(0);
+    a.get_static_volatile(flag).return_val();
+    let root = pb.method_annotated(app, "update", 1, 1, a.finish(), Some("@PostMapping"));
+    let program = Arc::new(pb.finish());
+    let mut server = ServerRuntime::new(
+        program,
+        config,
+        Proxy::new(Database::new()),
+        CostModel::default(),
+    );
+    let obj = server
+        .vm
+        .heap
+        .alloc_object(boxed, 1, beehive_vm::heap::Space::Closure)
+        .unwrap();
+    server.vm.heap.set(obj, 0, Value::I64(0));
+    server.vm.set_static(shared, Value::Ref(obj));
+    server.vm.set_static(flag, Value::I64(5));
+    (server, root, shared, flag)
+}
+
+/// Drive a lone offload session to completion, returning its value and
+/// every need it queued that serviced a fallback without fetching.
+fn drive_collecting_sync_legs(
+    server: &mut ServerRuntime,
+    func: &mut FunctionRuntime,
+    root: MethodId,
+    arg: i64,
+) -> (Value, OffloadSession, Vec<beehive_core::Need>) {
+    let net = server.config.net;
+    let mut s = OffloadSession::start(server, func, root, vec![Value::I64(arg)], false, net, false);
+    let mut legs = Vec::new();
+    loop {
+        match s.next(server, func) {
+            SessionStep::Need(n) => {
+                if n.fallback && !n.fetch {
+                    legs.push(n);
+                }
+            }
+            SessionStep::Finished(v) => return (v, s, legs),
+            other => panic!("a lone offload session has no peers: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn volatile_access_syncs_through_the_server() {
+    use beehive_core::{Need, Resource};
+    for recovery in [false, true] {
+        let config = if recovery {
+            BeeHiveConfig::default().with_recovery()
+        } else {
+            BeeHiveConfig::default()
+        };
+        let (mut server, root, shared, flag) = volatile_setup(config);
+        let program = Arc::clone(&server.program);
+        let mut func = FunctionRuntime::new(0, &program, CostModel::default());
+        let (v, s, legs) = drive_collecting_sync_legs(&mut server, &mut func, root, 42);
+        assert_eq!(
+            v,
+            Value::I64(5),
+            "the volatile read sees the server's value"
+        );
+        assert_eq!(s.stats.fallbacks_sync, 1, "one volatile sync");
+
+        // Three legs, all fallback overhead: to the server, the sync itself,
+        // back. With recovery on, the sync point's snapshot ships after them.
+        let f_s = server.config.net.function_server;
+        let leg = |resource, amount| Need {
+            resource,
+            amount,
+            fallback: true,
+            fetch: false,
+        };
+        let sync = [
+            leg(Resource::Net, f_s),
+            leg(Resource::ServerCpu, server.config.sync_base_cost),
+            leg(Resource::Net, f_s),
+        ];
+        assert_eq!(legs[..3], sync);
+        assert_eq!(legs.len(), if recovery { 4 } else { 3 });
+        assert_eq!(s.stats.snapshots, u64::from(recovery));
+
+        // The dirty object reached the server at the sync, not at completion.
+        assert_eq!(s.stats.synchronized_objects, 1);
+        assert_eq!(s.stats.completion_dirty, 0);
+        let obj = server.vm.static_value(shared).as_ref().unwrap();
+        assert_eq!(server.vm.heap.get(obj, 0), Value::I64(42));
+
+        // A server-side write to the static is visible to the next offloaded
+        // request on the same warm instance.
+        server.vm.set_static(flag, Value::I64(77));
+        let (v, s, _) = drive_collecting_sync_legs(&mut server, &mut func, root, 43);
+        assert_eq!(v, Value::I64(77));
+        assert_eq!(s.stats.fallbacks_sync, 1);
+        assert_eq!(server.vm.heap.get(obj, 0), Value::I64(43));
+    }
+}
+
 #[test]
 fn fallback_overhead_is_attributed() {
     let (app, mut server) = setup(BeeHiveConfig::default());
