@@ -201,6 +201,51 @@ fn diff_rejects_an_out_of_range_integer_in_an_insight_document() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
+/// A folded profile that does not parse is refused, not skipped: `repro
+/// diff` exits 2 naming the file and the line, for a count beyond `u64` and
+/// for a line with no count at all.
+#[test]
+fn diff_rejects_a_corrupt_folded_profile() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scripts/golden/metrics_quick"
+    );
+    let tmp = std::env::temp_dir().join(format!("beehive-folded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let (base, cur) = (tmp.join("base"), tmp.join("cur"));
+    let folded = "shadow;server;A.handle 100\nshadow;server;A.handle;[db] 2500\n";
+    for dir in [&base, &cur] {
+        std::fs::create_dir_all(dir).unwrap();
+        for file in ["shadow.metrics.json", "shadow.insight.json"] {
+            std::fs::copy(format!("{golden}/{file}"), dir.join(file)).unwrap();
+        }
+        std::fs::write(dir.join("shadow.folded"), folded).unwrap();
+    }
+    let diff = || repro(&["diff", base.to_str().unwrap(), cur.to_str().unwrap()]);
+    let out = diff();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+
+    for (line2, why) in [
+        (
+            "shadow;server;A.handle;[db] 18446744073709551616",
+            "bad count",
+        ),
+        ("shadow;server;A.handle;[db]", "no count separator"),
+    ] {
+        let corrupt = format!("shadow;server;A.handle 100\n{line2}\n");
+        std::fs::write(cur.join("shadow.folded"), corrupt).unwrap();
+        let out = diff();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        assert!(
+            err.contains("shadow.folded: line 2: ") && err.contains(why),
+            "{err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
 /// `repro` with `BEEHIVE_WORKERS=0`: the engine refuses that worker count
 /// the moment an item hands it its first scenarios, so a command line that
 /// was parsed, whose item was accepted and whose runner started exits 2

@@ -75,13 +75,19 @@ impl Diagnosis {
     }
 }
 
-/// Per-request mean of every component, in nanoseconds.
-fn means(r: &AttributionReport) -> [i64; crate::attribution::COMPONENTS] {
-    let mut out = [0i64; crate::attribution::COMPONENTS];
+/// Per-request mean of every component, in nanoseconds. Wide enough that
+/// deltas, their sum and the share arithmetic cannot overflow.
+fn means(r: &AttributionReport) -> [i128; crate::attribution::COMPONENTS] {
+    let mut out = [0i128; crate::attribution::COMPONENTS];
     for c in Component::ALL {
-        out[c as usize] = r.mean_ns(c) as i64;
+        out[c as usize] = r.mean_ns(c).into();
     }
     out
+}
+
+/// `v` clamped into `i64`.
+fn saturate(v: i128) -> i64 {
+    v.clamp(i64::MIN.into(), i64::MAX.into()) as i64
 }
 
 /// Diagnose one regressed latency delta from the two runs' attribution
@@ -104,8 +110,8 @@ pub fn diagnose(
     // Dominant growth: largest positive per-request mean delta; canonical
     // component order breaks ties.
     let mut dominant = Component::ServerAssist;
-    let mut dominant_delta = i64::MIN;
-    let mut positive_sum = 0i64;
+    let mut dominant_delta = i128::MIN;
+    let mut positive_sum = 0i128;
     for c in Component::ALL {
         let d = cm[c as usize] - bm[c as usize];
         if d > 0 {
@@ -133,7 +139,7 @@ pub fn diagnose(
         scenario: delta.scenario.clone(),
         metric: delta.metric.clone(),
         dominant,
-        dominant_delta_ns: dominant_delta,
+        dominant_delta_ns: saturate(dominant_delta),
         share_pct,
         counters,
         hottest_frame,
@@ -145,9 +151,9 @@ pub fn counter_deltas(base: &ScenarioMetrics, cur: &ScenarioMetrics) -> Vec<(Str
     DIAGNOSTIC_COUNTERS
         .iter()
         .filter_map(|&name| {
-            let b = base.counter(name).map_or(0, |c| c.total) as i64;
-            let c = cur.counter(name).map_or(0, |c| c.total) as i64;
-            (b != c).then(|| (name.to_string(), c - b))
+            let b = i128::from(base.counter(name).map_or(0, |c| c.total));
+            let c = i128::from(cur.counter(name).map_or(0, |c| c.total));
+            (b != c).then(|| (name.to_string(), saturate(c - b)))
         })
         .collect()
 }
@@ -167,7 +173,8 @@ fn leaf_self_times(folded: &str, label: &str) -> Option<BTreeMap<String, u64>> {
             continue;
         }
         let Some(leaf) = frames.last() else { continue };
-        *out.entry(leaf.clone()).or_insert(0) += count;
+        let total = out.entry(leaf.clone()).or_insert(0u64);
+        *total = total.saturating_add(count);
     }
     Some(out)
 }
@@ -276,6 +283,58 @@ mod tests {
         c.add("fallbacks", SimTime::ZERO, 7);
         let deltas = counter_deltas(&b.snapshot("s"), &c.snapshot("s"));
         assert_eq!(deltas, vec![("boots_cold".to_string(), 9)]);
+    }
+
+    #[test]
+    fn huge_component_growth_keeps_its_share_and_its_name() {
+        let base = report(1, &[(Component::FaasExec, 10_000)]);
+        // 5e17 ns: the share's `delta * 100` no longer fits an i64.
+        let cur = report(
+            1,
+            &[
+                (Component::FaasExec, 10_000),
+                (Component::BootWait, 500_000_000_000_000_000),
+            ],
+        );
+        let d = diagnose(&delta(), Some(&base), Some(&cur), None, None, None).unwrap();
+        assert_eq!((d.dominant, d.share_pct), (Component::BootWait, 100));
+        assert!(d
+            .render()
+            .starts_with("100% of component growth from boot_wait"));
+        // 1.8e19 ns: the mean itself no longer fits an i64.
+        let cur = report(
+            1,
+            &[
+                (Component::FaasExec, 10_000),
+                (Component::BootWait, 18_000_000_000_000_000_000),
+            ],
+        );
+        let d = diagnose(&delta(), Some(&base), Some(&cur), None, None, None).unwrap();
+        assert_eq!((d.dominant, d.share_pct), (Component::BootWait, 100));
+        assert_eq!(d.dominant_delta_ns, i64::MAX);
+    }
+
+    #[test]
+    fn counter_deltas_saturate_instead_of_wrapping() {
+        let b = Registry::new(DEFAULT_WINDOW);
+        let mut c = Registry::new(DEFAULT_WINDOW);
+        c.add("boots_cold", SimTime::ZERO, u64::MAX);
+        let (b, c) = (b.snapshot("s"), c.snapshot("s"));
+        assert_eq!(
+            counter_deltas(&b, &c),
+            vec![("boots_cold".to_string(), i64::MAX)]
+        );
+        assert_eq!(
+            counter_deltas(&c, &b),
+            vec![("boots_cold".to_string(), -i64::MAX - 1)]
+        );
+    }
+
+    #[test]
+    fn leaf_self_times_saturate() {
+        let folded = "s;lane;f 18446744073709551615\ns;lane;g;f 18446744073709551615\n";
+        let times = leaf_self_times(folded, "s").unwrap();
+        assert_eq!(times["f"], u64::MAX);
     }
 
     #[test]
