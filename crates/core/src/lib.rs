@@ -11,7 +11,7 @@
 //! | Module | Paper section |
 //! |---|---|
 //! | [`closure`] — initial-closure construction & refinement | §3.1, §4.3 |
-//! | [`session`] — the fallback protocol (missing code/data, native, DB, sync) | §3.1–§3.3, §4.1–§4.2 |
+//! | [`session`] — the fallback protocol: one step loop for both endpoints, each round trip (code, data, native, DB, sync) a list of legs | §3.1–§3.3, §4.1–§4.2 |
 //! | [`mapping`] — per-function address mapping tables | §4.1 |
 //! | [`objgraph`] — object-graph copies with remote-reference marking | §4.1 |
 //! | [`server`] / [`function`] — the two endpoint runtimes | §3.1 |
@@ -25,7 +25,8 @@
 //! state machines that the embedding discrete-event simulation drives: each
 //! [`session::SessionStep`] tells the driver which resource to occupy for how
 //! long (server CPU, function CPU, network, database) before calling the
-//! session again. All BeeHive mechanics — remote-reference fix-up, closure
+//! session again; each round trip's steps are its legs, whose sum is its
+//! profile frame. All BeeHive mechanics — remote-reference fix-up, closure
 //! refinement, monitor hand-offs with dirty-object shipping, proxy-mediated
 //! database rounds — happen inside the session when its pending steps drain.
 
