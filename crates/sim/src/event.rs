@@ -79,11 +79,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -130,13 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_nanos(9), ());
         q.schedule(SimTime::from_nanos(4), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(4)));
+        assert!(!q.is_empty());
     }
 }
