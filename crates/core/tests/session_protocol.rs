@@ -640,15 +640,27 @@ fn recovery_without_snapshot_restarts_from_scratch() {
 /// `SHARED.f0 = arg; return FLAG` (volatile read). Returns the runtime with
 /// `SHARED` and `FLAG = 5` installed, the root, and the two slots.
 fn volatile_setup(config: BeeHiveConfig) -> (ServerRuntime, MethodId, StaticSlot, StaticSlot) {
+    volatile_program(config, 1, |a, _, shared, flag| {
+        a.get_static(shared).load(0).put_field(0);
+        a.get_static_volatile(flag).return_val();
+    })
+}
+
+/// [`volatile_setup`] with the handler's code written by `body`, given the
+/// one-field `Box` class and the `SHARED` and `FLAG` slots.
+fn volatile_program(
+    config: BeeHiveConfig,
+    locals: u8,
+    body: impl FnOnce(&mut Asm, ClassId, StaticSlot, StaticSlot),
+) -> (ServerRuntime, MethodId, StaticSlot, StaticSlot) {
     let mut pb = ProgramBuilder::new();
     let app = pb.user_class("FlagController", 0, Some("@RestController"));
     let boxed = pb.user_class("Box", 1, None);
     let shared = pb.static_slot("SHARED");
     let flag = pb.static_slot("FLAG");
     let mut a = Asm::new();
-    a.get_static(shared).load(0).put_field(0);
-    a.get_static_volatile(flag).return_val();
-    let root = pb.method_annotated(app, "update", 1, 1, a.finish(), Some("@PostMapping"));
+    body(&mut a, boxed, shared, flag);
+    let root = pb.method_annotated(app, "update", 1, locals, a.finish(), Some("@PostMapping"));
     let program = Arc::new(pb.finish());
     let mut server = ServerRuntime::new(
         program,
@@ -742,6 +754,56 @@ fn volatile_access_syncs_through_the_server() {
         assert_eq!(v, Value::I64(77));
         assert_eq!(s.stats.fallbacks_sync, 1);
         assert_eq!(server.vm.heap.get(obj, 0), Value::I64(43));
+    }
+}
+
+/// The write half: a volatile write made on a function is a release. The
+/// writes before it and the written value reach the server at its sync
+/// point, so the next server read sees them — a plain value, and an object
+/// the function created, which escapes to the server through the static.
+#[test]
+fn volatile_write_on_a_function_is_published_to_the_server() {
+    for recovery in [false, true] {
+        let config = if recovery {
+            BeeHiveConfig::default().with_recovery()
+        } else {
+            BeeHiveConfig::default()
+        };
+        // SHARED.f0 = arg; FLAG = arg (volatile); return 0
+        let (mut server, root, shared, flag) = volatile_program(config, 1, |a, _, s, f| {
+            a.get_static(s).load(0).put_field(0);
+            a.load(0).put_static_volatile(f);
+            a.const_i(0).return_val();
+        });
+        let program = Arc::clone(&server.program);
+        let mut func = FunctionRuntime::new(0, &program, CostModel::default());
+        let (v, s, _) = drive_collecting_sync_legs(&mut server, &mut func, root, 42);
+        assert_eq!(v, Value::I64(0));
+        assert_eq!(s.stats.fallbacks_sync, 1, "one volatile sync");
+        assert_eq!(server.vm.static_value(flag), Value::I64(42), "the write");
+        let obj = server.vm.static_value(shared).as_ref().unwrap();
+        assert_eq!(server.vm.heap.get(obj, 0), Value::I64(42), "released");
+        assert_eq!(
+            (s.stats.synchronized_objects, s.stats.completion_dirty),
+            (1, 0)
+        );
+
+        // b = new Box; b.f0 = arg; FLAG = b (volatile); return 0
+        let (mut server, root, _, flag) = volatile_program(config, 2, |a, boxed, _, f| {
+            a.new_obj(boxed).store(1);
+            a.load(1).load(0).put_field(0);
+            a.load(1).put_static_volatile(f);
+            a.const_i(0).return_val();
+        });
+        let program = Arc::clone(&server.program);
+        let mut func = FunctionRuntime::new(0, &program, CostModel::default());
+        let (v, s, _) = drive_collecting_sync_legs(&mut server, &mut func, root, 7);
+        assert_eq!(v, Value::I64(0));
+        assert_eq!(s.stats.fallbacks_sync, 1);
+        let obj = server.vm.static_value(flag).as_ref();
+        let obj = obj.expect("FLAG holds the function's object");
+        assert!(!obj.is_remote(), "the object escaped to the server");
+        assert_eq!(server.vm.heap.get(obj, 0), Value::I64(7));
     }
 }
 

@@ -400,6 +400,13 @@ impl Execution {
         self.sync_permit = true;
     }
 
+    /// The executing frame's top operand, if it has one: while blocked on a
+    /// volatile write, the value about to be written.
+    pub fn top_operand(&self) -> Option<Value> {
+        let frame = self.frames.last()?;
+        self.values[frame.stack_base..].last().copied()
+    }
+
     /// Current frame depth.
     pub fn depth(&self) -> usize {
         self.frames.len()
