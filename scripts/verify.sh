@@ -209,8 +209,11 @@ golden_at_workers timeline_quick.txt \
 
 echo "==> golden: repro timeline --json is byte-stable at any worker count"
 # The timeline document `repro lag` reads back, pinned by length and digest
-# for a bursty item (it carries a burst onset signal) and for one run under
-# chaos, at a single worker and at two.
+# for a bursty item (it carries a burst onset signal), for one run under
+# chaos and for the two items that route through the scaled and combined
+# strategies (their `forwarded` series counts every request sent to the
+# scaled pool, their dispatch series every offload decision), at a single
+# worker and at two.
 digests="scripts/golden/timeline_json_quick.digests"
 for w in 1 2; do
   grep -v '^#' "$digests" | while read -r _ _ item; do

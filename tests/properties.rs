@@ -1,7 +1,7 @@
 //! Randomized property tests on the core data structures and invariants:
 //! value encoding, heap/GC reachability preservation, object graph copies
 //! with remote marking, processor-sharing work conservation, percentile
-//! monotonicity and controller exactness.
+//! monotonicity and offload-ratio exactness.
 //!
 //! Cases are generated with the workspace's own seeded [`Rng`] (fixed seeds,
 //! so every run exercises the same inputs — failures reproduce exactly),
@@ -11,13 +11,14 @@ use std::collections::HashSet;
 
 use beehive::core::mapping::MappingTable;
 use beehive::core::objgraph::{apply_dirty_to_server, copy_to_function};
-use beehive::core::OffloadController;
 use beehive::sim::pool::PsPool;
 use beehive::sim::stats::LatencySampler;
 use beehive::sim::{Duration, Rng, SimTime};
 use beehive::vm::heap::Space;
 use beehive::vm::program::ProgramBuilder;
 use beehive::vm::{Addr, ClassId, CostModel, Value, VmInstance};
+use beehive::workload::router::{Router, Target};
+use beehive::workload::Strategy;
 
 const CASES: usize = 64;
 
@@ -314,7 +315,7 @@ fn ps_pool_conserves_work() {
 }
 
 // ---------------------------------------------------------------------------
-// Statistics and controller
+// Statistics and routing
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -347,8 +348,10 @@ fn controller_offloads_exact_share() {
         let mut rng = master.split();
         let ratio = rng.next_f64();
         let n = 100 + rng.gen_range(1900) as usize;
-        let mut c = OffloadController::new(ratio);
-        let offloaded = (0..n).filter(|_| c.decide()).count();
+        let mut r = Router::new(Strategy::BeeHiveOpenWhisk, Duration::ZERO, ratio);
+        let offloaded = (0..n)
+            .filter(|_| r.route(SimTime::ZERO, 1).target == Target::Faas)
+            .count();
         let expected = (ratio * n as f64).floor();
         assert!(
             (offloaded as f64 - expected).abs() <= 1.0,
