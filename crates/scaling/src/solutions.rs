@@ -165,11 +165,6 @@ impl InstanceScaler {
         }
     }
 
-    /// The solution kind.
-    pub fn kind(&self) -> ScalingKind {
-        self.kind
-    }
-
     /// Request one extra instance at `now`; returns when it will be ready.
     /// Idempotent: repeated requests return the original readiness time.
     pub fn request(&mut self, now: SimTime, rng: &mut Rng) -> SimTime {
@@ -180,16 +175,6 @@ impl InstanceScaler {
         let ready = now + self.kind.provisioning_time(rng);
         self.ready_at = Some(ready);
         ready
-    }
-
-    /// `true` once the extra instance serves requests at `now`.
-    pub fn is_ready(&self, now: SimTime) -> bool {
-        self.ready_at.is_some_and(|t| now >= t)
-    }
-
-    /// When the capacity becomes ready, if requested.
-    pub fn ready_at(&self) -> Option<SimTime> {
-        self.ready_at
     }
 
     /// Dollars spent on the scaled instance from the burst trigger until
@@ -246,8 +231,7 @@ mod tests {
         let r1 = s.request(t0, &mut rng);
         let r2 = s.request(t0 + Duration::from_secs(5), &mut rng);
         assert_eq!(r1, r2);
-        assert!(!s.is_ready(t0));
-        assert!(s.is_ready(r1));
+        assert!(r1 > t0, "on-demand provisioning takes time");
     }
 
     #[test]
@@ -256,7 +240,6 @@ mod tests {
         let mut s = InstanceScaler::new(ScalingKind::Burstable);
         let t0 = SimTime::from_secs(60);
         assert_eq!(s.request(t0, &mut rng), t0);
-        assert!(s.is_ready(t0));
     }
 
     #[test]
