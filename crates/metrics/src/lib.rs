@@ -40,11 +40,11 @@
 #![warn(missing_docs)]
 
 pub mod compare;
-pub mod hist;
 pub mod prom;
 pub mod reduce;
 pub mod registry;
 
+pub use beehive_sim::hist;
 pub use compare::{compare, Delta, Watched, WATCHED};
 pub use hist::LogLinearHistogram;
 pub use prom::prometheus;

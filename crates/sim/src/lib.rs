@@ -12,6 +12,8 @@
 //!   for multi-threaded web servers and FIFO ([`pool::FifoPool`]) for
 //!   single-request FaaS instances,
 //! * [`stats`] — latency percentiles and per-second timelines,
+//! * [`hist`] — the fixed-layout log-linear histogram ([`LogLinearHistogram`])
+//!   every latency distribution in the traces and metrics is kept in,
 //! * [`FastMap`] / [`FastSet`] — the std collections over the one
 //!   deterministic hasher the private integer-keyed maps share ([`hash`]),
 //! * [`json`] — a dependency-free JSON tree, emitter and parser used by the
@@ -37,11 +39,13 @@ mod rng;
 mod time;
 
 pub mod hash;
+pub mod hist;
 pub mod json;
 pub mod pool;
 pub mod stats;
 
 pub use event::EventQueue;
 pub use hash::{FastMap, FastSet};
+pub use hist::LogLinearHistogram;
 pub use rng::Rng;
 pub use time::{Duration, SimTime};
