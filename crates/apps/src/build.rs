@@ -423,8 +423,13 @@ fn measure_warm_cpu(app: &App) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beehive_core::SessionStats;
 
-    fn drive_once(app: &App, server: &mut ServerRuntime, arg: i64) -> (Value, Duration) {
+    fn drive_once(
+        app: &App,
+        server: &mut ServerRuntime,
+        arg: i64,
+    ) -> (Value, Duration, SessionStats) {
         let mut s = ServerSession::start(server, app.root, vec![Value::I64(arg)]);
         let mut total = Duration::ZERO;
         loop {
@@ -438,7 +443,7 @@ mod tests {
                 SessionStep::AwaitLock { .. } => {
                     unreachable!("no concurrent lock hand-offs in this driver")
                 }
-                SessionStep::Finished(v) => return (v, total),
+                SessionStep::Finished(v) => return (v, total, s.stats),
             }
         }
     }
@@ -496,13 +501,13 @@ mod tests {
             CostModel::default(),
         );
         app.install(&mut server);
-        let (v, latency) = drive_once(&app, &mut server, 5);
+        let (v, latency, stats) = drive_once(&app, &mut server, 5);
         assert!(matches!(v, Value::I64(_)));
         // The comment was inserted.
         assert_eq!(server.proxy.db().table_len(1), 1);
         // Latency = CPU + db waits, so above the budget.
         assert!(latency > app.spec.cpu_budget);
-        assert_eq!(server.stats.sessions.db_rounds, app.spec.db_rounds() as u64);
+        assert_eq!(stats.db_rounds, app.spec.db_rounds() as u64);
     }
 
     #[test]
@@ -541,8 +546,8 @@ mod tests {
             CostModel::default(),
         );
         app.install(&mut server);
-        drive_once(&app, &mut server, 3);
-        assert_eq!(server.stats.sessions.db_rounds, 0);
+        let (_, _, stats) = drive_once(&app, &mut server, 3);
+        assert_eq!(stats.db_rounds, 0);
         assert_eq!(app.lambda_memory_gb(), 2.0);
     }
 }

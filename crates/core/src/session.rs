@@ -417,7 +417,6 @@ fn step<E: Endpoint>(e: &mut E, server: &mut ServerRuntime, at: &mut E::Instance
         }
         if let Some(v) = core.done {
             core.finished = true;
-            server.stats.sessions.absorb(stats);
             tele::end(core.track(), core.span, &[]);
             e.complete(server);
             return SessionStep::Finished(v);
@@ -450,7 +449,6 @@ impl ServerSession {
     /// Begin a server-side request.
     pub fn start(server: &mut ServerRuntime, root: MethodId, args: Vec<Value>) -> Self {
         let request = server.next_request_id();
-        server.stats.requests_local += 1;
         let exec = Execution::call(root, args, &server.program);
         let core = Core::new(exec, root, request, EventName::ReqServer);
         tele::begin(core.track(), core.span, &[]);
@@ -684,7 +682,6 @@ impl OffloadSession {
         dispatch_cost: Duration,
     ) -> Self {
         let request = server.next_request_id();
-        server.stats.requests_offloaded += 1;
         // Tag the instance's lane (`faas:primary` vs `faas:shadow`) for the
         // call-tree profiler before any interpreter segment runs.
         func.vm.set_shadow(shadow);
@@ -721,7 +718,6 @@ impl OffloadSession {
         }
         if shadow {
             server.proxy.shadow_begin(func.id);
-            server.stats.shadows += 1;
         }
         let request = [
             ("instance", Arg::UInt(func.id as u64)),
