@@ -194,13 +194,11 @@ impl FaasPlatform {
             retired_at: None,
         });
         self.cold_boots += 1;
-        if tele::enabled() {
-            tele::instant(
-                tele::Track::Instance(id),
-                tele::EventName::InstanceColdBoot,
-                &[("boot_us", tele::Arg::UInt(boot.as_nanos() / 1000))],
-            );
-        }
+        tele::instant(
+            tele::Track::Instance(id),
+            tele::EventName::InstanceColdBoot,
+            &[("boot_us", tele::Arg::UInt(boot.as_nanos() / 1000))],
+        );
         (id, ready, BootKind::Cold)
     }
 
@@ -259,13 +257,11 @@ impl FaasPlatform {
             "release of non-busy instance"
         );
         inst.state = InstanceState::Warm(now);
-        if tele::enabled() {
-            tele::instant(
-                tele::Track::Instance(id),
-                tele::EventName::InstanceRelease,
-                &[("busy_us", tele::Arg::UInt(busy_time.as_nanos() / 1000))],
-            );
-        }
+        tele::instant(
+            tele::Track::Instance(id),
+            tele::EventName::InstanceRelease,
+            &[("busy_us", tele::Arg::UInt(busy_time.as_nanos() / 1000))],
+        );
         self.ledger.record_use(busy_time, self.config.memory_gb, 1);
     }
 

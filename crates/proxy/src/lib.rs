@@ -26,6 +26,7 @@
 use beehive_sim::FastMap;
 
 use beehive_db::{Database, QueryId, QueryOutcome, WriteKey};
+use beehive_telemetry as tele;
 
 /// A logical connection id as seen by the server (one per pooled
 /// connection).
@@ -214,18 +215,15 @@ impl Proxy {
         // story the trace exists to tell, while server rounds are ordinary
         // background traffic (~100 per request on db-heavy apps).
         if let Origin::Function(f) = origin {
-            if beehive_telemetry::enabled() {
-                use beehive_telemetry as tele;
-                tele::instant(
-                    tele::Track::Db,
-                    tele::EventName::DbExecute,
-                    &[
-                        ("query", tele::Arg::UInt(query as u64)),
-                        ("function", tele::Arg::UInt(f as u64)),
-                        ("suppressed", tele::Arg::Bool(suppress)),
-                    ],
-                );
-            }
+            tele::instant(
+                tele::Track::Db,
+                tele::EventName::DbExecute,
+                &[
+                    ("query", tele::Arg::UInt(query as u64)),
+                    ("function", tele::Arg::UInt(f as u64)),
+                    ("suppressed", tele::Arg::Bool(suppress)),
+                ],
+            );
         }
         Ok(self.db.execute(query, arg, write_key, suppress))
     }

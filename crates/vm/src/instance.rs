@@ -7,6 +7,7 @@
 //! populated from the initial closure, growing through fallbacks.
 
 use beehive_sim::{Duration, FastMap, FastSet};
+use beehive_telemetry as tele;
 
 use crate::heap::{GcCosts, GcStats, Heap, Space};
 use crate::ids::{ClassId, MethodId};
@@ -204,12 +205,10 @@ impl VmInstance {
     }
 
     /// The telemetry track this instance's events belong to.
-    pub fn trace_track(&self) -> beehive_telemetry::Track {
+    pub fn trace_track(&self) -> tele::Track {
         match self.kind {
-            EndpointKind::Server => beehive_telemetry::Track::Server,
-            EndpointKind::Function => {
-                beehive_telemetry::Track::Instance(self.trace_id.unwrap_or(u32::MAX))
-            }
+            EndpointKind::Server => tele::Track::Server,
+            EndpointKind::Function => tele::Track::Instance(self.trace_id.unwrap_or(u32::MAX)),
         }
     }
 
@@ -440,20 +439,17 @@ impl VmInstance {
             }
         });
         self.gc_log.push(stats);
-        if beehive_telemetry::enabled() {
-            use beehive_telemetry::Arg;
-            beehive_telemetry::complete(
-                self.trace_track(),
-                beehive_telemetry::EventName::Gc,
-                stats.pause,
-                &[
-                    ("copied_bytes", Arg::UInt(stats.live_bytes)),
-                    ("copied_objects", Arg::UInt(stats.copied_objects)),
-                    ("cards_scanned", Arg::UInt(stats.cards_scanned)),
-                    ("freed_bytes", Arg::UInt(stats.freed_bytes)),
-                ],
-            );
-        }
+        tele::complete(
+            self.trace_track(),
+            tele::EventName::Gc,
+            stats.pause,
+            &[
+                ("copied_bytes", tele::Arg::UInt(stats.live_bytes)),
+                ("copied_objects", tele::Arg::UInt(stats.copied_objects)),
+                ("cards_scanned", tele::Arg::UInt(stats.cards_scanned)),
+                ("freed_bytes", tele::Arg::UInt(stats.freed_bytes)),
+            ],
+        );
         stats
     }
 

@@ -328,17 +328,15 @@ impl Lifecycle {
                 let runtime = fleet.funcs.remove(&fid).map(Box::new);
                 fleet.booting += 1;
                 broker.chaos.stats.retries += 1;
-                if tele::enabled() {
-                    tele::begin(
-                        tele::Track::Request(session.request_id()),
-                        tele::EventName::Recovery,
-                        &[
-                            ("attempt", tele::Arg::UInt(attempt as u64)),
-                            ("replacement", tele::Arg::UInt(fid as u64)),
-                            ("lost_ns", tele::Arg::UInt(lost)),
-                        ],
-                    );
-                }
+                tele::begin(
+                    tele::Track::Request(session.request_id()),
+                    tele::EventName::Recovery,
+                    &[
+                        ("attempt", tele::Arg::UInt(attempt as u64)),
+                        ("replacement", tele::Arg::UInt(fid as u64)),
+                        ("lost_ns", tele::Arg::UInt(lost)),
+                    ],
+                );
                 req.lane = Lane::Crashed {
                     session,
                     runtime,
@@ -560,16 +558,14 @@ impl Lifecycle {
                         }
                         None => (Vec::new(), Default::default()), // peer died; nothing to pull
                     };
-                    if tele::enabled() {
-                        tele::instant(
-                            req.lane.track(),
-                            tele::EventName::SyncPullDirty,
-                            &[
-                                ("objects", tele::Arg::UInt(objs.len() as u64)),
-                                ("bytes", tele::Arg::UInt(report.bytes)),
-                            ],
-                        );
-                    }
+                    tele::instant(
+                        req.lane.track(),
+                        tele::EventName::SyncPullDirty,
+                        &[
+                            ("objects", tele::Arg::UInt(objs.len() as u64)),
+                            ("bytes", tele::Arg::UInt(report.bytes)),
+                        ],
+                    );
                     if let Lane::Faas { session, .. } = &mut req.lane {
                         session.deliver_peer_objects(objs);
                     }
@@ -688,14 +684,12 @@ impl Lifecycle {
                 events.schedule(now + wait, Ev::Step(rid));
             }
             Resource::Db => {
-                if tele::enabled() {
-                    let origin = if on_faas { "function" } else { "server" };
-                    tele::instant(
-                        tele::Track::Db,
-                        tele::EventName::DbRound,
-                        &[("origin", tele::Arg::Str(origin))],
-                    );
-                }
+                let origin = if on_faas { "function" } else { "server" };
+                tele::instant(
+                    tele::Track::Db,
+                    tele::EventName::DbRound,
+                    &[("origin", tele::Arg::Str(origin))],
+                );
                 let mut demand = n.amount;
                 if let Some(reconnect) = broker.chaos.db_drop() {
                     // Connection dropped: pay the reconnect before the
