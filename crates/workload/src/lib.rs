@@ -19,6 +19,13 @@ pub mod lifecycle;
 pub mod router;
 pub mod strategy;
 
+// Unit tests of the two routing policies [`router::Router`] holds: the
+// burst handler (§5.1) and the offloading ratio (§3.1).
+#[cfg(test)]
+mod burst;
+#[cfg(test)]
+mod controller;
+
 pub use config::{ArrivalPattern, SimConfig, SimResult};
 pub use driver::Sim;
 pub use engine::{run_all, RunOutcome, Scenario};
