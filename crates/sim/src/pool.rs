@@ -11,9 +11,9 @@
 //!   where queries are short and run to completion.
 //!
 //! Both pools are *passive*: they never schedule events themselves. Drivers
-//! ask for [`PsPool::next_completion`] after every mutation and schedule a
-//! kernel event; the [`epoch`](PsPool::epoch) counter lets drivers discard
-//! stale completion events after later arrivals changed the schedule.
+//! ask for [`PsPool::next_completion`] after every mutation and move the
+//! pool's one completion event there (see
+//! [`EventQueue::reschedule`](crate::EventQueue::reschedule)).
 //!
 //! A [`PsPool`] keeps its *head*: the first job, in submission order, with
 //! the least remaining work. Every mutation re-establishes it in the same
@@ -54,7 +54,6 @@ pub struct PsPool {
     /// Position of the head in `jobs`; meaningless while the pool is empty.
     head: usize,
     last_update: SimTime,
-    epoch: u64,
     busy_core_time: f64,
 }
 
@@ -82,7 +81,6 @@ impl PsPool {
             jobs: Vec::new(),
             head: 0,
             last_update: SimTime::ZERO,
-            epoch: 0,
             busy_core_time: 0.0,
         }
     }
@@ -104,12 +102,6 @@ impl PsPool {
     /// `true` when the pool is idle.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
-    }
-
-    /// Monotonic counter bumped on every mutation; embed it in scheduled
-    /// completion events and drop events whose epoch is stale.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Total core-nanoseconds consumed so far (for utilization/cost
@@ -164,7 +156,6 @@ impl PsPool {
             self.head = self.jobs.len();
         }
         self.jobs.push(Job { id, remaining });
-        self.epoch += 1;
     }
 
     /// Remove a job (completed or cancelled), returning how much CPU work it
@@ -180,7 +171,6 @@ impl PsPool {
         if self.head > at {
             self.head -= 1;
         }
-        self.epoch += 1;
         Duration::from_nanos(job.remaining.max(0.0).round() as u64)
     }
 
@@ -338,17 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bumps_on_mutation() {
-        let mut pool = PsPool::new(1.0);
-        let e0 = pool.epoch();
-        pool.add(SimTime::ZERO, 1, Duration::from_millis(1));
-        assert!(pool.epoch() > e0);
-        let e1 = pool.epoch();
-        pool.remove(SimTime::from_nanos(10), 1);
-        assert!(pool.epoch() > e1);
-    }
-
-    #[test]
     fn busy_time_accumulates() {
         let mut pool = PsPool::new(4.0);
         pool.add(SimTime::ZERO, 1, Duration::from_millis(10));
@@ -463,7 +442,6 @@ mod tests {
                     }
                 }
                 assert_eq!(pool.next_completion(), model.next_completion());
-                assert_eq!(pool.epoch(), model.epoch);
                 assert_eq!(
                     pool.busy_core_nanos().to_bits(),
                     model.busy_core_time.to_bits(),
@@ -532,7 +510,6 @@ mod tests {
                     model.next_completion(),
                     "seed {seed}"
                 );
-                assert_eq!(pool.epoch(), model.epoch);
                 assert_eq!(
                     pool.busy_core_nanos().to_bits(),
                     model.busy_core_time.to_bits(),

@@ -651,8 +651,7 @@ impl Lifecycle {
                     // lock hand-off hostage and convoy the fleet.
                     events.schedule(now + n.amount, Ev::Step(rid));
                 } else {
-                    broker.pools[pool].add(now, rid, n.amount);
-                    broker.schedule_pool_event(pool, events);
+                    broker.pool_add(now, pool, rid, n.amount, events);
                 }
             }
             Resource::FunctionCpu => {
@@ -698,8 +697,7 @@ impl Lifecycle {
                     tele::instant(tele::Track::Db, tele::EventName::ChaosDbReconnect, &[]);
                     demand += reconnect;
                 }
-                broker.db_pool.add(now, rid, demand);
-                broker.schedule_db_event(events);
+                broker.db_add(now, rid, demand, events);
             }
         }
     }
@@ -905,13 +903,11 @@ mod tests {
                 match ev {
                     Ev::Step(rid) => self.step(rid),
                     Ev::Recover { req } => self.recover(req),
-                    Ev::ServerPool { pool, epoch } => {
-                        if let Some(job) =
-                            self.broker
-                                .pool_completion(self.now, pool, epoch, &mut self.events)
-                        {
-                            self.step(job);
-                        }
+                    Ev::ServerPool { pool } => {
+                        let job = self
+                            .broker
+                            .pool_completion(self.now, pool, &mut self.events);
+                        self.step(job);
                     }
                     Ev::DbDone { job, at } => {
                         if let Some(job) =
