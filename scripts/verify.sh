@@ -67,18 +67,20 @@ echo "==> benchmark: benchmark/run.sh --smoke + the package's own unit tests"
 benchmark/run.sh --smoke
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
-echo "==> golden: repro all --quick is byte-stable (text at 1 worker, --json at 2)"
+echo "==> golden: repro all --quick is byte-stable (text and --json, at 1 worker and at 2)"
 # Every table and figure at quick scale, pinned by length and digest: the
-# report text at a single worker and the JSON document at two.
+# report text and the JSON document, each at a single worker and at two.
 digests="scripts/golden/all_quick.digests"
-BEEHIVE_WORKERS=1 ./target/release/repro all --quick --seed 42 > "$verify_out/all_quick.text"
-BEEHIVE_WORKERS=2 ./target/release/repro all --quick --seed 42 --json > "$verify_out/all_quick.json"
-for form in text json; do
-  out="$verify_out/all_quick.$form"
-  printf '%s  %s  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" "$form"
-done > "$verify_out/all_quick.digests"
-grep -v '^#' "$digests" | diff -u - "$verify_out/all_quick.digests"
-rm -f "$verify_out"/all_quick.*
+for w in 1 2; do
+  BEEHIVE_WORKERS=$w ./target/release/repro all --quick --seed 42 > "$verify_out/all_quick.text"
+  BEEHIVE_WORKERS=$w ./target/release/repro all --quick --seed 42 --json > "$verify_out/all_quick.json"
+  for form in text json; do
+    out="$verify_out/all_quick.$form"
+    printf '%s  %s  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" "$form"
+  done > "$verify_out/all_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/all_quick.digests"
+  rm -f "$verify_out"/all_quick.*
+done
 
 echo "==> golden: repro fig9 --quick --seed 42 --json is byte-stable"
 ./target/release/repro fig9 --quick --seed 42 --json > "$verify_out/fig9_quick.json"
@@ -112,6 +114,25 @@ for w in 1 2; do
   [ "$(ls "$trace_dir" | wc -l)" -eq 10 ] \
     || { echo "--obs left something besides its ten artifacts:"; ls "$trace_dir"; exit 1; }
   rm -rf "$trace_dir" "$verify_out/obs_table5_quick.digests"
+done
+
+echo "==> golden: the --obs artifacts of several items in one run are byte-stable"
+# Three items in one invocation: one that runs no simulation and two that
+# do, each with its own ten artifacts. The stdout (the reports) and every
+# file are pinned by length and digest, at a single worker and at two.
+digests="scripts/golden/obs_multi_quick.digests"
+for w in 1 2; do
+  mkdir -p "$trace_dir"
+  BEEHIVE_WORKERS=$w ./target/release/repro table1 fig2 gcstats --quick --seed 42 \
+    --obs "$trace_dir" > "$verify_out/stdout" 2> /dev/null
+  grep -v '^#' "$digests" | while read -r _ _ file; do
+    if [ "$file" = stdout ]; then path="$verify_out/stdout"; else path="$trace_dir/$file"; fi
+    printf '%s  %s  %s\n' "$(sha256sum < "$path" | cut -d' ' -f1)" "$(wc -c < "$path")" "$file"
+  done > "$verify_out/obs_multi_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/obs_multi_quick.digests"
+  [ "$(ls "$trace_dir" | wc -l)" -eq 20 ] \
+    || { echo "--obs left something besides its twenty artifacts:"; ls "$trace_dir"; exit 1; }
+  rm -rf "$trace_dir" "$verify_out/stdout" "$verify_out/obs_multi_quick.digests"
 done
 
 echo "==> golden: profiled quick repro folded stacks are byte-stable"
