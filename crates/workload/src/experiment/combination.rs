@@ -11,7 +11,7 @@ use beehive_scaling::ScalingKind;
 use beehive_sim::json_record;
 
 use crate::config::SimResult;
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Plan, Scenario};
 use crate::strategy::Strategy;
 
 use super::fig7::{BurstExperiment, BurstReport};
@@ -32,19 +32,21 @@ json_record! {
     }
 }
 
-/// Run the §5.7 combination study (all three burst windows concurrently).
-pub fn combination(kind: AppKind, profile: Profile) -> CombinationReport {
-    let mut reports = run(kind, profile).into_iter().map(|(e, r)| e.report(r));
-    CombinationReport {
-        app: kind,
-        ec2: reports.next().expect("ec2 report"),
-        beehive: reports.next().expect("beehive report"),
-        combined: reports.next().expect("combined report"),
-    }
+/// Plan the §5.7 combination study (all three burst windows concurrently).
+pub fn combination(kind: AppKind, profile: Profile) -> Plan<CombinationReport> {
+    runs(kind, profile).map(move |runs| {
+        let mut reports = runs.into_iter().map(|(e, r)| e.report(r));
+        CombinationReport {
+            app: kind,
+            ec2: reports.next().expect("ec2 report"),
+            beehive: reports.next().expect("beehive report"),
+            combined: reports.next().expect("combined report"),
+        }
+    })
 }
 
 /// Each burst experiment with its result: EC2, BeeHive, combined.
-fn run(kind: AppKind, profile: Profile) -> Vec<(BurstExperiment, SimResult)> {
+fn runs(kind: AppKind, profile: Profile) -> Plan<Vec<(BurstExperiment, SimResult)>> {
     let (horizon, burst_at) = if profile.quick {
         (60u64, 10u64)
     } else {
@@ -63,16 +65,16 @@ fn run(kind: AppKind, profile: Profile) -> Vec<(BurstExperiment, SimResult)> {
             .seed(profile.seed)
     })
     .collect();
-    let outcomes = run_all(
+    let scenarios = experiments
+        .iter()
+        .map(|e| Scenario::new(e.strategy().label(), e.config()))
+        .collect();
+    Plan::new(scenarios, |outcomes| {
         experiments
-            .iter()
-            .map(|e| Scenario::new(e.strategy().label(), e.config()))
-            .collect(),
-    );
-    experiments
-        .into_iter()
-        .zip(outcomes.into_iter().map(|o| o.result))
-        .collect()
+            .into_iter()
+            .zip(outcomes.into_iter().map(|o| o.result))
+            .collect()
+    })
 }
 
 impl fmt::Display for CombinationReport {
@@ -121,7 +123,8 @@ mod tests {
             [6060, 0, 130_251_138, 2_586_678_768, 5_044_552_290],
         ];
         let mut reports = Vec::new();
-        for ((e, mut r), pin) in run(AppKind::Pybbs, Profile::quick()).into_iter().zip(PINS) {
+        let runs = runs(AppKind::Pybbs, Profile::quick()).run();
+        for ((e, mut r), pin) in runs.into_iter().zip(PINS) {
             let got = [
                 r.completed,
                 r.rejected,

@@ -8,7 +8,6 @@ use beehive_core::config::BeeHiveConfig;
 use beehive_core::{ServerRuntime, ServerSession, SessionStep};
 use beehive_db::Database;
 use beehive_proxy::Proxy;
-use beehive_sim::json::{Json, ToJson};
 use beehive_sim::json_record;
 use beehive_vm::natives::NativeCounters;
 use beehive_vm::{CostModel, Value};
@@ -26,27 +25,14 @@ json_record! {
     }
 }
 
-/// The Table 2 reproduction.
-#[derive(Clone, Debug)]
-pub struct Table2Report {
-    /// Rows in paper order.
-    pub rows: Vec<Table2Row>,
-}
-
-impl Table2Report {
-    /// Total native invocations per request.
-    pub fn total(&self) -> u64 {
-        self.rows.iter().map(|r| r.invocations).sum()
-    }
-}
-
-// Not a record: the derived `total` leads the document.
-impl ToJson for Table2Report {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("total".into(), self.total().to_json()),
-            ("rows".into(), self.rows.to_json()),
-        ])
+json_record! {
+    /// The Table 2 reproduction.
+    #[derive(Clone, Debug)]
+    pub struct Table2Report {
+        /// Total native invocations per request.
+        pub total: u64,
+        /// Rows in paper order.
+        pub rows: Vec<Table2Row>,
     }
 }
 
@@ -54,29 +40,31 @@ impl ToJson for Table2Report {
 pub fn table2() -> Table2Report {
     let app = App::build(AppKind::Pybbs, Fidelity::Full);
     let counters = count_one_request(&app);
+    let rows = vec![
+        Table2Row {
+            category: "Pure on-heap",
+            invocations: counters.pure_on_heap,
+            representative: "System.arraycopy",
+        },
+        Table2Row {
+            category: "Hidden states",
+            invocations: counters.hidden_state,
+            representative: "MethodAccessor.invoke0",
+        },
+        Table2Row {
+            category: "Network",
+            invocations: counters.network,
+            representative: "socketRead0",
+        },
+        Table2Row {
+            category: "Others",
+            invocations: counters.stateless,
+            representative: "Thread.currentThread",
+        },
+    ];
     Table2Report {
-        rows: vec![
-            Table2Row {
-                category: "Pure on-heap",
-                invocations: counters.pure_on_heap,
-                representative: "System.arraycopy",
-            },
-            Table2Row {
-                category: "Hidden states",
-                invocations: counters.hidden_state,
-                representative: "MethodAccessor.invoke0",
-            },
-            Table2Row {
-                category: "Network",
-                invocations: counters.network,
-                representative: "socketRead0",
-            },
-            Table2Row {
-                category: "Others",
-                invocations: counters.stateless,
-                representative: "Thread.currentThread",
-            },
-        ],
+        total: rows.iter().map(|r| r.invocations).sum(),
+        rows,
     }
 }
 

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use beehive_apps::AppKind;
 use beehive_telemetry::chrome::ChromeWriter;
 use beehive_telemetry::{EventKind, EventName, TraceEvent, Track};
-use beehive_workload::engine::{set_collector, Collector, EventSink};
+use beehive_workload::engine::{default_workers, run_collected, Collector, EventSink};
 use beehive_workload::experiment::table5::table5;
 use beehive_workload::experiment::Profile;
 use beehive_workload::{SimConfig, SimResult};
@@ -151,9 +151,9 @@ fn table5_streams() -> &'static [Seen] {
     static SEEN: OnceLock<Vec<Seen>> = OnceLock::new();
     SEEN.get_or_init(|| {
         let out = Arc::new(Mutex::new(Vec::new()));
-        set_collector(Some(Arc::new(Probes(Arc::clone(&out)))));
-        table5(&AppKind::all(), Profile::quick());
-        set_collector(None);
+        let plan = table5(&AppKind::all(), Profile::quick());
+        let probes = Probes(Arc::clone(&out));
+        run_collected(plan.scenarios, default_workers(), Some(&probes));
         let mut seen = std::mem::take(&mut *out.lock().unwrap());
         seen.sort_by_key(|&(seq, _)| seq);
         seen.into_iter().map(|(_, s)| s).collect()

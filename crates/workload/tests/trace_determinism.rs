@@ -4,7 +4,7 @@
 //! (same seed at 1, 2, and 8 workers), and must round-trip through the
 //! strict in-tree RFC 8259 parser.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use beehive_apps::AppKind;
 use beehive_sim::json::Json;
@@ -12,17 +12,11 @@ use beehive_telemetry::chrome::{chrome_trace_string, ScenarioTrace, TraceFile};
 use beehive_telemetry::summary::critical_path;
 use beehive_telemetry::{Trace, TraceEvent};
 use beehive_workload::engine::{
-    run_all_with_workers, set_collector, Collector, EventSink, RunOutcome, Scenario,
+    run_all_with_workers, run_collected, Collector, EventSink, Plan, RunOutcome, Scenario,
 };
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 use beehive_workload::{SimConfig, SimResult};
-
-/// The engine's collector is process-wide: one test at a time.
-fn engine() -> MutexGuard<'static, ()> {
-    static ENGINE: Mutex<()> = Mutex::new(());
-    ENGINE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The traces the scenarios retained (`SimConfig::trace`), labelled.
 fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
@@ -30,9 +24,9 @@ fn retained(outcomes: Vec<RunOutcome>) -> Vec<(String, Trace)> {
     outcomes.into_iter().map(trace).collect()
 }
 
-/// Run two traced burst experiments of `secs` virtual seconds at the given
-/// worker count and return the labelled traces (in input order).
-fn traces_at(workers: usize, secs: u64) -> Vec<(String, Trace)> {
+/// Two traced burst experiments of `secs` virtual seconds, reported as
+/// their labelled traces (in input order).
+fn traced(secs: u64) -> Plan<Vec<(String, Trace)>> {
     let scenarios: Vec<Scenario> = [Strategy::BeeHiveOpenWhisk, Strategy::Vanilla]
         .into_iter()
         .map(|s| {
@@ -45,14 +39,19 @@ fn traces_at(workers: usize, secs: u64) -> Vec<(String, Trace)> {
             Scenario::new(e.strategy().label(), cfg)
         })
         .collect();
-    let outcomes = run_all_with_workers(scenarios, workers);
+    Plan::new(scenarios, retained)
+}
+
+/// [`traced`], run at the given worker count.
+fn traces_at(workers: usize, secs: u64) -> Vec<(String, Trace)> {
+    let plan = traced(secs);
+    let outcomes = run_all_with_workers(plan.scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    retained(outcomes)
+    (plan.report)(outcomes)
 }
 
 #[test]
 fn chrome_export_is_byte_identical_at_any_worker_count() {
-    let _engine = engine();
     let serial = traces_at(1, 20);
     let doc = chrome_trace_string(&serial);
     let summary = critical_path(&serial).render();
@@ -124,19 +123,20 @@ impl Collector for FileCollector {
 
 #[test]
 fn streamed_trace_file_is_byte_identical_at_any_worker_count() {
-    let _engine = engine();
     let dir = std::env::temp_dir().join(format!("beehive-streamed-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("burst.trace.json");
     let mut reference = None;
     for workers in [1, 2, 8] {
         let file = TraceFile::new(&path);
-        set_collector(Some(Arc::new(FileCollector(Arc::clone(&file)))));
-        // Two batches: the numbering runs on across `run_all` calls, and the
-        // traces retained alongside are what the file must render.
-        let mut retained = traces_at(workers, 8);
-        retained.extend(traces_at(workers, 8));
-        set_collector(None);
+        // Two plans joined into one batch, numbered on from the first plan's
+        // scenarios into the second's; the traces retained alongside are what
+        // the file must render.
+        let batch = Plan::join([traced(8), traced(8)]);
+        let collector = FileCollector(Arc::clone(&file));
+        let outcomes = run_collected(batch.scenarios, workers, Some(&collector));
+        let retained: Vec<_> = (batch.report)(outcomes).concat();
+        assert_eq!(retained.len(), 4);
         file.finish(retained.len())
             .expect("completing the document");
 
@@ -158,7 +158,6 @@ fn streamed_trace_file_is_byte_identical_at_any_worker_count() {
 
 #[test]
 fn untraced_runs_leave_no_traces_behind() {
-    let _engine = engine();
     let e = BurstExperiment::new(AppKind::Pybbs, Strategy::Vanilla)
         .horizon_secs(2)
         .seed(7);
