@@ -198,16 +198,18 @@ impl AppSpec {
     pub fn db_rounds(&self) -> u32 {
         self.db_reads + self.db_scans + self.db_inserts
     }
-
-    /// Expected Table 2 network-native count (3 per round + direct).
-    pub fn network_natives(&self) -> u64 {
-        3 * self.db_rounds() as u64 + self.direct_socket_natives
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AppSpec {
+        /// Expected Table 2 network-native count (3 per round + direct).
+        fn network_natives(&self) -> u64 {
+            3 * self.db_rounds() as u64 + self.direct_socket_natives
+        }
+    }
 
     #[test]
     fn pybbs_matches_table2() {

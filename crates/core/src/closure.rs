@@ -70,11 +70,6 @@ impl ClosurePlan {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// `true` when only the root class is planned.
-    pub fn is_minimal(&self) -> bool {
-        self.classes.len() <= 1 && self.objects.is_empty() && self.statics.is_empty()
-    }
 }
 
 /// Outcome of instantiating a closure on a fresh function instance.
@@ -94,6 +89,13 @@ pub struct ClosureStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ClosurePlan {
+        /// `true` when only the root class is planned.
+        fn is_minimal(&self) -> bool {
+            self.classes.len() <= 1 && self.objects.is_empty() && self.statics.is_empty()
+        }
+    }
 
     #[test]
     fn minimal_plan() {

@@ -323,14 +323,6 @@ impl FaasPlatform {
         self.instances.len()
     }
 
-    /// Number of currently warm (cached, idle) instances.
-    pub fn warm_count(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| matches!(i.state, InstanceState::Warm(_)))
-            .count()
-    }
-
     /// Cold and warm start counts so far.
     pub fn boot_stats(&self) -> (u64, u64) {
         (self.cold_boots, self.warm_starts)
@@ -381,6 +373,16 @@ impl FaasPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaasPlatform {
+        /// Number of currently warm (cached, idle) instances.
+        fn warm_count(&self) -> usize {
+            self.instances
+                .iter()
+                .filter(|i| matches!(i.state, InstanceState::Warm(_)))
+                .count()
+        }
+    }
 
     fn platform() -> FaasPlatform {
         FaasPlatform::new(PlatformConfig::openwhisk(), Rng::new(1))

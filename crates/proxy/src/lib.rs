@@ -156,14 +156,6 @@ impl Proxy {
         Ok(conn)
     }
 
-    /// Functions attached to `conn` (the FaaS column of Figure 4's table).
-    pub fn attached_functions(&self, conn: ConnId) -> &[u32] {
-        self.conns
-            .get(&conn)
-            .map(|e| e.attached.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// `shadowbegin`: subsequent writes from `function` are suppressed
     /// (§3.4).
     pub fn shadow_begin(&mut self, function: u32) {
@@ -239,6 +231,16 @@ mod tests {
     use super::*;
     use beehive_db::{QueryDef, QueryKind};
     use beehive_sim::Duration;
+
+    impl Proxy {
+        /// Functions attached to `conn` (the FaaS column of Figure 4's table).
+        fn attached_functions(&self, conn: ConnId) -> &[u32] {
+            self.conns
+                .get(&conn)
+                .map(|e| e.attached.as_slice())
+                .unwrap_or(&[])
+        }
+    }
 
     fn proxy() -> (Proxy, QueryId, QueryId) {
         let mut db = Database::new();

@@ -55,7 +55,6 @@ pub use engine::{Sentinel, SentinelConfig};
 
 use beehive_sim::json::{Json, ToJson};
 use beehive_sim::json_record;
-use beehive_telemetry::Trace;
 
 /// The typed invariant classes the sentinel checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,19 +265,6 @@ json_record! {
 }
 
 impl SentinelReport {
-    /// Replay a run's labelled traces through a fresh [`Sentinel`] each:
-    /// the whole-trace reference the online checks are tested against.
-    pub fn from_traces(traces: &[(String, Trace)], cfg: &SentinelConfig) -> SentinelReport {
-        let replay = |(label, trace): &(String, Trace)| {
-            let mut s = Sentinel::new(cfg.clone());
-            for e in &trace.events {
-                s.feed(e);
-            }
-            s.finish(label.clone())
-        };
-        SentinelReport::from_checks(false, traces.iter().map(replay).collect())
-    }
-
     /// Assemble a report from finished checks (e.g. the `sentinel` field of
     /// each `beehive_workload::SimResult`). Under `strict` every warning
     /// becomes a `vocabulary` violation, after the stream-order ones.
@@ -342,7 +328,22 @@ impl SentinelReport {
 mod tests {
     use super::*;
     use beehive_sim::{Duration, SimTime};
-    use beehive_telemetry::{EventKind, TraceEvent, Track};
+    use beehive_telemetry::{EventKind, Trace, TraceEvent, Track};
+
+    impl SentinelReport {
+        /// Replay a run's labelled traces through a fresh [`Sentinel`] each:
+        /// the whole-trace reference the online checks are tested against.
+        fn from_traces(traces: &[(String, Trace)], cfg: &SentinelConfig) -> SentinelReport {
+            let replay = |(label, trace): &(String, Trace)| {
+                let mut s = Sentinel::new(cfg.clone());
+                for e in &trace.events {
+                    s.feed(e);
+                }
+                s.finish(label.clone())
+            };
+            SentinelReport::from_checks(false, traces.iter().map(replay).collect())
+        }
+    }
 
     fn at_ms(ms: u64) -> SimTime {
         SimTime::ZERO + Duration::from_millis(ms)

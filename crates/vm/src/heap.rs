@@ -521,11 +521,6 @@ impl Heap {
             .max(self.used_alloc_bytes() + self.used_closure_bytes())
     }
 
-    /// `true` when an allocation of `slots` fields would fail right now.
-    pub fn needs_gc(&self, slots: u32) -> bool {
-        self.alloc.words.len() + 1 + slots as usize > self.alloc_capacity_words
-    }
-
     /// Semispace collection of the allocation space.
     ///
     /// `each_root` must invoke its visitor on **every** root slot: operand
@@ -651,6 +646,13 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Heap {
+        /// `true` when an allocation of `slots` fields would fail right now.
+        fn needs_gc(&self, slots: u32) -> bool {
+            self.alloc.words.len() + 1 + slots as usize > self.alloc_capacity_words
+        }
+    }
 
     fn heap() -> Heap {
         Heap::new(4096, GcCosts::default())

@@ -68,13 +68,6 @@ pub enum EndpointId {
     Function(u32),
 }
 
-impl EndpointId {
-    /// `true` for the server endpoint.
-    pub fn is_server(self) -> bool {
-        matches!(self, EndpointId::Server)
-    }
-}
-
 impl fmt::Debug for EndpointId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -93,6 +86,13 @@ impl fmt::Display for EndpointId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EndpointId {
+        /// `true` for the server endpoint.
+        fn is_server(self) -> bool {
+            matches!(self, EndpointId::Server)
+        }
+    }
 
     #[test]
     fn debug_formats() {

@@ -193,11 +193,6 @@ impl VmInstance {
         self.kind
     }
 
-    /// `true` on FaaS instances, where every reference load checks bit 63.
-    pub fn checks_remote_refs(&self) -> bool {
-        self.kind == EndpointKind::Function
-    }
-
     /// Tag a function instance with its platform id so trace events land on
     /// that instance's timeline (servers ignore this).
     pub fn set_trace_id(&mut self, id: u32) {
@@ -528,6 +523,13 @@ impl VmInstance {
 mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
+
+    impl VmInstance {
+        /// `true` on FaaS instances, where every reference load checks bit 63.
+        fn checks_remote_refs(&self) -> bool {
+            self.kind == EndpointKind::Function
+        }
+    }
 
     fn tiny_program() -> Program {
         let mut pb = ProgramBuilder::new();

@@ -84,11 +84,6 @@ impl Value {
         }
     }
 
-    /// `true` for [`Value::Null`].
-    pub fn is_null(self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Encode into one heap word.
     ///
     /// # Panics
@@ -152,6 +147,13 @@ impl From<Addr> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Value {
+        /// `true` for [`Value::Null`].
+        fn is_null(self) -> bool {
+            matches!(self, Value::Null)
+        }
+    }
 
     #[test]
     fn remote_bit_round_trip() {

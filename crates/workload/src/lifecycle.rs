@@ -723,15 +723,6 @@ impl Lifecycle {
             }
         }
     }
-
-    /// Requests still parked on a lock, and the locks they wait for.
-    #[cfg(test)]
-    pub(crate) fn stranded_lock_waiters(&self) -> (usize, usize) {
-        (
-            self.lock_waiters.values().map(|q| q.len()).sum(),
-            self.lock_waiters.len(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -747,6 +738,16 @@ mod tests {
     use beehive_sim::{Duration, Rng};
     use beehive_vm::CostModel;
     use std::sync::Arc;
+
+    impl Lifecycle {
+        /// Requests still parked on a lock, and the locks they wait for.
+        pub(crate) fn stranded_lock_waiters(&self) -> (usize, usize) {
+            (
+                self.lock_waiters.values().map(|q| q.len()).sum(),
+                self.lock_waiters.len(),
+            )
+        }
+    }
 
     /// A minimal world around the lifecycle machine: no `Sim`, no arrival
     /// process — tests insert requests by hand and drain the event queue.
