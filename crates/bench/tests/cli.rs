@@ -246,6 +246,81 @@ fn diff_rejects_a_corrupt_folded_profile() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
+/// A CURRENT document that exists but cannot be read is refused, not taken
+/// for missing or skipped: `repro diff` exits 2 naming the file, for the
+/// metrics snapshot and for the insight document beside it.
+#[test]
+fn diff_rejects_an_unreadable_current_document() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scripts/golden/metrics_quick"
+    );
+    let tmp = std::env::temp_dir().join(format!("beehive-unreadable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let (base, cur) = (tmp.join("base"), tmp.join("cur"));
+    let files = ["fig9.metrics.json", "fig9.insight.json"];
+    for dir in [&base, &cur] {
+        std::fs::create_dir_all(dir).unwrap();
+        for file in files {
+            std::fs::copy(format!("{golden}/{file}"), dir.join(file)).unwrap();
+        }
+    }
+    let diff = || repro(&["diff", base.to_str().unwrap(), cur.to_str().unwrap()]);
+    for file in files {
+        let out = diff();
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let good = std::fs::read(cur.join(file)).unwrap();
+        std::fs::write(cur.join(file), b"{\"scenarios\":\xff}").unwrap();
+        let out = diff();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{file}: {err}");
+        assert!(stdout(&out).is_empty(), "{file}: {}", stdout(&out));
+        assert!(
+            err.contains(&format!("reading {}", cur.join(file).display())),
+            "{err}"
+        );
+        std::fs::write(cur.join(file), good).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// An item prints the same whatever it is batched with: at two workers,
+/// several items in one invocation — one engine batch — print exactly the
+/// entries each prints alone, as `--json` reports and as `check` scenarios
+/// (whose labels carry their `item/` prefix either way).
+#[test]
+fn an_items_output_does_not_depend_on_its_batch() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .args(["--quick", "--seed", "42", "--json"])
+            .env("BEEHIVE_WORKERS", "2")
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        Json::parse(&stdout(&out)).expect("the report parses")
+    };
+    let items = ["fig2", "table2", "table5"];
+    let alone = items.iter().flat_map(|item| match run(&[item]) {
+        Json::Arr(entries) => entries,
+        other => panic!("{item}: not an array: {}", other.render()),
+    });
+    let batch = run(&items);
+    assert!(batch.render() == Json::Arr(alone.collect()).render());
+
+    let items = ["fig2", "table5"];
+    let check = |items: &[&str]| run(&[&["check"][..], items].concat());
+    let alone = items.iter().flat_map(|item| {
+        let report = check(&[item]);
+        report.arr_field("scenarios").expect("scenarios").to_vec()
+    });
+    let expected = Json::obj([
+        ("strict".into(), Json::Bool(false)),
+        ("scenarios".into(), Json::Arr(alone.collect())),
+    ]);
+    assert!(check(&items).render() == expected.render());
+}
+
 /// `repro` with `BEEHIVE_WORKERS=0`: the engine refuses that worker count
 /// the moment an item hands it its first scenarios, so a command line that
 /// was parsed, whose item was accepted and whose runner started exits 2
