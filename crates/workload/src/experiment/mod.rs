@@ -1,6 +1,6 @@
 //! Experiment drivers: one per table and figure of the paper's evaluation.
 //!
-//! | Item | Driver |
+//! | Item | Driver (returns a [`Plan`](crate::engine::Plan) unless computed from constants) |
 //! |---|---|
 //! | Figure 2 | [`fig2::fig2`] |
 //! | Table 1 | re-exported from `beehive-scaling` ([`beehive_scaling::table1`]) |
@@ -16,9 +16,10 @@
 //! | §5.7 combination mode | [`combination::combination`] |
 //! | §4.5 failure recovery | [`recovery::recovery`] |
 //!
-//! Every driver takes a [`Profile`] selecting full (paper-scale) or quick
-//! (CI/bench-scale) horizons and a seed; all results are deterministic for a
-//! given profile.
+//! Every simulating driver takes a [`Profile`] selecting full (paper-scale)
+//! or quick (CI/bench-scale) horizons and a seed; all results are
+//! deterministic for a given profile. `repro` joins the plans of every item
+//! it runs into one engine batch.
 
 pub mod ablation;
 pub mod breakdown;
@@ -35,7 +36,26 @@ pub mod table5;
 pub use crate::strategy::Strategy;
 pub use fig7::BurstExperiment;
 
-use beehive_apps::App;
+use std::sync::{Arc, Mutex};
+
+use beehive_apps::{App, AppKind, Fidelity};
+
+/// `kind` built at `fidelity`, shared with every plan still holding one:
+/// building is deterministic, and the plans `repro` batches would otherwise
+/// each keep their own copy of the same program until the batch runs.
+pub fn app(kind: AppKind, fidelity: Fidelity) -> App {
+    static BUILT: Mutex<Vec<App>> = Mutex::new(Vec::new());
+    let mut built = BUILT.lock().expect("no app-cache holder panics");
+    // An app only this cache holds is dropped, not kept for the process.
+    built.retain(|app| Arc::strong_count(&app.program) > 1);
+    let same = |app: &&App| app.kind == kind && app.fidelity == fidelity;
+    if let Some(app) = built.iter().find(same) {
+        return app.clone();
+    }
+    let app = App::build(kind, fidelity);
+    built.push(app.clone());
+    app
+}
 
 /// Experiment scale and seed.
 #[derive(Clone, Copy, Debug)]
