@@ -82,6 +82,21 @@ for w in 1 2; do
   rm -f "$verify_out"/all_quick.*
 done
 
+echo "==> golden: the steady-offload items at seed 7 are byte-stable (at 1 worker and at 2)"
+# The items the steady_offload benchmark workload runs, under a second
+# scenario and chaos seed, pinned by length and digest: a change to how the
+# interpreter executes bytecode must leave every figure they report alone.
+digests="scripts/golden/steady_quick_seed7.digests"
+for w in 1 2; do
+  out="$verify_out/steady_quick_seed7.json"
+  BEEHIVE_WORKERS=$w ./target/release/repro fig9 table5 ablations table4 --quick \
+    --seed 7 --chaos-seed 7 --json > "$out"
+  printf '%s  %s  json\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$(wc -c < "$out")" \
+    > "$verify_out/steady_quick_seed7.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/steady_quick_seed7.digests"
+  rm -f "$out" "$verify_out/steady_quick_seed7.digests"
+done
+
 echo "==> golden: repro fig9 --quick --seed 42 --json is byte-stable"
 ./target/release/repro fig9 --quick --seed 42 --json > "$verify_out/fig9_quick.json"
 diff -u scripts/golden/fig9_quick.json "$verify_out/fig9_quick.json"
