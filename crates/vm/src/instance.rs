@@ -72,7 +72,13 @@ impl Default for CostModel {
 /// Aggregate activity counters of an instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct VmCounters {
-    /// Bytecode ops executed.
+    /// Bytecode instructions executed, not dispatches: a fused loop head
+    /// ([`Op::LoopTest`], [`Op::LoopNext`]) counts every instruction it
+    /// covers, so this keeps the unit of Table 2 and of the benchmark's
+    /// interpreter ops/s.
+    ///
+    /// [`Op::LoopTest`]: crate::op::Op::LoopTest
+    /// [`Op::LoopNext`]: crate::op::Op::LoopNext
     pub ops: u64,
     /// Objects allocated.
     pub allocs: u64,

@@ -15,11 +15,19 @@
 //! the callee's first locals in place) and the per-op charges, multiplied by
 //! the cold factor if the frame was entered before its method turned warm.
 //! The inner loop dispatches ops on those locals until a bytecode call, a
-//! return or a block leaves the frame; natives run inline. Exact per op all
-//! the same: the virtual-time charge, `VmCounters::ops` and the runaway
-//! guard (counted in a local, flushed when the run ends), and every
-//! operand-underflow, bounds, remote-bit, class-loaded and static-fetched
-//! check.
+//! return or a block leaves the frame; natives run inline. Exact per
+//! instruction all the same: the virtual-time charge, `VmCounters::ops` and
+//! the runaway guard (counted in a local, flushed when the run ends), and
+//! every operand-underflow, bounds, remote-bit, class-loaded and
+//! static-fetched check.
+//!
+//! The loop-control heads [`Op::LoopTest`] and [`Op::LoopNext`], which
+//! [`ProgramBuilder::finish`](crate::program::ProgramBuilder::finish) writes
+//! over the first op of `emit_loop`-style test and step sequences, run the
+//! two or five instructions they cover in one dispatch: the charge is
+//! pre-summed and the op count and runaway guard advance by every covered
+//! instruction. Only their leading `Load` can block, and then it blocks
+//! exactly as a plain `Load` does, on the head.
 //!
 //! Blocks come in two resumption styles:
 //!
@@ -504,6 +512,8 @@ impl Execution {
                 1
             };
             let simple = cost.simple_op * mult;
+            let loop_test = simple * 2;
+            let loop_next = simple * 5;
             let call = cost.call_op * mult;
             let alloc = cost.alloc_op * mult;
             let field = cost.field_op * mult;
@@ -523,6 +533,26 @@ impl Execution {
                         _ => None,
                     }
                 };
+            }
+            // Read local `slot` for a `Load` or a fused loop head. A remote
+            // reference on a function endpoint blocks here, charged and
+            // counted as the one `Load`, with the pc left on the instruction.
+            macro_rules! load_local {
+                ($slot:expr) => {{
+                    let slot = $slot;
+                    let v = w.locals()[slot as usize];
+                    if let Some(addr) = remote!(v) {
+                        cpu += simple;
+                        break Exit::Block(Block::RemoteRef {
+                            addr,
+                            prov: Provenance::Local {
+                                frame: depth - 1,
+                                slot,
+                            },
+                        });
+                    }
+                    v
+                }};
             }
             // Invoke `target`: natives run inline, bytecode leaves the frame.
             macro_rules! invoke {
@@ -568,17 +598,8 @@ impl Execution {
                         pc += 1;
                     }
                     Op::Load(slot) => {
+                        let v = load_local!(slot);
                         cpu += simple;
-                        let v = w.locals()[slot as usize];
-                        if let Some(addr) = remote!(v) {
-                            break Exit::Block(Block::RemoteRef {
-                                addr,
-                                prov: Provenance::Local {
-                                    frame: depth - 1,
-                                    slot,
-                                },
-                            });
-                        }
                         w.push(v);
                         pc += 1;
                     }
@@ -646,6 +667,22 @@ impl Execution {
                         cpu += simple;
                         let zero = matches!(w.pop(), Value::Null | Value::I64(0));
                         pc = if zero { pc + 1 } else { target as usize };
+                    }
+                    Op::LoopTest { ctr, exit } => {
+                        // Load(ctr); JumpIfZero(exit)
+                        let v = load_local!(ctr);
+                        cpu += loop_test;
+                        ops += 1;
+                        let zero = matches!(v, Value::Null | Value::I64(0));
+                        pc = if zero { exit as usize } else { pc + 2 };
+                    }
+                    Op::LoopNext { ctr, top } => {
+                        // Load(ctr); ConstI(1); Sub; Store(ctr); Jump(top)
+                        let n = load_local!(ctr).as_i64().expect("expected integer operand");
+                        w.locals()[ctr as usize] = Value::I64(n.wrapping_sub(1));
+                        cpu += loop_next;
+                        ops += 4;
+                        pc = top as usize;
                     }
                     Op::Call(target) => {
                         cpu += call;

@@ -112,6 +112,38 @@ pub enum Op {
         /// Prepared-statement selector.
         query: u16,
     },
+
+    /// Fused loop test: the head of `Load(ctr); JumpIfZero(exit)`.
+    ///
+    /// Written only by [`ProgramBuilder::finish`] over the first op of that
+    /// sequence; [`Asm`] never emits it. The covered `JumpIfZero` stays
+    /// behind the head, so code length, pcs and jump targets are those of
+    /// the unfused code, and a jump to the `JumpIfZero` runs it alone. The
+    /// head runs as its two instructions would, one after the other.
+    ///
+    /// [`ProgramBuilder::finish`]: crate::program::ProgramBuilder::finish
+    /// [`Asm`]: crate::Asm
+    LoopTest {
+        /// The counter's local slot.
+        ctr: u8,
+        /// The loop's exit (the `JumpIfZero` target).
+        exit: u32,
+    },
+    /// Fused loop step: the head of
+    /// `Load(ctr); ConstI(1); Sub; Store(ctr); Jump(top)`.
+    ///
+    /// Written only by [`ProgramBuilder::finish`] in place of the `Load`;
+    /// [`Asm`] never emits it. The four covered ops stay behind the head,
+    /// as for [`Op::LoopTest`].
+    ///
+    /// [`ProgramBuilder::finish`]: crate::program::ProgramBuilder::finish
+    /// [`Asm`]: crate::Asm
+    LoopNext {
+        /// The counter's local slot.
+        ctr: u8,
+        /// The loop's top (the `Jump` target).
+        top: u32,
+    },
 }
 
 #[cfg(test)]
@@ -122,7 +154,7 @@ mod tests {
     fn ops_are_small() {
         // The dispatch loop reads one op by value out of the frame's code
         // slice per iteration; two words keep that a single 16-byte load and
-        // the slice dense in cache.
+        // the slice dense in cache. The fused loop heads fit too.
         assert!(std::mem::size_of::<Op>() <= 16);
     }
 

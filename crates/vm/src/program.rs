@@ -279,15 +279,55 @@ impl ProgramBuilder {
         id
     }
 
-    /// Finish, producing the immutable program.
-    pub fn finish(self) -> Program {
+    /// Finish, producing the immutable program. The first op of every
+    /// loop-control sequence becomes its fused head ([`Op::LoopTest`],
+    /// [`Op::LoopNext`]) in place; the ops it covers stay behind it, so
+    /// code length, pcs, jump targets and [`MethodDef::code_bytes`] are
+    /// those of the code as given.
+    pub fn finish(mut self) -> Program {
+        for method in &mut self.program.methods {
+            if let MethodBody::Bytecode(code) = &mut method.body {
+                fuse_loop_heads(code);
+            }
+        }
         self.program
+    }
+
+    /// Finish without fusing: the reference the fused program must agree
+    /// with.
+    #[cfg(test)]
+    pub(crate) fn finish_unfused(self) -> Program {
+        self.program
+    }
+}
+
+/// Rewrite the first op of each loop-control sequence into its fused head:
+/// `Load(c); JumpIfZero(exit)` into [`Op::LoopTest`] and
+/// `Load(c); ConstI(1); Sub; Store(c); Jump(top)` into [`Op::LoopNext`].
+/// The ops a head covers stay behind it, so code length, pcs, jump targets
+/// and [`MethodDef::code_bytes`] do not change, and a jump into the middle
+/// of a sequence runs the original instructions.
+fn fuse_loop_heads(code: &mut [Op]) {
+    for pc in 0..code.len() {
+        code[pc] = match code[pc..] {
+            [Op::Load(ctr), Op::ConstI(1), Op::Sub, Op::Store(c), Op::Jump(top), ..]
+                if c == ctr =>
+            {
+                Op::LoopNext { ctr, top }
+            }
+            [Op::Load(ctr), Op::JumpIfZero(exit), ..] => Op::LoopTest { ctr, exit },
+            _ => continue,
+        };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::CLOSURE_BASE;
+    use crate::instance::{CostModel, VmInstance};
+    use crate::interp::{Block, Execution, Outcome, Provenance};
+    use crate::value::{Addr, Value};
 
     #[test]
     fn builder_assigns_sequential_ids() {
@@ -342,5 +382,293 @@ mod tests {
         let p = pb.finish();
         assert_eq!(p.method_by_name("App.m"), Some(m));
         assert_eq!(p.method_by_name("App.zzz"), None);
+    }
+
+    // ----- loop-head fusion: the fused program against the program as written
+
+    /// The counter's slot in every hand-built method below.
+    const CTR: u8 = 0;
+
+    /// A reference to an object that still lives on the server.
+    fn remote() -> Value {
+        Value::Ref(Addr(CLOSURE_BASE + 0x100).to_remote())
+    }
+
+    /// What one execution did: its value, its CPU, the ops it counted and
+    /// every block, with the pc it left the blocked frame on.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        value: Value,
+        cpu: Duration,
+        ops: u64,
+        blocks: Vec<(Block, usize)>,
+    }
+
+    /// Run `m` to completion. The embedder answers a remote local with the
+    /// integer 2, and a missing class by loading it and planting a remote
+    /// reference in the root frame's counter.
+    fn drive(p: &Program, m: MethodId, mut vm: VmInstance, args: Vec<Value>) -> Run {
+        let mut e = Execution::call(m, args, p);
+        let mut blocks = Vec::new();
+        loop {
+            let outcome = e.run(&mut vm, p).outcome;
+            let b = match outcome {
+                Outcome::Done(value) => {
+                    return Run {
+                        value,
+                        cpu: e.total_cpu(),
+                        ops: vm.counters.ops,
+                        blocks,
+                    };
+                }
+                Outcome::Blocked(b) => b,
+            };
+            match b {
+                Block::RemoteRef {
+                    prov: Provenance::Local { frame, slot },
+                    ..
+                } => *e.local_mut(frame, slot) = Value::I64(2),
+                Block::MissingClass { class } => {
+                    vm.load_class(class);
+                    *e.local_mut(0, CTR) = remote();
+                }
+                other => panic!("unexpected block {other:?}"),
+            }
+            blocks.push((b, e.frames().last().unwrap().pc()));
+            e.resume();
+        }
+    }
+
+    /// Build one program twice, fused and as written, run its method on a
+    /// fresh instance of each, and check both runs agree. Returns the run
+    /// and the fused code of the method.
+    fn agree(
+        build: impl Fn(&mut ProgramBuilder) -> MethodId,
+        vm: impl Fn(&Program) -> VmInstance,
+        args: Vec<Value>,
+    ) -> (Run, Vec<Op>) {
+        let built = |fuse: bool| {
+            let mut pb = ProgramBuilder::new();
+            let m = build(&mut pb);
+            let p = if fuse {
+                pb.finish()
+            } else {
+                pb.finish_unfused()
+            };
+            let run = drive(&p, m, vm(&p), args.clone());
+            let code = match &p.method(m).body {
+                MethodBody::Bytecode(code) => code.clone(),
+                MethodBody::Native(_) => unreachable!(),
+            };
+            (run, code, p.method(m).code_bytes())
+        };
+        let (fused, code, fused_bytes) = built(true);
+        let (reference, unfused_code, bytes) = built(false);
+        assert_eq!(fused, reference);
+        assert_eq!(code.len(), unfused_code.len());
+        assert_eq!(fused_bytes, bytes);
+        (fused, code)
+    }
+
+    fn warm_server(p: &Program) -> VmInstance {
+        let mut vm = VmInstance::server(p, CostModel::default());
+        vm.prewarm_all_methods(p);
+        vm
+    }
+
+    /// `for (c = 3, acc = 0; c != 0; c--) acc += 10; return acc` with the
+    /// idiom as the method's last five ops: 0–4 set up and enter at the
+    /// test, 5–6 are the exit, 7–8 the test, 9–12 the body, 13–17 the step.
+    fn trailing_loop(pb: &mut ProgramBuilder) -> MethodId {
+        let c = pb.user_class("App", 0, None);
+        #[rustfmt::skip]
+        let code = vec![
+            Op::ConstI(3), Op::Store(CTR), Op::ConstI(0), Op::Store(1), Op::Jump(7),
+            Op::Load(1), Op::ReturnVal,
+            Op::Load(CTR), Op::JumpIfZero(5),
+            Op::Load(1), Op::ConstI(10), Op::Add, Op::Store(1),
+            Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(7),
+        ];
+        pb.method(c, "m", 0, 2, code)
+    }
+
+    #[test]
+    fn fusion_rewrites_heads_in_place() {
+        let (run, code) = agree(trailing_loop, warm_server, vec![]);
+        assert_eq!(run.value, Value::I64(30));
+        assert_eq!(code[7], Op::LoopTest { ctr: CTR, exit: 5 });
+        assert_eq!(code[13], Op::LoopNext { ctr: CTR, top: 7 });
+        // Everything else, the ops each head covers included, is as written.
+        assert_eq!(code[8], Op::JumpIfZero(5));
+        assert_eq!(
+            code[14..],
+            [Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(7)]
+        );
+        // 5 ops of set-up, 4 tests (2 each), 3 bodies (4 each), 3 steps
+        // (5 each) and the 2-op exit.
+        assert_eq!(run.ops, 5 + 4 * 2 + 3 * 4 + 3 * 5 + 2);
+    }
+
+    #[test]
+    fn fused_heads_charge_cold_frames_at_the_cold_multiplier() {
+        let cold = |p: &Program| VmInstance::server(p, CostModel::default());
+        let (cold_run, _) = agree(trailing_loop, cold, vec![]);
+        let (warm_run, _) = agree(trailing_loop, warm_server, vec![]);
+        let mult = CostModel::default().cold_multiplier as u64;
+        assert_eq!(cold_run.cpu, warm_run.cpu * mult);
+    }
+
+    #[test]
+    fn a_jump_behind_a_fused_head_runs_the_covered_op_alone() {
+        // 0–1 push a flag and jump to the JumpIfZero behind the head at 2;
+        // the counter (0) would take the other branch.
+        for (flag, expect) in [(1, 7), (0, 9)] {
+            let build = |pb: &mut ProgramBuilder| {
+                let c = pb.user_class("App", 0, None);
+                #[rustfmt::skip]
+                let code = vec![
+                    Op::ConstI(flag), Op::Jump(3),
+                    Op::Load(CTR), Op::JumpIfZero(6),
+                    Op::ConstI(7), Op::ReturnVal,
+                    Op::ConstI(9), Op::ReturnVal,
+                ];
+                pb.method(c, "m", 1, 0, code)
+            };
+            let (run, code) = agree(build, warm_server, vec![Value::I64(0)]);
+            assert_eq!(code[2], Op::LoopTest { ctr: CTR, exit: 6 });
+            assert_eq!(run.value, Value::I64(expect));
+            assert_eq!(run.ops, 5);
+        }
+    }
+
+    #[test]
+    fn a_remote_counter_blocks_on_each_fused_head_and_resumes() {
+        // The counter arrives remote and blocks the test; the call in the
+        // body misses its class, and the embedder then leaves a remote
+        // counter for the step to block on.
+        let build = |pb: &mut ProgramBuilder| {
+            let c = pb.user_class("App", 0, None);
+            let dep = pb.framework_class("Dep", 0);
+            let callee = pb.method(dep, "f", 0, 0, vec![Op::Return]);
+            #[rustfmt::skip]
+            let code = vec![
+                Op::Load(CTR), Op::JumpIfZero(8),
+                Op::Call(callee),
+                Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(0),
+                Op::ConstI(5), Op::ReturnVal,
+            ];
+            pb.method(c, "m", 1, 0, code)
+        };
+        let function = |p: &Program| {
+            let mut vm = VmInstance::function(p, CostModel::default());
+            vm.load_class(ClassId(0));
+            vm.prewarm_all_methods(p);
+            vm
+        };
+        let (run, code) = agree(build, function, vec![remote()]);
+        assert_eq!(code[0], Op::LoopTest { ctr: CTR, exit: 8 });
+        assert_eq!(code[3], Op::LoopNext { ctr: CTR, top: 0 });
+        let at: Vec<_> = run.blocks.iter().map(|(b, pc)| (b.reason(), *pc)).collect();
+        assert_eq!(
+            at,
+            [("remote_ref", 0), ("missing_class", 2), ("remote_ref", 3)]
+        );
+        for (b, _) in [&run.blocks[0], &run.blocks[2]] {
+            assert!(matches!(
+                b,
+                Block::RemoteRef {
+                    prov: Provenance::Local {
+                        frame: 0,
+                        slot: CTR
+                    },
+                    ..
+                }
+            ));
+        }
+        assert_eq!(run.value, Value::I64(5));
+    }
+
+    #[test]
+    fn a_step_into_another_local_is_not_fused() {
+        // The test reads local 1; the body counts local 0 down and the step
+        // writes local 0 - 1 into local 1: `Store(d)` with d != c.
+        let build = |pb: &mut ProgramBuilder| {
+            let c = pb.user_class("App", 0, None);
+            #[rustfmt::skip]
+            let code = vec![
+                Op::Load(1), Op::JumpIfZero(11),
+                Op::Load(0), Op::ConstI(1), Op::Sub, Op::Store(0),
+                Op::Load(0), Op::ConstI(1), Op::Sub, Op::Store(1), Op::Jump(0),
+                Op::Load(0), Op::ReturnVal,
+            ];
+            pb.method(c, "m", 2, 0, code)
+        };
+        let (run, code) = agree(build, warm_server, vec![Value::I64(3), Value::I64(1)]);
+        assert_eq!(code[0], Op::LoopTest { ctr: 1, exit: 11 });
+        assert_eq!(code[6], Op::Load(0));
+        assert!(!code.iter().any(|op| matches!(op, Op::LoopNext { .. })));
+        assert_eq!(run.value, Value::I64(1));
+    }
+
+    #[test]
+    fn a_null_counter_exits_the_test_and_fails_the_step_alike() {
+        let (run, _) = agree(trailing_loop_on_arg, warm_server, vec![Value::Null]);
+        assert_eq!(run.value, Value::I64(0));
+        assert_eq!(run.ops, 2 + 2);
+
+        // Entered at the step, a null counter fails the subtraction the
+        // same way in both programs.
+        let panics = |fuse: bool| {
+            let mut pb = ProgramBuilder::new();
+            let c = pb.user_class("App", 0, None);
+            #[rustfmt::skip]
+            let code = vec![
+                Op::Jump(1),
+                Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(0),
+            ];
+            let m = pb.method(c, "m", 1, 0, code);
+            let p = if fuse {
+                pb.finish()
+            } else {
+                pb.finish_unfused()
+            };
+            let mut e = Execution::call(m, vec![Value::Null], &p);
+            let mut vm = warm_server(&p);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.run(&mut vm, &p);
+            }))
+            .expect_err("a null counter cannot be decremented");
+            err.downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+        };
+        assert_eq!(panics(true), panics(false));
+        assert!(panics(true).unwrap().contains("expected integer operand"));
+    }
+
+    /// `while (c != 0) c--; return 0` over the argument: 0–1 the test, 2–6
+    /// the step, 7–8 the exit.
+    fn trailing_loop_on_arg(pb: &mut ProgramBuilder) -> MethodId {
+        let c = pb.user_class("App", 0, None);
+        #[rustfmt::skip]
+        let code = vec![
+            Op::Load(CTR), Op::JumpIfZero(7),
+            Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(0),
+            Op::ConstI(0), Op::ReturnVal,
+        ];
+        pb.method(c, "m", 1, 0, code)
+    }
+
+    #[test]
+    fn a_truncated_idiom_at_the_end_of_a_method_is_left_alone() {
+        let mut code = vec![Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR)];
+        fuse_loop_heads(&mut code);
+        assert_eq!(
+            code,
+            [Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR)]
+        );
+        let mut code = vec![Op::Load(CTR)];
+        fuse_loop_heads(&mut code);
+        assert_eq!(code, [Op::Load(CTR)]);
     }
 }
