@@ -23,7 +23,7 @@
 //!
 //! The loop-control heads [`Op::LoopTest`] and [`Op::LoopNext`], which
 //! [`ProgramBuilder::finish`](crate::program::ProgramBuilder::finish) writes
-//! over the first op of `emit_loop`-style test and step sequences, run the
+//! over the first op of a counted loop's test and step sequences, run the
 //! two or five instructions they cover in one dispatch: the charge is
 //! pre-summed and the op count and runaway guard advance by every covered
 //! instruction. Only their leading `Load` can block, and then it blocks
@@ -491,8 +491,9 @@ impl Execution {
         // re-derived on every frame entry.
         let cost = vm.cost;
         let on_function = vm.kind() == EndpointKind::Function;
-        // Counted in a register and flushed once below: exact per op, like
-        // the runaway guard that reads it.
+        // Counted in a register and flushed once below: exact per
+        // instruction (a fused loop head adds the ones it covers), like the
+        // runaway guard that reads it.
         let mut ops = 0u64;
 
         let outcome = loop {

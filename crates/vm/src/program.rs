@@ -610,9 +610,22 @@ mod tests {
         assert_eq!(run.value, Value::I64(1));
     }
 
+    /// `while (c != 0) c--; return 0` over the argument: 0–1 the test, 2–6
+    /// the step, 7–8 the exit.
+    fn countdown_on_arg(pb: &mut ProgramBuilder) -> MethodId {
+        let c = pb.user_class("App", 0, None);
+        #[rustfmt::skip]
+        let code = vec![
+            Op::Load(CTR), Op::JumpIfZero(7),
+            Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(0),
+            Op::ConstI(0), Op::ReturnVal,
+        ];
+        pb.method(c, "m", 1, 0, code)
+    }
+
     #[test]
     fn a_null_counter_exits_the_test_and_fails_the_step_alike() {
-        let (run, _) = agree(trailing_loop_on_arg, warm_server, vec![Value::Null]);
+        let (run, _) = agree(countdown_on_arg, warm_server, vec![Value::Null]);
         assert_eq!(run.value, Value::I64(0));
         assert_eq!(run.ops, 2 + 2);
 
@@ -644,19 +657,6 @@ mod tests {
         };
         assert_eq!(panics(true), panics(false));
         assert!(panics(true).unwrap().contains("expected integer operand"));
-    }
-
-    /// `while (c != 0) c--; return 0` over the argument: 0–1 the test, 2–6
-    /// the step, 7–8 the exit.
-    fn trailing_loop_on_arg(pb: &mut ProgramBuilder) -> MethodId {
-        let c = pb.user_class("App", 0, None);
-        #[rustfmt::skip]
-        let code = vec![
-            Op::Load(CTR), Op::JumpIfZero(7),
-            Op::Load(CTR), Op::ConstI(1), Op::Sub, Op::Store(CTR), Op::Jump(0),
-            Op::ConstI(0), Op::ReturnVal,
-        ];
-        pb.method(c, "m", 1, 0, code)
     }
 
     #[test]
