@@ -113,7 +113,7 @@ rm -rf "$trace_dir"
 
 echo "==> golden: the streamed --obs artifacts of table5 --quick are byte-stable"
 # The Chrome trace is too large for a golden file (72 MB); its length and
-# digest are pinned instead, with the two documents folded from the same
+# digest are pinned instead, with the nine documents folded from the same
 # event stream, at a worker count that streams every scenario straight into
 # the file and at one that spills fragments to part files.
 digests="scripts/golden/obs_table5_quick.digests"
@@ -129,6 +129,23 @@ for w in 1 2; do
   [ "$(ls "$trace_dir" | wc -l)" -eq 10 ] \
     || { echo "--obs left something besides its ten artifacts:"; ls "$trace_dir"; exit 1; }
   rm -rf "$trace_dir" "$verify_out/obs_table5_quick.digests"
+done
+
+echo "==> golden: the recovery --quick attribution document is byte-stable"
+# The one quick run whose request tracks carry `recovery` spans, the
+# attribution class that outranks every other, pinned by length and digest
+# at a single worker and at two.
+digests="scripts/golden/recovery_insight_quick.digests"
+for w in 1 2; do
+  mkdir -p "$trace_dir"
+  BEEHIVE_WORKERS=$w ./target/release/repro recovery --quick --seed 42 \
+    --insight "$trace_dir" > /dev/null 2>&1
+  grep -v '^#' "$digests" | while read -r _ _ file; do
+    printf '%s  %s  %s\n' "$(sha256sum < "$trace_dir/$file" | cut -d' ' -f1)" \
+      "$(wc -c < "$trace_dir/$file")" "$file"
+  done > "$verify_out/recovery_insight_quick.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/recovery_insight_quick.digests"
+  rm -rf "$trace_dir" "$verify_out/recovery_insight_quick.digests"
 done
 
 echo "==> golden: the --obs artifacts of several items in one run are byte-stable"
