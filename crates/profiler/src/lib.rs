@@ -78,11 +78,23 @@ pub struct InstanceTotals {
     pub segments: u64,
 }
 
+/// One lane of the forest: its name, its root node, and the path its last
+/// segment closed on (root first), which the next segment on the lane
+/// starts from.
+#[derive(Debug)]
+struct Lane {
+    name: &'static str,
+    root: usize,
+    path: Vec<usize>,
+}
+
 /// The recording sink: a forest of call trees, one root per lane.
 #[derive(Debug, Default)]
 pub struct Recorder {
     nodes: Vec<Node>,
-    lanes: Vec<(&'static str, usize)>,
+    lanes: Vec<Lane>,
+    /// The open segment's lane (an index into `lanes`).
+    lane: usize,
     stack: Vec<usize>,
     watermark: Duration,
     leaf: Option<usize>,
@@ -91,14 +103,18 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    fn lane_root(&mut self, lane: &'static str) -> usize {
-        if let Some(&(_, idx)) = self.lanes.iter().find(|(l, _)| *l == lane) {
-            return idx;
+    fn lane_index(&mut self, name: &'static str) -> usize {
+        if let Some(i) = self.lanes.iter().position(|l| l.name == name) {
+            return i;
         }
-        let idx = self.nodes.len();
-        self.nodes.push(Node::new(FrameKey::Synthetic(lane)));
-        self.lanes.push((lane, idx));
-        idx
+        let root = self.nodes.len();
+        self.nodes.push(Node::new(FrameKey::Synthetic(name)));
+        self.lanes.push(Lane {
+            name,
+            root,
+            path: vec![root],
+        });
+        self.lanes.len() - 1
     }
 
     fn child_of(&mut self, parent: usize, frame: FrameKey) -> usize {
@@ -137,29 +153,40 @@ impl Recorder {
         frames: impl Iterator<Item = u32>,
         first: bool,
     ) {
-        let root = self.lane_root(lane);
-        self.stack.clear();
-        self.stack.push(root);
+        self.park_path();
+        self.lane = self.lane_index(lane);
+        self.stack = std::mem::take(&mut self.lanes[self.lane].path);
         self.watermark = Duration::ZERO;
         self.instance = instance;
         if let Some(id) = instance {
             self.instances.entry(id).or_default().segments += 1;
         }
-        // Replay the execution's existing frames: executions from different
-        // requests interleave on one thread across run segments, so the
-        // current path is rebuilt per segment. Only the first segment of an
-        // execution counts a root invocation; deeper frames were counted
-        // when their push was recorded.
-        let mut at_root = true;
+        // Rebuild the execution's existing frames: executions from
+        // different requests interleave on one thread across run segments,
+        // so the current path is rebuilt per segment. It starts from the
+        // lane's last path, kept while the frames agree with it: node k+1
+        // of any path is node k's child for its frame, so a prefix that
+        // agrees is the path `child_of` would find. Only the first segment
+        // of an execution counts a root invocation; deeper frames were
+        // counted when their push was recorded.
+        let mut depth = 1;
         for m in frames {
-            let parent = *self.stack.last().expect("stack holds the lane root");
-            let idx = self.child_of(parent, FrameKey::Method(m));
-            if first && at_root {
+            let frame = FrameKey::Method(m);
+            let idx = match self.stack.get(depth) {
+                Some(&idx) if self.nodes[idx].frame == frame => idx,
+                _ => {
+                    self.stack.truncate(depth);
+                    let idx = self.child_of(self.stack[depth - 1], frame);
+                    self.stack.push(idx);
+                    idx
+                }
+            };
+            if first && depth == 1 {
                 self.nodes[idx].calls += 1;
             }
-            at_root = false;
-            self.stack.push(idx);
+            depth += 1;
         }
+        self.stack.truncate(depth);
     }
 
     fn push(&mut self, method: u32, cpu: Duration) {
@@ -182,8 +209,15 @@ impl Recorder {
     fn end_segment(&mut self, cpu: Duration) {
         self.flush(cpu);
         self.leaf = self.stack.last().copied();
-        self.stack.clear();
+        self.park_path();
         self.instance = None;
+    }
+
+    /// Hand the open segment's path, if any, back to its lane.
+    fn park_path(&mut self) {
+        if !self.stack.is_empty() {
+            self.lanes[self.lane].path = std::mem::take(&mut self.stack);
+        }
     }
 
     fn synthetic(&mut self, at: usize, name: &'static str, d: Duration) {
@@ -195,7 +229,7 @@ impl Recorder {
     fn into_raw(self) -> RawProfile {
         RawProfile {
             nodes: self.nodes,
-            lanes: self.lanes,
+            lanes: self.lanes.iter().map(|l| (l.name, l.root)).collect(),
             instances: self.instances,
         }
     }
@@ -796,6 +830,86 @@ mod tests {
         let json = p.hottest_json(2).render();
         assert!(json.contains("\"lane\":\"server\""));
         assert!(json.contains("\"frame\":\"[db]\""));
+    }
+
+    /// Executions interleaved on two lanes, each segment resuming at its
+    /// own depth, pushing and popping, and attaching synthetic costs where
+    /// it stopped: the recorder must build the same profile as one that
+    /// rebuilds every path from the lane root.
+    #[test]
+    fn reused_paths_build_the_profile_of_replayed_ones() {
+        use beehive_sim::Rng;
+        struct Exec {
+            lane: &'static str,
+            instance: Option<u32>,
+            frames: Vec<u32>,
+            started: bool,
+        }
+        let mut rng = Rng::new(0x9A7B);
+        let fresh = |rng: &mut Rng| {
+            let faas = rng.gen_range(2) == 0;
+            Exec {
+                lane: if faas { "faas:primary" } else { "server" },
+                instance: faas.then(|| rng.gen_range(3) as u32),
+                frames: vec![rng.gen_range(3) as u32],
+                started: false,
+            }
+        };
+        let mut execs: Vec<Exec> = (0..5).map(|_| fresh(&mut rng)).collect();
+        let (mut reused, mut replayed) = (Recorder::default(), Recorder::default());
+        let mut max_depth = 0;
+        for _ in 0..3_000 {
+            let which = rng.gen_range(execs.len() as u64) as usize;
+            let x = &mut execs[which];
+            // The reference forgets every lane's last path, so it finds
+            // each frame through `child_of` from the root.
+            for l in &mut replayed.lanes {
+                l.path = vec![l.root];
+            }
+            for r in [&mut reused, &mut replayed] {
+                r.begin_segment(x.lane, x.instance, x.frames.iter().copied(), !x.started);
+            }
+            x.started = true;
+            let mut cpu = 0;
+            for _ in 0..rng.gen_range(6) {
+                cpu += rng.gen_range(40);
+                if rng.gen_range(2) == 0 && x.frames.len() < 12 {
+                    let m = rng.gen_range(6) as u32;
+                    x.frames.push(m);
+                    reused.push(m, ns(cpu));
+                    replayed.push(m, ns(cpu));
+                } else {
+                    x.frames.pop();
+                    reused.pop(ns(cpu));
+                    replayed.pop(ns(cpu));
+                    if x.frames.is_empty() {
+                        break;
+                    }
+                }
+            }
+            max_depth = max_depth.max(x.frames.len());
+            cpu += rng.gen_range(40);
+            let cost = ["[gc]", "[db]", "[fallback:data]"][rng.gen_range(3) as usize];
+            let d = ns(rng.gen_range(100));
+            for r in [&mut reused, &mut replayed] {
+                r.end_segment(ns(cpu));
+                if let Some(leaf) = r.leaf {
+                    r.synthetic(leaf, cost, d);
+                }
+            }
+            if x.frames.is_empty() {
+                execs[which] = fresh(&mut rng);
+            }
+        }
+        assert!(max_depth >= 8, "segments resumed at depth {max_depth}");
+        let name = |m: u32| format!("m{m}");
+        let (a, b) = (reused.into_raw(), replayed.into_raw());
+        assert_eq!(a.nodes.len(), b.nodes.len());
+        let (a, b) = (a.resolve(name), b.resolve(name));
+        assert_eq!(a.folded(), b.folded());
+        assert_eq!(a.to_json().render(), b.to_json().render());
+        assert_eq!(a, b);
+        assert_eq!(a.lanes.len(), 2);
     }
 
     #[test]

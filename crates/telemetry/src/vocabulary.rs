@@ -59,6 +59,19 @@ macro_rules! vocabulary {
                 }
             }
 
+            /// The name's position in [`ALL`](EventName::ALL); `None` for
+            /// [`EventName::Other`].
+            pub const fn index(self) -> Option<usize> {
+                /// The variants without their payload, numbered in order.
+                enum Position {
+                    $($variant,)+
+                }
+                match self {
+                    $(EventName::$variant => Some(Position::$variant as usize),)+
+                    EventName::Other(_) => None,
+                }
+            }
+
             /// The track classes and the kinds the name is emitted as.
             const fn legality(self) -> (u8, u8) {
                 match self {
@@ -220,6 +233,14 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EventName::ALL.len(), "names are distinct");
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, e) in EventName::ALL.into_iter().enumerate() {
+            assert_eq!(e.index(), Some(i), "{e}");
+        }
+        assert_eq!(EventName::Other("bench").index(), None);
     }
 
     #[test]
