@@ -131,6 +131,37 @@ for w in 1 2; do
   rm -rf "$trace_dir" "$verify_out/obs_table5_quick.digests"
 done
 
+echo "==> golden: what the event streams say is byte-stable, their lengths masked"
+# Every --obs artifact but the Chrome traces of three items, the stdout of
+# that run and the conformance report of three more, each with the stream's
+# own length masked ("events":N, "N events"): the pin for a change to how
+# many events a run records that must leave everything derived from them
+# alone. The traces are the events themselves and are left out. At a single
+# worker and at two.
+digests="scripts/golden/obs_count_free.digests"
+count_free="$verify_out/count_free"
+for w in 1 2; do
+  mkdir -p "$trace_dir" "$count_free"
+  BEEHIVE_WORKERS=$w ./target/release/repro table5 recovery shadow --quick --seed 42 \
+    --obs "$trace_dir" > "$count_free/stdout" 2> /dev/null
+  rm -f "$trace_dir"/*.trace.json
+  mv "$trace_dir"/* "$count_free"
+  for form in --json ""; do
+    BEEHIVE_WORKERS=$w ./target/release/repro check fig9 table5 recovery --quick --seed 42 \
+      $form > "$count_free/check${form:+.json}"
+  done
+  grep -v '^#' "$digests" | while read -r _ _ file; do
+    sed -E 's/"events":[0-9]+/"events":N/g; s/[0-9]+ events/N events/g' "$count_free/$file" \
+      > "$verify_out/masked"
+    printf '%s  %s  %s\n' "$(sha256sum < "$verify_out/masked" | cut -d' ' -f1)" \
+      "$(wc -c < "$verify_out/masked")" "$file"
+  done > "$verify_out/obs_count_free.digests"
+  grep -v '^#' "$digests" | diff -u - "$verify_out/obs_count_free.digests"
+  [ "$(ls "$count_free" | wc -l)" -eq "$(grep -vc '^#' "$digests")" ] \
+    || { echo "the count-free pin misses an artifact:"; ls "$count_free"; exit 1; }
+  rm -rf "$trace_dir" "$count_free" "$verify_out/masked" "$verify_out/obs_count_free.digests"
+done
+
 echo "==> golden: the recovery --quick attribution document is byte-stable"
 # The one quick run whose request tracks carry `recovery` spans, the
 # attribution class that outranks every other, pinned by length and digest
