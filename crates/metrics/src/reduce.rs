@@ -107,7 +107,7 @@ impl MetricsFold {
                 self.arrived.entry(e.track).or_insert(e.at);
             }
             (
-                EventKind::Begin,
+                EventKind::Begin | EventKind::Complete(_),
                 N::WaitServerCpuFb | N::WaitFunctionCpuFb | N::WaitNetFb | N::WaitDbFb,
             ) => reg.add("fallbacks", e.at, 1),
             (EventKind::End, name @ (N::ReqServer | N::ReqOffload)) => {

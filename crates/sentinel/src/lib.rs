@@ -14,11 +14,13 @@
 //! * **time-monotonic** — virtual time never runs backwards across the
 //!   recorded stream,
 //! * **span-nesting** — every span `End` matches an open `Begin` on its
-//!   track, and residence (`wait:*`) spans never overlap (the lifecycle's
-//!   `open_span` mechanism guarantees at most one),
+//!   track, and residences (`wait:*`) never overlap, whether open as a
+//!   span or recorded as one fixed-length `Complete` leg (a request parks
+//!   on one resource at a time),
 //! * **session-protocol** — one session per request track, no activity
-//!   after a terminal event, and an instance is never released while the
-//!   session it serves is still open,
+//!   after a terminal event, no session end inside the request's own
+//!   leg, and an instance is never released while the session it serves
+//!   is still open,
 //! * **offload-conservation** — every `offload:decision` that chose to
 //!   offload is terminated by exactly one `offload:dispatch` (warm reuse,
 //!   new spawn, or saturated fallback to the server) at the same virtual

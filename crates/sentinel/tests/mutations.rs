@@ -172,6 +172,52 @@ fn mutation_end_without_begin_fires_span_nesting() {
     assert!(v.window.last().unwrap().contains("wait:function_cpu"));
 }
 
+/// The baseline with its `wait:function_cpu` span recorded as one
+/// fixed-length leg of `d` µs starting where the span began.
+fn with_leg(d: u64) -> Vec<TraceEvent> {
+    let mut events = legal_offload();
+    let (begin, _end) = (events[7], events.remove(8));
+    events[7] = TraceEvent::new(
+        begin.at,
+        begin.track,
+        begin.name,
+        EventKind::Complete(Duration::from_micros(d)),
+        &[],
+    );
+    events
+}
+
+#[test]
+fn mutation_overlapping_legs_fire_span_nesting() {
+    assert_eq!(check(&with_leg(30)).violations, vec![], "a leg is legal");
+    let mut events = with_leg(30);
+    // A second leg starting at 520 µs, inside the first (510–540 µs): the
+    // request parked on two resources at once.
+    events.insert(
+        8,
+        TraceEvent::new(
+            at(520),
+            Track::Request(7),
+            "wait:net",
+            EventKind::Complete(Duration::from_micros(5)),
+            &[],
+        ),
+    );
+    let v = must_fire(&check(&events), Invariant::SpanNesting);
+    assert!(v.message.contains("wait:net"), "{v:?}");
+    assert_eq!(v.track, "req:7");
+    assert!(v.window.last().unwrap().contains("wait:net"));
+}
+
+#[test]
+fn mutation_session_end_inside_a_leg_fires_session_protocol() {
+    // The leg runs 510–570 µs; the session ends at 550 µs, inside it.
+    let v = must_fire(&check(&with_leg(60)), Invariant::SessionProtocol);
+    assert!(v.message.contains("req:offload"), "{v:?}");
+    assert_eq!(v.track, "req:7");
+    assert!(v.window.last().unwrap().contains("req:offload"));
+}
+
 #[test]
 fn mutation_dropped_session_end_fires_session_protocol() {
     let mut events = legal_offload();

@@ -27,7 +27,8 @@ use beehive_sim::{Duration, FastMap, LogLinearHistogram, SimTime};
 
 use crate::{EventKind, EventName, Trace, TraceEvent, Track};
 
-/// One closed `Begin`/`End` span on a request track.
+/// One closed span on a request track: a `Begin`/`End` pair, or a
+/// residence (`wait:*`) leg recorded as one `Complete`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanInterval {
     /// Span name, e.g. `wait:net` or `fallback:data`.
@@ -61,9 +62,10 @@ pub struct RequestTimeline {
     pub start: SimTime,
     /// Virtual time the session span closed; `None` while in flight.
     pub end: Option<SimTime>,
-    /// Closed sub-spans, in close order.
+    /// Closed sub-spans, in close order (a residence `Complete` closes
+    /// where it is recorded).
     pub spans: Vec<SpanInterval>,
-    /// `Complete` events: `(name, start, duration)`.
+    /// `Complete` events off the residences: `(name, start, duration)`.
     pub completes: Vec<(EventName, SimTime, Duration)>,
     /// `Instant` events: `(name, at)`.
     pub instants: Vec<(EventName, SimTime)>,
@@ -164,6 +166,14 @@ impl TimelineBuilder {
                     });
                 }
             }
+            // A fixed-length leg: the same residence its `Begin`/`End`
+            // pair would have closed, in the same place — its request is
+            // parked, so nothing else on the track closes before it ends.
+            EventKind::Complete(d) if e.name.is_residence() => r.spans.push(SpanInterval {
+                name: e.name,
+                begin: e.at,
+                end: e.at + d,
+            }),
             EventKind::Complete(d) => r.completes.push((e.name, e.at, d)),
             EventKind::Instant => r.instants.push((e.name, e.at)),
             EventKind::Counter(_) => {}
@@ -630,6 +640,14 @@ mod tests {
                         let end = e.at;
                         r.spans.push(SpanInterval { name, begin, end });
                     }
+                }
+                EventKind::Complete(d) if e.name.is_residence() => {
+                    let (name, begin) = (e.name, e.at);
+                    r.spans.push(SpanInterval {
+                        name,
+                        begin,
+                        end: begin + d,
+                    });
                 }
                 EventKind::Complete(d) => r.completes.push((e.name, e.at, d)),
                 EventKind::Instant => r.instants.push((e.name, e.at)),

@@ -119,6 +119,7 @@ impl Sim {
         let router = Router::new(cfg.strategy, cfg.engage_at, cfg.offload_ratio);
         let mut broker = Broker::new(cfg.server_cores, platform, scaler);
         broker.chaos = chaos;
+        let lifecycle = Lifecycle::new(SimTime::ZERO + cfg.horizon);
 
         Sim {
             cfg,
@@ -129,7 +130,7 @@ impl Sim {
             broker,
             net,
             fleet,
-            lifecycle: Lifecycle::new(),
+            lifecycle,
             router,
             dispatch_cost,
             cost_model: cost,

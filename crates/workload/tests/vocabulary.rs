@@ -1,28 +1,36 @@
 //! The event vocabulary against real runs: every event the simulator emits
-//! is legal on the track and as the kind it is emitted as, and between them
-//! a handful of short scenarios emit every name of the vocabulary that a
-//! run can reach.
+//! is legal on the track and as the kind it is emitted as, between them a
+//! handful of short scenarios emit every name of the vocabulary that a run
+//! can reach, and every fixed-length residence leg is one `Complete` unless
+//! the run stops before it ends.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use beehive_apps::{App, AppKind, Fidelity};
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector, RetryPolicy};
 use beehive_scaling::ScalingKind;
-use beehive_sim::Duration;
-use beehive_telemetry::{self as tele, EventName, Trace};
+use beehive_sim::{Duration, SimTime};
+use beehive_telemetry::{self as tele, EventKind, EventName, Trace, Track};
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
 use beehive_workload::experiment::base_rate;
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
-fn traced(mut cfg: SimConfig) -> Trace {
+/// A run's trace and its horizon; `None` for a simulation that was built
+/// but never run.
+type Run = (Trace, Option<SimTime>);
+
+fn traced(mut cfg: SimConfig) -> Run {
     cfg.trace = true;
-    Sim::new(cfg).run().trace.expect("trace retained")
+    let horizon = SimTime::ZERO + cfg.horizon;
+    let trace = Sim::new(cfg).run().trace.expect("trace retained");
+    (trace, Some(horizon))
 }
 
 /// A burst against the combined strategy on an instance that needs no
 /// provisioning: a scaled pool, burst routing, cold boots with shadow runs.
-fn burst() -> Trace {
+fn burst() -> Run {
     let e = BurstExperiment::new(AppKind::Pybbs, Strategy::Combined(ScalingKind::Burstable))
         .horizon_secs(14)
         .burst_at_secs(4)
@@ -32,18 +40,18 @@ fn burst() -> Trace {
 
 /// What building a simulation emits: the platform prewarms instances before
 /// `run` arms its own recorder.
-fn prewarm() -> Trace {
+fn prewarm() -> Run {
     let app = App::build(AppKind::Thumbnail, Fidelity::fast());
     let mut cfg = SimConfig::new(app, Strategy::BeeHiveOpenWhisk);
     cfg.prewarm_ready = 2;
     tele::install();
     drop(Sim::new(cfg));
-    tele::take().expect("recorder armed")
+    (tele::take().expect("recorder armed"), None)
 }
 
 /// A fully offloaded run under every fault kind, with recovery on and no
 /// retry budget, so that crashed requests degrade to the server.
-fn chaos() -> Trace {
+fn chaos() -> Run {
     let app = App::build(AppKind::Pybbs, Fidelity::fast());
     let mut cfg = SimConfig::new(app, Strategy::BeeHiveOpenWhisk);
     cfg.arrivals = ArrivalPattern::constant(40.0);
@@ -84,7 +92,7 @@ fn chaos() -> Trace {
 /// Few instances serving many cold requests of every app: function-side
 /// collections and code, data and static fallbacks; without the connection
 /// proxy and packageable native state, database and native ones too.
-fn collections(kind: AppKind, ablated: bool) -> Trace {
+fn collections(kind: AppKind, ablated: bool) -> Run {
     let app = App::build(kind, Fidelity::Scaled(4));
     let mut cfg = SimConfig::new(app, Strategy::BeeHiveOpenWhisk);
     if ablated {
@@ -101,7 +109,7 @@ fn collections(kind: AppKind, ablated: bool) -> Trace {
 
 /// A vanilla server under more load than it serves: admission rejections
 /// and server-side collections.
-fn overload() -> Trace {
+fn overload() -> Run {
     let app = App::build(AppKind::Pybbs, Fidelity::fast());
     let rate = 4.0 * base_rate(&app);
     let mut cfg = SimConfig::new(app, Strategy::Vanilla);
@@ -124,15 +132,23 @@ const UNREACHED: [(EventName, &str); 4] = [
     (EventName::InstanceExpire, "the keep-alive is ten minutes"),
 ];
 
+/// Every run above, once per test binary.
+fn runs() -> &'static [Run] {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let mut runs = vec![burst(), prewarm(), chaos(), overload()];
+        for kind in [AppKind::Thumbnail, AppKind::Pybbs, AppKind::Blog] {
+            runs.push(collections(kind, false));
+        }
+        runs.push(collections(AppKind::Pybbs, true));
+        runs
+    })
+}
+
 #[test]
 fn every_name_is_emitted_and_legal_where_it_is_emitted() {
-    let mut traces = vec![burst(), prewarm(), chaos(), overload()];
-    for kind in [AppKind::Thumbnail, AppKind::Pybbs, AppKind::Blog] {
-        traces.push(collections(kind, false));
-    }
-    traces.push(collections(AppKind::Pybbs, true));
     let mut seen = BTreeSet::new();
-    for e in traces.iter().flat_map(|t| &t.events) {
+    for e in runs().iter().flat_map(|(t, _)| &t.events) {
         let (name, track, kind) = (e.name, e.track, e.kind);
         assert!(name.legal(track, kind), "{name} as {kind:?} on {track:?}");
         seen.insert(name.name());
@@ -148,4 +164,56 @@ fn every_name_is_emitted_and_legal_where_it_is_emitted() {
         .filter(|n| seen.contains(n.name()))
         .collect();
     assert!(reached.is_empty(), "emitted after all: {reached:?}");
+}
+
+/// The residences whose length is known when the request parks.
+const LEGS: [EventName; 5] = [
+    EventName::WaitNet,
+    EventName::WaitNetFb,
+    EventName::WaitFunctionCpu,
+    EventName::WaitFunctionCpuFb,
+    EventName::WaitServerCpuFb,
+];
+
+#[test]
+fn fixed_length_legs_are_one_complete_unless_the_run_stops_first() {
+    let (mut completes, mut cut) = (0, 0);
+    for (trace, horizon) in runs() {
+        let events = &trace.events;
+        for (i, e) in events.iter().enumerate() {
+            if !LEGS.contains(&e.name) {
+                continue;
+            }
+            let horizon = horizon.expect("only a run parks a request");
+            assert!(matches!(e.track, Track::Request(_)), "{e:?}");
+            match e.kind {
+                EventKind::Complete(d) => {
+                    assert!(e.name.legal(e.track, e.kind), "{e:?}");
+                    assert!(e.at + d <= horizon, "a leg past the horizon: {e:?}");
+                    completes += 1;
+                }
+                EventKind::Begin => {
+                    // Recorded as a span only because the run stopped before
+                    // the leg ended: nothing closes it, and its request does
+                    // nothing after it parked.
+                    let mut later = events[i + 1..].iter().filter(|l| l.track == e.track);
+                    assert!(
+                        later.all(|l| l.at == e.at && l.kind != EventKind::End),
+                        "{} at {:?} on {:?} was not the run's last word on its track: a \
+                         fixed-length leg recorded as a span",
+                        e.name,
+                        e.at,
+                        e.track
+                    );
+                    cut += 1;
+                }
+                _ => panic!("{e:?}: a fixed-length leg is a Complete or an unclosed Begin"),
+            }
+        }
+    }
+    assert!(completes > 0, "no run recorded a fixed-length leg");
+    assert!(
+        cut > 0,
+        "no run stopped inside a leg: the horizon rule went untested"
+    );
 }
