@@ -10,10 +10,10 @@
 //! session span is cut at every boundary of every classified sub-span, each
 //! elementary segment is charged to the highest-priority span covering it
 //! (uncovered segments are execution on the session's endpoint), and the
-//! pre-session boot wait is added on top. The components of a request
-//! therefore sum *exactly* to its measured latency — [`RequestAttribution::
-//! residual_ns`] is zero, and the property test in `beehive-workload`
-//! asserts the aggregate equals the live `request_latency` histogram sum.
+//! wait from arrival to session start is added on top. A request's
+//! components therefore sum *exactly* to its measured latency —
+//! [`RequestAttribution::residual_ns`] is zero, and `beehive-workload`'s
+//! `metrics_fold` test asserts the totals equal the driver's latencies.
 //!
 //! GC pauses never land on request tracks (the VM charges them to the
 //! session's CPU budget, so they surface as execution time); the report
@@ -64,7 +64,8 @@ pub enum Component {
     DbWait,
     /// Network transfer time outside any fallback.
     NetWait,
-    /// §4.5 failure recovery: crash detection through resume.
+    /// §4.5 failure recovery: crash detection through resume, or arrival
+    /// to the server session a crashed request was rerouted to.
     Recovery,
 }
 
@@ -183,8 +184,9 @@ pub struct RequestAttribution {
     pub rid: u64,
     /// Session kind: `"req:server"` or `"req:offload"`.
     pub kind: String,
-    /// Measured end-to-end latency in nanoseconds (boot wait included) —
-    /// identical to what the driver's `request_latency` histogram recorded.
+    /// Measured latency in nanoseconds, arrival to completion: the driver's
+    /// own and the `request_latency` histogram's (`beehive-workload`'s
+    /// `metrics_fold` test checks both).
     pub total_ns: u64,
     /// Nanoseconds per component, indexed by [`Component::ALL`] order.
     pub components: [u64; COMPONENTS],
@@ -217,16 +219,16 @@ type Decomposition = (EventName, u64, [u64; COMPONENTS]);
 /// The session span `[start, end]` is cut at every boundary of every
 /// classified sub-span; each elementary segment goes to the covering span
 /// with the highest priority (lowest [`Component`] index on ties), or to
-/// the endpoint's execution component when uncovered. `boot:wait`
-/// completes — recorded before the session span opens — are added on top,
-/// so the total matches the driver's arrival-to-completion latency.
+/// the endpoint's execution component when uncovered. Arrival → session
+/// start is added on top, as recovery when a reroute carried the arrival
+/// over and as boot wait otherwise: the total is the driver's latency.
 ///
 /// One sweep: the clipped boundaries are sorted once into `marks` (a
 /// buffer the caller reuses), one count per class tracks how many spans of
 /// it are open, and a bit per class says whether any is. Since [`CLASSES`]
 /// is in winning order, a segment's winner is the mask's lowest set bit.
 fn attribute_request(t: &RequestTimeline, marks: &mut Vec<Mark>) -> Option<Decomposition> {
-    let (Some(kind), Some(end)) = (t.kind, t.end) else {
+    let (Some(kind), Some(end), Some(arrival)) = (t.kind, t.end, t.arrival) else {
         return None;
     };
     let exec = match kind {
@@ -277,17 +279,11 @@ fn attribute_request(t: &RequestTimeline, marks: &mut Vec<Mark>) -> Option<Decom
     // Every span has closed by `end`: the rest is uncovered.
     components[exec as usize] += end.saturating_since(from).as_nanos();
 
-    // Pre-session boot wait (arrival → session start) is disjoint from the
-    // span by construction: additive.
-    for (name, _, d) in &t.completes {
-        if *name == EventName::BootWait {
-            components[Component::BootWait as usize] += d.as_nanos();
-        }
-    }
-
-    let total_ns =
-        end.saturating_since(start).as_nanos() + components[Component::BootWait as usize];
-    Some((kind, total_ns, components))
+    // Arrival → session start is disjoint from the span: additive.
+    use Component as C;
+    let wait = if t.carried { C::Recovery } else { C::BootWait };
+    components[wait as usize] += start.saturating_since(arrival).as_nanos();
+    Some((kind, end.saturating_since(arrival).as_nanos(), components))
 }
 
 /// The per-scenario attribution report.
@@ -513,7 +509,7 @@ pub fn attribute_all(traces: &[(String, Trace)], k: usize) -> Vec<AttributionRep
 mod tests {
     use super::*;
     use beehive_sim::Duration;
-    use beehive_telemetry::{TraceEvent, Track};
+    use beehive_telemetry::{Arg, TraceEvent, Track};
 
     fn at(us: u64) -> SimTime {
         SimTime::ZERO + Duration::from_micros(us)
@@ -681,6 +677,41 @@ mod tests {
     }
 
     #[test]
+    fn a_rerouted_request_charges_arrival_to_reroute_as_recovery() {
+        // Arrived at 0, booted for 2 µs, crashed at 5 and rerouted to
+        // server request 2, which finishes at 9.
+        let reroute = [
+            ("lost_ns", Arg::UInt(3_000)),
+            ("server_request", Arg::UInt(2)),
+        ];
+        let (crashed, server) = (Track::Request(1), Track::Request(2));
+        let boot = EventKind::Complete(Duration::from_micros(2));
+        let t = Trace {
+            events: vec![
+                TraceEvent::new(at(2), crashed, "req:offload", EventKind::Begin, &[]),
+                TraceEvent::new(at(2), crashed, "boot:wait", boot, &[]),
+                TraceEvent::new(
+                    at(5),
+                    crashed,
+                    "recovery:degrade",
+                    EventKind::Instant,
+                    &reroute,
+                ),
+                TraceEvent::new(at(5), server, "req:server", EventKind::Begin, &[]),
+                TraceEvent::new(at(9), server, "req:server", EventKind::End, &[]),
+            ],
+        };
+        let rep = attribute("s", &t, 8);
+        assert_eq!((rep.requests, rep.total_ns), (1, 9_000));
+        let r = &rep.slowest[0];
+        assert_eq!((r.rid, r.residual_ns()), (2, 0));
+        assert_eq!(
+            r.nonzero(),
+            vec![("exec:server", 4_000), ("recovery", 5_000)]
+        );
+    }
+
+    #[test]
     fn server_requests_and_shadows_are_separated() {
         let t = Trace {
             events: vec![
@@ -804,7 +835,7 @@ mod tests {
     /// The decomposition by definition: cut the session at every boundary
     /// and test every claimed span against every elementary segment.
     fn reference(t: &RequestTimeline) -> Option<(u64, [u64; COMPONENTS])> {
-        let (Some(kind), Some(end)) = (t.kind, t.end) else {
+        let (Some(kind), Some(end), Some(arrival)) = (t.kind, t.end, t.arrival) else {
             return None;
         };
         let exec = match kind {
@@ -842,13 +873,11 @@ mod tests {
             }
             components[winner as usize] += e.saturating_since(b).as_nanos();
         }
-        for (name, _, d) in &t.completes {
-            if *name == EventName::BootWait {
-                components[Component::BootWait as usize] += d.as_nanos();
-            }
-        }
-        let total_ns =
-            end.saturating_since(start).as_nanos() + components[Component::BootWait as usize];
+        // Arrival → start: recovery on a rerouted request, else boot wait.
+        let before = start.saturating_since(arrival);
+        let wait = [Component::BootWait, Component::Recovery][usize::from(t.carried)];
+        components[wait as usize] += before.as_nanos();
+        let total_ns = end.saturating_since(start).as_nanos() + before.as_nanos();
         Some((total_ns, components))
     }
 
@@ -919,11 +948,14 @@ mod tests {
                     end: tick(e),
                 });
             }
-            let mut completes = Vec::new();
+            // Arrival before the start (a boot wait, or a reroute when
+            // `carried`), with completes that must not count.
+            let (mut completes, mut arrival) = (Vec::new(), tick(start));
             if rng.gen_range(3) == 0 {
-                let d = Duration::from_nanos(rng.gen_range(500));
+                let d = Duration::from_nanos(rng.gen_range(10 * start));
                 completes.push((EventName::BootWait, tick(start), d));
                 completes.push((EventName::Gc, tick(start), d));
+                arrival = tick(start) - d;
             }
             let kind = match rng.gen_range(10) {
                 0 => Some(EventName::ReqShadow),
@@ -936,6 +968,8 @@ mod tests {
                 kind,
                 start: tick(start),
                 end: (rid % 17 != 0).then(|| tick(end)),
+                arrival: (rid % 17 != 0).then_some(arrival),
+                carried: rng.gen_range(4) == 0,
                 spans,
                 completes,
                 instants: Vec::new(),

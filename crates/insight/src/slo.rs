@@ -167,22 +167,17 @@ impl SloFold {
     }
 
     /// Take one request, when it is a completed `req:server` / `req:offload`
-    /// session; it is charged its boot wait, so the latency is the same
-    /// arrival-to-completion quantity the metrics histogram records.
+    /// session. Its latency runs from [`RequestTimeline::arrival`], so it is
+    /// the driver's: `beehive-workload`'s `metrics_fold` test checks `total`
+    /// against the driver's samples and the `request_latency` histogram.
     pub fn request(&mut self, t: &RequestTimeline) {
-        let (Some(kind), Some(end)) = (t.kind, t.end) else {
+        let (Some(kind), Some(end), Some(arrival)) = (t.kind, t.end, t.arrival) else {
             return;
         };
         if !matches!(kind, EventName::ReqServer | EventName::ReqOffload) {
             return;
         }
-        let boot: u64 = t
-            .completes
-            .iter()
-            .filter(|(n, _, _)| *n == EventName::BootWait)
-            .map(|(_, _, d)| d.as_nanos())
-            .sum();
-        let latency = end.saturating_since(t.start).as_nanos() + boot;
+        let latency = end.saturating_since(arrival).as_nanos();
         self.done.push((end, latency));
     }
 

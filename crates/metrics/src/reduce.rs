@@ -9,6 +9,7 @@
 //! write the same `.metrics.json`.
 
 use beehive_sim::{Duration, FastMap, SimTime};
+use beehive_telemetry::summary::{Arrival, ArrivalTracker};
 use beehive_telemetry::{EventKind, EventName as N, Trace, TraceEvent, Track};
 
 use crate::registry::{MetricsSnapshot, Registry, ScenarioMetrics};
@@ -18,10 +19,8 @@ use crate::registry::{MetricsSnapshot, Registry, ScenarioMetrics};
 #[derive(Debug)]
 pub struct MetricsFold {
     reg: Registry,
-    /// Per open session span, when its request arrived: the span's Begin,
-    /// moved back by a `boot:wait`, or carried over from the crashed
-    /// session a `recovery:degrade` rerouted.
-    arrived: FastMap<Track, SimTime>,
+    /// When each request in flight arrived.
+    arrivals: ArrivalTracker,
     /// Per recovering request, when its crash was detected.
     detected: FastMap<Track, SimTime>,
 }
@@ -31,7 +30,7 @@ impl MetricsFold {
     pub fn new(window: Duration) -> MetricsFold {
         MetricsFold {
             reg: Registry::new(window),
-            arrived: FastMap::default(),
+            arrivals: ArrivalTracker::default(),
             detected: FastMap::default(),
         }
     }
@@ -39,15 +38,22 @@ impl MetricsFold {
     /// Take one event.
     pub fn feed(&mut self, e: &TraceEvent) {
         let reg = &mut self.reg;
+        if let Some(Arrival::End(rid, kind, arrival, end)) = self.arrivals.feed(e) {
+            if kind == N::ReqShadow {
+                return reg.add("shadow_executions", end, 1);
+            }
+            reg.add("requests_completed", end, 1);
+            reg.observe_exemplar("request_latency", end, end.saturating_since(arrival), rid);
+            if kind == N::ReqOffload {
+                reg.add("requests_offloaded", end, 1);
+            }
+            return;
+        }
         match (e.kind, e.name) {
             (EventKind::Counter(v), name) => reg.set_gauge(name.name(), e.at, v),
             (EventKind::Complete(d), N::Gc) => {
                 reg.observe("gc_pause", e.at, d);
                 reg.add("gc_pause_ns", e.at, d.as_nanos());
-            }
-            (EventKind::Complete(d), N::BootWait) => {
-                let at = e.at.as_nanos().saturating_sub(d.as_nanos());
-                self.arrived.insert(e.track, SimTime::from_nanos(at));
             }
             (EventKind::Instant, N::Rejected) => reg.add("requests_rejected", e.at, 1),
             (EventKind::Instant, N::DbRound) => {
@@ -78,10 +84,6 @@ impl MetricsFold {
             (EventKind::Instant, N::RecoveryDegrade) => {
                 reg.add("re_executed_ns", e.at, e.arg_u64("lost_ns").unwrap_or(0));
                 reg.add("degraded_to_server", e.at, 1);
-                let arrived = self.arrived.remove(&e.track);
-                if let (Some(at), Some(rid)) = (arrived, e.arg_u64("server_request")) {
-                    self.arrived.insert(Track::Request(rid), at);
-                }
             }
             (EventKind::Begin, N::Boot) => {
                 let name = if e.arg_bool("cold").unwrap_or(false) {
@@ -97,32 +99,16 @@ impl MetricsFold {
                 self.detected.insert(e.track, e.at);
             }
             (EventKind::End, N::Recovery) => {
-                if let Some(at) = self.detected.remove(&e.track) {
+                if let (Some(at), Track::Request(rid)) = (self.detected.remove(&e.track), e.track) {
                     let latency = e.at.saturating_since(at);
-                    reg.observe_exemplar("recovery_latency", e.at, latency, request_id(e.track));
+                    reg.observe_exemplar("recovery_latency", e.at, latency, rid);
                     reg.add("recoveries", e.at, 1);
                 }
-            }
-            (EventKind::Begin, name) if name.is_session() => {
-                self.arrived.entry(e.track).or_insert(e.at);
             }
             (
                 EventKind::Begin | EventKind::Complete(_),
                 N::WaitServerCpuFb | N::WaitFunctionCpuFb | N::WaitNetFb | N::WaitDbFb,
             ) => reg.add("fallbacks", e.at, 1),
-            (EventKind::End, name @ (N::ReqServer | N::ReqOffload)) => {
-                if let Some(at) = self.arrived.remove(&e.track) {
-                    reg.add("requests_completed", e.at, 1);
-                    let latency = e.at.saturating_since(at);
-                    reg.observe_exemplar("request_latency", e.at, latency, request_id(e.track));
-                    if name == N::ReqOffload {
-                        reg.add("requests_offloaded", e.at, 1);
-                    }
-                }
-            }
-            (EventKind::End, N::ReqShadow) if self.arrived.remove(&e.track).is_some() => {
-                reg.add("shadow_executions", e.at, 1);
-            }
             _ => {}
         }
     }
@@ -130,15 +116,6 @@ impl MetricsFold {
     /// The registry the events folded into.
     pub fn finish(self) -> Registry {
         self.reg
-    }
-}
-
-/// The server-issued request id a request track carries: the id latency
-/// exemplars point at.
-fn request_id(track: Track) -> u64 {
-    match track {
-        Track::Request(rid) => rid,
-        _ => u64::MAX,
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! * offered vs. served vs. rejected requests per bin,
 //! * per-bin P50/P99 latency (arrival → completion, including hidden boot
-//!   waits) on a [`LogLinearHistogram`],
+//!   waits and reroutes) on a [`LogLinearHistogram`],
 //! * queue depth per pool and in-flight requests,
 //! * active / idle / booting instance counts and peak cold-boot concurrency,
 //! * warm / spawn / server dispatch outcomes (the warm-pool hit rate),
@@ -35,6 +35,7 @@
 use beehive_metrics::LogLinearHistogram;
 use beehive_sim::json::{FromJson, Json};
 use beehive_sim::{json_record, Duration, FastMap};
+use beehive_telemetry::summary::{Arrival, ArrivalTracker};
 use beehive_telemetry::{EventKind, EventName as N, Trace, TraceEvent, Track};
 
 /// Default bin width of the timeline: one virtual second.
@@ -93,8 +94,9 @@ json_record! {
         pub window_ns: u64,
         /// Telemetry events folded into this series.
         pub events: u64,
-        /// Offered load per bin: request sessions started plus rejections
-        /// (shadow warm-ups are not offered load).
+        /// Offered load per bin: arrivals plus rejections, so the run's sum
+        /// is the distinct requests the trace shows (shadow warm-ups and
+        /// reroutes to the server are none) plus the rejections.
         pub offered: Vec<u64>,
         /// Requests completed per bin (binned by completion time).
         pub served: Vec<u64>,
@@ -151,13 +153,6 @@ enum Life {
     Idle,
 }
 
-#[derive(Default)]
-struct ReqState {
-    begin_ns: u64,
-    boot_wait_ns: u64,
-    shadow: bool,
-}
-
 /// Streaming reducer folding telemetry events into a [`ScenarioSeries`].
 ///
 /// Feed events in emission order (which is virtual-time order) with
@@ -185,7 +180,7 @@ pub struct Observer {
     forwarded: u64,
     hist: LogLinearHistogram,
     // Cross-bin state.
-    reqs: FastMap<u64, ReqState>,
+    arrivals: ArrivalTracker,
     insts: FastMap<u32, Life>,
     onsets: Vec<u64>,
     events: u64,
@@ -212,7 +207,7 @@ impl Observer {
             server_disp: 0,
             forwarded: 0,
             hist: LogLinearHistogram::new(),
-            reqs: FastMap::default(),
+            arrivals: ArrivalTracker::default(),
             insts: FastMap::default(),
             onsets: Vec::new(),
             events: 0,
@@ -227,7 +222,16 @@ impl Observer {
             self.seal();
         }
         match e.track {
-            Track::Request(rid) => self.feed_request(rid, e),
+            // Shadow warm-ups are not load, and a request a reroute carried
+            // to a new track was offered where it arrived.
+            Track::Request(_) => match self.arrivals.feed(e) {
+                Some(Arrival::Begin(kind, false)) if kind != N::ReqShadow => self.offered += 1,
+                Some(Arrival::End(_, kind, arrival, end)) if kind != N::ReqShadow => {
+                    self.served += 1;
+                    self.hist.record(end.saturating_since(arrival).as_nanos());
+                }
+                _ => {}
+            },
             Track::Server => self.feed_server(e),
             Track::Instance(fid) => self.feed_instance(fid, e),
             Track::Platform => self.feed_platform(e),
@@ -283,39 +287,6 @@ impl Observer {
         self.forwarded = 0;
         self.hist = LogLinearHistogram::new();
         self.booting_peak = self.booting;
-    }
-
-    fn feed_request(&mut self, rid: u64, e: &TraceEvent) {
-        match (e.kind, e.name) {
-            (EventKind::Begin, N::ReqServer | N::ReqOffload | N::ReqShadow) => {
-                let shadow = e.name == N::ReqShadow;
-                if !shadow {
-                    self.offered += 1;
-                }
-                // A `boot:wait` for this request may already be stashed
-                // (it is emitted just before the session span opens).
-                let st = self.reqs.entry(rid).or_default();
-                st.begin_ns = e.at.as_nanos();
-                st.shadow = shadow;
-            }
-            (EventKind::Complete(d), N::BootWait) => {
-                let st = self.reqs.entry(rid).or_default();
-                st.boot_wait_ns = d.as_nanos();
-            }
-            (EventKind::End, N::ReqServer | N::ReqOffload | N::ReqShadow) => {
-                if let Some(st) = self.reqs.remove(&rid) {
-                    if !st.shadow {
-                        self.served += 1;
-                        let latency =
-                            e.at.as_nanos()
-                                .saturating_sub(st.begin_ns)
-                                .saturating_add(st.boot_wait_ns);
-                        self.hist.record(latency);
-                    }
-                }
-            }
-            _ => {}
-        }
     }
 
     fn feed_server(&mut self, e: &TraceEvent) {
@@ -996,6 +967,32 @@ mod tests {
         let s = obs.finish("t".into());
         // 10ms of execution + 50ms hidden boot wait = 60ms latency.
         assert!(s.p99_ns.iter().any(|&v| v >= 60_000_000));
+    }
+
+    #[test]
+    fn a_rerouted_request_is_offered_once_and_served_from_its_arrival() {
+        let mut obs = Observer::new(Duration::from_millis(100));
+        let reroute = [("lost_ns", Arg::UInt(1)), ("server_request", Arg::UInt(8))];
+        let events = [
+            (0, 7, "req:offload", EventKind::Begin, &[][..]),
+            (150, 7, "recovery:degrade", EventKind::Instant, &reroute[..]),
+            (150, 8, "req:server", EventKind::Begin, &[]),
+            (170, 8, "req:server", EventKind::End, &[]),
+        ];
+        for (ms, rid, name, kind, args) in events {
+            obs.feed(&TraceEvent::new(
+                at_ms(ms),
+                Track::Request(rid),
+                name,
+                kind,
+                args,
+            ));
+        }
+        let s = obs.finish("t".into());
+        assert_eq!(s.offered, vec![1, 0]);
+        assert_eq!(s.served, vec![0, 1]);
+        // 170ms from arrival, not the 20ms of the server session.
+        assert!(s.p99_ns[1] >= 170_000_000, "{:?}", s.p99_ns);
     }
 
     #[test]

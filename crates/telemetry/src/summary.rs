@@ -51,7 +51,7 @@ impl SpanInterval {
 /// Spans left open at the horizon are dropped (the request never finished
 /// them); `End` events with no matching `Begin` are ignored, mirroring the
 /// tolerance of the rendered summary.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestTimeline {
     /// Request id (the server-issued rid stamped on the track).
     pub rid: u64,
@@ -62,6 +62,11 @@ pub struct RequestTimeline {
     pub start: SimTime,
     /// Virtual time the session span closed; `None` while in flight.
     pub end: Option<SimTime>,
+    /// Virtual time the request arrived ([`ArrivalTracker`]); `None` while
+    /// in flight.
+    pub arrival: Option<SimTime>,
+    /// A reroute carried `arrival` over from an abandoned track.
+    pub carried: bool,
     /// Closed sub-spans, in close order (a residence `Complete` closes
     /// where it is recorded).
     pub spans: Vec<SpanInterval>,
@@ -75,16 +80,11 @@ impl RequestTimeline {
     fn new(rid: u64) -> Self {
         RequestTimeline {
             rid,
-            kind: None,
-            start: SimTime::ZERO,
-            end: None,
-            spans: Vec::new(),
-            completes: Vec::new(),
-            instants: Vec::new(),
+            ..Self::default()
         }
     }
 
-    /// End-to-end latency of the session span; `None` while in flight.
+    /// Latency of the session span alone; `None` while in flight.
     pub fn latency(&self) -> Option<Duration> {
         self.end.map(|end| end.saturating_since(self.start))
     }
@@ -120,6 +120,7 @@ impl RequestTimeline {
 #[derive(Default)]
 pub struct TimelineBuilder {
     in_flight: FastMap<u64, InFlight>,
+    arrivals: ArrivalTracker,
 }
 
 /// A request whose session span has not closed.
@@ -141,6 +142,7 @@ impl TimelineBuilder {
         let Track::Request(rid) = e.track else {
             return None;
         };
+        let tracked = self.arrivals.feed(e);
         let InFlight { timeline: r, open } =
             self.in_flight.entry(rid).or_insert_with(|| InFlight {
                 timeline: RequestTimeline::new(rid),
@@ -150,9 +152,13 @@ impl TimelineBuilder {
             EventKind::Begin if e.name.is_session() => {
                 r.kind = Some(e.name);
                 r.start = e.at;
+                r.carried = tracked == Some(Arrival::Begin(e.name, true));
             }
             EventKind::End if e.name.is_session() => {
                 r.end = Some(e.at);
+                if let Some(Arrival::End(.., arrival, _)) = tracked {
+                    r.arrival = Some(arrival);
+                }
                 return self.in_flight.remove(&rid).map(|r| r.timeline);
             }
             EventKind::Begin => open.push((e.name, e.at)),
@@ -186,6 +192,57 @@ impl TimelineBuilder {
         let mut open: Vec<_> = self.in_flight.into_values().map(|r| r.timeline).collect();
         open.sort_by_key(|r| r.rid);
         open
+    }
+}
+
+/// The arrival rule, fed request-track events in emission order: a
+/// `boot:wait` `Complete(d)` stamped at `t` means the request arrived at
+/// `t − d`; a session `Begin` with no earlier arrival means it arrives
+/// there; a `recovery:degrade` carries the arrival over to the server
+/// session its `server_request` argument names (§4.5: the same request).
+#[derive(Debug, Default)]
+pub struct ArrivalTracker {
+    /// Per request track whose session is open: `(arrival, carried)`.
+    pending: FastMap<u64, (SimTime, bool)>,
+}
+
+/// What a session span opening or closing means for its request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arrival {
+    /// `Begin(kind, carried)`: a new request, or one a reroute carried here.
+    Begin(EventName, bool),
+    /// `End(rid, kind, arrival, end)`: a request whose arrival is known was served.
+    End(u64, EventName, SimTime, SimTime),
+}
+
+impl ArrivalTracker {
+    /// Take one event; those off the request tracks are ignored.
+    pub fn feed(&mut self, e: &TraceEvent) -> Option<Arrival> {
+        let Track::Request(rid) = e.track else {
+            return None;
+        };
+        match (e.kind, e.name) {
+            (EventKind::Complete(d), EventName::BootWait) => {
+                let at = SimTime::from_nanos(e.at.as_nanos().saturating_sub(d.as_nanos()));
+                self.pending.insert(rid, (at, false));
+            }
+            (EventKind::Instant, EventName::RecoveryDegrade) => {
+                let arrived = self.pending.remove(&rid);
+                if let (Some((at, _)), Some(next)) = (arrived, e.arg_u64("server_request")) {
+                    self.pending.insert(next, (at, true));
+                }
+            }
+            (EventKind::Begin, kind) if kind.is_session() => {
+                let &mut (_, carried) = self.pending.entry(rid).or_insert((e.at, false));
+                return Some(Arrival::Begin(kind, carried));
+            }
+            (EventKind::End, kind) if kind.is_session() => {
+                let (arrival, _) = self.pending.remove(&rid)?;
+                return Some(Arrival::End(rid, kind, arrival, e.at));
+            }
+            _ => {}
+        }
+        None
     }
 }
 
@@ -621,6 +678,9 @@ mod tests {
     fn batch_timelines(trace: &Trace) -> Vec<RequestTimeline> {
         let mut reqs: HashMap<u64, RequestTimeline> = HashMap::new();
         let mut open: HashMap<u64, Vec<(EventName, SimTime)>> = HashMap::new();
+        // No `boot:wait` or reroute in these streams: a request arrives at
+        // its first session `Begin`.
+        let mut arrived: HashMap<u64, SimTime> = HashMap::new();
         for e in &trace.events {
             let Track::Request(rid) = e.track else {
                 continue;
@@ -630,8 +690,12 @@ mod tests {
                 EventKind::Begin if e.name.is_session() => {
                     r.kind = Some(e.name);
                     r.start = e.at;
+                    arrived.entry(rid).or_insert(e.at);
                 }
-                EventKind::End if e.name.is_session() => r.end = Some(e.at),
+                EventKind::End if e.name.is_session() => {
+                    r.end = Some(e.at);
+                    r.arrival = arrived.get(&rid).copied();
+                }
                 EventKind::Begin => open.entry(rid).or_default().push((e.name, e.at)),
                 EventKind::End => {
                     let stack = open.entry(rid).or_default();
@@ -708,6 +772,70 @@ mod tests {
             assert!(open.iter().all(|t| t.end.is_none()), "round {round}");
             assert_eq!(closed + open.len(), batch.len(), "round {round}");
         }
+    }
+
+    #[test]
+    fn arrivals_follow_boot_waits_and_reroutes() {
+        let ev =
+            |us, rid, name, kind| TraceEvent::new(at(us), Track::Request(rid), name, kind, &[]);
+        let boot_wait = |us, rid, d| ev(us, rid, "boot:wait", EventKind::Complete(at(d) - at(0)));
+        let degrade = [("lost_ns", Arg::UInt(1)), ("server_request", Arg::UInt(3))];
+        let events = vec![
+            // A cold offload: its boot wait follows the session `Begin`.
+            ev(10, 1, "req:offload", EventKind::Begin),
+            boot_wait(10, 1, 4),
+            // A crashed offload, rerouted to server request 3.
+            ev(12, 2, "req:offload", EventKind::Begin),
+            boot_wait(12, 2, 2),
+            TraceEvent::new(
+                at(15),
+                Track::Request(2),
+                "recovery:degrade",
+                EventKind::Instant,
+                &degrade,
+            ),
+            ev(15, 3, "req:server", EventKind::Begin),
+            ev(16, 4, "req:server", EventKind::Begin),
+            ev(18, 4, "req:server", EventKind::End),
+            ev(20, 1, "req:offload", EventKind::End),
+            ev(25, 3, "req:server", EventKind::End),
+            // An `End` with no arrival serves nothing.
+            ev(26, 5, "req:server", EventKind::End),
+        ];
+        let mut tracker = ArrivalTracker::default();
+        let said: Vec<Arrival> = events.iter().filter_map(|e| tracker.feed(e)).collect();
+        let begin = Arrival::Begin;
+        let end = |rid, kind, arrival, end| Arrival::End(rid, kind, at(arrival), at(end));
+        let (offload, server) = (EventName::ReqOffload, EventName::ReqServer);
+        assert_eq!(
+            said,
+            vec![
+                begin(offload, false),
+                begin(offload, false),
+                begin(server, true),
+                begin(server, false),
+                end(4, server, 16, 18),
+                end(1, offload, 6, 20),
+                end(3, server, 10, 25),
+            ]
+        );
+        assert!(tracker.pending.is_empty(), "the abandoned track left");
+
+        let mut builder = TimelineBuilder::new();
+        let closed: Vec<_> = events.iter().filter_map(|e| builder.feed(e)).collect();
+        let arrivals: Vec<_> = (closed.iter())
+            .map(|t| (t.rid, t.arrival, t.carried))
+            .collect();
+        let (a6, a10, a16) = (Some(at(6)), Some(at(10)), Some(at(16)));
+        let expected = [
+            (4, a16, false),
+            (1, a6, false),
+            (3, a10, true),
+            (5, None, false),
+        ];
+        assert_eq!(arrivals, expected);
+        let open = builder.finish();
+        assert_eq!((open[0].rid, open[0].arrival), (2, None));
     }
 
     #[test]
