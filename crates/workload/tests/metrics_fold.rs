@@ -6,13 +6,22 @@
 //! kept before metrics became a fold over its telemetry, and the fold
 //! reproduces it byte for byte, streamed alone or beside a retained trace
 //! whose `reduce` gives the same snapshot. Its counters also agree with what
-//! the driver counts itself in the `SimResult`.
+//! the driver counts itself in the `SimResult`, and every consumer of a
+//! request's arrival — the fold, attribution, the SLO fold and the
+//! observatory — agrees with the driver's own latencies.
+
+use std::collections::HashSet;
 
 use beehive_apps::AppKind;
 use beehive_chaos::{keyed, Fault, FaultPlan, Injector, RetryPolicy};
-use beehive_metrics::{prometheus, reduce_one, MetricsSnapshot, ScenarioMetrics, DEFAULT_WINDOW};
+use beehive_insight::{attribute, evaluate, InsightDoc, SloPolicy};
+use beehive_metrics::{
+    prometheus, reduce_one, MetricsSnapshot, ScenarioMetrics, DEFAULT_WINDOW, EXEMPLAR_K,
+};
+use beehive_observatory::TimelineDoc;
+use beehive_sim::json::ToJson;
 use beehive_sim::Duration;
-use beehive_telemetry::{EventName, Trace, TraceEvent, Track};
+use beehive_telemetry::{EventKind, EventName, Trace, TraceEvent, Track};
 use beehive_workload::driver::{Sim, SimConfig};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
@@ -24,6 +33,11 @@ const DIGEST: u64 = 0x17ab_2b30_f3f1_f0e6;
 /// the kernel keeps its pending events may move that gauge, and nothing
 /// else the fold reports.
 const GAUGE_FREE_DIGEST: u64 = 0x9ca3_e8f8_cca7_23ae;
+
+/// FNV-1a over the `degrade` scenario's rendered timeline and insight
+/// documents — the one pinned run whose crashed requests are rerouted to
+/// the server. Recorded once every arrival consumer agreed with the driver.
+const DEGRADE_DOCS_DIGEST: u64 = 0xfeb5_355f_75f9_cd9d;
 
 fn burst() -> SimConfig {
     let e = BurstExperiment::new(AppKind::Pybbs, Strategy::BeeHiveOpenWhisk)
@@ -245,5 +259,66 @@ fn the_fold_counts_what_the_driver_counts() {
             "{label}: {finished} of {}",
             r.shadows
         );
+    }
+}
+
+/// The driver's exact latencies (every completion, from `record_from` zero)
+/// are what every reader of a request's arrival reports: the metrics
+/// `request_latency` histogram, attribution's totals, the SLO fold's count
+/// and the observatory's served load. The observatory also offers each
+/// request once: a session a `recovery:degrade` reroutes a crashed request
+/// to is not a new arrival.
+#[test]
+fn every_arrival_reader_agrees_with_the_driver() {
+    for (label, mut cfg) in scenarios() {
+        cfg.observe = true;
+        cfg.record_from = Duration::ZERO;
+        cfg.trace = true;
+        let mut r = Sim::new(cfg).run();
+        let exact = r.steady.take();
+        let count = exact.len() as u64;
+        let sum: u64 = exact.iter().map(|d| d.as_nanos()).sum();
+
+        let snap = r.metrics.take().expect("metrics were on").snapshot(label);
+        let latency = snap
+            .histogram("request_latency")
+            .expect("requests completed");
+        assert_eq!(
+            (latency.count, latency.sum_ns),
+            (count, sum),
+            "{label}: metrics"
+        );
+        let trace = r.trace.take().expect("the scenario retains");
+        let attribution = attribute(label, &trace, EXEMPLAR_K);
+        let attributed = (attribution.requests, attribution.total_ns);
+        assert_eq!(attributed, (count, sum), "{label}: attribution");
+        let slo = evaluate(&SloPolicy::default(), label, &trace);
+        assert_eq!(slo.total, count, "{label}: slo");
+
+        let mut series = r.observatory.take().expect("observed");
+        assert_eq!(series.served.iter().sum::<u64>(), count, "{label}: served");
+        let rerouted: HashSet<u64> = (trace.events.iter())
+            .filter(|e| e.name == EventName::RecoveryDegrade)
+            .filter_map(|e| e.arg_u64("server_request"))
+            .collect();
+        let arrived = (trace.events.iter())
+            .filter(|e| e.kind == EventKind::Begin)
+            .filter(|e| matches!(e.name, EventName::ReqServer | EventName::ReqOffload))
+            .filter(|e| matches!(e.track, Track::Request(rid) if !rerouted.contains(&rid)))
+            .count() as u64;
+        let offered = series.offered.iter().sum::<u64>();
+        assert_eq!(offered, arrived + r.rejected, "{label}: offered");
+
+        if label == "degrade" {
+            assert!(!rerouted.is_empty(), "degrade: no reroute");
+            series.label = label.to_string();
+            let timeline = TimelineDoc::from_series(vec![series]).to_json().render();
+            let traces = [(label.to_string(), trace)];
+            let policy = SloPolicy::default();
+            let insight = InsightDoc::from_traces(&traces, &policy, EXEMPLAR_K);
+            let h = fnv(0xcbf2_9ce4_8422_2325, timeline.as_bytes());
+            let h = fnv(h, insight.to_json().render().as_bytes());
+            assert_eq!(h, DEGRADE_DOCS_DIGEST, "degrade docs {h:#018x}");
+        }
     }
 }
