@@ -4,14 +4,17 @@
 //!
 //! The clean goldens only ever reach the sentinel's quiet paths. Here every
 //! message, window line and counter that a dropped, duplicated, reordered,
-//! re-kinded, renamed or re-valued event can provoke is rendered, and the
-//! digest pins them all. It was first recorded from the string-matching
+//! re-kinded, renamed, re-valued or re-timed event can provoke is rendered,
+//! and the digest pins them all. It was first recorded from the string-matching
 //! engine that predates the typed event vocabulary, so any rewrite of the
 //! checker must reproduce that engine's reports byte for byte. It moved
 //! once, when fixed-length residence legs became one `Complete`: over the
 //! old generator's streams the two checkers differed only on the 16 whose
 //! mutations had re-kinded a residence event into a `Complete`, which had
-//! been illegal; the generator then began to emit such legs itself.
+//! been illegal; the generator then began to emit such legs itself. It
+//! moved again when the mutations learned to move an event back in time
+//! (to its predecessor's timestamp), the one kind that lands an event
+//! inside a leg and so reaches both checks of a leg's extent.
 
 use beehive_sentinel::{Invariant, Sentinel, SentinelConfig, SentinelReport};
 use beehive_sim::json::ToJson;
@@ -22,7 +25,7 @@ use beehive_telemetry::{Arg, EventKind, EventName, TraceEvent, Track};
 const STREAMS: u64 = 2_000;
 
 /// FNV-1a over every rendered report (see the module doc for its history).
-const DIGEST: u64 = 0xda71_2f24_e4c4_e835;
+const DIGEST: u64 = 0x7566_dd32_de33_0c8a;
 
 /// Every name the simulator emits, for renames.
 const VOCABULARY: [&str; 58] = [
@@ -512,7 +515,7 @@ fn check(events: &[TraceEvent], cfg: &SentinelConfig) -> beehive_sentinel::Scena
 fn mutate(rng: &mut Rng, events: &mut Vec<TraceEvent>) {
     let n = events.len() as u64;
     let i = rng.gen_range(n) as usize;
-    match rng.gen_range(6) {
+    match rng.gen_range(7) {
         0 if n > 1 => {
             events.remove(i);
         }
@@ -543,6 +546,10 @@ fn mutate(rng: &mut Rng, events: &mut Vec<TraceEvent>) {
             };
             events[i].name = EventName::resolve(name);
         }
+        // Back to its predecessor's time, which keeps the stream in time
+        // order: an event that followed a fixed-length leg now lands
+        // inside it.
+        5 if i > 0 => events[i].at = events[i - 1].at,
         _ => {
             let e = &events[i];
             let mut args = e.args.to_vec();
@@ -579,6 +586,7 @@ fn mutated_streams_render_the_recorded_reports() {
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut fired = 0;
     let mut seen = Vec::new();
+    let (mut ended_in_leg, mut begun_in_leg) = (0, 0);
     for seed in 0..STREAMS {
         let (mut events, cfg) = Legal::build(seed);
         let clean = check(&events, &cfg);
@@ -599,6 +607,12 @@ fn mutated_streams_render_the_recorded_reports() {
             if !seen.contains(&v.invariant) {
                 seen.push(v.invariant);
             }
+            let says = |invariant, what| v.invariant == invariant && v.message.contains(what);
+            ended_in_leg += usize::from(says(
+                Invariant::SessionProtocol,
+                "ended inside its own residence leg",
+            ));
+            begun_in_leg += usize::from(says(Invariant::SpanNesting, "begun inside a leg"));
         }
         digest = fnv(digest, report.to_json().render().as_bytes());
         digest = fnv(digest, report.render_text().as_bytes());
@@ -611,5 +625,8 @@ fn mutated_streams_render_the_recorded_reports() {
         .filter(|i| !seen.contains(i))
         .collect();
     assert!(missed.is_empty(), "no stream fired {missed:?}");
+    // Both checks of a fixed-length leg's extent are reached.
+    assert!(ended_in_leg > 0, "no session ended inside a leg");
+    assert!(begun_in_leg > 0, "no residence began inside a leg");
     assert_eq!(digest, DIGEST, "digest {digest:#018x}");
 }
