@@ -56,12 +56,16 @@ impl MetricsFold {
                 reg.add("gc_pause_ns", e.at, d.as_nanos());
             }
             (EventKind::Instant, N::Rejected) => reg.add("requests_rejected", e.at, 1),
-            (EventKind::Instant, N::DbRound) => {
-                let name = match e.arg_str("origin") {
-                    Some("server") => "db_rounds_server",
-                    _ => "db_rounds_function",
-                };
-                reg.add(name, e.at, 1);
+            // An offloaded request's round is its database residence; only
+            // a server request's is marked on the database track.
+            (EventKind::Begin | EventKind::Complete(_), N::WaitDb | N::WaitDbFb) => {
+                reg.add("db_rounds_function", e.at, 1);
+                if e.name == N::WaitDbFb {
+                    reg.add("fallbacks", e.at, 1);
+                }
+            }
+            (EventKind::Instant, N::DbRound) if e.arg_str("origin") == Some("server") => {
+                reg.add("db_rounds_server", e.at, 1);
             }
             (EventKind::Instant, N::SyncPullDirty) => {
                 let objects = e.arg_u64("objects").unwrap_or(0);
@@ -107,7 +111,7 @@ impl MetricsFold {
             }
             (
                 EventKind::Begin | EventKind::Complete(_),
-                N::WaitServerCpuFb | N::WaitFunctionCpuFb | N::WaitNetFb | N::WaitDbFb,
+                N::WaitServerCpuFb | N::WaitFunctionCpuFb | N::WaitNetFb,
             ) => reg.add("fallbacks", e.at, 1),
             _ => {}
         }

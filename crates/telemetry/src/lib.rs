@@ -361,12 +361,13 @@ pub fn end(track: Track, name: impl Into<EventName>, args: &[(&'static str, Arg)
 /// Record a complete span that started at the current virtual time and
 /// lasted `dur` (e.g. a GC pause measured by the collector itself).
 ///
-/// A request's fixed-length residence leg — one whose end is scheduled when
-/// it starts and that nothing can cut short — is recorded this way too,
-/// and every consumer reads it as the `Begin`/`End` pair it replaces. A
-/// leg that would end after the run's horizon is still opened with
-/// [`begin`]: the run stops first, and like any span left open it never
-/// closes.
+/// A request's fixed-length residence leg — one whose end is known when it
+/// starts and that nothing can cut short: a network, function-CPU or
+/// fallback server-CPU leg, or an offloaded request's database round on
+/// the FIFO database machine — is recorded this way too, and every
+/// consumer reads it as the `Begin`/`End` pair it replaces. A leg that
+/// would end after the run's horizon is still opened with [`begin`]: the
+/// run stops first, and like any span left open it never closes.
 #[inline]
 pub fn complete(
     track: Track,

@@ -103,16 +103,17 @@ vocabulary! {
     FallbackStatic = "fallback:static" (SESSION, SPAN),
     FallbackDb = "fallback:db" (SESSION, SPAN),
     FallbackNative = "fallback:native" (SESSION, SPAN),
-    // A residence on a pool or the database is a span; a fixed-length leg
-    // is one `Complete`, or a span when it would end past the horizon.
+    // A residence on a server pool or a lock is a span; a fixed-length leg
+    // or database round is one `Complete`, or a span when it would end past
+    // the horizon.
     WaitServerCpu = "wait:server_cpu" (SESSION, SPAN),
     WaitServerCpuFb = "wait:server_cpu:fb" (SESSION, SPAN | COMPLETE),
     WaitFunctionCpu = "wait:function_cpu" (SESSION, SPAN | COMPLETE),
     WaitFunctionCpuFb = "wait:function_cpu:fb" (SESSION, SPAN | COMPLETE),
     WaitNet = "wait:net" (SESSION, SPAN | COMPLETE),
     WaitNetFb = "wait:net:fb" (SESSION, SPAN | COMPLETE),
-    WaitDb = "wait:db" (SESSION, SPAN),
-    WaitDbFb = "wait:db:fb" (SESSION, SPAN),
+    WaitDb = "wait:db" (SESSION, SPAN | COMPLETE),
+    WaitDbFb = "wait:db:fb" (SESSION, SPAN | COMPLETE),
     WaitLock = "wait:lock" (SESSION, SPAN),
     ChaosRpcDrop = "chaos:rpc_drop" (SESSION, INSTANT),
     ChaosRpcDelay = "chaos:rpc_delay" (SESSION, INSTANT),

@@ -155,16 +155,19 @@ impl Broker {
         }
     }
 
-    /// Submit a database round of `work` for request `rid`.
+    /// Submit a database round of `work` for request `rid`, returning the
+    /// instant its `DbDone` will hand `rid` back: the FIFO never cancels a
+    /// job, so that instant is fixed now.
     pub(crate) fn db_add(
         &mut self,
         now: SimTime,
         rid: u64,
         work: Duration,
         events: &mut EventQueue<Ev>,
-    ) {
-        self.db_pool.add(now, rid, work);
+    ) -> SimTime {
+        let done = self.db_pool.add(now, rid, work);
         self.arm_db(events);
+        done
     }
 
     /// Handle `Ev::DbDone`: complete the job if it is still the head and

@@ -630,12 +630,15 @@ impl Lifecycle {
     /// Park `req` on `n`: trace the residence, then hand the wait to the
     /// broker (pools, database) or the event queue (dedicated CPU, network).
     ///
-    /// A leg this function schedules itself (network, function CPU, and
-    /// server CPU for a fallback) resumes exactly `d` later — nothing cuts
-    /// it short, a crash is only detected on resume — so it is traced as
-    /// one `Complete(d)`. A pooled wait ends when its pool says so: it opens
-    /// a span that the resume closes. So does a fixed leg that would resume
-    /// after `horizon`, which the run stops before closing.
+    /// A wait whose end is fixed when it starts is traced as one
+    /// `Complete(d)`: a leg this function schedules itself (network,
+    /// function CPU, and server CPU for a fallback) resumes exactly `d`
+    /// later, and a database round resumes when the FIFO, which never
+    /// cancels a job, says at enqueue — nothing cuts either short, a crash
+    /// is only detected on resume. A wait on a server pool ends when the
+    /// pool says so: it opens a span that the resume closes. So does a
+    /// fixed wait that would end after `horizon`, which the run stops
+    /// before closing.
     fn park_on_need(
         rid: u64,
         req: &mut Request,
@@ -646,14 +649,15 @@ impl Lifecycle {
         events: &mut EventQueue<Ev>,
     ) {
         let (track, pool, on_faas) = (req.lane.track(), req.lane.pool(), req.lane.on_faas());
-        // The leg's length when it is fixed, and the chaos event it suffered.
-        let (leg, fault) = match n.resource {
+        // When the wait ends, if that is fixed now, and the chaos event it
+        // suffered with the track that records it.
+        let (until, fault) = match n.resource {
             // Fallback servicing runs on the runtime's own high-priority
             // thread, not behind the request worker pool — otherwise a
             // saturated server would hold every lock hand-off hostage and
             // convoy the fleet.
-            Resource::ServerCpu if n.fallback => (Some(n.amount), None),
-            Resource::FunctionCpu => (Some(broker.function_cpu_duration(n.amount)), None),
+            Resource::ServerCpu if n.fallback => (Some(now + n.amount), None),
+            Resource::FunctionCpu => (Some(now + broker.function_cpu_duration(n.amount)), None),
             Resource::Net => {
                 let mut wait = n.amount;
                 let factor = broker.chaos.net_factor(now);
@@ -667,54 +671,60 @@ impl Lifecycle {
                         // re-sends over the degraded leg.
                         broker.chaos.stats.retries += 1;
                         wait = wait + timeout + wait;
-                        tele::EventName::ChaosRpcDrop
+                        (track, tele::EventName::ChaosRpcDrop)
                     }
                     RpcFault::Delay { delay } => {
                         wait += delay;
-                        tele::EventName::ChaosRpcDelay
+                        (track, tele::EventName::ChaosRpcDelay)
                     }
                 });
-                (Some(wait), fault)
+                (Some(now + wait), fault)
             }
-            Resource::ServerCpu | Resource::Db => (None, None),
+            Resource::Db => {
+                let mut demand = n.amount;
+                let fault = broker.chaos.db_drop().map(|reconnect| {
+                    // Connection dropped: pay the reconnect before the round
+                    // is served.
+                    broker.chaos.stats.retries += 1;
+                    demand += reconnect;
+                    (tele::Track::Db, tele::EventName::ChaosDbReconnect)
+                });
+                (Some(broker.db_add(now, rid, demand, events)), fault)
+            }
+            Resource::ServerCpu => (None, None),
         };
-        // Offloaded sessions trace every wait as a residence; plain server
-        // requests park on the pool ~100× each, so only their fallback
-        // round trips are traced — recording every one would dwarf the
-        // Semi-FaaS machinery the trace is for.
+        // Offloaded sessions trace every wait as a residence, which counts a
+        // database round too; plain server requests park on the pool ~100×
+        // each, so only their fallback round trips are traced — recording
+        // every one would dwarf the Semi-FaaS machinery the trace is for —
+        // and their database rounds are marked on the database track.
         if (n.fallback || on_faas) && tele::enabled() {
             let name = n.span_name();
-            match leg {
-                Some(d) if now + d <= horizon => tele::complete(track, name, d, &[]),
+            match until {
+                Some(end) if end <= horizon => tele::complete(track, name, end - now, &[]),
                 _ => {
                     tele::begin(track, name, &[]);
                     req.open_span = Some(name);
                 }
             }
         }
-        if let Some(name) = fault {
-            tele::instant(track, name, &[]);
-        }
-        if let Some(d) = leg {
-            events.schedule(now + d, Ev::Step(rid));
-        } else if n.resource == Resource::ServerCpu {
-            broker.pool_add(now, pool, rid, n.amount, events);
-        } else {
-            let origin = if on_faas { "function" } else { "server" };
+        if n.resource == Resource::Db && !on_faas {
             tele::instant(
                 tele::Track::Db,
                 tele::EventName::DbRound,
-                &[("origin", tele::Arg::Str(origin))],
+                &[("origin", tele::Arg::Str("server"))],
             );
-            let mut demand = n.amount;
-            if let Some(reconnect) = broker.chaos.db_drop() {
-                // Connection dropped: pay the reconnect before the round is
-                // served.
-                broker.chaos.stats.retries += 1;
-                tele::instant(tele::Track::Db, tele::EventName::ChaosDbReconnect, &[]);
-                demand += reconnect;
+        }
+        if let Some((track, name)) = fault {
+            tele::instant(track, name, &[]);
+        }
+        match (n.resource, until) {
+            // The broker hands the request back with the round's `DbDone`.
+            (Resource::Db, _) => {}
+            (_, Some(end)) => {
+                events.schedule(end, Ev::Step(rid));
             }
-            broker.db_add(now, rid, demand, events);
+            (_, None) => broker.pool_add(now, pool, rid, n.amount, events),
         }
     }
 

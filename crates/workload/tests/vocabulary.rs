@@ -1,8 +1,8 @@
 //! The event vocabulary against real runs: every event the simulator emits
 //! is legal on the track and as the kind it is emitted as, between them a
 //! handful of short scenarios emit every name of the vocabulary that a run
-//! can reach, and every fixed-length residence leg is one `Complete` unless
-//! the run stops before it ends.
+//! can reach, and every fixed-length residence leg and database round is
+//! one `Complete` unless the run stops before it ends.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -166,21 +166,28 @@ fn every_name_is_emitted_and_legal_where_it_is_emitted() {
     assert!(reached.is_empty(), "emitted after all: {reached:?}");
 }
 
-/// The residences whose length is known when the request parks.
-const LEGS: [EventName; 5] = [
+/// The residences whose end is known when the request parks: the legs the
+/// lifecycle schedules itself and the database rounds the FIFO completes.
+const LEGS: [EventName; 7] = [
     EventName::WaitNet,
     EventName::WaitNetFb,
     EventName::WaitFunctionCpu,
     EventName::WaitFunctionCpuFb,
     EventName::WaitServerCpuFb,
+    EventName::WaitDb,
+    EventName::WaitDbFb,
 ];
 
 #[test]
 fn fixed_length_legs_are_one_complete_unless_the_run_stops_first() {
-    let (mut completes, mut cut) = (0, 0);
+    let (mut completes, mut rounds, mut cut) = (0, 0, 0);
     for (trace, horizon) in runs() {
         let events = &trace.events;
         for (i, e) in events.iter().enumerate() {
+            // An offloaded request's round is its `wait:db` leg alone.
+            if e.name == EventName::DbRound {
+                assert_eq!(e.arg_str("origin"), Some("server"), "{e:?}");
+            }
             if !LEGS.contains(&e.name) {
                 continue;
             }
@@ -191,6 +198,8 @@ fn fixed_length_legs_are_one_complete_unless_the_run_stops_first() {
                     assert!(e.name.legal(e.track, e.kind), "{e:?}");
                     assert!(e.at + d <= horizon, "a leg past the horizon: {e:?}");
                     completes += 1;
+                    rounds +=
+                        usize::from(matches!(e.name, EventName::WaitDb | EventName::WaitDbFb));
                 }
                 EventKind::Begin => {
                     // Recorded as a span only because the run stopped before
@@ -212,6 +221,7 @@ fn fixed_length_legs_are_one_complete_unless_the_run_stops_first() {
         }
     }
     assert!(completes > 0, "no run recorded a fixed-length leg");
+    assert!(rounds > 0, "no run recorded a database round");
     assert!(
         cut > 0,
         "no run stopped inside a leg: the horizon rule went untested"
