@@ -86,9 +86,9 @@ pub struct Need {
 }
 
 impl Need {
-    /// The residence-span name of this need: one static string per
-    /// (resource, fallback-flag) pair, so tracing the wait allocates nothing
-    /// on the hot path.
+    /// The residence-span name of this need: one vocabulary id per
+    /// (resource, fallback-flag) pair, but `wait:db` for every database
+    /// round, so tracing the wait allocates nothing on the hot path.
     pub fn span_name(&self) -> EventName {
         match (self.resource, self.fallback) {
             (ServerCpu, false) => EventName::WaitServerCpu,
@@ -97,8 +97,8 @@ impl Need {
             (FunctionCpu, true) => EventName::WaitFunctionCpuFb,
             (Net, false) => EventName::WaitNet,
             (Net, true) => EventName::WaitNetFb,
-            (Db, false) => EventName::WaitDb,
-            (Db, true) => EventName::WaitDbFb,
+            // A round is the request's own work, even inside a fallback.
+            (Db, _) => EventName::WaitDb,
         }
     }
 }

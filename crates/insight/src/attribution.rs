@@ -125,7 +125,7 @@ impl Component {
 /// spans is charged to the highest-priority one, so e.g. the `wait:net:fb`
 /// inside a `fallback:data` round trip stays part of the fallback, and
 /// everything under a `recovery` span is recovery.
-const CLASSES: [(Component, u8); 16] = [
+const CLASSES: [(Component, u8); 15] = [
     (Component::Recovery, 100),
     (Component::FallbackCode, 90),
     (Component::FallbackData, 90),
@@ -139,7 +139,6 @@ const CLASSES: [(Component, u8); 16] = [
     // underlying resource.
     (Component::ServerAssist, 50),
     (Component::FaasExec, 50),
-    (Component::DbWait, 50),
     (Component::NetWait, 50),
     (Component::DbWait, 40),
     (Component::NetWait, 30),
@@ -163,12 +162,11 @@ fn classify(name: EventName) -> Option<u8> {
         N::WaitLock => 7,
         N::WaitServerCpuFb => 8,
         N::WaitFunctionCpuFb => 9,
-        N::WaitDbFb => 10,
-        N::WaitNetFb => 11,
-        N::WaitDb => 12,
-        N::WaitNet => 13,
-        N::WaitServerCpu => 14,
-        N::WaitFunctionCpu => 15,
+        N::WaitNetFb => 10,
+        N::WaitDb => 11,
+        N::WaitNet => 12,
+        N::WaitServerCpu => 13,
+        N::WaitFunctionCpu => 14,
         _ => return None,
     })
 }
@@ -823,7 +821,6 @@ mod tests {
             N::WaitServerCpuFb => (Component::ServerAssist, 50),
             N::WaitFunctionCpuFb => (Component::FaasExec, 50),
             N::WaitNetFb => (Component::NetWait, 50),
-            N::WaitDbFb => (Component::DbWait, 50),
             N::WaitDb => (Component::DbWait, 40),
             N::WaitNet => (Component::NetWait, 30),
             N::WaitServerCpu => (Component::ServerAssist, 20),
@@ -906,7 +903,7 @@ mod tests {
             .into_iter()
             .filter(|&n| classify(n).is_some())
             .collect();
-        assert_eq!(names.len(), 17, "every classified name");
+        assert_eq!(names.len(), 16, "every classified name");
         names.extend([
             EventName::Block,
             EventName::ReqOffload,

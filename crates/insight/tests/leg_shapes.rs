@@ -5,19 +5,16 @@
 //! for the shape of their fixed-length legs (`wait:net`, `wait:function_cpu`
 //! and the fallback legs) and database rounds, and each form is folded into
 //! request timelines, their phase tables, the attribution and summary
-//! documents and the metrics registry. In the pair form a database round
-//! also marks a `db:round` instant with `origin: function` on the database
-//! track, as rounds were once recorded; the `Complete` alone counts the
-//! round. Pooled residences, fallback spans, instants, server-origin rounds
-//! and legs still open when the stream stops keep their shape in both
-//! forms.
+//! documents and the metrics registry. Pooled residences, fallback spans,
+//! instants, a server request's `db:round` (an instant with no arguments
+//! on the database track) and legs still open when the stream stops keep
+//! their shape in both forms.
 
 use beehive_insight::AttributionFold;
 use beehive_metrics::MetricsFold;
-use beehive_sim::json::Json;
 use beehive_sim::{Duration, Rng, SimTime};
 use beehive_telemetry::summary::{RequestTimeline, SummaryFold, TimelineBuilder};
-use beehive_telemetry::{Arg, EventKind, EventName as N, TraceEvent, Track};
+use beehive_telemetry::{EventKind, EventName as N, TraceEvent, Track};
 
 /// The residences whose length is known when the request parks.
 const LEGS: [N; 5] = [
@@ -32,17 +29,12 @@ const LEGS: [N; 5] = [
 /// time, a tie-breaker that keeps the script's order, and the event.
 type Scripted = (u64, u64, TraceEvent);
 
-/// The database rounds of an offloaded request.
-const ROUNDS: [N; 2] = [N::WaitDb, N::WaitDbFb];
-
 /// Both shapes of the streams being written.
 #[derive(Default)]
 struct Shapes {
     seq: u64,
     pairs: Vec<Scripted>,
     completes: Vec<Scripted>,
-    /// Function-origin `db:round` instants only the pair form records.
-    marked: u64,
 }
 
 impl Shapes {
@@ -62,30 +54,10 @@ impl Shapes {
         self.completes.push(e);
     }
 
-    /// A database round's `db:round` instant, stamped with its `Begin`.
-    fn round(&mut self, at: u64, origin: &'static str) -> Scripted {
-        self.seq += 1;
-        let origin = [("origin", Arg::Str(origin))];
-        let at_ns = SimTime::from_nanos(at);
-        let e = TraceEvent::new(at_ns, Track::Db, N::DbRound, EventKind::Instant, &origin);
-        (at, self.seq, e)
-    }
-
-    /// The function `db:round` the pair form of a database round `name`
-    /// begun at `at` marks; nothing for another leg.
-    fn mark_round(&mut self, at: u64, name: N) {
-        if ROUNDS.contains(&name) {
-            let round = self.round(at, "function");
-            self.pairs.push(round);
-            self.marked += 1;
-        }
-    }
-
     /// A fixed-length leg of `d` ns from `at`: a pair, or one `Complete`.
     fn leg(&mut self, at: u64, d: u64, track: Track, name: N) {
         let begin = self.push(at, track, name, EventKind::Begin);
         self.pairs.push(begin);
-        self.mark_round(at, name);
         let leg = EventKind::Complete(Duration::from_nanos(d));
         self.completes.push((
             at,
@@ -111,15 +83,14 @@ impl Shapes {
             match rng.gen_range(6) {
                 0..=2 => {
                     let name = if rng.chance(0.3) {
-                        ROUNDS[rng.gen_range(2) as usize]
+                        N::WaitDb
                     } else {
                         LEGS[rng.gen_range(LEGS.len() as u64) as usize]
                     };
                     if step + 1 == steps && rng.chance(0.2) {
                         // The stream stops inside this leg: a span that
                         // never closes, in both shapes.
-                        self.both(now, track, name, EventKind::Begin);
-                        return self.mark_round(now, name);
+                        return self.both(now, track, name, EventKind::Begin);
                     }
                     let fallback = matches!(name, N::WaitNetFb | N::WaitServerCpuFb);
                     if fallback {
@@ -155,29 +126,24 @@ impl Shapes {
 
 /// A seeded scenario in both shapes, each merged into one stream in time
 /// order, with an endpoint GC pause and a server request's database round
-/// now and then, and how many function `db:round`s only the pairs mark.
+/// now and then, and how many such rounds there are.
 fn streams(seed: u64) -> (Vec<TraceEvent>, Vec<TraceEvent>, u64) {
     let mut rng = Rng::new(seed);
     let mut shapes = Shapes::default();
-    for rid in 0..1 + rng.gen_range(24) {
+    let requests = 1 + rng.gen_range(24);
+    for rid in 0..requests {
         let start = rng.gen_range(400_000);
         shapes.request(&mut rng, rid, start);
         let pause = EventKind::Complete(Duration::from_nanos(rng.gen_range(5_000)));
         shapes.both(start, Track::Server, N::Gc, pause);
-        // A server request's round, marked alike in both forms.
-        let round = shapes.round(start + rng.gen_range(9_000), "server");
-        shapes.pairs.push(round);
-        shapes.completes.push(round);
+        let round = start + rng.gen_range(9_000);
+        shapes.both(round, Track::Db, N::DbRound, EventKind::Instant);
     }
     let merged = |mut v: Vec<Scripted>| {
         v.sort_by_key(|&(at, seq, _)| (at, seq));
         v.into_iter().map(|(_, _, e)| e).collect::<Vec<_>>()
     };
-    (
-        merged(shapes.pairs),
-        merged(shapes.completes),
-        shapes.marked,
-    )
+    (merged(shapes.pairs), merged(shapes.completes), requests)
 }
 
 /// Everything the consumers derive from one stream.
@@ -186,35 +152,14 @@ struct Derived {
     timelines: Vec<RequestTimeline>,
     phases: Vec<Vec<(&'static str, (u64, u64))>>,
     attribution: String,
-    /// The summary document without its `db:round` row, which counts the
-    /// instants the stream marks.
     summary: String,
     metrics: String,
     fallbacks: u64,
     db_rounds_function: u64,
+    db_rounds_server: u64,
 }
 
-/// `summary` rendered without its `db:round` endpoint row, and that row's
-/// count.
-fn without_db_round(mut summary: Json) -> (String, u64) {
-    let mut count = 0;
-    if let Json::Obj(fields) = &mut summary {
-        for (key, value) in fields.iter_mut() {
-            if let (true, Json::Arr(rows)) = (key == "endpoint_events", value) {
-                rows.retain(|row| {
-                    let round = row.str_field("name") == Ok("db:round");
-                    if round {
-                        count = row.field("count").expect("a row counts");
-                    }
-                    !round
-                });
-            }
-        }
-    }
-    (summary.render(), count)
-}
-
-fn derive(events: &[TraceEvent]) -> (Derived, u64) {
+fn derive(events: &[TraceEvent]) -> Derived {
     let mut builder = TimelineBuilder::new();
     let mut timelines = Vec::new();
     let (mut attribution, mut summary) = (AttributionFold::new(4), SummaryFold::default());
@@ -231,37 +176,34 @@ fn derive(events: &[TraceEvent]) -> (Derived, u64) {
         summary.request(t);
     }
     let metrics = metrics.finish().snapshot("legs");
-    let (summary, marked) = without_db_round(summary.finish("legs"));
     let counter = |name| metrics.counter(name).map_or(0, |c| c.total);
-    let derived = Derived {
+    Derived {
         phases: timelines
             .iter()
             .map(|t| t.phases().into_iter().collect())
             .collect(),
         attribution: attribution.finish("legs").to_json().render(),
-        summary,
+        summary: summary.finish("legs").render(),
         fallbacks: counter("fallbacks"),
         db_rounds_function: counter("db_rounds_function"),
+        db_rounds_server: counter("db_rounds_server"),
         metrics: format!("{metrics:?}"),
         timelines,
-    };
-    (derived, marked)
+    }
 }
 
 #[test]
 fn both_leg_shapes_derive_the_same_documents() {
     let (mut legs, mut fallbacks, mut rounds) = (0, 0, 0);
     for seed in 0..300 {
-        let (pairs, completes, only_paired) = streams(seed);
+        let (pairs, completes, server_rounds) = streams(seed);
         legs += pairs.len() - completes.len();
-        let (derived, marked) = derive(&completes);
+        let derived = derive(&completes);
         fallbacks += derived.fallbacks;
         rounds += derived.db_rounds_function;
-        let (paired, marked_paired) = derive(&pairs);
-        assert_eq!(paired, derived, "seed {seed}");
-        // The summary's db:round row is the one difference: it counts the
-        // function rounds only the pairs mark.
-        assert_eq!(marked_paired, marked + only_paired, "seed {seed}");
+        // Every `db:round`, argument-free, is a server request's round.
+        assert_eq!(derived.db_rounds_server, server_rounds, "seed {seed}");
+        assert_eq!(derive(&pairs), derived, "seed {seed}");
     }
     assert!(legs > 1_000, "only {legs} legs changed shape");
     assert!(fallbacks > 100, "only {fallbacks} fallback legs counted");

@@ -56,17 +56,12 @@ impl MetricsFold {
                 reg.add("gc_pause_ns", e.at, d.as_nanos());
             }
             (EventKind::Instant, N::Rejected) => reg.add("requests_rejected", e.at, 1),
-            // An offloaded request's round is its database residence; only
-            // a server request's is marked on the database track.
-            (EventKind::Begin | EventKind::Complete(_), N::WaitDb | N::WaitDbFb) => {
+            // An offloaded request's round is its database residence; a
+            // `db:round` marks a server request's.
+            (EventKind::Begin | EventKind::Complete(_), N::WaitDb) => {
                 reg.add("db_rounds_function", e.at, 1);
-                if e.name == N::WaitDbFb {
-                    reg.add("fallbacks", e.at, 1);
-                }
             }
-            (EventKind::Instant, N::DbRound) if e.arg_str("origin") == Some("server") => {
-                reg.add("db_rounds_server", e.at, 1);
-            }
+            (EventKind::Instant, N::DbRound) => reg.add("db_rounds_server", e.at, 1),
             (EventKind::Instant, N::SyncPullDirty) => {
                 let objects = e.arg_u64("objects").unwrap_or(0);
                 reg.add("handoff_dirty_objects", e.at, objects);
@@ -193,10 +188,9 @@ mod tests {
             ),
         ];
         let cold = [("cold", Arg::Bool(true))];
-        let (instance, origin) = (Track::Instance(0), [("origin", Arg::Str("server"))]);
         events.push(TraceEvent::new(
             at(5),
-            instance,
+            Track::Instance(0),
             "boot",
             EventKind::Begin,
             &cold,
@@ -206,7 +200,7 @@ mod tests {
             Track::Db,
             "db:round",
             EventKind::Instant,
-            &origin,
+            &[],
         ));
 
         let s = reduce_one("x", &Trace { events }, DEFAULT_WINDOW);

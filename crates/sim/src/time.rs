@@ -92,11 +92,6 @@ impl Duration {
         self.0
     }
 
-    /// Whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole milliseconds (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000

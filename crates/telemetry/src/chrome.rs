@@ -12,13 +12,22 @@
 //! * [`EventKind`] maps onto phases `B`/`E`/`X`/`i`/`C`, with timestamps in
 //!   microseconds of virtual time.
 //!
+//! A record keeps only what a reader cannot derive:
+//! `{"name","ph","ts","pid","tid"}`, then `"dur"` on an `X` record and
+//! `"args"` when the event has any (a counter's sample is `{"value":…}`).
+//! There is no `"cat"`: an event's category is its name up to the first
+//! `:` (`wait:db` is a `wait`), so in Perfetto's SQL `name GLOB 'wait:*'`
+//! selects what `category = 'wait'` did. Instants carry no `"s"`: the
+//! trace-event format's default scope is the thread, which is what every
+//! instant here is.
+//!
 //! [`ChromeWriter`] is the one renderer: it formats each record straight
 //! into a write buffer with the number and string writers of
 //! `beehive_sim::json`, so a document costs one buffer however long the run
 //! and renders to the same bytes as the `Json` tree the tests keep as the
-//! reference. A record's head — `name`, `cat` and `ph` — is the same for
-//! every event of one vocabulary name and phase, so each writer renders it
-//! once per pair, on first use, and copies it from then on. [`TraceFile`]
+//! reference. A record's head — `name` and `ph` — is the same for every
+//! event of one vocabulary name and phase, so each writer renders it once
+//! per pair, on first use, and copies it from then on. [`TraceFile`]
 //! puts such a document on disk scenario by scenario, in submission order
 //! at any worker count.
 
@@ -77,12 +86,10 @@ fn phase(kind: EventKind) -> usize {
     }
 }
 
-/// A record's fixed head: `,{"name":…,"cat":…,"ph":"…","ts":`.
+/// A record's fixed head: `,{"name":…,"ph":"…","ts":`.
 fn write_head(name: &str, phase: usize, b: &mut String) {
     b.push_str(",{\"name\":");
     write_str(name, b);
-    b.push_str(",\"cat\":");
-    write_str(name.split(':').next().unwrap_or(name), b);
     b.push_str(",\"ph\":\"");
     b.push_str(PHASES[phase]);
     b.push_str("\",\"ts\":");
@@ -170,13 +177,9 @@ impl<W: Write> ChromeWriter<W> {
         write_int(pid as i128, b);
         b.push_str(",\"tid\":");
         write_int(tid as i128, b);
-        match e.kind {
-            EventKind::Complete(d) => {
-                b.push_str(",\"dur\":");
-                write_micros(d.as_nanos(), b);
-            }
-            EventKind::Instant => b.push_str(",\"s\":\"t\""),
-            _ => {}
+        if let EventKind::Complete(d) = e.kind {
+            b.push_str(",\"dur\":");
+            write_micros(d.as_nanos(), b);
         }
         if let EventKind::Counter(v) = e.kind {
             b.push_str(",\"args\":{\"value\":");
@@ -381,20 +384,15 @@ mod tests {
             EventKind::Instant => "i",
             EventKind::Counter(_) => "C",
         };
-        let name = e.name.name();
-        let cat = name.split(':').next().unwrap_or(name);
         let mut fields: Vec<(String, Json)> = vec![
-            ("name".into(), Json::from(name)),
-            ("cat".into(), Json::from(cat)),
+            ("name".into(), Json::from(e.name.name())),
             ("ph".into(), Json::from(ph)),
             ("ts".into(), micros(e.at.as_nanos())),
             ("pid".into(), Json::Int(pid as i128)),
             ("tid".into(), Json::Int(tid as i128)),
         ];
-        match e.kind {
-            EventKind::Complete(d) => fields.push(("dur".into(), micros(d.as_nanos()))),
-            EventKind::Instant => fields.push(("s".into(), Json::from("t"))),
-            _ => {}
+        if let EventKind::Complete(d) = e.kind {
+            fields.push(("dur".into(), micros(d.as_nanos())));
         }
         if let EventKind::Counter(v) = e.kind {
             fields.push((
@@ -703,7 +701,7 @@ mod tests {
             },
         )]);
         assert!(
-            s.contains("{\"name\":\"bench\",\"cat\":\"bench\",\"ph\":\"i\""),
+            s.contains("{\"name\":\"bench\",\"ph\":\"i\",\"ts\":3.0,\"pid\":1,\"tid\":8}"),
             "{s}"
         );
         assert_eq!(

@@ -113,7 +113,6 @@ vocabulary! {
     WaitNet = "wait:net" (SESSION, SPAN | COMPLETE),
     WaitNetFb = "wait:net:fb" (SESSION, SPAN | COMPLETE),
     WaitDb = "wait:db" (SESSION, SPAN | COMPLETE),
-    WaitDbFb = "wait:db:fb" (SESSION, SPAN | COMPLETE),
     WaitLock = "wait:lock" (SESSION, SPAN),
     ChaosRpcDrop = "chaos:rpc_drop" (SESSION, INSTANT),
     ChaosRpcDelay = "chaos:rpc_delay" (SESSION, INSTANT),
@@ -141,7 +140,9 @@ vocabulary! {
     Rejected = "rejected" (SERVER, INSTANT),
     ClosureBuild = "closure:build" (SERVER, COMPLETE),
     BurstRoute = "burst:route" (SERVER, INSTANT),
-    // The database track.
+    // The database track. `db:round` marks a server request's round (an
+    // offloaded request's is its `wait:db`); `db:execute` a function query
+    // the proxy ran.
     DbRound = "db:round" (DB, INSTANT),
     DbExecute = "db:execute" (DB, INSTANT),
     ChaosDbReconnect = "chaos:db_reconnect" (DB, INSTANT),
@@ -198,7 +199,6 @@ impl EventName {
                 | Self::WaitNet
                 | Self::WaitNetFb
                 | Self::WaitDb
-                | Self::WaitDbFb
                 | Self::WaitLock
         )
     }

@@ -99,6 +99,52 @@ impl VmCounters {
     }
 }
 
+/// Which classes' code an instance has: one bit per class of the program,
+/// so an instance and each of its sync images carry an eighth of a byte per
+/// class. Bits past the last class stay clear, so sets compare by value.
+#[derive(Clone, Debug, PartialEq)]
+struct ClassSet {
+    words: Vec<u64>,
+    /// The program's class count.
+    len: usize,
+}
+
+impl ClassSet {
+    /// `len` classes, all or none of them in the set.
+    fn new(len: usize, all: bool) -> ClassSet {
+        let mut words = vec![if all { u64::MAX } else { 0 }; len.div_ceil(64)];
+        let unused = 64 * words.len() - len;
+        if let Some(last) = words.last_mut() {
+            *last >>= unused;
+        }
+        ClassSet { words, len }
+    }
+
+    /// The word and the bit of `class`.
+    fn bit(&self, class: ClassId) -> (usize, u64) {
+        let i = class.index();
+        assert!(
+            i < self.len,
+            "class {i} is out of range: the program has {} classes",
+            self.len
+        );
+        (i / 64, 1 << (i % 64))
+    }
+
+    fn contains(&self, class: ClassId) -> bool {
+        let (word, bit) = self.bit(class);
+        self.words[word] & bit != 0
+    }
+
+    /// Add `class`; `true` when it was not in the set yet.
+    fn insert(&mut self, class: ClassId) -> bool {
+        let (word, bit) = self.bit(class);
+        let added = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        added
+    }
+}
+
 /// One endpoint's runtime state. Instances compare by value (see
 /// [`Heap`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -108,10 +154,10 @@ pub struct VmInstance {
     pub heap: Heap,
     statics: Vec<Value>,
     statics_fetched: Vec<bool>,
-    loaded: Vec<bool>,
+    loaded: ClassSet,
     /// Classes loaded after construction, in load order. Classes are never
     /// unloaded, so this is how [`VmInstance::sync_image`] finds the new
-    /// entries of `loaded` without scanning all of them.
+    /// members of `loaded` without scanning all of them.
     load_log: Vec<ClassId>,
     native_states: FastMap<u64, NativeState>,
     next_handle: u64,
@@ -176,7 +222,7 @@ impl VmInstance {
             heap: Heap::new(alloc_bytes, GcCosts::default()),
             statics: vec![Value::Null; program.static_count()],
             statics_fetched: vec![kind == EndpointKind::Server; program.static_count()],
-            loaded: vec![loaded; program.class_count()],
+            loaded: ClassSet::new(program.class_count(), loaded),
             load_log: Vec::new(),
             native_states: FastMap::default(),
             next_handle: 1,
@@ -246,14 +292,21 @@ impl VmInstance {
     // ----- classes ------------------------------------------------------
 
     /// `true` when the class's code is available on this endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is not a class of the instance's program.
     pub fn is_loaded(&self, class: ClassId) -> bool {
-        self.loaded[class.index()]
+        self.loaded.contains(class)
     }
 
     /// Mark a class's code available (after a missing-code fetch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is not a class of the instance's program.
     pub fn load_class(&mut self, class: ClassId) {
-        if !self.loaded[class.index()] {
-            self.loaded[class.index()] = true;
+        if self.loaded.insert(class) {
             self.load_log.push(class);
         }
     }
@@ -494,8 +547,8 @@ impl VmInstance {
         let by_difference = heap.sync_image(&mut image.heap);
         if by_difference {
             let new = &load_log[image.load_log.len()..];
-            for class in new {
-                image.loaded[class.index()] = true;
+            for &class in new {
+                image.loaded.insert(class);
             }
             image.load_log.extend_from_slice(new);
             image
@@ -563,6 +616,70 @@ mod tests {
         assert!(vm.checks_remote_refs());
         vm.load_class(crate::ids::ClassId(0));
         assert!(vm.is_loaded(crate::ids::ClassId(0)));
+    }
+
+    /// A program of `classes` classes and nothing else.
+    fn classes_program(classes: u32) -> Program {
+        let mut pb = ProgramBuilder::new();
+        for c in 0..classes {
+            pb.user_class(&format!("C{c}"), 1, None);
+        }
+        pb.finish()
+    }
+
+    #[test]
+    fn the_loaded_set_spans_words_and_ends_at_the_last_class() {
+        let p = classes_program(130);
+        let server = VmInstance::server(&p, CostModel::default());
+        let mut func = VmInstance::function(&p, CostModel::default());
+        for c in [0, 63, 64, 127, 128, 129] {
+            assert!(server.is_loaded(ClassId(c)) && !func.is_loaded(ClassId(c)));
+        }
+        for c in (0..130).rev() {
+            func.load_class(ClassId(c));
+            func.load_class(ClassId(c));
+        }
+        // Loaded once each, in load order, and then equal to the server's.
+        assert_eq!(func.load_log.len(), 130);
+        assert_eq!(func.load_log[0], ClassId(129));
+        assert_eq!(func.loaded, server.loaded);
+    }
+
+    #[test]
+    #[should_panic(expected = "class 70 is out of range: the program has 70 classes")]
+    fn is_loaded_panics_past_the_last_class() {
+        let p = classes_program(70);
+        VmInstance::server(&p, CostModel::default()).is_loaded(ClassId(70));
+    }
+
+    #[test]
+    #[should_panic(expected = "class 70 is out of range: the program has 70 classes")]
+    fn load_class_panics_past_the_last_class() {
+        let p = classes_program(70);
+        VmInstance::function(&p, CostModel::default()).load_class(ClassId(70));
+    }
+
+    #[test]
+    fn sync_image_copies_new_classes_by_difference() {
+        let p = classes_program(200);
+        let mut func = VmInstance::function(&p, CostModel::default());
+        let mut image = VmInstance::function(&Program::default(), CostModel::default());
+        func.load_class(ClassId(3));
+        assert!(
+            !func.sync_image(&mut image),
+            "the first image is a full copy"
+        );
+        assert_eq!(image, func);
+        for c in [150, 3, 64, 199] {
+            func.load_class(ClassId(c));
+        }
+        assert!(func.sync_image(&mut image), "a refresh goes by difference");
+        assert_eq!(image, func.clone());
+        assert!(image.is_loaded(ClassId(199)) && !image.is_loaded(ClassId(198)));
+        // Pointed at another instance, the image is copied whole again.
+        let other = VmInstance::server(&p, CostModel::default());
+        assert!(!other.sync_image(&mut image));
+        assert_eq!(image, other);
     }
 
     #[test]

@@ -709,11 +709,7 @@ impl Lifecycle {
             }
         }
         if n.resource == Resource::Db && !on_faas {
-            tele::instant(
-                tele::Track::Db,
-                tele::EventName::DbRound,
-                &[("origin", tele::Arg::Str("server"))],
-            );
+            tele::instant(tele::Track::Db, tele::EventName::DbRound, &[]);
         }
         if let Some((track, name)) = fault {
             tele::instant(track, name, &[]);

@@ -119,14 +119,10 @@ fn overload() -> Run {
 }
 
 /// Names no short run reaches, and why.
-const UNREACHED: [(EventName, &str); 4] = [
+const UNREACHED: [(EventName, &str); 3] = [
     (
         EventName::WaitFunctionCpuFb,
         "function CPU is never a fallback leg",
-    ),
-    (
-        EventName::WaitDbFb,
-        "database service is never a fallback leg",
     ),
     (EventName::SyncVolatile, "no app declares a volatile field"),
     (EventName::InstanceExpire, "the keep-alive is ten minutes"),
@@ -168,14 +164,13 @@ fn every_name_is_emitted_and_legal_where_it_is_emitted() {
 
 /// The residences whose end is known when the request parks: the legs the
 /// lifecycle schedules itself and the database rounds the FIFO completes.
-const LEGS: [EventName; 7] = [
+const LEGS: [EventName; 6] = [
     EventName::WaitNet,
     EventName::WaitNetFb,
     EventName::WaitFunctionCpu,
     EventName::WaitFunctionCpuFb,
     EventName::WaitServerCpuFb,
     EventName::WaitDb,
-    EventName::WaitDbFb,
 ];
 
 #[test]
@@ -184,9 +179,11 @@ fn fixed_length_legs_are_one_complete_unless_the_run_stops_first() {
     for (trace, horizon) in runs() {
         let events = &trace.events;
         for (i, e) in events.iter().enumerate() {
-            // An offloaded request's round is its `wait:db` leg alone.
+            // An offloaded request's round is its `wait:db` leg alone; a
+            // `db:round` marks a server request's and says nothing more.
             if e.name == EventName::DbRound {
-                assert_eq!(e.arg_str("origin"), Some("server"), "{e:?}");
+                assert!(e.args.is_empty(), "{e:?}");
+                assert_eq!((e.track, e.kind), (Track::Db, EventKind::Instant));
             }
             if !LEGS.contains(&e.name) {
                 continue;
@@ -198,8 +195,7 @@ fn fixed_length_legs_are_one_complete_unless_the_run_stops_first() {
                     assert!(e.name.legal(e.track, e.kind), "{e:?}");
                     assert!(e.at + d <= horizon, "a leg past the horizon: {e:?}");
                     completes += 1;
-                    rounds +=
-                        usize::from(matches!(e.name, EventName::WaitDb | EventName::WaitDbFb));
+                    rounds += usize::from(e.name == EventName::WaitDb);
                 }
                 EventKind::Begin => {
                     // Recorded as a span only because the run stopped before
