@@ -147,7 +147,7 @@ pub fn diagnose(
 }
 
 /// Changed diagnostic counters, `(name, current − baseline)`, fixed order.
-pub fn counter_deltas(base: &ScenarioMetrics, cur: &ScenarioMetrics) -> Vec<(String, i64)> {
+pub(crate) fn counter_deltas(base: &ScenarioMetrics, cur: &ScenarioMetrics) -> Vec<(String, i64)> {
     DIAGNOSTIC_COUNTERS
         .iter()
         .filter_map(|&name| {
@@ -183,7 +183,7 @@ fn leaf_self_times(folded: &str, label: &str) -> Option<BTreeMap<String, u64>> {
 /// restricted to `label`'s stacks. `None` when nothing grew or either
 /// profile is missing/unparseable. Ties break on the lexicographically
 /// smaller frame so the answer is deterministic.
-pub fn hottest_frame_growth(
+pub(crate) fn hottest_frame_growth(
     base_folded: &str,
     cur_folded: &str,
     label: &str,

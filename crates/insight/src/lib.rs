@@ -30,8 +30,8 @@ pub mod slo;
 pub use attribution::{
     attribute, attribute_all, AttributionFold, AttributionReport, Component, RequestAttribution,
 };
-pub use diff::{counter_deltas, diagnose, hottest_frame_growth, is_latency_metric, Diagnosis};
-pub use slo::{evaluate, evaluate_all, SloFold, SloPolicy, SloReport};
+pub use diff::{diagnose, is_latency_metric, Diagnosis};
+pub use slo::{evaluate, SloFold, SloPolicy, SloReport};
 
 use beehive_sim::json::Json;
 
@@ -54,7 +54,9 @@ impl InsightDoc {
     ) -> InsightDoc {
         InsightDoc {
             attributions: attribute_all(traces, k),
-            slo: evaluate_all(policy, traces),
+            slo: (traces.iter())
+                .map(|(label, t)| evaluate(policy, label, t))
+                .collect(),
         }
     }
 

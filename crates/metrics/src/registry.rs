@@ -83,7 +83,7 @@ impl Registry {
 
     /// Set gauge `name` to `value` at virtual time `at` (the window keeps the
     /// last sample it saw).
-    pub fn set_gauge(&mut self, name: &'static str, at: SimTime, value: i64) {
+    pub(crate) fn set_gauge(&mut self, name: &'static str, at: SimTime, value: i64) {
         let w = self.widx(at);
         let g = self.gauges.entry(name).or_default();
         g.last = value;
@@ -99,8 +99,8 @@ impl Registry {
     /// [`Registry::observe`] plus exemplar capture: `request` competes for
     /// the histogram's slowest-[`EXEMPLAR_K`] list, so an alarming quantile
     /// can be traced back to concrete request ids.
-    pub fn observe_exemplar(&mut self, name: &'static str, at: SimTime, d: Duration, request: u64) {
-        self.observe(name, at, d);
+    pub(crate) fn observe_exemplar(&mut self, name: &'static str, d: Duration, request: u64) {
+        self.hists.entry(name).or_default().record(d.as_nanos());
         let ex = self.exemplars.entry(name).or_default();
         ex.push((d.as_nanos(), request));
         ex.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));

@@ -110,29 +110,6 @@ impl Invariant {
             Invariant::Vocabulary => "vocabulary",
         }
     }
-
-    /// One-line catalog description (`repro check` and the README list it).
-    pub fn describe(self) -> &'static str {
-        match self {
-            Invariant::TimeMonotonic => "virtual time never runs backwards",
-            Invariant::SpanNesting => "span ends match opens; residence spans never overlap",
-            Invariant::SessionProtocol => {
-                "one session per track, quiet after terminal, release after end"
-            }
-            Invariant::OffloadConservation => {
-                "every offload decision terminates in exactly one dispatch"
-            }
-            Invariant::LifecycleLegality => {
-                "instances follow Unseen>Booting>Active>{Idle,Dead}; kills chaos-aware"
-            }
-            Invariant::HandoffConservation => "dirty-set syncs shipping bytes ship objects",
-            Invariant::RecoveryProtocol => {
-                "recovery spans non-nesting, attempts increase, degrade bounded by the retry policy"
-            }
-            Invariant::ExactlyOnce => "a request completes at most once",
-            Invariant::Vocabulary => "event names stay in the known vocabulary",
-        }
-    }
 }
 
 impl ToJson for Invariant {
@@ -357,7 +334,6 @@ mod tests {
         for i in Invariant::ALL {
             let named = Invariant::ALL.into_iter().find(|j| j.name() == i.name());
             assert_eq!(named, Some(i));
-            assert!(!i.describe().is_empty());
         }
     }
 

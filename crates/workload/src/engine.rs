@@ -17,8 +17,8 @@
 //!   Each outcome carries its run's whole [`SimResult`], the substrates'
 //!   outputs labelled with the scenario's label,
 //! * [`Collector`] — the one observability hook: an embedder hands one to
-//!   [`run_collected`] to switch substrates on in every scenario, attach an
-//!   [`EventSink`] to its telemetry, and take what it produced.
+//!   [`run_collected`] to switch substrates on in every scenario, attach a
+//!   [`Consumer`] to its telemetry, and take what it produced.
 //!
 //! Worker count can be pinned with the `BEEHIVE_WORKERS` environment
 //! variable (useful for the determinism regression test, which compares
@@ -52,8 +52,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
+use beehive_telemetry::summary::Consumer;
+
 use crate::config::{SimConfig, SimResult};
-pub use crate::driver::EventSink;
 use crate::driver::Sim;
 
 /// What an embedder hands [`run_collected`] to observe every scenario of a
@@ -63,9 +64,9 @@ use crate::driver::Sim;
 pub trait Collector: Sync {
     /// Scenario `seq`, labelled `label`, is about to run: switch on the
     /// substrates it should carry (keeping any it switched on itself), and
-    /// return the sink its telemetry should stream into, if any. A run with
-    /// no sink and no substrate keeps its recorder disarmed.
-    fn open(&self, seq: usize, label: &str, cfg: &mut SimConfig) -> Option<Box<dyn EventSink>>;
+    /// return the consumer its telemetry should stream into, if any. A run
+    /// with no consumer and no substrate keeps its recorder disarmed.
+    fn open(&self, seq: usize, label: &str, cfg: &mut SimConfig) -> Option<Box<dyn Consumer>>;
     /// Scenario `seq` finished: take what it produced from `result`, whose
     /// check and timeline already carry `label`.
     fn close(&self, seq: usize, label: &str, result: &mut SimResult);

@@ -58,6 +58,9 @@ echo "==> docs: cargo doc --no-deps --offline"
 # and intra-doc links resolve.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline > /dev/null
 
+echo "==> census: non-test lines under crates/*/src (informational, not a gate)"
+scripts/loc.sh
+
 echo "==> smoke: cargo run --release --example quickstart"
 cargo run --release --offline --example quickstart > /dev/null
 
